@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -46,6 +47,7 @@ class CapError(ValueError):
     """Requested truncation exceeds the configured cell cap."""
 
 
+_SEED_MAX = 2**64 - 1
 _ARRAY_TESTS = {"hexch", "conditional_iid", "cond_indep"}
 _FIELD_TESTS = {"level_homogeneity"}
 
@@ -60,40 +62,85 @@ def _cell_cap() -> int:
         raise ConfigError(f"HEXCH_MAX_CELLS must be an integer, got {raw!r}") from None
 
 
+def _integer(value, name: str, lo: int, hi: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name} must be {bounds}, got {value}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return x
+
+
+def _optional(obj: dict, key: str, lo: int) -> int | None:
+    return None if obj.get(key) is None else _integer(obj[key], key, lo)
+
+
+def _exceeds(m: int, r: int, n: int, cap: int) -> bool:
+    """Whether m^r * n > cap, without computing m^r for a huge r."""
+    cells = n
+    for _ in range(r if m > 1 else 0):
+        cells *= m
+        if cells > cap:
+            return True
+    return cells > cap
+
+
 def _parse_config(obj) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     for key in ("scenario", "seed", "r", "m"):
         if key not in obj:
             raise ConfigError(f"config is missing required key {key!r}")
+    if not isinstance(obj["scenario"], str):
+        raise ConfigError(f"scenario must be a name, got {obj['scenario']!r}")
     try:
         spec = builtin(obj["scenario"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be an object, got {params!r}")
+    for key, value in params.items():
+        _number(value, f"params.{key}")
+    extract = obj.get("extract", False)
+    if not isinstance(extract, bool):
+        raise ConfigError(f"extract must be true or false, got {extract!r}")
+    out = obj.get("out", "hexch-out")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
     cfg = {
         "scenario": obj["scenario"],
-        "seed": int(obj["seed"]),
-        "r": int(obj["r"]),
-        "m": int(obj["m"]),
-        "n": None if obj.get("n") is None else int(obj["n"]),
-        "params": dict(obj.get("params", {})),
-        "extract": bool(obj.get("extract", False)),
-        "resynthesize_m": (
-            None if obj.get("resynthesize_m") is None else int(obj["resynthesize_m"])
-        ),
+        # derived seeds are 64-bit, so larger seeds would alias smaller ones
+        "seed": _integer(obj["seed"], "seed", 0, _SEED_MAX),
+        "r": _integer(obj["r"], "r", 1),
+        "m": _integer(obj["m"], "m", 1),
+        "n": _optional(obj, "n", 1),
+        "params": dict(params),
+        "extract": extract,
+        "resynthesize_m": _optional(obj, "resynthesize_m", 1),
         "tests": [],
-        "out": obj.get("out", "hexch-out"),
+        "out": out,
     }
-    if cfg["r"] < 1 or cfg["m"] < 1:
-        raise ConfigError("r and m must be >= 1")
     if spec.form == "sigma-replica" and cfg["n"] is None:
         cfg["n"] = int(spec.defaults.get("n", 20))
     tests = obj.get("tests", [])
     if not isinstance(tests, list):
         raise ConfigError("tests must be a list")
     for i, t in enumerate(tests):
-        if not isinstance(t, dict) or "name" not in t:
-            raise ConfigError(f"tests[{i}] must be an object with a 'name'")
+        if not isinstance(t, dict) or not isinstance(t.get("name"), str):
+            raise ConfigError(f"tests[{i}] must be an object with a string 'name'")
         name = t["name"]
         if name not in _ARRAY_TESTS | _FIELD_TESTS:
             raise ConfigError(f"unknown test {name!r}")
@@ -103,17 +150,23 @@ def _parse_config(obj) -> dict:
             raise ConfigError(f"test {name!r} needs a field scenario")
         if name == "cond_indep" and cfg["r"] < 2:
             raise ConfigError("cond_indep needs r >= 2")
+        level = _number(t.get("level", 0.05), f"tests[{i}].level")
+        if not 0.0 < level < 1.0:
+            raise ConfigError(f"tests[{i}].level must lie in (0, 1), got {level}")
         entry = {
             "name": name,
-            "n_reps": int(t.get("n_reps", 50)),
-            "n_resamples": int(t.get("n_resamples", 199)),
-            "level": float(t.get("level", 0.05)),
+            "n_reps": _integer(t.get("n_reps", 50), f"tests[{i}].n_reps", 20),
+            "n_resamples": _integer(t.get("n_resamples", 199), f"tests[{i}].n_resamples", 1),
+            "level": level,
         }
         cfg["tests"].append(entry)
     cap = _cell_cap()
-    cells = cfg["m"] ** cfg["r"] * (cfg["n"] or 1)
-    if cells > cap:
-        raise CapError(f"{cells} cells exceed the cap of {cap}")
+    r, m, n = cfg["r"], cfg["m"], cfg["n"] or 1
+    if _exceeds(m, r, n, cap):
+        raise CapError(f"{m}^{r} x {n} cells exceed the cap of {cap}")
+    m2 = cfg["resynthesize_m"]
+    if m2 is not None and _exceeds(m2, r, 1, cap):
+        raise CapError(f"resynthesis over {m2}^{r} cells exceeds the cap of {cap}")
     return cfg
 
 

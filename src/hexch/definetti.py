@@ -15,6 +15,7 @@ distance whose ground cost recurses down the nesting.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,9 @@ class EmpiricalMeasure:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("a measure needs at least one atom")
-        total = sum(w for _, w in self.atoms)
+        # exact sum of the stored weights: a plain running sum drifts by
+        # about one rounding per atom, past the tolerance at ~10^5 atoms
+        total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"atom weights sum to {total}, expected 1")
         for loc, w in self.atoms:

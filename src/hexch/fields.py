@@ -56,66 +56,84 @@ __all__ = [
 _U64 = np.uint64
 _M1 = _U64(0xBF58476D1CE4E5B9)
 _M2 = _U64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 _GOLD = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; operates on uint64 arrays (wrap-around multiply)
-    z = (z ^ (z >> _U64(30))) * _M1
-    z = (z ^ (z >> _U64(27))) * _M2
-    return z ^ (z >> _U64(31))
+    # splitmix64 finalizer; operates on uint64 arrays (wrap-around multiply).
+    # The first step allocates, so the in-place steps never touch the input.
+    z = z ^ (z >> _S30)
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
+
+
+def _mix_int(z: int) -> int:
+    """:func:`_mix` on one masked Python int; the multiplies wrap mod 2^64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 @lru_cache(maxsize=65536)
 def _role_key(role: str) -> int:
     data = role.encode("utf-8")
-    h = _mix(np.array([(_GOLD ^ len(data)) & _MASK], dtype=_U64))
+    h = _mix_int((_GOLD ^ len(data)) & _MASK)
     for b in data:
-        h = _mix(h ^ _U64(b))
-    return int(h[0])
+        h = _mix_int(h ^ b)
+    return h
+
+
+def _init_int(seed: int, role: str) -> int:
+    return _mix_int(_mix_int((int(seed) ^ _GOLD) & _MASK) ^ _role_key(role))
 
 
 def _init_state(seed: int, role: str) -> np.ndarray:
-    s = np.array([(int(seed) ^ _GOLD) & _MASK], dtype=_U64)
-    return _mix(_mix(s) ^ _U64(_role_key(role)))
+    """The (1,) uint64 start state of the stream (seed, role)."""
+    return np.array([_init_int(seed, role)], dtype=_U64)
 
 
 def _hash_words(h0: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Fold word columns into states ``h0`` (K,), words (V, L) -> floats (K, V)."""
-    h = np.broadcast_to(h0[:, None], (h0.shape[0], words.shape[0])).copy()
+    """Fold word columns into states ``h0`` (K,), words (V, L) -> floats (K, V).
+
+    Every word row holds at least its depth word, so L >= 1 and the first
+    fold broadcasts ``h`` to (K, V).
+    """
+    h = h0[:, None]
     for col in range(words.shape[1]):
         h = _mix(h ^ words[:, col])
-    return (h >> _U64(11)).astype(np.float64) * 2.0**-53
+    return (h >> _S11).astype(np.float64) * 2.0**-53
 
 
 def derive_seed(seed: int, label: str, index: int = 0) -> int:
     """A fresh 64-bit seed, deterministic in (seed, label, index)."""
-    h = _mix(_init_state(seed, "derive:" + label) ^ _U64(index & _MASK))
-    return int(h[0])
+    return _mix_int(_init_int(seed, "derive:" + label) ^ (index & _MASK))
 
 
-def _vertex_words(v: TreeVertex | ProductVertex) -> np.ndarray:
-    parts = v.parts if isinstance(v, ProductVertex) else (v,)
-    seq: list[int] = []
-    for p in parts:
-        seq.append(p.depth)
-        seq.extend(p.coords)
-    return np.array([seq], dtype=_U64)
+def _vertex_row(v: TreeVertex | ProductVertex) -> tuple[int, ...]:
+    """Hash words of a vertex: (depth, c1, ..., cd) per component."""
+    if isinstance(v, ProductVertex):
+        return tuple(w for p in v.parts for w in (len(p.coords), *p.coords))
+    return (len(v.coords), *v.coords)
 
 
-def _coord_grid(depth: int, m: int) -> np.ndarray:
-    """(m^depth, depth) coordinate rows in lexicographic order."""
-    if depth == 0:
-        return np.empty((1, 0), dtype=_U64)
-    grids = np.meshgrid(*([np.arange(1, m + 1, dtype=_U64)] * depth), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, depth)
-
-
+@lru_cache(maxsize=16)
 def _level_words(depth: int, m: int) -> np.ndarray:
-    grid = _coord_grid(depth, m)
-    head = np.full((len(grid), 1), depth, dtype=_U64)
-    return np.hstack([head, grid])
+    """Word rows (depth, c1, ..., cd) of all m^depth vertices at one depth,
+    in lexicographic order. Cached, so the array is read-only."""
+    words = np.empty((m,) * depth + (depth + 1,), dtype=_U64)
+    words[..., 0] = depth
+    for k in range(depth):
+        words[..., k + 1] = np.arange(1, m + 1, dtype=_U64).reshape(
+            (m,) + (1,) * (depth - 1 - k)
+        )
+    words = words.reshape(-1, depth + 1)
+    words.flags.writeable = False
+    return words
 
 
 def _product_level_words(
@@ -144,22 +162,26 @@ class UniformField:
     role: str = "v"
 
     def value(self, v: TreeVertex | ProductVertex) -> float:
-        return float(_hash_words(_init_state(self.seed, self.role), _vertex_words(v))[0, 0])
+        words = np.array([_vertex_row(v)], dtype=_U64)
+        return float(_hash_words(_init_state(self.seed, self.role), words)[0, 0])
 
     def values(self, vs) -> np.ndarray:
-        """Batch evaluation; vertices may have mixed depths."""
+        """Batch evaluation, equal to ``value`` on each vertex.
+
+        Vertices may mix depths and tree/product forms: their word rows are
+        grouped by length and each group is hashed in one array pass.
+        """
         h0 = _init_state(self.seed, self.role)
-        out = np.empty(len(vs))
-        groups: dict[tuple, list[int]] = {}
-        rows: dict[tuple, list[np.ndarray]] = {}
-        for i, v in enumerate(vs):
-            w = _vertex_words(v)
-            key = (w.shape[1],)
-            groups.setdefault(key, []).append(i)
-            rows.setdefault(key, []).append(w[0])
-        for key, idx in groups.items():
-            vals = _hash_words(h0, np.array(rows[key], dtype=_U64))[0]
-            out[np.array(idx)] = vals
+        rows = [_vertex_row(v) for v in vs]
+        if len({len(row) for row in rows}) == 1:
+            return _hash_words(h0, np.array(rows, dtype=_U64))[0]
+        groups: dict[int, list[int]] = {}
+        for i, row in enumerate(rows):
+            groups.setdefault(len(row), []).append(i)
+        out = np.empty(len(rows))
+        for idx in groups.values():
+            words = np.array([rows[i] for i in idx], dtype=_U64)
+            out[idx] = _hash_words(h0, words)[0]
         return out
 
 
@@ -410,11 +432,11 @@ def path_matrix(seed: int, role: str, r: int, m: int) -> np.ndarray:
     holds the depth-d prefix value.
     """
     h0 = _init_state(seed, role)
-    cols = []
+    out = np.empty((m**r, r + 1))
     for d in range(r + 1):
         vals = _hash_words(h0, _level_words(d, m))[0]
-        cols.append(np.repeat(vals, m ** (r - d)))
-    return np.column_stack(cols)
+        out.reshape(m**d, m ** (r - d), r + 1)[:, :, d] = vals[:, None]
+    return out
 
 
 def product_path_matrix(

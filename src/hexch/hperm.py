@@ -139,27 +139,34 @@ class HPerm:
         Both arrays are over the ``{1..m}^r`` leaves in lexicographic order;
         requires the images of the truncation leaves to stay inside it.
         """
-        n = m**self.r
-        idx = np.empty(n, dtype=np.intp)
-        strides = [m**k for k in range(self.r - 1, -1, -1)]
-        for pos, v in enumerate(_iter_leaves(self.r, m)):
-            img = self.apply(v).coords
-            flat = 0
-            for c, s in zip(img, strides):
-                if c > m:
-                    raise ValueError(
-                        f"image {img} leaves the {{1..{m}}}^{self.r} truncation"
-                    )
-                flat += (c - 1) * s
-            idx[pos] = flat
-        return idx
-
-
-def _iter_leaves(r: int, m: int):
-    import itertools
-
-    for coords in itertools.product(range(1, m + 1), repeat=r):
-        yield TreeVertex(coords, r)
+        r = self.r
+        # ranks[k][p, c-1]: image of child c below the depth-k source prefix
+        # with flat index p; the identity where the table has no entry
+        ranks = [np.tile(np.arange(1, m + 1), (m**k, 1)) for k in range(r)]
+        leaks = False
+        for v, images in self.table.items():
+            if max(v.coords, default=0) <= m:
+                row = 0
+                for c in v.coords:
+                    row = row * m + c - 1
+                images = images[:m]
+                ranks[v.depth][row, : len(images)] = images
+                leaks = leaks or max(images) > m
+        # image coordinate k of every leaf, broadcast over the (m,)*r leaf grid
+        cols = [
+            rk.reshape((m,) * (k + 1) + (1,) * (r - 1 - k)) for k, rk in enumerate(ranks)
+        ]
+        if leaks:
+            bad = np.zeros((m,) * r, dtype=bool)
+            for col in cols:
+                bad |= col > m
+            first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            img = tuple(int(col[first[: k + 1]].item()) for k, col in enumerate(cols))
+            raise ValueError(f"image {img} leaves the {{1..{m}}}^{r} truncation")
+        idx = np.zeros((m,) * r, dtype=np.intp)
+        for k, col in enumerate(cols):
+            idx += (col - 1) * m ** (r - 1 - k)
+        return idx.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -195,7 +202,10 @@ def random_hperm(r: int, m: int, seed: int) -> HPerm:
 
     Deterministic in ``seed``; the permutation at each vertex is the ranking
     of that vertex's children under the counter-based uniform field, so the
-    result does not depend on platform or iteration order.
+    result does not depend on platform or iteration order.  All children
+    are hashed in one batch, a ``(len(internal), m)`` grid, and the ranks of
+    every row come from one double stable argsort over that grid (ties, if
+    any, keep child order).
     """
     from .fields import UniformField
 
@@ -203,14 +213,8 @@ def random_hperm(r: int, m: int, seed: int) -> HPerm:
     internal = internal_vertices(r, m)
     children = [v.child(n) for v in internal for n in range(1, m + 1)]
     u = f.values(children).reshape(len(internal), m)
-    table = {}
-    for v, row in zip(internal, u):
-        order = np.argsort(row, kind="stable")
-        images = [0] * m
-        for rank, child in enumerate(order, start=1):
-            images[child] = rank
-        table[v] = tuple(images)
-    return HPerm(r, table)
+    ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable") + 1
+    return HPerm(r, dict(zip(internal, map(tuple, ranks.tolist()))))
 
 
 def random_product_hperm(depths: tuple[int, ...], shape: tuple[int, ...], seed: int) -> ProductHPerm:

@@ -60,7 +60,7 @@ class TreeVertex:
             raise ValueError(
                 f"vertex depth {len(self.coords)} exceeds tree depth {self.r}"
             )
-        if any(c < 1 for c in self.coords):
+        if self.coords and min(self.coords) < 1:
             raise ValueError(f"coordinates must be positive, got {self.coords}")
 
     @property

@@ -145,10 +145,51 @@ def test_config_errors():
         run_experiment(minimal_config(tests=[{"name": "cond_indep"}]), "unused")
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"seed": "abc"},
+        {"seed": -1},
+        {"seed": 2**64},
+        {"r": "2x"},
+        {"m": 2.5},
+        {"params": [1]},
+        {"params": {"weight": "abc"}},
+        {"extract": "no"},
+        {"tests": [{"name": "hexch", "n_reps": 5}]},
+        {"tests": [{"name": "hexch", "n_resamples": 0}]},
+        {"tests": [{"name": "hexch", "level": 7}]},
+        {"tests": [{"name": ["hexch"]}]},
+    ],
+)
+def test_malformed_config_exits_two(tmp_path, overrides, capsys):
+    cfg = minimal_config(**overrides)
+    with pytest.raises(ConfigError):
+        run_experiment(cfg, tmp_path / "out")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cap_exceeded(tmp_path, monkeypatch):
     monkeypatch.setenv("HEXCH_MAX_CELLS", "100")
     with pytest.raises(CapError):
         run_experiment(minimal_config(r=4, m=4), tmp_path / "out")
+    # a depth whose cell count would take forever to compute in full
+    with pytest.raises(CapError):
+        run_experiment(minimal_config(r=10**12, m=2), tmp_path / "out")
+
+
+def test_resynthesis_cap_exceeded(tmp_path, monkeypatch):
+    monkeypatch.setenv("HEXCH_MAX_CELLS", "100")
+    cfg = minimal_config(scenario="product", r=2, m=4, extract=True, tests=[])
+    run_experiment({**cfg, "resynthesize_m": 10}, tmp_path / "ok")
+    with pytest.raises(CapError):
+        run_experiment({**cfg, "resynthesize_m": 11}, tmp_path / "out")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "resynthesize_m": 100000}))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
 
 
 def test_cli_run_exit_codes(tmp_path, monkeypatch, capsys):

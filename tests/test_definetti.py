@@ -116,6 +116,14 @@ def test_extract_r1_single_root_measure():
     assert h.root_measure == empirical_measure(arr)
 
 
+def test_extract_r1_many_atoms_weights_sum_to_one():
+    # 10^5 atoms of weight 1e-5: a running float sum misses 1 by ~2e-12
+    x = np.random.default_rng(8).random(100_000)
+    mu = extract_hierarchy(x, 1, 100_000).root_measure
+    assert len(mu.atoms) == 100_000
+    assert all(w == 1e-5 for _, w in mu.atoms)
+
+
 def test_extract_constant_array_gives_nested_point_masses():
     c = 0.37
     h = extract_hierarchy(np.full(9, c), 2, 3)

@@ -5,10 +5,16 @@ import pytest
 import scipy.stats
 
 from hexch.fields import (
+    _GOLD,
+    _MASK,
     DistSpec,
     IField,
     SigmaModel,
     UniformField,
+    _init_state,
+    _level_words,
+    _mix,
+    _mix_int,
     derive_seed,
     field_value,
     ifield_truncation_values,
@@ -88,6 +94,47 @@ def test_derive_seed_distinct():
     seeds = {derive_seed(9, "a", k) for k in range(100)}
     seeds |= {derive_seed(9, "b", k) for k in range(100)}
     assert len(seeds) == 200
+
+
+def test_values_match_value_on_mixed_vertices():
+    f = UniformField(77, "w")
+    vs = [
+        root(3), leaf(2, 5, 1), TreeVertex((4,), 3), leaf(1, 1, r=2), root(1),
+        ProductVertex((leaf(1), leaf(2, 2))), TreeVertex((3, 3), 3),
+        ProductVertex((root(2), TreeVertex((1,), 1), leaf(4, 4, 4))), leaf(9),
+        ProductVertex((leaf(3), leaf(1, 1))),
+    ]
+    assert list(f.values(vs)) == [f.value(v) for v in vs]
+    same_depth = [leaf(a, b) for a in range(1, 4) for b in range(1, 4)]
+    assert list(f.values(same_depth)) == [f.value(v) for v in same_depth]
+    assert f.values([]).shape == (0,)
+
+
+def _np_init_state(seed, role):
+    # the array form of the seed mixing, on 1-element uint64 arrays
+    data = role.encode("utf-8")
+    h = _mix(np.array([(_GOLD ^ len(data)) & _MASK], dtype=np.uint64))
+    for b in data:
+        h = _mix(h ^ np.uint64(b))
+    s = np.array([(int(seed) ^ _GOLD) & _MASK], dtype=np.uint64)
+    return _mix(_mix(s) ^ h)
+
+
+def test_scalar_seed_mixing_matches_array_mix():
+    rng = np.random.default_rng(4)
+    z = rng.integers(0, 2**64, size=200, dtype=np.uint64, endpoint=False)
+    z_before = z.copy()
+    assert [_mix_int(int(x)) for x in z] == [int(x) for x in _mix(z)]
+    assert np.array_equal(z, z_before)  # _mix leaves its input alone
+    seeds = [-(2**70), -5, -1, 0, 1, 42, 2**63, 2**64 - 1, 2**64, 2**64 + 5]
+    for seed in seeds:
+        for role in ("v", "v^12", "derive:rep-a", "\u00e9t\u00e9"):
+            expected = _np_init_state(seed, role)
+            assert _init_state(seed, role).dtype == np.uint64
+            assert np.array_equal(_init_state(seed, role), expected)
+        for index in (0, 7, -1, 2**64 - 1, 2**64 + 3):
+            h = _mix(_np_init_state(seed, "derive:lbl") ^ np.uint64(index & _MASK))
+            assert derive_seed(seed, "lbl", index) == int(h[0])
 
 
 def test_product_vertex_field_values():
@@ -429,6 +476,12 @@ def test_path_matrix_columns_are_prefix_values():
     for pos, lf in enumerate(leaves(r, m)):
         expected = [f.value(v) for v in [root(r), lf.parent(), lf]]
         assert np.array_equal(pm[pos], expected)
+    # the level grids behind it are cached and shared, so they are read-only
+    # and a second call sees the same values
+    assert not _level_words(r, m).flags.writeable
+    with pytest.raises(ValueError):
+        _level_words(r, m)[0, 0] = 7
+    assert np.array_equal(path_matrix(seed, "v", r, m), pm)
 
 
 def test_product_path_matrix_matches_vertex_values():

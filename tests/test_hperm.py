@@ -158,6 +158,25 @@ def test_wedge_preservation_rejects_flat_swap():
     assert not verify_wedge_preservation(flat_swap, leaves(2, 2))
 
 
+def _reference_leaf_indices(p, m):
+    """The per-leaf loop: apply the map to every leaf in lexicographic order."""
+    strides = [m**k for k in range(p.r - 1, -1, -1)]
+    idx = []
+    for coords in itertools.product(range(1, m + 1), repeat=p.r):
+        img = p.apply(TreeVertex(coords, p.r)).coords
+        if max(img) > m:
+            raise ValueError(f"image {img} leaves the {{1..{m}}}^{p.r} truncation")
+        idx.append(sum((c - 1) * s for c, s in zip(img, strides)))
+    return idx
+
+
+def _leaf_indices_or_error(p, m, fn):
+    try:
+        return list(fn(p, m))
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_permuted_leaf_indices_matches_apply():
     import numpy as np
 
@@ -170,6 +189,28 @@ def test_permuted_leaf_indices_matches_apply():
     y = x[idx]
     for pos, v in enumerate(lv):
         assert y[pos] == x[lv.index(p.apply(v))]
+
+    maps = [identity_hperm(2), root_swap(3)]
+    for s in range(4):
+        for r, m in ((1, 5), (2, 3), (3, 3)):
+            a = random_hperm(r, m, seed=s)
+            b = random_hperm(r, m + 2, seed=50 + s)  # keys and images beyond m
+            maps += [a, b, a.compose(b), b.compose(a), a.invert(), b.invert(),
+                     hperm_from_json_obj(hperm_to_json_obj(b.compose(a)), r)]
+    maps += [
+        # support larger than m, images of 1..m inside the truncation
+        HPerm(2, {root(2): (2, 1, 4, 3), TreeVertex((1,), 2): (3, 1, 2, 5, 4)}),
+        # support larger than m and an image leaving it, below a key outside
+        HPerm(2, {TreeVertex((2,), 2): (1, 4, 2, 3), TreeVertex((7,), 2): (2, 1)}),
+        HPerm(3, {root(3): (1, 3, 2), TreeVertex((3, 1), 3): (5, 1, 2, 3, 4)}),
+    ]
+    outcomes = set()
+    for p in maps:
+        for m in (2, 3):
+            got = _leaf_indices_or_error(p, m, HPerm.permuted_leaf_indices)
+            assert got == _leaf_indices_or_error(p, m, _reference_leaf_indices)
+            outcomes.add(type(got))
+    assert outcomes == {list, str}  # both the index and the error path ran
 
 
 def test_product_hperm_applies_componentwise():

@@ -107,6 +107,25 @@ def test_hexch_deterministic():
     assert r1.p_value == r2.p_value and r1.statistic == r2.statistic
 
 
+@pytest.mark.parametrize(
+    "name, r, m, n, seed, p_value, statistic",
+    [
+        ("path-mean", 2, 4, None, 5, 0.12, 0.16282746184910923),
+        ("product", 3, 3, None, 11, 0.14, 0.07180741966616899),
+        ("label-leak", 2, 8, None, 2, 0.02, 2.092101878682566),
+        ("toy-magnetization", 2, 4, 8, 3, 0.9, 0.1733429312009589),
+        ("uniform-leaf", 2, 16, None, 7, 0.14, 0.3649331660897821),
+        ("path-mean", 1, 6, None, 1, 1.0, 0.03023609925013082),
+    ],
+)
+def test_hexch_pinned_values(name, r, m, n, seed, p_value, statistic):
+    # exact outputs: the permutation draws, field hashing and sampling
+    # behind hexch_test must stay bit-identical
+    src = make_source(name, r, m, n=n)
+    rep = hexch_test(src.sample, r, m, n=src.n, n_reps=20, n_resamples=49, seed=seed)
+    assert (rep.p_value, rep.statistic) == (p_value, statistic)
+
+
 def test_hexch_accepts_fixed_permutation_pool():
     src = make_source("uniform-leaf", 2, 4)
     pool = [random_hperm(2, 4, seed=s) for s in range(3)]
