@@ -32,6 +32,7 @@ from .stattests import (
     cond_indep_test,
     conditional_iid_test,
     hexch_test,
+    kept_dimension,
     level_homogeneity_test,
 )
 from .tree import DEFAULT_CELL_CAP, leaves, product_leaves
@@ -112,7 +113,13 @@ def _parse_config(obj) -> dict:
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be an object, got {params!r}")
+    known = spec.defaults.get("params", {})
     for key, value in params.items():
+        if key not in known:
+            raise ConfigError(
+                f"unknown param {key!r} for scenario {spec.name!r}; "
+                f"expected one of {sorted(known)}"
+            )
         _number(value, f"params.{key}")
     extract = obj.get("extract", False)
     if not isinstance(extract, bool):
@@ -167,7 +174,26 @@ def _parse_config(obj) -> dict:
     m2 = cfg["resynthesize_m"]
     if m2 is not None and _exceeds(m2, r, 1, cap):
         raise CapError(f"resynthesis over {m2}^{r} cells exceeds the cap of {cap}")
+    # only replica scenarios sample a replica axis; the others ignore n
+    replicas = cfg["n"] if spec.form == "sigma-replica" else None
+    for i, t in enumerate(cfg["tests"]):
+        if t["name"] == "hexch":
+            _check_hexch_buffers(i, t, kept_dimension(r, m, replicas), cap)
     return cfg
+
+
+def _check_hexch_buffers(i: int, entry: dict, kept: int, cap: int) -> None:
+    """Cap the arrays hexch_test allocates: the replicate matrix, its
+    pairwise distance matrix and the resample masks."""
+    rows = 2 * entry["n_reps"]
+    buffers = {
+        f"replicate matrix ({rows} x {kept})": rows * kept,
+        f"distance matrix ({rows} x {rows})": rows * rows,
+        f"resample masks ({entry['n_resamples']} x {rows})": entry["n_resamples"] * rows,
+    }
+    for what, cells in buffers.items():
+        if cells > cap:
+            raise CapError(f"tests[{i}]: hexch {what} exceeds the cap of {cap} cells")
 
 
 def _fmt(x: float) -> str:
@@ -206,10 +232,6 @@ def array_to_csv(array: np.ndarray, depths, shape, n=None) -> str:
             for i, x in enumerate(row, start=1):
                 lines.append(",".join(key + [str(i), _fmt(x)]))
     return "\n".join(lines) + "\n"
-
-
-def _array_csv(array: np.ndarray, r: int, m: int, n) -> str:
-    return array_to_csv(array, r, m, n)
 
 
 def _field_csv(by_vertex: dict) -> str:
@@ -286,7 +308,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
             cfg["scenario"], cfg["r"], cfg["m"], n=cfg["n"], params=cfg["params"]
         )
         array = src.sample(cfg["seed"])
-        _write(out / "array.csv", _array_csv(array, cfg["r"], cfg["m"], src.n), files)
+        _write(out / "array.csv", array_to_csv(array, cfg["r"], cfg["m"], src.n), files)
         needs_hierarchy = cfg["extract"] or any(
             t["name"] in ("conditional_iid", "cond_indep") for t in cfg["tests"]
         )
@@ -308,7 +330,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
                 )
                 _write(
                     out / "resynthesized.csv",
-                    _array_csv(resyn, cfg["r"], cfg["resynthesize_m"], None),
+                    array_to_csv(resyn, cfg["r"], cfg["resynthesize_m"], None),
                     files,
                 )
 

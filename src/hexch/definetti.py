@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .fields import UniformField
-from .tree import TreeVertex
+from .tree import TreeVertex, leaf_coords
 
 __all__ = [
     "EmpiricalMeasure",
@@ -76,44 +77,57 @@ class EmpiricalMeasure:
             return (0, self.atoms)
         return (self.level, tuple((a.sort_key(), w) for a, w in self.atoms))
 
-    @property
+    # The array views below are built once per measure, on first use, and
+    # are read-only because every caller shares them.
+
+    @cached_property
     def locations(self) -> np.ndarray:
         if self.level != 0:
             raise ValueError("locations are defined for level-0 measures only")
-        return np.array([loc for loc, _ in self.atoms])
+        return _read_only(np.array([loc for loc, _ in self.atoms]))
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms])
+        return _read_only(np.array([w for _, w in self.atoms]))
+
+    @cached_property
+    def _padded_cdf(self) -> np.ndarray:
+        """Cumulative weights after 0, 1, ..., n atoms; the last is exactly 1."""
+        cum = np.zeros(len(self.atoms) + 1)
+        np.cumsum(self.weights, out=cum[1:])
+        cum[-1] = 1.0
+        return _read_only(cum)
 
     def cumweights(self) -> np.ndarray:
-        cum = np.cumsum(self.weights)
-        cum[-1] = 1.0
-        return cum
+        return self._padded_cdf[1:]
 
     def cdf(self, x) -> np.ndarray:
         if self.level != 0:
             raise ValueError("cdf is defined for level-0 measures only")
-        cum = np.concatenate([[0.0], self.cumweights()])
-        return cum[np.searchsorted(self.locations, np.asarray(x, float), side="right")]
+        idx = np.searchsorted(self.locations, np.asarray(x, float), side="right")
+        return self._padded_cdf[idx]
 
     def cdf_left(self, x) -> np.ndarray:
         if self.level != 0:
             raise ValueError("cdf is defined for level-0 measures only")
-        cum = np.concatenate([[0.0], self.cumweights()])
-        return cum[np.searchsorted(self.locations, np.asarray(x, float), side="left")]
+        idx = np.searchsorted(self.locations, np.asarray(x, float), side="left")
+        return self._padded_cdf[idx]
 
     def quantile(self, v) -> np.ndarray:
         """Left-continuous generalized inverse CDF: Q(v) = inf{x : F(x) >= v}."""
         if self.level != 0:
             raise ValueError("quantile is defined for level-0 measures only")
-        idx = np.searchsorted(self.cumweights(), np.asarray(v, float), side="left")
-        return self.locations[np.minimum(idx, len(self.atoms) - 1)]
+        return self.locations[self._atom_index(v)]
 
-    def atom_at(self, v: float):
-        """Atom selected by the left-continuous inverse over the weight CDF."""
-        idx = int(np.searchsorted(self.cumweights(), v, side="left"))
-        return self.atoms[min(idx, len(self.atoms) - 1)][0]
+    def _atom_index(self, v) -> np.ndarray:
+        """Index of the atom the left-continuous inverse weight CDF picks at v."""
+        idx = np.searchsorted(self.cumweights(), np.asarray(v, float), side="left")
+        return np.minimum(idx, len(self.atoms) - 1)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _merge(pairs, level: int) -> EmpiricalMeasure:
@@ -199,12 +213,37 @@ class DirectingHierarchy:
         return self.measures[v]
 
 
+def _sorted_row_measures(rows: np.ndarray) -> list[EmpiricalMeasure]:
+    """Level-0 empirical measures of the rows of a row-sorted (k, m) matrix.
+
+    Runs of equal values in a row merge into one atom of weight count/m, so
+    each measure's atoms and weights are exactly those that
+    :func:`empirical_measure` gives on the row.
+    """
+    m = rows.shape[1]
+    flat = rows.reshape(-1)
+    # an atom starts wherever a row starts or its value changes
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    first[::m] = True
+    starts = np.flatnonzero(first)
+    locs = flat[starts].tolist()
+    weights = (np.diff(starts, append=flat.size) / m).tolist()
+    bounds = np.searchsorted(starts, np.arange(0, flat.size + 1, m)).tolist()
+    return [
+        EmpiricalMeasure(tuple(zip(locs[lo:hi], weights[lo:hi])), 0)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
 def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
     """Estimate the directing hierarchy of an array over ``{1..m}^r`` leaves.
 
     Depth r-1 vertices get the empirical measure of their children's values;
     each shallower vertex the empirical measure of its children's measures.
-    The array must be complete and in lexicographic leaf order.
+    The array must be complete and in lexicographic leaf order.  The
+    ``(m^(r-1), m)`` sibling matrix is sorted along its rows once, and each
+    depth r-1 measure is read off its sorted row.
     """
     arr = np.asarray(array, dtype=np.float64).reshape(-1)
     if arr.size != m**r:
@@ -212,9 +251,7 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
             f"incomplete array: expected {m**r} = {m}^{r} leaf values, got {arr.size}"
         )
     measures: dict[TreeVertex, EmpiricalMeasure] = {}
-    current: list[EmpiricalMeasure] = [
-        empirical_measure(arr[i * m : (i + 1) * m]) for i in range(m ** (r - 1))
-    ]
+    current = _sorted_row_measures(np.sort(arr.reshape(m ** (r - 1), m), axis=1))
     for d in range(r - 1, -1, -1):
         for coords, mu in zip(
             itertools.product(range(1, m + 1), repeat=d), current
@@ -234,7 +271,8 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     Walking down from the root, each fresh vertex draws its child measure
     from the parent's nested measure by quantile sampling over the atom
     index, bottoming out with a value quantile draw at the leaves.  All
-    uniforms come from the counter-based field (role "w"), so the output is
+    uniforms come from the counter-based field (role "w"), hashed one whole
+    depth at a time from its coordinate grid, so the output is
     deterministic in ``seed``.
     """
     if h.r != r:
@@ -242,24 +280,14 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     f = UniformField(seed, role="w")
     current = [h.root_measure]
     for d in range(1, r):
-        vs = [
-            TreeVertex(c, r) for c in itertools.product(range(1, m2 + 1), repeat=d)
-        ]
-        u = f.values(vs)
+        u = f.values(leaf_coords(d, m2)).reshape(len(current), m2)
         nxt = []
-        for parent_idx, mu in enumerate(current):
-            block = u[parent_idx * m2 : (parent_idx + 1) * m2]
-            nxt.extend(mu.atom_at(x) for x in block)
+        for mu, row in zip(current, u):
+            atoms = mu.atoms
+            nxt.extend(atoms[i][0] for i in mu._atom_index(row).tolist())
         current = nxt
-    leaves_v = [
-        TreeVertex(c, r) for c in itertools.product(range(1, m2 + 1), repeat=r)
-    ]
-    u = f.values(leaves_v)
-    out = np.empty(m2**r)
-    for parent_idx, mu in enumerate(current):
-        sl = slice(parent_idx * m2, (parent_idx + 1) * m2)
-        out[sl] = mu.quantile(u[sl])
-    return out
+    u = f.values(leaf_coords(r, m2)).reshape(len(current), m2)
+    return np.concatenate([mu.quantile(row) for mu, row in zip(current, u)])
 
 
 # -- distances ----------------------------------------------------------------

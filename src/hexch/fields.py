@@ -121,6 +121,22 @@ def _vertex_row(v: TreeVertex | ProductVertex) -> tuple[int, ...]:
     return (len(v.coords), *v.coords)
 
 
+def _coord_words(coords: np.ndarray) -> np.ndarray:
+    """Word rows (d, c1, ..., cd) of an (N, d) integer coordinate array."""
+    if coords.ndim != 2 or not np.issubdtype(coords.dtype, np.integer):
+        raise ValueError(
+            f"coordinate rows must be a 2-D integer array, got {coords.dtype} "
+            f"of shape {coords.shape}"
+        )
+    if coords.size and coords.min() < 1:
+        raise ValueError("vertex coordinates must be >= 1")
+    n, d = coords.shape
+    words = np.empty((n, d + 1), dtype=_U64)
+    words[:, 0] = d
+    words[:, 1:] = coords
+    return words
+
+
 @lru_cache(maxsize=16)
 def _level_words(depth: int, m: int) -> np.ndarray:
     """Word rows (depth, c1, ..., cd) of all m^depth vertices at one depth,
@@ -168,10 +184,16 @@ class UniformField:
     def values(self, vs) -> np.ndarray:
         """Batch evaluation, equal to ``value`` on each vertex.
 
-        Vertices may mix depths and tree/product forms: their word rows are
-        grouped by length and each group is hashed in one array pass.
+        ``vs`` is either a sequence of vertices or an integer array of shape
+        ``(N, d)``.  Vertices may mix depths and tree/product forms: their
+        word rows are grouped by length and each group is hashed in one
+        array pass.  An array holds the coordinate rows of N depth-d tree
+        vertices (every coordinate >= 1); its word rows (d, c1, ..., cd) are
+        hashed in one pass, without building any vertex object.
         """
         h0 = _init_state(self.seed, self.role)
+        if isinstance(vs, np.ndarray):
+            return _hash_words(h0, _coord_words(vs))[0]
         rows = [_vertex_row(v) for v in vs]
         if len({len(row) for row in rows}) == 1:
             return _hash_words(h0, np.array(rows, dtype=_U64))[0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import TreeVertex, internal_vertices, wedge_matrix
+from .tree import TreeVertex, internal_vertices, leaf_coords, wedge_matrix
 
 __all__ = [
     "HPerm",
@@ -202,17 +202,19 @@ def random_hperm(r: int, m: int, seed: int) -> HPerm:
 
     Deterministic in ``seed``; the permutation at each vertex is the ranking
     of that vertex's children under the counter-based uniform field, so the
-    result does not depend on platform or iteration order.  All children
-    are hashed in one batch, a ``(len(internal), m)`` grid, and the ranks of
-    every row come from one double stable argsort over that grid (ties, if
-    any, keep child order).
+    result does not depend on platform or iteration order.  The children
+    are hashed one depth at a time from their coordinate grids, without
+    building vertex objects, into a ``(len(internal), m)`` grid, and the
+    ranks of every row come from one double stable argsort over that grid
+    (ties, if any, keep child order).
     """
     from .fields import UniformField
 
     f = UniformField(seed, role="hperm")
     internal = internal_vertices(r, m)
-    children = [v.child(n) for v in internal for n in range(1, m + 1)]
-    u = f.values(children).reshape(len(internal), m)
+    # the children of the internal vertices, in order, are depths 1..r
+    u = np.concatenate([f.values(leaf_coords(d, m)) for d in range(1, r + 1)])
+    u = u.reshape(len(internal), m)
     ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable") + 1
     return HPerm(r, dict(zip(internal, map(tuple, ranks.tolist()))))
 

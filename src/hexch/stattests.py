@@ -30,6 +30,7 @@ __all__ = [
     "TestReport",
     "energy_distance",
     "hexch_test",
+    "kept_dimension",
     "conditional_iid_test",
     "cond_indep_test",
     "level_homogeneity_test",
@@ -127,18 +128,30 @@ def _energy_permutation_pvalue(
     return observed, p
 
 
-def _marginal_indices(dim: int, r: int, m: int, n, seed: int) -> np.ndarray | None:
-    """Flattened coordinates entering the test statistic.
+_MARGINAL_SUBSET = 64
 
-    Small single-tree truncations (m <= 8, r <= 3) keep every leaf;
-    otherwise a fixed 64-coordinate subset is drawn once from the seed.
+
+def kept_dimension(r: int, m: int, n: int | None = None) -> int:
+    """Number of flattened coordinates per replicate that :func:`hexch_test`
+    compares.
+
+    Small single-tree truncations (m <= 8, r <= 3) keep every leaf, as does
+    any array of at most 64 entries; otherwise a fixed 64-coordinate subset
+    is kept.
     """
-    if n is None and m <= 8 and r <= 3:
-        return None
-    if dim <= 64:
+    dim = m**r * (1 if n is None else n)
+    if (n is None and m <= 8 and r <= 3) or dim <= _MARGINAL_SUBSET:
+        return dim
+    return _MARGINAL_SUBSET
+
+
+def _marginal_indices(dim: int, r: int, m: int, n, seed: int) -> np.ndarray | None:
+    """Flattened coordinates entering the test statistic, or None for all:
+    the subset of :func:`kept_dimension`, drawn once from the seed."""
+    if kept_dimension(r, m, n) == dim:
         return None
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "marginal-subset")))
-    return np.sort(rng.choice(dim, size=64, replace=False))
+    return np.sort(rng.choice(dim, size=_MARGINAL_SUBSET, replace=False))
 
 
 def hexch_test(

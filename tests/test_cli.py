@@ -192,6 +192,41 @@ def test_resynthesis_cap_exceeded(tmp_path, monkeypatch):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_unknown_scenario_param_exits_two(tmp_path, capsys):
+    cfg = minimal_config(scenario="label-leak", r=2, params={"wieght": 0.0})
+    with pytest.raises(ConfigError, match="wieght"):
+        run_experiment(cfg, tmp_path / "out")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    # scenarios without declared params accept none
+    with pytest.raises(ConfigError):
+        run_experiment(minimal_config(params={"weight": 0.5}), tmp_path / "out")
+
+
+def test_hexch_buffer_cap_exceeded(tmp_path, monkeypatch, capsys):
+    # the replicate matrix is 2*n_reps x kept dimension, the distance matrix
+    # (2*n_reps)^2 and the resample masks n_resamples x 2*n_reps
+    monkeypatch.setenv("HEXCH_MAX_CELLS", "2000")
+    hexch = {"name": "hexch", "n_reps": 20, "n_resamples": 50}
+    code, _ = run_experiment(minimal_config(tests=[hexch]), tmp_path / "ok")
+    assert code == 0  # 40 x 4 replicates, 40^2 distances, 50 x 40 masks
+    for cfg in (
+        minimal_config(m=64, tests=[{**hexch, "n_resamples": 1}]),  # 40 x 64
+        minimal_config(tests=[{**hexch, "n_reps": 23, "n_resamples": 1}]),  # 46^2
+        minimal_config(tests=[{**hexch, "n_resamples": 51}]),  # 51 x 40
+    ):
+        with pytest.raises(CapError, match="hexch"):
+            run_experiment(cfg, tmp_path / "out")
+    monkeypatch.delenv("HEXCH_MAX_CELLS")
+    cfg = minimal_config(scenario="path-mean", r=2, m=8, tests=[{**hexch, "n_reps": 10**7}])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_run_exit_codes(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(minimal_config()))

@@ -1,6 +1,8 @@
 """Tests for empirical measures, extraction and resynthesis."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,9 +22,9 @@ from hexch.definetti import (
     resynthesize,
     wasserstein1,
 )
-from hexch.fields import UniformField, sample_array
+from hexch.fields import UniformField, derive_seed, sample_array
 from hexch.hperm import random_hperm
-from hexch.scenarios import make_model
+from hexch.scenarios import make_model, make_source
 from hexch.tree import TreeVertex, leaves, root
 
 
@@ -106,6 +108,25 @@ def test_quantile_grid_reproduces_weights_exactly():
         assert abs(freq - w) <= 1.0 / grid_n + 1e-12
 
 
+def test_measure_arrays_cached_and_read_only():
+    mu = empirical_measure([0.3, 0.1, 0.1, 0.9])
+    arrays = [mu.locations, mu.weights, mu.cumweights()]
+    assert arrays[0] is mu.locations and arrays[1] is mu.weights
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    assert list(mu.cumweights()) == [0.5, 0.75, 1.0]
+    assert list(mu.cdf([0.0, 0.1, 0.5, 1.0])) == [0.0, 0.5, 0.75, 1.0]
+    assert list(mu.cdf_left([0.1, 0.3, 0.9])) == [0.0, 0.5, 0.75]
+    # the caches leave equality and hashing alone
+    fresh = empirical_measure([0.3, 0.1, 0.1, 0.9])
+    assert fresh == mu and hash(fresh) == hash(mu)
+    nested = measure_over([mu, fresh, point_mass(0.2)])
+    assert not nested.weights.flags.writeable
+    assert not nested.cumweights().flags.writeable
+
+
 # -- extraction -----------------------------------------------------------------
 
 
@@ -185,6 +206,41 @@ def test_extract_invariant_under_structure_permutation():
         assert nested_distance(mu, hx_.measure_at(pi.apply(v))) == 0.0
 
 
+def _reference_extract(x, r, m):
+    # the per-row loop: np.unique on each sibling block, then measures over
+    # measures level by level
+    level = [empirical_measure(x[i * m : (i + 1) * m]) for i in range(m ** (r - 1))]
+    measures = {}
+    for d in range(r - 1, -1, -1):
+        for coords, mu in zip(itertools.product(range(1, m + 1), repeat=d), level):
+            measures[TreeVertex(coords, r)] = mu
+        if d > 0:
+            level = [measure_over(level[i * m : (i + 1) * m]) for i in range(m ** (d - 1))]
+    return measures
+
+
+@pytest.mark.parametrize(
+    "r, m, model, decimals",
+    [
+        (1, 9, "product", None),
+        (2, 6, "path-mean", None),
+        (3, 4, "product", None),
+        (2, 8, "uniform-leaf", 1),  # many ties within rows
+        (3, 3, "path-mean", 1),
+        (2, 5, "root-constant", None),  # every row one atom
+    ],
+)
+def test_extract_matches_per_row_empirical_measure(r, m, model, decimals):
+    x = sample_array(make_model(model, r), r, m, seed=40 + r * m)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    measures = extract_hierarchy(x, r, m).measures
+    expected = _reference_extract(x, r, m)
+    assert list(measures) == list(expected)
+    for v, mu in expected.items():
+        assert measures[v].atoms == mu.atoms and measures[v].level == mu.level
+
+
 # -- resynthesis ----------------------------------------------------------------
 
 
@@ -238,6 +294,76 @@ def test_resynthesize_deterministic_and_depth_checked():
     assert np.array_equal(resynthesize(h, 2, 8, seed=1), resynthesize(h, 2, 8, seed=1))
     with pytest.raises(ValueError):
         resynthesize(h, 3, 8, seed=1)
+
+
+def _reference_resynthesize(h, r, m2, seed):
+    # the per-child loop: one field value per TreeVertex and one inverse-CDF
+    # atom pick per child, from weights summed afresh
+    f = UniformField(seed, role="w")
+
+    def pick(mu, v):
+        cum = np.cumsum([w for _, w in mu.atoms])
+        cum[-1] = 1.0
+        return min(int(np.searchsorted(cum, v, side="left")), len(mu.atoms) - 1)
+
+    current = [h.root_measure]
+    for d in range(1, r + 1):
+        vs = [TreeVertex(c, r) for c in itertools.product(range(1, m2 + 1), repeat=d)]
+        u = f.values(vs)
+        current = [
+            mu.atoms[pick(mu, x)][0]
+            for i, mu in enumerate(current)
+            for x in u[i * m2 : (i + 1) * m2]
+        ]
+    return np.array(current)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("m2", [2, 4, 7])
+def test_resynthesize_matches_per_child_loop(r, m2):
+    m = 4
+    x = sample_array(make_model("product", r), r, m, seed=17 * r + m2)
+    x[: m ** r // 2] = np.round(x[: m ** r // 2], 1)  # some tied atoms
+    h = extract_hierarchy(x, r, m)
+    y = resynthesize(h, r, m2, seed=m2)
+    assert np.array_equal(y, _reference_resynthesize(h, r, m2, seed=m2))
+
+
+# sha256 of the hierarchy.json bytes and of the little-endian resynthesized
+# array, recorded before extraction and resynthesis were vectorized:
+# (scenario, r, m, resynthesize_m, seed, hierarchy digest, resynthesis digest)
+PINNED_DIGESTS = [
+    ("product", 3, 5, 4, 0,
+     "47a526ca3d7213cca7c55ea6c7b771d7ba723fd2d0ee043f622c9d8a64a9a8dc",
+     "8550bc3beaa78a040860e16575f9380c907e02567806b34b6b2e7a101ed02492"),
+    ("product", 3, 5, 7, 1,
+     "72c3843bdf08c2beca42c196a522c573471b8805c3271d8df0d7717c92c81204",
+     "a9c9b97b2de339a1cf23dc8e07a29f31da2f24aa5ae085611e4ad65aa630ff2c"),
+    ("path-mean", 2, 8, 8, 2,
+     "70b342af0cb5a5694a3664ac5503f11eab4c08c4850be8a94f39b0d5fd87d6b5",
+     "eedf3cbba283ae3b060d328a81841881e0b12f489f0cabc30285e6a9f9054405"),
+    ("root-constant", 2, 6, 9, 3,
+     "4c7bab5b57431145e43a462bd21dc3dccf52d952d4bd679d83f7f3ba548f613a",
+     "76a318eee8e9cf8a8e5c08c0be03be30f21ab355da30ae8d64e3eec30aa9e1a6"),
+    ("markov-leak", 2, 7, 5, 4,
+     "89cb347cc46974396f590b27abb0f67a4f9a97d5803f950dcd57036b2e4940c7",
+     "ffd822ca663cef3f06595602bd7472515c3c640ab673270bb20296795f8962f0"),
+    ("uniform-leaf", 1, 9, 12, 5,
+     "8ca0b75fe8c6a88bbd4735d68bb3d510f2f6940ed79055c33be774556b5d80ad",
+     "238941ef1a2fac4ff6cd3d4b0dee6579806d877ed19d7d9ce2c9a3046a353c43"),
+]
+
+
+@pytest.mark.parametrize("case", PINNED_DIGESTS, ids=lambda c: f"{c[0]}-r{c[1]}-seed{c[4]}")
+def test_hierarchy_and_resynthesis_bytes_pinned(case):
+    name, r, m, m2, seed, h_digest, y_digest = case
+    x = make_source(name, r, m).sample(seed)
+    h = extract_hierarchy(x, r, m)
+    text = json.dumps(hierarchy_to_json_obj(h), sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == h_digest
+    y = resynthesize(h, r, m2, derive_seed(seed, "resynthesize"))
+    data = np.ascontiguousarray(y, dtype="<f8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == y_digest
 
 
 # -- distances ------------------------------------------------------------------

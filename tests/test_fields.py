@@ -28,7 +28,7 @@ from hexch.fields import (
     sample_pair,
     uniform_ifield,
 )
-from hexch.tree import ProductVertex, TreeVertex, leaf, leaves, root
+from hexch.tree import ProductVertex, TreeVertex, leaf, leaf_coords, leaves, root
 
 UNIF = DistSpec("uniform", (0.0, 1.0))
 
@@ -108,6 +108,33 @@ def test_values_match_value_on_mixed_vertices():
     same_depth = [leaf(a, b) for a in range(1, 4) for b in range(1, 4)]
     assert list(f.values(same_depth)) == [f.value(v) for v in same_depth]
     assert f.values([]).shape == (0,)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_values_on_coordinate_rows_match_vertices(depth):
+    f = UniformField(31, "w")
+    grid = leaf_coords(depth, 3)
+    vs = [TreeVertex(tuple(c), depth) for c in grid.tolist()]
+    assert np.array_equal(f.values(grid), f.values(vs))
+    # arbitrary rows, repeats and coordinates beyond any truncation included
+    rng = np.random.default_rng(depth)
+    rows = rng.integers(1, 1000, size=(50, depth), dtype=np.int32)
+    vs = [TreeVertex(tuple(c), 5) for c in rows.tolist()]
+    assert np.array_equal(f.values(rows), f.values(vs))
+    assert f.values(rows[:0]).shape == (0,)
+
+
+def test_values_rejects_bad_coordinate_rows():
+    f = UniformField(31, "w")
+    for bad in (
+        np.ones((4, 2)),  # floats
+        np.arange(1, 5),  # 1-D
+        np.array([[1, 2], [0, 3]]),  # coordinate 0
+        np.ones((2, 2, 2), dtype=np.int64),
+        np.array([[True]]),
+    ):
+        with pytest.raises(ValueError):
+            f.values(bad)
 
 
 def _np_init_state(seed, role):
