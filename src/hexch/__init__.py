@@ -27,9 +27,7 @@ from .fields import (
     SigmaModel,
     UniformField,
     derive_seed,
-    field_value,
     ifield_truncation_values,
-    ifield_value,
     sample_ah,
     sample_array,
     sample_conditional,
@@ -39,12 +37,10 @@ from .fields import (
 )
 from .hperm import (
     HPerm,
-    ProductHPerm,
     hperm_from_json_obj,
     hperm_to_json_obj,
     identity_hperm,
     random_hperm,
-    random_product_hperm,
     verify_wedge_preservation,
 )
 from .scenarios import (

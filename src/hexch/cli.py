@@ -140,6 +140,8 @@ def _parse_config(obj) -> dict:
         "tests": [],
         "out": out,
     }
+    if spec.form != "sigma-replica" and cfg["n"] is not None:
+        raise ConfigError(f"n sets a replica axis, which scenario {spec.name!r} has not")
     if spec.form == "sigma-replica" and cfg["n"] is None:
         cfg["n"] = int(spec.defaults.get("n", 20))
     tests = obj.get("tests", [])
@@ -174,11 +176,9 @@ def _parse_config(obj) -> dict:
     m2 = cfg["resynthesize_m"]
     if m2 is not None and _exceeds(m2, r, 1, cap):
         raise CapError(f"resynthesis over {m2}^{r} cells exceeds the cap of {cap}")
-    # only replica scenarios sample a replica axis; the others ignore n
-    replicas = cfg["n"] if spec.form == "sigma-replica" else None
     for i, t in enumerate(cfg["tests"]):
         if t["name"] == "hexch":
-            _check_hexch_buffers(i, t, kept_dimension(r, m, replicas), cap)
+            _check_hexch_buffers(i, t, kept_dimension(r, m, cfg["n"]), cap)
     return cfg
 
 
@@ -212,12 +212,14 @@ def _write(path: Path, text: str, files: dict) -> None:
 def array_to_csv(array: np.ndarray, depths, shape, n=None) -> str:
     """Canonical CSV dump: vertex key columns (one per tree component),
     an optional replica index, and the value at 17 significant digits."""
+    # the keys label the array, so they are capped by its size only
+    cells = np.asarray(array).size // (1 if n is None else n)
     if isinstance(depths, int):
-        idx = leaves(depths, shape)
+        idx = leaves(depths, shape, cap=cells)
         header = ["vertex"]
         keys = [[v.encode()] for v in idx]
     else:
-        idx = product_leaves(tuple(depths), tuple(shape))
+        idx = product_leaves(tuple(depths), tuple(shape), cap=cells)
         header = [f"vertex_{j + 1}" for j in range(len(depths))]
         keys = [[p.encode() for p in pv.parts] for pv in idx]
     lines = []

@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.stats
 
-from .tree import ProductVertex, TreeVertex
+from .tree import ProductVertex, TreeVertex, _depth_vertices
 
 __all__ = [
     "UniformField",
@@ -40,11 +40,9 @@ __all__ = [
     "DistSpec",
     "SigmaModel",
     "derive_seed",
-    "field_value",
     "sample_array",
     "sample_multi",
     "sample_ah",
-    "ifield_value",
     "uniform_ifield",
     "ifield_truncation_values",
     "sample_conditional",
@@ -137,33 +135,78 @@ def _coord_words(coords: np.ndarray) -> np.ndarray:
     return words
 
 
+def _depth_tuples(depths: tuple[int, ...]):
+    """Depth tuples of a product of trees of the given depths, lexicographic."""
+    return itertools.product(*(range(r_i + 1) for r_i in depths))
+
+
 @lru_cache(maxsize=16)
-def _level_words(depth: int, m: int) -> np.ndarray:
-    """Word rows (depth, c1, ..., cd) of all m^depth vertices at one depth,
-    in lexicographic order. Cached, so the array is read-only."""
-    words = np.empty((m,) * depth + (depth + 1,), dtype=_U64)
-    words[..., 0] = depth
-    for k in range(depth):
-        words[..., k + 1] = np.arange(1, m + 1, dtype=_U64).reshape(
-            (m,) + (1,) * (depth - 1 - k)
-        )
-    words = words.reshape(-1, depth + 1)
+def _level_words(depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """Word rows of all vertices at depth tuple ``depths`` of the product
+    truncation with sides ``shape``: one block (d_i, c1, ..., c_{d_i}) per
+    tree, rows in lexicographic order with the first tree slowest.  A single
+    tree is ``((d,), (m,))``.  Cached, so the array is read-only."""
+    grid = tuple(m_i for d_i, m_i in zip(depths, shape) for _ in range(d_i))
+    words = np.empty(grid + (len(grid) + len(depths),), dtype=_U64)
+    axis = col = 0
+    for d_i, m_i in zip(depths, shape):
+        words[..., col] = d_i
+        for _ in range(d_i):
+            axis += 1
+            col += 1
+            words[..., col] = np.arange(1, m_i + 1, dtype=_U64).reshape(
+                (m_i,) + (1,) * (len(grid) - axis)
+            )
+        col += 1
+    words = words.reshape(-1, words.shape[-1])
     words.flags.writeable = False
     return words
 
 
-def _product_level_words(
-    depth_tuple: tuple[int, ...], shape: tuple[int, ...]
-) -> np.ndarray:
-    """Word rows for all product vertices at one depth tuple, first part slowest."""
-    blocks = [_level_words(d_i, m_i) for d_i, m_i in zip(depth_tuple, shape)]
-    sizes = [len(b) for b in blocks]
-    out = []
-    for i, b in enumerate(blocks):
-        after = prod(sizes[i + 1 :])
-        before = prod(sizes[:i])
-        out.append(np.tile(np.repeat(b, after, axis=0), (before, 1)))
-    return np.hstack(out)
+@lru_cache(maxsize=16)
+def _path_layout(depths: tuple[int, ...], shape: tuple[int, ...]):
+    """The leaf grid of a product truncation and, per depth tuple in
+    lexicographic order, its word rows and the shape that broadcasts its
+    vertex values over the leaf grid."""
+    grid = tuple(m_i for r_i, m_i in zip(depths, shape) for _ in range(r_i))
+    levels = []
+    for dt in _depth_tuples(depths):
+        # a vertex at depth d_i in tree i fixes the first d_i axes of that tree
+        bshape = tuple(
+            m_i if k < d_i else 1
+            for d_i, r_i, m_i in zip(dt, depths, shape)
+            for k in range(r_i)
+        )
+        levels.append((_level_words(dt, shape), bshape))
+    return grid, tuple(levels)
+
+
+def _level_values(h0: np.ndarray, depths, shape) -> list[np.ndarray]:
+    """Field values (K, vertices) of the K start states ``h0`` at each depth
+    tuple of the product truncation, hashed once per depth tuple."""
+    return [_hash_words(h0, words) for words, _ in _path_layout(depths, shape)[1]]
+
+
+def _write_paths(levels: list[np.ndarray], depths, shape) -> np.ndarray:
+    """Lay per-depth-tuple values (K, vertices), as :func:`_level_values`
+    orders them, along every product-leaf path: each vertex value is
+    broadcast over the leaves below it.  Shape (K, leaves, depth tuples),
+    leaves in lexicographic order."""
+    grid, layout = _path_layout(depths, shape)
+    k = len(levels[0])
+    out = np.empty((k,) + grid + (len(layout),))
+    for j, (vals, (_, bshape)) in enumerate(zip(levels, layout)):
+        out[..., j] = vals.reshape((k,) + bshape)
+    return out.reshape(k, -1, len(layout))
+
+
+def _as_tuples(depths, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``depths`` and ``shape`` as equal-length tuples; ints mean one tree."""
+    depths_t = (depths,) if isinstance(depths, int) else tuple(depths)
+    shape_t = (shape,) if isinstance(shape, int) else tuple(shape)
+    if len(depths_t) != len(shape_t):
+        raise ValueError("depths and shape must have equal length")
+    return depths_t, shape_t
 
 
 @dataclass(frozen=True)
@@ -205,11 +248,6 @@ class UniformField:
             words = np.array([rows[i] for i in idx], dtype=_U64)
             out[idx] = _hash_words(h0, words)[0]
         return out
-
-
-def field_value(f: UniformField, v: TreeVertex | ProductVertex) -> float:
-    """Functional form of :meth:`UniformField.value`."""
-    return f.value(v)
 
 
 # -- distributions on [0,1] for depth-keyed fields ---------------------------
@@ -360,17 +398,10 @@ class IField:
         return float(spec.quantile(self.base().value(v)))
 
 
-def ifield_value(f: IField, v: TreeVertex | ProductVertex) -> float:
-    return f.value(v)
-
-
 def uniform_ifield(seed: int, depths: int | tuple[int, ...], role: str = "u") -> IField:
     """An I-field that is uniform on [0,1] at every depth of the index set."""
-    if isinstance(depths, int):
-        keys = [(d,) for d in range(depths + 1)]
-    else:
-        keys = list(itertools.product(*(range(r_i + 1) for r_i in depths)))
-    return IField(seed, {k: UNIFORM01 for k in keys}, role=role)
+    depths_t = (depths,) if isinstance(depths, int) else tuple(depths)
+    return IField(seed, {k: UNIFORM01 for k in _depth_tuples(depths_t)}, role=role)
 
 
 def ifield_truncation_values(
@@ -381,37 +412,22 @@ def ifield_truncation_values(
     Returns ``(by_depth, by_vertex)``: values grouped by depth key, and a
     flat vertex -> value mapping in deterministic order.
     """
-    if isinstance(depths, int):
-        depths_t, shape_t = (depths,), (shape if isinstance(shape, int) else shape[0],)
-        single = True
-    else:
-        depths_t, shape_t = tuple(depths), tuple(shape)
-        single = False
+    single = isinstance(depths, int)
+    depths_t, shape_t = _as_tuples(depths, shape)
     base = f.base()
-    h0 = _init_state(base.seed, base.role)
-    by_depth: dict[tuple[int, ...], np.ndarray] = {}
+    u = _level_values(_init_state(base.seed, base.role), depths_t, shape_t)
+    by_depth: dict = {}
     by_vertex: dict = {}
-    for dt in itertools.product(*(range(r_i + 1) for r_i in depths_t)):
-        words = _product_level_words(dt, shape_t)
-        u = _hash_words(h0, words)[0]
-        vals = np.asarray(f.spec_at(dt).quantile(u), dtype=np.float64)
-        by_depth[dt] = vals
+    for dt, u_dt in zip(_depth_tuples(depths_t), u):
+        vals = np.asarray(f.spec_at(dt).quantile(u_dt[0]), dtype=np.float64)
+        by_depth[dt[0] if single else dt] = vals
         per_part = [
-            _level_vertices(d_i, m_i, r_i)
+            _depth_vertices(r_i, m_i, (d_i,), vals.size)
             for d_i, m_i, r_i in zip(dt, shape_t, depths_t)
         ]
-        for val, parts in zip(vals, itertools.product(*per_part)):
-            v = parts[0] if single else ProductVertex(tuple(parts))
-            by_vertex[v] = float(val)
-    if single:
-        by_depth = {d[0]: v for d, v in by_depth.items()}
+        keys = per_part[0] if single else map(ProductVertex, itertools.product(*per_part))
+        by_vertex.update(zip(keys, vals.tolist()))
     return by_depth, by_vertex
-
-
-def _level_vertices(depth: int, m: int, r: int) -> list[TreeVertex]:
-    return [
-        TreeVertex(c, r) for c in itertools.product(range(1, m + 1), repeat=depth)
-    ]
 
 
 # -- sigma models and samplers -----------------------------------------------
@@ -454,11 +470,7 @@ def path_matrix(seed: int, role: str, r: int, m: int) -> np.ndarray:
     holds the depth-d prefix value.
     """
     h0 = _init_state(seed, role)
-    out = np.empty((m**r, r + 1))
-    for d in range(r + 1):
-        vals = _hash_words(h0, _level_words(d, m))[0]
-        out.reshape(m**d, m ** (r - d), r + 1)[:, :, d] = vals[:, None]
-    return out
+    return _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))[0]
 
 
 def product_path_matrix(
@@ -470,18 +482,7 @@ def product_path_matrix(
     lexicographic order, rows the lexicographic product-leaf order.
     """
     h0 = _init_state(seed, role)
-    full_shape = tuple(
-        m_i for r_i, m_i in zip(depths, shape) for _ in range(r_i)
-    )
-    cols = []
-    for dt in itertools.product(*(range(r_i + 1) for r_i in depths)):
-        vals = _hash_words(h0, _product_level_words(dt, shape))[0]
-        grouped = []
-        for d_i, m_i, r_i in zip(dt, shape, depths):
-            grouped.extend([m_i] * d_i + [1] * (r_i - d_i))
-        expanded = np.broadcast_to(vals.reshape(grouped), full_shape)
-        cols.append(expanded.reshape(-1))
-    return np.column_stack(cols)
+    return _write_paths(_level_values(h0, depths, shape), depths, shape)[0]
 
 
 def sample_array(model: SigmaModel, r: int, m: int, seed: int, role: str = "v") -> np.ndarray:
@@ -504,12 +505,11 @@ def sample_multi(
     role: str = "v",
 ) -> np.ndarray:
     """Array over product-truncation leaves, X = model(product path values)."""
-    if len(depths) != len(shape):
-        raise ValueError("depths and shape must have equal length")
+    depths, shape = _as_tuples(depths, shape)
     arity = prod(r_i + 1 for r_i in depths)
     if model.arity != arity:
         raise ValueError(f"model arity {model.arity} != product path size {arity}")
-    return model.eval(product_path_matrix(seed, role, tuple(depths), tuple(shape)))
+    return model.eval(product_path_matrix(seed, role, depths, shape))
 
 
 def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed: int) -> np.ndarray:
@@ -520,26 +520,11 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed: int) -> np.ndarra
     """
     if model.arity != 2 * (r + 1):
         raise ValueError(f"model arity {model.arity} != 2(r+1) = {2 * (r + 1)}")
-    shared = path_matrix(seed, "v", r, m)
     h0 = np.concatenate([_init_state(seed, f"v^{i}") for i in range(1, n + 1)])
-    levels = [
-        np.repeat(_hash_words(h0, _level_words(d, m)), m ** (r - d), axis=1)
-        for d in range(r + 1)
-    ]
-    n_leaves = m**r
-    inputs = np.empty((n * n_leaves, 2 * (r + 1)))
-    inputs[:, : r + 1] = np.tile(shared, (n, 1))
-    for d, lv in enumerate(levels):
-        inputs[:, r + 1 + d] = lv.reshape(-1)
-    return model.eval(inputs).reshape(n, n_leaves).T
-
-
-def _ifield_path_matrix(f: IField, depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    base = product_path_matrix(f.seed, f.role, depths, shape)
-    cols = []
-    for j, dt in enumerate(itertools.product(*(range(r_i + 1) for r_i in depths))):
-        cols.append(np.asarray(f.spec_at(dt).quantile(base[:, j]), dtype=np.float64))
-    return np.column_stack(cols)
+    replicas = _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))
+    shared = np.broadcast_to(path_matrix(seed, "v", r, m), replicas.shape)
+    inputs = np.concatenate([shared, replicas], axis=2).reshape(-1, 2 * (r + 1))
+    return model.eval(inputs).reshape(n, m**r).T
 
 
 def sample_conditional(
@@ -556,15 +541,15 @@ def sample_conditional(
     independent of it.  Returns ``(u_by_vertex, X)`` where ``u_by_vertex``
     maps every vertex of the truncation to its realized value.
     """
-    depths_t = (depths,) if isinstance(depths, int) else tuple(depths)
-    shape_t = (shape,) if isinstance(shape, int) else tuple(shape)
+    depths_t, shape_t = _as_tuples(depths, shape)
     path_size = prod(r_i + 1 for r_i in depths_t)
     if model.arity != 2 * path_size:
         raise ValueError(f"model arity {model.arity} != 2 * path size {path_size}")
-    u_cols = _ifield_path_matrix(u_field, depths_t, shape_t)
+    by_depth, u_by_vertex = ifield_truncation_values(u_field, depths, shape)
+    u_levels = [vals[None, :] for vals in by_depth.values()]
+    u_cols = _write_paths(u_levels, depths_t, shape_t)[0]
     v_cols = product_path_matrix(seed, "v", depths_t, shape_t)
     x = model.eval(np.hstack([u_cols, v_cols]))
-    _, u_by_vertex = ifield_truncation_values(u_field, depths, shape)
     return u_by_vertex, x
 
 
@@ -581,8 +566,7 @@ def sample_pair(
     realized u field in both, so the coupling between Y and X flows entirely
     through it.
     """
-    depths_t = (depths,) if isinstance(depths, int) else tuple(depths)
-    shape_t = (shape,) if isinstance(shape, int) else tuple(shape)
+    depths_t, shape_t = _as_tuples(depths, shape)
     path_size = prod(r_i + 1 for r_i in depths_t)
     if model_y.arity != path_size:
         raise ValueError(f"Y-model arity {model_y.arity} != path size {path_size}")

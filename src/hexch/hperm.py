@@ -1,4 +1,4 @@
-"""Tree-structure-preserving leaf bijections and their product versions.
+"""Tree-structure-preserving leaf bijections of a depth-r tree.
 
 A leaf bijection preserves the wedge statistic exactly when it factors into
 independent child rearrangements below each internal vertex.  That
@@ -23,10 +23,8 @@ from .tree import TreeVertex, internal_vertices, leaf_coords, wedge_matrix
 
 __all__ = [
     "HPerm",
-    "ProductHPerm",
     "identity_hperm",
     "random_hperm",
-    "random_product_hperm",
     "verify_wedge_preservation",
     "hperm_to_json_obj",
     "hperm_from_json_obj",
@@ -169,30 +167,6 @@ class HPerm:
         return idx.reshape(-1)
 
 
-@dataclass(frozen=True)
-class ProductHPerm:
-    """One component map per factor of a product tree."""
-
-    parts: tuple[HPerm, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("a product map needs at least one component")
-
-    @property
-    def depths(self) -> tuple[int, ...]:
-        return tuple(p.r for p in self.parts)
-
-    def apply(self, pv) -> object:
-        from .tree import ProductVertex
-
-        if len(pv.parts) != len(self.parts):
-            raise ValueError("component count mismatch")
-        return ProductVertex(tuple(p.apply(v) for p, v in zip(self.parts, pv.parts)))
-
-    __call__ = apply
-
-
 def identity_hperm(r: int) -> HPerm:
     return HPerm(r, {})
 
@@ -217,16 +191,6 @@ def random_hperm(r: int, m: int, seed: int) -> HPerm:
     u = u.reshape(len(internal), m)
     ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable") + 1
     return HPerm(r, dict(zip(internal, map(tuple, ranks.tolist()))))
-
-
-def random_product_hperm(depths: tuple[int, ...], shape: tuple[int, ...], seed: int) -> ProductHPerm:
-    from .fields import derive_seed
-
-    parts = tuple(
-        random_hperm(r_i, m_i, derive_seed(seed, "part", i))
-        for i, (r_i, m_i) in enumerate(zip(depths, shape))
-    )
-    return ProductHPerm(parts)
 
 
 def verify_wedge_preservation(mapping, leaf_list: list[TreeVertex]) -> bool:

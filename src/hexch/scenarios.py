@@ -24,7 +24,7 @@ from .fields import (
     sample_array,
     uniform_ifield,
 )
-from .tree import TreeVertex, leaf_coords
+from .tree import leaf_coords
 
 __all__ = [
     "ScenarioSpec",
@@ -109,13 +109,12 @@ def _sibling_coupled_sampler(r: int, m: int, weight: float) -> Callable[[int], n
     pair_idx = parent_idx // 2
     child_idx = coords[:, -1] - 1
     n_pairs = (n_parents + 1) // 2
-    shared_vs = [
-        TreeVertex((p + 1, c + 1), 2) for p in range(n_pairs) for c in range(m)
-    ]
+    # depth-2 coordinate rows (pair, child) of the shared grid
+    shared_coords = np.indices((n_pairs, m)).reshape(2, -1).T + 1
 
     def sample(seed: int) -> np.ndarray:
         v = path_matrix(seed, "v", r, m)[:, -1]
-        shared = UniformField(seed, role="s").values(shared_vs).reshape(n_pairs, m)
+        shared = UniformField(seed, role="s").values(shared_coords).reshape(n_pairs, m)
         return (1.0 - weight) * v + weight * shared[pair_idx, child_idx]
 
     return sample

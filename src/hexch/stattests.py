@@ -25,6 +25,7 @@ from scipy.spatial.distance import cdist
 from .definetti import DirectingHierarchy
 from .fields import DistSpec, derive_seed
 from .hperm import HPerm, random_hperm
+from .tree import _depth_vertices
 
 __all__ = [
     "TestReport",
@@ -254,16 +255,15 @@ def _pit_matrix(
         )
     n_parents = m ** (r - 1)
     blocks = arr.reshape(n_parents, m)
-    parents = [
-        (v, mu)
-        for v, mu in sorted(
-            hierarchy.measures.items(), key=lambda kv: (kv[0].depth, kv[0].coords)
-        )
-        if v.depth == r - 1
-    ]
+    for v in hierarchy.measures:
+        if v.depth == r - 1 and max(v.coords, default=1) > m:
+            raise ValueError(f"hierarchy has a measure at {v}, outside the m={m} truncation")
     pit = np.empty_like(blocks)
     jitter = rng.random(blocks.shape)
-    for i, (_, mu) in enumerate(parents):
+    for i, v in enumerate(_depth_vertices(r, m, (r - 1,), n_parents)):
+        mu = hierarchy.measures.get(v)
+        if mu is None:
+            raise ValueError(f"hierarchy has no measure at parent {v}")
         x = blocks[i]
         lo = mu.cdf_left(x)
         hi = mu.cdf(x)

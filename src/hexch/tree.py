@@ -166,37 +166,29 @@ def _check_cap(n_cells: int, cap: int) -> None:
         )
 
 
-def leaves(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
-    """All m^r leaves of the ``{1..m}^r`` truncation in lexicographic order."""
+def _depth_vertices(r: int, m: int, depths, cap: int) -> list[TreeVertex]:
+    """Vertices of the given depths of the ``{1..m}^r`` truncation, by depth
+    then lexicographically; raises if there are more than ``cap``."""
     if r < 1 or m < 1:
         raise ValueError("r and m must be >= 1")
-    _check_cap(m**r, cap)
+    _check_cap(sum(m**d for d in depths), cap)
     rng = range(1, m + 1)
-    return [TreeVertex(c, r) for c in itertools.product(rng, repeat=r)]
+    return [TreeVertex(c, r) for d in depths for c in itertools.product(rng, repeat=d)]
+
+
+def leaves(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
+    """All m^r leaves of the ``{1..m}^r`` truncation in lexicographic order."""
+    return _depth_vertices(r, m, (r,), cap)
 
 
 def vertices(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
     """All vertices of the truncated tree, by depth then lexicographically."""
-    if r < 1 or m < 1:
-        raise ValueError("r and m must be >= 1")
-    _check_cap(sum(m**d for d in range(r + 1)), cap)
-    out = []
-    for d in range(r + 1):
-        rng = range(1, m + 1)
-        out.extend(TreeVertex(c, r) for c in itertools.product(rng, repeat=d))
-    return out
+    return _depth_vertices(r, m, range(r + 1), cap)
 
 
 def internal_vertices(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
     """Vertices of depth < r of the truncation (the ones that carry children)."""
-    if r < 1 or m < 1:
-        raise ValueError("r and m must be >= 1")
-    _check_cap(sum(m**d for d in range(r)), cap)
-    out = []
-    for d in range(r):
-        rng = range(1, m + 1)
-        out.extend(TreeVertex(c, r) for c in itertools.product(rng, repeat=d))
-    return out
+    return _depth_vertices(r, m, range(r), cap)
 
 
 def product_leaves(

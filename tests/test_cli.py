@@ -205,6 +205,34 @@ def test_unknown_scenario_param_exits_two(tmp_path, capsys):
         run_experiment(minimal_config(params={"weight": 0.5}), tmp_path / "out")
 
 
+def test_n_needs_a_replica_axis(tmp_path, capsys):
+    # scenarios without a replica axis sample no n, so n is neither counted
+    # against the cap nor recorded in the manifest: it is a config error
+    for n in (3, 100):
+        cfg = minimal_config(scenario="product", r=2, m=128, n=n, tests=[])
+        with pytest.raises(ConfigError, match="replica"):
+            run_experiment(cfg, tmp_path / "out")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    cfg = minimal_config(scenario="toy-magnetization", r=1, m=2, n=3, tests=[])
+    code, _ = run_experiment(cfg, tmp_path / "ok")
+    manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+    assert code == 0 and manifest["config"]["n"] == 3
+
+
+def test_array_csv_keys_follow_the_configured_cap(tmp_path, monkeypatch):
+    # the CSV keys label the sampled array, which the configured cap already
+    # admitted, so a cap above the default must not fail at the CSV stage
+    monkeypatch.setenv("HEXCH_MAX_CELLS", "2000000")
+    cfg = {"scenario": "uniform-leaf", "r": 1, "m": 1_000_001, "seed": 0}
+    code, _ = run_experiment(cfg, tmp_path / "out")
+    lines = (tmp_path / "out" / "array.csv").read_text().splitlines()
+    assert code == 0 and len(lines) == 1_000_002
+    assert lines[-1].startswith("1/1000001,")
+
+
 def test_hexch_buffer_cap_exceeded(tmp_path, monkeypatch, capsys):
     # the replicate matrix is 2*n_reps x kept dimension, the distance matrix
     # (2*n_reps)^2 and the resample masks n_resamples x 2*n_reps

@@ -1,5 +1,7 @@
 """Tests for the deterministic fields and sigma-driven samplers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -16,9 +18,7 @@ from hexch.fields import (
     _mix,
     _mix_int,
     derive_seed,
-    field_value,
     ifield_truncation_values,
-    ifield_value,
     path_matrix,
     product_path_matrix,
     sample_ah,
@@ -40,7 +40,6 @@ def test_field_value_deterministic():
     f = UniformField(12345, "v")
     v = leaf(3, 1, 4)
     assert f.value(v) == f.value(v)
-    assert field_value(f, v) == f.value(v)
     assert 0.0 <= f.value(v) < 1.0
 
 
@@ -357,7 +356,7 @@ def test_ifield_uniform_levels_match_base_field():
     f = uniform_ifield(33, 2)
     base = UniformField(33, "u")
     for v in [root(2), leaf(2, r=2), leaf(2, 3)]:
-        assert ifield_value(f, v) == base.value(v)
+        assert f.value(v) == base.value(v)
 
 
 def test_ifield_point_mass_level():
@@ -505,9 +504,9 @@ def test_path_matrix_columns_are_prefix_values():
         assert np.array_equal(pm[pos], expected)
     # the level grids behind it are cached and shared, so they are read-only
     # and a second call sees the same values
-    assert not _level_words(r, m).flags.writeable
+    assert not _level_words((r,), (m,)).flags.writeable
     with pytest.raises(ValueError):
-        _level_words(r, m)[0, 0] = 7
+        _level_words((r,), (m,))[0, 0] = 7
     assert np.array_equal(path_matrix(seed, "v", r, m), pm)
 
 
@@ -523,3 +522,121 @@ def test_product_path_matrix_matches_vertex_values():
         ordered = sorted(pp, key=lambda parts: tuple(p.depth for p in parts))
         expected = [f.value(ProductVertex(parts)) for parts in ordered]
         assert np.array_equal(pm[pos], expected)
+
+
+# -- byte pins of the samplers -------------------------------------------------
+#
+# sha256 digests recorded before the level-grid builders, the path writers
+# and the vertex enumerators were merged into one of each; they must never
+# move.
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, dict):
+            # vertex -> value maps, in their own order
+            part = "\n".join(f"{v.encode()}={x!r}" for v, x in part.items())
+        h.update(part.encode() if isinstance(part, str) else np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
+_MEAN4 = SigmaModel("mean", 4, lambda p: p.mean(axis=1))
+_MEAN6 = SigmaModel("mean", 6, lambda p: p.mean(axis=1))
+_MEAN12 = SigmaModel("mean", 12, lambda p: p.mean(axis=1))
+_MIX6 = SigmaModel("mix", 6, lambda p: 0.5 * p[:, :3].prod(axis=1) + 0.5 * p[:, 3:].mean(axis=1))
+_MIX8 = SigmaModel("mix", 8, lambda p: 0.5 * p[:, :4].prod(axis=1) + 0.5 * p[:, 4:].mean(axis=1))
+_LEVELS = {
+    0: DistSpec("point", (0.25,)),
+    1: DistSpec("discrete", ((0.1, 0.6, 0.9), (0.2, 0.5, 0.3))),
+    2: DistSpec("beta", (2.0, 3.0)),
+}
+_PRODUCT_LEVELS = {
+    (0, 0): UNIF,
+    (0, 1): DistSpec("uniform", (0.2, 0.7)),
+    (0, 2): DistSpec("table", ((0.0, 0.5, 1.0), (0.0, 0.1, 1.0))),
+    (1, 0): DistSpec("point", (0.5,)),
+    (1, 1): DistSpec("beta", (0.5, 0.5)),
+    (1, 2): UNIF,
+}
+
+
+def _pinned_outputs():
+    from hexch.scenarios import make_source
+
+    def truncation(f, depths, shape):
+        by_depth, by_vertex = ifield_truncation_values(f, depths, shape)
+        keys = "".join(f"{k}:" for k in by_depth)
+        return (keys, *by_depth.values(), by_vertex)
+
+    return {
+        "path_matrix r1 m5": (path_matrix(0, "v", 1, 5),),
+        "path_matrix r2 m8": (path_matrix(7, "v", 2, 8),),
+        "path_matrix r3 m4": (path_matrix(3, "u", 3, 4),),
+        "path_matrix r4 m1": (path_matrix(5, "hperm", 4, 1),),
+        "product_path_matrix (1,2) (3,2)": (product_path_matrix(4, "v", (1, 2), (3, 2)),),
+        "product_path_matrix (2,1) (3,4)": (product_path_matrix(9, "u", (2, 1), (3, 4)),),
+        "product_path_matrix (1,1,1) (2,3,2)": (
+            product_path_matrix(2, "v", (1, 1, 1), (2, 3, 2)),
+        ),
+        "product_path_matrix (3,) (3,)": (product_path_matrix(6, "v", (3,), (3,)),),
+        "sample_multi (1,2) (3,2)": (sample_multi(_MEAN6, (1, 2), (3, 2), 12),),
+        "sample_multi (2,1,1) (2,2,3)": (sample_multi(_MEAN12, (2, 1, 1), (2, 2, 3), 13),),
+        "sample_ah r2 m3 n5": (sample_ah(_MIX6, 2, 3, 5, 44),),
+        "sample_ah r1 m4 n3": (sample_ah(_MEAN4, 1, 4, 3, 45),),
+        "sample_ah r3 m2 n1": (sample_ah(_MIX8, 3, 2, 1, 46),),
+        "sample_conditional r2 m3": sample_conditional(
+            _MEAN6, IField(77, _LEVELS), 2, 3, 13
+        ),
+        "sample_conditional (1,2) (2,3)": sample_conditional(
+            _MEAN12, IField(78, _PRODUCT_LEVELS), (1, 2), (2, 3), 14
+        ),
+        "sample_pair r2 m4": sample_pair(
+            SigmaModel("y", 3, lambda p: p.mean(axis=1)), _MIX6, 2, 4, 19
+        ),
+        "sample_pair (1,1) (3,2)": sample_pair(_MEAN4, SigmaModel(
+            "x", 8, lambda p: p[:, :4].mean(axis=1) * p[:, 4:].max(axis=1)
+        ), (1, 1), (3, 2), 20),
+        "ifield_truncation_values r2 m3": truncation(IField(11, _LEVELS), 2, 3),
+        "ifield_truncation_values (1,2) (3,2)": truncation(
+            IField(12, _PRODUCT_LEVELS), (1, 2), (3, 2)
+        ),
+        "ifield_truncation_values r1 m6 uniform": truncation(uniform_ifield(13, 1), 1, 6),
+        "sibling-coupled r2 m5": (make_source("sibling-coupled", 2, 5).sample(11),),
+        "sibling-coupled r3 m3": (
+            make_source("sibling-coupled", 3, 3, params={"weight": 0.4}).sample(12),
+        ),
+    }
+
+
+_PINNED_DIGESTS = {
+    "path_matrix r1 m5": "472cf73396c40e12c019dde69af77dedd9dd4766cfc9ed5165f5b9c74c0bfac4",
+    "path_matrix r2 m8": "664c08883c7b0fe2125f539c80bb9095f60713f115accc06f9eea71d61cd0f61",
+    "path_matrix r3 m4": "6a32f0c14d4e158ab36ceafba94bd944cd5ec8550e5633979ac3b0475ab44bb7",
+    "path_matrix r4 m1": "7514140c7038e526bbf15f18231ce9d270032f5df5b19f02dfda91e635d752ca",
+    "product_path_matrix (1,2) (3,2)": "211fdc1c4bc30d1ee38b03a412a44abc3ee6cc0f2102bd7a8de177a29d406a1d",
+    "product_path_matrix (2,1) (3,4)": "3208ca549cba4e029296d6326b93602049e009e6b715fdde5a2cdac29b7b10a7",
+    "product_path_matrix (1,1,1) (2,3,2)": "24f02e31b2e6c35287027d066eaae9dad6a92219ecb8b03041255e4d579be556",
+    "product_path_matrix (3,) (3,)": "89153fd762a60d2fb8ff934ab41c85b026d840301afdba6747817d04cadc5c68",
+    "sample_multi (1,2) (3,2)": "67a936d6aa3c127c676dadf9bc3122a857dc57284506ca8f99e5d5776f774d06",
+    "sample_multi (2,1,1) (2,2,3)": "ca0801618f9c28295c12230c6129655820a6eb0642b241fe7424836cc262789f",
+    "sample_ah r2 m3 n5": "ab03eb25e1bb49bb58828850a7c5a3656ee8f3796cc14c1b5852cd4cdd55b2f2",
+    "sample_ah r1 m4 n3": "827f1801c030b30d3a7163219f0a31393c7759916fa2e1127bb494c01ea6bf16",
+    "sample_ah r3 m2 n1": "ddad9d7d8d4cfa8e2972488f0e6ee2c7c3f711d19fe7302351ae28c5f6ba76fa",
+    "sample_conditional r2 m3": "faf91678f4939814db257f966d5348e9996cf5be5eb0d1124ee80cc7078288fe",
+    "sample_conditional (1,2) (2,3)": "d6a99ab7e1797dad4b91c885ba0c17b961d0c3a836cc923ae0ed868891f11ab4",
+    "sample_pair r2 m4": "59c994b1f736e729be08492a42cbf710528f91e494958c300c85c28c4d0ef085",
+    "sample_pair (1,1) (3,2)": "70d76ff0da364136eb7b15a8a19ee4dc4dfa09f4b5401a03d08205b6bed97556",
+    "ifield_truncation_values r2 m3": "8d60fcc6280073a2f8e254123bd7862611093a124d8f53d224e3fa8915188e73",
+    "ifield_truncation_values (1,2) (3,2)": "1dfd8ec24c00dea17e3dc8fbf7b0ac241a5624a98c6fa7fc28ee17e155a1ad4c",
+    "ifield_truncation_values r1 m6 uniform": "fcaf6818af333f125f3d4e456270be6f9b00cd30dece27b9a1bf03cfb97627f9",
+    "sibling-coupled r2 m5": "0a35b48c331a075775ad1e24e25a641b1eff9fce0565a1bb6138c858e0b4b6cf",
+    "sibling-coupled r3 m3": "4f6c101b96cf2facf94601fe9d480aebe88e3898f86872b6b107fe2fa64e3e13",
+}
+
+
+def test_sampler_outputs_pinned():
+    outputs = _pinned_outputs()
+    assert outputs.keys() == _PINNED_DIGESTS.keys()
+    for name, parts in outputs.items():
+        assert _digest(*parts) == _PINNED_DIGESTS[name], name

@@ -6,15 +6,13 @@ import pytest
 
 from hexch.hperm import (
     HPerm,
-    ProductHPerm,
     hperm_from_json_obj,
     hperm_to_json_obj,
     identity_hperm,
     random_hperm,
-    random_product_hperm,
     verify_wedge_preservation,
 )
-from hexch.tree import ProductVertex, TreeVertex, leaf, leaves, root, wedge
+from hexch.tree import TreeVertex, leaf, leaves, root, wedge
 
 
 def root_swap(r=3):
@@ -211,14 +209,6 @@ def test_permuted_leaf_indices_matches_apply():
             assert got == _leaf_indices_or_error(p, m, _reference_leaf_indices)
             outcomes.add(type(got))
     assert outcomes == {list, str}  # both the index and the error path ran
-
-
-def test_product_hperm_applies_componentwise():
-    pp = random_product_hperm((1, 2), (3, 3), seed=6)
-    pv = ProductVertex((leaf(2), leaf(1, 3)))
-    img = pp.apply(pv)
-    assert img.parts[0] == pp.parts[0].apply(pv.parts[0])
-    assert img.parts[1] == pp.parts[1].apply(pv.parts[1])
 
 
 def test_json_round_trip():

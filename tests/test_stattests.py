@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hexch.definetti import extract_hierarchy
+from hexch.definetti import DirectingHierarchy, extract_hierarchy
 from hexch.fields import DistSpec, derive_seed, ifield_truncation_values, uniform_ifield
 from hexch.hperm import random_hperm
 from hexch.scenarios import make_level_values, make_source
@@ -16,6 +16,7 @@ from hexch.stattests import (
     hexch_test,
     level_homogeneity_test,
 )
+from hexch.tree import TreeVertex
 
 UNIF = DistSpec("uniform", (0.0, 1.0))
 
@@ -251,6 +252,23 @@ def test_cond_indep_pair_budget_recorded():
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 16, seed=9)
     rep = cond_indep_test(arr, h, seed=9, pair_budget=10)
     assert rep.metadata["n_pairs"] == 10
+
+
+@pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test])
+def test_pit_tests_reject_hierarchies_without_the_parent_measures(test):
+    # the PIT reads the measure of every depth-(r-1) vertex of the truncation;
+    # a missing one or one outside {1..m}^(r-1) is an error, not a silent gap
+    arr, h = _array_and_hierarchy("path-mean", 2, 4, seed=6)
+    first, third = TreeVertex((1,), 2), TreeVertex((3,), 2)
+    missing = {v: mu for v, mu in h.measures.items() if v != third}
+    with pytest.raises(ValueError, match=r"TreeVertex\(3; r=2\)"):
+        test(arr, DirectingHierarchy(2, 4, missing), n_resamples=9, seed=0)
+    for measures in (
+        {**h.measures, TreeVertex((5,), 2): h.measures[first]},
+        {**missing, TreeVertex((5,), 2): h.measures[third]},
+    ):
+        with pytest.raises(ValueError, match=r"TreeVertex\(5; r=2\)"):
+            test(arr, DirectingHierarchy(2, 4, measures), n_resamples=9, seed=0)
 
 
 # -- level homogeneity ------------------------------------------------------------------
