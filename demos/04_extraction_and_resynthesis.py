@@ -21,7 +21,7 @@ from hexch import (
     wasserstein1,
 )
 from hexch.acceptance import w1_to_uniform
-from hexch.tree import TreeVertex, root
+from hexch.tree import TreeVertex, internal_vertices, root
 
 SEED = 31415
 
@@ -61,9 +61,10 @@ x = sample_array(model, 2, m, seed=SEED)
 pi = random_hperm(2, m, seed=5)
 y = x[pi.permuted_leaf_indices(m)]
 hx_, hy = extract_hierarchy(x, 2, m), extract_hierarchy(y, 2, m)
+# hy.measures holds one measure per internal vertex, in internal_vertices order
 d = max(
-    nested_distance(hy.measure_at(v), hx_.measure_at(pi.apply(v)))
-    for v in hy.measures
+    nested_distance(mu, hx_.measure_at(pi.apply(v)))
+    for v, mu in zip(internal_vertices(2, m), hy.measures)
 )
 print("max nested distance between permuted-array measures and their",
       f"relabeled counterparts: {d}")

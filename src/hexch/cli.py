@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .definetti import extract_hierarchy, hierarchy_to_json_obj, resynthesize
-from .fields import derive_seed
-from .scenarios import builtin, list_scenarios, make_level_values, make_source
+from .fields import derive_seed, ifield_truncation_values, uniform_ifield
+from .scenarios import _declared_levels, builtin, list_scenarios, make_source
 from .stattests import (
     TestReport,
     cond_indep_test,
@@ -49,6 +49,9 @@ class CapError(ValueError):
 
 
 _SEED_MAX = 2**64 - 1
+# coordinate grids take one axis per depth and np.meshgrid broadcasts at most
+# 32 arrays; for m >= 2 the cell cap binds first, so it is checked first
+_MAX_DEPTH = 32
 _ARRAY_TESTS = {"hexch", "conditional_iid", "cond_indep"}
 _FIELD_TESTS = {"level_homogeneity"}
 
@@ -157,8 +160,8 @@ def _parse_config(obj) -> dict:
             raise ConfigError(f"test {name!r} needs an array scenario")
         if name in _FIELD_TESTS and spec.form != "ifield":
             raise ConfigError(f"test {name!r} needs a field scenario")
-        if name == "cond_indep" and cfg["r"] < 2:
-            raise ConfigError("cond_indep needs r >= 2")
+        if name == "cond_indep" and (cfg["r"] < 2 or cfg["m"] < 2):
+            raise ConfigError("cond_indep needs r >= 2 and m >= 2")
         level = _number(t.get("level", 0.05), f"tests[{i}].level")
         if not 0.0 < level < 1.0:
             raise ConfigError(f"tests[{i}].level must lie in (0, 1), got {level}")
@@ -176,6 +179,8 @@ def _parse_config(obj) -> dict:
     m2 = cfg["resynthesize_m"]
     if m2 is not None and _exceeds(m2, r, 1, cap):
         raise CapError(f"resynthesis over {m2}^{r} cells exceeds the cap of {cap}")
+    if r > _MAX_DEPTH:
+        raise ConfigError(f"r must be <= {_MAX_DEPTH}, got {r}")
     for i, t in enumerate(cfg["tests"]):
         if t["name"] == "hexch":
             _check_hexch_buffers(i, t, kept_dimension(r, m, cfg["n"]), cap)
@@ -296,14 +301,11 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
     hierarchy = None
     level_values = None
     if spec.form == "ifield":
-        level_values = make_level_values(
-            cfg["scenario"], cfg["r"], cfg["m"], cfg["seed"], params=cfg["params"]
-        )
-        from .fields import ifield_truncation_values, uniform_ifield
-
-        _, by_vertex = ifield_truncation_values(
+        # one realization feeds both the field dump and the level test
+        by_depth, by_vertex = ifield_truncation_values(
             uniform_ifield(cfg["seed"], cfg["r"]), cfg["r"], cfg["m"]
         )
+        level_values = _declared_levels(cfg["scenario"], by_depth, cfg["params"])
         _write(out / "field_values.csv", _field_csv(by_vertex), files)
     else:
         src = make_source(

@@ -14,7 +14,6 @@ distance whose ground cost recurses down the nesting.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .fields import UniformField
-from .tree import TreeVertex, leaf_coords
+from .tree import TreeVertex, internal_vertices, leaf_coords
 
 __all__ = [
     "EmpiricalMeasure",
@@ -186,31 +185,43 @@ def quantile_resample(mu: EmpiricalMeasure, v) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class DirectingHierarchy:
-    """Per-vertex estimated directing measures of a depth-``r`` truncation.
+    """Estimated directing measures of a depth-``r`` truncation.
 
-    Each internal vertex at depth d carries a measure of nesting level
-    r-1-d: plain value distributions at the deepest internal level, measures
-    of measures above, up to the root.
+    One measure per internal vertex, in :func:`~hexch.tree.internal_vertices`
+    order (the root first, the m^(r-1) depth r-1 vertices last).  A depth-d
+    measure has nesting level r-1-d: plain value distributions at the
+    deepest internal level, measures of measures above, up to the root.
     """
 
     r: int
     m: int
-    measures: dict[TreeVertex, EmpiricalMeasure]
+    measures: tuple[EmpiricalMeasure, ...]
 
     def __post_init__(self):
-        for v, mu in self.measures.items():
-            want = self.r - 1 - v.depth
+        object.__setattr__(self, "measures", tuple(self.measures))
+        sizes = [self.m**d for d in range(self.r)]
+        if not sizes or len(self.measures) != sum(sizes):
+            raise ValueError(
+                f"{len(self.measures)} measures for the {sum(sizes)} internal "
+                f"vertices of the {{1..{self.m}}}^{self.r} truncation"
+            )
+        wants = (self.r - 1 - d for d, size in enumerate(sizes) for _ in range(size))
+        for i, (mu, want) in enumerate(zip(self.measures, wants)):
             if mu.level != want:
-                raise ValueError(
-                    f"measure at depth {v.depth} has level {mu.level}, expected {want}"
-                )
+                raise ValueError(f"measure {i} has level {mu.level}, expected {want}")
 
     @property
     def root_measure(self) -> EmpiricalMeasure:
-        return self.measures[TreeVertex((), self.r)]
+        return self.measures[0]
+
+    @cached_property
+    def _by_vertex(self) -> dict[TreeVertex, EmpiricalMeasure]:
+        """The measures keyed by their vertices, for lookups and JSON keys."""
+        keys = internal_vertices(self.r, self.m, cap=len(self.measures))
+        return dict(zip(keys, self.measures))
 
     def measure_at(self, v: TreeVertex) -> EmpiricalMeasure:
-        return self.measures[v]
+        return self._by_vertex[v]
 
 
 def _sorted_row_measures(rows: np.ndarray) -> list[EmpiricalMeasure]:
@@ -250,19 +261,12 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
         raise ValueError(
             f"incomplete array: expected {m**r} = {m}^{r} leaf values, got {arr.size}"
         )
-    measures: dict[TreeVertex, EmpiricalMeasure] = {}
-    current = _sorted_row_measures(np.sort(arr.reshape(m ** (r - 1), m), axis=1))
-    for d in range(r - 1, -1, -1):
-        for coords, mu in zip(
-            itertools.product(range(1, m + 1), repeat=d), current
-        ):
-            measures[TreeVertex(coords, r)] = mu
-        if d > 0:
-            current = [
-                measure_over(current[i * m : (i + 1) * m])
-                for i in range(m ** (d - 1))
-            ]
-    return DirectingHierarchy(r, m, measures)
+    # deepest first: the sorted rows, then measures over each run of m siblings
+    levels = [_sorted_row_measures(np.sort(arr.reshape(m ** (r - 1), m), axis=1))]
+    for d in range(r - 1, 0, -1):
+        below = levels[-1]
+        levels.append([measure_over(below[i * m : (i + 1) * m]) for i in range(m ** (d - 1))])
+    return DirectingHierarchy(r, m, tuple(mu for level in reversed(levels) for mu in level))
 
 
 def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarray:
@@ -358,9 +362,8 @@ def measure_to_json_obj(mu: EmpiricalMeasure) -> dict:
 
 
 def hierarchy_to_json_obj(h: DirectingHierarchy) -> dict:
-    keys = sorted(h.measures, key=lambda v: (v.depth, v.coords))
     return {
         "r": h.r,
         "m": h.m,
-        "measures": {v.encode(): measure_to_json_obj(h.measures[v]) for v in keys},
+        "measures": {v.encode(): measure_to_json_obj(mu) for v, mu in h._by_vertex.items()},
     }

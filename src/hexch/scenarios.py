@@ -161,10 +161,15 @@ def make_source(
 
 def make_level_values(name: str, r: int, m: int, seed: int, params: dict | None = None):
     """Depth-keyed field values plus declared specs, for homogeneity checks."""
+    by_depth, _ = ifield_truncation_values(uniform_ifield(seed, r), r, m)
+    return _declared_levels(name, by_depth, params)
+
+
+def _declared_levels(name: str, by_depth: dict, params: dict | None = None):
+    """:func:`make_level_values` from the realized uniform I-field values."""
     spec = builtin(name)
     params = {**spec.defaults.get("params", {}), **(params or {})}
-    by_depth, _ = ifield_truncation_values(uniform_ifield(seed, r), r, m)
-    declared = {d: UNIFORM01 for d in range(r + 1)}
+    declared = {d: UNIFORM01 for d in by_depth}
     if name == "depth-shift":
         lo = float(params.get("shift", 0.5))
         by_depth = dict(by_depth)

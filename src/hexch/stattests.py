@@ -16,7 +16,7 @@ level alpha is exact under the null.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.stats
@@ -25,7 +25,6 @@ from scipy.spatial.distance import cdist
 from .definetti import DirectingHierarchy
 from .fields import DistSpec, derive_seed
 from .hperm import HPerm, random_hperm
-from .tree import _depth_vertices
 
 __all__ = [
     "TestReport",
@@ -57,15 +56,7 @@ class TestReport:
             raise ValueError(f"p-value {self.p_value} outside [0,1]")
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n_resamples": self.n_resamples,
-            "level": self.level,
-            "reject": self.reject,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 def energy_distance(sample_a, sample_b) -> float:
@@ -255,20 +246,11 @@ def _pit_matrix(
         )
     n_parents = m ** (r - 1)
     blocks = arr.reshape(n_parents, m)
-    for v in hierarchy.measures:
-        if v.depth == r - 1 and max(v.coords, default=1) > m:
-            raise ValueError(f"hierarchy has a measure at {v}, outside the m={m} truncation")
-    pit = np.empty_like(blocks)
-    jitter = rng.random(blocks.shape)
-    for i, v in enumerate(_depth_vertices(r, m, (r - 1,), n_parents)):
-        mu = hierarchy.measures.get(v)
-        if mu is None:
-            raise ValueError(f"hierarchy has no measure at parent {v}")
-        x = blocks[i]
-        lo = mu.cdf_left(x)
-        hi = mu.cdf(x)
-        pit[i] = lo + jitter[i] * (hi - lo)
-    return pit
+    # the depth r-1 measures are the last n_parents, in lexicographic order
+    parents = hierarchy.measures[-n_parents:]
+    lo = np.array([mu.cdf_left(x) for mu, x in zip(parents, blocks)])
+    hi = np.array([mu.cdf(x) for mu, x in zip(parents, blocks)])
+    return lo + rng.random(blocks.shape) * (hi - lo)
 
 
 def conditional_iid_test(
@@ -293,16 +275,14 @@ def conditional_iid_test(
     ks_stat, ks_p = scipy.stats.kstest(pit.reshape(-1), "uniform")
 
     components = {"ks_stat": float(ks_stat), "ks_p": float(ks_p)}
-    pvals = [ks_p]
+    # a numpy p-value would make `reject` a numpy bool, which JSON cannot encode
+    pvals = [float(ks_p)]
     rho = 0.0
     if m >= 2:
         rho = _lag1_corr(pit)
-        shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
-        count = 0
-        for _ in range(n_resamples):
-            if abs(_lag1_corr(shuffler.permuted(pit, axis=1))) >= abs(rho):
-                count += 1
-        rho_p = (1 + count) / (n_resamples + 1)
+        rho_p = _shuffle_pvalue(
+            pit, lambda z: abs(_lag1_corr(z)), abs(rho), n_resamples, seed
+        )
         components.update({"lag1_corr": float(rho), "lag1_p": float(rho_p)})
         pvals.append(rho_p)
     p = min(1.0, len(pvals) * min(pvals))
@@ -315,6 +295,14 @@ def conditional_iid_test(
         reject=p < level,
         metadata={"n_parents": n_parents, "m": m, "seed": seed, **components},
     )
+
+
+def _shuffle_pvalue(pit: np.ndarray, stat, observed: float, n_resamples: int, seed: int) -> float:
+    """Add-one p-value of ``stat(pit) >= observed`` under the null that
+    shuffles each parent's children independently (seed role "shuffle")."""
+    shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
+    count = sum(stat(shuffler.permuted(pit, axis=1)) >= observed for _ in range(n_resamples))
+    return (1 + count) / (n_resamples + 1)
 
 
 def _lag1_corr(pit: np.ndarray) -> float:
@@ -372,12 +360,7 @@ def cond_indep_test(
         return float(np.max(np.abs(np.einsum("ij,ij->i", z[ii], z[jj]))))
 
     observed = max_abs_corr(pit)
-    shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
-    count = 0
-    for _ in range(n_resamples):
-        if max_abs_corr(shuffler.permuted(pit, axis=1)) >= observed:
-            count += 1
-    p = (1 + count) / (n_resamples + 1)
+    p = _shuffle_pvalue(pit, max_abs_corr, observed, n_resamples, seed)
     return TestReport(
         name="cond_indep",
         statistic=observed,

@@ -288,3 +288,90 @@ def test_cli_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
     assert "uniform-leaf" in out and "depth-shift" in out
+
+
+def _run_cli(cfg, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert "Traceback" not in capsys.readouterr().err
+    return code
+
+
+@pytest.mark.parametrize(
+    "cfg, code",
+    [
+        # the KS component gives the smallest p-value: not rejected, rejected
+        ({"scenario": "root-constant", "r": 2, "m": 16, "seed": 2}, 0),
+        ({"scenario": "root-constant", "r": 2, "m": 16, "seed": 51}, 1),
+        # with m = 1 the KS component is the only one
+        ({"scenario": "uniform-leaf", "r": 2, "m": 1, "seed": 0}, 0),
+        ({"scenario": "uniform-leaf", "r": 2, "m": 1, "seed": 9}, 1),
+    ],
+    ids=["root-constant-pass", "root-constant-reject", "m1-pass", "m1-reject"],
+)
+def test_ks_driven_conditional_iid_report_is_plain_json(tmp_path, capsys, cfg, code):
+    cfg = {**cfg, "tests": [{"name": "conditional_iid"}]}
+    assert _run_cli(cfg, tmp_path, capsys) == code
+    lines = (tmp_path / "o" / "reports.jsonl").read_text().splitlines()
+    (report,) = [json.loads(line) for line in lines]
+    assert report["reject"] is bool(code)
+    assert report["metadata"]["ks_p"] < report["metadata"].get("lag1_p", 2.0)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # np.meshgrid broadcasts at most 32 coordinate arrays
+        {"scenario": "label-leak", "r": 33, "m": 1, "seed": 0},
+        {"scenario": "product", "r": 33, "m": 1, "seed": 0, "extract": True, "resynthesize_m": 1},
+        # numpy arrays have at most 64 dimensions
+        {"scenario": "product", "r": 63, "m": 1, "seed": 0},
+    ],
+    ids=["leaf-grid", "resynthesis-grid", "path-layout"],
+)
+def test_deep_degenerate_trees_exit_two(tmp_path, capsys, cfg):
+    with pytest.raises(ConfigError, match="r must be <= 32"):
+        run_experiment(cfg, tmp_path / "out")
+    assert _run_cli(cfg, tmp_path, capsys) == 2
+
+
+def test_deepest_allowed_degenerate_tree_runs(tmp_path, capsys):
+    cfg = {"scenario": "product", "r": 32, "m": 1, "seed": 0, "extract": True,
+           "resynthesize_m": 1, "tests": [{"name": "conditional_iid"}]}
+    assert _run_cli(cfg, tmp_path, capsys) in (0, 1)
+
+
+def test_cond_indep_needs_siblings(tmp_path, capsys):
+    cfg = {"scenario": "uniform-leaf", "r": 2, "m": 1, "seed": 0, "tests": [{"name": "cond_indep"}]}
+    with pytest.raises(ConfigError, match="m >= 2"):
+        run_experiment(cfg, tmp_path / "out")
+    assert _run_cli(cfg, tmp_path, capsys) == 2
+
+
+def test_field_scenario_realizes_the_field_once(tmp_path, monkeypatch):
+    import hexch.cli
+    import hexch.fields
+    import hexch.scenarios
+
+    real = hexch.fields.ifield_truncation_values
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (hexch.cli, hexch.fields, hexch.scenarios):
+        monkeypatch.setattr(module, "ifield_truncation_values", counting)
+    cfg = {"scenario": "depth-shift", "r": 2, "m": 12, "seed": 7,
+           "tests": [{"name": "level_homogeneity"}]}
+    code, files = run_experiment(cfg, tmp_path / "out")
+    assert len(calls) == 1
+    assert code == 0
+    # recorded while the field was still realized twice per run
+    assert files["field_values.csv"]["sha256"] == (
+        "1ce00a5d108df20abdef3cb0305082160ec9d52590e93b8fd1827c41fe8bf50b"
+    )
+    assert files["reports.jsonl"]["sha256"] == (
+        "1174db3966b9a3b702a38b9d255b92f38cd3523cf54b6a685c602521e54b27ac"
+    )

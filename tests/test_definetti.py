@@ -25,7 +25,7 @@ from hexch.definetti import (
 from hexch.fields import UniformField, derive_seed, sample_array
 from hexch.hperm import random_hperm
 from hexch.scenarios import make_model, make_source
-from hexch.tree import TreeVertex, leaves, root
+from hexch.tree import TreeVertex, internal_vertices, leaves, root
 
 
 # -- empirical measures --------------------------------------------------------
@@ -133,8 +133,9 @@ def test_measure_arrays_cached_and_read_only():
 def test_extract_r1_single_root_measure():
     arr = np.array([0.2, 0.4, 0.4, 0.9])
     h = extract_hierarchy(arr, 1, 4)
-    assert set(h.measures) == {root(1)}
+    assert h.measures == (empirical_measure(arr),)
     assert h.root_measure == empirical_measure(arr)
+    assert h.measure_at(root(1)) == h.root_measure
 
 
 def test_extract_r1_many_atoms_weights_sum_to_one():
@@ -148,7 +149,7 @@ def test_extract_r1_many_atoms_weights_sum_to_one():
 def test_extract_constant_array_gives_nested_point_masses():
     c = 0.37
     h = extract_hierarchy(np.full(9, c), 2, 3)
-    for v, mu in h.measures.items():
+    for v, mu in zip(internal_vertices(2, 3), h.measures, strict=True):
         assert mu.level == h.r - 1 - v.depth
         if mu.level == 0:
             assert mu == point_mass(c)
@@ -160,9 +161,10 @@ def test_extract_constant_array_gives_nested_point_masses():
 def test_extract_measure_levels_and_counts():
     x = sample_array(make_model("product", 2), 2, 4, seed=6)
     h = extract_hierarchy(x, 2, 4)
-    assert sum(1 for v in h.measures if v.depth == 1) == 4
-    assert sum(1 for v in h.measures if v.depth == 0) == 1
-    assert h.root_measure.level == 1
+    assert isinstance(h.measures, tuple)
+    # the root first, then the four depth-1 vertices
+    assert [mu.level for mu in h.measures] == [1, 0, 0, 0, 0]
+    assert h.root_measure is h.measures[0]
 
 
 def test_extract_product_model_approximates_conditional_uniform():
@@ -201,7 +203,7 @@ def test_extract_invariant_under_structure_permutation():
     y = x[pi.permuted_leaf_indices(m)]
     hx_ = extract_hierarchy(x, 2, m)
     hy = extract_hierarchy(y, 2, m)
-    for v, mu in hy.measures.items():
+    for v, mu in zip(internal_vertices(2, m), hy.measures, strict=True):
         assert mu == hx_.measure_at(pi.apply(v))
         assert nested_distance(mu, hx_.measure_at(pi.apply(v))) == 0.0
 
@@ -236,9 +238,58 @@ def test_extract_matches_per_row_empirical_measure(r, m, model, decimals):
         x = np.round(x, decimals)
     measures = extract_hierarchy(x, r, m).measures
     expected = _reference_extract(x, r, m)
-    assert list(measures) == list(expected)
-    for v, mu in expected.items():
-        assert measures[v].atoms == mu.atoms and measures[v].level == mu.level
+    want = [expected[v] for v in internal_vertices(r, m)]
+    assert len(want) == len(expected)
+    assert [(mu.atoms, mu.level) for mu in measures] == [(mu.atoms, mu.level) for mu in want]
+
+
+def _hierarchy_parts():
+    x = sample_array(make_model("product", 3), 3, 3, seed=12)
+    return extract_hierarchy(x, 3, 3).measures  # 1 + 3 + 9 measures
+
+
+def test_hierarchy_accepts_the_internal_vertex_layout():
+    measures = _hierarchy_parts()
+    h = DirectingHierarchy(3, 3, list(measures))
+    assert h.measures == measures and isinstance(h.measures, tuple)
+    assert h.root_measure is measures[0]
+
+
+def test_hierarchy_rejects_a_missing_measure():
+    measures = _hierarchy_parts()
+    for drop in (0, 5, 12):  # the root, a depth-1 and a depth-2 measure
+        with pytest.raises(ValueError, match="12 measures for the 13 internal vertices"):
+            DirectingHierarchy(3, 3, measures[:drop] + measures[drop + 1 :])
+
+
+def test_hierarchy_rejects_an_extra_measure():
+    measures = _hierarchy_parts()
+    with pytest.raises(ValueError, match="14 measures for the 13 internal vertices"):
+        DirectingHierarchy(3, 3, measures + (measures[-1],))
+    # a deeper truncation's measures are out of range for a shallower one
+    with pytest.raises(ValueError, match="internal vertices"):
+        DirectingHierarchy(3, 2, measures)
+
+
+def test_hierarchy_rejects_a_wrong_level_measure():
+    measures = _hierarchy_parts()
+    # swapping a depth-1 (level 1) and a depth-2 (level 0) measure keeps the count
+    swapped = measures[:3] + (measures[4], measures[3]) + measures[5:]
+    with pytest.raises(ValueError, match="measure 3 has level 0, expected 1"):
+        DirectingHierarchy(3, 3, swapped)
+    with pytest.raises(ValueError, match="measure 0 has level 1, expected 2"):
+        DirectingHierarchy(3, 3, (measures[1],) + measures[1:])
+    with pytest.raises(ValueError):
+        DirectingHierarchy(0, 3, ())  # no internal vertices
+
+
+def test_measure_at_follows_the_internal_vertex_order():
+    h = extract_hierarchy(sample_array(make_model("path-mean", 3), 3, 3, seed=2), 3, 3)
+    for v, mu in zip(internal_vertices(3, 3), h.measures, strict=True):
+        assert h.measure_at(v) is mu
+    for v in (TreeVertex((4,), 3), TreeVertex((1, 1, 1), 3), TreeVertex((1,), 2)):
+        with pytest.raises(KeyError):
+            h.measure_at(v)
 
 
 # -- resynthesis ----------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hexch.definetti import DirectingHierarchy, extract_hierarchy
+from hexch.definetti import extract_hierarchy
 from hexch.fields import DistSpec, derive_seed, ifield_truncation_values, uniform_ifield
 from hexch.hperm import random_hperm
 from hexch.scenarios import make_level_values, make_source
@@ -16,7 +16,6 @@ from hexch.stattests import (
     hexch_test,
     level_homogeneity_test,
 )
-from hexch.tree import TreeVertex
 
 UNIF = DistSpec("uniform", (0.0, 1.0))
 
@@ -254,21 +253,48 @@ def test_cond_indep_pair_budget_recorded():
     assert rep.metadata["n_pairs"] == 10
 
 
-@pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test])
-def test_pit_tests_reject_hierarchies_without_the_parent_measures(test):
-    # the PIT reads the measure of every depth-(r-1) vertex of the truncation;
-    # a missing one or one outside {1..m}^(r-1) is an error, not a silent gap
-    arr, h = _array_and_hierarchy("path-mean", 2, 4, seed=6)
-    first, third = TreeVertex((1,), 2), TreeVertex((3,), 2)
-    missing = {v: mu for v, mu in h.measures.items() if v != third}
-    with pytest.raises(ValueError, match=r"TreeVertex\(3; r=2\)"):
-        test(arr, DirectingHierarchy(2, 4, missing), n_resamples=9, seed=0)
-    for measures in (
-        {**h.measures, TreeVertex((5,), 2): h.measures[first]},
-        {**missing, TreeVertex((5,), 2): h.measures[third]},
-    ):
-        with pytest.raises(ValueError, match=r"TreeVertex\(5; r=2\)"):
-            test(arr, DirectingHierarchy(2, 4, measures), n_resamples=9, seed=0)
+# (scenario, r, m, seed, rounding decimals, conditional_iid statistic,
+#  p_value and lag1_p, cond_indep statistic and p_value) at n_resamples=99,
+# recorded before the PIT tests shared their shuffle null and read the
+# parent measures by position
+PIT_PINNED = [
+    ("uniform-leaf", 2, 8, 1, None, 0.16657562427649217, 0.78, 0.39, 0.902284841917615, 0.06),
+    ("path-mean", 3, 4, 2, None, -0.2712744620925607, 1.0, 0.73, 0.9903181955351474, 0.55),
+    ("root-constant", 2, 6, 3, None, -0.22898807013650696, 0.48, 0.24, 0.6894503474757002, 0.91),
+    ("uniform-leaf", 2, 8, 4, 1, -0.07692712199573769, 1.0, 0.8, 0.7981187915478832, 0.49),
+    ("markov-leak", 2, 16, 5, None, 0.46636626151673655, 0.02, 0.01, 0.7148080252346263, 0.18),
+    ("product", 3, 5, 6, None, -0.20067157350769269, 1.0, 0.68, 0.8758475369043698, 0.98),
+]
+
+
+@pytest.mark.parametrize("case", PIT_PINNED, ids=lambda c: f"{c[0]}-r{c[1]}-seed{c[3]}")
+def test_pit_tests_pinned_values(case):
+    name, r, m, seed, decimals, iid_stat, iid_p, lag1_p, indep_stat, indep_p = case
+    arr = make_source(name, r, m).sample(seed)
+    if decimals is not None:
+        arr = np.round(arr, decimals)
+    h = extract_hierarchy(arr, r, m)
+    iid = conditional_iid_test(arr, h, n_resamples=99, seed=seed)
+    assert (iid.statistic, iid.p_value, iid.metadata["lag1_p"]) == (iid_stat, iid_p, lag1_p)
+    indep = cond_indep_test(arr, h, n_resamples=99, seed=seed)
+    assert (indep.statistic, indep.p_value) == (indep_stat, indep_p)
+
+
+def test_reports_carry_python_scalars():
+    # m = 1 leaves the KS component as the conditional_iid p-value
+    arr, h = _array_and_hierarchy("uniform-leaf", 2, 1, seed=0)
+    arr4, h4 = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
+    by_depth, _ = ifield_truncation_values(uniform_ifield(0, 2), 2, 4)
+    reports = [
+        conditional_iid_test(arr, h, n_resamples=9, seed=0),
+        cond_indep_test(arr4, h4, n_resamples=9, seed=0),
+        hexch_test(make_source("uniform-leaf", 1, 4).sample, 1, 4, n_reps=20,
+                   n_resamples=9, seed=0),
+        level_homogeneity_test(by_depth, {d: UNIF for d in range(3)}, seed=0),
+    ]
+    for rep in reports:
+        assert type(rep.reject) is bool, rep.name
+        assert type(rep.statistic) is float and type(rep.p_value) is float, rep.name
 
 
 # -- level homogeneity ------------------------------------------------------------------
