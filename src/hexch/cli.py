@@ -61,9 +61,12 @@ def _cell_cap() -> int:
     if raw is None:
         return DEFAULT_CELL_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ConfigError(f"HEXCH_MAX_CELLS must be an integer, got {raw!r}") from None
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"HEXCH_MAX_CELLS must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _integer(value, name: str, lo: int, hi: int | None = None) -> int:

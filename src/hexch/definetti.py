@@ -7,15 +7,22 @@ and regenerate a fresh exchangeable array from that hierarchy by drawing
 child measures and finally leaf values through quantile transforms of fresh
 uniforms.
 
-Measures over measures are represented concretely by finite atom systems
-nested to the required level, compared with an exact optimal-transport
-distance whose ground cost recurses down the nesting.
+A :class:`DirectingHierarchy` stores each nesting level as arrays: a table
+of its distinct measures in canonical order, and one table id per vertex.
+Extraction and resynthesis work on whole levels of those arrays.  The
+nested :class:`EmpiricalMeasure` objects, finite atom systems nested to the
+required level, are built only on demand (``measures``, ``measure_at``,
+JSON output) and compared with an exact optimal-transport distance whose
+ground cost recurses down the nesting.  The arrays reproduce the objects
+bit for bit, which takes two rules: tables follow ``sort_key`` order, in
+which ``[a,b,b]`` precedes ``[a,a,b]``; and level k >= 1 weights are
+repeated ``+= 1/m`` sums, not ``count/m``, because ``3 x 0.1 != 0.3``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -116,12 +123,8 @@ class EmpiricalMeasure:
         """Left-continuous generalized inverse CDF: Q(v) = inf{x : F(x) >= v}."""
         if self.level != 0:
             raise ValueError("quantile is defined for level-0 measures only")
-        return self.locations[self._atom_index(v)]
-
-    def _atom_index(self, v) -> np.ndarray:
-        """Index of the atom the left-continuous inverse weight CDF picks at v."""
         idx = np.searchsorted(self.cumweights(), np.asarray(v, float), side="left")
-        return np.minimum(idx, len(self.atoms) - 1)
+        return self.locations[np.minimum(idx, len(self.atoms) - 1)]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -183,32 +186,111 @@ def quantile_resample(mu: EmpiricalMeasure, v) -> float | np.ndarray:
 # -- directing hierarchies ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectingHierarchy:
-    """Estimated directing measures of a depth-``r`` truncation.
+    """Estimated directing measures of a depth-``r`` truncation, as arrays.
 
-    One measure per internal vertex, in :func:`~hexch.tree.internal_vertices`
-    order (the root first, the m^(r-1) depth r-1 vertices last).  A depth-d
-    measure has nesting level r-1-d: plain value distributions at the
-    deepest internal level, measures of measures above, up to the root.
+    A depth-d vertex carries a measure of nesting level k = r-1-d: plain
+    value distributions at the deepest internal level, measures of measures
+    above, up to the root.  Level k is a table of its distinct measures, in
+    canonical :meth:`EmpiricalMeasure.sort_key` order, one row each:
+
+    - ``atoms[k]`` ``(n_k, w_k)``: the row's atoms, padded with -1.  Level-0
+      atoms are locations, ascending.  Level k >= 1 atoms are row ids into
+      the level k-1 table, ascending, which is their canonical order too.
+    - ``weights[k]`` ``(n_k, w_k)``: the atoms' weights, 0 past the atom
+      count.  Level 0 weighs an atom met c times among m siblings ``c/m``;
+      level k >= 1 weighs it by c repeated ``+= 1/m`` sums, as
+      :func:`measure_over` does (``3 x 0.1 != 0.3``).
+    - ``ids[d]`` ``(m^d,)``: the table row of each depth-d vertex, vertices in
+      lexicographic order.
+
+    The constructor derives ``counts[k]`` (each row's atom count) and
+    ``cum[k]`` (cumulative weights, exactly 1.0 at the last atom and inf
+    past it) and checks the layout: one table per level, one id row of
+    ``m^d`` ids per depth, every id inside its table.  All arrays are
+    read-only.  :attr:`measures` builds the :class:`EmpiricalMeasure`
+    objects on first use.
     """
 
     r: int
     m: int
-    measures: tuple[EmpiricalMeasure, ...]
+    atoms: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
+    ids: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    cum: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "measures", tuple(self.measures))
-        sizes = [self.m**d for d in range(self.r)]
-        if not sizes or len(self.measures) != sum(sizes):
+        r, m = self.r, self.m
+        if r < 1 or m < 1:
+            raise ValueError("r and m must be >= 1")
+        if not len(self.atoms) == len(self.weights) == r:
             raise ValueError(
-                f"{len(self.measures)} measures for the {sum(sizes)} internal "
-                f"vertices of the {{1..{self.m}}}^{self.r} truncation"
+                f"{len(self.atoms)} atom and {len(self.weights)} weight tables "
+                f"for the {r} levels of a depth-{r} hierarchy"
             )
-        wants = (self.r - 1 - d for d, size in enumerate(sizes) for _ in range(size))
-        for i, (mu, want) in enumerate(zip(self.measures, wants)):
-            if mu.level != want:
-                raise ValueError(f"measure {i} has level {mu.level}, expected {want}")
+        if len(self.ids) != r:
+            raise ValueError(
+                f"{len(self.ids)} id rows for the {r} internal depths of the "
+                f"{{1..{m}}}^{r} truncation"
+            )
+        levels = []
+        for k in range(r):
+            a = _read_only(np.asarray(self.atoms[k], dtype=np.intp if k else np.float64))
+            w = _read_only(np.asarray(self.weights[k], dtype=np.float64))
+            if a.ndim != 2 or a.shape != w.shape or not a.size:
+                raise ValueError(
+                    f"level {k}: atoms {a.shape} and weights {w.shape} differ or are empty"
+                )
+            present = w > 0
+            n = present.sum(axis=1)
+            if n.min() < 1 or not np.array_equal(present, np.arange(w.shape[1]) < n[:, None]):
+                raise ValueError(
+                    f"level {k}: each row needs positive weights on a prefix of its atoms"
+                )
+            if k:
+                _check_ids(a[present], len(levels[-1][0]), f"level {k} atom")
+            c = np.cumsum(w, axis=1)
+            c[np.arange(n.size), n - 1] = 1.0
+            c[~present] = np.inf
+            levels.append((a, w, _read_only(n), _read_only(c)))
+        ids = []
+        for d in range(r):
+            v = _read_only(np.asarray(self.ids[d], dtype=np.intp))
+            if v.shape != (m**d,):
+                raise ValueError(f"depth {d} has {v.size} ids for its {m**d} vertices")
+            _check_ids(v, len(levels[r - 1 - d][0]), f"depth {d}")
+            ids.append(v)
+        for name, value in zip(("atoms", "weights", "counts", "cum"), zip(*levels)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "ids", tuple(ids))
+
+    @cached_property
+    def measures(self) -> tuple[EmpiricalMeasure, ...]:
+        """One measure per internal vertex, in
+        :func:`~hexch.tree.internal_vertices` order (the root first, the
+        m^(r-1) depth r-1 vertices last).  Built on first use, one object per
+        table row, shared by the vertices on that row."""
+        return self._per_vertex(lambda k, pairs: EmpiricalMeasure(tuple(pairs), k))
+
+    def _per_vertex(self, make) -> tuple:
+        """``make(k, pairs)`` of every level-k table row, deepest level first,
+        where ``pairs`` lists the row's (atom, weight) pairs and a nested
+        atom is the object made for its row one level down; returned per
+        internal vertex, in :func:`~hexch.tree.internal_vertices` order."""
+        tables: list[list] = []
+        for k in range(self.r):
+            present = self.weights[k] > 0
+            atoms = self.atoms[k][present].tolist()
+            if k:
+                atoms = [tables[-1][i] for i in atoms]
+            pairs = list(zip(atoms, self.weights[k][present].tolist()))
+            ends = np.cumsum(self.counts[k]).tolist()
+            tables.append([make(k, pairs[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)])
+        return tuple(
+            tables[self.r - 1 - d][i] for d in range(self.r) for i in self.ids[d].tolist()
+        )
 
     @property
     def root_measure(self) -> EmpiricalMeasure:
@@ -216,35 +298,88 @@ class DirectingHierarchy:
 
     @cached_property
     def _by_vertex(self) -> dict[TreeVertex, EmpiricalMeasure]:
-        """The measures keyed by their vertices, for lookups and JSON keys."""
+        """The measures keyed by their vertices, for :meth:`measure_at`."""
         keys = internal_vertices(self.r, self.m, cap=len(self.measures))
         return dict(zip(keys, self.measures))
 
     def measure_at(self, v: TreeVertex) -> EmpiricalMeasure:
         return self._by_vertex[v]
 
+    def parent_cdfs(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(cdf_left, cdf)`` of each depth r-1 measure at its row of the
+        ``(m^(r-1), q)`` matrix ``blocks``, for all rows at once."""
+        rows = self.ids[-1]
+        n = self.counts[0][rows, None]
+        locs = self.atoms[0][rows]
+        locs = np.where(np.arange(locs.shape[1]) < n, locs, np.inf)
+        padded = np.concatenate([np.zeros((rows.size, 1)), self.cum[0][rows]], axis=1)
+        return tuple(
+            np.take_along_axis(padded, np.minimum(_search_rows(locs, blocks, side), n), axis=1)
+            for side in ("left", "right")
+        )
 
-def _sorted_row_measures(rows: np.ndarray) -> list[EmpiricalMeasure]:
-    """Level-0 empirical measures of the rows of a row-sorted (k, m) matrix.
 
-    Runs of equal values in a row merge into one atom of weight count/m, so
-    each measure's atoms and weights are exactly those that
-    :func:`empirical_measure` gives on the row.
+def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"{what} ids must index the {n} rows of their table")
+
+
+def _search_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+    """Row-wise ``np.searchsorted(a[i], v[i], side)`` for ascending rows ``a``
+    ``(P, w)`` and queries ``v`` ``(P, q)``.
+
+    One stable argsort of each row's queries and entries together: the
+    entries sorted before a query are those ``<`` it with the queries first
+    (side "left"), and those ``<=`` it with the entries first ("right").
     """
-    m = rows.shape[1]
+    q, w = v.shape[1], a.shape[1]
+    left = side == "left"
+    both = np.concatenate([v, a] if left else [a, v], axis=1)
+    order = np.argsort(both, axis=1, kind="stable")
+    is_query = order < q if left else order >= w
+    entries_before = np.cumsum(~is_query, axis=1)
+    out = np.empty(v.shape, dtype=np.intp)
+    cols = order[is_query] - (0 if left else w)
+    out[np.nonzero(is_query)[0], cols] = entries_before[is_query]
+    return out
+
+
+def _level_table(rows: np.ndarray):
+    """Distinct empirical measures of the rows of a row-sorted ``(P, m)``
+    matrix, in canonical order.
+
+    Runs of equal values in a row merge into one atom, and the rows are
+    ranked by one lexsort over their interleaved (value, multiplicity)
+    columns, padded with (-1, 0).  That is ``sort_key`` order: it compares
+    (atom, weight) pairs in turn and puts a shorter prefix first, so
+    ``[a,b,b]`` sorts before ``[a,a,b]``.  Returns the table's padded atoms
+    and multiplicities and each row's table id.
+    """
+    n_rows, m = rows.shape
     flat = rows.reshape(-1)
     # an atom starts wherever a row starts or its value changes
     first = np.ones(flat.size, dtype=bool)
     first[1:] = flat[1:] != flat[:-1]
     first[::m] = True
     starts = np.flatnonzero(first)
-    locs = flat[starts].tolist()
-    weights = (np.diff(starts, append=flat.size) / m).tolist()
-    bounds = np.searchsorted(starts, np.arange(0, flat.size + 1, m)).tolist()
-    return [
-        EmpiricalMeasure(tuple(zip(locs[lo:hi], weights[lo:hi])), 0)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    row = starts // m
+    n_atoms = np.bincount(row, minlength=n_rows)
+    col = np.arange(starts.size) - np.repeat(np.cumsum(n_atoms) - n_atoms, n_atoms)
+    values = np.full((n_rows, n_atoms.max()), -1, dtype=rows.dtype)
+    values[row, col] = flat[starts]
+    mult = np.zeros(values.shape, dtype=np.intp)
+    mult[row, col] = np.diff(starts, append=flat.size)
+    if n_rows == 1:
+        return values, mult, np.zeros(1, dtype=np.intp)
+    # lexsort's last key is its primary one
+    columns = range(values.shape[1] - 1, -1, -1)
+    order = np.lexsort([key for j in columns for key in (mult[:, j], values[:, j])])
+    values, mult = values[order], mult[order]
+    new = np.ones(n_rows, dtype=bool)
+    new[1:] = (values[1:] != values[:-1]).any(axis=1) | (mult[1:] != mult[:-1]).any(axis=1)
+    ids = np.empty(n_rows, dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return values[new], mult[new], ids
 
 
 def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
@@ -252,21 +387,34 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
 
     Depth r-1 vertices get the empirical measure of their children's values;
     each shallower vertex the empirical measure of its children's measures.
-    The array must be complete and in lexicographic leaf order.  The
-    ``(m^(r-1), m)`` sibling matrix is sorted along its rows once, and each
-    depth r-1 measure is read off its sorted row.
+    The array must be complete, in lexicographic leaf order, with values in
+    [0,1].  Each level is built whole: the ``(m^(r-1), m)`` sibling matrix
+    is sorted along its rows once and its distinct rows form the level-0
+    table; each level above does the same with the sorted table ids of its
+    children.
     """
+    if r < 1 or m < 1:
+        raise ValueError("r and m must be >= 1")
     arr = np.asarray(array, dtype=np.float64).reshape(-1)
     if arr.size != m**r:
         raise ValueError(
             f"incomplete array: expected {m**r} = {m}^{r} leaf values, got {arr.size}"
         )
-    # deepest first: the sorted rows, then measures over each run of m siblings
-    levels = [_sorted_row_measures(np.sort(arr.reshape(m ** (r - 1), m), axis=1))]
-    for d in range(r - 1, 0, -1):
-        below = levels[-1]
-        levels.append([measure_over(below[i * m : (i + 1) * m]) for i in range(m ** (d - 1))])
-    return DirectingHierarchy(r, m, tuple(mu for level in reversed(levels) for mu in level))
+    outside = ~((arr >= 0.0) & (arr <= 1.0))
+    if outside.any():
+        raise ValueError(f"level-0 location {float(arr[outside][0])} outside [0,1]")
+    # c merged measures of m weigh c repeated += 1/m sums, as in measure_over
+    sums = np.concatenate([[0.0], np.cumsum(np.full(m, 1.0 / m))])
+    rows = np.sort(arr.reshape(m ** (r - 1), m), axis=1)
+    atoms, weights, ids = [], [], []
+    for k in range(r):
+        values, mult, row_ids = _level_table(rows)
+        atoms.append(values)
+        weights.append(mult / m if k == 0 else sums[mult])
+        ids.append(row_ids)
+        if k < r - 1:
+            rows = np.sort(row_ids.reshape(-1, m), axis=1)
+    return DirectingHierarchy(r, m, tuple(atoms), tuple(weights), tuple(reversed(ids)))
 
 
 def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarray:
@@ -277,21 +425,22 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     index, bottoming out with a value quantile draw at the leaves.  All
     uniforms come from the counter-based field (role "w"), hashed one whole
     depth at a time from its coordinate grid, so the output is
-    deterministic in ``seed``.
+    deterministic in ``seed``; each depth's atom picks are one row-batched
+    left search of the uniforms in the parents' cumulative weights.
     """
     if h.r != r:
         raise ValueError(f"hierarchy depth {h.r} does not match requested r={r}")
+    if isinstance(m2, bool) or not isinstance(m2, (int, np.integer)) or m2 < 1:
+        raise ValueError(f"m2 must be an integer >= 1, got {m2!r}")
     f = UniformField(seed, role="w")
-    current = [h.root_measure]
-    for d in range(1, r):
-        u = f.values(leaf_coords(d, m2)).reshape(len(current), m2)
-        nxt = []
-        for mu, row in zip(current, u):
-            atoms = mu.atoms
-            nxt.extend(atoms[i][0] for i in mu._atom_index(row).tolist())
-        current = nxt
-    u = f.values(leaf_coords(r, m2)).reshape(len(current), m2)
-    return np.concatenate([mu.quantile(row) for mu, row in zip(current, u)])
+    current = h.ids[0]
+    for d in range(1, r + 1):
+        k = r - d  # the level of the depth d-1 measures
+        u = f.values(leaf_coords(d, m2)).reshape(current.size, m2)
+        pick = _search_rows(h.cum[k][current], u, "left")
+        np.minimum(pick, h.counts[k][current, None] - 1, out=pick)
+        current = h.atoms[k][current[:, None], pick].reshape(-1)
+    return current
 
 
 # -- distances ----------------------------------------------------------------
@@ -362,8 +511,11 @@ def measure_to_json_obj(mu: EmpiricalMeasure) -> dict:
 
 
 def hierarchy_to_json_obj(h: DirectingHierarchy) -> dict:
-    return {
-        "r": h.r,
-        "m": h.m,
-        "measures": {v.encode(): measure_to_json_obj(mu) for v, mu in h._by_vertex.items()},
-    }
+    """The hierarchy keyed by encoded vertex, each measure serializing as
+    :func:`measure_to_json_obj`'s does.  Built from the arrays, one object
+    per table row, so no :class:`EmpiricalMeasure` is made or kept.  Atom
+    pairs are tuples: unlike a million small lists, the cyclic garbage
+    collector stops tracking tuples of floats."""
+    objs = h._per_vertex(lambda k, pairs: {"level": k, "atoms": pairs})
+    keys = internal_vertices(h.r, h.m, cap=len(objs))
+    return {"r": h.r, "m": h.m, "measures": {v.encode(): obj for v, obj in zip(keys, objs)}}

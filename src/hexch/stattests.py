@@ -244,12 +244,8 @@ def _pit_matrix(
         raise ValueError(
             f"shape mismatch: array has {arr.size} values, hierarchy expects {m**r}"
         )
-    n_parents = m ** (r - 1)
-    blocks = arr.reshape(n_parents, m)
-    # the depth r-1 measures are the last n_parents, in lexicographic order
-    parents = hierarchy.measures[-n_parents:]
-    lo = np.array([mu.cdf_left(x) for mu, x in zip(parents, blocks)])
-    hi = np.array([mu.cdf(x) for mu, x in zip(parents, blocks)])
+    blocks = arr.reshape(m ** (r - 1), m)
+    lo, hi = hierarchy.parent_cdfs(blocks)
     return lo + rng.random(blocks.shape) * (hi - lo)
 
 

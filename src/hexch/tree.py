@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -232,13 +233,17 @@ def decode_vertex(s: str, r: int) -> TreeVertex:
     return TreeVertex(coords, r)
 
 
+@lru_cache(maxsize=16)
 def leaf_coords(r: int, m: int) -> np.ndarray:
     """Integer coordinate matrix of shape (m^r, r) for the truncation leaves.
 
-    Row order matches :func:`leaves`.
+    Row order matches :func:`leaves`.  The grid is cached and read-only,
+    because every caller shares it.
     """
     grids = np.meshgrid(*([np.arange(1, m + 1)] * r), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, r)
+    coords = np.stack(grids, axis=-1).reshape(-1, r)
+    coords.flags.writeable = False
+    return coords
 
 
 def wedge_matrix(coords: np.ndarray) -> np.ndarray:

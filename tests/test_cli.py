@@ -181,6 +181,20 @@ def test_cap_exceeded(tmp_path, monkeypatch):
         run_experiment(minimal_config(r=10**12, m=2), tmp_path / "out")
 
 
+@pytest.mark.parametrize("raw", ["0", "-5", "ten", "1.5"])
+def test_cap_must_be_a_positive_integer(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("HEXCH_MAX_CELLS", raw)
+    with pytest.raises(ConfigError, match="HEXCH_MAX_CELLS must be a positive integer"):
+        run_experiment(minimal_config(), tmp_path / "out")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config()))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    monkeypatch.setenv("HEXCH_MAX_CELLS", "1")
+    with pytest.raises(CapError):
+        run_experiment(minimal_config(), tmp_path / "out")
+
+
 def test_resynthesis_cap_exceeded(tmp_path, monkeypatch):
     monkeypatch.setenv("HEXCH_MAX_CELLS", "100")
     cfg = minimal_config(scenario="product", r=2, m=4, extract=True, tests=[])

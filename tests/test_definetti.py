@@ -11,6 +11,7 @@ from hexch.acceptance import w1_to_uniform
 from hexch.definetti import (
     DirectingHierarchy,
     EmpiricalMeasure,
+    _search_rows,
     empirical_measure,
     extract_hierarchy,
     hierarchy_to_json_obj,
@@ -245,42 +246,73 @@ def test_extract_matches_per_row_empirical_measure(r, m, model, decimals):
 
 def _hierarchy_parts():
     x = sample_array(make_model("product", 3), 3, 3, seed=12)
-    return extract_hierarchy(x, 3, 3).measures  # 1 + 3 + 9 measures
+    h = extract_hierarchy(x, 3, 3)
+    return h.atoms, h.weights, h.ids  # tables of levels 0..2, id rows of depths 0..2
 
 
 def test_hierarchy_accepts_the_internal_vertex_layout():
-    measures = _hierarchy_parts()
-    h = DirectingHierarchy(3, 3, list(measures))
-    assert h.measures == measures and isinstance(h.measures, tuple)
-    assert h.root_measure is measures[0]
+    atoms, weights, ids = _hierarchy_parts()
+    h = DirectingHierarchy(3, 3, list(atoms), list(weights), [v.tolist() for v in ids])
+    assert [v.shape for v in h.ids] == [(1,), (3,), (9,)]
+    for arrays in (h.atoms, h.weights, h.ids, h.counts, h.cum):
+        assert isinstance(arrays, tuple)
+        assert not any(a.flags.writeable for a in arrays)
+    for k, (c, n) in enumerate(zip(h.cum, h.counts)):
+        assert np.all(c[np.arange(len(n)), n - 1] == 1.0)
+        assert np.all(np.isinf(c) == (np.arange(c.shape[1]) >= n[:, None]))
+    assert [mu.level for mu in h.measures] == [2] + [1] * 3 + [0] * 9
+    assert h.root_measure is h.measures[0]
+    # the vertices on one table row share its measure object
+    for d, row in enumerate(h.ids):
+        first = 3**d - 1 >> 1  # 0, 1, 4: where depth d starts in internal_vertices order
+        for i, j in itertools.combinations(range(row.size), 2):
+            same = h.measures[first + i] is h.measures[first + j]
+            assert same == (row[i] == row[j])
 
 
 def test_hierarchy_rejects_a_missing_measure():
-    measures = _hierarchy_parts()
-    for drop in (0, 5, 12):  # the root, a depth-1 and a depth-2 measure
-        with pytest.raises(ValueError, match="12 measures for the 13 internal vertices"):
-            DirectingHierarchy(3, 3, measures[:drop] + measures[drop + 1 :])
+    atoms, weights, ids = _hierarchy_parts()
+    with pytest.raises(ValueError, match="2 id rows for the 3 internal depths"):
+        DirectingHierarchy(3, 3, atoms, weights, ids[:2])
+    with pytest.raises(ValueError, match="depth 2 has 8 ids for its 9 vertices"):
+        DirectingHierarchy(3, 3, atoms, weights, ids[:2] + (ids[2][:-1],))
+    with pytest.raises(ValueError, match="2 atom and 3 weight tables"):
+        DirectingHierarchy(3, 3, atoms[:2], weights, ids)
+    holed = weights[0].copy()
+    holed[0, 0] = 0.0  # a row's first atom without weight
+    with pytest.raises(ValueError, match="positive weights on a prefix"):
+        DirectingHierarchy(3, 3, atoms, (holed,) + weights[1:], ids)
 
 
 def test_hierarchy_rejects_an_extra_measure():
-    measures = _hierarchy_parts()
-    with pytest.raises(ValueError, match="14 measures for the 13 internal vertices"):
-        DirectingHierarchy(3, 3, measures + (measures[-1],))
-    # a deeper truncation's measures are out of range for a shallower one
-    with pytest.raises(ValueError, match="internal vertices"):
-        DirectingHierarchy(3, 2, measures)
+    atoms, weights, ids = _hierarchy_parts()
+    with pytest.raises(ValueError, match="4 id rows for the 3 internal depths"):
+        DirectingHierarchy(3, 3, atoms, weights, ids + (ids[-1],))
+    with pytest.raises(ValueError, match="depth 1 has 4 ids for its 3 vertices"):
+        DirectingHierarchy(3, 3, atoms, weights, (ids[0], np.append(ids[1], 0), ids[2]))
+    # a deeper truncation's id rows are out of range for a shallower one
+    with pytest.raises(ValueError, match="depth 1 has 3 ids for its 2 vertices"):
+        DirectingHierarchy(3, 2, atoms, weights, ids)
 
 
 def test_hierarchy_rejects_a_wrong_level_measure():
-    measures = _hierarchy_parts()
-    # swapping a depth-1 (level 1) and a depth-2 (level 0) measure keeps the count
-    swapped = measures[:3] + (measures[4], measures[3]) + measures[5:]
-    with pytest.raises(ValueError, match="measure 3 has level 0, expected 1"):
-        DirectingHierarchy(3, 3, swapped)
-    with pytest.raises(ValueError, match="measure 0 has level 1, expected 2"):
-        DirectingHierarchy(3, 3, (measures[1],) + measures[1:])
+    atoms, weights, ids = _hierarchy_parts()
+    n = [len(a) for a in atoms]
+    # swapping the depth 1 and depth 2 rows changes their sizes
+    with pytest.raises(ValueError, match="depth 1 has 9 ids for its 3 vertices"):
+        DirectingHierarchy(3, 3, atoms, weights, (ids[0], ids[2], ids[1]))
+    # an id past its level's table, or below it
+    for bad in (n[1], -1):
+        row = ids[1].copy()
+        row[2] = bad
+        with pytest.raises(ValueError, match=f"depth 1 ids must index the {n[1]} rows"):
+            DirectingHierarchy(3, 3, atoms, weights, (ids[0], row, ids[2]))
+    nested = atoms[1].copy()
+    nested[0, 0] = n[0]
+    with pytest.raises(ValueError, match=f"level 1 atom ids must index the {n[0]} rows"):
+        DirectingHierarchy(3, 3, (atoms[0], nested, atoms[2]), weights, ids)
     with pytest.raises(ValueError):
-        DirectingHierarchy(0, 3, ())  # no internal vertices
+        DirectingHierarchy(0, 3, (), (), ())  # no internal vertices
 
 
 def test_measure_at_follows_the_internal_vertex_order():
@@ -415,6 +447,129 @@ def test_hierarchy_and_resynthesis_bytes_pinned(case):
     y = resynthesize(h, r, m2, derive_seed(seed, "resynthesize"))
     data = np.ascontiguousarray(y, dtype="<f8").tobytes()
     assert hashlib.sha256(data).hexdigest() == y_digest
+
+
+# Recorded before the hierarchy became per-level arrays, in the same form as
+# PINNED_DIGESTS plus the rounding applied to the sample:
+# (scenario, r, m, decimals, resynthesize_m, seed, hierarchy digest, resynthesis digest)
+# "by-hand" is BY_HAND: r=2 m=3 with sibling rows [a,b,b], [a,a,b], [b,a,b].
+BY_HAND = [0.2, 0.7, 0.7, 0.2, 0.2, 0.7, 0.7, 0.2, 0.7]
+ARRAY_FORM_DIGESTS = [
+    ("product", 3, 16, None, 16, 0,
+     "c891c6c20a8f596ae084202eec94fe039b31e5a663f482eead43a2c16c1ddda3",
+     "d5d1ef30549a771cbf188881ce3947fa6e4007a999d9f270a4555a764ce1817a"),
+    ("path-mean", 4, 3, None, 3, 1,
+     "e59295a32398b9bece9defa729eaa7f2f05e93d74e0bd9deb5844a6d211ec04c",
+     "9dfb76adacdd52ec8be4ef04624942caadb0f15b15538b3d62b87e7882550ddd"),
+    # ties merge measures at levels 1 and 2
+    ("product", 3, 3, 1, 3, 4,
+     "42023ff506a1eb712594d81eb153b2d5632e43d245c2a17122ed767a37397034",
+     "aa25b3d912ffde8a56f518cd657f696405f308e05ef59ea8a2447fdbd78c6a6f"),
+    ("product", 2, 6, 2, 6, 1,
+     "fc70c085dda325844d83291336ed3e3194576751d395b390bc3a43e572f1e974",
+     "3685eb24c74e7844b3b60a91d308e33693713034416a4462282991d34d854d44"),
+    ("uniform-leaf", 5, 1, None, 1, 2,
+     "377662d402efa187737a9785ba907e702e923daaefecf89c2281d1623d63542f",
+     "72ec124210a6db9851fa1e98f2e64af112cefa1483bcd57873b11da890ad1957"),
+    ("path-mean", 3, 4, None, 1, 3,
+     "8b38aeed82363d2a8f190c0eee387235a245b268c1e8ff80d610c34b076c62df",
+     "b3f265d1b0a69255f950d694274022f36529eb13cec4f1960eed6b824ac374d5"),
+    ("path-mean", 3, 4, None, 5, 3,
+     "8b38aeed82363d2a8f190c0eee387235a245b268c1e8ff80d610c34b076c62df",
+     "76224a8d5cc89cebfe076f0ac4df7d4fccc8bbd5c640f5bb5626b2c29cefb828"),
+    ("path-mean", 3, 4, None, 8, 3,
+     "8b38aeed82363d2a8f190c0eee387235a245b268c1e8ff80d610c34b076c62df",
+     "4b4e3fdbd2e59bee189cd94c9463b714dcace3b6f9a445584d38bc88e76a4c72"),
+    ("by-hand", 2, 3, None, 3, 5,
+     "01a772846c35e4d049a2a1b621a1a15ac6c95bdfe5c8068c03acacc89dbbe360",
+     "17a97e9c23d46e3d25638c2d79e42e0bc53d918ce60e23dae47de4343c033cad"),
+]
+
+
+@pytest.mark.parametrize(
+    "case", ARRAY_FORM_DIGESTS, ids=lambda c: f"{c[0]}-r{c[1]}-m{c[2]}-d{c[3]}-m2_{c[4]}"
+)
+def test_array_form_bytes_pinned(case):
+    name, r, m, decimals, m2, seed, h_digest, y_digest = case
+    x = np.array(BY_HAND) if name == "by-hand" else make_source(name, r, m).sample(seed)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    h = extract_hierarchy(x, r, m)
+    text = json.dumps(hierarchy_to_json_obj(h), sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == h_digest
+    y = resynthesize(h, r, m2, derive_seed(seed, "resynthesize"))
+    data = np.ascontiguousarray(y, dtype="<f8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == y_digest
+
+
+def test_tied_rows_follow_sort_key_order():
+    # [a,b,b] weighs a by 1/3 and [a,a,b] by 2/3, so it sorts first, although
+    # its expanded sorted row is lexicographically larger
+    h = extract_hierarchy(BY_HAND, 2, 3)
+    abb = ((0.2, 1 / 3), (0.7, 2 / 3))
+    aab = ((0.2, 2 / 3), (0.7, 1 / 3))
+    assert [a.atoms for a, _ in h.root_measure.atoms] == [abb, aab]
+    assert [w for _, w in h.root_measure.atoms] == [1 / 3 + 1 / 3, 1 / 3]
+    assert h.atoms[1].tolist() == [[0, 1]] and h.ids[1].tolist() == [0, 1, 0]
+
+
+def test_extraction_builds_no_measure_objects(monkeypatch):
+    built = []
+    init = EmpiricalMeasure.__post_init__
+    monkeypatch.setattr(EmpiricalMeasure, "__post_init__", lambda mu: built.append(init(mu)))
+    x = np.round(sample_array(make_model("product", 3), 3, 4, seed=5), 1)
+    h = extract_hierarchy(x, 3, 4)
+    resynthesize(h, 3, 5, seed=1)
+    obj = hierarchy_to_json_obj(h)
+    assert built == []
+    assert len(h.measures) == 21
+    # one object per table row, shared by the vertices on it
+    assert len(built) == sum(len(a) for a in h.atoms) == len({id(mu) for mu in h.measures})
+    vertices = internal_vertices(3, 4)
+    want = {v.encode(): measure_to_json_obj(mu) for v, mu in zip(vertices, h.measures)}
+    assert json.dumps(obj["measures"], sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.2, np.nan, np.inf])
+def test_extract_rejects_values_outside_the_unit_interval(bad):
+    x = np.full(16, 0.5)
+    x[9] = bad
+    with pytest.raises(ValueError, match=rf"level-0 location {bad} outside \[0,1\]"):
+        extract_hierarchy(x, 2, 4)
+
+
+def test_extract_and_resynthesize_check_their_sizes():
+    with pytest.raises(ValueError, match="r and m must be >= 1"):
+        extract_hierarchy(np.zeros(1), 0, 4)
+    with pytest.raises(ValueError, match="r and m must be >= 1"):
+        extract_hierarchy(np.zeros(1), 2, 0)
+    h = extract_hierarchy(np.full(4, 0.5), 2, 2)
+    for m2 in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match=f"m2 must be an integer >= 1, got {m2}"):
+            resynthesize(h, 2, m2, seed=0)
+    assert resynthesize(h, 2, np.int64(3), seed=0).shape == (9,)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_row_search_matches_searchsorted(side):
+    rng = np.random.default_rng(3)
+    a = np.sort(np.round(rng.random((40, 7)), 1), axis=1)
+    a[::3, 5:] = np.inf  # padded rows
+    v = np.round(rng.random((40, 11)), 1)
+    v[0, :3] = [0.0, 1.0, np.inf]
+    want = np.array([np.searchsorted(row, q, side=side) for row, q in zip(a, v)])
+    assert np.array_equal(_search_rows(a, v, side), want)
+
+
+def test_parent_cdfs_match_the_measures():
+    x = np.round(sample_array(make_model("path-mean", 3), 3, 4, seed=8), 1)
+    h = extract_hierarchy(x, 3, 4)
+    blocks = np.round(np.random.default_rng(2).random((16, 6)), 1)
+    blocks[0, :4] = [0.0, 1.0, np.inf, np.nan]
+    lo, hi = h.parent_cdfs(blocks)
+    parents = h.measures[-16:]
+    assert np.array_equal(lo, [mu.cdf_left(b) for mu, b in zip(parents, blocks)])
+    assert np.array_equal(hi, [mu.cdf(b) for mu, b in zip(parents, blocks)])
 
 
 # -- distances ------------------------------------------------------------------

@@ -158,6 +158,16 @@ def test_leaf_coords_matches_leaves():
     assert [tuple(row) for row in lc] == [v.coords for v in leaves(2, 3)]
 
 
+@pytest.mark.parametrize("r, m", [(1, 5), (2, 3), (3, 4)])
+def test_leaf_coords_cached_and_read_only(r, m):
+    lc = leaf_coords(r, m)
+    assert lc is leaf_coords(r, m)
+    assert not lc.flags.writeable
+    with pytest.raises(ValueError):
+        lc[0, 0] = 7
+    assert lc.tolist() == [list(v.coords) for v in leaves(r, m)]
+
+
 def test_wedge_matrix_matches_pairwise():
     lv = leaves(2, 3)
     coords = np.array([v.coords for v in lv])
