@@ -34,6 +34,8 @@ for spec in list_scenarios():
 print()
 print("== exchangeability: calibrated on nulls, powerful on the leak ==")
 for name in ("path-mean", "product", "label-leak"):
+    # hexch_test calls src.sample once per replicate sample, with all the
+    # replicate seeds, and gets the arrays back stacked
     src = make_source(name, 2, 8)
 
     def one(t, src=src):

@@ -90,9 +90,11 @@ def _init_int(seed: int, role: str) -> int:
     return _mix_int(_mix_int((int(seed) ^ _GOLD) & _MASK) ^ _role_key(role))
 
 
-def _init_state(seed: int, role: str) -> np.ndarray:
-    """The (1,) uint64 start state of the stream (seed, role)."""
-    return np.array([_init_int(seed, role)], dtype=_U64)
+def _init_state(seed, role: str) -> np.ndarray:
+    """The (K,) uint64 start states of the streams (seed, role): K=1 for an
+    int seed, one state per seed for a 1-D sequence of K seeds."""
+    seeds = (seed,) if np.ndim(seed) == 0 else seed
+    return np.array([_init_int(s, role) for s in seeds], dtype=_U64)
 
 
 def _hash_words(h0: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -463,14 +465,17 @@ class SigmaModel:
         return np.clip(out, 0.0, 1.0)
 
 
-def path_matrix(seed: int, role: str, r: int, m: int) -> np.ndarray:
+def path_matrix(seed, role: str, r: int, m: int) -> np.ndarray:
     """Field values along the root path of every truncation leaf.
 
-    Shape (m^r, r+1); rows follow the lexicographic leaf order, column d
-    holds the depth-d prefix value.
+    Shape (m^r, r+1) for an int seed; rows follow the lexicographic leaf
+    order, column d holds the depth-d prefix value.  A 1-D sequence of K
+    seeds gives the K matrices stacked, shape (K, m^r, r+1), from one pass
+    over the K start states.
     """
     h0 = _init_state(seed, role)
-    return _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))[0]
+    paths = _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))
+    return paths[0] if np.ndim(seed) == 0 else paths
 
 
 def product_path_matrix(
@@ -485,16 +490,18 @@ def product_path_matrix(
     return _write_paths(_level_values(h0, depths, shape), depths, shape)[0]
 
 
-def sample_array(model: SigmaModel, r: int, m: int, seed: int, role: str = "v") -> np.ndarray:
+def sample_array(model: SigmaModel, r: int, m: int, seed, role: str = "v") -> np.ndarray:
     """Array over the m^r truncation leaves, X = model(path values).
 
     Entries are indexed lexicographically; with a fixed seed the result is
     identical across runs, and the array over {1..m}^r is entry-for-entry a
-    sub-array of the one over any larger {1..m'}^r.
+    sub-array of the one over any larger {1..m'}^r.  A 1-D sequence of K
+    seeds gives the K arrays stacked, shape (K, m^r), from one model call.
     """
     if model.arity != r + 1:
         raise ValueError(f"model arity {model.arity} != r+1 = {r + 1}")
-    return model.eval(path_matrix(seed, role, r, m))
+    paths = path_matrix(seed, role, r, m)
+    return model.eval(paths.reshape(-1, r + 1)).reshape(paths.shape[:-1])
 
 
 def sample_multi(
@@ -512,19 +519,25 @@ def sample_multi(
     return model.eval(product_path_matrix(seed, role, depths, shape))
 
 
-def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed: int) -> np.ndarray:
+def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     """Array over {1..m}^r x {1..n}: shared tree field plus per-column replicas.
 
     Column i is model(v-path, v^i-path); the shared field uses role "v" and
-    replica i the role "v^i".  Shape (m^r, n).
+    replica i the role "v^i".  Shape (m^r, n); a 1-D sequence of K seeds
+    gives the K arrays stacked, shape (K, m^r, n), from K*n replica start
+    states and K shared ones hashed in one pass each.
     """
     if model.arity != 2 * (r + 1):
         raise ValueError(f"model arity {model.arity} != 2(r+1) = {2 * (r + 1)}")
-    h0 = np.concatenate([_init_state(seed, f"v^{i}") for i in range(1, n + 1)])
-    replicas = _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))
-    shared = np.broadcast_to(path_matrix(seed, "v", r, m), replicas.shape)
-    inputs = np.concatenate([shared, replicas], axis=2).reshape(-1, 2 * (r + 1))
-    return model.eval(inputs).reshape(n, m**r).T
+    shared = path_matrix(seed, "v", r, m)
+    lead = shared.shape[:-2]
+    # start states seed-major: replica i of seed k is row k*n + i - 1
+    h0 = np.stack([_init_state(seed, f"v^{i}") for i in range(1, n + 1)], axis=-1)
+    replicas = _write_paths(_level_values(h0.reshape(-1), (r,), (m,)), (r,), (m,))
+    replicas = replicas.reshape(lead + (n, m**r, r + 1))
+    shared = np.broadcast_to(shared[..., None, :, :], replicas.shape)
+    inputs = np.concatenate([shared, replicas], axis=-1).reshape(-1, 2 * (r + 1))
+    return model.eval(inputs).reshape(lead + (n, m**r)).swapaxes(-1, -2)
 
 
 def sample_conditional(

@@ -17,7 +17,9 @@ import numpy as np
 from .fields import (
     UNIFORM01,
     SigmaModel,
-    UniformField,
+    _coord_words,
+    _hash_words,
+    _init_state,
     ifield_truncation_values,
     path_matrix,
     sample_ah,
@@ -52,13 +54,20 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ArraySource:
-    """A seeded array generator over a fixed truncation."""
+    """A seeded array generator over a fixed truncation.
+
+    ``sample`` maps a seed or a 1-D sequence of K seeds to one array or K
+    stacked arrays: shape ``(m^r,)`` or ``(K, m^r)``, and ``(m^r, n)`` or
+    ``(K, m^r, n)`` when the source has ``n`` replicas.  Row k of a stacked
+    call equals ``sample(seeds[k])`` bit for bit; the K arrays are hashed
+    and evaluated in one pass, and an int seed is the K=1 case of that pass.
+    """
 
     name: str
     r: int
     m: int
     n: int | None
-    sample: Callable[[int], np.ndarray]
+    sample: Callable[..., np.ndarray]
 
 
 def _sigmoid(x):
@@ -90,42 +99,44 @@ def make_model(name: str, r: int, params: dict | None = None) -> SigmaModel:
     raise ValueError(f"unknown scenario model {name!r}")
 
 
-def _label_leak_sampler(r: int, m: int, weight: float) -> Callable[[int], np.ndarray]:
+# The custom samplers below take an int seed or a 1-D sequence of K seeds,
+# as path_matrix does, and work on the leading replicate axes it returns.
+
+
+def _label_leak_sampler(r: int, m: int, weight: float) -> Callable:
     parity = (leaf_coords(r, m)[:, 0] % 2).astype(np.float64)
 
-    def sample(seed: int) -> np.ndarray:
-        v = path_matrix(seed, "v", r, m)[:, -1]
+    def sample(seed) -> np.ndarray:
+        v = path_matrix(seed, "v", r, m)[..., -1]
         return (1.0 - weight) * v + weight * parity
 
     return sample
 
 
-def _sibling_coupled_sampler(r: int, m: int, weight: float) -> Callable[[int], np.ndarray]:
+def _sibling_coupled_sampler(r: int, m: int, weight: float) -> Callable:
     if r < 2:
         raise ValueError("sibling-coupled needs r >= 2")
-    coords = leaf_coords(r, m)
-    n_parents = m ** (r - 1)
-    parent_idx = np.arange(m**r) // m
-    pair_idx = parent_idx // 2
-    child_idx = coords[:, -1] - 1
-    n_pairs = (n_parents + 1) // 2
-    # depth-2 coordinate rows (pair, child) of the shared grid
-    shared_coords = np.indices((n_pairs, m)).reshape(2, -1).T + 1
+    n_pairs = (m ** (r - 1) + 1) // 2
+    # every leaf reads the shared value at (its parent's pair, its child index)
+    shared_idx = (np.arange(m**r) // m // 2) * m + leaf_coords(r, m)[:, -1] - 1
+    # word rows of the depth-2 coordinates (pair, child) of the shared grid
+    shared_words = _coord_words(np.indices((n_pairs, m)).reshape(2, -1).T + 1)
 
-    def sample(seed: int) -> np.ndarray:
-        v = path_matrix(seed, "v", r, m)[:, -1]
-        shared = UniformField(seed, role="s").values(shared_coords).reshape(n_pairs, m)
-        return (1.0 - weight) * v + weight * shared[pair_idx, child_idx]
+    def sample(seed) -> np.ndarray:
+        v = path_matrix(seed, "v", r, m)[..., -1]
+        shared = _hash_words(_init_state(seed, "s"), shared_words)
+        return (1.0 - weight) * v + weight * shared[:, shared_idx].reshape(v.shape)
 
     return sample
 
 
-def _markov_leak_sampler(r: int, m: int) -> Callable[[int], np.ndarray]:
-    def sample(seed: int) -> np.ndarray:
-        v = path_matrix(seed, "v", r, m)[:, -1].reshape(m ** (r - 1), m)
-        out = v.copy()
-        out[:, 1:] = 0.5 * (v[:, 1:] + v[:, :-1])
-        return out.reshape(-1)
+def _markov_leak_sampler(r: int, m: int) -> Callable:
+    def sample(seed) -> np.ndarray:
+        v = path_matrix(seed, "v", r, m)[..., -1]
+        blocks = v.reshape(v.shape[:-1] + (m ** (r - 1), m))
+        out = blocks.copy()
+        out[..., 1:] = 0.5 * (blocks[..., 1:] + blocks[..., :-1])
+        return out.reshape(v.shape)
 
     return sample
 

@@ -24,7 +24,8 @@ from scipy.spatial.distance import cdist
 
 from .definetti import DirectingHierarchy
 from .fields import DistSpec, derive_seed
-from .hperm import HPerm, random_hperm
+from .hperm import random_hperm
+from .tree import DEFAULT_CELL_CAP
 
 __all__ = [
     "TestReport",
@@ -112,9 +113,10 @@ def _energy_permutation_pvalue(
 
     observed = float(stats(labels[None, :])[0])
     rng = np.random.Generator(np.random.PCG64(seed))
+    # one stacked draw consumes the stream as n_resamples permutation calls do
+    perm = rng.permuted(np.broadcast_to(np.arange(n_tot), (n_resamples, n_tot)), axis=1)
     masks = np.zeros((n_resamples, n_tot), dtype=np.float64)
-    for i in range(n_resamples):
-        masks[i, rng.permutation(n_tot)[:ka]] = 1.0
+    np.put_along_axis(masks, perm[:, :ka], 1.0, axis=1)
     count = int(np.sum(stats(masks) >= observed))
     p = (1 + count) / (n_resamples + 1)
     return observed, p
@@ -152,7 +154,6 @@ def hexch_test(
     m: int,
     *,
     n: int | None = None,
-    perms: list[HPerm] | None = None,
     n_reps: int = 50,
     n_resamples: int = 199,
     level: float = 0.05,
@@ -160,52 +161,64 @@ def hexch_test(
 ) -> TestReport:
     """Permutation test of hierarchical exchangeability of an array law.
 
-    ``source`` is a callable mapping a seed to an array over the
-    ``{1..m}^r`` truncation (flat, or of shape ``(m^r, n)`` when ``n`` is
-    given, in which case a replica-axis permutation is applied jointly with
-    the tree permutation).  Two samples of ``n_reps`` independent replicates
-    are compared: arrays as generated versus arrays with a freshly drawn
-    structure-preserving permutation applied to each replicate.  Under an
-    exchangeable law both samples share one distribution and the p-value is
-    exact.
+    ``source`` maps a seed or a 1-D sequence of K seeds to one array or K
+    stacked arrays over the ``{1..m}^r`` truncation, as
+    :attr:`ArraySource.sample <hexch.scenarios.ArraySource>` does.  It is
+    called with sequences only and must return shape ``(K, m^r)``, or
+    ``(K, m^r, n)`` when ``n`` is given, in which case a replica-axis
+    permutation is applied jointly with the tree permutation.  Two samples
+    of ``n_reps`` independent replicates are compared: arrays as generated
+    versus arrays with a freshly drawn structure-preserving permutation
+    applied to each replicate.  Each sample is one ``source`` call, split
+    into chunks only where its raw buffer would pass ``DEFAULT_CELL_CAP``.
+    Under an exchangeable law both samples share one distribution and the
+    p-value is exact.
     """
     if n_reps < 20:
         raise ValueError(f"insufficient replicates: n_reps={n_reps} < 20")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
+    shape, form = ((m**r,), "(K, m^r)") if n is None else ((m**r, n), "(K, m^r, n)")
     dim = m**r * (1 if n is None else n)
     keep = _marginal_indices(dim, r, m, n, seed)
+    # replicates per source call: their raw buffer (replicates x cells x path
+    # columns, twice the columns with replicas) stays within the cell cap
+    chunk = max(1, DEFAULT_CELL_CAP // (dim * (r + 1) * (1 if n is None else 2)))
 
-    def flat(arr: np.ndarray, pi: HPerm | None, rho: np.ndarray | None) -> np.ndarray:
-        arr = np.asarray(arr, dtype=np.float64)
-        if n is None:
-            vec = arr.reshape(-1)
-            if pi is not None:
-                vec = vec[pi.permuted_leaf_indices(m)]
-        else:
-            mat = arr.reshape(m**r, n)
-            if pi is not None:
-                mat = mat[pi.permuted_leaf_indices(m)]
-            if rho is not None:
-                mat = mat[:, rho]
-            vec = mat.reshape(-1)
-        return vec if keep is None else vec[keep]
+    def replicates(role: str, permute: bool) -> np.ndarray:
+        rows = []
+        for lo in range(0, n_reps, chunk):
+            ks = range(lo, min(lo + chunk, n_reps))
+            x = source([derive_seed(seed, role, k) for k in ks])
+            want = (len(ks),) + shape
+            if np.shape(x) != want:
+                raise ValueError(
+                    f"source returned shape {np.shape(x)} for K={len(ks)} seeds; "
+                    f"expected {form} = {want}"
+                )
+            x = np.asarray(x, dtype=np.float64)
+            if permute:
+                # one gather applies every replicate's map (and replica permutation)
+                kk = np.arange(len(ks))[:, None]
+                idx = np.stack([
+                    random_hperm(r, m, derive_seed(seed, "perm", k)).permuted_leaf_indices(m)
+                    for k in ks
+                ])
+                if n is None:
+                    x = x[kk, idx]
+                else:
+                    rho = np.stack([
+                        np.random.Generator(np.random.PCG64(derive_seed(seed, "rho", k)))
+                        .permutation(n)
+                        for k in ks
+                    ])
+                    x = x[kk[:, :, None], idx[:, :, None], rho[:, None, :]]
+            x = x.reshape(len(ks), -1)
+            rows.append(x if keep is None else x[:, keep])
+        return np.concatenate(rows)
 
-    a_rows = np.array(
-        [flat(source(derive_seed(seed, "rep-a", k)), None, None) for k in range(n_reps)]
-    )
-    b_rows = []
-    for k in range(n_reps):
-        if perms:
-            pi = perms[k % len(perms)]
-        else:
-            pi = random_hperm(r, m, derive_seed(seed, "perm", k))
-        rho = None
-        if n is not None:
-            rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "rho", k)))
-            rho = rng.permutation(n)
-        b_rows.append(flat(source(derive_seed(seed, "rep-b", k)), pi, rho))
-    b_rows = np.array(b_rows)
+    a_rows = replicates("rep-a", permute=False)
+    b_rows = replicates("rep-b", permute=True)
 
     observed, p = _energy_permutation_pvalue(
         a_rows, b_rows, n_resamples, derive_seed(seed, "resample")

@@ -59,6 +59,44 @@ def test_null_scenarios_use_path_function_form():
     assert np.array_equal(src.sample(13), direct)
 
 
+BATCHED_CASES = [
+    ("uniform-leaf", 2, 8, None),
+    ("root-constant", 2, 5, None),
+    ("path-mean", 3, 4, None),
+    ("product", 2, 8, None),
+    ("toy-magnetization", 2, 4, 1),
+    ("toy-magnetization", 2, 4, 8),
+    ("label-leak", 2, 8, None),
+    ("sibling-coupled", 2, 5, None),
+    ("sibling-coupled", 3, 3, None),
+    ("markov-leak", 2, 16, None),
+]
+
+
+@pytest.mark.parametrize("k", [1, 3, 50])
+@pytest.mark.parametrize("name, r, m, n", BATCHED_CASES)
+def test_batched_sampling_equals_stacked_scalar_samples(name, r, m, n, k):
+    src = make_source(name, r, m, n=n)
+    seeds = [derive_seed(19, name, i) for i in range(k)]
+    batch = src.sample(seeds)
+    stacked = np.stack([src.sample(s) for s in seeds])
+    cells = (m**r,) if n is None else (m**r, n)
+    assert batch.shape == stacked.shape == (k,) + cells
+    assert batch.dtype == stacked.dtype == np.float64
+    assert np.array_equal(batch, stacked)
+    assert batch.tobytes() == stacked.tobytes()
+    # a numpy seed array is a 1-D sequence too
+    assert np.array_equal(src.sample(np.array(seeds, dtype=np.uint64)), batch)
+
+
+def test_batched_path_matrix_stacks_scalar_matrices():
+    seeds = [3, 2**64 - 1, 0]
+    batch = path_matrix(seeds, "v", 2, 3)
+    assert batch.shape == (3, 9, 3)
+    for row, s in zip(batch, seeds):
+        assert np.array_equal(row, path_matrix(s, "v", 2, 3))
+
+
 def test_label_leak_pure_parity_differs_under_swap():
     # with the parity-only model the values are determined by the first
     # coordinate, so the root swap changes the array deterministically

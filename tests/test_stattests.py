@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+import hexch.stattests
 from hexch.definetti import extract_hierarchy
 from hexch.fields import DistSpec, derive_seed, ifield_truncation_values, uniform_ifield
-from hexch.hperm import random_hperm
 from hexch.scenarios import make_level_values, make_source
 from hexch.stattests import (
     TestReport,
@@ -74,6 +74,19 @@ def test_energy_permutation_invariant_to_replicate_order():
     assert p1 == p2
 
 
+@pytest.mark.parametrize("n_tot, n_resamples", [(2, 1), (40, 199), (100, 199), (257, 7)])
+def test_stacked_resample_draw_matches_sequential_permutations(n_tot, n_resamples):
+    # _energy_permutation_pvalue draws its resample splits in one stacked
+    # call; the p-values stay pinned only while it consumes the PCG64 stream
+    # exactly as one permutation call per resample does
+    seq = np.random.Generator(np.random.PCG64(9))
+    stacked = np.random.Generator(np.random.PCG64(9))
+    loop = np.stack([seq.permutation(n_tot) for _ in range(n_resamples)])
+    perm = stacked.permuted(np.broadcast_to(np.arange(n_tot), (n_resamples, n_tot)), axis=1)
+    assert np.array_equal(perm, loop)
+    assert seq.random() == stacked.random()
+
+
 # -- exchangeability test ----------------------------------------------------------
 
 
@@ -126,11 +139,53 @@ def test_hexch_pinned_values(name, r, m, n, seed, p_value, statistic):
     assert (rep.p_value, rep.statistic) == (p_value, statistic)
 
 
-def test_hexch_accepts_fixed_permutation_pool():
-    src = make_source("uniform-leaf", 2, 4)
-    pool = [random_hperm(2, 4, seed=s) for s in range(3)]
-    rep = hexch_test(src.sample, 2, 4, perms=pool, n_reps=20, n_resamples=49, seed=1)
-    assert rep.name == "hexch"
+@pytest.mark.parametrize(
+    "name, r, m, n, seed",
+    [("path-mean", 2, 4, None, 5), ("uniform-leaf", 2, 16, None, 7), ("toy-magnetization", 2, 4, 8, 3)],
+)
+def test_hexch_chunked_matches_unchunked(monkeypatch, name, r, m, n, seed):
+    src = make_source(name, r, m, n=n)
+    calls = []
+
+    def counted(seeds):
+        calls.append(len(seeds))
+        return src.sample(seeds)
+
+    whole = hexch_test(counted, r, m, n=n, n_reps=20, n_resamples=49, seed=seed)
+    assert calls == [20, 20]
+    # room for 6 replicates' raw buffer: chunks of 6, 6, 6 and 2 per sample
+    per_rep = m**r * (n or 1) * (r + 1) * (1 if n is None else 2)
+    monkeypatch.setattr(hexch.stattests, "DEFAULT_CELL_CAP", 6 * per_rep + 1)
+    calls.clear()
+    chunked = hexch_test(counted, r, m, n=n, n_reps=20, n_resamples=49, seed=seed)
+    assert calls == [6, 6, 6, 2] * 2
+    assert (chunked.p_value, chunked.statistic) == (whole.p_value, whole.statistic)
+    # a cap below one replicate still samples one replicate per call
+    monkeypatch.setattr(hexch.stattests, "DEFAULT_CELL_CAP", 1)
+    calls.clear()
+    single = hexch_test(counted, r, m, n=n, n_reps=20, n_resamples=49, seed=seed)
+    assert calls == [1] * 40
+    assert (single.p_value, single.statistic) == (whole.p_value, whole.statistic)
+
+
+def test_hexch_rejects_a_wrong_source_shape():
+    tree = make_source("path-mean", 2, 4)
+    replica = make_source("toy-magnetization", 2, 4, n=8)
+    cases = [
+        # a per-seed source called with a sequence of seeds
+        (lambda seeds: tree.sample(seeds[0]), None, "(16,)", "(20, 16)", "(K, m^r)"),
+        (lambda seeds: tree.sample(seeds).reshape(-1, 4, 4), None, "(20, 4, 4)", "(20, 16)",
+         "(K, m^r)"),
+        (tree.sample, 8, "(20, 16)", "(20, 16, 8)", "(K, m^r, n)"),
+        (replica.sample, None, "(20, 16, 8)", "(20, 16)", "(K, m^r)"),
+        (lambda seeds: replica.sample(seeds)[:, :, :4], 8, "(20, 16, 4)", "(20, 16, 8)",
+         "(K, m^r, n)"),
+    ]
+    for source, n, got, want, form in cases:
+        with pytest.raises(ValueError) as info:
+            hexch_test(source, 2, 4, n=n, n_reps=20, n_resamples=9, seed=0)
+        msg = str(info.value)
+        assert f"shape {got} for K=20 seeds; expected {form} = {want}" in msg, msg
 
 
 def test_hexch_insufficient_replicates():
