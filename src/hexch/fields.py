@@ -40,6 +40,7 @@ __all__ = [
     "DistSpec",
     "SigmaModel",
     "derive_seed",
+    "derive_seeds",
     "sample_array",
     "sample_multi",
     "sample_ah",
@@ -86,8 +87,13 @@ def _role_key(role: str) -> int:
     return h
 
 
+def _seed_word(seed: int) -> int:
+    """The word mix(seed ^ GOLD) that every stream (seed, role) starts from."""
+    return _mix_int((int(seed) ^ _GOLD) & _MASK)
+
+
 def _init_int(seed: int, role: str) -> int:
-    return _mix_int(_mix_int((int(seed) ^ _GOLD) & _MASK) ^ _role_key(role))
+    return _mix_int(_seed_word(seed) ^ _role_key(role))
 
 
 def _init_state(seed, role: str) -> np.ndarray:
@@ -112,6 +118,13 @@ def _hash_words(h0: np.ndarray, words: np.ndarray) -> np.ndarray:
 def derive_seed(seed: int, label: str, index: int = 0) -> int:
     """A fresh 64-bit seed, deterministic in (seed, label, index)."""
     return _mix_int(_init_int(seed, "derive:" + label) ^ (index & _MASK))
+
+
+def derive_seeds(seed: int, label: str, count: int) -> list[int]:
+    """``[derive_seed(seed, label, k) for k in range(count)]`` as Python ints,
+    from one mix over the index range."""
+    h = _U64(_init_int(seed, "derive:" + label))
+    return _mix(h ^ np.arange(count, dtype=_U64)).tolist()
 
 
 def _vertex_row(v: TreeVertex | ProductVertex) -> tuple[int, ...]:
@@ -525,15 +538,19 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     Column i is model(v-path, v^i-path); the shared field uses role "v" and
     replica i the role "v^i".  Shape (m^r, n); a 1-D sequence of K seeds
     gives the K arrays stacked, shape (K, m^r, n), from K*n replica start
-    states and K shared ones hashed in one pass each.
+    states and K shared ones hashed in one pass each.  The replica start
+    states are one mix of the K seed words against the n role keys.
     """
     if model.arity != 2 * (r + 1):
         raise ValueError(f"model arity {model.arity} != 2(r+1) = {2 * (r + 1)}")
     shared = path_matrix(seed, "v", r, m)
     lead = shared.shape[:-2]
     # start states seed-major: replica i of seed k is row k*n + i - 1
-    h0 = np.stack([_init_state(seed, f"v^{i}") for i in range(1, n + 1)], axis=-1)
-    replicas = _write_paths(_level_values(h0.reshape(-1), (r,), (m,)), (r,), (m,))
+    seeds = (seed,) if np.ndim(seed) == 0 else seed
+    words = np.array([_seed_word(s) for s in seeds], dtype=_U64)
+    keys = np.array([_role_key(f"v^{i}") for i in range(1, n + 1)], dtype=_U64)
+    h0 = _mix(words[:, None] ^ keys).reshape(-1)
+    replicas = _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))
     replicas = replicas.reshape(lead + (n, m**r, r + 1))
     shared = np.broadcast_to(shared[..., None, :, :], replicas.shape)
     inputs = np.concatenate([shared, replicas], axis=-1).reshape(-1, 2 * (r + 1))

@@ -19,12 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import TreeVertex, internal_vertices, leaf_coords, wedge_matrix
+from .fields import _hash_words, _init_state, _level_words
+from .tree import TreeVertex, internal_vertices, wedge_matrix
 
 __all__ = [
     "HPerm",
     "identity_hperm",
     "random_hperm",
+    "random_leaf_indices",
     "verify_wedge_preservation",
     "hperm_to_json_obj",
     "hperm_from_json_obj",
@@ -138,9 +140,9 @@ class HPerm:
         requires the images of the truncation leaves to stay inside it.
         """
         r = self.r
-        # ranks[k][p, c-1]: image of child c below the depth-k source prefix
-        # with flat index p; the identity where the table has no entry
-        ranks = [np.tile(np.arange(1, m + 1), (m**k, 1)) for k in range(r)]
+        # ranks[k][0, p, c-1]: image of child c below the depth-k source
+        # prefix with flat index p; the identity where the table has no entry
+        ranks = [np.tile(np.arange(1, m + 1), (1, m**k, 1)) for k in range(r)]
         leaks = False
         for v, images in self.table.items():
             if max(v.coords, default=0) <= m:
@@ -148,27 +150,54 @@ class HPerm:
                 for c in v.coords:
                     row = row * m + c - 1
                 images = images[:m]
-                ranks[v.depth][row, : len(images)] = images
+                ranks[v.depth][0, row, : len(images)] = images
                 leaks = leaks or max(images) > m
-        # image coordinate k of every leaf, broadcast over the (m,)*r leaf grid
-        cols = [
-            rk.reshape((m,) * (k + 1) + (1,) * (r - 1 - k)) for k, rk in enumerate(ranks)
-        ]
         if leaks:
+            # image coordinate k of every leaf, broadcast over the (m,)*r leaf grid
+            cols = [
+                rk.reshape((m,) * (k + 1) + (1,) * (r - 1 - k)) for k, rk in enumerate(ranks)
+            ]
             bad = np.zeros((m,) * r, dtype=bool)
             for col in cols:
                 bad |= col > m
             first = np.unravel_index(int(np.argmax(bad)), bad.shape)
             img = tuple(int(col[first[: k + 1]].item()) for k, col in enumerate(cols))
             raise ValueError(f"image {img} leaves the {{1..{m}}}^{r} truncation")
-        idx = np.zeros((m,) * r, dtype=np.intp)
-        for k, col in enumerate(cols):
-            idx += (col - 1) * m ** (r - 1 - k)
-        return idx.reshape(-1)
+        return _leaf_indices(ranks, m)[0]
 
 
 def identity_hperm(r: int) -> HPerm:
     return HPerm(r, {})
+
+
+def _leaf_indices(ranks: list[np.ndarray], m: int) -> np.ndarray:
+    """Flat image indices ``(K, m^r)`` of the truncation leaves of K maps.
+
+    ``ranks[d]`` has shape ``(K, m^d, m)`` and holds the 1-based images of
+    the children of each depth-d source prefix, prefixes in lexicographic
+    order.  The image index is composed one depth at a time: the index of a
+    depth-(d+1) vertex is that of its parent's image times m plus the
+    0-based image of its last coordinate.
+    """
+    idx = np.zeros((len(ranks[0]), 1), dtype=np.intp)
+    for rk in ranks:
+        idx = (idx[:, :, None] * m + (rk - 1)).reshape(len(idx), -1)
+    return idx
+
+
+def _random_ranks(r: int, m: int, seeds) -> list[np.ndarray]:
+    """Child ranks of the random maps of K seeds, ``(K, m^d, m)`` per depth d < r.
+
+    The children of every depth-d vertex are hashed at once against the K
+    start states of role "hperm", and one double stable argsort along the
+    last axis ranks each vertex's children (ties, if any, keep child order).
+    """
+    h0 = _init_state(seeds, "hperm")
+    ranks = []
+    for d in range(r):
+        u = _hash_words(h0, _level_words((d + 1,), (m,))).reshape(len(h0), m**d, m)
+        ranks.append(np.argsort(np.argsort(u, axis=-1, kind="stable"), axis=-1, kind="stable") + 1)
+    return ranks
 
 
 def random_hperm(r: int, m: int, seed: int) -> HPerm:
@@ -176,21 +205,23 @@ def random_hperm(r: int, m: int, seed: int) -> HPerm:
 
     Deterministic in ``seed``; the permutation at each vertex is the ranking
     of that vertex's children under the counter-based uniform field, so the
-    result does not depend on platform or iteration order.  The children
-    are hashed one depth at a time from their coordinate grids, without
-    building vertex objects, into a ``(len(internal), m)`` grid, and the
-    ranks of every row come from one double stable argsort over that grid
-    (ties, if any, keep child order).
+    result does not depend on platform or iteration order.  The table is the
+    K=1 case of :func:`random_leaf_indices`' rank core, keyed by the internal
+    vertices of the ``{1..m}^r`` truncation.
     """
-    from .fields import UniformField
-
-    f = UniformField(seed, role="hperm")
     internal = internal_vertices(r, m)
-    # the children of the internal vertices, in order, are depths 1..r
-    u = np.concatenate([f.values(leaf_coords(d, m)) for d in range(1, r + 1)])
-    u = u.reshape(len(internal), m)
-    ranks = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable") + 1
-    return HPerm(r, dict(zip(internal, map(tuple, ranks.tolist()))))
+    rows = np.concatenate([rk[0] for rk in _random_ranks(r, m, [seed])])
+    return HPerm(r, dict(zip(internal, map(tuple, rows.tolist()))))
+
+
+def random_leaf_indices(r: int, m: int, seeds) -> np.ndarray:
+    """Leaf-index maps ``(K, m^r)`` of the random maps of a 1-D sequence of K seeds.
+
+    Row k equals ``random_hperm(r, m, seeds[k]).permuted_leaf_indices(m)``,
+    built from the K maps' rank arrays in one hash pass and one double
+    argsort per depth, without tables or vertex objects.
+    """
+    return _leaf_indices(_random_ranks(r, m, seeds), m)
 
 
 def verify_wedge_preservation(mapping, leaf_list: list[TreeVertex]) -> bool:

@@ -23,8 +23,9 @@ import scipy.stats
 from scipy.spatial.distance import cdist
 
 from .definetti import DirectingHierarchy
-from .fields import DistSpec, derive_seed
-from .hperm import random_hperm
+from .fields import DistSpec, derive_seed, derive_seeds
+# random_hperm is unused here, but bench/spans.py traces it at this lookup site
+from .hperm import random_hperm, random_leaf_indices  # noqa: F401
 from .tree import DEFAULT_CELL_CAP
 
 __all__ = [
@@ -170,7 +171,9 @@ def hexch_test(
     of ``n_reps`` independent replicates are compared: arrays as generated
     versus arrays with a freshly drawn structure-preserving permutation
     applied to each replicate.  Each sample is one ``source`` call, split
-    into chunks only where its raw buffer would pass ``DEFAULT_CELL_CAP``.
+    into chunks only where its raw buffer would pass ``DEFAULT_CELL_CAP``;
+    the maps of a chunk are one :func:`~hexch.hperm.random_leaf_indices`
+    call.
     Under an exchangeable law both samples share one distribution and the
     p-value is exact.
     """
@@ -185,35 +188,33 @@ def hexch_test(
     # columns, twice the columns with replicas) stays within the cell cap
     chunk = max(1, DEFAULT_CELL_CAP // (dim * (r + 1) * (1 if n is None else 2)))
 
+    seeds = {role: derive_seeds(seed, role, n_reps) for role in ("rep-a", "rep-b", "perm", "rho")}
+
     def replicates(role: str, permute: bool) -> np.ndarray:
         rows = []
         for lo in range(0, n_reps, chunk):
-            ks = range(lo, min(lo + chunk, n_reps))
-            x = source([derive_seed(seed, role, k) for k in ks])
-            want = (len(ks),) + shape
+            hi = min(lo + chunk, n_reps)
+            x = source(seeds[role][lo:hi])
+            want = (hi - lo,) + shape
             if np.shape(x) != want:
                 raise ValueError(
-                    f"source returned shape {np.shape(x)} for K={len(ks)} seeds; "
+                    f"source returned shape {np.shape(x)} for K={hi - lo} seeds; "
                     f"expected {form} = {want}"
                 )
             x = np.asarray(x, dtype=np.float64)
             if permute:
                 # one gather applies every replicate's map (and replica permutation)
-                kk = np.arange(len(ks))[:, None]
-                idx = np.stack([
-                    random_hperm(r, m, derive_seed(seed, "perm", k)).permuted_leaf_indices(m)
-                    for k in ks
-                ])
+                kk = np.arange(hi - lo)[:, None]
+                idx = random_leaf_indices(r, m, seeds["perm"][lo:hi])
                 if n is None:
                     x = x[kk, idx]
                 else:
                     rho = np.stack([
-                        np.random.Generator(np.random.PCG64(derive_seed(seed, "rho", k)))
-                        .permutation(n)
-                        for k in ks
+                        np.random.Generator(np.random.PCG64(s)).permutation(n)
+                        for s in seeds["rho"][lo:hi]
                     ])
                     x = x[kk[:, :, None], idx[:, :, None], rho[:, None, :]]
-            x = x.reshape(len(ks), -1)
+            x = x.reshape(hi - lo, -1)
             rows.append(x if keep is None else x[:, keep])
         return np.concatenate(rows)
 

@@ -18,6 +18,7 @@ from hexch.fields import (
     _mix,
     _mix_int,
     derive_seed,
+    derive_seeds,
     ifield_truncation_values,
     path_matrix,
     product_path_matrix,
@@ -161,6 +162,9 @@ def test_scalar_seed_mixing_matches_array_mix():
         for index in (0, 7, -1, 2**64 - 1, 2**64 + 3):
             h = _mix(_np_init_state(seed, "derive:lbl") ^ np.uint64(index & _MASK))
             assert derive_seed(seed, "lbl", index) == int(h[0])
+        batch = derive_seeds(seed, "lbl", 6)
+        assert batch == [derive_seed(seed, "lbl", k) for k in range(6)]
+        assert all(type(s) is int for s in batch)
 
 
 def test_product_vertex_field_values():

@@ -1,7 +1,10 @@
 """Tests for structure-preserving tree maps."""
 
+import hashlib
 import itertools
+import json
 
+import numpy as np
 import pytest
 
 from hexch.hperm import (
@@ -10,9 +13,11 @@ from hexch.hperm import (
     hperm_to_json_obj,
     identity_hperm,
     random_hperm,
+    random_leaf_indices,
     verify_wedge_preservation,
 )
-from hexch.tree import TreeVertex, leaf, leaves, root, wedge
+from hexch.fields import derive_seed
+from hexch.tree import TreeVertex, leaf, leaf_coords, leaves, root, wedge, wedge_matrix
 
 
 def root_swap(r=3):
@@ -121,6 +126,36 @@ def test_random_hperm_table_size():
     full = random_hperm(2, 3, seed=0)
     counts = {len(random_hperm(2, 3, seed=s).table) for s in range(10)}
     assert max(counts) == 4
+
+
+@pytest.mark.parametrize(
+    "r, m, seed, digest",
+    [
+        (1, 10, 0, "de734e398c88210201b68bcd9bf2f67085d6a553962d14cc207f5a065c249d0c"),
+        (2, 4, 42, "843e083752d98f9136dc4fd7ddc198241fa275fc3e99b21d0f4d7661cae93333"),
+        (2, 8, 2**64 - 1, "4976ca62b4bdce42df349339bcceb617d9968a3261620f05dccadf74b0bb2ae5"),
+        (3, 5, 7, "93260ad88ac1ce2a3c68c7ae5aa79bc638bab9696be5db0ce0e803b00ce7fa88"),
+    ],
+)
+def test_random_hperm_pinned(r, m, seed, digest):
+    # exact tables: the hperm field stream and the child ranking must not move
+    obj = hperm_to_json_obj(random_hperm(r, m, seed))
+    assert hashlib.sha256(json.dumps(obj).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("r, m", [(1, 1), (1, 10), (2, 1), (2, 4), (2, 8), (3, 5)])
+@pytest.mark.parametrize("k", [1, 7, 50])
+def test_random_leaf_indices_stacks_per_map_indices(r, m, k):
+    seeds = [derive_seed(k, f"maps{r}{m}", i) for i in range(k)]
+    idx = random_leaf_indices(r, m, seeds)
+    expected = np.stack([random_hperm(r, m, s).permuted_leaf_indices(m) for s in seeds])
+    assert idx.dtype == expected.dtype
+    assert np.array_equal(idx, expected)
+    coords = leaf_coords(r, m)
+    wedges = wedge_matrix(coords)
+    for row in idx:
+        assert np.array_equal(np.sort(row), np.arange(m**r))
+        assert np.array_equal(wedge_matrix(coords[row]), wedges)
 
 
 def test_random_hperm_uniformity_at_root():

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import hexch.hperm
 import hexch.stattests
 from hexch.definetti import extract_hierarchy
 from hexch.fields import DistSpec, derive_seed, ifield_truncation_values, uniform_ifield
+from hexch.hperm import random_leaf_indices
 from hexch.scenarios import make_level_values, make_source
 from hexch.stattests import (
     TestReport,
@@ -145,26 +147,39 @@ def test_hexch_pinned_values(name, r, m, n, seed, p_value, statistic):
 )
 def test_hexch_chunked_matches_unchunked(monkeypatch, name, r, m, n, seed):
     src = make_source(name, r, m, n=n)
-    calls = []
+    calls, map_calls = [], []
 
     def counted(seeds):
         calls.append(len(seeds))
         return src.sample(seeds)
 
+    def counted_maps(r_, m_, seeds):
+        map_calls.append(len(seeds))
+        return random_leaf_indices(r_, m_, seeds)
+
+    def no_tables(*args):
+        raise AssertionError("hexch_test built a map table")
+
+    # the maps of a chunk come from one rank-core call, never from tables
+    monkeypatch.setattr(hexch.stattests, "random_leaf_indices", counted_maps)
+    monkeypatch.setattr(hexch.stattests, "random_hperm", no_tables)
+    monkeypatch.setattr(hexch.hperm, "random_hperm", no_tables)
     whole = hexch_test(counted, r, m, n=n, n_reps=20, n_resamples=49, seed=seed)
-    assert calls == [20, 20]
+    assert (calls, map_calls) == ([20, 20], [20])
     # room for 6 replicates' raw buffer: chunks of 6, 6, 6 and 2 per sample
     per_rep = m**r * (n or 1) * (r + 1) * (1 if n is None else 2)
     monkeypatch.setattr(hexch.stattests, "DEFAULT_CELL_CAP", 6 * per_rep + 1)
     calls.clear()
+    map_calls.clear()
     chunked = hexch_test(counted, r, m, n=n, n_reps=20, n_resamples=49, seed=seed)
-    assert calls == [6, 6, 6, 2] * 2
+    assert (calls, map_calls) == ([6, 6, 6, 2] * 2, [6, 6, 6, 2])
     assert (chunked.p_value, chunked.statistic) == (whole.p_value, whole.statistic)
     # a cap below one replicate still samples one replicate per call
     monkeypatch.setattr(hexch.stattests, "DEFAULT_CELL_CAP", 1)
     calls.clear()
+    map_calls.clear()
     single = hexch_test(counted, r, m, n=n, n_reps=20, n_resamples=49, seed=seed)
-    assert calls == [1] * 40
+    assert (calls, map_calls) == ([1] * 40, [1] * 20)
     assert (single.p_value, single.statistic) == (whole.p_value, whole.statistic)
 
 
