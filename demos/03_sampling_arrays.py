@@ -16,7 +16,6 @@ from hexch import (
     make_model,
     sample_ah,
     sample_array,
-    sample_multi,
     sample_pair,
     uniform_ifield,
     sample_conditional,
@@ -53,10 +52,11 @@ print("{1..8}^2 array is a sub-array of {1..16}^2:",
 
 print()
 print("== two-tree arrays (the classical matrix form at depth 1) ==")
-# entries are sigma(v_{oo}, v_{o j}, v_{i o}, v_{i j}): one shared value, a
-# row value, a column value and a cell value
+# the same sampler with a depth tuple and a side tuple: a single tree is the
+# one-component product.  Entries are sigma(v_{oo}, v_{o j}, v_{i o}, v_{i j}):
+# one shared value, a row value, a column value and a cell value
 sigma = SigmaModel("mix", 4, lambda p: (p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4)
-mat = sample_multi(sigma, (1, 1), (4, 4), seed=SEED).reshape(4, 4)
+mat = sample_array(sigma, (1, 1), (4, 4), seed=SEED).reshape(4, 4)
 print(np.array2string(mat, precision=3))
 r1 = root(1)
 cell = (f.value(ProductVertex((r1, r1))) + f.value(ProductVertex((r1, leaf(2))))

@@ -31,7 +31,6 @@ from .fields import (
     sample_ah,
     sample_array,
     sample_conditional,
-    sample_multi,
     sample_pair,
     uniform_ifield,
 )

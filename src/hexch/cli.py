@@ -52,8 +52,17 @@ _SEED_MAX = 2**64 - 1
 # coordinate grids take one axis per depth and np.meshgrid broadcasts at most
 # 32 arrays; for m >= 2 the cell cap binds first, so it is checked first
 _MAX_DEPTH = 32
-_ARRAY_TESTS = {"hexch", "conditional_iid", "cond_indep"}
+_CONFIG_KEYS = {"scenario", "seed", "r", "m", "n", "params", "extract", "resynthesize_m",
+                "tests", "out"}
+# the keys each test reads from its config entry
+_TEST_KEYS = {
+    "hexch": {"name", "n_reps", "n_resamples", "level"},
+    "conditional_iid": {"name", "n_resamples", "level"},
+    "cond_indep": {"name", "n_resamples", "level"},
+    "level_homogeneity": {"name", "level"},
+}
 _FIELD_TESTS = {"level_homogeneity"}
+_HIERARCHY_TESTS = {"conditional_iid", "cond_indep"}
 
 
 def _cell_cap() -> int:
@@ -104,12 +113,24 @@ def _exceeds(m: int, r: int, n: int, cap: int) -> bool:
     return cells > cap
 
 
+def _needs_hierarchy(cfg: dict) -> bool:
+    return cfg["extract"] or any(t["name"] in _HIERARCHY_TESTS for t in cfg["tests"])
+
+
+def _check_keys(obj: dict, allowed: set, where: str) -> None:
+    unknown = sorted(map(str, set(obj) - allowed))
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}; "
+                          f"expected one of {sorted(allowed)}")
+
+
 def _parse_config(obj) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     for key in ("scenario", "seed", "r", "m"):
         if key not in obj:
             raise ConfigError(f"config is missing required key {key!r}")
+    _check_keys(obj, _CONFIG_KEYS, "the config")
     if not isinstance(obj["scenario"], str):
         raise ConfigError(f"scenario must be a name, got {obj['scenario']!r}")
     try:
@@ -126,7 +147,12 @@ def _parse_config(obj) -> dict:
                 f"unknown param {key!r} for scenario {spec.name!r}; "
                 f"expected one of {sorted(known)}"
             )
-        _number(value, f"params.{key}")
+        x = _number(value, f"params.{key}")
+        lo, hi = spec.param_ranges.get(key, (-math.inf, math.inf))
+        if not lo <= x <= hi:
+            raise ConfigError(
+                f"params.{key} must lie in [{lo}, {hi}] for scenario {spec.name!r}, got {x}"
+            )
     extract = obj.get("extract", False)
     if not isinstance(extract, bool):
         raise ConfigError(f"extract must be true or false, got {extract!r}")
@@ -137,7 +163,7 @@ def _parse_config(obj) -> dict:
         "scenario": obj["scenario"],
         # derived seeds are 64-bit, so larger seeds would alias smaller ones
         "seed": _integer(obj["seed"], "seed", 0, _SEED_MAX),
-        "r": _integer(obj["r"], "r", 1),
+        "r": _integer(obj["r"], "r", spec.min_r),
         "m": _integer(obj["m"], "m", 1),
         "n": _optional(obj, "n", 1),
         "params": dict(params),
@@ -157,9 +183,10 @@ def _parse_config(obj) -> dict:
         if not isinstance(t, dict) or not isinstance(t.get("name"), str):
             raise ConfigError(f"tests[{i}] must be an object with a string 'name'")
         name = t["name"]
-        if name not in _ARRAY_TESTS | _FIELD_TESTS:
+        if name not in _TEST_KEYS:
             raise ConfigError(f"unknown test {name!r}")
-        if name in _ARRAY_TESTS and spec.form == "ifield":
+        _check_keys(t, _TEST_KEYS[name], f"tests[{i}] ({name})")
+        if name not in _FIELD_TESTS and spec.form == "ifield":
             raise ConfigError(f"test {name!r} needs an array scenario")
         if name in _FIELD_TESTS and spec.form != "ifield":
             raise ConfigError(f"test {name!r} needs a field scenario")
@@ -175,6 +202,10 @@ def _parse_config(obj) -> dict:
             "level": level,
         }
         cfg["tests"].append(entry)
+    if _needs_hierarchy(cfg) and spec.form in ("sigma-replica", "ifield"):
+        raise ConfigError(f"hierarchy extraction needs a plain tree array, not {spec.name!r}")
+    if cfg["resynthesize_m"] is not None and not _needs_hierarchy(cfg):
+        raise ConfigError("resynthesize_m needs extract, conditional_iid or cond_indep")
     cap = _cell_cap()
     r, m, n = cfg["r"], cfg["m"], cfg["n"] or 1
     if _exceeds(m, r, n, cap):
@@ -316,12 +347,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
         )
         array = src.sample(cfg["seed"])
         _write(out / "array.csv", array_to_csv(array, cfg["r"], cfg["m"], src.n), files)
-        needs_hierarchy = cfg["extract"] or any(
-            t["name"] in ("conditional_iid", "cond_indep") for t in cfg["tests"]
-        )
-        if needs_hierarchy:
-            if src.n is not None:
-                raise ConfigError("hierarchy extraction needs a plain tree array")
+        if _needs_hierarchy(cfg):
             hierarchy = extract_hierarchy(array, cfg["r"], cfg["m"])
             _write(
                 out / "hierarchy.json",

@@ -42,14 +42,12 @@ __all__ = [
     "derive_seed",
     "derive_seeds",
     "sample_array",
-    "sample_multi",
     "sample_ah",
     "uniform_ifield",
     "ifield_truncation_values",
     "sample_conditional",
     "sample_pair",
     "path_matrix",
-    "product_path_matrix",
 ]
 
 _U64 = np.uint64
@@ -215,10 +213,14 @@ def _write_paths(levels: list[np.ndarray], depths, shape) -> np.ndarray:
     return out.reshape(k, -1, len(layout))
 
 
+def _as_tuple(x) -> tuple[int, ...]:
+    """A depth or side tuple; an int means one tree."""
+    return (x,) if np.ndim(x) == 0 else tuple(x)
+
+
 def _as_tuples(depths, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``depths`` and ``shape`` as equal-length tuples; ints mean one tree."""
-    depths_t = (depths,) if isinstance(depths, int) else tuple(depths)
-    shape_t = (shape,) if isinstance(shape, int) else tuple(shape)
+    depths_t, shape_t = _as_tuple(depths), _as_tuple(shape)
     if len(depths_t) != len(shape_t):
         raise ValueError("depths and shape must have equal length")
     return depths_t, shape_t
@@ -364,16 +366,8 @@ class DistSpec:
             return cum[np.searchsorted(locs, x, side="left")]
         return self.cdf(x)
 
-    @property
-    def is_uniform01(self) -> bool:
-        return self.family == "uniform" and self.params == (0.0, 1.0)
-
 
 UNIFORM01 = DistSpec("uniform", (0.0, 1.0))
-
-
-def _normalize_level_key(key) -> tuple[int, ...]:
-    return (key,) if isinstance(key, int) else tuple(key)
 
 
 @dataclass(frozen=True)
@@ -391,11 +385,11 @@ class IField:
     role: str = "u"
 
     def __post_init__(self):
-        norm = {_normalize_level_key(k): v for k, v in self.level_dists.items()}
+        norm = {_as_tuple(k): v for k, v in self.level_dists.items()}
         object.__setattr__(self, "level_dists", norm)
 
     def spec_at(self, depth_key) -> DistSpec:
-        key = _normalize_level_key(depth_key)
+        key = _as_tuple(depth_key)
         try:
             return self.level_dists[key]
         except KeyError:
@@ -415,8 +409,7 @@ class IField:
 
 def uniform_ifield(seed: int, depths: int | tuple[int, ...], role: str = "u") -> IField:
     """An I-field that is uniform on [0,1] at every depth of the index set."""
-    depths_t = (depths,) if isinstance(depths, int) else tuple(depths)
-    return IField(seed, {k: UNIFORM01 for k in _depth_tuples(depths_t)}, role=role)
+    return IField(seed, {k: UNIFORM01 for k in _depth_tuples(_as_tuple(depths))}, role=role)
 
 
 def ifield_truncation_values(
@@ -427,7 +420,7 @@ def ifield_truncation_values(
     Returns ``(by_depth, by_vertex)``: values grouped by depth key, and a
     flat vertex -> value mapping in deterministic order.
     """
-    single = isinstance(depths, int)
+    single = np.ndim(depths) == 0
     depths_t, shape_t = _as_tuples(depths, shape)
     base = f.base()
     u = _level_values(_init_state(base.seed, base.role), depths_t, shape_t)
@@ -478,58 +471,42 @@ class SigmaModel:
         return np.clip(out, 0.0, 1.0)
 
 
-def path_matrix(seed, role: str, r: int, m: int) -> np.ndarray:
-    """Field values along the root path of every truncation leaf.
+def _path_size(depths) -> int:
+    """Values on one leaf's path: r + 1 for one tree, prod (r_i + 1) for a product."""
+    return prod(r_i + 1 for r_i in _as_tuple(depths))
 
-    Shape (m^r, r+1) for an int seed; rows follow the lexicographic leaf
-    order, column d holds the depth-d prefix value.  A 1-D sequence of K
-    seeds gives the K matrices stacked, shape (K, m^r, r+1), from one pass
-    over the K start states.
+
+def path_matrix(seed, role: str, depths, shape) -> np.ndarray:
+    """Field values along the path of every truncation leaf.
+
+    ``depths`` and ``shape`` are ints for one tree, {1..m}^r, or
+    equal-length tuples for a product of trees.  Shape (leaves, path size)
+    for an int seed: rows follow the lexicographic leaf order (the first
+    tree slowest), columns the depth tuples in lexicographic order, so for
+    one tree column d holds the depth-d prefix value.  A 1-D sequence of K
+    seeds gives the K matrices stacked, shape (K, leaves, path size), from
+    one pass over the K start states.
     """
+    depths_t, shape_t = _as_tuples(depths, shape)
     h0 = _init_state(seed, role)
-    paths = _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))
+    paths = _write_paths(_level_values(h0, depths_t, shape_t), depths_t, shape_t)
     return paths[0] if np.ndim(seed) == 0 else paths
 
 
-def product_path_matrix(
-    seed: int, role: str, depths: tuple[int, ...], shape: tuple[int, ...]
-) -> np.ndarray:
-    """Product-path field values for every product leaf.
+def sample_array(model: SigmaModel, depths, shape, seed, role: str = "v") -> np.ndarray:
+    """Array over the truncation leaves, X = model(path values).
 
-    Shape (prod m_i^r_i, prod (r_i+1)); columns are depth tuples in
-    lexicographic order, rows the lexicographic product-leaf order.
+    ``depths`` and ``shape`` are as in :func:`path_matrix`.  Entries are
+    indexed lexicographically; with a fixed seed the result is identical
+    across runs, and the array over {1..m}^r is entry-for-entry a sub-array
+    of the one over any larger {1..m'}^r.  A 1-D sequence of K seeds gives
+    the K arrays stacked, shape (K, leaves), from one model call.
     """
-    h0 = _init_state(seed, role)
-    return _write_paths(_level_values(h0, depths, shape), depths, shape)[0]
-
-
-def sample_array(model: SigmaModel, r: int, m: int, seed, role: str = "v") -> np.ndarray:
-    """Array over the m^r truncation leaves, X = model(path values).
-
-    Entries are indexed lexicographically; with a fixed seed the result is
-    identical across runs, and the array over {1..m}^r is entry-for-entry a
-    sub-array of the one over any larger {1..m'}^r.  A 1-D sequence of K
-    seeds gives the K arrays stacked, shape (K, m^r), from one model call.
-    """
-    if model.arity != r + 1:
-        raise ValueError(f"model arity {model.arity} != r+1 = {r + 1}")
-    paths = path_matrix(seed, role, r, m)
-    return model.eval(paths.reshape(-1, r + 1)).reshape(paths.shape[:-1])
-
-
-def sample_multi(
-    model: SigmaModel,
-    depths: tuple[int, ...],
-    shape: tuple[int, ...],
-    seed: int,
-    role: str = "v",
-) -> np.ndarray:
-    """Array over product-truncation leaves, X = model(product path values)."""
-    depths, shape = _as_tuples(depths, shape)
-    arity = prod(r_i + 1 for r_i in depths)
-    if model.arity != arity:
-        raise ValueError(f"model arity {model.arity} != product path size {arity}")
-    return model.eval(product_path_matrix(seed, role, depths, shape))
+    size = _path_size(depths)
+    if model.arity != size:
+        raise ValueError(f"model arity {model.arity} != path size {size}")
+    paths = path_matrix(seed, role, depths, shape)
+    return model.eval(paths.reshape(-1, size)).reshape(paths.shape[:-1])
 
 
 def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
@@ -571,14 +548,13 @@ def sample_conditional(
     independent of it.  Returns ``(u_by_vertex, X)`` where ``u_by_vertex``
     maps every vertex of the truncation to its realized value.
     """
-    depths_t, shape_t = _as_tuples(depths, shape)
-    path_size = prod(r_i + 1 for r_i in depths_t)
-    if model.arity != 2 * path_size:
-        raise ValueError(f"model arity {model.arity} != 2 * path size {path_size}")
+    size = _path_size(depths)
+    if model.arity != 2 * size:
+        raise ValueError(f"model arity {model.arity} != 2 * path size {size}")
     by_depth, u_by_vertex = ifield_truncation_values(u_field, depths, shape)
     u_levels = [vals[None, :] for vals in by_depth.values()]
-    u_cols = _write_paths(u_levels, depths_t, shape_t)[0]
-    v_cols = product_path_matrix(seed, "v", depths_t, shape_t)
+    u_cols = _write_paths(u_levels, *_as_tuples(depths, shape))[0]
+    v_cols = path_matrix(seed, "v", depths, shape)
     x = model.eval(np.hstack([u_cols, v_cols]))
     return u_by_vertex, x
 
@@ -596,14 +572,13 @@ def sample_pair(
     realized u field in both, so the coupling between Y and X flows entirely
     through it.
     """
-    depths_t, shape_t = _as_tuples(depths, shape)
-    path_size = prod(r_i + 1 for r_i in depths_t)
-    if model_y.arity != path_size:
-        raise ValueError(f"Y-model arity {model_y.arity} != path size {path_size}")
-    if model_x.arity != 2 * path_size:
-        raise ValueError(f"X-model arity {model_x.arity} != 2 * path size {path_size}")
-    u_cols = product_path_matrix(seed, "u", depths_t, shape_t)
-    v_cols = product_path_matrix(seed, "v", depths_t, shape_t)
+    size = _path_size(depths)
+    if model_y.arity != size:
+        raise ValueError(f"Y-model arity {model_y.arity} != path size {size}")
+    if model_x.arity != 2 * size:
+        raise ValueError(f"X-model arity {model_x.arity} != 2 * path size {size}")
+    u_cols = path_matrix(seed, "u", depths, shape)
+    v_cols = path_matrix(seed, "v", depths, shape)
     y = model_y.eval(u_cols)
     x = model_x.eval(np.hstack([u_cols, v_cols]))
     return y, x

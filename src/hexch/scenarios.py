@@ -50,6 +50,9 @@ class ScenarioSpec:
     summary: str
     defaults: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)  # test name -> "pass"/"reject"
+    # closed [lo, hi] range of each bounded param, and the least depth r
+    param_ranges: dict = field(default_factory=dict)
+    min_r: int = 1
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,6 @@ def _label_leak_sampler(r: int, m: int, weight: float) -> Callable:
 
 
 def _sibling_coupled_sampler(r: int, m: int, weight: float) -> Callable:
-    if r < 2:
-        raise ValueError("sibling-coupled needs r >= 2")
     n_pairs = (m ** (r - 1) + 1) // 2
     # every leaf reads the shared value at (its parent's pair, its child index)
     shared_idx = (np.arange(m**r) // m // 2) * m + leaf_coords(r, m)[:, -1] - 1
@@ -150,6 +151,8 @@ def make_source(
 ) -> ArraySource:
     """Seeded generator for a registered scenario on a given truncation."""
     spec = builtin(name)
+    if r < spec.min_r:
+        raise ValueError(f"{name} needs r >= {spec.min_r}")
     params = {**spec.defaults.get("params", {}), **(params or {})}
     if spec.form == "sigma":
         model = make_model(name, r, params)
@@ -255,6 +258,7 @@ _register(
         summary="blends the parity of the first index coordinate into the value",
         defaults={"r": 2, "m": 8, "params": {"weight": 0.5}},
         expected={"hexch": "reject"},
+        param_ranges={"weight": (0.0, 1.0)},
     )
 )
 _register(
@@ -266,6 +270,8 @@ _register(
         "at matching child index",
         defaults={"r": 2, "m": 16, "params": {"weight": 0.7}},
         expected={"cond_indep": "reject"},
+        param_ranges={"weight": (0.0, 1.0)},
+        min_r=2,
     )
 )
 _register(
@@ -286,6 +292,7 @@ _register(
         summary="depth-1 field values are shifted away from the declared uniform law",
         defaults={"r": 2, "m": 32, "params": {"shift": 0.5}},
         expected={"level_homogeneity": "reject"},
+        param_ranges={"shift": (0.0, 1.0)},
     )
 )
 

@@ -68,14 +68,6 @@ class TreeVertex:
     def depth(self) -> int:
         return len(self.coords)
 
-    @property
-    def is_leaf(self) -> bool:
-        return len(self.coords) == self.r
-
-    @property
-    def is_root(self) -> bool:
-        return not self.coords
-
     def parent(self) -> "TreeVertex":
         if not self.coords:
             raise ValueError("the root has no parent")
@@ -109,10 +101,6 @@ class ProductVertex:
     def depths(self) -> tuple[int, ...]:
         """Depth of each component (the depth tuple)."""
         return tuple(p.depth for p in self.parts)
-
-    @property
-    def tree_depths(self) -> tuple[int, ...]:
-        return tuple(p.r for p in self.parts)
 
     def encode(self) -> str:
         return "|".join(p.encode() for p in self.parts)

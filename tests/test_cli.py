@@ -118,10 +118,10 @@ def test_array_to_csv_formats():
     import numpy as np
 
     from hexch.cli import array_to_csv
-    from hexch.fields import SigmaModel, sample_multi
+    from hexch.fields import SigmaModel, sample_array
 
     model = SigmaModel("mix", 4, lambda p: p.mean(axis=1))
-    x = sample_multi(model, (1, 1), (2, 2), seed=5)
+    x = sample_array(model, (1, 1), (2, 2), seed=5)
     text = array_to_csv(x, (1, 1), (2, 2))
     lines = text.strip().splitlines()
     assert lines[0] == "vertex_1,vertex_2,value"
@@ -160,6 +160,23 @@ def test_config_errors():
         {"tests": [{"name": "hexch", "n_resamples": 0}]},
         {"tests": [{"name": "hexch", "level": 7}]},
         {"tests": [{"name": ["hexch"]}]},
+        # scenario params and depths outside the ranges the registry declares
+        {"scenario": "label-leak", "r": 2, "params": {"weight": 2.0}, "extract": True, "tests": []},
+        {"scenario": "sibling-coupled", "r": 2, "params": {"weight": -1.0},
+         "tests": [{"name": "cond_indep"}]},
+        {"scenario": "sibling-coupled", "r": 1},
+        {"scenario": "depth-shift", "r": 2, "params": {"shift": 1.5},
+         "tests": [{"name": "level_homogeneity"}]},
+        # keys nothing reads
+        {"n_rep": 20},
+        {"tests": [{"name": "hexch", "n_rep": 20}]},
+        {"r": 2, "tests": [{"name": "conditional_iid", "n_reps": 20}]},
+        # outputs the scenario and tests cannot produce
+        {"resynthesize_m": 4},
+        {"scenario": "depth-shift", "r": 2, "extract": True,
+         "tests": [{"name": "level_homogeneity"}]},
+        {"scenario": "toy-magnetization", "r": 2, "extract": True, "tests": []},
+        {"scenario": "toy-magnetization", "r": 2, "tests": [{"name": "conditional_iid"}]},
     ],
 )
 def test_malformed_config_exits_two(tmp_path, overrides, capsys):
@@ -170,6 +187,8 @@ def test_malformed_config_exits_two(tmp_path, overrides, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    # rejected before any output is written
+    assert not (tmp_path / "out").exists() and not (tmp_path / "o").exists()
 
 
 def test_cap_exceeded(tmp_path, monkeypatch):

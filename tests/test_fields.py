@@ -21,11 +21,9 @@ from hexch.fields import (
     derive_seeds,
     ifield_truncation_values,
     path_matrix,
-    product_path_matrix,
     sample_ah,
     sample_array,
     sample_conditional,
-    sample_multi,
     sample_pair,
     uniform_ifield,
 )
@@ -275,21 +273,24 @@ def test_sigma_model_rejects_bad_output():
 # -- product trees ------------------------------------------------------------
 
 
-def test_sample_multi_single_component_equals_sample_array():
+def test_int_and_one_tuple_truncations_agree():
+    # a single tree is the one-component product
     model = SigmaModel("prod", 3, lambda p: p.prod(axis=1))
     a = sample_array(model, 2, 5, seed=8)
-    b = sample_multi(model, (2,), (5,), seed=8)
-    assert np.array_equal(a, b)
+    assert np.array_equal(a, sample_array(model, (2,), (5,), seed=8))
+    assert np.array_equal(path_matrix(8, "v", 2, 5), path_matrix(8, "v", (2,), (5,)))
+    seeds = [8, 9]
+    assert np.array_equal(sample_array(model, (2,), (5,), seeds), sample_array(model, 2, 5, seeds))
 
 
-def test_sample_multi_classical_two_tree_form():
+def test_sample_array_classical_two_tree_form():
     # l=2, r1=r2=1: inputs are the four product-path values in depth-tuple
     # order (0,0), (0,1), (1,0), (1,1)
     model = SigmaModel(
         "combine", 4, lambda p: (p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4
     )
     m1, m2, seed = 3, 4, 21
-    x = sample_multi(model, (1, 1), (m1, m2), seed).reshape(m1, m2)
+    x = sample_array(model, (1, 1), (m1, m2), seed).reshape(m1, m2)
     f = UniformField(seed, "v")
     r1 = root(1)
     for i in range(1, m1 + 1):
@@ -303,16 +304,16 @@ def test_sample_multi_classical_two_tree_form():
             assert x[i - 1, j - 1] == pytest.approx(expected, abs=1e-15)
 
 
-def test_sample_multi_root_only_model_is_constant():
+def test_sample_array_product_root_only_model_is_constant():
     model = SigmaModel("root", 4, lambda p: p[:, 0])
-    x = sample_multi(model, (1, 1), (5, 7), seed=2)
+    x = sample_array(model, (1, 1), (5, 7), seed=2)
     assert np.all(x == x[0])
 
 
-def test_sample_multi_arity_mismatch():
+def test_sample_array_product_arity_mismatch():
     model = SigmaModel("bad", 3, lambda p: p.mean(axis=1))
-    with pytest.raises(ValueError):
-        sample_multi(model, (1, 1), (3, 3), seed=0)
+    with pytest.raises(ValueError, match="path size 4"):
+        sample_array(model, (1, 1), (3, 3), seed=0)
 
 
 # -- replica arrays ------------------------------------------------------------
@@ -514,9 +515,9 @@ def test_path_matrix_columns_are_prefix_values():
     assert np.array_equal(path_matrix(seed, "v", r, m), pm)
 
 
-def test_product_path_matrix_matches_vertex_values():
+def test_path_matrix_product_matches_vertex_values():
     depths, shape, seed = (1, 2), (2, 2), 23
-    pm = product_path_matrix(seed, "v", depths, shape)
+    pm = path_matrix(seed, "v", depths, shape)
     assert pm.shape == (2 * 4, 2 * 3)
     f = UniformField(seed, "v")
     from hexch.tree import product_leaves, product_path
@@ -532,7 +533,9 @@ def test_product_path_matrix_matches_vertex_values():
 #
 # sha256 digests recorded before the level-grid builders, the path writers
 # and the vertex enumerators were merged into one of each; they must never
-# move.
+# move.  The "product_path_matrix" and "sample_multi" labels name the
+# product samplers the digests were recorded from, which path_matrix and
+# sample_array now are on depth and side tuples.
 
 
 def _digest(*parts) -> str:
@@ -578,14 +581,12 @@ def _pinned_outputs():
         "path_matrix r2 m8": (path_matrix(7, "v", 2, 8),),
         "path_matrix r3 m4": (path_matrix(3, "u", 3, 4),),
         "path_matrix r4 m1": (path_matrix(5, "hperm", 4, 1),),
-        "product_path_matrix (1,2) (3,2)": (product_path_matrix(4, "v", (1, 2), (3, 2)),),
-        "product_path_matrix (2,1) (3,4)": (product_path_matrix(9, "u", (2, 1), (3, 4)),),
-        "product_path_matrix (1,1,1) (2,3,2)": (
-            product_path_matrix(2, "v", (1, 1, 1), (2, 3, 2)),
-        ),
-        "product_path_matrix (3,) (3,)": (product_path_matrix(6, "v", (3,), (3,)),),
-        "sample_multi (1,2) (3,2)": (sample_multi(_MEAN6, (1, 2), (3, 2), 12),),
-        "sample_multi (2,1,1) (2,2,3)": (sample_multi(_MEAN12, (2, 1, 1), (2, 2, 3), 13),),
+        "product_path_matrix (1,2) (3,2)": (path_matrix(4, "v", (1, 2), (3, 2)),),
+        "product_path_matrix (2,1) (3,4)": (path_matrix(9, "u", (2, 1), (3, 4)),),
+        "product_path_matrix (1,1,1) (2,3,2)": (path_matrix(2, "v", (1, 1, 1), (2, 3, 2)),),
+        "product_path_matrix (3,) (3,)": (path_matrix(6, "v", (3,), (3,)),),
+        "sample_multi (1,2) (3,2)": (sample_array(_MEAN6, (1, 2), (3, 2), 12),),
+        "sample_multi (2,1,1) (2,2,3)": (sample_array(_MEAN12, (2, 1, 1), (2, 2, 3), 13),),
         "sample_ah r2 m3 n5": (sample_ah(_MIX6, 2, 3, 5, 44),),
         "sample_ah r1 m4 n3": (sample_ah(_MEAN4, 1, 4, 3, 45),),
         "sample_ah r3 m2 n1": (sample_ah(_MIX8, 3, 2, 1, 46),),

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from hexch.fields import UniformField, derive_seed, path_matrix, sample_ah, sample_array
+from hexch.fields import (
+    SigmaModel,
+    UniformField,
+    derive_seed,
+    path_matrix,
+    sample_ah,
+    sample_array,
+)
 from hexch.hperm import HPerm
 from hexch.scenarios import (
     builtin,
@@ -91,10 +98,21 @@ def test_batched_sampling_equals_stacked_scalar_samples(name, r, m, n, k):
 
 def test_batched_path_matrix_stacks_scalar_matrices():
     seeds = [3, 2**64 - 1, 0]
-    batch = path_matrix(seeds, "v", 2, 3)
-    assert batch.shape == (3, 9, 3)
-    for row, s in zip(batch, seeds):
-        assert np.array_equal(row, path_matrix(s, "v", 2, 3))
+    # (depths, shape, leaves, path size): one tree and two products
+    for depths, shape, n_leaves, size in [
+        (2, 3, 9, 3),
+        ((1, 2), (3, 2), 12, 6),
+        ((1, 1, 1), (2, 3, 2), 12, 8),
+    ]:
+        batch = path_matrix(seeds, "v", depths, shape)
+        assert batch.shape == (3, n_leaves, size)
+        for row, s in zip(batch, seeds):
+            assert np.array_equal(row, path_matrix(s, "v", depths, shape))
+    model = SigmaModel("mean", 6, lambda p: p.mean(axis=1))
+    batch = sample_array(model, (1, 2), (3, 2), seeds)
+    stacked = np.stack([sample_array(model, (1, 2), (3, 2), s) for s in seeds])
+    assert batch.shape == (3, 12)
+    assert batch.tobytes() == stacked.tobytes()
 
 
 def test_label_leak_pure_parity_differs_under_swap():
@@ -140,6 +158,9 @@ def test_sibling_coupled_couples_consecutive_parents():
     for j in range(0, 8, 2):
         assert np.array_equal(x[j], x[j + 1])
     assert not np.array_equal(x[0], x[2])
+    # it pairs depth-1 siblings and couples their children, so it needs r >= 2
+    with pytest.raises(ValueError, match="r >= 2"):
+        make_source("sibling-coupled", 1, 8)
 
 
 def test_sibling_coupled_weight_zero_is_plain_leaf_field():
