@@ -67,7 +67,6 @@ from .tree import (
     leaf,
     leaves,
     path,
-    product_leaves,
     product_path,
     root,
     vertices,

@@ -19,13 +19,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice, product, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .definetti import extract_hierarchy, hierarchy_to_json_obj, resynthesize
-from .fields import derive_seed, ifield_truncation_values, uniform_ifield
+from .fields import _as_tuples, derive_seed, ifield_truncation_values, uniform_ifield
 from .scenarios import _declared_levels, builtin, list_scenarios, make_source
 from .stattests import (
     TestReport,
@@ -35,7 +36,8 @@ from .stattests import (
     kept_dimension,
     level_homogeneity_test,
 )
-from .tree import DEFAULT_CELL_CAP, leaves, product_leaves
+# leaves is unused here, but bench/spans.py traces it at this lookup site
+from .tree import DEFAULT_CELL_CAP, leaves, vertex_keys  # noqa: F401
 
 __all__ = ["main", "run_experiment", "array_to_csv", "ConfigError", "CapError"]
 
@@ -239,47 +241,63 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# characters per write and rows per formatting block
+_CHUNK = 1 << 16
+
+
 def _write(path: Path, text: str, files: dict) -> None:
-    data = text.encode("utf-8")
-    path.write_bytes(data)
-    files[path.name] = {
-        "sha256": hashlib.sha256(data).hexdigest(),
-        "bytes": len(data),
-    }
+    """Write ``text`` as UTF-8 a chunk at a time, hashing and counting the
+    bytes as they are written, so no encoded copy of the whole file is
+    held; the manifest entry records the sha256 and size."""
+    digest, size = hashlib.sha256(), 0
+    with open(path, "wb") as fh:
+        for lo in range(0, len(text), _CHUNK):
+            data = text[lo : lo + _CHUNK].encode("utf-8")
+            digest.update(data)
+            size += fh.write(data)
+    files[path.name] = {"sha256": digest.hexdigest(), "bytes": size}
+
+
+def _csv(header: list[str], keys, values) -> str:
+    """The header and a ``key,value`` row per value (17 significant digits),
+    formatted a block of rows at a time."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    blocks = [",".join(header) + "\n"]
+    for lo in range(0, values.size, _CHUNK):
+        vals = map(format, values[lo : lo + _CHUNK].tolist(), repeat(".17g"))
+        lines = map(",".join, zip(islice(keys, _CHUNK), vals))
+        blocks.append("\n".join(lines) + "\n")
+    return "".join(blocks)
 
 
 def array_to_csv(array: np.ndarray, depths, shape, n=None) -> str:
-    """Canonical CSV dump: vertex key columns (one per tree component),
-    an optional replica index, and the value at 17 significant digits."""
-    # the keys label the array, so they are capped by its size only
-    cells = np.asarray(array).size // (1 if n is None else n)
-    if isinstance(depths, int):
-        idx = leaves(depths, shape, cap=cells)
-        header = ["vertex"]
-        keys = [[v.encode()] for v in idx]
-    else:
-        idx = product_leaves(tuple(depths), tuple(shape), cap=cells)
-        header = [f"vertex_{j + 1}" for j in range(len(depths))]
-        keys = [[p.encode() for p in pv.parts] for pv in idx]
-    lines = []
-    if n is None:
-        lines.append(",".join(header + ["value"]))
-        for key, x in zip(keys, np.asarray(array).reshape(-1)):
-            lines.append(",".join(key + [_fmt(x)]))
-    else:
-        lines.append(",".join(header + ["i", "value"]))
-        mat = np.asarray(array).reshape(len(keys), n)
-        for key, row in zip(keys, mat):
-            for i, x in enumerate(row, start=1):
-                lines.append(",".join(key + [str(i), _fmt(x)]))
-    return "\n".join(lines) + "\n"
+    """Canonical CSV dump: vertex key columns (one per tree component; ints
+    for one tree, tuples for a product), an optional replica index, and the
+    value at 17 significant digits.  Keys come from the coordinates
+    (:func:`~hexch.tree.vertex_keys`); rows follow the array, numerically
+    lexicographic (``1/2`` before ``1/10``), the first tree slowest and the
+    replica index fastest.  The array must hold exactly one value per row."""
+    depths_t, shape_t = _as_tuples(depths, shape)
+    rows = math.prod(int(m) ** int(r) for r, m in zip(depths_t, shape_t))
+    rows *= 1 if n is None else n
+    size = np.size(array)
+    if size != rows:
+        raise ValueError(f"array has {size} values, but the truncation has {rows} cells")
+    header = [f"vertex_{j}" for j in range(1, len(depths_t) + 1)]
+    header = ["vertex"] if np.ndim(depths) == 0 else header
+    first, *rest = map(vertex_keys, depths_t, shape_t)
+    if n is not None:
+        header.append("i")
+        rest.append(map(str, range(1, n + 1)))
+    if rest:
+        tails = tuple(map(",".join, product(*rest)))
+        first = (f"{k},{t}" for k in first for t in tails)
+    return _csv(header + ["value"], first, array)
 
 
-def _field_csv(by_vertex: dict) -> str:
-    lines = ["vertex,value"]
-    for v, x in by_vertex.items():
-        lines.append(f"{v.encode()},{_fmt(x)}")
-    return "\n".join(lines) + "\n"
+def _field_csv(by_depth: dict, m: int) -> str:
+    keys = (k for d in by_depth for k in vertex_keys(d, m))
+    return _csv(["vertex", "value"], keys, np.concatenate(list(by_depth.values())))
 
 
 def _run_one_test(cfg, entry, index, array, hierarchy, level_values):
@@ -336,11 +354,11 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
     level_values = None
     if spec.form == "ifield":
         # one realization feeds both the field dump and the level test
-        by_depth, by_vertex = ifield_truncation_values(
+        by_depth, _ = ifield_truncation_values(
             uniform_ifield(cfg["seed"], cfg["r"]), cfg["r"], cfg["m"]
         )
         level_values = _declared_levels(cfg["scenario"], by_depth, cfg["params"])
-        _write(out / "field_values.csv", _field_csv(by_vertex), files)
+        _write(out / "field_values.csv", _field_csv(by_depth, cfg["m"]), files)
     else:
         src = make_source(
             cfg["scenario"], cfg["r"], cfg["m"], n=cfg["n"], params=cfg["params"]
@@ -367,22 +385,15 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
                     files,
                 )
 
-    indexed = list(enumerate(cfg["tests"]))
-    if threads > 1 and len(indexed) > 1:
+    def run_test(i):
+        return _run_one_test(cfg, cfg["tests"][i], i, array, hierarchy, level_values)
+
+    indices = range(len(cfg["tests"]))
+    if threads > 1 and len(indices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(
-                pool.map(
-                    lambda it: _run_one_test(
-                        cfg, it[1], it[0], array, hierarchy, level_values
-                    ),
-                    indexed,
-                )
-            )
+            reports = list(pool.map(run_test, indices))
     else:
-        reports = [
-            _run_one_test(cfg, entry, i, array, hierarchy, level_values)
-            for i, entry in indexed
-        ]
+        reports = list(map(run_test, indices))
 
     report_lines = [json.dumps(r.to_json_obj(), sort_keys=True) for r in reports]
     _write(out / "reports.jsonl", "\n".join(report_lines) + "\n", files)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .fields import UniformField
-from .tree import TreeVertex, internal_vertices, leaf_coords
+from .tree import TreeVertex, internal_vertices, leaf_coords, vertex_keys
 
 __all__ = [
     "EmpiricalMeasure",
@@ -515,7 +515,8 @@ def hierarchy_to_json_obj(h: DirectingHierarchy) -> dict:
     :func:`measure_to_json_obj`'s does.  Built from the arrays, one object
     per table row, so no :class:`EmpiricalMeasure` is made or kept.  Atom
     pairs are tuples: unlike a million small lists, the cyclic garbage
-    collector stops tracking tuples of floats."""
+    collector stops tracking tuples of floats.  Keys come from the coordinates
+    (:func:`~hexch.tree.vertex_keys`); JSON sorts them as strings."""
     objs = h._per_vertex(lambda k, pairs: {"level": k, "atoms": pairs})
-    keys = internal_vertices(h.r, h.m, cap=len(objs))
-    return {"r": h.r, "m": h.m, "measures": {v.encode(): obj for v, obj in zip(keys, objs)}}
+    keys = (k for d in range(h.r) for k in vertex_keys(d, h.m))
+    return {"r": h.r, "m": h.m, "measures": dict(zip(keys, objs))}

@@ -15,6 +15,7 @@ longest common coordinate prefix.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +32,7 @@ __all__ = [
     "leaves",
     "vertices",
     "internal_vertices",
-    "product_leaves",
+    "vertex_keys",
     "encode_vertex",
     "decode_vertex",
     "leaf_coords",
@@ -148,19 +149,14 @@ def product_path(v: ProductVertex) -> list[tuple[TreeVertex, ...]]:
     return list(itertools.product(*(path(p) for p in v.parts)))
 
 
-def _check_cap(n_cells: int, cap: int) -> None:
-    if n_cells > cap:
-        raise ValueError(
-            f"truncation has {n_cells} cells, exceeding the cap of {cap}"
-        )
-
-
 def _depth_vertices(r: int, m: int, depths, cap: int) -> list[TreeVertex]:
     """Vertices of the given depths of the ``{1..m}^r`` truncation, by depth
     then lexicographically; raises if there are more than ``cap``."""
     if r < 1 or m < 1:
         raise ValueError("r and m must be >= 1")
-    _check_cap(sum(m**d for d in depths), cap)
+    n_cells = sum(m**d for d in depths)
+    if n_cells > cap:
+        raise ValueError(f"truncation has {n_cells} cells, exceeding the cap of {cap}")
     rng = range(1, m + 1)
     return [TreeVertex(c, r) for d in depths for c in itertools.product(rng, repeat=d)]
 
@@ -180,31 +176,22 @@ def internal_vertices(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeV
     return _depth_vertices(r, m, range(r), cap)
 
 
-def product_leaves(
-    depths: tuple[int, ...], shape: tuple[int, ...], cap: int = DEFAULT_CELL_CAP
-) -> list[ProductVertex]:
-    """All leaves of the product truncation ``{1..m_1}^r_1 x ... x {1..m_l}^r_l``.
-
-    Lexicographic in the concatenated coordinate tuple, first component
-    slowest.
-    """
-    if len(depths) != len(shape):
-        raise ValueError("depths and shape must have equal length")
-    n_cells = 1
-    for r_i, m_i in zip(depths, shape):
-        if r_i < 1 or m_i < 1:
-            raise ValueError("all depths and shape entries must be >= 1")
-        n_cells *= m_i**r_i
-    _check_cap(n_cells, cap)
-    per_part = [leaves(r_i, m_i, cap=cap) for r_i, m_i in zip(depths, shape)]
-    return [ProductVertex(parts) for parts in itertools.product(*per_part)]
+def vertex_keys(d: int, m: int) -> Iterator[str]:
+    """Lazily yield the :func:`encode_vertex` keys of the m^d depth-``d``
+    vertices of ``{1..m}^r`` (any r >= d), lexicographic in the coordinates:
+    ``"2/1/2"`` comes before ``"2/1/10"``.  Built from the coordinates
+    alone, so no :class:`TreeVertex` is made."""
+    if d < 0 or m < 1:
+        raise ValueError(f"need depth >= 0 and m >= 1, got d={d}, m={m}")
+    coords = tuple(map(str, range(1, m + 1)))
+    return map("/".join, itertools.product((str(d),), *[coords] * d))
 
 
 def encode_vertex(v: TreeVertex) -> str:
     """Canonical string key: depth then coordinates, slash-separated.
 
-    The root encodes as ``"0"``, the leaf (1,2,3) as ``"3/1/2/3"``.  Used
-    for CSV columns, JSON keys and seed derivation.
+    The root encodes as ``"0"``, the leaf (1,2,3) as ``"3/1/2/3"``;
+    :func:`vertex_keys` builds the same keys for a whole depth at once.
     """
     if not v.coords:
         return "0"

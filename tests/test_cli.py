@@ -408,3 +408,131 @@ def test_field_scenario_realizes_the_field_once(tmp_path, monkeypatch):
     assert files["reports.jsonl"]["sha256"] == (
         "1174db3966b9a3b702a38b9d255b92f38cd3523cf54b6a685c602521e54b27ac"
     )
+
+
+def test_array_to_csv_rejects_a_size_mismatch():
+    import numpy as np
+
+    from hexch.cli import array_to_csv
+
+    # too many values used to be cut to the keys, too few failed on the cap
+    with pytest.raises(ValueError, match="array has 5 values, but the truncation has 2 cells"):
+        array_to_csv(np.zeros(5), 1, 2)
+    with pytest.raises(ValueError, match="array has 6 values, but the truncation has 4 cells"):
+        array_to_csv(np.zeros(6), (1, 1), (2, 2))
+    with pytest.raises(ValueError, match="array has 4 values, but the truncation has 6 cells"):
+        array_to_csv(np.zeros((2, 2)), 1, 2, n=3)
+
+
+def test_array_to_csv_accepts_numpy_integers():
+    import numpy as np
+
+    from hexch.cli import array_to_csv
+
+    x = np.arange(4.0)
+    assert array_to_csv(x, np.int64(2), np.int64(2)) == array_to_csv(x, 2, 2)
+    assert array_to_csv(x, np.array([1, 1]), np.array([2, 2])) == array_to_csv(x, (1, 1), (2, 2))
+
+
+# sha256 of the emitted files, recorded while the keys still came from
+# TreeVertex objects; manifest.json pins the per-file bytes and sha256 too
+OUTPUT_DIGESTS = {
+    "single tree m=11": (
+        {"scenario": "path-mean", "r": 2, "m": 11, "seed": 3},
+        {"array.csv": "73e88362e7366fa85f45101081bb869b87a611b437ee1aeb3d1e576707efb0ce",
+         "manifest.json": "26894d21707e9a2f822e769eb44d042c4926037240b7ac0544e26d44be0d73b3"},
+    ),
+    "replica n=2": (
+        {"scenario": "toy-magnetization", "r": 2, "m": 10, "n": 2, "seed": 5},
+        {"array.csv": "9ebc695b505949f358fe89db6bcc25eae384c7c3795ba9a5267fc31bee75e3de",
+         "manifest.json": "ce5f867fce138d18c8046e7243261d6a4f5ae120f40fab4e0b82e7a42de50030"},
+    ),
+    "field r=3": (
+        {"scenario": "depth-shift", "r": 3, "m": 10, "seed": 6},
+        {"field_values.csv": "21d7e623cf23976f5c3499e57c0a80ccac5fb15a25fe13e271632f9fdc74a026",
+         "manifest.json": "bf444b019937e1bdf43187c40990adc9b785692a3eb6d3dd5ca1d09bd0199a3c"},
+    ),
+    "hierarchy m=12": (
+        {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
+         "resynthesize_m": 11},
+        {"array.csv": "a66527ccd16f01f139065684b96bbbeb2fa0c7a68dbbe5f804a75a3543bc2b34",
+         "hierarchy.json": "57df73276545bb5272e46c925ca8a5403a9a23c8b61d2c555b91a3cad2dc8d65",
+         "resynthesized.csv": "d152d22780939aef78224cbbae20b3a8c0f4b10ba8a25c94c02221c728e67ebc",
+         "manifest.json": "3c2cb042370c4680b0df36620e5b663ae478d35e62d313a5d3e011ba6264a602"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_DIGESTS)
+def test_output_bytes_pinned(tmp_path, case):
+    import hashlib
+
+    cfg, digests = OUTPUT_DIGESTS[case]
+    out = tmp_path / "out"
+    code, files = run_experiment(cfg, out)
+    assert code == 0
+    for name, digest in digests.items():
+        data = (out / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+        if name != "manifest.json":
+            assert files[name] == {"sha256": digest, "bytes": len(data)}
+
+
+def test_csv_rows_are_numeric_and_json_keys_string_ordered(tmp_path):
+    cfg, _ = OUTPUT_DIGESTS["hierarchy m=12"]
+    run_experiment(cfg, tmp_path / "out")
+    keys = [line.split(",")[0] for line in (tmp_path / "out" / "array.csv").open()]
+    assert keys.index("2/1/2") < keys.index("2/1/10")
+    text = (tmp_path / "out" / "hierarchy.json").read_text()
+    assert text.index('"1/10"') < text.index('"1/2"')
+
+
+def test_array_to_csv_product_bytes_pinned():
+    import hashlib
+
+    from hexch.cli import array_to_csv
+    from hexch.fields import SigmaModel, sample_array
+
+    model = SigmaModel("mix", 6, lambda p: p.mean(axis=1))
+    x = sample_array(model, (1, 2), (3, 2), seed=9)
+    text = array_to_csv(x, (1, 2), (3, 2))
+    assert text.startswith("vertex_1,vertex_2,value\n1/1,2/1/1,0.63035129435660708\n")
+    assert len(text) == 380
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8ba7fe7469e64c3a723942bd649b7d8c90eb6c8b42092ea14ba4df228e5050bf"
+    )
+
+
+def test_array_run_builds_no_vertex_objects(tmp_path, monkeypatch):
+    import hexch.tree
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a TreeVertex list was built")
+
+    monkeypatch.setattr(hexch.tree, "_depth_vertices", refuse)
+    cfg = {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
+           "resynthesize_m": 11,
+           "tests": [{"name": "conditional_iid", "n_resamples": 19},
+                     {"name": "cond_indep", "n_resamples": 19}]}
+    code, files = run_experiment(cfg, tmp_path / "out")
+    assert code in (0, 1)
+    assert {"array.csv", "hierarchy.json", "resynthesized.csv"} <= set(files)
+
+
+def test_output_crosses_chunk_boundaries(tmp_path):
+    import hashlib
+
+    import numpy as np
+
+    from hexch.cli import _CHUNK, _write, array_to_csv
+
+    m = _CHUNK + 3
+    x = np.random.default_rng(0).random(m)
+    lines = array_to_csv(x, 1, m).splitlines()
+    assert lines[1:] == [f"1/{i + 1},{format(v, '.17g')}" for i, v in enumerate(x.tolist())]
+    text = "é" * (_CHUNK + 5) + "x" * (2 * _CHUNK)
+    files = {}
+    _write(tmp_path / "t.txt", text, files)
+    data = text.encode("utf-8")
+    assert (tmp_path / "t.txt").read_bytes() == data
+    assert files["t.txt"] == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}

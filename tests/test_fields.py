@@ -1,6 +1,7 @@
 """Tests for the deterministic fields and sigma-driven samplers."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -520,9 +521,10 @@ def test_path_matrix_product_matches_vertex_values():
     pm = path_matrix(seed, "v", depths, shape)
     assert pm.shape == (2 * 4, 2 * 3)
     f = UniformField(seed, "v")
-    from hexch.tree import product_leaves, product_path
+    from hexch.tree import product_path
 
-    for pos, pv in enumerate(product_leaves(depths, shape)):
+    parts = itertools.product(*map(leaves, depths, shape))
+    for pos, pv in enumerate(map(ProductVertex, parts)):
         pp = product_path(pv)
         ordered = sorted(pp, key=lambda parts: tuple(p.depth for p in parts))
         expected = [f.value(ProductVertex(parts)) for parts in ordered]

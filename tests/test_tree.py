@@ -15,9 +15,9 @@ from hexch.tree import (
     leaves,
     internal_vertices,
     path,
-    product_leaves,
     product_path,
     root,
+    vertex_keys,
     vertices,
     wedge,
     wedge_matrix,
@@ -143,13 +143,31 @@ def test_internal_vertices_counts():
     assert len(vertices(2, 3)) == 1 + 3 + 9
 
 
-def test_product_leaves_count_and_order():
-    pls = product_leaves((1, 2), (2, 2))
+def test_vertex_keys_count_and_order():
+    # a product leaf's key row is one key per component, the first slowest
+    pls = list(itertools.product(*map(vertex_keys, (1, 2), (2, 2))))
     assert len(pls) == 2 * 4
-    assert pls[0].parts[0].coords == (1,)
-    assert pls[0].parts[1].coords == (1, 1)
-    assert pls[-1].parts[0].coords == (2,)
-    assert pls[-1].parts[1].coords == (2, 2)
+    assert pls[0] == ("1/1", "2/1/1")
+    assert pls[-1] == ("1/2", "2/2/2")
+    vertex_rows = itertools.product(leaves(1, 2), leaves(2, 2))
+    assert pls == [tuple(p.encode() for p in pv) for pv in vertex_rows]
+
+
+@pytest.mark.parametrize("r, m", [(1, 1), (1, 12), (2, 11), (3, 4)])
+def test_vertex_keys_match_encoded_vertices(r, m):
+    keys = vertex_keys(r, m)
+    assert iter(keys) is keys
+    assert list(keys) == [v.encode() for v in leaves(r, m)]
+    internal = [k for d in range(r) for k in vertex_keys(np.int64(d), np.int64(m))]
+    assert internal == [v.encode() for v in internal_vertices(r, m)]
+
+
+def test_vertex_keys_validation():
+    assert list(vertex_keys(0, 5)) == ["0"]
+    with pytest.raises(ValueError):
+        vertex_keys(-1, 2)
+    with pytest.raises(ValueError):
+        vertex_keys(2, 0)
 
 
 def test_leaf_coords_matches_leaves():
