@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy.stats
 
-from .definetti import extract_hierarchy, resynthesize
+from .definetti import extract_hierarchy, nested_distance, resynthesize
 from .fields import UniformField, derive_seed, sample_array
 from .hperm import identity_hperm, random_hperm, verify_wedge_preservation
 from .scenarios import make_model, make_source
@@ -211,10 +211,15 @@ def criterion_extraction_consistency() -> CriterionResult:
         model = make_model("product", 2)
         f = UniformField(seed, "v")
         v_root = f.value(root(2))
-        means = {}
+        means, nested = {}, {}
         for m in (8, 32, 128):
             arr = sample_array(model, 2, m, seed)
             h = extract_hierarchy(arr, 2, m)
+            # whole-hierarchy error: the root against that of a resynthesis
+            y = resynthesize(h, 2, m, derive_seed(seed, "resyn", m))
+            nested[m] = nested_distance(
+                h.root_measure, extract_hierarchy(y, 2, m).root_measure
+            )
             w1s = []
             for k in range(1, m + 1):
                 alpha = TreeVertex((k,), 2)
@@ -227,9 +232,12 @@ def criterion_extraction_consistency() -> CriterionResult:
             means[m] = float(np.mean(w1s))
         decreasing = means[8] > means[32] > means[128]
         small = means[128] < 0.05
-        detail = ", ".join(f"m={m}: {v:.4f}" for m, v in means.items())
+        detail = "; ".join(
+            f"m={m}: {means[m]:.4f}, nested error {nested[m]:.4f}" for m in means
+        )
         return decreasing and small, (
-            f"mean W1 to ground-truth uniforms {detail}; "
+            f"mean W1 to ground-truth uniforms, and root nested distance to "
+            f"the re-extraction of a resynthesis: {detail}; "
             f"decreasing={decreasing}, m=128 below 0.05={small}"
         )
 

@@ -12,8 +12,13 @@ of its distinct measures in canonical order, and one table id per vertex.
 Extraction and resynthesis work on whole levels of those arrays.  The
 nested :class:`EmpiricalMeasure` objects, finite atom systems nested to the
 required level, are built only on demand (``measures``, ``measure_at``,
-JSON output) and compared with an exact optimal-transport distance whose
-ground cost recurses down the nesting.  The arrays reproduce the objects
+JSON output).  Two of them are compared with the nested optimal-transport
+distance, whose ground cost at each level is the distance one level down.
+It is solved on the same level-table layout, bottom-up: when a level's
+weights share a denominator n, as extracted weights c/m do, level 0 is one
+broadcast over n sorted samples per row and each level above is an n x n
+assignment per pair of rows; an exact sparse linear program is only the
+fallback for other weights.  The arrays reproduce the objects
 bit for bit, which takes two rules: tables follow ``sort_key`` order, in
 which ``[a,b,b]`` precedes ``[a,a,b]``; and level k >= 1 weights are
 repeated ``+= 1/m`` sums, not ``count/m``, because ``3 x 0.1 != 0.3``.
@@ -23,10 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .fields import UniformField
 from .tree import TreeVertex, internal_vertices, leaf_coords, vertex_keys
@@ -445,6 +452,13 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
 
 # -- distances ----------------------------------------------------------------
 
+# Largest common weight denominator n solved as n x n assignments; a level
+# whose weights need a larger one (or have none) is solved by the LP.
+_MAX_DENOMINATOR = 1024
+# Scratch bound for the level-0 broadcast, so that a large level costs row
+# blocks of at most this many bytes, not one (rows_a, rows_b, n) array.
+_BLOCK_BYTES = 1 << 23
+
 
 def wasserstein1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """First Wasserstein distance between level-0 measures: the CDF gap area."""
@@ -459,18 +473,19 @@ def wasserstein1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
 
 def _exact_ot(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> float:
+    """Optimal transport cost between weights ``wa`` and ``wb`` under the
+    ``(na, nb)`` ground cost, as a linear program over the plan entries."""
     na, nb = len(wa), len(wb)
     if na == 1:
         return float(cost[0] @ wb)
     if nb == 1:
         return float(wa @ cost[:, 0])
-    # min <cost, plan> s.t. row sums = wa, col sums = wb (last col constraint
-    # dropped as redundant)
-    a_eq = np.zeros((na + nb - 1, na * nb))
-    for i in range(na):
-        a_eq[i, i * nb : (i + 1) * nb] = 1.0
-    for j in range(nb - 1):
-        a_eq[na + j, j::nb] = 1.0
+    # plan row sums = wa, column sums = wb; the last column constraint is
+    # implied by the others
+    a_eq = sparse.vstack([
+        sparse.kron(sparse.eye(na), np.ones((1, nb))),
+        sparse.kron(np.ones((1, na)), sparse.eye(nb - 1, nb)),
+    ], format="csr")
     b_eq = np.concatenate([wa, wb[:-1]])
     res = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, method="highs")
     if not res.success:
@@ -478,12 +493,90 @@ def _exact_ot(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> float:
     return float(res.fun)
 
 
+def _measure_tables(mu: EmpiricalMeasure) -> list[tuple[list, np.ndarray, np.ndarray]]:
+    """The level tables of a nested measure, level 0 first: per level, its
+    distinct sub-measures (by object identity), their padded atoms and their
+    weights (0 past each row's atom count).  Level-0 atoms are locations;
+    level k >= 1 atoms are row ids into the level k-1 table.  The top level
+    is the one row of ``mu``."""
+    rows = [mu]
+    tables = []
+    for k in range(mu.level, -1, -1):
+        count = np.array([len(x.atoms) for x in rows])
+        present = np.arange(count.max()) < count[:, None]
+        atoms = np.zeros(present.shape, dtype=np.intp if k else np.float64)
+        weights = np.zeros(present.shape)
+        weights[present] = np.concatenate([x.weights for x in rows])
+        tables.append((rows, atoms, weights))
+        if k == 0:
+            atoms[present] = np.concatenate([x.locations for x in rows])
+        else:
+            below = [a for x in rows for a, _ in x.atoms]
+            index: dict[int, int] = {}
+            atoms[present] = [index.setdefault(id(a), len(index)) for a in below]
+            rows = list({id(a): a for a in below}.values())
+    return tables[::-1]
+
+
+def _common_counts(
+    wa: np.ndarray, wb: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """``(n, counts_a, counts_b)`` for the smallest n <= ``_MAX_DENOMINATOR``
+    that makes every weight of both tables a whole multiple of 1/n, within
+    1e-9; None if there is no such n."""
+    w = np.unique(np.concatenate([wa[wa > 0], wb[wb > 0]]))
+    n = 1
+    for x in w.tolist():
+        n = math.lcm(n, Fraction(x).limit_denominator(_MAX_DENOMINATOR).denominator)
+        if n > _MAX_DENOMINATOR:
+            return None
+    if np.abs(w * n - np.rint(w * n)).max() > 1e-9 or np.rint(w * n).min() < 1:
+        return None
+    return n, np.rint(wa * n).astype(np.intp), np.rint(wb * n).astype(np.intp)
+
+
+def _expand(atoms: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Each row's atoms repeated by their counts: ``(rows, n)``, in order."""
+    return np.repeat(atoms.reshape(-1), counts.reshape(-1)).reshape(len(atoms), n)
+
+
+def _w1_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W1 between every row of ``a`` and every row of ``b``, rows being
+    ascending samples of n equal weights: the mean gap of the sorted
+    samples, broadcast over row blocks whose gap arrays hold at most
+    ``_BLOCK_BYTES``."""
+    out = np.empty((len(a), len(b)))
+    step = max(1, _BLOCK_BYTES // (8 * b.size))
+    for lo in range(0, len(a), step):
+        out[lo : lo + step] = np.abs(a[lo : lo + step, None, :] - b[None]).mean(axis=2)
+    return out
+
+
+def _assignment_table(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Transport cost between every row of ``a`` and every row of ``b``,
+    rows being n equally weighted atom ids into the ground ``cost``: each
+    is an n x n assignment, by Birkhoff-von Neumann."""
+    out = np.empty((len(a), len(b)))
+    for i, ia in enumerate(a):
+        sub = cost[ia]
+        for j, ib in enumerate(b):
+            c = sub[:, ib]
+            out[i, j] = c[linear_sum_assignment(c)].sum()
+    return out / a.shape[1]
+
+
 def nested_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Optimal-transport distance between equal-level nested measures.
 
     Level 0 is :func:`wasserstein1`; at level k the ground cost between
-    atoms is the level-(k-1) nested distance, solved exactly as a small
-    linear program.
+    atoms is the level-(k-1) nested distance.  Both measures are laid out
+    as level tables (:func:`_measure_tables`) and each level's distances
+    are computed for all row pairs at once, level 0 first.  When every
+    weight of a level is a multiple of a common 1/n, as in any extracted
+    measure, the level-0 distances are one broadcast over n sorted samples
+    per row and each level-k distance is an n x n assignment; otherwise the
+    level is solved pair by pair with :func:`wasserstein1` and an exact
+    sparse linear program.
     """
     if mu.level != nu.level:
         raise ValueError(
@@ -493,10 +586,23 @@ def nested_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
         return wasserstein1(mu, nu)
     if mu == nu:
         return 0.0
-    cost = np.array(
-        [[nested_distance(a, b) for b, _ in nu.atoms] for a, _ in mu.atoms]
-    )
-    return _exact_ot(mu.weights, nu.weights, cost)
+    cost = None
+    for (xa, aa, wa), (xb, ab, wb) in zip(_measure_tables(mu), _measure_tables(nu)):
+        common = _common_counts(wa, wb)
+        if common is not None:
+            n, ca, cb = common
+            ea, eb = _expand(aa, ca, n), _expand(ab, cb, n)
+            cost = _w1_table(ea, eb) if cost is None else _assignment_table(ea, eb, cost)
+        elif cost is None:
+            cost = np.array([[wasserstein1(a, b) for b in xb] for a in xa])
+        else:
+            na, nb = (wa > 0).sum(axis=1), (wb > 0).sum(axis=1)
+            cost = np.array([
+                [_exact_ot(wa[i, :p], wb[j, :q], cost[np.ix_(aa[i, :p], ab[j, :q])])
+                 for j, q in enumerate(nb)]
+                for i, p in enumerate(na)
+            ])
+    return float(cost[0, 0])
 
 
 # -- serialization ------------------------------------------------------------

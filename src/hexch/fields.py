@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.stats
 
-from .tree import ProductVertex, TreeVertex, _depth_vertices
+from .tree import ProductVertex, TreeVertex, _depth_vertices, _grid_cache
 
 __all__ = [
     "UniformField",
@@ -153,12 +153,13 @@ def _depth_tuples(depths: tuple[int, ...]):
     return itertools.product(*(range(r_i + 1) for r_i in depths))
 
 
-@lru_cache(maxsize=16)
+@_grid_cache
 def _level_words(depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
     """Word rows of all vertices at depth tuple ``depths`` of the product
     truncation with sides ``shape``: one block (d_i, c1, ..., c_{d_i}) per
     tree, rows in lexicographic order with the first tree slowest.  A single
-    tree is ``((d,), (m,))``.  Cached, so the array is read-only."""
+    tree is ``((d,), (m,))``.  Read-only and, unless large, cached
+    (:func:`~hexch.tree._grid_cache`)."""
     grid = tuple(m_i for d_i, m_i in zip(depths, shape) for _ in range(d_i))
     words = np.empty(grid + (len(grid) + len(depths),), dtype=_U64)
     axis = col = 0
@@ -171,16 +172,14 @@ def _level_words(depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
                 (m_i,) + (1,) * (len(grid) - axis)
             )
         col += 1
-    words = words.reshape(-1, words.shape[-1])
-    words.flags.writeable = False
-    return words
+    return words.reshape(-1, words.shape[-1])
 
 
 @lru_cache(maxsize=16)
 def _path_layout(depths: tuple[int, ...], shape: tuple[int, ...]):
     """The leaf grid of a product truncation and, per depth tuple in
-    lexicographic order, its word rows and the shape that broadcasts its
-    vertex values over the leaf grid."""
+    lexicographic order, the tuple and the shape that broadcasts its vertex
+    values over the leaf grid."""
     grid = tuple(m_i for r_i, m_i in zip(depths, shape) for _ in range(r_i))
     levels = []
     for dt in _depth_tuples(depths):
@@ -190,14 +189,15 @@ def _path_layout(depths: tuple[int, ...], shape: tuple[int, ...]):
             for d_i, r_i, m_i in zip(dt, depths, shape)
             for k in range(r_i)
         )
-        levels.append((_level_words(dt, shape), bshape))
+        levels.append((dt, bshape))
     return grid, tuple(levels)
 
 
 def _level_values(h0: np.ndarray, depths, shape) -> list[np.ndarray]:
     """Field values (K, vertices) of the K start states ``h0`` at each depth
     tuple of the product truncation, hashed once per depth tuple."""
-    return [_hash_words(h0, words) for words, _ in _path_layout(depths, shape)[1]]
+    layout = _path_layout(depths, shape)[1]
+    return [_hash_words(h0, _level_words(dt, shape)) for dt, _ in layout]
 
 
 def _write_paths(levels: list[np.ndarray], depths, shape) -> np.ndarray:

@@ -6,6 +6,9 @@ library must meet.  `hexch verify full` runs the same criteria from the
 command line.
 """
 
+import math
+import re
+
 import pytest
 
 from hexch import acceptance
@@ -44,6 +47,9 @@ def test_criterion_4_power():
 def test_criterion_5_extraction_consistency():
     res = acceptance.criterion_extraction_consistency()
     _check(res)
+    errors = [float(e) for e in re.findall(r"nested error (\S+?)(?:;|$)", res.details)]
+    assert len(errors) == 3
+    assert all(math.isfinite(e) and e >= 0.0 for e in errors)
     assert res.seconds < 60.0
 
 

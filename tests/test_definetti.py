@@ -3,14 +3,18 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import hexch.definetti
 from hexch.acceptance import w1_to_uniform
 from hexch.definetti import (
     DirectingHierarchy,
     EmpiricalMeasure,
+    _common_counts,
     _search_rows,
     empirical_measure,
     extract_hierarchy,
@@ -647,6 +651,75 @@ def test_nested_distance_symmetry_and_triangle():
     a, b, c = tri
     assert nested_distance(a, b) == pytest.approx(nested_distance(b, a), abs=1e-12)
     assert nested_distance(a, c) <= nested_distance(a, b) + nested_distance(b, c) + 1e-12
+
+
+def _dense_lp_nested_distance(mu, nu):
+    """Reference nested distance: recursion over the atoms, one transport LP
+    with a dense constraint matrix per pair of nested measures."""
+    if mu.level == 0:
+        return wasserstein1(mu, nu)
+    cost = np.array(
+        [[_dense_lp_nested_distance(a, b) for b, _ in nu.atoms] for a, _ in mu.atoms]
+    )
+    na, nb = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(na), np.ones(nb)), np.kron(np.ones(na), np.eye(nb))])
+    res = linprog(
+        cost.reshape(-1), A_eq=a_eq[:-1], b_eq=np.concatenate([mu.weights, nu.weights[:-1]]),
+        method="highs",
+    )
+    assert res.success
+    return res.fun
+
+
+def _extracted_roots(r, m, m2, i):
+    x = sample_array(make_model("product", r), r, m, seed=derive_seed(11, "x", i))
+    ha = extract_hierarchy(x, r, m)
+    y = resynthesize(ha, r, m2, seed=derive_seed(11, "y", i))
+    return ha.root_measure, extract_hierarchy(y, r, m2).root_measure
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("an assignment-path distance ran a linear program")
+
+
+@pytest.mark.parametrize("r, m, m2", [(2, 5, 5), (3, 4, 4), (2, 4, 6), (3, 4, 6)])
+def test_nested_distance_assignments_match_dense_lp(monkeypatch, r, m, m2):
+    # extracted weights are multiples of 1/m, so every level is solved as
+    # assignments; with sides 4 and 6 the common denominator is lcm = 12
+    pairs = [_extracted_roots(r, m, m2, i) for i in range(3)]
+    expected = [_dense_lp_nested_distance(mu, nu) for mu, nu in pairs]
+    monkeypatch.setattr(hexch.definetti, "linprog", _no_lp)
+    root_n = _common_counts(pairs[0][0].weights[None], pairs[0][1].weights[None])[0]
+    assert root_n == math.lcm(m, m2)
+    got = [nested_distance(mu, nu) for mu, nu in pairs]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+    # a level-0 table broadcast over many small row blocks gives the same bits
+    monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", 64)
+    assert [nested_distance(mu, nu) for mu, nu in pairs] == got
+
+
+def test_nested_distance_irrational_weights_use_the_lp(monkeypatch):
+    # weights with no common denominator: level 0 falls back to wasserstein1
+    # per pair and level 1 to the LP; compare with all feasible 2x2 plans
+    s = 1 / math.sqrt(2)
+    a1 = EmpiricalMeasure(((0.0, s), (0.3, 1 - s)), 0)
+    a2, b1 = point_mass(0.5), point_mass(0.1)
+    b2 = EmpiricalMeasure(((0.6, 1 - s), (1.0, s)), 0)
+    mu = EmpiricalMeasure(((a1, s), (a2, 1 - s)), 1)
+    nu = EmpiricalMeasure(((b1, 1 - s), (b2, s)), 1)
+    c = np.array([[wasserstein1(a, b) for b in (b1, b2)] for a in (a1, a2)])
+    # plan [[t, s - t], [1 - s - t, t]] is feasible for 0 <= t <= 1 - s
+    best = np.inf
+    for t in np.linspace(0.0, 1 - s, 20001):
+        plan = np.array([[t, s - t], [1 - s - t, t]])
+        best = min(best, float((plan * c).sum()))
+    solves = []
+    real = hexch.definetti.linprog
+    monkeypatch.setattr(
+        hexch.definetti, "linprog", lambda *a, **k: solves.append(1) or real(*a, **k)
+    )
+    assert nested_distance(mu, nu) == pytest.approx(best, abs=1e-9)
+    assert len(solves) == 1
 
 
 def test_nested_distance_level_mismatch():

@@ -1,7 +1,9 @@
 """Tests for the deterministic fields and sigma-driven samplers."""
 
+import gc
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,15 @@ from hexch.fields import (
     sample_pair,
     uniform_ifield,
 )
-from hexch.tree import ProductVertex, TreeVertex, leaf, leaf_coords, leaves, root
+from hexch.tree import (
+    _GRID_CACHE_BYTES,
+    ProductVertex,
+    TreeVertex,
+    leaf,
+    leaf_coords,
+    leaves,
+    root,
+)
 
 UNIF = DistSpec("uniform", (0.0, 1.0))
 
@@ -514,6 +524,25 @@ def test_path_matrix_columns_are_prefix_values():
     with pytest.raises(ValueError):
         _level_words((r,), (m,))[0, 0] = 7
     assert np.array_equal(path_matrix(seed, "v", r, m), pm)
+
+
+def test_grids_above_the_cache_bound_are_not_kept():
+    # {1..200000}^1: 1.6 MB of leaf coordinates and 3.2 MB of leaf words
+    r, m = 1, 200_000
+    assert leaf_coords(r, m).nbytes > _GRID_CACHE_BYTES
+    tracemalloc.start()
+    try:
+        coords, words = leaf_coords(r, m), _level_words((r,), (m,))
+        assert not coords.flags.writeable and not words.flags.writeable
+        assert coords is not leaf_coords(r, m) and words is not _level_words((r,), (m,))
+        pm = path_matrix(4, "v", r, m)
+        assert pm.shape == (m, 2)
+        del coords, words, pm
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < _GRID_CACHE_BYTES
 
 
 def test_path_matrix_product_matches_vertex_values():
