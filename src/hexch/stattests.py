@@ -149,6 +149,11 @@ def _marginal_indices(dim: int, r: int, m: int, n, seed: int) -> np.ndarray | No
     return np.sort(rng.choice(dim, size=_MARGINAL_SUBSET, replace=False))
 
 
+def _check_resamples(n_resamples: int) -> None:
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be >= 1")
+
+
 def hexch_test(
     source,
     r: int,
@@ -179,8 +184,7 @@ def hexch_test(
     """
     if n_reps < 20:
         raise ValueError(f"insufficient replicates: n_reps={n_reps} < 20")
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be >= 1")
+    _check_resamples(n_resamples)
     shape, form = ((m**r,), "(K, m^r)") if n is None else ((m**r, n), "(K, m^r, n)")
     dim = m**r * (1 if n is None else n)
     keep = _marginal_indices(dim, r, m, n, seed)
@@ -278,6 +282,7 @@ def conditional_iid_test(
     against a shuffle null.  The reported p-value is the Bonferroni
     combination of the two components.
     """
+    _check_resamples(n_resamples)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
     pit = _pit_matrix(array, hierarchy, rng)
     n_parents, m = pit.shape
@@ -309,29 +314,40 @@ def conditional_iid_test(
 
 def _shuffle_pvalue(pit: np.ndarray, stat, observed: float, n_resamples: int, seed: int) -> float:
     """Add-one p-value of ``stat(pit) >= observed`` under the null that
-    shuffles each parent's children independently (seed role "shuffle")."""
+    shuffles each row of ``pit`` (one parent's children) independently
+    (seed role "shuffle").  Callers pass only the parent rows their
+    statistic reads.  Each resample is drawn into one reused buffer, which
+    consumes the PCG64 stream exactly as a fresh ``permuted`` call does;
+    ``stat`` must not keep a reference to its argument."""
     shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
-    count = sum(stat(shuffler.permuted(pit, axis=1)) >= observed for _ in range(n_resamples))
+    buf = np.empty_like(pit)
+    count = sum(
+        stat(shuffler.permuted(pit, axis=1, out=buf)) >= observed
+        for _ in range(n_resamples)
+    )
     return (1 + count) / (n_resamples + 1)
 
 
 def _lag1_corr(pit: np.ndarray) -> float:
+    # one centred pass; the same sums as a.mean()/a.std(), so the same bits.
+    # Never write into a or b: with one parent row, a is a view of pit.
     a = pit[:, :-1].reshape(-1)
     b = pit[:, 1:].reshape(-1)
-    sa, sb = a.std(), b.std()
+    n = a.size
+    da = a - np.add.reduce(a) / n
+    db = b - np.add.reduce(b) / n
+    sa = np.sqrt(np.add.reduce(da * da) / n)
+    sb = np.sqrt(np.add.reduce(db * db) / n)
     if sa == 0.0 or sb == 0.0:
         return 0.0
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    return float(np.add.reduce(da * db) / n / (sa * sb))
 
 
 def _pairs_by_gap(n_parents: int, budget: int) -> list[tuple[int, int]]:
-    # nearest parents first, so local couplings always fit in the budget
-    pairs = [
-        (i, i + gap)
-        for gap in range(1, n_parents)
-        for i in range(n_parents - gap)
-    ]
-    return pairs[:budget]
+    # nearest parents first, so local couplings always fit in the budget;
+    # lazily, since all n_parents^2 / 2 pairs would not fit in memory
+    pairs = ((i, i + gap) for gap in range(1, n_parents) for i in range(n_parents - gap))
+    return list(itertools.islice(pairs, budget))
 
 
 def cond_indep_test(
@@ -349,18 +365,23 @@ def cond_indep_test(
     correlation over a fixed budget of parent pairs (nearest pairs first).
     The null distribution is obtained by independently shuffling each
     parent's children, which preserves within-parent exchangeability while
-    destroying cross-parent index alignment.
+    destroying cross-parent index alignment.  Only the parents that the
+    pairs read are shuffled and scored (at most ``pair_budget + 1`` rows);
+    the others never enter the statistic.
     """
     if hierarchy.r < 2:
         raise ValueError("cross-parent check needs tree depth r >= 2")
     if hierarchy.m < 2:
         raise ValueError("no sibling pairs: m must be >= 2")
+    if pair_budget < 1:
+        raise ValueError("pair_budget must be >= 1")
+    _check_resamples(n_resamples)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
     pit = _pit_matrix(array, hierarchy, rng)
     n_parents, m = pit.shape
-    pairs = _pairs_by_gap(n_parents, pair_budget)
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
+    pairs = np.array(_pairs_by_gap(n_parents, pair_budget))
+    rows, inv = np.unique(pairs, return_inverse=True)
+    ii, jj = inv.reshape(pairs.shape).T
 
     def max_abs_corr(mat: np.ndarray) -> float:
         z = mat - mat.mean(axis=1, keepdims=True)
@@ -369,8 +390,9 @@ def cond_indep_test(
         z /= norms[:, None]
         return float(np.max(np.abs(np.einsum("ij,ij->i", z[ii], z[jj]))))
 
-    observed = max_abs_corr(pit)
-    p = _shuffle_pvalue(pit, max_abs_corr, observed, n_resamples, seed)
+    read = pit[rows]
+    observed = max_abs_corr(read)
+    p = _shuffle_pvalue(read, max_abs_corr, observed, n_resamples, seed)
     return TestReport(
         name="cond_indep",
         statistic=observed,

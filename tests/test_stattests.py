@@ -350,6 +350,108 @@ def test_pit_tests_pinned_values(case):
     assert (indep.statistic, indep.p_value) == (indep_stat, indep_p)
 
 
+# cond_indep above 65 parents, where only the 65 rows the default pair budget
+# reads are shuffled: (scenario, r, m, seed, statistic, p_value) at
+# n_resamples=99
+COND_INDEP_PINNED = [
+    ("product", 2, 100, 7, 0.3209778647362196, 0.07),
+]
+
+
+@pytest.mark.parametrize("case", COND_INDEP_PINNED, ids=lambda c: f"{c[0]}-m{c[2]}-seed{c[3]}")
+def test_cond_indep_pinned_values_many_parents(case):
+    name, r, m, seed, stat, p_value = case
+    arr, h = _array_and_hierarchy(name, r, m, seed)
+    rep = cond_indep_test(arr, h, n_resamples=99, seed=seed)
+    assert rep.metadata["n_parents"] > 65
+    assert (rep.statistic, rep.p_value) == (stat, p_value)
+
+
+def test_cond_indep_ignores_parents_outside_the_pair_budget():
+    m = 100
+    arr, h = _array_and_hierarchy("product", 2, m, seed=7)
+    changed = arr.copy()
+    changed[65 * m:] = changed[65 * m:][::-1]
+    a = cond_indep_test(arr, h, n_resamples=49, seed=7)
+    b = cond_indep_test(changed, h, n_resamples=49, seed=7)
+    assert a.to_json_obj() == b.to_json_obj()
+
+
+def _full_matrix_max_abs_corr(pit, pairs):
+    # the statistic over every parent row, as computed before only the rows
+    # the pairs read were scored
+    ii = np.array([p[0] for p in pairs])
+    jj = np.array([p[1] for p in pairs])
+    z = pit - pit.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0.0] = 1.0
+    z /= norms[:, None]
+    return float(np.max(np.abs(np.einsum("ij,ij->i", z[ii], z[jj]))))
+
+
+@pytest.mark.parametrize("name,r,m,seed,budget", [
+    ("product", 2, 100, 7, 64),
+    ("sibling-coupled", 2, 16, 3, 64),
+    ("path-mean", 3, 5, 2, 30),
+    ("uniform-leaf", 2, 12, 1, 200),
+])
+def test_cond_indep_statistic_matches_full_matrix(name, r, m, seed, budget):
+    arr, h = _array_and_hierarchy(name, r, m, seed)
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
+    pit = hexch.stattests._pit_matrix(arr, h, rng)
+    pairs = hexch.stattests._pairs_by_gap(pit.shape[0], budget)
+    rep = cond_indep_test(arr, h, n_resamples=9, seed=seed, pair_budget=budget)
+    assert rep.statistic == _full_matrix_max_abs_corr(pit, pairs)
+
+
+def test_pairs_by_gap_nearest_first_and_lazy():
+    full = [(i, i + g) for g in range(1, 9) for i in range(9 - g)]
+    for budget in (1, 8, 20, len(full), len(full) + 5):
+        assert hexch.stattests._pairs_by_gap(9, budget) == full[:budget]
+    # 10^6 parents would be 5 * 10^11 pairs if enumerated before the cut
+    assert hexch.stattests._pairs_by_gap(10**6, 64) == [(i, i + 1) for i in range(64)]
+
+
+def _reference_lag1_corr(pit):
+    a = pit[:, :-1].reshape(-1)
+    b = pit[:, 1:].reshape(-1)
+    sa, sb = a.std(), b.std()
+    if sa == 0.0 or sb == 0.0:
+        return 0.0
+    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+
+
+def test_lag1_corr_matches_reference_formula():
+    rng = np.random.default_rng(5)
+    mats = [rng.random((p, q)) for p, q in [(1, 2), (1, 50), (3, 7), (128, 128), (40, 1000)]]
+    mats += [np.round(x, 1) for x in mats]  # ties
+    mats += [np.full((6, 9), 0.25), np.full((1, 5), 2.0)]
+    # with one parent row pit[:, :-1].reshape(-1) is a view of pit
+    assert np.shares_memory(mats[1][:, :-1].reshape(-1), mats[1])
+    for pit in mats:
+        before = pit.copy()
+        got = hexch.stattests._lag1_corr(pit)
+        assert got == _reference_lag1_corr(pit), pit.shape
+        assert type(got) is float
+        np.testing.assert_array_equal(pit, before)
+    assert hexch.stattests._lag1_corr(np.full((6, 9), 0.25)) == 0.0
+    assert hexch.stattests._lag1_corr(np.full((1, 5), 2.0)) == 0.0
+
+
+@pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test])
+def test_pit_tests_reject_zero_resamples(test):
+    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
+    with pytest.raises(ValueError, match="n_resamples must be >= 1"):
+        test(arr, h, n_resamples=0, seed=0)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_cond_indep_rejects_empty_pair_budget(budget):
+    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
+    with pytest.raises(ValueError, match="pair_budget must be >= 1"):
+        cond_indep_test(arr, h, seed=0, pair_budget=budget)
+
+
 def test_reports_carry_python_scalars():
     # m = 1 leaves the KS component as the conditional_iid p-value
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 1, seed=0)
