@@ -12,6 +12,7 @@ from .definetti import (
     EmpiricalMeasure,
     empirical_measure,
     extract_hierarchy,
+    hierarchy_json_chunks,
     hierarchy_to_json_obj,
     measure_over,
     measure_to_json_obj,

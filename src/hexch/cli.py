@@ -7,7 +7,7 @@ For a fixed seed the emitted files are byte-identical across runs and
 thread counts.
 
 Exit codes: 0 all expected verdicts met, 1 verdict mismatch, 2 config or
-usage error, 3 truncation cap exceeded.
+usage error or output that cannot be written, 3 truncation cap exceeded.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice, product, repeat
 from pathlib import Path
@@ -25,7 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .definetti import extract_hierarchy, hierarchy_to_json_obj, resynthesize
+from .definetti import extract_hierarchy, hierarchy_json_chunks, resynthesize
+# hierarchy_to_json_obj is unused here, but bench/spans.py traces it at this
+# lookup site
+from .definetti import hierarchy_to_json_obj  # noqa: F401
 from .fields import _as_tuples, derive_seed, ifield_truncation_values, uniform_ifield
 from .scenarios import _declared_levels, builtin, list_scenarios, make_source
 from .stattests import (
@@ -245,14 +249,35 @@ def _fmt(x: float) -> str:
 _CHUNK = 1 << 16
 
 
-def _write(path: Path, text: str, files: dict) -> None:
-    """Write ``text`` as UTF-8 a chunk at a time, hashing and counting the
-    bytes as they are written, so no encoded copy of the whole file is
-    held; the manifest entry records the sha256 and size."""
+def _chunks(pieces: Iterable[str]) -> Iterator[str]:
+    """Regroup str pieces into strings of ``_CHUNK`` characters, the last
+    one shorter: pieces are held until they fill a chunk, and what is left
+    past the last whole chunk is held for the next."""
+    buf: list[str] = []
+    held = 0
+    for piece in pieces:
+        buf.append(piece)
+        held += len(piece)
+        if held >= _CHUNK:
+            text = "".join(buf)
+            cut = held - held % _CHUNK
+            for lo in range(0, cut, _CHUNK):
+                yield text[lo : lo + _CHUNK]
+            buf, held = [text[cut:]], held - cut
+    if held:
+        yield "".join(buf)
+
+
+def _write(path: Path, text: str | Iterable[str], files: dict) -> None:
+    """Write ``text``, one string or an iterable of str pieces, as UTF-8 in
+    writes of ``_CHUNK`` characters (:func:`_chunks`), each encoded, hashed
+    and counted once as it is written, so neither the whole text of a
+    streamed file nor an encoded copy of any file is held; the manifest
+    entry records the sha256 and size."""
     digest, size = hashlib.sha256(), 0
     with open(path, "wb") as fh:
-        for lo in range(0, len(text), _CHUNK):
-            data = text[lo : lo + _CHUNK].encode("utf-8")
+        for chunk in _chunks((text,) if isinstance(text, str) else text):
+            data = chunk.encode("utf-8")
             digest.update(data)
             size += fh.write(data)
     files[path.name] = {"sha256": digest.hexdigest(), "bytes": size}
@@ -367,11 +392,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
         _write(out / "array.csv", array_to_csv(array, cfg["r"], cfg["m"], src.n), files)
         if _needs_hierarchy(cfg):
             hierarchy = extract_hierarchy(array, cfg["r"], cfg["m"])
-            _write(
-                out / "hierarchy.json",
-                json.dumps(hierarchy_to_json_obj(hierarchy), sort_keys=True) + "\n",
-                files,
-            )
+            _write(out / "hierarchy.json", hierarchy_json_chunks(hierarchy), files)
             if cfg["resynthesize_m"] is not None:
                 resyn = resynthesize(
                     hierarchy,
@@ -447,6 +468,10 @@ def _cmd_run(args) -> int:
         return 3
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # the outputs are the only files a run opens
+        print(f"error: cannot write output to {out_dir}: {exc}", file=sys.stderr)
         return 2
     for name in sorted(files):
         print(f"wrote {Path(out_dir) / name}")

@@ -9,10 +9,12 @@ uniforms.
 
 A :class:`DirectingHierarchy` stores each nesting level as arrays: a table
 of its distinct measures in canonical order, and one table id per vertex.
-Extraction and resynthesis work on whole levels of those arrays.  The
-nested :class:`EmpiricalMeasure` objects, finite atom systems nested to the
-required level, are built only on demand (``measures``, ``measure_at``,
-JSON output).  Two of them are compared with the nested optimal-transport
+Extraction and resynthesis work on whole levels of those arrays, and so
+does the JSON writer: ``hierarchy.json`` is streamed from the level
+tables, each distinct measure formatted once.  The nested
+:class:`EmpiricalMeasure` objects, finite atom systems nested to the
+required level, are built only on demand (``measures``, ``measure_at``).
+Two of them are compared with the nested optimal-transport
 distance, whose ground cost at each level is the distance one level down.
 It is solved on the same level-table layout, bottom-up: when a level's
 weights share a denominator n, as extracted weights c/m do, level 0 is one
@@ -26,17 +28,20 @@ repeated ``+= 1/m`` sums, not ``count/m``, because ``3 x 0.1 != 0.3``.
 
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .fields import UniformField
-from .tree import TreeVertex, internal_vertices, leaf_coords, vertex_keys
+from .tree import TreeVertex, internal_vertices, leaf_coords
 
 __all__ = [
     "EmpiricalMeasure",
@@ -51,6 +56,7 @@ __all__ = [
     "nested_distance",
     "measure_to_json_obj",
     "hierarchy_to_json_obj",
+    "hierarchy_json_chunks",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -151,8 +157,9 @@ def _merge(pairs, level: int) -> EmpiricalMeasure:
 
 
 def empirical_measure(values) -> EmpiricalMeasure:
-    """Level-0 empirical measure: one atom per distinct value, weight = freq."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    """Level-0 empirical measure: one atom per distinct value, weight = freq;
+    -0.0 is read as 0.0, as :func:`extract_hierarchy` reads it."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1) + 0.0
     if values.size == 0:
         raise ValueError("cannot form the empirical measure of an empty sample")
     locs, counts = np.unique(values, return_counts=True)
@@ -277,16 +284,10 @@ class DirectingHierarchy:
     def measures(self) -> tuple[EmpiricalMeasure, ...]:
         """One measure per internal vertex, in
         :func:`~hexch.tree.internal_vertices` order (the root first, the
-        m^(r-1) depth r-1 vertices last).  Built on first use, one object per
-        table row, shared by the vertices on that row."""
-        return self._per_vertex(lambda k, pairs: EmpiricalMeasure(tuple(pairs), k))
-
-    def _per_vertex(self, make) -> tuple:
-        """``make(k, pairs)`` of every level-k table row, deepest level first,
-        where ``pairs`` lists the row's (atom, weight) pairs and a nested
-        atom is the object made for its row one level down; returned per
-        internal vertex, in :func:`~hexch.tree.internal_vertices` order."""
-        tables: list[list] = []
+        m^(r-1) depth r-1 vertices last).  Built on first use, deepest level
+        first, one object per table row, shared by the vertices on that row;
+        a nested atom is the object of its row one level down."""
+        tables: list[list[EmpiricalMeasure]] = []
         for k in range(self.r):
             present = self.weights[k] > 0
             atoms = self.atoms[k][present].tolist()
@@ -294,7 +295,10 @@ class DirectingHierarchy:
                 atoms = [tables[-1][i] for i in atoms]
             pairs = list(zip(atoms, self.weights[k][present].tolist()))
             ends = np.cumsum(self.counts[k]).tolist()
-            tables.append([make(k, pairs[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)])
+            tables.append([
+                EmpiricalMeasure(tuple(pairs[lo:hi]), k)
+                for lo, hi in zip([0] + ends[:-1], ends)
+            ])
         return tuple(
             tables[self.r - 1 - d][i] for d in range(self.r) for i in self.ids[d].tolist()
         )
@@ -395,14 +399,16 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
     Depth r-1 vertices get the empirical measure of their children's values;
     each shallower vertex the empirical measure of its children's measures.
     The array must be complete, in lexicographic leaf order, with values in
-    [0,1].  Each level is built whole: the ``(m^(r-1), m)`` sibling matrix
-    is sorted along its rows once and its distinct rows form the level-0
-    table; each level above does the same with the sorted table ids of its
-    children.
+    [0,1]; -0.0 is read as 0.0.  Each level is built whole: the
+    ``(m^(r-1), m)`` sibling matrix is sorted along its rows once and its
+    distinct rows form the level-0 table; each level above does the same
+    with the sorted table ids of its children.
     """
     if r < 1 or m < 1:
         raise ValueError("r and m must be >= 1")
-    arr = np.asarray(array, dtype=np.float64).reshape(-1)
+    # + 0.0 turns -0.0 into 0.0: the two sort as equal, so a merged atom
+    # would print as either, depending on the order of its siblings
+    arr = np.asarray(array, dtype=np.float64).reshape(-1) + 0.0
     if arr.size != m**r:
         raise ValueError(
             f"incomplete array: expected {m**r} = {m}^{r} leaf values, got {arr.size}"
@@ -616,13 +622,100 @@ def measure_to_json_obj(mu: EmpiricalMeasure) -> dict:
     return {"level": mu.level, "atoms": atoms}
 
 
+# level-0 atoms formatted per block of rows, so no list spans a whole level
+_BLOCK_ATOMS = 1 << 16
+
+
+def _json_floats(x: np.ndarray) -> list[str]:
+    """``json.dumps`` of each float of ``x``: ``float.__repr__``, as ``json``
+    writes finite floats, or its ``NaN`` and ``Infinity`` when one is not."""
+    if np.isfinite(x).all():
+        return list(map(repr, x.tolist()))
+    return list(map(json.dumps, x.tolist()))
+
+
+def _glue(h: DirectingHierarchy, k: int) -> tuple[list[str], np.ndarray]:
+    """The text after each atom of the level-k table: ``, w], [``, or
+    ``, w]], "level": k}`` after a row's last atom.  Each distinct weight is
+    formatted once; returns the glue strings and, per padded atom, its
+    index among them."""
+    w = h.weights[k]
+    uniq, inv = np.unique(w, return_inverse=True)
+    texts = _json_floats(uniq)
+    gid = inv.reshape(w.shape)
+    gid[np.arange(len(w)), h.counts[k] - 1] += len(uniq)
+    return [f", {t}], [" for t in texts] + [f', {t}]], "level": {k}}}' for t in texts], gid
+
+
+def _level0_texts(h: DirectingHierarchy, glue: list[str], gid: np.ndarray) -> list[str]:
+    """The JSON text of each level-0 table row, formatted a block of rows at
+    a time."""
+    a, w, counts = h.atoms[0], h.weights[0], h.counts[0]
+    texts: list[str] = []
+    step = max(1, _BLOCK_ATOMS // a.shape[1])
+    for lo in range(0, len(a), step):
+        present = w[lo : lo + step] > 0
+        locs = _json_floats(a[lo : lo + step][present])
+        after = map(glue.__getitem__, gid[lo : lo + step][present].tolist())
+        atoms = list(map(str.__add__, locs, after))
+        ends = np.cumsum(counts[lo : lo + step]).tolist()
+        texts.extend('{"atoms": [[' + "".join(atoms[s:e]) for s, e in zip([0] + ends[:-1], ends))
+    return texts
+
+
+def _string_ordered_keys(d: int, m: int) -> tuple[Iterator[str], np.ndarray]:
+    """The keys of the depth-d vertices in string order, which compares the
+    coordinates as strings (``"1/10"`` before ``"1/2"``), and each vertex's
+    lexicographic index in that order."""
+    coords = sorted(map(str, range(1, m + 1)))
+    ranks = np.array([int(c) - 1 for c in coords], dtype=np.intp)
+    order = np.zeros(1, dtype=np.intp)
+    for _ in range(d):
+        order = (order[:, None] * m + ranks).reshape(-1)
+    return map("/".join, product((str(d),), *[coords] * d)), order
+
+
+def hierarchy_json_chunks(h: DirectingHierarchy) -> Iterator[str]:
+    """Yield the text of ``hierarchy.json`` in pieces: the hierarchy keyed by
+    encoded vertex, each measure written as :func:`measure_to_json_obj`'s
+    object is, byte for byte ``json.dumps(..., sort_keys=True) + "\\n"``.
+
+    Written from the level tables, bottom-up: each level-0 row is formatted
+    once, with ``float.__repr__`` as ``json`` does, and each level's
+    distinct weights once; a level k >= 1 row is the pieces of the child
+    rows it points at, glued by its weights, and is never joined into one
+    string.  Keys follow string order (``"1/10"`` before ``"1/2"``), as
+    ``sort_keys`` puts them.  No :class:`EmpiricalMeasure` is made."""
+    glues = [_glue(h, k) for k in range(h.r)]
+    level0 = _level0_texts(h, *glues[0])
+    yield f'{{"m": {h.m}, "measures": {{'
+    sep = ""
+    for d in sorted(range(h.r), key=str):
+        keys, order = _string_ordered_keys(d, h.m)
+        for key, j in zip(keys, h.ids[d][order].tolist()):
+            yield f'{sep}"{key}": '
+            yield from _row_pieces(h, glues, level0, h.r - 1 - d, j)
+            sep = ", "
+    yield f'}}, "r": {h.r}}}\n'
+
+
+def _row_pieces(h: DirectingHierarchy, glues: list, level0: list[str], k: int, j: int):
+    """The text of row j of the level-k table, in pieces: a level-0 row's
+    formatted text, or each child row's pieces followed by its glue."""
+    if k == 0:
+        yield level0[j]
+        return
+    glue, gid = glues[k]
+    n = h.counts[k][j]
+    yield '{"atoms": [['
+    for child, g in zip(h.atoms[k][j, :n].tolist(), gid[j, :n].tolist()):
+        yield from _row_pieces(h, glues, level0, k - 1, child)
+        yield glue[g]
+
+
 def hierarchy_to_json_obj(h: DirectingHierarchy) -> dict:
-    """The hierarchy keyed by encoded vertex, each measure serializing as
-    :func:`measure_to_json_obj`'s does.  Built from the arrays, one object
-    per table row, so no :class:`EmpiricalMeasure` is made or kept.  Atom
-    pairs are tuples: unlike a million small lists, the cyclic garbage
-    collector stops tracking tuples of floats.  Keys come from the coordinates
-    (:func:`~hexch.tree.vertex_keys`); JSON sorts them as strings."""
-    objs = h._per_vertex(lambda k, pairs: {"level": k, "atoms": pairs})
-    keys = (k for d in range(h.r) for k in vertex_keys(d, h.m))
-    return {"r": h.r, "m": h.m, "measures": dict(zip(keys, objs))}
+    """The hierarchy keyed by encoded vertex, each measure as
+    :func:`measure_to_json_obj`'s object: ``json.loads`` of
+    :func:`hierarchy_json_chunks`' text, so the object and the file have
+    one source."""
+    return json.loads("".join(hierarchy_json_chunks(h)))

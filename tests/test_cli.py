@@ -505,11 +505,13 @@ def test_array_to_csv_product_bytes_pinned():
 
 def test_array_run_builds_no_vertex_objects(tmp_path, monkeypatch):
     import hexch.tree
+    from hexch.definetti import EmpiricalMeasure
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a TreeVertex list was built")
+        raise AssertionError("a TreeVertex list or an EmpiricalMeasure was built")
 
     monkeypatch.setattr(hexch.tree, "_depth_vertices", refuse)
+    monkeypatch.setattr(EmpiricalMeasure, "__post_init__", refuse)
     cfg = {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
            "resynthesize_m": 11,
            "tests": [{"name": "conditional_iid", "n_resamples": 19},
@@ -536,3 +538,43 @@ def test_output_crosses_chunk_boundaries(tmp_path):
     data = text.encode("utf-8")
     assert (tmp_path / "t.txt").read_bytes() == data
     assert files["t.txt"] == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def test_streamed_pieces_are_written_in_whole_chunks(tmp_path):
+    import hashlib
+
+    from hexch.cli import _CHUNK, _chunks, _write
+    from hexch.definetti import extract_hierarchy, hierarchy_json_chunks, measure_to_json_obj
+    from hexch.scenarios import make_source
+    from hexch.tree import internal_vertices
+
+    pieces = ["", "ab", "c" * _CHUNK, "", "d" * (2 * _CHUNK + 7), "é" * 3, ""]
+    chunks = list(_chunks(pieces))
+    assert "".join(chunks) == "".join(pieces)
+    assert [len(c) for c in chunks[:-1]] == [_CHUNK] * (len(chunks) - 1)
+    assert 0 < len(chunks[-1]) <= _CHUNK
+    assert list(_chunks(["", ""])) == []
+    # a hierarchy.json several chunks long, against the measure objects
+    h = extract_hierarchy(make_source("product", 3, 16).sample(2), 3, 16)
+    measures = {v.encode(): measure_to_json_obj(mu)
+                for v, mu in zip(internal_vertices(3, 16), h.measures, strict=True)}
+    data = (json.dumps({"r": 3, "m": 16, "measures": measures}, sort_keys=True) + "\n").encode()
+    assert len(data) > 3 * _CHUNK
+    files = {}
+    _write(tmp_path / "hierarchy.json", hierarchy_json_chunks(h), files)
+    want = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    assert files["hierarchy.json"] == want
+    assert hashlib.sha256((tmp_path / "hierarchy.json").read_bytes()).hexdigest() == want["sha256"]
+
+
+@pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+def test_output_directory_that_cannot_be_made_exits_two(tmp_path, capsys, where):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config()))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "existing-file" else blocker / "sub"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -18,6 +18,7 @@ from hexch.definetti import (
     _search_rows,
     empirical_measure,
     extract_hierarchy,
+    hierarchy_json_chunks,
     hierarchy_to_json_obj,
     measure_over,
     measure_to_json_obj,
@@ -416,6 +417,16 @@ def test_resynthesize_matches_per_child_loop(r, m2):
     assert np.array_equal(y, _reference_resynthesize(h, r, m2, seed=m2))
 
 
+def _first_difference(a, b):
+    """None if the texts are equal, else the first index where they differ
+    and the text around it in each: pytest's own diff of two long one-line
+    texts can take minutes."""
+    if a == b:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i, a[max(0, i - 40) : i + 40], b[max(0, i - 40) : i + 40]
+
+
 # sha256 of the hierarchy.json bytes and of the little-endian resynthesized
 # array, recorded before extraction and resynthesis were vectorized:
 # (scenario, r, m, resynthesize_m, seed, hierarchy digest, resynthesis digest)
@@ -446,8 +457,10 @@ def test_hierarchy_and_resynthesis_bytes_pinned(case):
     name, r, m, m2, seed, h_digest, y_digest = case
     x = make_source(name, r, m).sample(seed)
     h = extract_hierarchy(x, r, m)
-    text = json.dumps(hierarchy_to_json_obj(h), sort_keys=True) + "\n"
+    text = "".join(hierarchy_json_chunks(h))
     assert hashlib.sha256(text.encode()).hexdigest() == h_digest
+    obj_text = json.dumps(hierarchy_to_json_obj(h), sort_keys=True) + "\n"
+    assert _first_difference(obj_text, text) is None
     y = resynthesize(h, r, m2, derive_seed(seed, "resynthesize"))
     data = np.ascontiguousarray(y, dtype="<f8").tobytes()
     assert hashlib.sha256(data).hexdigest() == y_digest
@@ -499,11 +512,83 @@ def test_array_form_bytes_pinned(case):
     if decimals is not None:
         x = np.round(x, decimals)
     h = extract_hierarchy(x, r, m)
-    text = json.dumps(hierarchy_to_json_obj(h), sort_keys=True) + "\n"
+    text = "".join(hierarchy_json_chunks(h))
     assert hashlib.sha256(text.encode()).hexdigest() == h_digest
+    obj_text = json.dumps(hierarchy_to_json_obj(h), sort_keys=True) + "\n"
+    assert _first_difference(obj_text, text) is None
     y = resynthesize(h, r, m2, derive_seed(seed, "resynthesize"))
     data = np.ascontiguousarray(y, dtype="<f8").tobytes()
     assert hashlib.sha256(data).hexdigest() == y_digest
+
+
+def _object_path_json(h):
+    """hierarchy.json as the nested measure objects serialize, the oracle
+    for the streamed writer."""
+    measures = {v.encode(): measure_to_json_obj(mu)
+                for v, mu in zip(internal_vertices(h.r, h.m), h.measures, strict=True)}
+    return json.dumps({"m": h.m, "measures": measures, "r": h.r}, sort_keys=True) + "\n"
+
+
+# (scenario, r, m, decimals): ties at every level when rounded, r = 1, a
+# one-cell deep tree, m >= 10 where string and numeric key orders differ,
+# and r >= 11 where depth "10" sorts before depth "2"
+WRITER_CASES = [
+    ("product", 3, 3, 1), ("product", 2, 6, 2), ("path-mean", 3, 11, 1),
+    ("product", 1, 5, None), ("uniform-leaf", 1, 12, None), ("uniform-leaf", 5, 1, None),
+    ("product", 2, 12, None), ("product", 3, 16, None), ("path-mean", 11, 2, 1),
+    ("by-hand", 2, 3, None),
+]
+
+
+@pytest.mark.parametrize("case", WRITER_CASES, ids=lambda c: f"{c[0]}-r{c[1]}-m{c[2]}-d{c[3]}")
+def test_json_writer_matches_the_object_path(case):
+    name, r, m, decimals = case
+    x = np.array(BY_HAND) if name == "by-hand" else make_source(name, r, m).sample(3)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    h = extract_hierarchy(x, r, m)
+    pieces = list(hierarchy_json_chunks(h))
+    assert all(isinstance(p, str) for p in pieces)
+    assert _first_difference("".join(pieces), _object_path_json(h)) is None
+
+
+def test_json_writer_leaves_no_reference_cycles():
+    # cyclic garbage waits for the collector, so each run's texts would pile up
+    import gc
+
+    h = extract_hierarchy(make_source("product", 3, 4).sample(0), 3, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        "".join(hierarchy_json_chunks(h))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_json_writer_formats_non_finite_floats_as_json_does():
+    # the constructor admits any level-0 location; json writes NaN, Infinity
+    h = DirectingHierarchy(1, 2, (np.array([[-np.inf, np.nan]]),), (np.array([[0.5, 0.5]]),),
+                           (np.zeros(1, dtype=int),))
+    obj = {"m": 2, "measures": {"0": {"atoms": [[-np.inf, 0.5], [np.nan, 0.5]], "level": 0}},
+           "r": 1}
+    assert "".join(hierarchy_json_chunks(h)) == json.dumps(obj, sort_keys=True) + "\n"
+
+
+def test_signed_zero_does_not_depend_on_sibling_order():
+    # 0.0 and -0.0 sort as equal, so without normalization the merged atom
+    # prints as whichever sibling comes first
+    texts = {"".join(hierarchy_json_chunks(extract_hierarchy(np.array(p), 1, 3)))
+             for p in itertools.permutations([0.0, -0.0, 0.5])}
+    assert len(texts) == 1 and "-0.0" not in texts.pop()
+    # the object path reads -0.0 the same way
+    atoms = {repr(empirical_measure(p).atoms) for p in itertools.permutations([0.0, -0.0, 0.5])}
+    assert len(atoms) == 1 and "-0.0" not in atoms.pop()
+    rows = np.array([[0.0, -0.0, 0.5], [-0.0, 0.5, 0.5], [0.0, 0.0, -0.0]])
+    texts = {"".join(hierarchy_json_chunks(extract_hierarchy(
+                 np.concatenate([row[list(p)] for row, p in zip(rows, perms)]), 2, 3)))
+             for perms in itertools.product(itertools.permutations(range(3)), repeat=3)}
+    assert len(texts) == 1 and "-0.0" not in texts.pop()
 
 
 def test_tied_rows_follow_sort_key_order():
