@@ -74,7 +74,8 @@ print()
 print("== conditional sampling against a depth-keyed field ==")
 tau = SigmaModel("avg", 6, lambda p: p.mean(axis=1))
 u_vals, xc = sample_conditional(tau, uniform_ifield(7, 2), 2, 4, seed=SEED)
-print(f"emitted {len(u_vals)} u-values alongside {xc.size} array entries")
+n_u = sum(v.size for v in u_vals.values())
+print(f"emitted {n_u} u-values over {len(u_vals)} depths alongside {xc.size} array entries")
 
 print()
 print("== jointly driven pairs ==")

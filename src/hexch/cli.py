@@ -33,7 +33,6 @@ from .definetti import hierarchy_to_json_obj  # noqa: F401
 from .fields import _as_tuples, derive_seed, ifield_truncation_values, uniform_ifield
 from .scenarios import _declared_levels, builtin, list_scenarios, make_source
 from .stattests import (
-    TestReport,
     cond_indep_test,
     conditional_iid_test,
     hexch_test,
@@ -379,7 +378,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
     level_values = None
     if spec.form == "ifield":
         # one realization feeds both the field dump and the level test
-        by_depth, _ = ifield_truncation_values(
+        by_depth = ifield_truncation_values(
             uniform_ifield(cfg["seed"], cfg["r"]), cfg["r"], cfg["m"]
         )
         level_values = _declared_levels(cfg["scenario"], by_depth, cfg["params"])
@@ -452,13 +451,16 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
 def _cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: config is nested too deeply to parse", file=sys.stderr)
         return 2
     out_dir = args.out or (obj.get("out", "hexch-out") if isinstance(obj, dict) else "hexch-out")
     try:

@@ -5,7 +5,8 @@ the hierarchy of directing measures by taking empirical measures of sibling
 blocks bottom-up (values at the deepest level, then measures of measures),
 and regenerate a fresh exchangeable array from that hierarchy by drawing
 child measures and finally leaf values through quantile transforms of fresh
-uniforms.
+uniforms, hashed from the same per-depth word grids as every sampler's
+(``hexch.fields._level_words``).
 
 A :class:`DirectingHierarchy` stores each nesting level as arrays: a table
 of its distinct measures in canonical order, and one table id per vertex.
@@ -40,8 +41,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .fields import UniformField
-from .tree import TreeVertex, internal_vertices, leaf_coords
+from .fields import _hash_words, _init_state, _level_words
+from .tree import TreeVertex, internal_vertices
 
 __all__ = [
     "EmpiricalMeasure",
@@ -437,19 +438,20 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     from the parent's nested measure by quantile sampling over the atom
     index, bottoming out with a value quantile draw at the leaves.  All
     uniforms come from the counter-based field (role "w"), hashed one whole
-    depth at a time from its coordinate grid, so the output is
-    deterministic in ``seed``; each depth's atom picks are one row-batched
-    left search of the uniforms in the parents' cumulative weights.
+    depth at a time from its word grid (:func:`~hexch.fields._level_words`),
+    so the output is deterministic in ``seed``; each depth's atom picks are
+    one row-batched left search of the uniforms in the parents' cumulative
+    weights.
     """
     if h.r != r:
         raise ValueError(f"hierarchy depth {h.r} does not match requested r={r}")
     if isinstance(m2, bool) or not isinstance(m2, (int, np.integer)) or m2 < 1:
         raise ValueError(f"m2 must be an integer >= 1, got {m2!r}")
-    f = UniformField(seed, role="w")
+    h0 = _init_state(seed, "w")
     current = h.ids[0]
     for d in range(1, r + 1):
         k = r - d  # the level of the depth d-1 measures
-        u = f.values(leaf_coords(d, m2)).reshape(current.size, m2)
+        u = _hash_words(h0, _level_words((d,), (m2,)))[0].reshape(current.size, m2)
         pick = _search_rows(h.cum[k][current], u, "left")
         np.minimum(pick, h.counts[k][current, None] - 1, out=pick)
         current = h.atoms[k][current[:, None], pick].reshape(-1)

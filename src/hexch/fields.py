@@ -24,7 +24,7 @@ over the same vertices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Callable, Mapping
@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.stats
 
-from .tree import ProductVertex, TreeVertex, _depth_vertices, _grid_cache
+from .tree import ProductVertex, TreeVertex
 
 __all__ = [
     "UniformField",
@@ -153,13 +153,26 @@ def _depth_tuples(depths: tuple[int, ...]):
     return itertools.product(*(range(r_i + 1) for r_i in depths))
 
 
-@_grid_cache
+# Largest word grid that _level_words keeps, 1 MiB: above the 0.4 MB words of
+# {1..128}^2, the largest grid the bench workloads use, and far below the
+# 16-24 MB grids of {1..1000}^2, which would otherwise stay for the process.
+_GRID_CACHE_BYTES = 1 << 20
+
+
 def _level_words(depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
     """Word rows of all vertices at depth tuple ``depths`` of the product
     truncation with sides ``shape``: one block (d_i, c1, ..., c_{d_i}) per
-    tree, rows in lexicographic order with the first tree slowest.  A single
-    tree is ``((d,), (m,))``.  Read-only and, unless large, cached
-    (:func:`~hexch.tree._grid_cache`)."""
+    tree, rows in lexicographic order with the first tree slowest, so row i
+    of a single tree ``((d,), (m,))`` is the vertex of flat index i.  The
+    grid is read-only; the 16 most recently used grids of at most
+    ``_GRID_CACHE_BYTES`` are kept, and a larger one is built on every call."""
+    rows = prod(m_i**d_i for d_i, m_i in zip(depths, shape))
+    if rows * (sum(depths) + len(depths)) * 8 > _GRID_CACHE_BYTES:
+        return _build_level_words(depths, shape)
+    return _kept_level_words(depths, shape)
+
+
+def _build_level_words(depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
     grid = tuple(m_i for d_i, m_i in zip(depths, shape) for _ in range(d_i))
     words = np.empty(grid + (len(grid) + len(depths),), dtype=_U64)
     axis = col = 0
@@ -172,7 +185,12 @@ def _level_words(depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
                 (m_i,) + (1,) * (len(grid) - axis)
             )
         col += 1
-    return words.reshape(-1, words.shape[-1])
+    words = words.reshape(-1, words.shape[-1])
+    words.flags.writeable = False
+    return words
+
+
+_kept_level_words = lru_cache(maxsize=16)(_build_level_words)
 
 
 @lru_cache(maxsize=16)
@@ -414,28 +432,19 @@ def uniform_ifield(seed: int, depths: int | tuple[int, ...], role: str = "u") ->
 
 def ifield_truncation_values(
     f: IField, depths: int | tuple[int, ...], shape: int | tuple[int, ...]
-):
-    """Realize the field on a whole truncation.
-
-    Returns ``(by_depth, by_vertex)``: values grouped by depth key, and a
-    flat vertex -> value mapping in deterministic order.
-    """
+) -> dict:
+    """Realize the field on a whole truncation: a dict from each depth key
+    (an int for one tree, a depth tuple for a product) to the values of its
+    vertices, in lexicographic vertex order (:func:`~hexch.tree.vertex_keys`
+    order for one tree)."""
     single = np.ndim(depths) == 0
     depths_t, shape_t = _as_tuples(depths, shape)
     base = f.base()
     u = _level_values(_init_state(base.seed, base.role), depths_t, shape_t)
-    by_depth: dict = {}
-    by_vertex: dict = {}
-    for dt, u_dt in zip(_depth_tuples(depths_t), u):
-        vals = np.asarray(f.spec_at(dt).quantile(u_dt[0]), dtype=np.float64)
-        by_depth[dt[0] if single else dt] = vals
-        per_part = [
-            _depth_vertices(r_i, m_i, (d_i,), vals.size)
-            for d_i, m_i, r_i in zip(dt, shape_t, depths_t)
-        ]
-        keys = per_part[0] if single else map(ProductVertex, itertools.product(*per_part))
-        by_vertex.update(zip(keys, vals.tolist()))
-    return by_depth, by_vertex
+    return {
+        dt[0] if single else dt: np.asarray(f.spec_at(dt).quantile(u_dt[0]), dtype=np.float64)
+        for dt, u_dt in zip(_depth_tuples(depths_t), u)
+    }
 
 
 # -- sigma models and samplers -----------------------------------------------
@@ -545,18 +554,18 @@ def sample_conditional(
 
     The first input block is the depth-keyed field along the product path,
     the second a fresh uniform field (role "v", derived from ``seed``)
-    independent of it.  Returns ``(u_by_vertex, X)`` where ``u_by_vertex``
-    maps every vertex of the truncation to its realized value.
+    independent of it.  Returns ``(u_by_depth, X)`` where ``u_by_depth`` is
+    the realized field as :func:`ifield_truncation_values` returns it.
     """
     size = _path_size(depths)
     if model.arity != 2 * size:
         raise ValueError(f"model arity {model.arity} != 2 * path size {size}")
-    by_depth, u_by_vertex = ifield_truncation_values(u_field, depths, shape)
-    u_levels = [vals[None, :] for vals in by_depth.values()]
+    u_by_depth = ifield_truncation_values(u_field, depths, shape)
+    u_levels = [vals[None, :] for vals in u_by_depth.values()]
     u_cols = _write_paths(u_levels, *_as_tuples(depths, shape))[0]
     v_cols = path_matrix(seed, "v", depths, shape)
     x = model.eval(np.hstack([u_cols, v_cols]))
-    return u_by_vertex, x
+    return u_by_depth, x
 
 
 def sample_pair(

@@ -26,7 +26,6 @@ from .fields import (
     sample_array,
     uniform_ifield,
 )
-from .tree import leaf_coords
 
 __all__ = [
     "ScenarioSpec",
@@ -107,7 +106,8 @@ def make_model(name: str, r: int, params: dict | None = None) -> SigmaModel:
 
 
 def _label_leak_sampler(r: int, m: int, weight: float) -> Callable:
-    parity = (leaf_coords(r, m)[:, 0] % 2).astype(np.float64)
+    # parity of each leaf's first coordinate, i // m^(r-1) + 1 for flat index i
+    parity = ((np.arange(m**r) // m ** (r - 1) + 1) % 2).astype(np.float64)
 
     def sample(seed) -> np.ndarray:
         v = path_matrix(seed, "v", r, m)[..., -1]
@@ -119,7 +119,8 @@ def _label_leak_sampler(r: int, m: int, weight: float) -> Callable:
 def _sibling_coupled_sampler(r: int, m: int, weight: float) -> Callable:
     n_pairs = (m ** (r - 1) + 1) // 2
     # every leaf reads the shared value at (its parent's pair, its child index)
-    shared_idx = (np.arange(m**r) // m // 2) * m + leaf_coords(r, m)[:, -1] - 1
+    i = np.arange(m**r)
+    shared_idx = (i // m // 2) * m + i % m
     # word rows of the depth-2 coordinates (pair, child) of the shared grid
     shared_words = _coord_words(np.indices((n_pairs, m)).reshape(2, -1).T + 1)
 
@@ -175,7 +176,7 @@ def make_source(
 
 def make_level_values(name: str, r: int, m: int, seed: int, params: dict | None = None):
     """Depth-keyed field values plus declared specs, for homogeneity checks."""
-    by_depth, _ = ifield_truncation_values(uniform_ifield(seed, r), r, m)
+    by_depth = ifield_truncation_values(uniform_ifield(seed, r), r, m)
     return _declared_levels(name, by_depth, params)
 
 

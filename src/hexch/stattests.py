@@ -185,6 +185,8 @@ def hexch_test(
     if n_reps < 20:
         raise ValueError(f"insufficient replicates: n_reps={n_reps} < 20")
     _check_resamples(n_resamples)
+    if n is not None and n < 1:
+        raise ValueError("n must be >= 1")
     shape, form = ((m**r,), "(K, m^r)") if n is None else ((m**r, n), "(K, m^r, n)")
     dim = m**r * (1 if n is None else n)
     keep = _marginal_indices(dim, r, m, n, seed)

@@ -14,10 +14,7 @@ longest common coordinate prefix.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import threading
-from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -37,7 +34,6 @@ __all__ = [
     "vertex_keys",
     "encode_vertex",
     "decode_vertex",
-    "leaf_coords",
     "wedge_matrix",
     "DEFAULT_CELL_CAP",
 ]
@@ -208,49 +204,6 @@ def decode_vertex(s: str, r: int) -> TreeVertex:
     if len(coords) != d:
         raise ValueError(f"malformed vertex encoding {s!r}")
     return TreeVertex(coords, r)
-
-
-# Largest array that _grid_cache keeps, 1 MiB: above the 0.4 MB level words
-# of {1..128}^2, the largest grid the bench workloads use, and far below the
-# 16-24 MB grids of {1..1000}^2, which would otherwise stay for the process.
-_GRID_CACHE_BYTES = 1 << 20
-
-
-def _grid_cache(make):
-    """Decorate ``make(*args) -> ndarray`` to return read-only arrays, keeping
-    the 16 most recently used of at most ``_GRID_CACHE_BYTES`` each; a larger
-    array is built again on every call.  Callers share the kept arrays, hence
-    read-only."""
-    kept: OrderedDict = OrderedDict()
-    lock = threading.Lock()
-
-    @functools.wraps(make)
-    def get(*args):
-        with lock:
-            if args in kept:
-                kept.move_to_end(args)
-                return kept[args]
-        grid = make(*args)
-        grid.flags.writeable = False
-        if grid.nbytes <= _GRID_CACHE_BYTES:
-            with lock:
-                kept[args] = grid
-                if len(kept) > 16:
-                    kept.popitem(last=False)
-        return grid
-
-    return get
-
-
-@_grid_cache
-def leaf_coords(r: int, m: int) -> np.ndarray:
-    """Integer coordinate matrix of shape (m^r, r) for the truncation leaves.
-
-    Row order matches :func:`leaves`.  The grid is read-only and, unless
-    large, cached (:func:`_grid_cache`).
-    """
-    grids = np.meshgrid(*([np.arange(1, m + 1)] * r), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, r)
 
 
 def wedge_matrix(coords: np.ndarray) -> np.ndarray:

@@ -578,3 +578,18 @@ def test_output_directory_that_cannot_be_made_exits_two(tmp_path, capsys, where)
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe\x00bad", b"[" * 200_000 + b"]" * 200_000],
+    ids=["undecodable", "deeply-nested"],
+)
+def test_unreadable_config_exits_two(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

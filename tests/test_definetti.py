@@ -31,7 +31,7 @@ from hexch.definetti import (
 from hexch.fields import UniformField, derive_seed, sample_array
 from hexch.hperm import random_hperm
 from hexch.scenarios import make_model, make_source
-from hexch.tree import TreeVertex, internal_vertices, leaves, root
+from hexch.tree import TreeVertex, internal_vertices, root
 
 
 # -- empirical measures --------------------------------------------------------
@@ -406,8 +406,11 @@ def _reference_resynthesize(h, r, m2, seed):
     return np.array(current)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize("m2", [2, 4, 7])
+# m2=70,000 at r=1 is 1.12 MB of words, above _GRID_CACHE_BYTES, so that case
+# runs _level_words' uncached branch
+@pytest.mark.parametrize(
+    "m2, r", [(m2, r) for m2 in (2, 4, 7) for r in (1, 2, 3)] + [(70_000, 1)]
+)
 def test_resynthesize_matches_per_child_loop(r, m2):
     m = 4
     x = sample_array(make_model("product", r), r, m, seed=17 * r + m2)

@@ -11,6 +11,7 @@ import scipy.stats
 
 from hexch.fields import (
     _GOLD,
+    _GRID_CACHE_BYTES,
     _MASK,
     DistSpec,
     IField,
@@ -31,13 +32,13 @@ from hexch.fields import (
     uniform_ifield,
 )
 from hexch.tree import (
-    _GRID_CACHE_BYTES,
     ProductVertex,
     TreeVertex,
     leaf,
-    leaf_coords,
     leaves,
     root,
+    vertex_keys,
+    vertices,
 )
 
 UNIF = DistSpec("uniform", (0.0, 1.0))
@@ -122,7 +123,7 @@ def test_values_match_value_on_mixed_vertices():
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_values_on_coordinate_rows_match_vertices(depth):
     f = UniformField(31, "w")
-    grid = leaf_coords(depth, 3)
+    grid = np.indices((3,) * depth).reshape(depth, -1).T + 1
     vs = [TreeVertex(tuple(c), depth) for c in grid.tolist()]
     assert np.array_equal(f.values(grid), f.values(vs))
     # arbitrary rows, repeats and coordinates beyond any truncation included
@@ -395,12 +396,19 @@ def test_ifield_missing_level_spec():
 
 def test_ifield_truncation_values_grouping():
     f = uniform_ifield(11, 2)
-    by_depth, by_vertex = ifield_truncation_values(f, 2, 3)
-    assert set(by_depth) == {0, 1, 2}
-    assert by_depth[0].size == 1 and by_depth[1].size == 3 and by_depth[2].size == 9
-    assert len(by_vertex) == 13
-    for v, x in by_vertex.items():
-        assert f.value(v) == x
+    by_depth = ifield_truncation_values(f, 2, 3)
+    assert list(by_depth) == [0, 1, 2]
+    for d, vals in by_depth.items():
+        assert vals.tolist() == [f.value(v) for v in vertices(2, 3) if v.depth == d]
+    # a product keys its values by depth tuple, vertices in product order
+    f = IField(12, _PRODUCT_LEVELS)
+    by_depth = ifield_truncation_values(f, (1, 2), (3, 2))
+    assert list(by_depth) == list(itertools.product(range(2), range(3)))
+    for dt, vals in by_depth.items():
+        parts = [[v for v in vertices(r_i, m_i) if v.depth == d_i]
+                 for d_i, r_i, m_i in zip(dt, (1, 2), (3, 2))]
+        expected = [f.value(ProductVertex(p)) for p in itertools.product(*parts)]
+        assert vals.tolist() == expected
 
 
 # -- conditional and pair sampling ---------------------------------------------
@@ -412,8 +420,10 @@ def test_sample_conditional_ignoring_v_is_function_of_emitted_u():
     r, m, seed = 2, 4, 13
     model = SigmaModel("u-only", 6, lambda p: p[:, :3].mean(axis=1))
     u_vals, x = sample_conditional(model, uniform_ifield(77, r), r, m, seed)
-    for pos, lf in enumerate(leaves(r, m)):
-        upath = [u_vals[v] for v in [root(r), lf.parent(), lf]]
+    assert [v.size for v in u_vals.values()] == [1, m, m**r]
+    for pos in range(m**r):
+        # the depth-d prefix of leaf pos has flat index pos // m^(r-d)
+        upath = [u_vals[d][pos // m ** (r - d)] for d in range(r + 1)]
         assert x[pos] == pytest.approx(np.mean(upath), abs=1e-15)
 
 
@@ -431,7 +441,7 @@ def test_sample_conditional_law_of_large_numbers():
     r, m, seed = 1, 20000, 161
     tau = SigmaModel("avg", 4, lambda p: p.mean(axis=1))
     u_vals, x = sample_conditional(tau, uniform_ifield(2718, r), r, m, seed)
-    target = (u_vals[root(1)] + UniformField(seed, "v").value(root(1)) + 1.0) / 4.0
+    target = (u_vals[0][0] + UniformField(seed, "v").value(root(1)) + 1.0) / 4.0
     assert abs(x.mean() - target) < 0.005
 
 
@@ -526,18 +536,34 @@ def test_path_matrix_columns_are_prefix_values():
     assert np.array_equal(path_matrix(seed, "v", r, m), pm)
 
 
+def test_level_words_match_leaves():
+    words = _level_words((2,), (3,))
+    assert words.shape == (9, 3)
+    assert [tuple(row) for row in words.tolist()] == [(2, *v.coords) for v in leaves(2, 3)]
+
+
+@pytest.mark.parametrize("r, m", [(1, 5), (2, 3), (3, 4)])
+def test_level_words_cached_and_read_only(r, m):
+    words = _level_words((r,), (m,))
+    assert words is _level_words((r,), (m,))
+    assert not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[0, 0] = 7
+    assert words.tolist() == [[r, *v.coords] for v in leaves(r, m)]
+
+
 def test_grids_above_the_cache_bound_are_not_kept():
-    # {1..200000}^1: 1.6 MB of leaf coordinates and 3.2 MB of leaf words
+    # {1..200000}^1: 3.2 MB of leaf words
     r, m = 1, 200_000
-    assert leaf_coords(r, m).nbytes > _GRID_CACHE_BYTES
     tracemalloc.start()
     try:
-        coords, words = leaf_coords(r, m), _level_words((r,), (m,))
-        assert not coords.flags.writeable and not words.flags.writeable
-        assert coords is not leaf_coords(r, m) and words is not _level_words((r,), (m,))
+        words = _level_words((r,), (m,))
+        assert words.nbytes > _GRID_CACHE_BYTES
+        assert not words.flags.writeable
+        assert words is not _level_words((r,), (m,))
         pm = path_matrix(4, "v", r, m)
         assert pm.shape == (m, 2)
-        del coords, words, pm
+        del words, pm
         gc.collect()
         kept, _ = tracemalloc.get_traced_memory()
     finally:
@@ -572,9 +598,6 @@ def test_path_matrix_product_matches_vertex_values():
 def _digest(*parts) -> str:
     h = hashlib.sha256()
     for part in parts:
-        if isinstance(part, dict):
-            # vertex -> value maps, in their own order
-            part = "\n".join(f"{v.encode()}={x!r}" for v, x in part.items())
         h.update(part.encode() if isinstance(part, str) else np.ascontiguousarray(part).tobytes())
     return h.hexdigest()
 
@@ -599,13 +622,29 @@ _PRODUCT_LEVELS = {
 }
 
 
+def _vertex_text(by_depth, shape) -> str:
+    """The ``key=value`` lines of the vertex -> value dicts the digests were
+    recorded from, rebuilt from by-depth values: vertices by depth key, keys
+    as ``encode`` writes them."""
+    lines = []
+    for dt, vals in by_depth.items():
+        dt_t, shape_t = (dt, shape) if isinstance(dt, tuple) else ((dt,), (shape,))
+        keys = map("|".join, itertools.product(*map(vertex_keys, dt_t, shape_t)))
+        lines += [f"{k}={x!r}" for k, x in zip(keys, vals.tolist(), strict=True)]
+    return "\n".join(lines)
+
+
 def _pinned_outputs():
     from hexch.scenarios import make_source
 
     def truncation(f, depths, shape):
-        by_depth, by_vertex = ifield_truncation_values(f, depths, shape)
+        by_depth = ifield_truncation_values(f, depths, shape)
         keys = "".join(f"{k}:" for k in by_depth)
-        return (keys, *by_depth.values(), by_vertex)
+        return (keys, *by_depth.values(), _vertex_text(by_depth, shape))
+
+    def conditional(model, f, depths, shape, seed):
+        u_by_depth, x = sample_conditional(model, f, depths, shape, seed)
+        return _vertex_text(u_by_depth, shape), x
 
     return {
         "path_matrix r1 m5": (path_matrix(0, "v", 1, 5),),
@@ -621,10 +660,8 @@ def _pinned_outputs():
         "sample_ah r2 m3 n5": (sample_ah(_MIX6, 2, 3, 5, 44),),
         "sample_ah r1 m4 n3": (sample_ah(_MEAN4, 1, 4, 3, 45),),
         "sample_ah r3 m2 n1": (sample_ah(_MIX8, 3, 2, 1, 46),),
-        "sample_conditional r2 m3": sample_conditional(
-            _MEAN6, IField(77, _LEVELS), 2, 3, 13
-        ),
-        "sample_conditional (1,2) (2,3)": sample_conditional(
+        "sample_conditional r2 m3": conditional(_MEAN6, IField(77, _LEVELS), 2, 3, 13),
+        "sample_conditional (1,2) (2,3)": conditional(
             _MEAN12, IField(78, _PRODUCT_LEVELS), (1, 2), (2, 3), 14
         ),
         "sample_pair r2 m4": sample_pair(

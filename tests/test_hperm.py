@@ -17,7 +17,7 @@ from hexch.hperm import (
     verify_wedge_preservation,
 )
 from hexch.fields import derive_seed
-from hexch.tree import TreeVertex, leaf, leaf_coords, leaves, root, wedge, wedge_matrix
+from hexch.tree import TreeVertex, leaf, leaves, root, wedge, wedge_matrix
 
 
 def root_swap(r=3):
@@ -151,7 +151,7 @@ def test_random_leaf_indices_stacks_per_map_indices(r, m, k):
     expected = np.stack([random_hperm(r, m, s).permuted_leaf_indices(m) for s in seeds])
     assert idx.dtype == expected.dtype
     assert np.array_equal(idx, expected)
-    coords = leaf_coords(r, m)
+    coords = np.array([v.coords for v in leaves(r, m)])
     wedges = wedge_matrix(coords)
     for row in idx:
         assert np.array_equal(np.sort(row), np.arange(m**r))

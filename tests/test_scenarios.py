@@ -5,7 +5,6 @@ import pytest
 
 from hexch.fields import (
     SigmaModel,
-    UniformField,
     derive_seed,
     path_matrix,
     sample_ah,
@@ -20,7 +19,7 @@ from hexch.scenarios import (
     make_source,
 )
 from hexch.stattests import hexch_test
-from hexch.tree import leaf_coords, root
+from hexch.tree import leaves, root
 
 
 def test_registry_size_and_names():
@@ -131,8 +130,17 @@ def test_label_leak_blends_parity():
     src = make_source("label-leak", 2, 4, params={"weight": 0.5})
     x = src.sample(3)
     v = path_matrix(3, "v", 2, 4)[:, -1]
-    parity = (leaf_coords(2, 4)[:, 0] % 2).astype(float)
+    parity = np.array([v.coords[0] % 2 for v in leaves(2, 4)], dtype=float)
     assert np.allclose(x, 0.5 * v + 0.5 * parity)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_label_leak_parity_is_the_first_leaf_coordinate(r):
+    # at weight 1 the array is the parity of each leaf's first coordinate;
+    # r=1 makes the flat-index divisor m^(r-1) equal to 1
+    m = 5
+    x = make_source("label-leak", r, m, params={"weight": 1.0}).sample(7)
+    assert x.tolist() == [float(v.coords[0] % 2) for v in leaves(r, m)]
 
 
 def test_toy_magnetization_without_replica_block_repeats_columns():

@@ -209,6 +209,15 @@ def test_hexch_insufficient_replicates():
         hexch_test(src.sample, 1, 4, n_reps=19, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_hexch_rejects_fewer_than_one_replica_column(n):
+    def source(seeds):
+        raise AssertionError("source called before n was checked")
+
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        hexch_test(source, 2, 4, n=n, n_reps=20, n_resamples=9, seed=0)
+
+
 def test_hexch_zero_resamples():
     src = make_source("uniform-leaf", 1, 4)
     with pytest.raises(ValueError):
@@ -456,7 +465,7 @@ def test_reports_carry_python_scalars():
     # m = 1 leaves the KS component as the conditional_iid p-value
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 1, seed=0)
     arr4, h4 = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
-    by_depth, _ = ifield_truncation_values(uniform_ifield(0, 2), 2, 4)
+    by_depth = ifield_truncation_values(uniform_ifield(0, 2), 2, 4)
     reports = [
         conditional_iid_test(arr, h, n_resamples=9, seed=0),
         cond_indep_test(arr4, h4, n_resamples=9, seed=0),
@@ -476,7 +485,7 @@ def test_level_homogeneity_uniform_field_passes():
     rejects = 0
     for t in range(20):
         seed = derive_seed(31, "u", t)
-        by_depth, _ = ifield_truncation_values(uniform_ifield(seed, 2), 2, 32)
+        by_depth = ifield_truncation_values(uniform_ifield(seed, 2), 2, 32)
         declared = {d: UNIF for d in range(3)}
         rejects += level_homogeneity_test(by_depth, declared, seed=seed).reject
     assert rejects <= 2
@@ -504,7 +513,7 @@ def test_level_homogeneity_missing_spec():
 
 
 def test_level_homogeneity_cross_depth_component():
-    by_depth, _ = ifield_truncation_values(uniform_ifield(8, 2), 2, 16)
+    by_depth = ifield_truncation_values(uniform_ifield(8, 2), 2, 16)
     declared = {d: UNIF for d in range(3)}
     rep = level_homogeneity_test(by_depth, declared, seed=8)
     names = {c["name"] for c in rep.metadata["components"]}

@@ -11,7 +11,6 @@ from hexch.tree import (
     decode_vertex,
     encode_vertex,
     leaf,
-    leaf_coords,
     leaves,
     internal_vertices,
     path,
@@ -168,22 +167,6 @@ def test_vertex_keys_validation():
         vertex_keys(-1, 2)
     with pytest.raises(ValueError):
         vertex_keys(2, 0)
-
-
-def test_leaf_coords_matches_leaves():
-    lc = leaf_coords(2, 3)
-    assert lc.shape == (9, 2)
-    assert [tuple(row) for row in lc] == [v.coords for v in leaves(2, 3)]
-
-
-@pytest.mark.parametrize("r, m", [(1, 5), (2, 3), (3, 4)])
-def test_leaf_coords_cached_and_read_only(r, m):
-    lc = leaf_coords(r, m)
-    assert lc is leaf_coords(r, m)
-    assert not lc.flags.writeable
-    with pytest.raises(ValueError):
-        lc[0, 0] = 7
-    assert lc.tolist() == [list(v.coords) for v in leaves(r, m)]
 
 
 def test_wedge_matrix_matches_pairwise():
