@@ -17,14 +17,17 @@ tables, each distinct measure formatted once.  The nested
 required level, are built only on demand (``measures``, ``measure_at``).
 Two of them are compared with the nested optimal-transport
 distance, whose ground cost at each level is the distance one level down.
-It is solved on the same level-table layout, bottom-up: when a level's
-weights share a denominator n, as extracted weights c/m do, level 0 is one
-broadcast over n sorted samples per row and each level above is an n x n
-assignment per pair of rows; an exact sparse linear program is only the
-fallback for other weights.  The arrays reproduce the objects
-bit for bit, which takes two rules: tables follow ``sort_key`` order, in
-which ``[a,b,b]`` precedes ``[a,a,b]``; and level k >= 1 weights are
-repeated ``+= 1/m`` sums, not ``count/m``, because ``3 x 0.1 != 0.3``.
+It is solved on the same level-table layout, bottom-up.  A measure built
+by ``measures`` records its table row, so its tables are read straight
+from the hierarchy's level arrays; a hand-built one is laid out by walking
+its objects.  When a level's weights share a denominator n, as extracted
+weights c/m do, level 0 is one broadcast over n sorted samples per row and
+each level above is an n x n assignment per pair of rows, the n x n costs
+of a level's pairs gathered in one pass; other weights fall back to W1 and
+an exact sparse linear program per pair of rows.  The arrays reproduce the
+objects bit for bit, which takes two rules: tables follow ``sort_key``
+order, in which ``[a,b,b]`` precedes ``[a,a,b]``; and level k >= 1 weights
+are repeated ``+= 1/m`` sums, not ``count/m``, because ``3 x 0.1 != 0.3``.
 """
 
 from __future__ import annotations
@@ -74,6 +77,10 @@ class EmpiricalMeasure:
 
     atoms: tuple[tuple[object, float], ...]
     level: int
+    # ``(atoms, weights, j)`` when the measure is row j of its level's table
+    # in the level arrays of a DirectingHierarchy, which set it; not a field,
+    # so equality, hashing and repr ignore it
+    _table_row = None
 
     def __post_init__(self):
         if not self.atoms:
@@ -112,11 +119,7 @@ class EmpiricalMeasure:
 
     @cached_property
     def _padded_cdf(self) -> np.ndarray:
-        """Cumulative weights after 0, 1, ..., n atoms; the last is exactly 1."""
-        cum = np.zeros(len(self.atoms) + 1)
-        np.cumsum(self.weights, out=cum[1:])
-        cum[-1] = 1.0
-        return _read_only(cum)
+        return _read_only(_padded_cumsum(self.weights))
 
     def cumweights(self) -> np.ndarray:
         return self._padded_cdf[1:]
@@ -144,6 +147,14 @@ class EmpiricalMeasure:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _padded_cumsum(weights: np.ndarray) -> np.ndarray:
+    """Cumulative weights after 0, 1, ..., n atoms; the last is exactly 1."""
+    cum = np.zeros(len(weights) + 1)
+    np.cumsum(weights, out=cum[1:])
+    cum[-1] = 1.0
+    return cum
 
 
 def _merge(pairs, level: int) -> EmpiricalMeasure:
@@ -287,7 +298,10 @@ class DirectingHierarchy:
         :func:`~hexch.tree.internal_vertices` order (the root first, the
         m^(r-1) depth r-1 vertices last).  Built on first use, deepest level
         first, one object per table row, shared by the vertices on that row;
-        a nested atom is the object of its row one level down."""
+        a nested atom is the object of its row one level down.  Each object
+        records its row of the level arrays (not the hierarchy, so that the
+        cached objects form no reference cycle), which is where
+        :func:`nested_distance` reads its tables from."""
         tables: list[list[EmpiricalMeasure]] = []
         for k in range(self.r):
             present = self.weights[k] > 0
@@ -296,10 +310,12 @@ class DirectingHierarchy:
                 atoms = [tables[-1][i] for i in atoms]
             pairs = list(zip(atoms, self.weights[k][present].tolist()))
             ends = np.cumsum(self.counts[k]).tolist()
-            tables.append([
-                EmpiricalMeasure(tuple(pairs[lo:hi]), k)
-                for lo, hi in zip([0] + ends[:-1], ends)
-            ])
+            row = []
+            for j, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+                mu = EmpiricalMeasure(tuple(pairs[lo:hi]), k)
+                object.__setattr__(mu, "_table_row", (self.atoms, self.weights, j))
+                row.append(mu)
+            tables.append(row)
         return tuple(
             tables[self.r - 1 - d][i] for d in range(self.r) for i in self.ids[d].tolist()
         )
@@ -463,8 +479,9 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
 # Largest common weight denominator n solved as n x n assignments; a level
 # whose weights need a larger one (or have none) is solved by the LP.
 _MAX_DENOMINATOR = 1024
-# Scratch bound for the level-0 broadcast, so that a large level costs row
-# blocks of at most this many bytes, not one (rows_a, rows_b, n) array.
+# Scratch bound for the level-0 broadcast and the assignment costs, so that a
+# large level costs blocks of row pairs of at most this many bytes, not one
+# (rows_a, rows_b, n) or (rows_a, rows_b, n, n) array.
 _BLOCK_BYTES = 1 << 23
 
 
@@ -472,12 +489,18 @@ def wasserstein1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """First Wasserstein distance between level-0 measures: the CDF gap area."""
     if mu.level != 0 or nu.level != 0:
         raise ValueError("wasserstein1 needs level-0 measures")
-    locs = np.union1d(mu.locations, nu.locations)
-    fm = mu.cdf(locs)
-    fn = nu.cdf(locs)
+    return _wasserstein1(mu.locations, mu.weights, nu.locations, nu.weights)
+
+
+def _wasserstein1(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray, wb: np.ndarray) -> float:
+    """:func:`wasserstein1` between the measures with ascending locations
+    ``xa`` and ``xb`` and weights ``wa`` and ``wb``."""
+    locs = np.union1d(xa, xb)
     if len(locs) == 1:
         return 0.0
-    return float(np.sum(np.abs(fm[:-1] - fn[:-1]) * np.diff(locs)))
+    fa = _padded_cumsum(wa)[np.searchsorted(xa, locs, side="right")]
+    fb = _padded_cumsum(wb)[np.searchsorted(xb, locs, side="right")]
+    return float(np.sum(np.abs(fa[:-1] - fb[:-1]) * np.diff(locs)))
 
 
 def _exact_ot(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> float:
@@ -501,12 +524,18 @@ def _exact_ot(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> float:
     return float(res.fun)
 
 
-def _measure_tables(mu: EmpiricalMeasure) -> list[tuple[list, np.ndarray, np.ndarray]]:
-    """The level tables of a nested measure, level 0 first: per level, its
-    distinct sub-measures (by object identity), their padded atoms and their
-    weights (0 past each row's atom count).  Level-0 atoms are locations;
-    level k >= 1 atoms are row ids into the level k-1 table.  The top level
-    is the one row of ``mu``."""
+def _measure_tables(mu: EmpiricalMeasure) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The level tables of a nested measure, level 0 first: per level, the
+    padded atoms and weights (0 past each row's atom count) of the distinct
+    sub-measures below ``mu``.  Level-0 atoms are locations; level k >= 1
+    atoms are row ids into the level k-1 table.  The top level is the one
+    row of ``mu``.
+
+    A measure built by :attr:`DirectingHierarchy.measures` reads its rows
+    from the hierarchy's level arrays (:func:`_row_tables`); any other is
+    walked object by object, its sub-measures told apart by identity."""
+    if mu._table_row is not None:
+        return _row_tables(mu.level, *mu._table_row)
     rows = [mu]
     tables = []
     for k in range(mu.level, -1, -1):
@@ -515,7 +544,7 @@ def _measure_tables(mu: EmpiricalMeasure) -> list[tuple[list, np.ndarray, np.nda
         atoms = np.zeros(present.shape, dtype=np.intp if k else np.float64)
         weights = np.zeros(present.shape)
         weights[present] = np.concatenate([x.weights for x in rows])
-        tables.append((rows, atoms, weights))
+        tables.append((atoms, weights))
         if k == 0:
             atoms[present] = np.concatenate([x.locations for x in rows])
         else:
@@ -523,6 +552,27 @@ def _measure_tables(mu: EmpiricalMeasure) -> list[tuple[list, np.ndarray, np.nda
             index: dict[int, int] = {}
             atoms[present] = [index.setdefault(id(a), len(index)) for a in below]
             rows = list({id(a): a for a in below}.values())
+    return tables[::-1]
+
+
+def _row_tables(
+    k: int, atoms: tuple, weights: tuple, j: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_measure_tables` of row j of the level-k table in a hierarchy's
+    level ``atoms`` and ``weights``: every table whole when level k has one
+    row (each row below is then reachable), else the rows reachable from
+    row j, one ``np.unique`` per level, with atom ids renumbered to match.
+    Pads keep their atoms; their zero weights drop them."""
+    if len(atoms[k]) == 1:
+        return list(zip(atoms[: k + 1], weights[: k + 1]))
+    rows = np.array([j])
+    tables = []
+    for i in range(k, -1, -1):
+        a, w = atoms[i][rows], weights[i][rows]
+        if i:
+            present = w > 0
+            rows, a[present] = np.unique(a[present], return_inverse=True)
+        tables.append((a, w))
     return tables[::-1]
 
 
@@ -563,14 +613,22 @@ def _w1_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _assignment_table(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Transport cost between every row of ``a`` and every row of ``b``,
     rows being n equally weighted atom ids into the ground ``cost``: each
-    is an n x n assignment, by Birkhoff-von Neumann."""
+    is an n x n assignment, by Birkhoff-von Neumann.  The n x n costs of a
+    block of row pairs, at most ``_BLOCK_BYTES``, are gathered at once, and
+    the costs picked by the block's assignments summed at once."""
+    n = a.shape[1]
     out = np.empty((len(a), len(b)))
-    for i, ia in enumerate(a):
-        sub = cost[ia]
-        for j, ib in enumerate(b):
-            c = sub[:, ib]
-            out[i, j] = c[linear_sum_assignment(c)].sum()
-    return out / a.shape[1]
+    pairs = max(1, _BLOCK_BYTES // (8 * n * n))
+    step_b = min(len(b), pairs)
+    step_a = pairs // step_b
+    for lo in range(0, len(a), step_a):
+        for lb in range(0, len(b), step_b):
+            c = cost[a[lo : lo + step_a, None, :, None], b[None, lb : lb + step_b, None, :]]
+            flat = c.reshape(-1, n, n)
+            picks = np.array([linear_sum_assignment(x)[1] for x in flat])
+            picked = np.take_along_axis(flat, picks[:, :, None], axis=2)[:, :, 0]
+            out[lo : lo + step_a, lb : lb + step_b] = picked.sum(axis=1).reshape(c.shape[:2])
+    return out / n
 
 
 def nested_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -578,13 +636,16 @@ def nested_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
     Level 0 is :func:`wasserstein1`; at level k the ground cost between
     atoms is the level-(k-1) nested distance.  Both measures are laid out
-    as level tables (:func:`_measure_tables`) and each level's distances
-    are computed for all row pairs at once, level 0 first.  When every
-    weight of a level is a multiple of a common 1/n, as in any extracted
-    measure, the level-0 distances are one broadcast over n sorted samples
-    per row and each level-k distance is an n x n assignment; otherwise the
-    level is solved pair by pair with :func:`wasserstein1` and an exact
-    sparse linear program.
+    as level tables (:func:`_measure_tables`), read straight from the
+    level arrays for a measure of a :class:`DirectingHierarchy`, and each
+    level's distances are computed for all row pairs at once, level 0
+    first.  When every weight of a level is a multiple of a common 1/n, as
+    in any extracted measure, the level-0 distances are one broadcast over
+    n sorted samples per row and each level-k distance is an n x n
+    assignment, the costs of a level's pairs gathered in one pass;
+    otherwise the level is solved pair by pair, from the table rows, with
+    :func:`wasserstein1` and an exact sparse linear program.  Nothing is
+    kept between calls.
     """
     if mu.level != nu.level:
         raise ValueError(
@@ -595,21 +656,21 @@ def nested_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     if mu == nu:
         return 0.0
     cost = None
-    for (xa, aa, wa), (xb, ab, wb) in zip(_measure_tables(mu), _measure_tables(nu)):
+    for (aa, wa), (ab, wb) in zip(_measure_tables(mu), _measure_tables(nu)):
         common = _common_counts(wa, wb)
         if common is not None:
             n, ca, cb = common
             ea, eb = _expand(aa, ca, n), _expand(ab, cb, n)
             cost = _w1_table(ea, eb) if cost is None else _assignment_table(ea, eb, cost)
-        elif cost is None:
-            cost = np.array([[wasserstein1(a, b) for b in xb] for a in xa])
+            continue
+        rows_a = [(aa[i, :p], wa[i, :p]) for i, p in enumerate((wa > 0).sum(axis=1))]
+        rows_b = [(ab[j, :q], wb[j, :q]) for j, q in enumerate((wb > 0).sum(axis=1))]
+        if cost is None:
+            cost = np.array([[_wasserstein1(xa, va, xb, vb) for xb, vb in rows_b]
+                             for xa, va in rows_a])
         else:
-            na, nb = (wa > 0).sum(axis=1), (wb > 0).sum(axis=1)
-            cost = np.array([
-                [_exact_ot(wa[i, :p], wb[j, :q], cost[np.ix_(aa[i, :p], ab[j, :q])])
-                 for j, q in enumerate(nb)]
-                for i, p in enumerate(na)
-            ])
+            cost = np.array([[_exact_ot(va, vb, cost[np.ix_(xa, xb)]) for xb, vb in rows_b]
+                             for xa, va in rows_a])
     return float(cost[0, 0])
 
 

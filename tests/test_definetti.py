@@ -1,5 +1,7 @@
 """Tests for empirical measures, extraction and resynthesis."""
 
+import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -7,14 +9,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 import hexch.definetti
 from hexch.acceptance import w1_to_uniform
 from hexch.definetti import (
     DirectingHierarchy,
     EmpiricalMeasure,
+    _assignment_table,
     _common_counts,
+    _measure_tables,
     _search_rows,
     empirical_measure,
     extract_hierarchy,
@@ -781,9 +785,44 @@ def test_nested_distance_assignments_match_dense_lp(monkeypatch, r, m, m2):
     assert root_n == math.lcm(m, m2)
     got = [nested_distance(mu, nu) for mu, nu in pairs]
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
-    # a level-0 table broadcast over many small row blocks gives the same bits
+    # a level-0 table broadcast over many small row blocks, and assignment
+    # costs gathered one row pair at a time (8 n^2 > 64 bytes), give the
+    # same bits
     monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", 64)
     assert [nested_distance(mu, nu) for mu, nu in pairs] == got
+
+
+class _Gathers(np.ndarray):
+    """A cost table that records the shape of each fancy-indexed gather."""
+
+    def __getitem__(self, index):
+        self.shapes.append(np.broadcast_shapes(*map(np.shape, index)))
+        return np.asarray(self)[index]
+
+
+@pytest.mark.parametrize("pairs_per_block, shapes", [
+    (None, [(5, 7, 4, 4)]),  # the default bound: one gather for the level
+    (1, [(1, 1, 4, 4)] * 35),
+    (3, [(1, 3, 4, 4), (1, 3, 4, 4), (1, 1, 4, 4)] * 5),
+    (20, [(2, 7, 4, 4)] * 2 + [(1, 7, 4, 4)]),
+])
+def test_assignment_table_gathers_blocks_of_row_pairs(monkeypatch, pairs_per_block, shapes):
+    # each block of row pairs is one gather of at most _BLOCK_BYTES of n x n
+    # costs; every blocking gives the bits of one assignment per pair
+    rng = np.random.default_rng(3)
+    a, b = rng.integers(0, 6, (5, 4)), rng.integers(0, 9, (7, 4))
+    cost = rng.random((6, 9))
+    want = np.empty((5, 7))
+    for i, j in itertools.product(range(5), range(7)):
+        c = cost[a[i]][:, b[j]]
+        want[i, j] = c[linear_sum_assignment(c)].sum()
+    if pairs_per_block is not None:
+        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", pairs_per_block * 8 * 4 * 4)
+    gathers = cost.view(_Gathers)
+    gathers.shapes = []
+    got = _assignment_table(a, b, gathers)
+    assert gathers.shapes == shapes
+    assert got.tolist() == (want / 4).tolist()
 
 
 def test_nested_distance_irrational_weights_use_the_lp(monkeypatch):
@@ -808,6 +847,90 @@ def test_nested_distance_irrational_weights_use_the_lp(monkeypatch):
     )
     assert nested_distance(mu, nu) == pytest.approx(best, abs=1e-9)
     assert len(solves) == 1
+
+
+def _plain(mu):
+    """``mu`` rebuilt object by object, so that no level table row is kept."""
+    atoms = mu.atoms if mu.level == 0 else tuple((_plain(a), w) for a, w in mu.atoms)
+    return EmpiricalMeasure(atoms, mu.level)
+
+
+def _no_common_denominator(*args, **kwargs):
+    raise AssertionError("a fallback distance took the common-denominator path")
+
+
+def _hierarchies(r, m, m2, decimals):
+    x = sample_array(make_model("product", r), r, m, seed=derive_seed(13, "x", r * m))
+    if decimals is not None:
+        x = np.round(x, decimals)  # tied values merge atoms at every level
+    ha = extract_hierarchy(x, r, m)
+    return ha, extract_hierarchy(resynthesize(ha, r, m2, seed=derive_seed(13, "y", m2)), r, m2)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("r, m, m2, decimals", [
+    (1, 5, 5, None), (2, 4, 6, None), (3, 4, 6, None), (3, 4, 4, 1), (2, 6, 4, 1),
+])
+def test_nested_distance_from_level_arrays_matches_objects(
+    monkeypatch, fallback, r, m, m2, decimals
+):
+    # measures of a hierarchy are solved from its level arrays, plain ones by
+    # walking their objects: the two give the same bits, alone and mixed
+    ha, hb = _hierarchies(r, m, m2, decimals)
+    pairs = [(ha.root_measure, hb.root_measure)]
+    if r > 1:
+        # non-root measures: the first and the last depth-1 vertex
+        pairs += [(ha.measures[1], hb.measures[1]), (ha.measures[m], hb.measures[m2])]
+    if fallback:
+        # no common denominator <= 1: level 0 by wasserstein1 per pair of
+        # rows, each level above by the LP
+        monkeypatch.setattr(hexch.definetti, "_MAX_DENOMINATOR", 1)
+        for name in ("_w1_table", "_assignment_table"):
+            monkeypatch.setattr(hexch.definetti, name, _no_common_denominator)
+    for mu, nu in pairs:
+        assert mu._table_row is not None and _plain(mu)._table_row is None
+        got = nested_distance(mu, nu)
+        assert nested_distance(_plain(mu), _plain(nu)) == got
+        assert nested_distance(mu, _plain(nu)) == got
+        assert nested_distance(_plain(mu), nu) == got
+    assert nested_distance(*pairs[0]) > 0.0
+
+
+def test_hierarchy_measures_are_plain_measures():
+    # the recorded table row is not a field: equality, hashing, repr, sort
+    # keys and the field list are those of the same measure built by hand
+    ha, _ = _hierarchies(3, 4, 4, 1)
+    for mu in ha.measures:
+        plain = _plain(mu)
+        assert mu == plain and hash(mu) == hash(plain) and repr(mu) == repr(plain)
+        assert mu.sort_key() == plain.sort_key()
+        assert dataclasses.fields(mu) == dataclasses.fields(plain)
+    assert [f.name for f in dataclasses.fields(EmpiricalMeasure)] == ["atoms", "level"]
+    # the measures point at the level arrays, not at the hierarchy, so a
+    # dropped hierarchy leaves no cycle for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        del ha
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_level_array_tables_keep_the_reachable_rows():
+    # read from the level arrays, a measure's tables hold the rows an object
+    # walk over the same (shared) sub-measures finds, no more
+    ha, _ = _hierarchies(3, 4, 4, 1)
+    assert len(ha.atoms[0]) > len(_measure_tables(ha.measures[1])[0][0])
+    for mu in ha.measures[1:]:
+        read = _measure_tables(mu)
+        walked = _measure_tables(EmpiricalMeasure(mu.atoms, mu.level))
+        assert [len(a) for a, _ in read] == [len(a) for a, _ in walked]
+        rows = [
+            sorted(tuple(zip(a[w > 0].tolist(), w[w > 0].tolist())) for a, w in zip(*table[0]))
+            for table in (read, walked)
+        ]
+        assert rows[0] == rows[1]
 
 
 def test_nested_distance_level_mismatch():
