@@ -217,9 +217,7 @@ def criterion_extraction_consistency() -> CriterionResult:
             h = extract_hierarchy(arr, 2, m)
             # whole-hierarchy error: the root against that of a resynthesis
             y = resynthesize(h, 2, m, derive_seed(seed, "resyn", m))
-            nested[m] = nested_distance(
-                h.root_measure, extract_hierarchy(y, 2, m).root_measure
-            )
+            nested[m] = nested_distance(h, extract_hierarchy(y, 2, m))
             w1s = []
             for k in range(1, m + 1):
                 alpha = TreeVertex((k,), 2)

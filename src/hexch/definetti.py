@@ -15,16 +15,19 @@ does the JSON writer: ``hierarchy.json`` is streamed from the level
 tables, each distinct measure formatted once.  The nested
 :class:`EmpiricalMeasure` objects, finite atom systems nested to the
 required level, are built only on demand (``measures``, ``measure_at``).
-Two of them are compared with the nested optimal-transport
-distance, whose ground cost at each level is the distance one level down.
-It is solved on the same level-table layout, bottom-up.  A measure built
-by ``measures`` records its table row, so its tables are read straight
-from the hierarchy's level arrays; a hand-built one is laid out by walking
-its objects.  When a level's weights share a denominator n, as extracted
-weights c/m do, level 0 is one broadcast over n sorted samples per row and
-each level above is an n x n assignment per pair of rows, the n x n costs
-of a level's pairs gathered in one pass; other weights fall back to W1 and
-an exact sparse linear program per pair of rows.  The arrays reproduce the
+Two of them, or two hierarchies' roots, are compared with the nested
+optimal-transport distance, whose ground cost at each level is the
+distance one level down.  It is solved on the same level-table layout,
+bottom-up.  A hierarchy, and a measure built by ``measures``, which
+records its table row and its hierarchy's m, are read straight from the
+level arrays; a hand-built measure is laid out by walking its objects.
+When a level's weights share a denominator n, level 0 is one broadcast
+over n sorted samples per row and each level above is an n x n assignment
+per pair of rows, the n x n costs of a level's pairs gathered in one pass;
+other weights fall back to W1 and an exact sparse linear program per pair
+of rows.  For two sides read from hierarchies, whose weights are c/m, n
+is lcm(m_a, m_b) reduced by the gcd of the counts; for other sides it is
+found by a search over the distinct weights.  The arrays reproduce the
 objects bit for bit, which takes two rules: tables follow ``sort_key``
 order, in which ``[a,b,b]`` precedes ``[a,a,b]``; and level k >= 1 weights
 are repeated ``+= 1/m`` sums, not ``count/m``, because ``3 x 0.1 != 0.3``.
@@ -77,9 +80,9 @@ class EmpiricalMeasure:
 
     atoms: tuple[tuple[object, float], ...]
     level: int
-    # ``(atoms, weights, j)`` when the measure is row j of its level's table
-    # in the level arrays of a DirectingHierarchy, which set it; not a field,
-    # so equality, hashing and repr ignore it
+    # ``(atoms, weights, j, m)`` when the measure is row j of its level's
+    # table in the level arrays of a DirectingHierarchy of side m, which set
+    # it; not a field, so equality, hashing and repr ignore it
     _table_row = None
 
     def __post_init__(self):
@@ -234,9 +237,11 @@ class DirectingHierarchy:
     The constructor derives ``counts[k]`` (each row's atom count) and
     ``cum[k]`` (cumulative weights, exactly 1.0 at the last atom and inf
     past it) and checks the layout: one table per level, one id row of
-    ``m^d`` ids per depth, every id inside its table.  All arrays are
-    read-only.  :attr:`measures` builds the :class:`EmpiricalMeasure`
-    objects on first use.
+    ``m^d`` ids per depth, every id inside its table.  It also checks what
+    :class:`EmpiricalMeasure` would: each row's weights sum to 1 (within
+    1e-12 plus one rounding per atom), and level-0 atoms lie in [0,1],
+    ascending.  All arrays are read-only.  :attr:`measures` builds the
+    :class:`EmpiricalMeasure` objects on first use.
     """
 
     r: int
@@ -275,10 +280,17 @@ class DirectingHierarchy:
                 raise ValueError(
                     f"level {k}: each row needs positive weights on a prefix of its atoms"
                 )
+            last = (np.arange(n.size), n - 1)
             if k:
                 _check_ids(a[present], len(levels[-1][0]), f"level {k} atom")
+            else:
+                _check_locations(a, present, last)
             c = np.cumsum(w, axis=1)
-            c[np.arange(n.size), n - 1] = 1.0
+            # a running sum errs by about one rounding per atom
+            err = np.abs(c[:, -1] - 1.0).max()
+            if not err <= _WEIGHT_TOL + w.shape[1] * np.finfo(np.float64).eps:
+                raise ValueError(f"level {k}: a row's weights miss 1 by {err}")
+            c[last] = 1.0
             c[~present] = np.inf
             levels.append((a, w, _read_only(n), _read_only(c)))
         ids = []
@@ -299,9 +311,10 @@ class DirectingHierarchy:
         m^(r-1) depth r-1 vertices last).  Built on first use, deepest level
         first, one object per table row, shared by the vertices on that row;
         a nested atom is the object of its row one level down.  Each object
-        records its row of the level arrays (not the hierarchy, so that the
-        cached objects form no reference cycle), which is where
-        :func:`nested_distance` reads its tables from."""
+        records its row of the level arrays and ``m`` (not the hierarchy, so
+        that the cached objects form no reference cycle), which is where
+        :func:`nested_distance` reads its tables and their denominator
+        from."""
         tables: list[list[EmpiricalMeasure]] = []
         for k in range(self.r):
             present = self.weights[k] > 0
@@ -313,7 +326,7 @@ class DirectingHierarchy:
             row = []
             for j, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
                 mu = EmpiricalMeasure(tuple(pairs[lo:hi]), k)
-                object.__setattr__(mu, "_table_row", (self.atoms, self.weights, j))
+                object.__setattr__(mu, "_table_row", (self.atoms, self.weights, j, self.m))
                 row.append(mu)
             tables.append(row)
         return tuple(
@@ -350,6 +363,26 @@ class DirectingHierarchy:
 def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"{what} ids must index the {n} rows of their table")
+
+
+def _check_locations(a: np.ndarray, present: np.ndarray, last: tuple) -> None:
+    """Level-0 atoms, as :class:`EmpiricalMeasure` takes them: strictly
+    ascending along each row (a NaN is not), so in [0,1] when each row's
+    first and ``last`` atom are.  The rows are compared as one flat run,
+    cheaper than a strided 2-D comparison."""
+    flat = a.reshape(-1)
+    rises = flat[1:] > flat[:-1]
+    rises[a.shape[1] - 1 :: a.shape[1]] = True  # where a row starts
+    if (present.reshape(-1)[1:] > rises).any():
+        raise ValueError("level-0 atoms must ascend along each row")
+    lo, hi = float(a[:, 0].min()), float(a[last].max())
+    if not (lo >= 0.0 and hi <= 1.0):
+        raise ValueError(f"level-0 location {hi if lo >= 0.0 else lo} outside [0,1]")
+
+
+def _is_size(value) -> bool:
+    """Whether ``value`` is an integer >= 1; a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
 
 
 def _search_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
@@ -421,8 +454,8 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
     distinct rows form the level-0 table; each level above does the same
     with the sorted table ids of its children.
     """
-    if r < 1 or m < 1:
-        raise ValueError("r and m must be >= 1")
+    if not (_is_size(r) and _is_size(m)):
+        raise ValueError(f"r and m must be >= 1 and integers, got r={r!r}, m={m!r}")
     # + 0.0 turns -0.0 into 0.0: the two sort as equal, so a merged atom
     # would print as either, depending on the order of its siblings
     arr = np.asarray(array, dtype=np.float64).reshape(-1) + 0.0
@@ -461,7 +494,7 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     """
     if h.r != r:
         raise ValueError(f"hierarchy depth {h.r} does not match requested r={r}")
-    if isinstance(m2, bool) or not isinstance(m2, (int, np.integer)) or m2 < 1:
+    if not _is_size(m2):
         raise ValueError(f"m2 must be an integer >= 1, got {m2!r}")
     h0 = _init_state(seed, "w")
     current = h.ids[0]
@@ -524,18 +557,26 @@ def _exact_ot(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> float:
     return float(res.fun)
 
 
-def _measure_tables(mu: EmpiricalMeasure) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The level tables of a nested measure, level 0 first: per level, the
-    padded atoms and weights (0 past each row's atom count) of the distinct
-    sub-measures below ``mu``.  Level-0 atoms are locations; level k >= 1
-    atoms are row ids into the level k-1 table.  The top level is the one
-    row of ``mu``.
+def _measure_tables(
+    mu: EmpiricalMeasure | DirectingHierarchy,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int | None]:
+    """The level tables of a nested measure, level 0 first, and the ``m``
+    whose multiples 1/m its weights are, or None when that is not known.
+    Per level, the tables are the padded atoms and weights (0 past each
+    row's atom count) of the distinct sub-measures below ``mu``.  Level-0
+    atoms are locations; level k >= 1 atoms are row ids into the level k-1
+    table.  The top level is the one row of ``mu``.
 
-    A measure built by :attr:`DirectingHierarchy.measures` reads its rows
-    from the hierarchy's level arrays (:func:`_row_tables`); any other is
-    walked object by object, its sub-measures told apart by identity."""
+    A :class:`DirectingHierarchy` stands for its root measure, and a
+    measure built by :attr:`DirectingHierarchy.measures` for its row: both
+    are read from the hierarchy's level arrays (:func:`_row_tables`), with
+    the hierarchy's ``m``.  Any other measure is walked object by object,
+    its sub-measures told apart by identity."""
+    if isinstance(mu, DirectingHierarchy):
+        return _row_tables(mu.r - 1, mu.atoms, mu.weights, mu.ids[0][0]), mu.m
     if mu._table_row is not None:
-        return _row_tables(mu.level, *mu._table_row)
+        *row, m = mu._table_row
+        return _row_tables(mu.level, *row), m
     rows = [mu]
     tables = []
     for k in range(mu.level, -1, -1):
@@ -552,7 +593,7 @@ def _measure_tables(mu: EmpiricalMeasure) -> list[tuple[np.ndarray, np.ndarray]]
             index: dict[int, int] = {}
             atoms[present] = [index.setdefault(id(a), len(index)) for a in below]
             rows = list({id(a): a for a in below}.values())
-    return tables[::-1]
+    return tables[::-1], None
 
 
 def _row_tables(
@@ -576,6 +617,11 @@ def _row_tables(
     return tables[::-1]
 
 
+def _table_rows(atoms: np.ndarray, weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row of a level table as its atoms and weights, pads dropped."""
+    return [(atoms[i, :p], weights[i, :p]) for i, p in enumerate((weights > 0).sum(axis=1))]
+
+
 def _common_counts(
     wa: np.ndarray, wb: np.ndarray
 ) -> tuple[int, np.ndarray, np.ndarray] | None:
@@ -593,6 +639,36 @@ def _common_counts(
     return n, np.rint(wa * n).astype(np.intp), np.rint(wb * n).astype(np.intp)
 
 
+def _level_counts(
+    wa: np.ndarray, wb: np.ndarray, ma: int | None, mb: int | None
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """:func:`_common_counts` of two weight tables whose weights are
+    multiples of 1/ma and 1/mb, without its search: the counts at
+    ``n0 = lcm(ma, mb)`` divided by ``g = gcd(n0, every count)``, which
+    gives its smallest ``n = n0 / g``.  Tables with an unknown ``m``, or
+    with a weight whose count at n0 is not whole within 1e-9, the search's
+    own tolerance (a hand-built hierarchy may hold 1/3 at m=4), take the
+    search."""
+    if ma is None or mb is None:
+        return _common_counts(wa, wb)
+    n0 = math.lcm(ma, mb)
+    x = np.concatenate([wa.reshape(-1), wb.reshape(-1)])
+    x *= n0
+    counts = np.rint(x)
+    positive = np.count_nonzero(x)
+    x -= counts
+    # a positive weight must not round to count 0
+    if not np.abs(x).max() <= 1e-9 or np.count_nonzero(counts) != positive:
+        return _common_counts(wa, wb)
+    counts = counts.astype(np.intp)
+    g = math.gcd(n0, int(np.gcd.reduce(counts)))
+    n = n0 // g
+    if n > _MAX_DENOMINATOR:
+        return None
+    counts //= g
+    return n, counts[: wa.size].reshape(wa.shape), counts[wa.size :].reshape(wb.shape)
+
+
 def _expand(atoms: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     """Each row's atoms repeated by their counts: ``(rows, n)``, in order."""
     return np.repeat(atoms.reshape(-1), counts.reshape(-1)).reshape(len(atoms), n)
@@ -602,11 +678,19 @@ def _w1_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """W1 between every row of ``a`` and every row of ``b``, rows being
     ascending samples of n equal weights: the mean gap of the sorted
     samples, broadcast over row blocks whose gap arrays hold at most
-    ``_BLOCK_BYTES``."""
+    ``_BLOCK_BYTES``, in one reused buffer.  Each sum of n gaps is divided
+    by n once, as ``mean`` does."""
+    n = a.shape[1]
     out = np.empty((len(a), len(b)))
     step = max(1, _BLOCK_BYTES // (8 * b.size))
+    gaps = np.empty((min(step, len(a)), len(b), n))
     for lo in range(0, len(a), step):
-        out[lo : lo + step] = np.abs(a[lo : lo + step, None, :] - b[None]).mean(axis=2)
+        hi = min(lo + step, len(a))
+        block = gaps[: hi - lo]
+        np.subtract(a[lo:hi, None, :], b[None], out=block)
+        np.abs(block, out=block)
+        np.add.reduce(block, axis=2, out=out[lo:hi])
+    out /= n
     return out
 
 
@@ -626,45 +710,52 @@ def _assignment_table(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> np.ndar
             c = cost[a[lo : lo + step_a, None, :, None], b[None, lb : lb + step_b, None, :]]
             flat = c.reshape(-1, n, n)
             picks = np.array([linear_sum_assignment(x)[1] for x in flat])
-            picked = np.take_along_axis(flat, picks[:, :, None], axis=2)[:, :, 0]
+            picked = flat[np.arange(len(flat))[:, None], np.arange(n), picks]
             out[lo : lo + step_a, lb : lb + step_b] = picked.sum(axis=1).reshape(c.shape[:2])
     return out / n
 
 
-def nested_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+def nested_distance(
+    mu: EmpiricalMeasure | DirectingHierarchy, nu: EmpiricalMeasure | DirectingHierarchy
+) -> float:
     """Optimal-transport distance between equal-level nested measures.
 
     Level 0 is :func:`wasserstein1`; at level k the ground cost between
-    atoms is the level-(k-1) nested distance.  Both measures are laid out
-    as level tables (:func:`_measure_tables`), read straight from the
-    level arrays for a measure of a :class:`DirectingHierarchy`, and each
-    level's distances are computed for all row pairs at once, level 0
-    first.  When every weight of a level is a multiple of a common 1/n, as
-    in any extracted measure, the level-0 distances are one broadcast over
-    n sorted samples per row and each level-k distance is an n x n
-    assignment, the costs of a level's pairs gathered in one pass;
-    otherwise the level is solved pair by pair, from the table rows, with
-    :func:`wasserstein1` and an exact sparse linear program.  Nothing is
-    kept between calls.
+    atoms is the level-(k-1) nested distance.  A :class:`DirectingHierarchy`
+    argument stands for its root measure, read from its level arrays
+    without building :attr:`~DirectingHierarchy.measures`; the result is
+    that of its root measure.  Both measures are laid out as level tables
+    (:func:`_measure_tables`), read straight from the level arrays for a
+    hierarchy or one of its measures, and each level's distances are
+    computed for all row pairs at once, level 0 first.  When every weight
+    of a level is a multiple of a common 1/n, as in any extracted measure,
+    the level-0 distances are one broadcast over n sorted samples per row
+    and each level-k distance is an n x n assignment, the costs of a
+    level's pairs gathered in one pass; otherwise the level is solved pair
+    by pair, from the table rows, with :func:`wasserstein1` and an exact
+    sparse linear program.  For two measures of hierarchies, n is read off
+    their ``m`` (:func:`_level_counts`); for others it is the smallest n <=
+    1024 found by a search over the weights.  Nothing is kept between
+    calls.
     """
-    if mu.level != nu.level:
-        raise ValueError(
-            f"cannot compare measures of levels {mu.level} and {nu.level}"
-        )
-    if mu.level == 0:
-        return wasserstein1(mu, nu)
     if mu == nu:
         return 0.0
+    (tables_a, ma), (tables_b, mb) = _measure_tables(mu), _measure_tables(nu)
+    if len(tables_a) != len(tables_b):
+        raise ValueError(
+            f"cannot compare measures of levels {len(tables_a) - 1} and {len(tables_b) - 1}"
+        )
+    if len(tables_a) == 1:
+        return _wasserstein1(*_table_rows(*tables_a[0])[0], *_table_rows(*tables_b[0])[0])
     cost = None
-    for (aa, wa), (ab, wb) in zip(_measure_tables(mu), _measure_tables(nu)):
-        common = _common_counts(wa, wb)
+    for (aa, wa), (ab, wb) in zip(tables_a, tables_b):
+        common = _level_counts(wa, wb, ma, mb)
         if common is not None:
             n, ca, cb = common
             ea, eb = _expand(aa, ca, n), _expand(ab, cb, n)
             cost = _w1_table(ea, eb) if cost is None else _assignment_table(ea, eb, cost)
             continue
-        rows_a = [(aa[i, :p], wa[i, :p]) for i, p in enumerate((wa > 0).sum(axis=1))]
-        rows_b = [(ab[j, :q], wb[j, :q]) for j, q in enumerate((wb > 0).sum(axis=1))]
+        rows_a, rows_b = _table_rows(aa, wa), _table_rows(ab, wb)
         if cost is None:
             cost = np.array([[_wasserstein1(xa, va, xb, vb) for xb, vb in rows_b]
                              for xa, va in rows_a])
@@ -691,10 +782,8 @@ _BLOCK_ATOMS = 1 << 16
 
 def _json_floats(x: np.ndarray) -> list[str]:
     """``json.dumps`` of each float of ``x``: ``float.__repr__``, as ``json``
-    writes finite floats, or its ``NaN`` and ``Infinity`` when one is not."""
-    if np.isfinite(x).all():
-        return list(map(repr, x.tolist()))
-    return list(map(json.dumps, x.tolist()))
+    writes finite floats, the only ones a hierarchy's tables hold."""
+    return list(map(repr, x.tolist()))
 
 
 def _glue(h: DirectingHierarchy, k: int) -> tuple[list[str], np.ndarray]:

@@ -12,14 +12,17 @@ import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
 import hexch.definetti
+from hexch import acceptance
 from hexch.acceptance import w1_to_uniform
 from hexch.definetti import (
     DirectingHierarchy,
     EmpiricalMeasure,
     _assignment_table,
     _common_counts,
+    _level_counts,
     _measure_tables,
     _search_rows,
+    _w1_table,
     empirical_measure,
     extract_hierarchy,
     hierarchy_json_chunks,
@@ -573,13 +576,34 @@ def test_json_writer_leaves_no_reference_cycles():
         gc.enable()
 
 
-def test_json_writer_formats_non_finite_floats_as_json_does():
-    # the constructor admits any level-0 location; json writes NaN, Infinity
-    h = DirectingHierarchy(1, 2, (np.array([[-np.inf, np.nan]]),), (np.array([[0.5, 0.5]]),),
+@pytest.mark.parametrize("atoms, weights, match", [
+    # resynthesis would renormalize these weights: its last cumulative
+    # weight is set to 1
+    ([[0.1, 0.2]], [[0.3, 0.3]], "weights miss 1 by"),
+    ([[-np.inf, 0.5]], [[0.5, 0.5]], "location -inf outside"),
+    ([[0.2, 1.5]], [[0.5, 0.5]], "location 1.5 outside"),
+    ([[np.nan, 0.5]], [[1.0, 0.0]], "location nan outside"),
+    # parent_cdfs searches the rows, so they must ascend
+    ([[0.5, 0.1]], [[0.5, 0.5]], "must ascend"),
+    ([[0.5, 0.5]], [[0.5, 0.5]], "must ascend"),
+    ([[0.2, np.nan, 0.5]], [[0.25, 0.25, 0.5]], "must ascend"),
+], ids=["sum-0.6", "minus-inf", "above-1", "nan-first", "descending", "repeated", "nan-inside"])
+def test_hierarchy_rejects_rows_that_are_no_measure(atoms, weights, match):
+    with pytest.raises(ValueError, match=match):
+        DirectingHierarchy(1, 2, (np.array(atoms),), (np.array(weights),),
                            (np.zeros(1, dtype=int),))
-    obj = {"m": 2, "measures": {"0": {"atoms": [[-np.inf, 0.5], [np.nan, 0.5]], "level": 0}},
-           "r": 1}
-    assert "".join(hierarchy_json_chunks(h)) == json.dumps(obj, sort_keys=True) + "\n"
+
+
+def test_hierarchy_rejects_level_weights_that_miss_one():
+    atoms, weights, ids = _hierarchy_parts()
+    short = weights[1].copy()
+    short[0, 0] *= 0.5
+    with pytest.raises(ValueError, match="level 1: a row's weights miss 1 by"):
+        DirectingHierarchy(3, 3, atoms, (weights[0], short, weights[2]), ids)
+    # the tolerance grows with the row width: the running sum of 10^5
+    # weights 1e-5 misses 1 by about 2e-12, and the row is accepted
+    w = extract_hierarchy(np.linspace(0.0, 1.0, 100_000), 1, 100_000).weights[0]
+    assert abs(np.cumsum(w)[-1] - 1.0) > 1e-12
 
 
 def test_signed_zero_does_not_depend_on_sibling_order():
@@ -639,6 +663,11 @@ def test_extract_and_resynthesize_check_their_sizes():
         extract_hierarchy(np.zeros(1), 0, 4)
     with pytest.raises(ValueError, match="r and m must be >= 1"):
         extract_hierarchy(np.zeros(1), 2, 0)
+    # a bool or a float is no size, even where it would count the leaves
+    for r, m in ((2, True), (True, 4), (2.0, 4), (2, 4.0), ("2", 4)):
+        with pytest.raises(ValueError, match=f"integers, got r={r!r}, m={m!r}"):
+            extract_hierarchy(np.zeros(16), r, m)
+    assert extract_hierarchy(np.zeros(16), np.int64(2), np.int32(4)).m == 4
     h = extract_hierarchy(np.full(4, 0.5), 2, 2)
     for m2 in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match=f"m2 must be an integer >= 1, got {m2}"):
@@ -825,6 +854,18 @@ def test_assignment_table_gathers_blocks_of_row_pairs(monkeypatch, pairs_per_blo
     assert got.tolist() == (want / 4).tolist()
 
 
+@pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+def test_w1_table_has_the_bits_of_the_mean_gap(monkeypatch, rows_per_block):
+    # the gaps are summed in a reused buffer and divided by n once: the bits
+    # of numpy's mean, for any blocking of the rows of a
+    rng = np.random.default_rng(4)
+    a, b = np.sort(rng.random((7, 7)), axis=1), np.sort(rng.random((5, 7)), axis=1)
+    if rows_per_block is not None:
+        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 8 * b.size)
+    want = np.abs(a[:, None, :] - b[None]).mean(axis=2)
+    assert _w1_table(a, b).tolist() == want.tolist()
+
+
 def test_nested_distance_irrational_weights_use_the_lp(monkeypatch):
     # weights with no common denominator: level 0 falls back to wasserstein1
     # per pair and level 1 to the LP; compare with all feasible 2x2 plans
@@ -859,32 +900,66 @@ def _no_common_denominator(*args, **kwargs):
     raise AssertionError("a fallback distance took the common-denominator path")
 
 
-def _hierarchies(r, m, m2, decimals):
+def _thirds(m):
+    """A hand-built hierarchy at r=2 whose weights 1/3 and 2/3 are no
+    multiples of 1/m for m=4."""
+    third = [1 / 3, 2 / 3]
+    return DirectingHierarchy(
+        2, m, (np.array([[0.1, 0.5], [0.2, -1.0]]), np.array([[0, 1]])),
+        (np.array([third, [1.0, 0.0]]), np.array([third])),
+        (np.zeros(1, dtype=int), np.arange(m) % 2),
+    )
+
+
+def _hierarchies(r, m, m2, ties):
+    """Two hierarchies at ``{1..m}^r`` and ``{1..m2}^r``.  ``ties`` is None
+    (the second is the re-extraction of a resynthesis of the first), a
+    number of decimals to round the sample to first (tied values merge
+    atoms at every level), or one of: "constant" (two constant arrays, so
+    every weight is 1), "pairs" (values repeated in pairs, so every
+    level-0 count is even), "blocks" (constant sibling rows, each of 10
+    values on a tenth of the rows) and "thirds" (a hand-built first)."""
+    if ties == "constant":
+        return extract_hierarchy(np.full(m**r, 0.37), r, m), extract_hierarchy(
+            np.full(m2**r, 0.5), r, m2)
+    rng = np.random.default_rng(r * m * m2)
+    if ties == "pairs":
+        return tuple(extract_hierarchy(np.repeat(rng.random(k**r // 2), 2), r, k)
+                     for k in (m, m2))
+    if ties == "blocks":
+        return tuple(extract_hierarchy(np.repeat(rng.permutation(
+            np.repeat(rng.random(10), k // 10)), k), r, k) for k in (m, m2))
     x = sample_array(make_model("product", r), r, m, seed=derive_seed(13, "x", r * m))
-    if decimals is not None:
-        x = np.round(x, decimals)  # tied values merge atoms at every level
+    if ties == "thirds":
+        return _thirds(m), extract_hierarchy(x, r, m)
+    if ties is not None:
+        x = np.round(x, ties)
     ha = extract_hierarchy(x, r, m)
     return ha, extract_hierarchy(resynthesize(ha, r, m2, seed=derive_seed(13, "y", m2)), r, m2)
 
 
 @pytest.mark.parametrize("fallback", [False, True])
-@pytest.mark.parametrize("r, m, m2, decimals", [
+@pytest.mark.parametrize("r, m, m2, ties", [
     (1, 5, 5, None), (2, 4, 6, None), (3, 4, 6, None), (3, 4, 4, 1), (2, 6, 4, 1),
+    # level denominators n = 1, n = m/2 at level 0, n = 10 from m = 1030
+    # above 1024, and weights 1/3 at m=4, which take the search
+    (2, 4, 6, "constant"), (3, 4, 4, "pairs"), (2, 1030, 1030, "blocks"), (2, 4, 4, "thirds"),
 ])
 def test_nested_distance_from_level_arrays_matches_objects(
-    monkeypatch, fallback, r, m, m2, decimals
+    monkeypatch, fallback, r, m, m2, ties
 ):
     # measures of a hierarchy are solved from its level arrays, plain ones by
-    # walking their objects: the two give the same bits, alone and mixed
-    ha, hb = _hierarchies(r, m, m2, decimals)
+    # walking their objects: the two give the same bits, alone and mixed,
+    # and so do the hierarchies themselves
+    ha, hb = _hierarchies(r, m, m2, ties)
     pairs = [(ha.root_measure, hb.root_measure)]
     if r > 1:
         # non-root measures: the first and the last depth-1 vertex
         pairs += [(ha.measures[1], hb.measures[1]), (ha.measures[m], hb.measures[m2])]
     if fallback:
-        # no common denominator <= 1: level 0 by wasserstein1 per pair of
-        # rows, each level above by the LP
-        monkeypatch.setattr(hexch.definetti, "_MAX_DENOMINATOR", 1)
+        # no common denominator: level 0 by wasserstein1 per pair of rows,
+        # each level above by the LP
+        monkeypatch.setattr(hexch.definetti, "_level_counts", lambda *args: None)
         for name in ("_w1_table", "_assignment_table"):
             monkeypatch.setattr(hexch.definetti, name, _no_common_denominator)
     for mu, nu in pairs:
@@ -893,7 +968,97 @@ def test_nested_distance_from_level_arrays_matches_objects(
         assert nested_distance(_plain(mu), _plain(nu)) == got
         assert nested_distance(mu, _plain(nu)) == got
         assert nested_distance(_plain(mu), nu) == got
-    assert nested_distance(*pairs[0]) > 0.0
+    assert nested_distance(ha, hb) == nested_distance(*pairs[0]) > 0.0
+
+
+def _level_tables(ha, hb):
+    return zip(_measure_tables(ha)[0], _measure_tables(hb)[0])
+
+
+@pytest.mark.parametrize("r, m, m2, ties", [
+    (2, 4, 6, None), (3, 4, 4, 1), (3, 8, 8, None), (2, 6, 4, 1), (2, 4, 6, "constant"),
+    (3, 4, 4, "pairs"), (2, 1030, 1030, "blocks"),
+])
+def test_extracted_hierarchies_take_their_denominators_from_m(monkeypatch, r, m, m2, ties):
+    # lcm(m, m2) reduced by the gcd of the counts is the smallest common
+    # denominator the search finds, with the same counts; extracted
+    # hierarchies never run the search
+    ha, hb = _hierarchies(r, m, m2, ties)
+    for (_, wa), (_, wb) in _level_tables(ha, hb):
+        n, ca, cb = _level_counts(wa, wb, m, m2)
+        want = _common_counts(wa, wb)
+        assert n == want[0] and ca.tolist() == want[1].tolist() and cb.tolist() == want[2].tolist()
+    got = [nested_distance(ha, hb), nested_distance(ha.root_measure, hb.root_measure)]
+    if r > 1:
+        got.append(nested_distance(ha.measures[1], hb.measures[m2]))
+    monkeypatch.setattr(hexch.definetti, "_common_counts", _no_common_denominator)
+    again = [nested_distance(ha, hb), nested_distance(ha.root_measure, hb.root_measure)]
+    if r > 1:
+        again.append(nested_distance(ha.measures[1], hb.measures[m2]))
+    assert again == got
+
+
+def test_level_counts_off_the_grid_and_past_the_bound(monkeypatch):
+    # 1/3 and 2/3 are no multiples of 1/4: the search finds n = 12 with the
+    # quarters of the other side, on both levels
+    ha, hb = _hierarchies(2, 4, 4, "thirds")
+    real = hexch.definetti._common_counts
+    searched = []
+    monkeypatch.setattr(hexch.definetti, "_common_counts",
+                        lambda wa, wb: searched.append(1) or real(wa, wb))
+    for (_, wa), (_, wb) in _level_tables(ha, hb):
+        n, ca, cb = _level_counts(wa, wb, 4, 4)
+        assert n == 12 and (ca * 4 == np.rint(wa * 48)).all() and (cb * 4 == wb * 48).all()
+    assert len(searched) == 2
+    # a reduced denominator past _MAX_DENOMINATOR: no counts, with or
+    # without the search
+    wa, wb = np.array([[1 / 1030, 1029 / 1030]]), np.array([[1.0, 0.0]])
+    assert _level_counts(wa, wb, 1030, 1030) is None and real(wa, wb) is None
+    # a positive weight within 1e-9 of count 0 has no count either
+    wa = np.array([[1e-10, 1 - 1e-10]])
+    assert _level_counts(wa, wb, 4, 4) is None and real(wa, wb) is None
+
+
+# Recorded with float.hex before the denominators were read off m: the 24
+# pairs of the bench's `distance` workload at seed 0 (the root of an r=3 m=8
+# `product` sample against that of the re-extraction of its resynthesis)
+# and the nested errors of acceptance criterion 5 at m = 8, 32 and 128.
+_DISTANCE_PINS = [
+    "0x1.70c991124e470p-7", "0x1.4b8ed4b4009f2p-5", "0x1.76a5d2e5f4db4p-5",
+    "0x1.0f786751f7960p-5", "0x1.519969e1ebfafp-5", "0x1.7f93f47652b69p-6",
+    "0x1.4884f807eb592p-7", "0x1.afbfbb3f5fb00p-11", "0x1.801ff97461dfbp-8",
+    "0x1.b18008a9ac79ap-5", "0x1.5a622da581839p-6", "0x1.155bf8170463ep-5",
+    "0x1.823c4479b15e1p-9", "0x1.d55d0a282f3cap-9", "0x1.ab00a2f641547p-6",
+    "0x1.63ab5908ca4e6p-6", "0x1.24a4565233389p-5", "0x1.2c7fb047a5da9p-8",
+    "0x1.2d4d63680b953p-6", "0x1.0dd8d2845aceep-7", "0x1.3bcb0335d93f6p-6",
+    "0x1.9354b35a1913cp-8", "0x1.c54bbf2c8e3eep-5", "0x1.edcffa7fed1cfp-6",
+]
+_CRITERION_5_PINS = {8: "0x1.6d1975ee156d5p-5", 32: "0x1.b928a4e6b3ed0p-6",
+                     128: "0x1.ac99680773092p-7"}
+
+
+def _pinned_pairs():
+    src = make_source("product", 3, 8)
+    for i in range(24):
+        ha = extract_hierarchy(src.sample(derive_seed(0, "distance-sample", i)), 3, 8)
+        y = resynthesize(ha, 3, 8, derive_seed(0, "distance-resyn", i))
+        yield (3, 8), ha, extract_hierarchy(y, 3, 8)
+    seed = derive_seed(acceptance._SEED, "extract")
+    for m in _CRITERION_5_PINS:
+        ha = extract_hierarchy(sample_array(make_model("product", 2), 2, m, seed), 2, m)
+        y = resynthesize(ha, 2, m, derive_seed(seed, "resyn", m))
+        yield (2, m), ha, extract_hierarchy(y, 2, m)
+
+
+def test_nested_distances_keep_their_pinned_bits():
+    got = []
+    for (r, m), ha, hb in _pinned_pairs():
+        d = nested_distance(ha, hb)
+        # the hierarchies are read from their level arrays, with no objects
+        assert "measures" not in ha.__dict__ and "measures" not in hb.__dict__
+        assert nested_distance(ha.root_measure, hb.root_measure) == d
+        got.append(d.hex())
+    assert got == _DISTANCE_PINS + list(_CRITERION_5_PINS.values())
 
 
 def test_hierarchy_measures_are_plain_measures():
@@ -921,10 +1086,10 @@ def test_level_array_tables_keep_the_reachable_rows():
     # read from the level arrays, a measure's tables hold the rows an object
     # walk over the same (shared) sub-measures finds, no more
     ha, _ = _hierarchies(3, 4, 4, 1)
-    assert len(ha.atoms[0]) > len(_measure_tables(ha.measures[1])[0][0])
+    assert len(ha.atoms[0]) > len(_measure_tables(ha.measures[1])[0][0][0])
     for mu in ha.measures[1:]:
-        read = _measure_tables(mu)
-        walked = _measure_tables(EmpiricalMeasure(mu.atoms, mu.level))
+        (read, m), (walked, none) = map(_measure_tables, (mu, EmpiricalMeasure(mu.atoms, mu.level)))
+        assert (m, none) == (4, None)
         assert [len(a) for a, _ in read] == [len(a) for a, _ in walked]
         rows = [
             sorted(tuple(zip(a[w > 0].tolist(), w[w > 0].tolist())) for a, w in zip(*table[0]))
