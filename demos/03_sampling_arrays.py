@@ -16,9 +16,6 @@ from hexch import (
     make_model,
     sample_ah,
     sample_array,
-    sample_pair,
-    uniform_ifield,
-    sample_conditional,
 )
 from hexch.tree import ProductVertex, root
 
@@ -69,17 +66,3 @@ mag = make_model("toy-magnetization", 2)
 xm = sample_ah(mag, 2, 4, n=6, seed=SEED)
 print(f"shape {xm.shape}; column correlation comes from the shared tree path:")
 print(np.array2string(np.corrcoef(xm.T)[:3, :3], precision=2))
-
-print()
-print("== conditional sampling against a depth-keyed field ==")
-tau = SigmaModel("avg", 6, lambda p: p.mean(axis=1))
-u_vals, xc = sample_conditional(tau, uniform_ifield(7, 2), 2, 4, seed=SEED)
-n_u = sum(v.size for v in u_vals.values())
-print(f"emitted {n_u} u-values over {len(u_vals)} depths alongside {xc.size} array entries")
-
-print()
-print("== jointly driven pairs ==")
-s1 = SigmaModel("y", 3, lambda p: p.mean(axis=1))
-s2 = SigmaModel("x", 6, lambda p: 0.5 * p[:, :3].mean(axis=1) + 0.5 * p[:, 3:].prod(axis=1))
-y, x = sample_pair(s1, s2, 2, 8, seed=SEED)
-print(f"corr(Y, X) through the shared field: {np.corrcoef(y, x)[0, 1]:.3f}")

@@ -23,17 +23,12 @@ from .definetti import (
     wasserstein1,
 )
 from .fields import (
-    DistSpec,
-    IField,
     SigmaModel,
     UniformField,
     derive_seed,
-    ifield_truncation_values,
+    level_values,
     sample_ah,
     sample_array,
-    sample_conditional,
-    sample_pair,
-    uniform_ifield,
 )
 from .hperm import (
     HPerm,

@@ -30,8 +30,8 @@ from .definetti import extract_hierarchy, hierarchy_json_chunks, resynthesize
 # hierarchy_to_json_obj is unused here, but bench/spans.py traces it at this
 # lookup site
 from .definetti import hierarchy_to_json_obj  # noqa: F401
-from .fields import _as_tuples, derive_seed, ifield_truncation_values, uniform_ifield
-from .scenarios import _declared_levels, builtin, list_scenarios, make_source
+from .fields import _as_tuples, derive_seed, level_values
+from .scenarios import _depth_shift, builtin, list_scenarios, make_source
 from .stattests import (
     cond_indep_test,
     conditional_iid_test,
@@ -191,9 +191,9 @@ def _parse_config(obj) -> dict:
         if name not in _TEST_KEYS:
             raise ConfigError(f"unknown test {name!r}")
         _check_keys(t, _TEST_KEYS[name], f"tests[{i}] ({name})")
-        if name not in _FIELD_TESTS and spec.form == "ifield":
+        if name not in _FIELD_TESTS and spec.form == "field":
             raise ConfigError(f"test {name!r} needs an array scenario")
-        if name in _FIELD_TESTS and spec.form != "ifield":
+        if name in _FIELD_TESTS and spec.form != "field":
             raise ConfigError(f"test {name!r} needs a field scenario")
         if name == "cond_indep" and (cfg["r"] < 2 or cfg["m"] < 2):
             raise ConfigError("cond_indep needs r >= 2 and m >= 2")
@@ -207,7 +207,7 @@ def _parse_config(obj) -> dict:
             "level": level,
         }
         cfg["tests"].append(entry)
-    if _needs_hierarchy(cfg) and spec.form in ("sigma-replica", "ifield"):
+    if _needs_hierarchy(cfg) and spec.form in ("sigma-replica", "field"):
         raise ConfigError(f"hierarchy extraction needs a plain tree array, not {spec.name!r}")
     if cfg["resynthesize_m"] is not None and not _needs_hierarchy(cfg):
         raise ConfigError("resynthesize_m needs extract, conditional_iid or cond_indep")
@@ -324,7 +324,7 @@ def _field_csv(by_depth: dict, m: int) -> str:
     return _csv(["vertex", "value"], keys, np.concatenate(list(by_depth.values())))
 
 
-def _run_one_test(cfg, entry, index, array, hierarchy, level_values):
+def _run_one_test(cfg, entry, index, array, hierarchy, shifted):
     seed = derive_seed(cfg["seed"], "test", index)
     name = entry["name"]
     if name == "hexch":
@@ -357,10 +357,7 @@ def _run_one_test(cfg, entry, index, array, hierarchy, level_values):
             level=entry["level"],
             seed=seed,
         )
-    by_depth, declared = level_values
-    return level_homogeneity_test(
-        by_depth, declared, level=entry["level"], seed=seed
-    )
+    return level_homogeneity_test(shifted, level=entry["level"], seed=seed)
 
 
 def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
@@ -375,13 +372,11 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
 
     array = None
     hierarchy = None
-    level_values = None
-    if spec.form == "ifield":
+    shifted = None
+    if spec.form == "field":
         # one realization feeds both the field dump and the level test
-        by_depth = ifield_truncation_values(
-            uniform_ifield(cfg["seed"], cfg["r"]), cfg["r"], cfg["m"]
-        )
-        level_values = _declared_levels(cfg["scenario"], by_depth, cfg["params"])
+        by_depth = level_values(cfg["seed"], cfg["r"], cfg["m"])
+        shifted = _depth_shift(cfg["scenario"], by_depth, cfg["params"])
         _write(out / "field_values.csv", _field_csv(by_depth, cfg["m"]), files)
     else:
         src = make_source(
@@ -406,7 +401,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
                 )
 
     def run_test(i):
-        return _run_one_test(cfg, cfg["tests"][i], i, array, hierarchy, level_values)
+        return _run_one_test(cfg, cfg["tests"][i], i, array, hierarchy, shifted)
 
     indices = range(len(cfg["tests"]))
     if threads > 1 and len(indices) > 1:

@@ -239,8 +239,8 @@ class DirectingHierarchy:
     past it) and checks the layout: one table per level, one id row of
     ``m^d`` ids per depth, every id inside its table.  It also checks what
     :class:`EmpiricalMeasure` would: each row's weights sum to 1 (within
-    1e-12 plus one rounding per atom), and level-0 atoms lie in [0,1],
-    ascending.  All arrays are read-only.  :attr:`measures` builds the
+    1e-12 plus one rounding per atom), each row's atoms ascend, and level-0
+    atoms lie in [0,1].  All arrays are read-only.  :attr:`measures` builds the
     :class:`EmpiricalMeasure` objects on first use.
     """
 
@@ -284,7 +284,11 @@ class DirectingHierarchy:
             if k:
                 _check_ids(a[present], len(levels[-1][0]), f"level {k} atom")
             else:
-                _check_locations(a, present, last)
+                # ascending rows lie in [0,1] when their first and last atoms do
+                lo, hi = float(a[:, 0].min()), float(a[last].max())
+                if not (lo >= 0.0 and hi <= 1.0):
+                    raise ValueError(f"level-0 location {hi if lo >= 0.0 else lo} outside [0,1]")
+            _check_rises(a, present, k)
             c = np.cumsum(w, axis=1)
             # a running sum errs by about one rounding per atom
             err = np.abs(c[:, -1] - 1.0).max()
@@ -365,19 +369,16 @@ def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
         raise ValueError(f"{what} ids must index the {n} rows of their table")
 
 
-def _check_locations(a: np.ndarray, present: np.ndarray, last: tuple) -> None:
-    """Level-0 atoms, as :class:`EmpiricalMeasure` takes them: strictly
-    ascending along each row (a NaN is not), so in [0,1] when each row's
-    first and ``last`` atom are.  The rows are compared as one flat run,
+def _check_rises(a: np.ndarray, present: np.ndarray, k: int) -> None:
+    """Level-``k`` atoms in canonical order, as :class:`EmpiricalMeasure`
+    takes them: strictly ascending along each row (a NaN is not), locations
+    at level 0 and row ids above it.  The rows are compared as one flat run,
     cheaper than a strided 2-D comparison."""
     flat = a.reshape(-1)
     rises = flat[1:] > flat[:-1]
     rises[a.shape[1] - 1 :: a.shape[1]] = True  # where a row starts
     if (present.reshape(-1)[1:] > rises).any():
-        raise ValueError("level-0 atoms must ascend along each row")
-    lo, hi = float(a[:, 0].min()), float(a[last].max())
-    if not (lo >= 0.0 and hi <= 1.0):
-        raise ValueError(f"level-0 location {hi if lo >= 0.0 else lo} outside [0,1]")
+        raise ValueError(f"level-{k} atoms must ascend along each row")
 
 
 def _is_size(value) -> bool:

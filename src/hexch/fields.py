@@ -27,26 +27,20 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
-import scipy.stats
 
 from .tree import ProductVertex, TreeVertex
 
 __all__ = [
     "UniformField",
-    "IField",
-    "DistSpec",
     "SigmaModel",
     "derive_seed",
     "derive_seeds",
+    "level_values",
     "sample_array",
     "sample_ah",
-    "uniform_ifield",
-    "ifield_truncation_values",
-    "sample_conditional",
-    "sample_pair",
     "path_matrix",
 ]
 
@@ -148,11 +142,6 @@ def _coord_words(coords: np.ndarray) -> np.ndarray:
     return words
 
 
-def _depth_tuples(depths: tuple[int, ...]):
-    """Depth tuples of a product of trees of the given depths, lexicographic."""
-    return itertools.product(*(range(r_i + 1) for r_i in depths))
-
-
 # Largest word grid that _level_words keeps, 1 MiB: above the 0.4 MB words of
 # {1..128}^2, the largest grid the bench workloads use, and far below the
 # 16-24 MB grids of {1..1000}^2, which would otherwise stay for the process.
@@ -200,7 +189,7 @@ def _path_layout(depths: tuple[int, ...], shape: tuple[int, ...]):
     values over the leaf grid."""
     grid = tuple(m_i for r_i, m_i in zip(depths, shape) for _ in range(r_i))
     levels = []
-    for dt in _depth_tuples(depths):
+    for dt in itertools.product(*(range(r_i + 1) for r_i in depths)):
         # a vertex at depth d_i in tree i fixes the first d_i axes of that tree
         bshape = tuple(
             m_i if k < d_i else 1
@@ -285,166 +274,11 @@ class UniformField:
         return out
 
 
-# -- distributions on [0,1] for depth-keyed fields ---------------------------
-
-
-@dataclass(frozen=True)
-class DistSpec:
-    """A distribution on [0,1]: a named family plus frozen parameters.
-
-    Families: ``uniform(lo, hi)``, ``point(c)``, ``discrete(locs, weights)``,
-    ``beta(a, b)``, ``table(qs, xs)`` (a quantile table interpolated
-    linearly).  Values are produced by pushing base uniforms through the
-    quantile function.
-    """
-
-    family: str
-    params: tuple = ()
-
-    def __post_init__(self):
-        fam, p = self.family, self.params
-        if fam == "uniform":
-            lo, hi = p
-            if not (0.0 <= lo < hi <= 1.0):
-                raise ValueError(f"uniform needs 0 <= lo < hi <= 1, got {p}")
-        elif fam == "point":
-            (c,) = p
-            if not 0.0 <= c <= 1.0:
-                raise ValueError(f"point mass must lie in [0,1], got {c}")
-        elif fam == "discrete":
-            locs, weights = p
-            if len(locs) != len(weights) or not locs:
-                raise ValueError("discrete needs matching nonempty locs/weights")
-            if any(w <= 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-12:
-                raise ValueError("discrete weights must be positive and sum to 1")
-            if list(locs) != sorted(locs):
-                raise ValueError("discrete locations must be sorted")
-        elif fam == "beta":
-            a, b = p
-            if a <= 0 or b <= 0:
-                raise ValueError("beta parameters must be positive")
-        elif fam == "table":
-            qs, xs = p
-            if len(qs) != len(xs) or len(qs) < 2:
-                raise ValueError("table needs >= 2 (q, x) pairs")
-            if list(qs) != sorted(qs) or qs[0] != 0.0 or qs[-1] != 1.0:
-                raise ValueError("table q-grid must be sorted from 0 to 1")
-            if list(xs) != sorted(xs):
-                raise ValueError("table x-values must be nondecreasing")
-        else:
-            raise ValueError(f"unknown distribution family {fam!r}")
-
-    def quantile(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        fam, p = self.family, self.params
-        if fam == "uniform":
-            lo, hi = p
-            return lo + u * (hi - lo)
-        if fam == "point":
-            return np.full_like(u, p[0])
-        if fam == "discrete":
-            locs, weights = p
-            cum = np.cumsum(weights)
-            cum[-1] = 1.0
-            idx = np.searchsorted(cum, u, side="left")
-            return np.asarray(locs, dtype=np.float64)[np.minimum(idx, len(locs) - 1)]
-        if fam == "beta":
-            return scipy.stats.beta.ppf(u, *p)
-        qs, xs = p
-        return np.interp(u, qs, xs)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        fam, p = self.family, self.params
-        if fam == "uniform":
-            lo, hi = p
-            return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-        if fam == "point":
-            return (x >= p[0]).astype(np.float64)
-        if fam == "discrete":
-            locs, weights = p
-            cum = np.concatenate([[0.0], np.cumsum(weights)])
-            cum[-1] = 1.0
-            return cum[np.searchsorted(locs, x, side="right")]
-        if fam == "beta":
-            return scipy.stats.beta.cdf(x, *p)
-        qs, xs = p
-        return np.interp(x, xs, qs)
-
-    def cdf_left(self, x):
-        """Left limit of the CDF (differs from ``cdf`` only at atoms)."""
-        x = np.asarray(x, dtype=np.float64)
-        fam, p = self.family, self.params
-        if fam == "point":
-            return (x > p[0]).astype(np.float64)
-        if fam == "discrete":
-            locs, weights = p
-            cum = np.concatenate([[0.0], np.cumsum(weights)])
-            cum[-1] = 1.0
-            return cum[np.searchsorted(locs, x, side="left")]
-        return self.cdf(x)
-
-
-UNIFORM01 = DistSpec("uniform", (0.0, 1.0))
-
-
-@dataclass(frozen=True)
-class IField:
-    """A vertex-indexed independent field whose law depends only on depth.
-
-    ``level_dists`` maps each depth (an int for one tree, a depth tuple for
-    products) to the :class:`DistSpec` shared by all vertices at that depth.
-    Values are the base uniform field pushed through the level's quantile
-    function, so independence across vertices is inherited from the base.
-    """
-
-    seed: int
-    level_dists: Mapping
-    role: str = "u"
-
-    def __post_init__(self):
-        norm = {_as_tuple(k): v for k, v in self.level_dists.items()}
-        object.__setattr__(self, "level_dists", norm)
-
-    def spec_at(self, depth_key) -> DistSpec:
-        key = _as_tuple(depth_key)
-        try:
-            return self.level_dists[key]
-        except KeyError:
-            raise ValueError(f"no distribution spec declared for depth {key}") from None
-
-    def base(self) -> UniformField:
-        return UniformField(self.seed, role=self.role)
-
-    def value(self, v: TreeVertex | ProductVertex) -> float:
-        if isinstance(v, ProductVertex):
-            key = v.depths
-        else:
-            key = (v.depth,)
-        spec = self.spec_at(key)
-        return float(spec.quantile(self.base().value(v)))
-
-
-def uniform_ifield(seed: int, depths: int | tuple[int, ...], role: str = "u") -> IField:
-    """An I-field that is uniform on [0,1] at every depth of the index set."""
-    return IField(seed, {k: UNIFORM01 for k in _depth_tuples(_as_tuple(depths))}, role=role)
-
-
-def ifield_truncation_values(
-    f: IField, depths: int | tuple[int, ...], shape: int | tuple[int, ...]
-) -> dict:
-    """Realize the field on a whole truncation: a dict from each depth key
-    (an int for one tree, a depth tuple for a product) to the values of its
-    vertices, in lexicographic vertex order (:func:`~hexch.tree.vertex_keys`
-    order for one tree)."""
-    single = np.ndim(depths) == 0
-    depths_t, shape_t = _as_tuples(depths, shape)
-    base = f.base()
-    u = _level_values(_init_state(base.seed, base.role), depths_t, shape_t)
-    return {
-        dt[0] if single else dt: np.asarray(f.spec_at(dt).quantile(u_dt[0]), dtype=np.float64)
-        for dt, u_dt in zip(_depth_tuples(depths_t), u)
-    }
+def level_values(seed: int, r: int, m: int) -> dict[int, np.ndarray]:
+    """The uniform field of role "u" on the whole truncation {1..m}^r: a dict
+    from each depth d to the values of its m^d vertices, in
+    :func:`~hexch.tree.vertex_keys` order, hashed once per depth."""
+    return {d: u[0] for d, u in enumerate(_level_values(_init_state(seed, "u"), (r,), (m,)))}
 
 
 # -- sigma models and samplers -----------------------------------------------
@@ -456,8 +290,8 @@ class SigmaModel:
 
     ``fn`` is vectorized: it receives an (N, arity) matrix whose columns are
     the path values in the frozen ordering (root to leaf for one tree;
-    depth-tuple lexicographic for products; field block then replica or
-    auxiliary block for two-block forms) and returns N values in [0,1].
+    depth-tuple lexicographic for products; shared block then replica
+    block for :func:`sample_ah`) and returns N values in [0,1].
     """
 
     name: str
@@ -478,11 +312,6 @@ class SigmaModel:
         if out.size and (out.min() < -1e-9 or out.max() > 1.0 + 1e-9):
             raise ValueError(f"model {self.name!r} produced values outside [0,1]")
         return np.clip(out, 0.0, 1.0)
-
-
-def _path_size(depths) -> int:
-    """Values on one leaf's path: r + 1 for one tree, prod (r_i + 1) for a product."""
-    return prod(r_i + 1 for r_i in _as_tuple(depths))
 
 
 def path_matrix(seed, role: str, depths, shape) -> np.ndarray:
@@ -511,7 +340,8 @@ def sample_array(model: SigmaModel, depths, shape, seed, role: str = "v") -> np.
     of the one over any larger {1..m'}^r.  A 1-D sequence of K seeds gives
     the K arrays stacked, shape (K, leaves), from one model call.
     """
-    size = _path_size(depths)
+    # r + 1 values on one leaf's path, prod (r_i + 1) in a product
+    size = prod(r_i + 1 for r_i in _as_tuple(depths))
     if model.arity != size:
         raise ValueError(f"model arity {model.arity} != path size {size}")
     paths = path_matrix(seed, role, depths, shape)
@@ -541,53 +371,3 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     shared = np.broadcast_to(shared[..., None, :, :], replicas.shape)
     inputs = np.concatenate([shared, replicas], axis=-1).reshape(-1, 2 * (r + 1))
     return model.eval(inputs).reshape(lead + (n, m**r)).swapaxes(-1, -2)
-
-
-def sample_conditional(
-    model: SigmaModel,
-    u_field: IField,
-    depths: int | tuple[int, ...],
-    shape: int | tuple[int, ...],
-    seed: int,
-):
-    """Sample X = model(u-path, v-path) and emit the realized u-values.
-
-    The first input block is the depth-keyed field along the product path,
-    the second a fresh uniform field (role "v", derived from ``seed``)
-    independent of it.  Returns ``(u_by_depth, X)`` where ``u_by_depth`` is
-    the realized field as :func:`ifield_truncation_values` returns it.
-    """
-    size = _path_size(depths)
-    if model.arity != 2 * size:
-        raise ValueError(f"model arity {model.arity} != 2 * path size {size}")
-    u_by_depth = ifield_truncation_values(u_field, depths, shape)
-    u_levels = [vals[None, :] for vals in u_by_depth.values()]
-    u_cols = _write_paths(u_levels, *_as_tuples(depths, shape))[0]
-    v_cols = path_matrix(seed, "v", depths, shape)
-    x = model.eval(np.hstack([u_cols, v_cols]))
-    return u_by_depth, x
-
-
-def sample_pair(
-    model_y: SigmaModel,
-    model_x: SigmaModel,
-    depths: int | tuple[int, ...],
-    shape: int | tuple[int, ...],
-    seed: int,
-):
-    """Jointly exchangeable pair (Y, X) driven by independent uniform fields.
-
-    Y = model_y(u-path) and X = model_x(u-path, v-path) with the same
-    realized u field in both, so the coupling between Y and X flows entirely
-    through it.
-    """
-    size = _path_size(depths)
-    if model_y.arity != size:
-        raise ValueError(f"Y-model arity {model_y.arity} != path size {size}")
-    if model_x.arity != 2 * size:
-        raise ValueError(f"X-model arity {model_x.arity} != 2 * path size {size}")
-    u_cols = path_matrix(seed, "u", depths, shape)
-    v_cols = path_matrix(seed, "v", depths, shape)
-    y = model_y.eval(u_cols)
-    x = model_x.eval(np.hstack([u_cols, v_cols]))
-    return y, x

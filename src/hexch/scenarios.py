@@ -15,16 +15,14 @@ from typing import Callable
 import numpy as np
 
 from .fields import (
-    UNIFORM01,
     SigmaModel,
     _coord_words,
     _hash_words,
     _init_state,
-    ifield_truncation_values,
+    level_values,
     path_matrix,
     sample_ah,
     sample_array,
-    uniform_ifield,
 )
 
 __all__ = [
@@ -45,7 +43,7 @@ class ScenarioSpec:
 
     name: str
     kind: str  # "null" or "violation"
-    form: str  # "sigma", "sigma-replica", "custom", "ifield"
+    form: str  # "sigma", "sigma-replica", "custom", "field"
     summary: str
     defaults: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)  # test name -> "pass"/"reject"
@@ -175,23 +173,19 @@ def make_source(
 
 
 def make_level_values(name: str, r: int, m: int, seed: int, params: dict | None = None):
-    """Depth-keyed field values plus declared specs, for homogeneity checks."""
-    by_depth = ifield_truncation_values(uniform_ifield(seed, r), r, m)
-    return _declared_levels(name, by_depth, params)
+    """The field values of each depth, as :func:`~hexch.fields.level_values`
+    realizes them, after the scenario's violation, for homogeneity checks."""
+    return _depth_shift(name, level_values(seed, r, m), params)
 
 
-def _declared_levels(name: str, by_depth: dict, params: dict | None = None):
-    """:func:`make_level_values` from the realized uniform I-field values."""
+def _depth_shift(name: str, by_depth: dict, params: dict | None = None) -> dict:
+    """The ``depth-shift`` violation of realized uniform field values: depth
+    1 is mapped from [0,1) onto [shift, 1), the other depths are kept."""
     spec = builtin(name)
-    params = {**spec.defaults.get("params", {}), **(params or {})}
-    declared = {d: UNIFORM01 for d in by_depth}
-    if name == "depth-shift":
-        lo = float(params.get("shift", 0.5))
-        by_depth = dict(by_depth)
-        by_depth[1] = lo + (1.0 - lo) * by_depth[1]
-    elif spec.form != "ifield":
+    if spec.form != "field":
         raise ValueError(f"scenario {name!r} does not generate field values")
-    return by_depth, declared
+    lo = float({**spec.defaults.get("params", {}), **(params or {})}.get("shift", 0.5))
+    return {**by_depth, 1: lo + (1.0 - lo) * by_depth[1]}
 
 
 _REGISTRY: dict[str, ScenarioSpec] = {}
@@ -289,8 +283,8 @@ _register(
     ScenarioSpec(
         name="depth-shift",
         kind="violation",
-        form="ifield",
-        summary="depth-1 field values are shifted away from the declared uniform law",
+        form="field",
+        summary="depth-1 field values are shifted away from the uniform law",
         defaults={"r": 2, "m": 32, "params": {"shift": 0.5}},
         expected={"level_homogeneity": "reject"},
         param_ranges={"shift": (0.0, 1.0)},

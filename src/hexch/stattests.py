@@ -23,7 +23,7 @@ import scipy.stats
 from scipy.spatial.distance import cdist
 
 from .definetti import DirectingHierarchy
-from .fields import DistSpec, derive_seed, derive_seeds
+from .fields import derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
 from .tree import DEFAULT_CELL_CAP
@@ -413,43 +413,27 @@ def cond_indep_test(
 
 def level_homogeneity_test(
     values_by_depth: dict,
-    declared: dict,
     *,
     level: float = 0.05,
     seed: int = 0,
 ) -> TestReport:
-    """Check realized field values against their declared per-depth laws.
+    """Check realized field values against the uniform law at every depth.
 
-    Each depth class is PIT-transformed through its declared distribution
-    and KS-tested against uniformity; depth pairs declaring identical laws
-    additionally get a two-sample KS check.  Component p-values combine by
-    Bonferroni.
+    Each depth class is KS-tested against U[0,1], and every pair of depths
+    gets a two-sample KS check.  Component p-values combine by Bonferroni.
+    The test draws nothing; ``seed`` is recorded in the report.
     """
     if len(values_by_depth) < 2:
         raise ValueError("need at least two populated depth classes")
     keys = sorted(values_by_depth)
-    for key in keys:
-        if key not in declared:
-            raise ValueError(f"no declared distribution for depth {key}")
-        if not isinstance(declared[key], DistSpec):
-            raise ValueError(f"declared[{key}] is not a distribution spec")
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
+    vals = {k: np.asarray(values_by_depth[k], dtype=np.float64).reshape(-1) for k in keys}
     components = []
     for key in keys:
-        vals = np.asarray(values_by_depth[key], dtype=np.float64).reshape(-1)
-        spec = declared[key]
-        lo = spec.cdf_left(vals)
-        hi = spec.cdf(vals)
-        pit = lo + rng.random(vals.shape) * (hi - lo)
-        stat, p = scipy.stats.kstest(pit, "uniform")
+        stat, p = scipy.stats.kstest(vals[key], "uniform")
         components.append((f"ks@{key}", float(stat), float(p)))
     for ka, kb in itertools.combinations(keys, 2):
-        if declared[ka] == declared[kb]:
-            stat, p = scipy.stats.ks_2samp(
-                np.asarray(values_by_depth[ka]).reshape(-1),
-                np.asarray(values_by_depth[kb]).reshape(-1),
-            )
-            components.append((f"ks2@{ka}|{kb}", float(stat), float(p)))
+        stat, p = scipy.stats.ks_2samp(vals[ka], vals[kb])
+        components.append((f"ks2@{ka}|{kb}", float(stat), float(p)))
     k = len(components)
     p = min(1.0, k * min(c[2] for c in components))
     stat = max(c[1] for c in components)

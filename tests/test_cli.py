@@ -387,7 +387,7 @@ def test_field_scenario_realizes_the_field_once(tmp_path, monkeypatch):
     import hexch.fields
     import hexch.scenarios
 
-    real = hexch.fields.ifield_truncation_values
+    real = hexch.fields.level_values
     calls = []
 
     def counting(*args, **kwargs):
@@ -395,7 +395,7 @@ def test_field_scenario_realizes_the_field_once(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     for module in (hexch.cli, hexch.fields, hexch.scenarios):
-        monkeypatch.setattr(module, "ifield_truncation_values", counting)
+        monkeypatch.setattr(module, "level_values", counting)
     cfg = {"scenario": "depth-shift", "r": 2, "m": 12, "seed": 7,
            "tests": [{"name": "level_homogeneity"}]}
     code, files = run_experiment(cfg, tmp_path / "out")

@@ -594,6 +594,17 @@ def test_hierarchy_rejects_rows_that_are_no_measure(atoms, weights, match):
                            (np.zeros(1, dtype=int),))
 
 
+@pytest.mark.parametrize("row", [[1, 0], [0, 0]], ids=["descending", "repeated"])
+def test_hierarchy_rejects_level_ids_that_do_not_ascend(row):
+    # two point masses at 0.2 and 0.7; a root listing them as [1, 0] was
+    # accepted, not equal to the canonical root, yet 0.0 away from it
+    a0, w0, ids = [[0.2], [0.7]], [[1.0], [1.0]], ([0], [1, 0])
+    with pytest.raises(ValueError, match="level-1 atoms must ascend"):
+        DirectingHierarchy(2, 2, (a0, [row]), (w0, [[0.5, 0.5]]), ids)
+    h = DirectingHierarchy(2, 2, (a0, [[0, 1]]), (w0, [[0.5, 0.5]]), ids)
+    assert h.root_measure == measure_over([point_mass(0.7), point_mass(0.2)])
+
+
 def test_hierarchy_rejects_level_weights_that_miss_one():
     atoms, weights, ids = _hierarchy_parts()
     short = weights[1].copy()

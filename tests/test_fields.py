@@ -13,8 +13,6 @@ from hexch.fields import (
     _GOLD,
     _GRID_CACHE_BYTES,
     _MASK,
-    DistSpec,
-    IField,
     SigmaModel,
     UniformField,
     _init_state,
@@ -23,13 +21,10 @@ from hexch.fields import (
     _mix_int,
     derive_seed,
     derive_seeds,
-    ifield_truncation_values,
+    level_values,
     path_matrix,
     sample_ah,
     sample_array,
-    sample_conditional,
-    sample_pair,
-    uniform_ifield,
 )
 from hexch.tree import (
     ProductVertex,
@@ -40,8 +35,6 @@ from hexch.tree import (
     vertex_keys,
     vertices,
 )
-
-UNIF = DistSpec("uniform", (0.0, 1.0))
 
 
 # -- uniform field ------------------------------------------------------------
@@ -184,49 +177,6 @@ def test_product_vertex_field_values():
     assert f.value(pv) != f.value(ProductVertex((leaf(2), leaf(2, 2))))
 
 
-# -- distribution specs -------------------------------------------------------
-
-
-def test_distspec_uniform_quantile_cdf():
-    d = DistSpec("uniform", (0.2, 0.7))
-    assert d.quantile(0.0) == pytest.approx(0.2)
-    assert d.quantile(1.0) == pytest.approx(0.7)
-    assert d.cdf(0.45) == pytest.approx(0.5)
-
-
-def test_distspec_point():
-    d = DistSpec("point", (0.5,))
-    assert d.quantile(0.123) == 0.5
-    assert d.cdf(0.4) == 0.0 and d.cdf(0.5) == 1.0
-    assert d.cdf_left(0.5) == 0.0
-
-
-def test_distspec_discrete_quantile_left_continuous():
-    d = DistSpec("discrete", ((0.1, 0.9), (0.5, 0.5)))
-    assert d.quantile(0.5) == 0.1
-    assert d.quantile(0.5000001) == 0.9
-    assert d.quantile(1.0) == 0.9
-    assert d.cdf(0.1) == 0.5 and d.cdf_left(0.1) == 0.0
-
-
-def test_distspec_beta_and_table():
-    b = DistSpec("beta", (2.0, 3.0))
-    assert 0.0 < b.quantile(0.5) < 1.0
-    assert b.cdf(b.quantile(0.37)) == pytest.approx(0.37, abs=1e-9)
-    t = DistSpec("table", ((0.0, 0.5, 1.0), (0.0, 0.1, 1.0)))
-    assert t.quantile(0.25) == pytest.approx(0.05)
-    assert t.cdf(0.1) == pytest.approx(0.5)
-
-
-def test_distspec_validation():
-    with pytest.raises(ValueError):
-        DistSpec("uniform", (0.7, 0.2))
-    with pytest.raises(ValueError):
-        DistSpec("discrete", ((0.5,), (0.7,)))
-    with pytest.raises(ValueError):
-        DistSpec("nope", ())
-
-
 # -- sigma models and single-tree sampling ------------------------------------
 
 
@@ -366,156 +316,15 @@ def test_sample_ah_arity_mismatch():
         sample_ah(model, 2, 3, 4, seed=0)
 
 
-# -- depth-keyed fields --------------------------------------------------------
+# -- whole-truncation field values ----------------------------------------------
 
 
-def test_ifield_uniform_levels_match_base_field():
-    f = uniform_ifield(33, 2)
-    base = UniformField(33, "u")
-    for v in [root(2), leaf(2, r=2), leaf(2, 3)]:
-        assert f.value(v) == base.value(v)
-
-
-def test_ifield_point_mass_level():
-    f = IField(5, {0: DistSpec("point", (0.5,)), 1: UNIF})
-    assert f.value(root(1)) == 0.5
-
-
-def test_ifield_two_point_frequency():
-    f = IField(314, {0: UNIF, 1: DistSpec("discrete", ((0.2, 0.8), (0.5, 0.5)))})
-    vals = np.array([f.value(TreeVertex((i,), 1)) for i in range(1, 10001)])
-    freq = np.mean(vals == 0.2)
-    assert abs(freq - 0.5) < 0.02  # binomial sd is 0.005
-
-
-def test_ifield_missing_level_spec():
-    f = IField(5, {0: UNIF})
-    with pytest.raises(ValueError):
-        f.value(leaf(1))
-
-
-def test_ifield_truncation_values_grouping():
-    f = uniform_ifield(11, 2)
-    by_depth = ifield_truncation_values(f, 2, 3)
+def test_level_values_are_the_u_field_by_depth():
+    by_depth = level_values(11, 2, 3)
     assert list(by_depth) == [0, 1, 2]
+    f = UniformField(11, "u")
     for d, vals in by_depth.items():
         assert vals.tolist() == [f.value(v) for v in vertices(2, 3) if v.depth == d]
-    # a product keys its values by depth tuple, vertices in product order
-    f = IField(12, _PRODUCT_LEVELS)
-    by_depth = ifield_truncation_values(f, (1, 2), (3, 2))
-    assert list(by_depth) == list(itertools.product(range(2), range(3)))
-    for dt, vals in by_depth.items():
-        parts = [[v for v in vertices(r_i, m_i) if v.depth == d_i]
-                 for d_i, r_i, m_i in zip(dt, (1, 2), (3, 2))]
-        expected = [f.value(ProductVertex(p)) for p in itertools.product(*parts)]
-        assert vals.tolist() == expected
-
-
-# -- conditional and pair sampling ---------------------------------------------
-
-
-def test_sample_conditional_ignoring_v_is_function_of_emitted_u():
-    # model uses only the u block, so X must be recomputable from the
-    # emitted u-values alone
-    r, m, seed = 2, 4, 13
-    model = SigmaModel("u-only", 6, lambda p: p[:, :3].mean(axis=1))
-    u_vals, x = sample_conditional(model, uniform_ifield(77, r), r, m, seed)
-    assert [v.size for v in u_vals.values()] == [1, m, m**r]
-    for pos in range(m**r):
-        # the depth-d prefix of leaf pos has flat index pos // m^(r-d)
-        upath = [u_vals[d][pos // m ** (r - d)] for d in range(r + 1)]
-        assert x[pos] == pytest.approx(np.mean(upath), abs=1e-15)
-
-
-def test_sample_conditional_ignoring_u_is_invariant_to_u_reseed():
-    r, m, seed = 1, 16, 5
-    model = SigmaModel("v-only", 4, lambda p: p[:, 2:].mean(axis=1))
-    _, x1 = sample_conditional(model, uniform_ifield(100, r), r, m, seed)
-    _, x2 = sample_conditional(model, uniform_ifield(200, r), r, m, seed)
-    assert np.array_equal(x1, x2)
-
-
-def test_sample_conditional_law_of_large_numbers():
-    # X_n = (u_root + u_n + v_root + v_n)/4, so the array mean concentrates
-    # at (u_root + v_root + 1)/4 for the realized root values
-    r, m, seed = 1, 20000, 161
-    tau = SigmaModel("avg", 4, lambda p: p.mean(axis=1))
-    u_vals, x = sample_conditional(tau, uniform_ifield(2718, r), r, m, seed)
-    target = (u_vals[0][0] + UniformField(seed, "v").value(root(1)) + 1.0) / 4.0
-    assert abs(x.mean() - target) < 0.005
-
-
-def test_sample_conditional_arity_check():
-    with pytest.raises(ValueError):
-        sample_conditional(
-            SigmaModel("bad", 3, lambda p: p.mean(axis=1)),
-            uniform_ifield(1, 1),
-            1,
-            4,
-            seed=0,
-        )
-
-
-def test_sample_pair_x_deterministic_transform_of_shared_u():
-    r, m, seed = 1, 8, 19
-    s1 = SigmaModel("y", 2, lambda p: p[:, -1])
-    s2 = SigmaModel("x", 4, lambda p: (p[:, 1] ** 2 + p[:, 0]) / 2)  # ignores v
-    y, x = sample_pair(s1, s2, r, m, seed)
-    u0 = UniformField(seed, "u").value(root(1))
-    assert np.allclose(x, (y**2 + u0) / 2, atol=1e-15)
-
-
-def test_sample_pair_constant_y():
-    s1 = SigmaModel("y0", 2, lambda p: p[:, 0])
-    s2 = SigmaModel("x", 4, lambda p: p.mean(axis=1))
-    y, x = sample_pair(s1, s2, 1, 10, seed=3)
-    assert np.all(y == y[0])
-    assert x.std() > 0
-
-
-def test_sample_pair_joint_exchangeability_smoke():
-    # permuting both components of the pair with the same structure map
-    # leaves the joint law unchanged; the permutation test stays calibrated
-    from hexch.hperm import random_hperm
-    from hexch.stattests import _energy_permutation_pvalue
-
-    s1 = SigmaModel("y", 3, lambda p: p.mean(axis=1))
-    s2 = SigmaModel(
-        "x", 6, lambda p: 0.5 * p[:, :3].mean(axis=1) + 0.5 * p[:, 3:].prod(axis=1)
-    )
-    r, m, n_reps = 2, 4, 30
-
-    def pair_rows(seed, permuted):
-        rows = []
-        for k in range(n_reps):
-            s = derive_seed(seed, "b" if permuted else "a", k)
-            y, x = sample_pair(s1, s2, r, m, s)
-            if permuted:
-                pi = random_hperm(r, m, derive_seed(seed, "perm", k))
-                idx = pi.permuted_leaf_indices(m)
-                y, x = y[idx], x[idx]
-            rows.append(np.concatenate([y, x]))
-        return np.array(rows)
-
-    rejects = 0
-    for t in range(20):
-        seed = derive_seed(606, "pair", t)
-        _, p = _energy_permutation_pvalue(
-            pair_rows(seed, False),
-            pair_rows(seed, True),
-            99,
-            derive_seed(seed, "resample"),
-        )
-        rejects += p < 0.05
-    assert rejects <= 4
-
-
-def test_sample_pair_arity_checks():
-    good_y = SigmaModel("y", 2, lambda p: p[:, 0])
-    with pytest.raises(ValueError):
-        sample_pair(good_y, SigmaModel("x", 3, lambda p: p[:, 0]), 1, 4, seed=0)
-    with pytest.raises(ValueError):
-        sample_pair(SigmaModel("y", 3, lambda p: p[:, 0]), good_y, 1, 4, seed=0)
 
 
 # -- path matrices -------------------------------------------------------------
@@ -592,7 +401,8 @@ def test_path_matrix_product_matches_vertex_values():
 # and the vertex enumerators were merged into one of each; they must never
 # move.  The "product_path_matrix" and "sample_multi" labels name the
 # product samplers the digests were recorded from, which path_matrix and
-# sample_array now are on depth and side tuples.
+# sample_array now are on depth and side tuples; "ifield_truncation_values"
+# names the uniform-field realizer that level_values now is.
 
 
 def _digest(*parts) -> str:
@@ -607,44 +417,25 @@ _MEAN6 = SigmaModel("mean", 6, lambda p: p.mean(axis=1))
 _MEAN12 = SigmaModel("mean", 12, lambda p: p.mean(axis=1))
 _MIX6 = SigmaModel("mix", 6, lambda p: 0.5 * p[:, :3].prod(axis=1) + 0.5 * p[:, 3:].mean(axis=1))
 _MIX8 = SigmaModel("mix", 8, lambda p: 0.5 * p[:, :4].prod(axis=1) + 0.5 * p[:, 4:].mean(axis=1))
-_LEVELS = {
-    0: DistSpec("point", (0.25,)),
-    1: DistSpec("discrete", ((0.1, 0.6, 0.9), (0.2, 0.5, 0.3))),
-    2: DistSpec("beta", (2.0, 3.0)),
-}
-_PRODUCT_LEVELS = {
-    (0, 0): UNIF,
-    (0, 1): DistSpec("uniform", (0.2, 0.7)),
-    (0, 2): DistSpec("table", ((0.0, 0.5, 1.0), (0.0, 0.1, 1.0))),
-    (1, 0): DistSpec("point", (0.5,)),
-    (1, 1): DistSpec("beta", (0.5, 0.5)),
-    (1, 2): UNIF,
-}
 
 
-def _vertex_text(by_depth, shape) -> str:
-    """The ``key=value`` lines of the vertex -> value dicts the digests were
-    recorded from, rebuilt from by-depth values: vertices by depth key, keys
-    as ``encode`` writes them."""
+def _vertex_text(by_depth, m) -> str:
+    """The ``key=value`` lines of the vertex -> value dict the digest was
+    recorded from, rebuilt from by-depth values: vertices by depth, keys as
+    ``encode`` writes them."""
     lines = []
-    for dt, vals in by_depth.items():
-        dt_t, shape_t = (dt, shape) if isinstance(dt, tuple) else ((dt,), (shape,))
-        keys = map("|".join, itertools.product(*map(vertex_keys, dt_t, shape_t)))
-        lines += [f"{k}={x!r}" for k, x in zip(keys, vals.tolist(), strict=True)]
+    for d, vals in by_depth.items():
+        lines += [f"{k}={x!r}" for k, x in zip(vertex_keys(d, m), vals.tolist(), strict=True)]
     return "\n".join(lines)
 
 
 def _pinned_outputs():
     from hexch.scenarios import make_source
 
-    def truncation(f, depths, shape):
-        by_depth = ifield_truncation_values(f, depths, shape)
+    def truncation(seed, r, m):
+        by_depth = level_values(seed, r, m)
         keys = "".join(f"{k}:" for k in by_depth)
-        return (keys, *by_depth.values(), _vertex_text(by_depth, shape))
-
-    def conditional(model, f, depths, shape, seed):
-        u_by_depth, x = sample_conditional(model, f, depths, shape, seed)
-        return _vertex_text(u_by_depth, shape), x
+        return (keys, *by_depth.values(), _vertex_text(by_depth, m))
 
     return {
         "path_matrix r1 m5": (path_matrix(0, "v", 1, 5),),
@@ -660,21 +451,7 @@ def _pinned_outputs():
         "sample_ah r2 m3 n5": (sample_ah(_MIX6, 2, 3, 5, 44),),
         "sample_ah r1 m4 n3": (sample_ah(_MEAN4, 1, 4, 3, 45),),
         "sample_ah r3 m2 n1": (sample_ah(_MIX8, 3, 2, 1, 46),),
-        "sample_conditional r2 m3": conditional(_MEAN6, IField(77, _LEVELS), 2, 3, 13),
-        "sample_conditional (1,2) (2,3)": conditional(
-            _MEAN12, IField(78, _PRODUCT_LEVELS), (1, 2), (2, 3), 14
-        ),
-        "sample_pair r2 m4": sample_pair(
-            SigmaModel("y", 3, lambda p: p.mean(axis=1)), _MIX6, 2, 4, 19
-        ),
-        "sample_pair (1,1) (3,2)": sample_pair(_MEAN4, SigmaModel(
-            "x", 8, lambda p: p[:, :4].mean(axis=1) * p[:, 4:].max(axis=1)
-        ), (1, 1), (3, 2), 20),
-        "ifield_truncation_values r2 m3": truncation(IField(11, _LEVELS), 2, 3),
-        "ifield_truncation_values (1,2) (3,2)": truncation(
-            IField(12, _PRODUCT_LEVELS), (1, 2), (3, 2)
-        ),
-        "ifield_truncation_values r1 m6 uniform": truncation(uniform_ifield(13, 1), 1, 6),
+        "ifield_truncation_values r1 m6 uniform": truncation(13, 1, 6),
         "sibling-coupled r2 m5": (make_source("sibling-coupled", 2, 5).sample(11),),
         "sibling-coupled r3 m3": (
             make_source("sibling-coupled", 3, 3, params={"weight": 0.4}).sample(12),
@@ -696,12 +473,6 @@ _PINNED_DIGESTS = {
     "sample_ah r2 m3 n5": "ab03eb25e1bb49bb58828850a7c5a3656ee8f3796cc14c1b5852cd4cdd55b2f2",
     "sample_ah r1 m4 n3": "827f1801c030b30d3a7163219f0a31393c7759916fa2e1127bb494c01ea6bf16",
     "sample_ah r3 m2 n1": "ddad9d7d8d4cfa8e2972488f0e6ee2c7c3f711d19fe7302351ae28c5f6ba76fa",
-    "sample_conditional r2 m3": "faf91678f4939814db257f966d5348e9996cf5be5eb0d1124ee80cc7078288fe",
-    "sample_conditional (1,2) (2,3)": "d6a99ab7e1797dad4b91c885ba0c17b961d0c3a836cc923ae0ed868891f11ab4",
-    "sample_pair r2 m4": "59c994b1f736e729be08492a42cbf710528f91e494958c300c85c28c4d0ef085",
-    "sample_pair (1,1) (3,2)": "70d76ff0da364136eb7b15a8a19ee4dc4dfa09f4b5401a03d08205b6bed97556",
-    "ifield_truncation_values r2 m3": "8d60fcc6280073a2f8e254123bd7862611093a124d8f53d224e3fa8915188e73",
-    "ifield_truncation_values (1,2) (3,2)": "1dfd8ec24c00dea17e3dc8fbf7b0ac241a5624a98c6fa7fc28ee17e155a1ad4c",
     "ifield_truncation_values r1 m6 uniform": "fcaf6818af333f125f3d4e456270be6f9b00cd30dece27b9a1bf03cfb97627f9",
     "sibling-coupled r2 m5": "0a35b48c331a075775ad1e24e25a641b1eff9fce0565a1bb6138c858e0b4b6cf",
     "sibling-coupled r3 m3": "4f6c101b96cf2facf94601fe9d480aebe88e3898f86872b6b107fe2fa64e3e13",

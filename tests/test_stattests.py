@@ -6,7 +6,7 @@ import pytest
 import hexch.hperm
 import hexch.stattests
 from hexch.definetti import extract_hierarchy
-from hexch.fields import DistSpec, derive_seed, ifield_truncation_values, uniform_ifield
+from hexch.fields import derive_seed, level_values
 from hexch.hperm import random_leaf_indices
 from hexch.scenarios import make_level_values, make_source
 from hexch.stattests import (
@@ -18,8 +18,6 @@ from hexch.stattests import (
     hexch_test,
     level_homogeneity_test,
 )
-
-UNIF = DistSpec("uniform", (0.0, 1.0))
 
 
 # -- energy distance -------------------------------------------------------------
@@ -465,13 +463,13 @@ def test_reports_carry_python_scalars():
     # m = 1 leaves the KS component as the conditional_iid p-value
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 1, seed=0)
     arr4, h4 = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
-    by_depth = ifield_truncation_values(uniform_ifield(0, 2), 2, 4)
+    by_depth = level_values(0, 2, 4)
     reports = [
         conditional_iid_test(arr, h, n_resamples=9, seed=0),
         cond_indep_test(arr4, h4, n_resamples=9, seed=0),
         hexch_test(make_source("uniform-leaf", 1, 4).sample, 1, 4, n_reps=20,
                    n_resamples=9, seed=0),
-        level_homogeneity_test(by_depth, {d: UNIF for d in range(3)}, seed=0),
+        level_homogeneity_test(by_depth, seed=0),
     ]
     for rep in reports:
         assert type(rep.reject) is bool, rep.name
@@ -485,9 +483,7 @@ def test_level_homogeneity_uniform_field_passes():
     rejects = 0
     for t in range(20):
         seed = derive_seed(31, "u", t)
-        by_depth = ifield_truncation_values(uniform_ifield(seed, 2), 2, 32)
-        declared = {d: UNIF for d in range(3)}
-        rejects += level_homogeneity_test(by_depth, declared, seed=seed).reject
+        rejects += level_homogeneity_test(level_values(seed, 2, 32), seed=seed).reject
     assert rejects <= 2
 
 
@@ -495,26 +491,41 @@ def test_level_homogeneity_depth_shift_power():
     rejects = 0
     for t in range(20):
         seed = derive_seed(32, "s", t)
-        by_depth, declared = make_level_values("depth-shift", 2, 32, seed)
-        rejects += level_homogeneity_test(by_depth, declared, seed=seed).reject
+        by_depth = make_level_values("depth-shift", 2, 32, seed)
+        rejects += level_homogeneity_test(by_depth, seed=seed).reject
     assert rejects >= 18
 
 
 def test_level_homogeneity_single_class_errors():
     with pytest.raises(ValueError):
-        level_homogeneity_test({0: np.array([0.5])}, {0: UNIF}, seed=0)
+        level_homogeneity_test({0: np.array([0.5])}, seed=0)
 
 
-def test_level_homogeneity_missing_spec():
-    with pytest.raises(ValueError):
-        level_homogeneity_test(
-            {0: np.zeros(4), 1: np.zeros(4)}, {0: UNIF}, seed=0
-        )
+# recorded before the per-depth declared laws and the randomized PIT were
+# deleted, with every depth declared U[0,1]: the PIT of a value x in [0,1]
+# was x exactly, so the report must not move
+_PINNED_HOMOGENEITY = {
+    "name": "level_homogeneity",
+    "statistic": 0.671875,
+    "p_value": 1.0,
+    "n_resamples": 0,
+    "level": 0.05,
+    "reject": False,
+    "metadata": {
+        "components": [
+            {"name": "ks@0", "stat": 0.6507545545602619, "p": 0.6984908908794762},
+            {"name": "ks@1", "stat": 0.2178836550903701, "p": 0.3779964865683306},
+            {"name": "ks@2", "stat": 0.05703500092720426, "p": 0.3619811583245608},
+            {"name": "ks2@0|1", "stat": 0.625, "p": 0.8235294117647058},
+            {"name": "ks2@0|2", "stat": 0.671875, "p": 0.6614785992217898},
+            {"name": "ks2@1|2", "stat": 0.21484375, "p": 0.43808985690680347},
+        ],
+        "seed": 8,
+    },
+}
 
 
 def test_level_homogeneity_cross_depth_component():
-    by_depth = ifield_truncation_values(uniform_ifield(8, 2), 2, 16)
-    declared = {d: UNIF for d in range(3)}
-    rep = level_homogeneity_test(by_depth, declared, seed=8)
-    names = {c["name"] for c in rep.metadata["components"]}
-    assert "ks2@0|1" in names or "ks2@1|2" in names
+    # every pair of depths gets its two-sample component
+    rep = level_homogeneity_test(level_values(8, 2, 16), seed=8)
+    assert rep.to_json_obj() == _PINNED_HOMOGENEITY
