@@ -16,6 +16,7 @@ from hexch.fields import (
     SigmaModel,
     UniformField,
     _init_state,
+    _level_values,
     _level_words,
     _mix,
     _mix_int,
@@ -29,6 +30,7 @@ from hexch.fields import (
 from hexch.tree import (
     ProductVertex,
     TreeVertex,
+    encode_vertex,
     leaf,
     leaves,
     root,
@@ -319,12 +321,29 @@ def test_sample_ah_arity_mismatch():
 # -- whole-truncation field values ----------------------------------------------
 
 
-def test_level_values_are_the_u_field_by_depth():
+def test_ifield_uniform_levels_match_base_field():
+    by_depth = level_values(33, 2, 3)
+    base = UniformField(33, "u")
+    for v in [root(2), leaf(2, r=2), leaf(2, 3)]:
+        i = list(vertex_keys(v.depth, 3)).index(encode_vertex(v))
+        assert by_depth[v.depth][i] == base.value(v)
+
+
+def test_ifield_truncation_values_grouping():
     by_depth = level_values(11, 2, 3)
     assert list(by_depth) == [0, 1, 2]
     f = UniformField(11, "u")
     for d, vals in by_depth.items():
         assert vals.tolist() == [f.value(v) for v in vertices(2, 3) if v.depth == d]
+    # a product keys its values by depth tuple, vertices in product order
+    f = UniformField(12, "u")
+    levels = _level_values(_init_state(12, "u"), (1, 2), (3, 2))
+    assert len(levels) == len(list(itertools.product(range(2), range(3))))
+    for dt, vals in zip(itertools.product(range(2), range(3)), levels):
+        parts = [[v for v in vertices(r_i, m_i) if v.depth == d_i]
+                 for d_i, r_i, m_i in zip(dt, (1, 2), (3, 2))]
+        expected = [f.value(ProductVertex(p)) for p in itertools.product(*parts)]
+        assert vals[0].tolist() == expected
 
 
 # -- path matrices -------------------------------------------------------------
