@@ -44,8 +44,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .fields import _hash_words, _init_state, _level_words
 from .tree import TreeVertex, internal_vertices
@@ -386,6 +384,13 @@ def _is_size(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
 
 
+# Scratch bound for the row searches, the level-0 broadcast and the
+# assignment costs, so that a large level costs blocks of rows or row pairs
+# of at most this many bytes, not one (P, q + w), (rows_a, rows_b, n) or
+# (rows_a, rows_b, n, n) array.
+_BLOCK_BYTES = 1 << 23
+
+
 def _search_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
     """Row-wise ``np.searchsorted(a[i], v[i], side)`` for ascending rows ``a``
     ``(P, w)`` and queries ``v`` ``(P, q)``.
@@ -393,16 +398,21 @@ def _search_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
     One stable argsort of each row's queries and entries together: the
     entries sorted before a query are those ``<`` it with the queries first
     (side "left"), and those ``<=`` it with the entries first ("right").
+    Rows are searched in blocks whose ``(rows, q + w)`` sort keys take at
+    most ``_BLOCK_BYTES``; a matrix within the bound is one block.
     """
     q, w = v.shape[1], a.shape[1]
     left = side == "left"
-    both = np.concatenate([v, a] if left else [a, v], axis=1)
-    order = np.argsort(both, axis=1, kind="stable")
-    is_query = order < q if left else order >= w
-    entries_before = np.cumsum(~is_query, axis=1)
     out = np.empty(v.shape, dtype=np.intp)
-    cols = order[is_query] - (0 if left else w)
-    out[np.nonzero(is_query)[0], cols] = entries_before[is_query]
+    step = max(1, _BLOCK_BYTES // (8 * (q + w)))
+    for lo in range(0, len(v), step):
+        rows = slice(lo, lo + step)
+        both = np.concatenate([v[rows], a[rows]] if left else [a[rows], v[rows]], axis=1)
+        order = np.argsort(both, axis=1, kind="stable")
+        is_query = order < q if left else order >= w
+        entries_before = np.cumsum(~is_query, axis=1)
+        cols = order[is_query] - (0 if left else w)
+        out[lo + np.nonzero(is_query)[0], cols] = entries_before[is_query]
     return out
 
 
@@ -513,10 +523,6 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
 # Largest common weight denominator n solved as n x n assignments; a level
 # whose weights need a larger one (or have none) is solved by the LP.
 _MAX_DENOMINATOR = 1024
-# Scratch bound for the level-0 broadcast and the assignment costs, so that a
-# large level costs blocks of row pairs of at most this many bytes, not one
-# (rows_a, rows_b, n) or (rows_a, rows_b, n, n) array.
-_BLOCK_BYTES = 1 << 23
 
 
 def wasserstein1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -537,6 +543,20 @@ def _wasserstein1(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray, wb: np.ndarray
     return float(np.sum(np.abs(fa[:-1] - fb[:-1]) * np.diff(locs)))
 
 
+def linprog(*args, **kwargs):
+    """:func:`scipy.optimize.linprog`, imported on the first LP solve.
+
+    It is a module global that :func:`_exact_ot` looks up at every solve,
+    because ``bench/spans.py`` traces the LP solves at this lookup site
+    (and tests patch it there) until the bench reads an in-package trace
+    (ROADMAP item 1).  scipy is loaded here and not at import time, so
+    that ``import hexch`` loads numpy only.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def _exact_ot(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> float:
     """Optimal transport cost between weights ``wa`` and ``wb`` under the
     ``(na, nb)`` ground cost, as a linear program over the plan entries."""
@@ -545,6 +565,8 @@ def _exact_ot(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> float:
         return float(cost[0] @ wb)
     if nb == 1:
         return float(wa @ cost[:, 0])
+    from scipy import sparse
+
     # plan row sums = wa, column sums = wb; the last column constraint is
     # implied by the others
     a_eq = sparse.vstack([
@@ -701,6 +723,8 @@ def _assignment_table(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> np.ndar
     is an n x n assignment, by Birkhoff-von Neumann.  The n x n costs of a
     block of row pairs, at most ``_BLOCK_BYTES``, are gathered at once, and
     the costs picked by the block's assignments summed at once."""
+    from scipy.optimize import linear_sum_assignment
+
     n = a.shape[1]
     out = np.empty((len(a), len(b)))
     pairs = max(1, _BLOCK_BYTES // (8 * n * n))

@@ -74,6 +74,22 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _centred_sum(p: np.ndarray, lo: int, k: int) -> np.ndarray:
+    """``(p[:, lo:lo + k] - 0.5).sum(axis=1)``, with the same bits.
+
+    numpy adds fewer than 8 terms one by one, in order, so for ``k < 8`` the
+    columns are summed left to right, which skips the strided reduction of
+    the ``(N, k)`` temporary; from 8 terms on numpy sums pairwise, and that
+    reduction is kept.
+    """
+    if k >= 8:
+        return (p[:, lo : lo + k] - 0.5).sum(axis=1)
+    total = p[:, lo] - 0.5
+    for j in range(lo + 1, lo + k):
+        total += p[:, j] - 0.5
+    return total
+
+
 def make_model(name: str, r: int, params: dict | None = None) -> SigmaModel:
     """Instantiate a built-in path-function model for a depth-``r`` tree."""
     params = dict(params or {})
@@ -91,9 +107,7 @@ def make_model(name: str, r: int, params: dict | None = None) -> SigmaModel:
         k = r + 1
 
         def fn(p):
-            shared = (p[:, :k] - 0.5).sum(axis=1)
-            replica = (p[:, k:] - 0.5).sum(axis=1)
-            return _sigmoid(a * shared + b * replica)
+            return _sigmoid(a * _centred_sum(p, 0, k) + b * _centred_sum(p, k, k))
 
         return SigmaModel(name, 2 * (r + 1), fn, params=(("a", a), ("b", b)))
     raise ValueError(f"unknown scenario model {name!r}")

@@ -10,7 +10,8 @@ their parent's estimated CDF.
 
 All tests are deterministic given their seed, resample permutations
 included, and report an add-one permutation p-value, so the decision at
-level alpha is exact under the null.
+level alpha is exact under the null.  Each test imports the scipy module
+it calls on its first call, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.stats
-from scipy.spatial.distance import cdist
 
 from .definetti import DirectingHierarchy
 from .fields import derive_seed, derive_seeds
@@ -68,6 +67,8 @@ def energy_distance(sample_a, sample_b) -> float:
     diagonal included), which keeps the statistic nonnegative; it vanishes
     exactly when the two empirical distributions coincide.
     """
+    from scipy.spatial.distance import cdist
+
     a = np.atleast_2d(np.asarray(sample_a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(sample_b, dtype=np.float64))
     if a.shape[0] == 0 or b.shape[0] == 0:
@@ -91,6 +92,8 @@ def _energy_permutation_pvalue(
     resample splits are drawn, so the p-value is exactly invariant under any
     reordering of the replicates within each sample.
     """
+    from scipy.spatial.distance import cdist
+
     ka = a.shape[0]
     pool = np.vstack([a, b])
     labels = np.zeros(pool.shape[0], dtype=np.float64)
@@ -284,6 +287,8 @@ def conditional_iid_test(
     against a shuffle null.  The reported p-value is the Bonferroni
     combination of the two components.
     """
+    import scipy.stats
+
     _check_resamples(n_resamples)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
     pit = _pit_matrix(array, hierarchy, rng)
@@ -423,6 +428,8 @@ def level_homogeneity_test(
     gets a two-sample KS check.  Component p-values combine by Bonferroni.
     The test draws nothing; ``seed`` is recorded in the report.
     """
+    import scipy.stats
+
     if len(values_by_depth) < 2:
         raise ValueError("need at least two populated depth classes")
     keys = sorted(values_by_depth)

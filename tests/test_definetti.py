@@ -697,6 +697,28 @@ def test_row_search_matches_searchsorted(side):
     assert np.array_equal(_search_rows(a, v, side), want)
 
 
+@pytest.mark.parametrize("rows_per_block", [1, 3, 39, 40])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_row_search_in_blocks_has_the_bits_of_one_pass(monkeypatch, side, rows_per_block):
+    # rows are searched independently, so any blocking of them gives the
+    # result of the single pass over all 40 rows
+    rng = np.random.default_rng(5)
+    a = np.sort(np.round(rng.random((40, 7)), 1), axis=1)
+    a[::3, 5:] = np.inf
+    v = np.round(rng.random((40, 11)), 1)
+    whole = _search_rows(a, v, side)
+    monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 8 * (7 + 11))
+    assert np.array_equal(_search_rows(a, v, side), whole)
+    # resynthesis and the parent CDFs search rows too
+    h = extract_hierarchy(make_source("product", 2, 9).sample(2), 2, 9)
+    y = resynthesize(h, 2, 11, seed=6)
+    lo, hi = h.parent_cdfs(y.reshape(11, 11)[:9, :9])
+    monkeypatch.undo()
+    assert resynthesize(h, 2, 11, seed=6).tobytes() == y.tobytes()
+    for got, want in zip((lo, hi), h.parent_cdfs(y.reshape(11, 11)[:9, :9])):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_parent_cdfs_match_the_measures():
     x = np.round(sample_array(make_model("path-mean", 3), 3, 4, seed=8), 1)
     h = extract_hierarchy(x, 3, 4)

@@ -158,6 +158,21 @@ def test_toy_magnetization_defaults():
     assert dict(model.params) == {"a": 2.0, "b": 1.0}
 
 
+@pytest.mark.parametrize("n_rows", [5, 20_000])
+@pytest.mark.parametrize("r", range(1, 9))
+def test_toy_magnetization_keeps_the_bits_of_the_block_sums(r, n_rows):
+    # for k = r + 1 < 8 columns the centred sums add column by column; from
+    # k = 8 on they stay numpy's row reductions, which sum pairwise
+    k = r + 1
+    p = np.random.default_rng([r, n_rows]).random((n_rows, 2 * k))
+    for a, b in ((2.0, 1.0), (0.7, -1.3)):
+        shared = (p[:, :k] - 0.5).sum(axis=1)
+        replica = (p[:, k:] - 0.5).sum(axis=1)
+        want = 1.0 / (1.0 + np.exp(-(a * shared + b * replica)))
+        got = make_model("toy-magnetization", r, {"a": a, "b": b}).eval(p)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sibling_coupled_couples_consecutive_parents():
     src = make_source("sibling-coupled", 2, 8, params={"weight": 1.0})
     x = src.sample(6).reshape(8, 8)
