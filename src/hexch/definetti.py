@@ -5,8 +5,8 @@ the hierarchy of directing measures by taking empirical measures of sibling
 blocks bottom-up (values at the deepest level, then measures of measures),
 and regenerate a fresh exchangeable array from that hierarchy by drawing
 child measures and finally leaf values through quantile transforms of fresh
-uniforms, hashed from the same per-depth word grids as every sampler's
-(``hexch.fields._level_words``).
+uniforms, hashed one whole depth at a time as every sampler's are
+(``hexch.fields._hash_level``).
 
 A :class:`DirectingHierarchy` stores each nesting level as arrays: a table
 of its distinct measures in canonical order, and one table id per vertex.
@@ -45,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .fields import _hash_words, _init_state, _level_words
+from .fields import _hash_level, _init_state
 from .tree import TreeVertex, internal_vertices
 
 __all__ = [
@@ -386,27 +386,37 @@ def _is_size(value) -> bool:
 
 # Scratch bound for the row searches, the level-0 broadcast and the
 # assignment costs, so that a large level costs blocks of rows or row pairs
-# of at most this many bytes, not one (P, q + w), (rows_a, rows_b, n) or
-# (rows_a, rows_b, n, n) array.
+# of at most this many bytes, not one (P, q, w) or (P, q + w), (rows_a,
+# rows_b, n) or (rows_a, rows_b, n, n) array.
 _BLOCK_BYTES = 1 << 23
+
+# Widest rows that _search_rows compares with every query at once
+_BROADCAST_WIDTH = 32
 
 
 def _search_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
     """Row-wise ``np.searchsorted(a[i], v[i], side)`` for ascending rows ``a``
-    ``(P, w)`` and queries ``v`` ``(P, q)``.
+    ``(P, w)`` of non-NaN entries and queries ``v`` ``(P, q)``, in blocks of
+    rows whose ``(rows, q, w)`` comparisons or ``(rows, q + w)`` sort keys
+    take at most ``_BLOCK_BYTES``.
 
-    One stable argsort of each row's queries and entries together: the
-    entries sorted before a query are those ``<`` it with the queries first
-    (side "left"), and those ``<=`` it with the entries first ("right").
-    Rows are searched in blocks whose ``(rows, q + w)`` sort keys take at
-    most ``_BLOCK_BYTES``; a matrix within the bound is one block.
+    Up to ``_BROADCAST_WIDTH`` entries a row, a query counts the entries not
+    ``>=`` it ("left") or not ``>`` it ("right"): all of them if it is NaN,
+    as ``searchsorted`` does.  Wider rows take one stable argsort of queries
+    and entries together, the queries first ("left") or last ("right"), and
+    a query counts the entries sorted before it.
     """
     q, w = v.shape[1], a.shape[1]
     left = side == "left"
     out = np.empty(v.shape, dtype=np.intp)
-    step = max(1, _BLOCK_BYTES // (8 * (q + w)))
+    broadcast = w <= _BROADCAST_WIDTH
+    step = max(1, _BLOCK_BYTES // (q * w if broadcast else 8 * (q + w)))
     for lo in range(0, len(v), step):
         rows = slice(lo, lo + step)
+        if broadcast:
+            above = np.greater_equal if left else np.greater
+            out[rows] = (~above(a[rows, None, :], v[rows, :, None])).sum(axis=2)
+            continue
         both = np.concatenate([v[rows], a[rows]] if left else [a[rows], v[rows]], axis=1)
         order = np.argsort(both, axis=1, kind="stable")
         is_query = order < q if left else order >= w
@@ -416,16 +426,25 @@ def _search_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
     return out
 
 
+def _lex_order(keys) -> np.ndarray:
+    """``np.lexsort(keys[::-1])``: the order of rows keyed by the 1-D arrays
+    ``keys``, primary key first.  One stable argsort of that key decides it
+    when the sorted key strictly ascends; ties and NaNs take the lexsort."""
+    order = np.argsort(keys[0], kind="stable")
+    first = keys[0][order]
+    return order if (first[1:] > first[:-1]).all() else np.lexsort(keys[::-1])
+
+
 def _level_table(rows: np.ndarray):
     """Distinct empirical measures of the rows of a row-sorted ``(P, m)``
     matrix, in canonical order.
 
     Runs of equal values in a row merge into one atom, and the rows are
-    ranked by one lexsort over their interleaved (value, multiplicity)
-    columns, padded with (-1, 0).  That is ``sort_key`` order: it compares
-    (atom, weight) pairs in turn and puts a shorter prefix first, so
-    ``[a,b,b]`` sorts before ``[a,a,b]``.  Returns the table's padded atoms
-    and multiplicities and each row's table id.
+    ranked by their interleaved (value, multiplicity) columns, padded with
+    (-1, 0), first column first (:func:`_lex_order`).  That is ``sort_key``
+    order: it compares (atom, weight) pairs in turn and puts a shorter
+    prefix first, so ``[a,b,b]`` sorts before ``[a,a,b]``.  Returns the
+    table's padded atoms and multiplicities and each row's table id.
     """
     n_rows, m = rows.shape
     flat = rows.reshape(-1)
@@ -443,9 +462,8 @@ def _level_table(rows: np.ndarray):
     mult[row, col] = np.diff(starts, append=flat.size)
     if n_rows == 1:
         return values, mult, np.zeros(1, dtype=np.intp)
-    # lexsort's last key is its primary one
-    columns = range(values.shape[1] - 1, -1, -1)
-    order = np.lexsort([key for j in columns for key in (mult[:, j], values[:, j])])
+    columns = range(values.shape[1])
+    order = _lex_order([key for j in columns for key in (values[:, j], mult[:, j])])
     values, mult = values[order], mult[order]
     new = np.ones(n_rows, dtype=bool)
     new[1:] = (values[1:] != values[:-1]).any(axis=1) | (mult[1:] != mult[:-1]).any(axis=1)
@@ -498,10 +516,9 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     from the parent's nested measure by quantile sampling over the atom
     index, bottoming out with a value quantile draw at the leaves.  All
     uniforms come from the counter-based field (role "w"), hashed one whole
-    depth at a time from its word grid (:func:`~hexch.fields._level_words`),
-    so the output is deterministic in ``seed``; each depth's atom picks are
-    one row-batched left search of the uniforms in the parents' cumulative
-    weights.
+    depth at a time (:func:`~hexch.fields._hash_level`), so the output is
+    deterministic in ``seed``; each depth's atom picks are one row-batched
+    left search of the uniforms in the parents' cumulative weights.
     """
     if h.r != r:
         raise ValueError(f"hierarchy depth {h.r} does not match requested r={r}")
@@ -511,7 +528,7 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     current = h.ids[0]
     for d in range(1, r + 1):
         k = r - d  # the level of the depth d-1 measures
-        u = _hash_words(h0, _level_words((d,), (m2,)))[0].reshape(current.size, m2)
+        u = _hash_level(h0, (d,), (m2,))[0].reshape(current.size, m2)
         pick = _search_rows(h.cum[k][current], u, "left")
         np.minimum(pick, h.counts[k][current, None] - 1, out=pick)
         current = h.atoms[k][current[:, None], pick].reshape(-1)

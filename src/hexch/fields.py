@@ -79,20 +79,28 @@ def _role_key(role: str) -> int:
     return h
 
 
-def _seed_word(seed: int) -> int:
-    """The word mix(seed ^ GOLD) that every stream (seed, role) starts from."""
-    return _mix_int((int(seed) ^ _GOLD) & _MASK)
-
-
 def _init_int(seed: int, role: str) -> int:
-    return _mix_int(_seed_word(seed) ^ _role_key(role))
+    return _mix_int(_mix_int((int(seed) ^ _GOLD) & _MASK) ^ _role_key(role))
+
+
+def _seed_words(seed) -> np.ndarray:
+    """The (K,) words mix(seed ^ GOLD) that the streams (seed, role) start
+    from, one per seed of an int or a 1-D sequence of K seeds, in one pass."""
+    seeds = (seed,) if np.ndim(seed) == 0 else seed
+    return _mix(np.array([int(s) & _MASK for s in seeds], dtype=_U64) ^ _U64(_GOLD))
 
 
 def _init_state(seed, role: str) -> np.ndarray:
-    """The (K,) uint64 start states of the streams (seed, role): K=1 for an
-    int seed, one state per seed for a 1-D sequence of K seeds."""
-    seeds = (seed,) if np.ndim(seed) == 0 else seed
-    return np.array([_init_int(s, role) for s in seeds], dtype=_U64)
+    """The (K,) uint64 start states of the streams (seed, role), one per seed;
+    an int seed takes the Python mix, about 20 us cheaper than an array pass."""
+    if np.ndim(seed) == 0:
+        return np.array([_init_int(seed, role)], dtype=_U64)
+    return _mix(_seed_words(seed) ^ _U64(_role_key(role)))
+
+
+def _unit(h: np.ndarray) -> np.ndarray:
+    """Hash states to floats in [0, 1) with 53-bit precision."""
+    return (h >> _S11).astype(np.float64) * 2.0**-53
 
 
 def _hash_words(h0: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -104,7 +112,22 @@ def _hash_words(h0: np.ndarray, words: np.ndarray) -> np.ndarray:
     h = h0[:, None]
     for col in range(words.shape[1]):
         h = _mix(h ^ words[:, col])
-    return (h >> _S11).astype(np.float64) * 2.0**-53
+    return _unit(h)
+
+
+def _hash_level(h0: np.ndarray, depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """Field values (K, vertices) of the K start states ``h0`` at depth tuple
+    ``depths`` of the product truncation with sides ``shape``, vertices in
+    lexicographic order (the first tree slowest), each hashed as
+    :func:`_hash_words` hashes its word blocks (d_i, c1, ..., c_{d_i}).
+    Each word is folded once into the states of the prefixes it extends."""
+    h = h0[:, None]
+    for d_i, m_i in zip(depths, shape):
+        h = _mix(h ^ _U64(d_i))
+        coords = np.arange(1, m_i + 1, dtype=_U64)
+        for _ in range(d_i):
+            h = _mix(h[:, :, None] ^ coords).reshape(len(h0), -1)
+    return _unit(h)
 
 
 def derive_seed(seed: int, label: str, index: int = 0) -> int:
@@ -142,46 +165,6 @@ def _coord_words(coords: np.ndarray) -> np.ndarray:
     return words
 
 
-# Largest word grid that _level_words keeps, 1 MiB: above the 0.4 MB words of
-# {1..128}^2, the largest grid the bench workloads use, and far below the
-# 16-24 MB grids of {1..1000}^2, which would otherwise stay for the process.
-_GRID_CACHE_BYTES = 1 << 20
-
-
-def _level_words(depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    """Word rows of all vertices at depth tuple ``depths`` of the product
-    truncation with sides ``shape``: one block (d_i, c1, ..., c_{d_i}) per
-    tree, rows in lexicographic order with the first tree slowest, so row i
-    of a single tree ``((d,), (m,))`` is the vertex of flat index i.  The
-    grid is read-only; the 16 most recently used grids of at most
-    ``_GRID_CACHE_BYTES`` are kept, and a larger one is built on every call."""
-    rows = prod(m_i**d_i for d_i, m_i in zip(depths, shape))
-    if rows * (sum(depths) + len(depths)) * 8 > _GRID_CACHE_BYTES:
-        return _build_level_words(depths, shape)
-    return _kept_level_words(depths, shape)
-
-
-def _build_level_words(depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    grid = tuple(m_i for d_i, m_i in zip(depths, shape) for _ in range(d_i))
-    words = np.empty(grid + (len(grid) + len(depths),), dtype=_U64)
-    axis = col = 0
-    for d_i, m_i in zip(depths, shape):
-        words[..., col] = d_i
-        for _ in range(d_i):
-            axis += 1
-            col += 1
-            words[..., col] = np.arange(1, m_i + 1, dtype=_U64).reshape(
-                (m_i,) + (1,) * (len(grid) - axis)
-            )
-        col += 1
-    words = words.reshape(-1, words.shape[-1])
-    words.flags.writeable = False
-    return words
-
-
-_kept_level_words = lru_cache(maxsize=16)(_build_level_words)
-
-
 @lru_cache(maxsize=16)
 def _path_layout(depths: tuple[int, ...], shape: tuple[int, ...]):
     """The leaf grid of a product truncation and, per depth tuple in
@@ -204,7 +187,7 @@ def _level_values(h0: np.ndarray, depths, shape) -> list[np.ndarray]:
     """Field values (K, vertices) of the K start states ``h0`` at each depth
     tuple of the product truncation, hashed once per depth tuple."""
     layout = _path_layout(depths, shape)[1]
-    return [_hash_words(h0, _level_words(dt, shape)) for dt, _ in layout]
+    return [_hash_level(h0, dt, shape) for dt, _ in layout]
 
 
 def _write_paths(levels: list[np.ndarray], depths, shape) -> np.ndarray:
@@ -362,10 +345,8 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     shared = path_matrix(seed, "v", r, m)
     lead = shared.shape[:-2]
     # start states seed-major: replica i of seed k is row k*n + i - 1
-    seeds = (seed,) if np.ndim(seed) == 0 else seed
-    words = np.array([_seed_word(s) for s in seeds], dtype=_U64)
     keys = np.array([_role_key(f"v^{i}") for i in range(1, n + 1)], dtype=_U64)
-    h0 = _mix(words[:, None] ^ keys).reshape(-1)
+    h0 = _mix(_seed_words(seed)[:, None] ^ keys).reshape(-1)
     replicas = _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))
     replicas = replicas.reshape(lead + (n, m**r, r + 1))
     shared = np.broadcast_to(shared[..., None, :, :], replicas.shape)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _hash_words, _init_state, _level_words
+from .fields import _hash_level, _init_state
 from .tree import TreeVertex, internal_vertices, wedge_matrix
 
 __all__ = [
@@ -195,7 +195,7 @@ def _random_ranks(r: int, m: int, seeds) -> list[np.ndarray]:
     h0 = _init_state(seeds, "hperm")
     ranks = []
     for d in range(r):
-        u = _hash_words(h0, _level_words((d + 1,), (m,))).reshape(len(h0), m**d, m)
+        u = _hash_level(h0, (d + 1,), (m,)).reshape(len(h0), m**d, m)
         ranks.append(np.argsort(np.argsort(u, axis=-1, kind="stable"), axis=-1, kind="stable") + 1)
     return ranks
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .definetti import DirectingHierarchy
+from .definetti import DirectingHierarchy, _lex_order
 from .fields import derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
@@ -98,7 +98,7 @@ def _energy_permutation_pvalue(
     pool = np.vstack([a, b])
     labels = np.zeros(pool.shape[0], dtype=np.float64)
     labels[:ka] = 1.0
-    order = np.lexsort(pool.T[::-1])
+    order = _lex_order(pool.T)
     pool = pool[order]
     labels = labels[order]
     dmat = cdist(pool, pool)

@@ -17,9 +17,11 @@ from hexch.acceptance import w1_to_uniform
 from hexch.definetti import (
     DirectingHierarchy,
     EmpiricalMeasure,
+    _BROADCAST_WIDTH,
     _assignment_table,
     _common_counts,
     _level_counts,
+    _lex_order,
     _measure_tables,
     _search_rows,
     _w1_table,
@@ -413,8 +415,8 @@ def _reference_resynthesize(h, r, m2, seed):
     return np.array(current)
 
 
-# m2=70,000 at r=1 is 1.12 MB of words, above _GRID_CACHE_BYTES, so that case
-# runs _level_words' uncached branch
+# m2=70,000 at r=1 hashes one level of 70,000 uniforms and searches rows
+# of one atom each
 @pytest.mark.parametrize(
     "m2, r", [(m2, r) for m2 in (2, 4, 7) for r in (1, 2, 3)] + [(70_000, 1)]
 )
@@ -686,37 +688,83 @@ def test_extract_and_resynthesize_check_their_sizes():
     assert resynthesize(h, 2, np.int64(3), seed=0).shape == (9,)
 
 
+# row widths on each side of _BROADCAST_WIDTH: the broadcast and merge methods
+_SEARCH_WIDTHS = (7, 40)
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_row_search_matches_searchsorted(side):
+    assert _SEARCH_WIDTHS[0] <= _BROADCAST_WIDTH < _SEARCH_WIDTHS[1]
     rng = np.random.default_rng(3)
-    a = np.sort(np.round(rng.random((40, 7)), 1), axis=1)
-    a[::3, 5:] = np.inf  # padded rows
-    v = np.round(rng.random((40, 11)), 1)
-    v[0, :3] = [0.0, 1.0, np.inf]
-    want = np.array([np.searchsorted(row, q, side=side) for row, q in zip(a, v)])
-    assert np.array_equal(_search_rows(a, v, side), want)
+    for w in _SEARCH_WIDTHS:
+        a = np.sort(np.round(rng.random((40, w)), 1), axis=1)  # tied entries
+        a[::3, w - 2 :] = np.inf  # padded rows
+        a[1, :2] = [-0.0, 0.0]
+        v = np.round(rng.random((40, 11)), 1)
+        v[0, :5] = [0.0, 1.0, np.inf, -np.inf, np.nan]
+        v[1, :4] = [-0.0, 0.0, np.nan, np.inf]
+        want = np.array([np.searchsorted(row, q, side=side) for row, q in zip(a, v)])
+        assert np.array_equal(_search_rows(a, v, side), want)
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, 39, 40])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_row_search_in_blocks_has_the_bits_of_one_pass(monkeypatch, side, rows_per_block):
     # rows are searched independently, so any blocking of them gives the
-    # result of the single pass over all 40 rows
+    # result of the single pass over all 40 rows; a block of the broadcast
+    # method holds (rows, q, w) bools, one of the merge method (rows, q + w)
+    # float keys
     rng = np.random.default_rng(5)
-    a = np.sort(np.round(rng.random((40, 7)), 1), axis=1)
-    a[::3, 5:] = np.inf
     v = np.round(rng.random((40, 11)), 1)
-    whole = _search_rows(a, v, side)
-    monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 8 * (7 + 11))
-    assert np.array_equal(_search_rows(a, v, side), whole)
-    # resynthesis and the parent CDFs search rows too
-    h = extract_hierarchy(make_source("product", 2, 9).sample(2), 2, 9)
-    y = resynthesize(h, 2, 11, seed=6)
-    lo, hi = h.parent_cdfs(y.reshape(11, 11)[:9, :9])
-    monkeypatch.undo()
-    assert resynthesize(h, 2, 11, seed=6).tobytes() == y.tobytes()
-    for got, want in zip((lo, hi), h.parent_cdfs(y.reshape(11, 11)[:9, :9])):
-        assert got.tobytes() == want.tobytes()
+    narrow, wide = _SEARCH_WIDTHS
+    for w, row_bytes in ((narrow, narrow * 11), (wide, 8 * (wide + 11))):
+        a = np.sort(np.round(rng.random((40, w)), 1), axis=1)
+        a[::3, w - 2 :] = np.inf
+        whole = _search_rows(a, v, side)
+        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * row_bytes)
+        assert np.array_equal(_search_rows(a, v, side), whole)
+        monkeypatch.undo()
+    # resynthesis and the parent CDFs search rows too, under a small bound:
+    # at m=9 by broadcast, at m=40 merged
+    for m in (9, 40):
+        h = extract_hierarchy(make_source("product", 2, m).sample(2), 2, m)
+        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 8 * (7 + 11))
+        y = resynthesize(h, 2, 11, seed=6)
+        blocks = np.resize(y, (m, 11))
+        lo, hi = h.parent_cdfs(blocks)
+        monkeypatch.undo()
+        assert resynthesize(h, 2, 11, seed=6).tobytes() == y.tobytes()
+        for got, want in zip((lo, hi), h.parent_cdfs(blocks)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_lex_order_is_lexsort_order():
+    rng = np.random.default_rng(9)
+    distinct = rng.random((3, 50))
+    ties = np.round(distinct, 1)
+    signed = ties.copy()
+    signed[0, :2] = [-0.0, 0.0]
+    nan = distinct.copy()
+    nan[0, 7] = np.nan
+    for keys in (distinct, ties, signed, nan, distinct[:, :1]):
+        assert np.array_equal(_lex_order(keys), np.lexsort(keys[::-1]))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("model, decimals", [("product", 1), ("root-constant", None)])
+def test_level_tables_whose_first_atoms_tie_take_the_lexsort_order(monkeypatch, r, model, decimals):
+    m = 4
+    x = sample_array(make_model(model, r), r, m, seed=30 + r)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    h = extract_hierarchy(x, r, m)
+    if r > 1:  # level-0 rows tie on their first atom, so the full lexsort runs
+        first = x.reshape(-1, m).min(axis=1)
+        assert len(np.unique(first)) < len(first)
+    monkeypatch.setattr(hexch.definetti, "_lex_order", lambda keys: np.lexsort(keys[::-1]))
+    want = extract_hierarchy(x, r, m)
+    for got_arrays, want_arrays in ((h.atoms, want.atoms), (h.weights, want.weights), (h.ids, want.ids)):
+        assert [a.tobytes() for a in got_arrays] == [a.tobytes() for a in want_arrays]
 
 
 def test_parent_cdfs_match_the_measures():

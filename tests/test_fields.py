@@ -1,9 +1,7 @@
 """Tests for the deterministic fields and sigma-driven samplers."""
 
-import gc
 import hashlib
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +9,14 @@ import scipy.stats
 
 from hexch.fields import (
     _GOLD,
-    _GRID_CACHE_BYTES,
     _MASK,
     SigmaModel,
     UniformField,
+    _coord_words,
+    _hash_level,
+    _hash_words,
     _init_state,
     _level_values,
-    _level_words,
     _mix,
     _mix_int,
     derive_seed,
@@ -167,6 +166,13 @@ def test_scalar_seed_mixing_matches_array_mix():
         for index in (0, 7, -1, 2**64 - 1, 2**64 + 3):
             h = _mix(_np_init_state(seed, "derive:lbl") ^ np.uint64(index & _MASK))
             assert derive_seed(seed, "lbl", index) == int(h[0])
+    # a sequence of seeds is mixed in one array pass, to the same states
+    for role in ("v", "derive:rep-a"):
+        states = [int(_init_state(seed, role)[0]) for seed in seeds]
+        assert _init_state(seeds, role).tolist() == states
+        assert _init_state(np.array(seeds[1:6], dtype=np.int64), role).tolist() == states[1:6]
+        assert _init_state(np.array(seeds[6:8], dtype=np.uint64), role).tolist() == states[6:8]
+    for seed in seeds:
         batch = derive_seeds(seed, "lbl", 6)
         assert batch == [derive_seed(seed, "lbl", k) for k in range(6)]
         assert all(type(s) is int for s in batch)
@@ -356,47 +362,32 @@ def test_path_matrix_columns_are_prefix_values():
     for pos, lf in enumerate(leaves(r, m)):
         expected = [f.value(v) for v in [root(r), lf.parent(), lf]]
         assert np.array_equal(pm[pos], expected)
-    # the level grids behind it are cached and shared, so they are read-only
-    # and a second call sees the same values
-    assert not _level_words((r,), (m,)).flags.writeable
-    with pytest.raises(ValueError):
-        _level_words((r,), (m,))[0, 0] = 7
     assert np.array_equal(path_matrix(seed, "v", r, m), pm)
 
 
-def test_level_words_match_leaves():
-    words = _level_words((2,), (3,))
-    assert words.shape == (9, 3)
-    assert [tuple(row) for row in words.tolist()] == [(2, *v.coords) for v in leaves(2, 3)]
-
-
-@pytest.mark.parametrize("r, m", [(1, 5), (2, 3), (3, 4)])
-def test_level_words_cached_and_read_only(r, m):
-    words = _level_words((r,), (m,))
-    assert words is _level_words((r,), (m,))
-    assert not words.flags.writeable
-    with pytest.raises(ValueError):
-        words[0, 0] = 7
-    assert words.tolist() == [[r, *v.coords] for v in leaves(r, m)]
-
-
-def test_grids_above_the_cache_bound_are_not_kept():
-    # {1..200000}^1: 3.2 MB of leaf words
-    r, m = 1, 200_000
-    tracemalloc.start()
-    try:
-        words = _level_words((r,), (m,))
-        assert words.nbytes > _GRID_CACHE_BYTES
-        assert not words.flags.writeable
-        assert words is not _level_words((r,), (m,))
-        pm = path_matrix(4, "v", r, m)
-        assert pm.shape == (m, 2)
-        del words, pm
-        gc.collect()
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert kept < _GRID_CACHE_BYTES
+def test_hash_level_matches_the_coord_word_rows():
+    # one prefix-folded pass per depth tuple hashes each vertex as its word
+    # row: one tree at depths 0..3, K = 1 and K = 3 start states
+    for seeds in ([5], [5, -1, 2**64 + 9]):
+        h0 = _init_state(seeds, "w")
+        for r, m in ((1, 5), (2, 3), (3, 4)):
+            for d in range(r + 1):
+                coords = [v.coords for v in vertices(r, m) if v.depth == d]
+                want = _hash_words(h0, _coord_words(np.array(coords, dtype=np.int64)))
+                got = _hash_level(h0, (d,), (m,))
+                assert got.shape == (len(seeds), m**d)
+                assert got.tobytes() == want.tobytes()
+    # a product absorbs one (d_i, c1, ..., c_{d_i}) block per tree, the
+    # first tree slowest
+    h0 = _init_state([12, 13], "u")
+    for dt in itertools.product(range(2), range(3)):
+        parts = [[v for v in vertices(r_i, m_i) if v.depth == d_i]
+                 for d_i, r_i, m_i in zip(dt, (1, 2), (3, 2))]
+        words = np.array(
+            [[w for p in vs for w in (len(p.coords), *p.coords)]
+             for vs in itertools.product(*parts)], dtype=np.uint64)
+        want = _hash_words(h0, words)
+        assert _hash_level(h0, dt, (3, 2)).tobytes() == want.tobytes()
 
 
 def test_path_matrix_product_matches_vertex_values():
