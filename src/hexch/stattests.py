@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .definetti import DirectingHierarchy, _lex_order
+from .definetti import DirectingHierarchy, _is_size, _lex_order
 from .fields import derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
@@ -55,6 +55,8 @@ class TestReport:
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0,1]")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"level {self.level} outside (0,1)")
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -153,8 +155,8 @@ def _marginal_indices(dim: int, r: int, m: int, n, seed: int) -> np.ndarray | No
 
 
 def _check_resamples(n_resamples: int) -> None:
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be >= 1")
+    if not _is_size(n_resamples):
+        raise ValueError(f"n_resamples must be >= 1 and an integer, got {n_resamples!r}")
 
 
 def hexch_test(
@@ -303,7 +305,7 @@ def conditional_iid_test(
     if m >= 2:
         rho = _lag1_corr(pit)
         rho_p = _shuffle_pvalue(
-            pit, lambda z: abs(_lag1_corr(z)), abs(rho), n_resamples, seed
+            pit, abs(rho), n_resamples, seed, _lag1_fast(pit), lambda z: abs(_lag1_corr(z))
         )
         components.update({"lag1_corr": float(rho), "lag1_p": float(rho_p)})
         pvals.append(rho_p)
@@ -319,19 +321,43 @@ def conditional_iid_test(
     )
 
 
-def _shuffle_pvalue(pit: np.ndarray, stat, observed: float, n_resamples: int, seed: int) -> float:
-    """Add-one p-value of ``stat(pit) >= observed`` under the null that
+# the largest block of draws that _shuffle_pvalue scores at once
+_BLOCK_BYTES = 1 << 20
+_EPS = np.finfo(np.float64).eps
+
+
+def _shuffle_pvalue(pit: np.ndarray, observed: float, n_resamples: int, seed: int,
+                    fast, exact) -> float:
+    """Add-one p-value of ``exact(z) >= observed`` under the null that
     shuffles each row of ``pit`` (one parent's children) independently
     (seed role "shuffle").  Callers pass only the parent rows their
-    statistic reads.  Each resample is drawn into one reused buffer, which
-    consumes the PCG64 stream exactly as a fresh ``permuted`` call does;
-    ``stat`` must not keep a reference to its argument."""
+    statistic reads.
+
+    Each draw ``z`` is ``permuted(pit, axis=1, out=...)`` into the next slot
+    of one reused block of draws (at most 1 MiB, at least one draw), which
+    consumes the PCG64 stream exactly as a fresh ``permuted`` call per
+    resample does.  ``fast(block)`` scores a whole block at once from
+    moments the shuffle leaves unchanged: it returns each draw's fast value
+    and a band that bounds the distance between that value and
+    ``exact(z)`` (infinite where the fast form is undefined).  A draw whose
+    fast value lies beyond the band on either side of ``observed`` is
+    counted by it; a draw inside the band is scored by ``exact``.  Each draw
+    is thus counted exactly as ``exact`` counts it, and the p-value has the
+    bits of a loop of ``exact`` over the draws."""
     shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
-    buf = np.empty_like(pit)
-    count = sum(
-        stat(shuffler.permuted(pit, axis=1, out=buf)) >= observed
-        for _ in range(n_resamples)
-    )
+    size = min(n_resamples, max(1, _BLOCK_BYTES // pit.nbytes))
+    block = np.empty((size,) + pit.shape)
+    count = 0
+    for lo in range(0, n_resamples, size):
+        draws = block[: n_resamples - lo]
+        for z in draws:
+            shuffler.permuted(pit, axis=1, out=z)
+        value, band = fast(draws)
+        above = value - band >= observed
+        below = value + band < observed
+        count += int(np.count_nonzero(above))
+        # NaN lands here too: neither comparison holds
+        count += sum(exact(draws[j]) >= observed for j in np.flatnonzero(~(above | below)))
     return (1 + count) / (n_resamples + 1)
 
 
@@ -348,6 +374,105 @@ def _lag1_corr(pit: np.ndarray) -> float:
     if sa == 0.0 or sb == 0.0:
         return 0.0
     return float(np.add.reduce(da * db) / n / (sa * sb))
+
+
+def _lag1_fast(pit: np.ndarray):
+    """Block scorer of ``|_lag1_corr|`` over row shuffles of ``pit``.
+
+    A shuffle within rows keeps the total S and the sum of squares Q of the
+    k x m cells.  For a draw with first column f and last column l, the
+    n = k(m-1) lag-1 pairs (a, b) have Σa = S - Σl, Σb = S - Σf,
+    Σa² = Q - Σl², Σb² = Q - Σf², and Σab is the dot of the flat draw with
+    itself shifted by one, minus the k-1 products l[i] f[i+1] that cross a
+    row boundary.  The correlation follows from these raw moments.
+
+    Band.  A sum of N terms is off by at most N eps Σ|terms|, and Σ|x| over
+    the N = km cells is at most sqrt(N Q).  So each raw moment, each product
+    of means and the centred sums of ``_lag1_corr`` are within
+    δ = 3 (N + k + 4) eps Q / n of their exact values.  Where the smaller
+    variance v exceeds 4δ, the fast correlation is within 2δ/v of the true
+    one, and ``_lag1_corr`` within (n + 8) eps < δ/v of it, so 3δ/v bounds
+    their distance.  The band is 64 times that, 192δ/v, so that the
+    neglected second-order terms stay far inside it; a draw falls inside
+    with probability about the band times the null density.  Where
+    v <= 4δ (near-constant pairs) the fast form is undefined and the band
+    is infinite.
+    """
+    k, m = pit.shape
+    n = k * (m - 1)
+    total = np.add.reduce(pit, axis=None)
+    total_sq = np.vdot(pit, pit)
+    delta = 3 * (pit.size + k + 4) * _EPS * total_sq / n
+
+    def score(block: np.ndarray):
+        flat = block.reshape(len(block), -1)
+        first, last = block[:, :, 0], block[:, :, -1]
+        mean_a = (total - last.sum(axis=1)) / n
+        mean_b = (total - first.sum(axis=1)) / n
+        var_a = (total_sq - np.einsum("ij,ij->i", last, last)) / n - mean_a * mean_a
+        var_b = (total_sq - np.einsum("ij,ij->i", first, first)) / n - mean_b * mean_b
+        cross = np.einsum("ij,ij->i", flat[:, :-1], flat[:, 1:])
+        cross -= np.einsum("ij,ij->i", last[:, :-1], first[:, 1:])
+        cov = cross / n - mean_a * mean_b
+        v = np.minimum(var_a, var_b)
+        ok = v > 4 * delta
+        value = np.abs(cov) / np.sqrt(np.where(ok, var_a * var_b, 1.0))
+        return value, np.where(ok, 192 * delta / np.where(ok, v, 1.0), np.inf)
+
+    return score
+
+
+def _max_abs_corr(mat: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> float:
+    """Largest |correlation| between rows ``ii[p]`` and ``jj[p]`` of ``mat``
+    (a constant row correlates 0 with every row)."""
+    z = mat - mat.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0.0] = 1.0
+    z /= norms[:, None]
+    return float(np.max(np.abs(np.einsum("ij,ij->i", z[ii], z[jj]))))
+
+
+def _max_abs_corr_fast(read: np.ndarray, ii: np.ndarray, jj: np.ndarray):
+    """Block scorer of ``_max_abs_corr(z, ii, jj)`` over row shuffles of
+    ``read``.
+
+    A shuffle within rows keeps each row's mean μ, centred norm ‖z‖ and
+    norm ‖x‖, so a pair's correlation is (x_i · x_j - m μ_i μ_j) / (‖z_i‖ ‖z_j‖)
+    and a draw costs only the pair dot products: row slices of the draw
+    when every pair is adjacent, one gather otherwise.
+
+    Band.  With w = ‖x‖ / ‖z‖ per row (at least 1), a dot of m terms is off
+    by at most m eps ‖x_i‖ ‖x_j‖, and the means and norms (taken once) by
+    about m eps relative to ‖x‖ and ‖z‖.  So the fast correlation is within
+    (3m + 6) eps w_i w_j + (m + 7) eps of the true one, and ``_max_abs_corr``
+    within (2m + 10) eps of it, so 8 (m + 8) eps max(w_i w_j) bounds their
+    distance.  The band is 64 times that, for the neglected second-order
+    terms, which stay small while the band is below 1/4; beyond that (a
+    near-constant row) the band is infinite.
+    """
+    m = read.shape[1]
+    mean = read.mean(axis=1)
+    norm = np.linalg.norm(read - mean[:, None], axis=1)
+    w = np.divide(np.linalg.norm(read, axis=1), norm, out=np.full(len(norm), np.inf),
+                  where=norm > 0.0)
+    band = 512 * (m + 8) * _EPS * np.max(w[ii] * w[jj])
+    if not band < 0.25:
+        band = np.inf
+    norm[norm == 0.0] = 1.0
+    shift = m * mean[ii] * mean[jj]
+    scale = 1.0 / (norm[ii] * norm[jj])
+    adjacent = np.array_equal(ii, np.arange(len(ii))) and np.array_equal(jj, ii + 1)
+    both = np.stack([ii, jj])
+
+    def score(block: np.ndarray):
+        if adjacent:
+            dots = np.einsum("bij,bij->bi", block[:, :-1], block[:, 1:])
+        else:
+            pairs = block[:, both]
+            dots = np.einsum("bij,bij->bi", pairs[:, 0], pairs[:, 1])
+        return np.max(np.abs((dots - shift) * scale), axis=1), band
+
+    return score
 
 
 def _pairs_by_gap(n_parents: int, budget: int) -> list[tuple[int, int]]:
@@ -380,8 +505,8 @@ def cond_indep_test(
         raise ValueError("cross-parent check needs tree depth r >= 2")
     if hierarchy.m < 2:
         raise ValueError("no sibling pairs: m must be >= 2")
-    if pair_budget < 1:
-        raise ValueError("pair_budget must be >= 1")
+    if not _is_size(pair_budget):
+        raise ValueError(f"pair_budget must be >= 1 and an integer, got {pair_budget!r}")
     _check_resamples(n_resamples)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
     pit = _pit_matrix(array, hierarchy, rng)
@@ -390,16 +515,12 @@ def cond_indep_test(
     rows, inv = np.unique(pairs, return_inverse=True)
     ii, jj = inv.reshape(pairs.shape).T
 
-    def max_abs_corr(mat: np.ndarray) -> float:
-        z = mat - mat.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(z, axis=1)
-        norms[norms == 0.0] = 1.0
-        z /= norms[:, None]
-        return float(np.max(np.abs(np.einsum("ij,ij->i", z[ii], z[jj]))))
-
     read = pit[rows]
-    observed = max_abs_corr(read)
-    p = _shuffle_pvalue(read, max_abs_corr, observed, n_resamples, seed)
+    observed = _max_abs_corr(read, ii, jj)
+    p = _shuffle_pvalue(
+        read, observed, n_resamples, seed, _max_abs_corr_fast(read, ii, jj),
+        lambda z: _max_abs_corr(z, ii, jj),
+    )
     return TestReport(
         name="cond_indep",
         statistic=observed,

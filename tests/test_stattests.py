@@ -247,6 +247,19 @@ def test_report_decision_consistency():
 def test_report_validates_pvalue():
     with pytest.raises(ValueError):
         TestReport("x", 0.0, 1.5, 10, 0.05, False)
+    for level in (0.0, 1.0, 7.0, -1, float("nan")):
+        with pytest.raises(ValueError, match="level"):
+            TestReport("x", 0.0, 0.5, 10, level, False)
+    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
+    with pytest.raises(ValueError, match="level"):
+        conditional_iid_test(arr, h, n_resamples=9, level=7.0, seed=0)
+    with pytest.raises(ValueError, match="level"):
+        cond_indep_test(arr, h, n_resamples=9, level=-1, seed=0)
+    with pytest.raises(ValueError, match="level"):
+        hexch_test(make_source("uniform-leaf", 1, 4).sample, 1, 4, n_reps=20,
+                   n_resamples=9, level=1.0, seed=0)
+    with pytest.raises(ValueError, match="level"):
+        level_homogeneity_test(level_values(0, 2, 4), level=0.0, seed=0)
 
 
 # -- conditional i.i.d. test ---------------------------------------------------------
@@ -341,6 +354,8 @@ PIT_PINNED = [
     ("uniform-leaf", 2, 8, 4, 1, -0.07692712199573769, 1.0, 0.8, 0.7981187915478832, 0.49),
     ("markov-leak", 2, 16, 5, None, 0.46636626151673655, 0.02, 0.01, 0.7148080252346263, 0.18),
     ("product", 3, 5, 6, None, -0.20067157350769269, 1.0, 0.68, 0.8758475369043698, 0.98),
+    # pipeline's size: several blocks of draws in both shuffle nulls
+    ("product", 2, 128, 0, None, -0.00984451301196774, 0.76, 0.38, 0.22753414479981193, 0.52),
 ]
 
 
@@ -445,14 +460,181 @@ def test_lag1_corr_matches_reference_formula():
     assert hexch.stattests._lag1_corr(np.full((1, 5), 2.0)) == 0.0
 
 
-@pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test])
+def _reference_shuffle_pvalue(pit, stat, observed, n_resamples, seed):
+    # one exact statistic per resample, as before resamples were scored a
+    # block at a time
+    shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
+    buf = np.empty_like(pit)
+    count = sum(
+        stat(shuffler.permuted(pit, axis=1, out=buf)) >= observed
+        for _ in range(n_resamples)
+    )
+    return (1 + count) / (n_resamples + 1)
+
+
+def _pit(arr, h, seed):
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
+    return hexch.stattests._pit_matrix(arr, h, rng)
+
+
+def _read_rows(n_parents, budget):
+    pairs = np.array(hexch.stattests._pairs_by_gap(n_parents, budget))
+    rows, inv = np.unique(pairs, return_inverse=True)
+    ii, jj = inv.reshape(pairs.shape).T
+    return rows, ii, jj
+
+
+def _assert_pit_tests_match_reference(arr, h, seed, n_resamples, budget=64):
+    pit = _pit(arr, h, seed)
+    iid = conditional_iid_test(arr, h, n_resamples=n_resamples, seed=seed)
+    rho = _reference_lag1_corr(pit)
+    want = _reference_shuffle_pvalue(
+        pit, lambda z: abs(_reference_lag1_corr(z)), abs(rho), n_resamples, seed
+    )
+    assert iid.statistic.hex() == rho.hex()
+    assert iid.metadata["lag1_p"] == want
+    if h.r < 2:
+        return
+    rows, ii, jj = _read_rows(pit.shape[0], budget)
+    pairs = list(zip(ii, jj))
+    stat = _full_matrix_max_abs_corr(pit[rows], pairs)
+    want = _reference_shuffle_pvalue(
+        pit[rows], lambda z: _full_matrix_max_abs_corr(z, pairs), stat, n_resamples, seed
+    )
+    indep = cond_indep_test(arr, h, n_resamples=n_resamples, seed=seed, pair_budget=budget)
+    assert indep.statistic.hex() == stat.hex()
+    assert indep.p_value == want
+
+
+@pytest.mark.parametrize("name,r,m,seed,decimals,budget", [
+    ("root-constant", 2, 6, 3, None, 64),
+    ("uniform-leaf", 2, 8, 4, 1, 64),  # ties in the array
+    ("product", 3, 5, 6, 0, 64),
+    ("markov-leak", 2, 16, 5, None, 64),  # far outside the band
+    ("uniform-leaf", 1, 8, 2, None, 64),  # one parent row
+    ("uniform-leaf", 2, 2, 1, None, 64),
+    ("path-mean", 3, 2, 2, None, 64),
+    ("uniform-leaf", 2, 12, 1, None, 200),  # pairs with gaps above 1
+])
+def test_shuffle_nulls_match_per_resample_loop(name, r, m, seed, decimals, budget):
+    arr = make_source(name, r, m).sample(seed)
+    if decimals is not None:
+        arr = np.round(arr, decimals)
+    h = extract_hierarchy(arr, r, m)
+    _assert_pit_tests_match_reference(arr, h, seed, 99, budget)
+
+
+def test_shuffle_nulls_match_per_resample_loop_at_block_edges():
+    # at r=2 m=128 a block holds 8 draws of the 128 x 128 PIT matrix and
+    # 15 of the 65 rows the cross-parent pairs read
+    arr, h = _array_and_hierarchy("product", 2, 128, seed=1)
+    blocks = {
+        max(1, hexch.stattests._BLOCK_BYTES // (rows * 128 * 8)) for rows in (128, 65)
+    }
+    assert blocks == {8, 15}
+    counts = {1, 199} | {b + d for b in blocks for d in (-1, 0, 1)}
+    for n_resamples in sorted(counts):
+        _assert_pit_tests_match_reference(arr, h, 1, n_resamples)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    exact = getattr(hexch.stattests, name)
+
+    def counted(*args):
+        calls.append(1)
+        return exact(*args)
+
+    monkeypatch.setattr(hexch.stattests, name, counted)
+    return calls
+
+
+def _infinite_band(monkeypatch, name):
+    factory = getattr(hexch.stattests, name)
+
+    def wrapped(*args):
+        score = factory(*args)
+        return lambda block: (score(block)[0], np.inf)
+
+    monkeypatch.setattr(hexch.stattests, name, wrapped)
+
+
+@pytest.mark.parametrize("name,r,m,seed", [
+    ("markov-leak", 2, 16, 5),
+    ("uniform-leaf", 2, 8, 4),
+    ("uniform-leaf", 2, 2, 1),
+])
+def test_shuffle_nulls_recheck_everything_under_an_infinite_band(monkeypatch, name, r, m, seed):
+    arr, h = _array_and_hierarchy(name, r, m, seed)
+    want = [t(arr, h, n_resamples=49, seed=seed).to_json_obj()
+            for t in (conditional_iid_test, cond_indep_test)]
+    _infinite_band(monkeypatch, "_lag1_fast")
+    _infinite_band(monkeypatch, "_max_abs_corr_fast")
+    lag1 = _count_calls(monkeypatch, "_lag1_corr")
+    corr = _count_calls(monkeypatch, "_max_abs_corr")
+    got = [t(arr, h, n_resamples=49, seed=seed).to_json_obj()
+           for t in (conditional_iid_test, cond_indep_test)]
+    assert got == want
+    # the observed statistic, then every resample
+    assert (len(lag1), len(corr)) == (50, 50)
+
+
+def test_shuffle_nulls_recheck_ties(monkeypatch):
+    # with m = 2 a draw keeps or swaps each row of two; keeping both or
+    # swapping both (half the draws) ties the observed |rho| bit for bit, and
+    # every correlation of two 2-vectors is +-1, so the fast forms cannot
+    # decide those draws
+    arr, h = _array_and_hierarchy("uniform-leaf", 2, 2, seed=1)
+    pit = _pit(arr, h, 1)
+    value, band = hexch.stattests._lag1_fast(pit)(np.stack([pit, pit[:, ::-1]]))
+    observed = abs(hexch.stattests._lag1_corr(pit))
+    assert np.all(np.abs(value - observed) < band)
+    lag1 = _count_calls(monkeypatch, "_lag1_corr")
+    corr = _count_calls(monkeypatch, "_max_abs_corr")
+    conditional_iid_test(arr, h, n_resamples=99, seed=1)
+    cond_indep_test(arr, h, n_resamples=99, seed=1)
+    # their p-values are checked against the per-resample loop above
+    assert len(lag1) > 1 + 99 // 4
+    assert len(corr) == 1 + 99
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3, 7), (65, 128), (128, 128), (40, 1000)])
+@pytest.mark.parametrize("rounded", [False, True])
+def test_fast_shuffle_scores_stay_far_inside_their_band(shape, rounded):
+    rng = np.random.default_rng(5)
+    pit = rng.random(shape)
+    if rounded:
+        pit = np.round(pit, 1)
+    n_draws = 10 if pit.size > 20_000 else 100
+    block = np.stack([rng.permuted(pit, axis=1) for _ in range(n_draws)])
+    value, band = hexch.stattests._lag1_fast(pit)(block)
+    exact = np.array([abs(hexch.stattests._lag1_corr(z)) for z in block])
+    if shape[1] == 2 and shape[0] == 1:
+        # one lag-1 pair has no variance: the fast form is undefined
+        assert np.all(band == np.inf)
+    else:
+        assert np.all(np.isfinite(band))
+        assert np.max(np.abs(value - exact) / band) <= 1e-3
+    if shape[0] < 2:
+        return
+    rows, ii, jj = _read_rows(shape[0], 64)
+    block = block[:, rows]
+    value, band = hexch.stattests._max_abs_corr_fast(pit[rows], ii, jj)(block)
+    exact = np.array([hexch.stattests._max_abs_corr(z, ii, jj) for z in block])
+    assert np.isfinite(band)
+    assert np.max(np.abs(value - exact)) <= 1e-3 * band
+
+
+@pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test, hexch_test])
 def test_pit_tests_reject_zero_resamples(test):
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
-    with pytest.raises(ValueError, match="n_resamples must be >= 1"):
-        test(arr, h, n_resamples=0, seed=0)
+    args = (make_source("uniform-leaf", 1, 4).sample, 1, 4) if test is hexch_test else (arr, h)
+    for bad in (0, True, False, 3.0, np.float64(5.0), "9"):
+        with pytest.raises(ValueError, match="n_resamples must be >= 1"):
+            test(*args, n_resamples=bad, seed=0)
 
 
-@pytest.mark.parametrize("budget", [0, -3])
+@pytest.mark.parametrize("budget", [0, -3, True, 2.5])
 def test_cond_indep_rejects_empty_pair_budget(budget):
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
     with pytest.raises(ValueError, match="pair_budget must be >= 1"):
