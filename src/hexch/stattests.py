@@ -321,31 +321,38 @@ def conditional_iid_test(
     )
 
 
-# the largest block of draws that _shuffle_pvalue scores at once
-_BLOCK_BYTES = 1 << 20
+# The most scratch one block of _shuffle_pvalue's draws takes, scorer
+# gathers included.  Smaller than hexch.definetti._BLOCK_BYTES (8 MiB): on
+# the pipeline bench (r=2 m=128) an 8 MiB block raised peak RSS from 109.6
+# to 116.0 MB and ran no faster (median 6.71 against 7.08 ops/s over five
+# alternating pairs).
+_SHUFFLE_BLOCK_BYTES = 1 << 20
 _EPS = np.finfo(np.float64).eps
 
 
 def _shuffle_pvalue(pit: np.ndarray, observed: float, n_resamples: int, seed: int,
-                    fast, exact) -> float:
+                    scorer, exact) -> float:
     """Add-one p-value of ``exact(z) >= observed`` under the null that
     shuffles each row of ``pit`` (one parent's children) independently
     (seed role "shuffle").  Callers pass only the parent rows their
     statistic reads.
 
     Each draw ``z`` is ``permuted(pit, axis=1, out=...)`` into the next slot
-    of one reused block of draws (at most 1 MiB, at least one draw), which
-    consumes the PCG64 stream exactly as a fresh ``permuted`` call per
-    resample does.  ``fast(block)`` scores a whole block at once from
-    moments the shuffle leaves unchanged: it returns each draw's fast value
-    and a band that bounds the distance between that value and
-    ``exact(z)`` (infinite where the fast form is undefined).  A draw whose
-    fast value lies beyond the band on either side of ``observed`` is
-    counted by it; a draw inside the band is scored by ``exact``.  Each draw
-    is thus counted exactly as ``exact`` counts it, and the p-value has the
-    bits of a loop of ``exact`` over the draws."""
+    of one reused block of draws, which consumes the PCG64 stream exactly as
+    a fresh ``permuted`` call per resample does.  ``scorer`` is a pair
+    ``(fast, scratch)``: ``scratch`` is the bytes ``fast`` allocates per
+    draw, and a block holds as many draws as keep the draws and that scratch
+    within ``_SHUFFLE_BLOCK_BYTES`` (at least one draw).  ``fast(block)``
+    scores a whole block at once from moments the shuffle leaves unchanged:
+    it returns each draw's fast value and a band that bounds the distance
+    between that value and ``exact(z)`` (infinite where the fast form is
+    undefined).  A draw whose fast value lies beyond the band on either side
+    of ``observed`` is counted by it; a draw inside the band is scored by
+    ``exact``.  Each draw is thus counted exactly as ``exact`` counts it,
+    and the p-value has the bits of a loop of ``exact`` over the draws."""
+    fast, scratch = scorer
     shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
-    size = min(n_resamples, max(1, _BLOCK_BYTES // pit.nbytes))
+    size = min(n_resamples, max(1, _SHUFFLE_BLOCK_BYTES // (pit.nbytes + scratch)))
     block = np.empty((size,) + pit.shape)
     count = 0
     for lo in range(0, n_resamples, size):
@@ -419,7 +426,8 @@ def _lag1_fast(pit: np.ndarray):
         value = np.abs(cov) / np.sqrt(np.where(ok, var_a * var_b, 1.0))
         return value, np.where(ok, 192 * delta / np.where(ok, v, 1.0), np.inf)
 
-    return score
+    # the moments are read from views of the draws: no per-draw scratch
+    return score, 0
 
 
 def _max_abs_corr(mat: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> float:
@@ -438,8 +446,8 @@ def _max_abs_corr_fast(read: np.ndarray, ii: np.ndarray, jj: np.ndarray):
 
     A shuffle within rows keeps each row's mean μ, centred norm ‖z‖ and
     norm ‖x‖, so a pair's correlation is (x_i · x_j - m μ_i μ_j) / (‖z_i‖ ‖z_j‖)
-    and a draw costs only the pair dot products: row slices of the draw
-    when every pair is adjacent, one gather otherwise.
+    and a draw costs only the pair dot products, over one gather of the
+    two rows of each pair (2 P m floats of scratch per draw for P pairs).
 
     Band.  With w = ‖x‖ / ‖z‖ per row (at least 1), a dot of m terms is off
     by at most m eps ‖x_i‖ ‖x_j‖, and the means and norms (taken once) by
@@ -461,18 +469,14 @@ def _max_abs_corr_fast(read: np.ndarray, ii: np.ndarray, jj: np.ndarray):
     norm[norm == 0.0] = 1.0
     shift = m * mean[ii] * mean[jj]
     scale = 1.0 / (norm[ii] * norm[jj])
-    adjacent = np.array_equal(ii, np.arange(len(ii))) and np.array_equal(jj, ii + 1)
     both = np.stack([ii, jj])
 
     def score(block: np.ndarray):
-        if adjacent:
-            dots = np.einsum("bij,bij->bi", block[:, :-1], block[:, 1:])
-        else:
-            pairs = block[:, both]
-            dots = np.einsum("bij,bij->bi", pairs[:, 0], pairs[:, 1])
+        pairs = block[:, both]
+        dots = np.einsum("bij,bij->bi", pairs[:, 0], pairs[:, 1])
         return np.max(np.abs((dots - shift) * scale), axis=1), band
 
-    return score
+    return score, both.size * m * read.itemsize
 
 
 def _pairs_by_gap(n_parents: int, budget: int) -> list[tuple[int, int]]:

@@ -1,5 +1,7 @@
 """Tests for the statistical verification battery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -525,13 +527,13 @@ def test_shuffle_nulls_match_per_resample_loop(name, r, m, seed, decimals, budge
 
 
 def test_shuffle_nulls_match_per_resample_loop_at_block_edges():
-    # at r=2 m=128 a block holds 8 draws of the 128 x 128 PIT matrix and
-    # 15 of the 65 rows the cross-parent pairs read
+    # at r=2 m=128 a block holds 8 draws of the 128 x 128 PIT matrix, and 5
+    # of the 65 rows the cross-parent pairs read with the 2 x 64 rows their
+    # pairs gather
     arr, h = _array_and_hierarchy("product", 2, 128, seed=1)
-    blocks = {
-        max(1, hexch.stattests._BLOCK_BYTES // (rows * 128 * 8)) for rows in (128, 65)
-    }
-    assert blocks == {8, 15}
+    bound = hexch.stattests._SHUFFLE_BLOCK_BYTES
+    blocks = {bound // (128 * 128 * 8), bound // ((65 + 2 * 64) * 128 * 8)}
+    assert blocks == {8, 5}
     counts = {1, 199} | {b + d for b in blocks for d in (-1, 0, 1)}
     for n_resamples in sorted(counts):
         _assert_pit_tests_match_reference(arr, h, 1, n_resamples)
@@ -553,8 +555,8 @@ def _infinite_band(monkeypatch, name):
     factory = getattr(hexch.stattests, name)
 
     def wrapped(*args):
-        score = factory(*args)
-        return lambda block: (score(block)[0], np.inf)
+        score, scratch = factory(*args)
+        return (lambda block: (score(block)[0], np.inf)), scratch
 
     monkeypatch.setattr(hexch.stattests, name, wrapped)
 
@@ -586,7 +588,7 @@ def test_shuffle_nulls_recheck_ties(monkeypatch):
     # decide those draws
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 2, seed=1)
     pit = _pit(arr, h, 1)
-    value, band = hexch.stattests._lag1_fast(pit)(np.stack([pit, pit[:, ::-1]]))
+    value, band = hexch.stattests._lag1_fast(pit)[0](np.stack([pit, pit[:, ::-1]]))
     observed = abs(hexch.stattests._lag1_corr(pit))
     assert np.all(np.abs(value - observed) < band)
     lag1 = _count_calls(monkeypatch, "_lag1_corr")
@@ -607,7 +609,7 @@ def test_fast_shuffle_scores_stay_far_inside_their_band(shape, rounded):
         pit = np.round(pit, 1)
     n_draws = 10 if pit.size > 20_000 else 100
     block = np.stack([rng.permuted(pit, axis=1) for _ in range(n_draws)])
-    value, band = hexch.stattests._lag1_fast(pit)(block)
+    value, band = hexch.stattests._lag1_fast(pit)[0](block)
     exact = np.array([abs(hexch.stattests._lag1_corr(z)) for z in block])
     if shape[1] == 2 and shape[0] == 1:
         # one lag-1 pair has no variance: the fast form is undefined
@@ -619,10 +621,39 @@ def test_fast_shuffle_scores_stay_far_inside_their_band(shape, rounded):
         return
     rows, ii, jj = _read_rows(shape[0], 64)
     block = block[:, rows]
-    value, band = hexch.stattests._max_abs_corr_fast(pit[rows], ii, jj)(block)
+    value, band = hexch.stattests._max_abs_corr_fast(pit[rows], ii, jj)[0](block)
     exact = np.array([hexch.stattests._max_abs_corr(z, ii, jj) for z in block])
     assert np.isfinite(band)
     assert np.max(np.abs(value - exact)) <= 1e-3 * band
+
+
+def test_shuffle_blocks_count_the_pair_gather_in_their_bytes(monkeypatch):
+    # 40 parents of 40 children and all 780 of their pairs: a draw is 12.8 kB
+    # but gathers 499.2 kB of pair rows, so a block holds 2 draws, not the 81
+    # that the draws alone would fit in the bound
+    arr, h = _array_and_hierarchy("uniform-leaf", 2, 40, seed=0)
+    sizes = []
+    factory = hexch.stattests._max_abs_corr_fast
+
+    def recorded(*args):
+        score, scratch = factory(*args)
+
+        def counted(block):
+            sizes.append(len(block))
+            return score(block)
+
+        return counted, scratch
+
+    monkeypatch.setattr(hexch.stattests, "_max_abs_corr_fast", recorded)
+    tracemalloc.start()
+    try:
+        rep = cond_indep_test(arr, h, n_resamples=5, seed=0, pair_budget=780)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.metadata["n_pairs"] == 780
+    assert sizes == [2, 2, 1]
+    assert peak < 2 * hexch.stattests._SHUFFLE_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test, hexch_test])
