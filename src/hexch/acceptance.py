@@ -20,7 +20,7 @@ import numpy as np
 import scipy.stats
 
 from .definetti import extract_hierarchy, nested_distance, resynthesize
-from .fields import UniformField, derive_seed, sample_array
+from .fields import UniformField, derive_seed, derive_seeds, sample_array
 from .hperm import identity_hperm, random_hperm, verify_wedge_preservation
 from .scenarios import make_model, make_source
 from .stattests import (
@@ -251,15 +251,10 @@ def criterion_roundtrip() -> CriterionResult:
             seed_t = derive_seed(_SEED, "roundtrip", t)
             rng = np.random.Generator(np.random.PCG64(derive_seed(seed_t, "subset")))
             subset = np.sort(rng.choice(m * m, size=64, replace=False))
-            orig = np.array(
-                [
-                    sample_array(model, 2, m, derive_seed(seed_t, "orig", j))[subset]
-                    for j in range(n_rep)
-                ]
-            )
+            orig = sample_array(model, 2, m, derive_seeds(seed_t, "orig", n_rep))[:, subset]
+            srcs = sample_array(model, 2, m, derive_seeds(seed_t, "src", n_rep))
             resyn = np.empty_like(orig)
-            for j in range(n_rep):
-                src = sample_array(model, 2, m, derive_seed(seed_t, "src", j))
+            for j, src in enumerate(srcs):
                 h = extract_hierarchy(src, 2, m)
                 y = resynthesize(h, 2, m, derive_seed(seed_t, "resyn", j))
                 resyn[j] = y[subset]

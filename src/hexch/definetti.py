@@ -21,16 +21,17 @@ distance one level down.  It is solved on the same level-table layout,
 bottom-up.  A hierarchy, and a measure built by ``measures``, which
 records its table row and its hierarchy's m, are read straight from the
 level arrays; a hand-built measure is laid out by walking its objects.
-When a level's weights share a denominator n, level 0 is one broadcast
-over n sorted samples per row and each level above is an n x n assignment
-per pair of rows, the n x n costs of a level's pairs gathered in one pass;
-other weights fall back to W1 and an exact sparse linear program per pair
-of rows.  For two sides read from hierarchies, whose weights are c/m, n
-is lcm(m_a, m_b) reduced by the gcd of the counts; for other sides it is
-found by a search over the distinct weights.  The arrays reproduce the
-objects bit for bit, which takes two rules: tables follow ``sort_key``
-order, in which ``[a,b,b]`` precedes ``[a,a,b]``; and level k >= 1 weights
-are repeated ``+= 1/m`` sums, not ``count/m``, because ``3 x 0.1 != 0.3``.
+Each level k >= 1 is an n x n assignment per pair of rows, the n x n
+costs of a level's pairs gathered in one pass, which needs the level's
+weights to share a denominator n <= 1024; a level without one is refused.
+Level 0 is one broadcast over n sorted samples per row when its weights
+share such an n, else W1 per pair of rows.  For two sides read from
+hierarchies, whose weights are c/m, n is lcm(m_a, m_b) reduced by the gcd
+of the counts; for other sides it is found by a search over the distinct
+weights.  The arrays reproduce the objects bit for bit, which takes two
+rules: tables follow ``sort_key`` order, in which ``[a,b,b]`` precedes
+``[a,a,b]``; and level k >= 1 weights are repeated ``+= 1/m`` sums, not
+``count/m``, because ``3 x 0.1 != 0.3``.
 """
 
 from __future__ import annotations
@@ -538,7 +539,7 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
 # -- distances ----------------------------------------------------------------
 
 # Largest common weight denominator n solved as n x n assignments; a level
-# whose weights need a larger one (or have none) is solved by the LP.
+# k >= 1 whose weights need a larger one (or have none) is refused.
 _MAX_DENOMINATOR = 1024
 
 
@@ -561,40 +562,12 @@ def _wasserstein1(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray, wb: np.ndarray
 
 
 def linprog(*args, **kwargs):
-    """:func:`scipy.optimize.linprog`, imported on the first LP solve.
-
-    It is a module global that :func:`_exact_ot` looks up at every solve,
-    because ``bench/spans.py`` traces the LP solves at this lookup site
-    (and tests patch it there) until the bench reads an in-package trace
-    (ROADMAP item 1).  scipy is loaded here and not at import time, so
-    that ``import hexch`` loads numpy only.
-    """
+    """:func:`scipy.optimize.linprog`; no hexch code calls it.  A lookup site
+    only, which ``bench/spans.py`` patches until the bench reads an
+    in-package trace."""
     from scipy.optimize import linprog as solve
 
     return solve(*args, **kwargs)
-
-
-def _exact_ot(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> float:
-    """Optimal transport cost between weights ``wa`` and ``wb`` under the
-    ``(na, nb)`` ground cost, as a linear program over the plan entries."""
-    na, nb = len(wa), len(wb)
-    if na == 1:
-        return float(cost[0] @ wb)
-    if nb == 1:
-        return float(wa @ cost[:, 0])
-    from scipy import sparse
-
-    # plan row sums = wa, column sums = wb; the last column constraint is
-    # implied by the others
-    a_eq = sparse.vstack([
-        sparse.kron(sparse.eye(na), np.ones((1, nb))),
-        sparse.kron(np.ones((1, na)), sparse.eye(nb - 1, nb)),
-    ], format="csr")
-    b_eq = np.concatenate([wa, wb[:-1]])
-    res = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport solve failed: {res.message}")
-    return float(res.fun)
 
 
 def _measure_tables(
@@ -769,16 +742,18 @@ def nested_distance(
     that of its root measure.  Both measures are laid out as level tables
     (:func:`_measure_tables`), read straight from the level arrays for a
     hierarchy or one of its measures, and each level's distances are
-    computed for all row pairs at once, level 0 first.  When every weight
-    of a level is a multiple of a common 1/n, as in any extracted measure,
-    the level-0 distances are one broadcast over n sorted samples per row
-    and each level-k distance is an n x n assignment, the costs of a
-    level's pairs gathered in one pass; otherwise the level is solved pair
-    by pair, from the table rows, with :func:`wasserstein1` and an exact
-    sparse linear program.  For two measures of hierarchies, n is read off
-    their ``m`` (:func:`_level_counts`); for others it is the smallest n <=
-    1024 found by a search over the weights.  Nothing is kept between
-    calls.
+    computed for all row pairs at once, level 0 first.  Each level k >= 1
+    is an n x n assignment per pair of rows, the costs of a level's pairs
+    gathered in one pass, so its weights must be multiples of a common 1/n
+    with n <= 1024.  Two extracted measures have one when their reduced
+    lcm(m_a, m_b) is at most 1024, as it is for any sides up to 32.  A
+    level k >= 1 without one raises ``ValueError``: irrational weights, say,
+    or extracted sides 32 and 33 (n = 1056).  Level 0 is one broadcast over
+    n sorted samples per row when it has such an n, and :func:`wasserstein1`
+    pair by pair, from the table rows, when it has not.  For two measures
+    of hierarchies, n is read off their ``m`` (:func:`_level_counts`); for
+    others it is the smallest n <= 1024 found by a search over the
+    weights.  Nothing is kept between calls.
     """
     if mu == nu:
         return 0.0
@@ -789,21 +764,23 @@ def nested_distance(
         )
     if len(tables_a) == 1:
         return _wasserstein1(*_table_rows(*tables_a[0])[0], *_table_rows(*tables_b[0])[0])
+    levels = list(zip(tables_a, tables_b))
+    common = [_level_counts(wa, wb, ma, mb) for (_, wa), (_, wb) in levels]
+    for k in range(1, len(levels)):
+        if common[k] is None:
+            raise ValueError(
+                f"level {k}: the weights have no common denominator n <= "
+                f"{_MAX_DENOMINATOR}, which its n x n assignments need"
+            )
     cost = None
-    for (aa, wa), (ab, wb) in zip(tables_a, tables_b):
-        common = _level_counts(wa, wb, ma, mb)
-        if common is not None:
-            n, ca, cb = common
-            ea, eb = _expand(aa, ca, n), _expand(ab, cb, n)
-            cost = _w1_table(ea, eb) if cost is None else _assignment_table(ea, eb, cost)
+    for ((aa, wa), (ab, wb)), counts in zip(levels, common):
+        if counts is None:  # level 0 only
+            cost = np.array([[_wasserstein1(xa, va, xb, vb) for xb, vb in _table_rows(ab, wb)]
+                             for xa, va in _table_rows(aa, wa)])
             continue
-        rows_a, rows_b = _table_rows(aa, wa), _table_rows(ab, wb)
-        if cost is None:
-            cost = np.array([[_wasserstein1(xa, va, xb, vb) for xb, vb in rows_b]
-                             for xa, va in rows_a])
-        else:
-            cost = np.array([[_exact_ot(va, vb, cost[np.ix_(xa, xb)]) for xb, vb in rows_b]
-                             for xa, va in rows_a])
+        n, ca, cb = counts
+        ea, eb = _expand(aa, ca, n), _expand(ab, cb, n)
+        cost = _w1_table(ea, eb) if cost is None else _assignment_table(ea, eb, cost)
     return float(cost[0, 0])
 
 

@@ -55,8 +55,7 @@ class TestReport:
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0,1]")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level {self.level} outside (0,1)")
+        _check_level(self.level)
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -159,6 +158,11 @@ def _check_resamples(n_resamples: int) -> None:
         raise ValueError(f"n_resamples must be >= 1 and an integer, got {n_resamples!r}")
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level {level} outside (0,1)")
+
+
 def hexch_test(
     source,
     r: int,
@@ -187,11 +191,13 @@ def hexch_test(
     Under an exchangeable law both samples share one distribution and the
     p-value is exact.
     """
-    if n_reps < 20:
-        raise ValueError(f"insufficient replicates: n_reps={n_reps} < 20")
+    _check_level(level)
+    if not (_is_size(n_reps) and n_reps >= 20):
+        raise ValueError(f"insufficient replicates: n_reps must be >= 20 and an integer, "
+                         f"got {n_reps!r}")
     _check_resamples(n_resamples)
-    if n is not None and n < 1:
-        raise ValueError("n must be >= 1")
+    if n is not None and not _is_size(n):
+        raise ValueError(f"n must be >= 1 and an integer, got {n!r}")
     shape, form = ((m**r,), "(K, m^r)") if n is None else ((m**r, n), "(K, m^r, n)")
     dim = m**r * (1 if n is None else n)
     keep = _marginal_indices(dim, r, m, n, seed)
@@ -289,9 +295,10 @@ def conditional_iid_test(
     against a shuffle null.  The reported p-value is the Bonferroni
     combination of the two components.
     """
+    _check_level(level)
+    _check_resamples(n_resamples)
     import scipy.stats
 
-    _check_resamples(n_resamples)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
     pit = _pit_matrix(array, hierarchy, rng)
     n_parents, m = pit.shape
@@ -505,6 +512,7 @@ def cond_indep_test(
     pairs read are shuffled and scored (at most ``pair_budget + 1`` rows);
     the others never enter the statistic.
     """
+    _check_level(level)
     if hierarchy.r < 2:
         raise ValueError("cross-parent check needs tree depth r >= 2")
     if hierarchy.m < 2:
@@ -553,6 +561,7 @@ def level_homogeneity_test(
     gets a two-sample KS check.  Component p-values combine by Bonferroni.
     The test draws nothing; ``seed`` is recorded in the report.
     """
+    _check_level(level)
     import scipy.stats
 
     if len(values_by_depth) < 2:

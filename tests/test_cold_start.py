@@ -55,20 +55,21 @@ def _loaded_scipy() -> list[str]:
 def _scipy_stages() -> dict:
     """One call into each stage that needs scipy: the PIT test (scipy.stats),
     a nested distance solved by assignments (scipy.optimize) and one whose
-    irrational weights take the sparse LP."""
+    irrational level-0 weights take W1 per pair of rows before the
+    assignments of level 1."""
     x = make_source("product", 2, 8).sample(3)
     h = extract_hierarchy(x, 2, 8)
     report = conditional_iid_test(x, h, n_resamples=49, seed=5)
     g = extract_hierarchy(make_source("product", 2, 8).sample(4), 2, 8)
     s = 1 / math.sqrt(2)
-    mu = EmpiricalMeasure(((EmpiricalMeasure(((0.0, s), (0.3, 1 - s)), 0), s),
-                           (point_mass(0.5), 1 - s)), 1)
-    nu = EmpiricalMeasure(((point_mass(0.1), 1 - s),
-                           (EmpiricalMeasure(((0.6, 1 - s), (1.0, s)), 0), s)), 1)
+    mu = EmpiricalMeasure(((EmpiricalMeasure(((0.0, s), (0.3, 1 - s)), 0), 0.5),
+                           (point_mass(0.5), 0.5)), 1)
+    nu = EmpiricalMeasure(((point_mass(0.1), 0.5),
+                           (EmpiricalMeasure(((0.6, 1 - s), (1.0, s)), 0), 0.5)), 1)
     return {
         "conditional_iid": report.to_json_obj(),
         "assignment": nested_distance(h, g).hex(),
-        "lp": nested_distance(mu, nu).hex(),
+        "mixed": nested_distance(mu, nu).hex(),
     }
 
 
@@ -96,7 +97,7 @@ def test_scipy_stages_load_it_on_their_first_call():
     )
     before, stages, after = json.loads(out)
     assert before == []
-    assert {"scipy.stats", "scipy.optimize", "scipy.sparse"} <= set(after)
+    assert {"scipy.stats", "scipy.optimize"} <= set(after)
     # the same values as in this process, where scipy was loaded beforehand
     assert stages == json.loads(json.dumps(_scipy_stages()))
 

@@ -880,17 +880,12 @@ def _extracted_roots(r, m, m2, i):
     return ha.root_measure, extract_hierarchy(y, r, m2).root_measure
 
 
-def _no_lp(*args, **kwargs):
-    raise AssertionError("an assignment-path distance ran a linear program")
-
-
 @pytest.mark.parametrize("r, m, m2", [(2, 5, 5), (3, 4, 4), (2, 4, 6), (3, 4, 6)])
 def test_nested_distance_assignments_match_dense_lp(monkeypatch, r, m, m2):
     # extracted weights are multiples of 1/m, so every level is solved as
     # assignments; with sides 4 and 6 the common denominator is lcm = 12
     pairs = [_extracted_roots(r, m, m2, i) for i in range(3)]
     expected = [_dense_lp_nested_distance(mu, nu) for mu, nu in pairs]
-    monkeypatch.setattr(hexch.definetti, "linprog", _no_lp)
     root_n = _common_counts(pairs[0][0].weights[None], pairs[0][1].weights[None])[0]
     assert root_n == math.lcm(m, m2)
     got = [nested_distance(mu, nu) for mu, nu in pairs]
@@ -947,28 +942,41 @@ def test_w1_table_has_the_bits_of_the_mean_gap(monkeypatch, rows_per_block):
     assert _w1_table(a, b).tolist() == want.tolist()
 
 
-def test_nested_distance_irrational_weights_use_the_lp(monkeypatch):
-    # weights with no common denominator: level 0 falls back to wasserstein1
-    # per pair and level 1 to the LP; compare with all feasible 2x2 plans
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a refused distance solved a level")
+
+
+def _irrational_pair():
+    """Level-1 measures whose weights, at both levels, have no common
+    denominator."""
     s = 1 / math.sqrt(2)
     a1 = EmpiricalMeasure(((0.0, s), (0.3, 1 - s)), 0)
-    a2, b1 = point_mass(0.5), point_mass(0.1)
     b2 = EmpiricalMeasure(((0.6, 1 - s), (1.0, s)), 0)
-    mu = EmpiricalMeasure(((a1, s), (a2, 1 - s)), 1)
-    nu = EmpiricalMeasure(((b1, 1 - s), (b2, s)), 1)
-    c = np.array([[wasserstein1(a, b) for b in (b1, b2)] for a in (a1, a2)])
-    # plan [[t, s - t], [1 - s - t, t]] is feasible for 0 <= t <= 1 - s
-    best = np.inf
-    for t in np.linspace(0.0, 1 - s, 20001):
-        plan = np.array([[t, s - t], [1 - s - t, t]])
-        best = min(best, float((plan * c).sum()))
-    solves = []
-    real = hexch.definetti.linprog
-    monkeypatch.setattr(
-        hexch.definetti, "linprog", lambda *a, **k: solves.append(1) or real(*a, **k)
+    mu = EmpiricalMeasure(((a1, s), (point_mass(0.5), 1 - s)), 1)
+    nu = EmpiricalMeasure(((point_mass(0.1), 1 - s), (b2, s)), 1)
+    return mu, nu
+
+
+def _sides_32_and_33():
+    """The roots of r=2 hierarchies extracted at m=32 and m=33, whose
+    reduced common denominator is lcm(32, 33) = 1056 > 1024."""
+    model = make_model("product", 2)
+    return tuple(
+        extract_hierarchy(sample_array(model, 2, m, seed=derive_seed(17, "x", m)), 2, m)
+        for m in (32, 33)
     )
-    assert nested_distance(mu, nu) == pytest.approx(best, abs=1e-9)
-    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("make_pair", [_irrational_pair, _sides_32_and_33],
+                         ids=["irrational", "extracted-32-33"])
+def test_nested_distance_off_the_grid_above_level_0_raises(monkeypatch, make_pair):
+    # a level k >= 1 is solved only as n x n assignments with n <= 1024; the
+    # error names level 1 before any level is solved
+    mu, nu = make_pair()
+    for name in ("_wasserstein1", "_w1_table", "_assignment_table"):
+        monkeypatch.setattr(hexch.definetti, name, _no_solve)
+    with pytest.raises(ValueError, match="^level 1: .* n <= 1024"):
+        nested_distance(mu, nu)
 
 
 def _plain(mu):
@@ -1019,6 +1027,25 @@ def _hierarchies(r, m, m2, ties):
     return ha, extract_hierarchy(resynthesize(ha, r, m2, seed=derive_seed(13, "y", m2)), r, m2)
 
 
+def _level_0_off_the_grid(monkeypatch):
+    """Make :func:`nested_distance` find no common denominator for the
+    level-0 tables, which it reads first from ``_measure_tables``, and the
+    usual one at every level above."""
+    real_tables, real_counts = hexch.definetti._measure_tables, hexch.definetti._level_counts
+    level_0 = []
+
+    def tables(mu):
+        out = real_tables(mu)
+        level_0.append(out[0][0][1])
+        return out
+
+    def counts(wa, wb, ma, mb):
+        return None if any(wa is w for w in level_0) else real_counts(wa, wb, ma, mb)
+
+    monkeypatch.setattr(hexch.definetti, "_measure_tables", tables)
+    monkeypatch.setattr(hexch.definetti, "_level_counts", counts)
+
+
 @pytest.mark.parametrize("fallback", [False, True])
 @pytest.mark.parametrize("r, m, m2, ties", [
     (1, 5, 5, None), (2, 4, 6, None), (3, 4, 6, None), (3, 4, 4, 1), (2, 6, 4, 1),
@@ -1037,15 +1064,16 @@ def test_nested_distance_from_level_arrays_matches_objects(
     if r > 1:
         # non-root measures: the first and the last depth-1 vertex
         pairs += [(ha.measures[1], hb.measures[1]), (ha.measures[m], hb.measures[m2])]
+    on_the_grid = [nested_distance(mu, nu) for mu, nu in pairs]
     if fallback:
-        # no common denominator: level 0 by wasserstein1 per pair of rows,
-        # each level above by the LP
-        monkeypatch.setattr(hexch.definetti, "_level_counts", lambda *args: None)
-        for name in ("_w1_table", "_assignment_table"):
-            monkeypatch.setattr(hexch.definetti, name, _no_common_denominator)
-    for mu, nu in pairs:
+        # no common denominator at level 0 only: level 0 by wasserstein1 per
+        # pair of rows, each level above by assignments, to the same values
+        _level_0_off_the_grid(monkeypatch)
+        monkeypatch.setattr(hexch.definetti, "_w1_table", _no_common_denominator)
+    for (mu, nu), want in zip(pairs, on_the_grid):
         assert mu._table_row is not None and _plain(mu)._table_row is None
         got = nested_distance(mu, nu)
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
         assert nested_distance(_plain(mu), _plain(nu)) == got
         assert nested_distance(mu, _plain(nu)) == got
         assert nested_distance(_plain(mu), nu) == got

@@ -672,6 +672,47 @@ def test_cond_indep_rejects_empty_pair_budget(budget):
         cond_indep_test(arr, h, seed=0, pair_budget=budget)
 
 
+def _bad_arguments_first(test):
+    """Call one public test with arguments that fail if any work is done
+    before they are checked: a source that must not be called, an array of
+    the wrong size for its hierarchy, or no depth classes."""
+    if test is hexch_test:
+        def source(seeds):
+            raise AssertionError("source called before the arguments were checked")
+
+        return lambda **kw: hexch_test(source, 2, 4, **{"n_reps": 20, **kw})
+    if test is level_homogeneity_test:
+        return lambda **kw: level_homogeneity_test({}, **kw)
+    _, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
+    return lambda **kw: test(np.zeros(5), h, **kw)
+
+
+_BAD_ARGUMENTS = [
+    (hexch_test, "level", 7.0, "level 7.0 outside"),
+    (hexch_test, "level", float("nan"), "level nan outside"),
+    (hexch_test, "n_reps", 20.5, "n_reps must be >= 20 and an integer, got 20.5"),
+    (hexch_test, "n_reps", 19, "n_reps must be >= 20"),
+    (hexch_test, "n_reps", np.float64(50.0), "n_reps must be >= 20"),
+    (hexch_test, "n", 2.5, "n must be >= 1 and an integer, got 2.5"),
+    (hexch_test, "n", True, "n must be >= 1"),
+    (hexch_test, "n_resamples", 0, "n_resamples must be >= 1"),
+    (conditional_iid_test, "level", 7.0, "level 7.0 outside"),
+    (conditional_iid_test, "n_resamples", 2.5, "n_resamples must be >= 1"),
+    (cond_indep_test, "level", 1.0, "level 1.0 outside"),
+    (cond_indep_test, "pair_budget", 0, "pair_budget must be >= 1"),
+    (cond_indep_test, "n_resamples", 0, "n_resamples must be >= 1"),
+    (level_homogeneity_test, "level", 0.0, "level 0.0 outside"),
+]
+
+
+@pytest.mark.parametrize("test, name, value, message", [
+    pytest.param(*row, id=f"{row[0].__name__}-{row[1]}={row[2]!r}") for row in _BAD_ARGUMENTS
+])
+def test_scalar_arguments_are_checked_before_any_work(test, name, value, message):
+    with pytest.raises(ValueError, match=f"^(insufficient replicates: )?{message}"):
+        _bad_arguments_first(test)(seed=0, **{name: value})
+
+
 def test_reports_carry_python_scalars():
     # m = 1 leaves the KS component as the conditional_iid p-value
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 1, seed=0)
