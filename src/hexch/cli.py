@@ -20,7 +20,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice, product, repeat
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .stattests import (
     level_homogeneity_test,
 )
 # leaves is unused here, but bench/spans.py traces it at this lookup site
-from .tree import DEFAULT_CELL_CAP, leaves, vertex_keys  # noqa: F401
+from .tree import DEFAULT_CELL_CAP, leaves  # noqa: F401
 
 __all__ = ["main", "run_experiment", "array_to_csv", "ConfigError", "CapError"]
 
@@ -250,7 +250,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# characters per write and rows per formatting block
+# characters per write and rows per CSV block
 _CHUNK = 1 << 16
 
 
@@ -273,40 +273,194 @@ def _chunks(pieces: Iterable[str]) -> Iterator[str]:
         yield "".join(buf)
 
 
-def _write(path: Path, text: str | Iterable[str], files: dict) -> None:
-    """Write ``text``, one string or an iterable of str pieces, as UTF-8 in
-    writes of ``_CHUNK`` characters (:func:`_chunks`), each encoded, hashed
-    and counted once as it is written, so neither the whole text of a
-    streamed file nor an encoded copy of any file is held; the manifest
-    entry records the sha256 and size."""
+def _encoded(pieces: Iterable[str | bytes]) -> Iterator[bytes]:
+    """The pieces as UTF-8: ``bytes`` pieces as they come, each run of str
+    pieces regrouped by :func:`_chunks` and encoded a chunk at a time."""
+    for is_bytes, run in groupby(pieces, key=lambda piece: isinstance(piece, bytes)):
+        yield from run if is_bytes else (chunk.encode("utf-8") for chunk in _chunks(run))
+
+
+def _write(path: Path, text: str | Iterable[str | bytes], files: dict) -> None:
+    """Write ``text``, one string or an iterable of str or ``bytes`` pieces,
+    hashing and counting each piece once as it is written
+    (:func:`_encoded`): a ``bytes`` piece, such as a CSV block, is written
+    as it comes, and str pieces in writes of ``_CHUNK`` characters.  So
+    neither the whole text of a streamed file nor an encoded copy of any
+    file is held; the manifest entry records the sha256 and size."""
     digest, size = hashlib.sha256(), 0
     with open(path, "wb") as fh:
-        for chunk in _chunks((text,) if isinstance(text, str) else text):
-            data = chunk.encode("utf-8")
+        for data in _encoded((text,) if isinstance(text, str) else text):
             digest.update(data)
             size += fh.write(data)
     files[path.name] = {"sha256": digest.hexdigest(), "bytes": size}
 
 
-def _csv(header: list[str], keys, values) -> str:
-    """The header and a ``key,value`` row per value (17 significant digits),
-    formatted a block of rows at a time."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    blocks = [",".join(header) + "\n"]
-    for lo in range(0, values.size, _CHUNK):
-        vals = map(format, values[lo : lo + _CHUNK].tolist(), repeat(".17g"))
-        lines = map(",".join, zip(islice(keys, _CHUNK), vals))
-        blocks.append("\n".join(lines) + "\n")
-    return "".join(blocks)
+# The CSV value kernel writes format(x, ".17g") for 1e-6 <= x < 1e16 from
+# the 17-digit integer N = round(x * 10^q), q = 16 - floor(log10 x), taken
+# from the exact product x * 10^q = hi + lo (Dekker's two-product; 10^q is an
+# exact double for q <= 22).  hi >= 1e16 > 2^53 is an even integer, so
+# hi + rint(lo) rounds half to even, as format() does.
+_POW10 = 10.0 ** np.arange(23)
+# bytes of one value: "0.000", 17 digits and a dot, "e-0d"; any _fmt text
+# (at most 24 bytes) fits
+_VALUE_WIDTH = 27
 
 
-def array_to_csv(array: np.ndarray, depths, shape, n=None) -> str:
-    """Canonical CSV dump: vertex key columns (one per tree component; ints
-    for one tree, tuples for a product), an optional replica index, and the
-    value at 17 significant digits.  Keys come from the coordinates
-    (:func:`~hexch.tree.vertex_keys`); rows follow the array, numerically
-    lexicographic (``1/2`` before ``1/10``), the first tree slowest and the
-    replica index fastest.  The array must hold exactly one value per row."""
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each double into a high and a low half of at most
+    26 significant bits, whose products are exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digits(v: np.ndarray, out: np.ndarray) -> None:
+    """The decimal digits of the uint32 array ``v`` as ASCII in the rows of
+    ``out``, most significant first, leading zeros kept."""
+    for row in out[::-1]:
+        q = v // 10
+        row[...] = v - q * 10
+        v = q
+    out += ord("0")
+
+
+def _value_planes(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ``.17g`` text of each value of ``x`` down its column of
+    the (``_VALUE_WIDTH``, len(x)) planes ``out``, 0 where a plane has no
+    byte.  Returns the mask of the values written: the others (0.0,
+    non-finite values, values outside [1e-6, 1e16) and those whose decade
+    ``log10`` misjudged) are left to :func:`_fmt`."""
+    ok = (x >= 1e-6) & (x < 1e16)
+    x = np.where(ok, x, 1.0)
+    q = 16 - np.floor(np.log10(x)).astype(np.intp)
+    np.clip(q, 0, 22, out=q)
+    hi = x * _POW10[q]
+    x_hi, x_lo = _split(x)
+    p_hi, p_lo = _POW10_HI[q], _POW10_LO[q]
+    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    # the decade is checked on the exact product, not on the rounded N
+    ok &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
+    ok &= (hi < 1e17) | ((hi == 1e17) & (lo < 0))
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ok &= n < 10**17
+    top = n // 10**9
+    digits = np.empty((17, x.size), np.uint8)
+    _digits(top.astype(np.uint32), digits[:8])
+    _digits((n - top * 10**9).astype(np.uint32), digits[8:])
+    # k significant digits: 17 less the trailing zeros
+    k = np.full(x.size, 17, np.uint8)
+    zeros = np.ones(x.size, bool)
+    for row in digits[:0:-1]:
+        zeros &= row == ord("0")
+        k -= zeros
+    e = (16 - q).astype(np.int8)
+    sci = e < -4
+    e1 = np.maximum(e + 1, 0).astype(np.uint8)
+    # digits written: the k significant ones, or the whole integer part
+    ndig = np.maximum(k, e1)
+    # the dot goes before digit p, if there is a digit after it: after the
+    # integer part, or after the first digit of d.ddde-0d; p = 0 (0.000ddd)
+    # has none
+    p = e1 + sci
+    dot = ((p > 0) & (p < ndig)) * np.uint8(ord("."))
+    # "0." and -e - 1 zeros before the digits of 1e-4 <= x < 1
+    lead = (e < 0) * ~sci * (1 - e)
+    for j, (row, byte) in enumerate(zip(out[:5], b"0.000")):
+        np.multiply(lead > j, np.uint8(byte), out=row)
+    # column t holds digit t before the dot and digit t - 1 after it; masks
+    # multiply in place of np.where, which is slow on uint8
+    body, t = out[5:23], np.arange(18, dtype=np.uint8)[:, None]
+    body[0] = 0
+    body[1:] = digits
+    body[:17] += (p > t[:17]) * (digits - body[:17])
+    body += (p == t) * (dot - body)
+    body *= ndig >= t
+    for row, byte in zip(out[23:26], b"e-0"):
+        np.multiply(sci, np.uint8(byte), out=row)
+    np.multiply(sci, (ord("0") - e).astype(np.uint8), out=out[26])
+    return ok
+
+
+def _key_layout(depths: tuple[int, ...], shape: tuple[int, ...], n: int | None):
+    """The key of a row as the text before each coordinate and the text
+    after the last: ``[(prefix, m), ...], tail``, one pair per coordinate,
+    the fastest last.  Component ``(d, m)`` is ``d/c1/.../cd`` with each c
+    in 1..m, components are joined by ``,``, and a replica index ``,i`` with
+    i in 1..n comes last."""
+    fields, text = [], ""
+    for j, (d, m) in enumerate(zip(depths, shape)):
+        text += ("," if j else "") + str(d)
+        for _ in range(d):
+            fields.append(((text + "/").encode(), m))
+            text = ""
+    if n is not None:
+        fields.append(((text + ",").encode(), n))
+        text = ""
+    return fields, (text + ",").encode()
+
+
+def _csv_block(layout, lo: int, x: np.ndarray) -> bytes:
+    """Rows ``lo, lo + 1, ...`` of a CSV, one per value of ``x``: the key
+    of ``layout`` (:func:`_key_layout`), the value and a newline.  The rows
+    are laid out in a fixed-width uint8 matrix, built a column at a time,
+    with 0 where a row has no byte, and the matrix less its 0s is the
+    block."""
+    fields, tail = layout
+    width = sum(len(pre) + len(str(m)) for pre, m in fields) + len(tail) + _VALUE_WIDTH + 1
+    planes = np.empty((width, x.size), np.uint8)
+    coords, rows = [], np.arange(lo, lo + x.size)
+    for _, m in reversed(fields):
+        q = rows // m
+        coords.append((rows - q * m + 1).astype(np.uint32))
+        rows = q
+    col = 0
+    for (pre, m), c in zip(fields, reversed(coords)):
+        planes[col : col + len(pre)] = np.frombuffer(pre, np.uint8)[:, None]
+        col += len(pre)
+        w = len(str(m))
+        _digits(c, planes[col : col + w])
+        for j in range(w - 1):
+            # leading zeros are no bytes
+            planes[col + j] *= c >= 10 ** (w - 1 - j)
+        col += w
+    planes[col : col + len(tail)] = np.frombuffer(tail, np.uint8)[:, None]
+    col += len(tail)
+    ok = _value_planes(x, planes[col : col + _VALUE_WIDTH])
+    planes[-1] = ord("\n")
+    matrix = planes.T.copy()
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = np.array([_fmt(v) for v in x[bad]], dtype=f"S{_VALUE_WIDTH}")
+        matrix[bad, col:-1] = text.view(np.uint8).reshape(bad.size, _VALUE_WIDTH)
+    return matrix[matrix != 0].tobytes()
+
+
+def _csv(header: list[str], parts) -> Iterator[bytes]:
+    """The header line, then for each ``(layout, values)`` part its rows
+    (:func:`_csv_block`) in blocks of at most ``_CHUNK``, as ``bytes``.
+    Each value is written byte-identical to ``format(x, ".17g")``: by the
+    numpy kernel (:func:`_value_planes`) where it applies, else by
+    :func:`_fmt`, the one call of ``format()``."""
+    yield (",".join(header) + "\n").encode()
+    for layout, values in parts:
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        for lo in range(0, values.size, _CHUNK):
+            yield _csv_block(layout, lo, values[lo : lo + _CHUNK])
+
+
+def array_to_csv(array: np.ndarray, depths, shape, n=None) -> Iterator[bytes]:
+    """Canonical CSV dump as ``bytes`` blocks of at most ``_CHUNK`` rows,
+    after a header line: vertex key columns (one per tree component), an
+    optional replica index, and the value at 17 significant digits,
+    byte-identical to ``format(x, ".17g")``.  Keys are those of
+    :func:`~hexch.tree.vertex_keys`, computed from the flat row index; rows
+    follow the array, numerically lexicographic (``1/2`` before ``1/10``),
+    the first tree slowest and the replica index fastest.  The array must
+    hold exactly one value per row; that is checked here, and the blocks
+    are built as they are read."""
     depths_t, shape_t = _as_tuples(depths, shape)
     rows = math.prod(int(m) ** int(r) for r, m in zip(depths_t, shape_t))
     rows *= 1 if n is None else n
@@ -315,19 +469,15 @@ def array_to_csv(array: np.ndarray, depths, shape, n=None) -> str:
         raise ValueError(f"array has {size} values, but the truncation has {rows} cells")
     header = [f"vertex_{j}" for j in range(1, len(depths_t) + 1)]
     header = ["vertex"] if np.ndim(depths) == 0 else header
-    first, *rest = map(vertex_keys, depths_t, shape_t)
     if n is not None:
         header.append("i")
-        rest.append(map(str, range(1, n + 1)))
-    if rest:
-        tails = tuple(map(",".join, product(*rest)))
-        first = (f"{k},{t}" for k in first for t in tails)
-    return _csv(header + ["value"], first, array)
+    layout = _key_layout(tuple(map(int, depths_t)), tuple(map(int, shape_t)), n)
+    return _csv(header + ["value"], [(layout, array)])
 
 
-def _field_csv(by_depth: dict, m: int) -> str:
-    keys = (k for d in by_depth for k in vertex_keys(d, m))
-    return _csv(["vertex", "value"], keys, np.concatenate(list(by_depth.values())))
+def _field_csv(by_depth: dict, m: int) -> Iterator[bytes]:
+    return _csv(["vertex", "value"],
+                [(_key_layout((d,), (m,), None), v) for d, v in by_depth.items()])
 
 
 def _run_one_test(cfg, entry, index, array, hierarchy, shifted):

@@ -79,15 +79,24 @@ def _role_key(role: str) -> int:
     return h
 
 
+def _seed_int(seed) -> int:
+    """A seed as a Python int: an int or numpy integer in [0, 2^64).  Any
+    other value raises, since reading it modulo 2^64 would alias it with a
+    valid seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
 def _init_int(seed: int, role: str) -> int:
-    return _mix_int(_mix_int((int(seed) ^ _GOLD) & _MASK) ^ _role_key(role))
+    return _mix_int(_mix_int(_seed_int(seed) ^ _GOLD) ^ _role_key(role))
 
 
 def _seed_words(seed) -> np.ndarray:
     """The (K,) words mix(seed ^ GOLD) that the streams (seed, role) start
     from, one per seed of an int or a 1-D sequence of K seeds, in one pass."""
     seeds = (seed,) if np.ndim(seed) == 0 else seed
-    return _mix(np.array([int(s) & _MASK for s in seeds], dtype=_U64) ^ _U64(_GOLD))
+    return _mix(np.array([_seed_int(s) for s in seeds], dtype=_U64) ^ _U64(_GOLD))
 
 
 def _init_state(seed, role: str) -> np.ndarray:

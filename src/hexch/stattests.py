@@ -192,12 +192,14 @@ def hexch_test(
     p-value is exact.
     """
     _check_level(level)
+    # n=None means no replica axis
+    for name, size in {"r": r, "m": m, "n": 1 if n is None else n}.items():
+        if not _is_size(size):
+            raise ValueError(f"{name} must be >= 1 and an integer, got {size!r}")
     if not (_is_size(n_reps) and n_reps >= 20):
         raise ValueError(f"insufficient replicates: n_reps must be >= 20 and an integer, "
                          f"got {n_reps!r}")
     _check_resamples(n_resamples)
-    if n is not None and not _is_size(n):
-        raise ValueError(f"n must be >= 1 and an integer, got {n!r}")
     shape, form = ((m**r,), "(K, m^r)") if n is None else ((m**r, n), "(K, m^r, n)")
     dim = m**r * (1 if n is None else n)
     keep = _marginal_indices(dim, r, m, n, seed)

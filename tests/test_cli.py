@@ -122,13 +122,13 @@ def test_array_to_csv_formats():
 
     model = SigmaModel("mix", 4, lambda p: p.mean(axis=1))
     x = sample_array(model, (1, 1), (2, 2), seed=5)
-    text = array_to_csv(x, (1, 1), (2, 2))
+    text = b"".join(array_to_csv(x, (1, 1), (2, 2))).decode()
     lines = text.strip().splitlines()
     assert lines[0] == "vertex_1,vertex_2,value"
     assert len(lines) == 1 + 4
     assert lines[1].startswith("1/1,1/1,")
     # replica form carries the column index
-    ah = array_to_csv(np.zeros((2, 3)), 1, 2, n=3)
+    ah = b"".join(array_to_csv(np.zeros((2, 3)), 1, 2, n=3)).decode()
     rows = ah.strip().splitlines()
     assert rows[0] == "vertex,i,value"
     assert rows[1].startswith("1/1,1,")
@@ -429,9 +429,12 @@ def test_array_to_csv_accepts_numpy_integers():
 
     from hexch.cli import array_to_csv
 
+    def csv(*args):
+        return b"".join(array_to_csv(*args))
+
     x = np.arange(4.0)
-    assert array_to_csv(x, np.int64(2), np.int64(2)) == array_to_csv(x, 2, 2)
-    assert array_to_csv(x, np.array([1, 1]), np.array([2, 2])) == array_to_csv(x, (1, 1), (2, 2))
+    assert csv(x, np.int64(2), np.int64(2)) == csv(x, 2, 2)
+    assert csv(x, np.array([1, 1]), np.array([2, 2])) == csv(x, (1, 1), (2, 2))
 
 
 # sha256 of the emitted files, recorded while the keys still came from
@@ -495,7 +498,7 @@ def test_array_to_csv_product_bytes_pinned():
 
     model = SigmaModel("mix", 6, lambda p: p.mean(axis=1))
     x = sample_array(model, (1, 2), (3, 2), seed=9)
-    text = array_to_csv(x, (1, 2), (3, 2))
+    text = b"".join(array_to_csv(x, (1, 2), (3, 2))).decode()
     assert text.startswith("vertex_1,vertex_2,value\n1/1,2/1/1,0.63035129435660708\n")
     assert len(text) == 380
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -530,7 +533,7 @@ def test_output_crosses_chunk_boundaries(tmp_path):
 
     m = _CHUNK + 3
     x = np.random.default_rng(0).random(m)
-    lines = array_to_csv(x, 1, m).splitlines()
+    lines = b"".join(array_to_csv(x, 1, m)).decode().splitlines()
     assert lines[1:] == [f"1/{i + 1},{format(v, '.17g')}" for i, v in enumerate(x.tolist())]
     text = "é" * (_CHUNK + 5) + "x" * (2 * _CHUNK)
     files = {}
@@ -565,6 +568,23 @@ def test_streamed_pieces_are_written_in_whole_chunks(tmp_path):
     want = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     assert files["hierarchy.json"] == want
     assert hashlib.sha256((tmp_path / "hierarchy.json").read_bytes()).hexdigest() == want["sha256"]
+
+
+def test_bytes_pieces_are_written_as_the_same_text(tmp_path):
+    from hexch.cli import _CHUNK, _write
+
+    text = "a,é\n" * (_CHUNK // 2) + "x" * (_CHUNK + 3)
+    data = text.encode("utf-8")
+    cuts = [0, 1, 5, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 2, len(data)]
+    written = {}
+    for name, pieces in [("str.txt", text), ("bytes.txt", [data[a:b] for a, b in zip(cuts, cuts[1:])]),
+                         ("mixed.txt", [text[:7], data[len(text[:7].encode()):]])]:
+        files = {}
+        _write(tmp_path / name, pieces, files)
+        assert (tmp_path / name).read_bytes() == data
+        written[name] = files[name]
+    assert written["str.txt"] == written["bytes.txt"] == written["mixed.txt"]
+    assert written["str.txt"]["bytes"] == len(data)
 
 
 @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])

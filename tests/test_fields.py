@@ -151,13 +151,35 @@ def _np_init_state(seed, role):
     return _mix(_mix(s) ^ h)
 
 
+_BAD_SEEDS = [-(2**70), -1, 2**64, 2**64 + 5, 2.0, 2.5, np.float64(3.0), True, "3", None]
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+def test_seeds_that_are_not_64_bit_integers_are_rejected(seed):
+    # int(seed) & (2^64 - 1) would alias 2.5 with 2 and -1 with 2^64 - 1
+    msg = "seed must be an integer in \\[0, 2\\^64\\)"
+    for call in (lambda: derive_seed(seed, "lbl"), lambda: derive_seeds(seed, "lbl", 3),
+                 lambda: _init_state(seed, "v"), lambda: _init_state([1, seed], "v"),
+                 lambda: sample_array(SigmaModel("leaf", 2, lambda p: p[:, -1]), 1, 4, seed)):
+        with pytest.raises(ValueError, match=msg):
+            call()
+
+
+def test_numpy_integer_seeds_keep_their_bits():
+    for seed in (0, 7, 2**63 - 1, 2**64 - 1):
+        for kind in (np.uint64, np.int64):
+            if seed <= np.iinfo(kind).max:
+                assert derive_seed(kind(seed), "lbl", 3) == derive_seed(seed, "lbl", 3)
+                assert _init_state(kind(seed), "v").tolist() == _init_state(seed, "v").tolist()
+
+
 def test_scalar_seed_mixing_matches_array_mix():
     rng = np.random.default_rng(4)
     z = rng.integers(0, 2**64, size=200, dtype=np.uint64, endpoint=False)
     z_before = z.copy()
     assert [_mix_int(int(x)) for x in z] == [int(x) for x in _mix(z)]
     assert np.array_equal(z, z_before)  # _mix leaves its input alone
-    seeds = [-(2**70), -5, -1, 0, 1, 42, 2**63, 2**64 - 1, 2**64, 2**64 + 5]
+    seeds = [0, 1, 5, 42, 2**32, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
     for seed in seeds:
         for role in ("v", "v^12", "derive:rep-a", "\u00e9t\u00e9"):
             expected = _np_init_state(seed, role)
@@ -170,8 +192,8 @@ def test_scalar_seed_mixing_matches_array_mix():
     for role in ("v", "derive:rep-a"):
         states = [int(_init_state(seed, role)[0]) for seed in seeds]
         assert _init_state(seeds, role).tolist() == states
-        assert _init_state(np.array(seeds[1:6], dtype=np.int64), role).tolist() == states[1:6]
-        assert _init_state(np.array(seeds[6:8], dtype=np.uint64), role).tolist() == states[6:8]
+        assert _init_state(np.array(seeds[:6], dtype=np.int64), role).tolist() == states[:6]
+        assert _init_state(np.array(seeds, dtype=np.uint64), role).tolist() == states
     for seed in seeds:
         batch = derive_seeds(seed, "lbl", 6)
         assert batch == [derive_seed(seed, "lbl", k) for k in range(6)]
@@ -368,7 +390,7 @@ def test_path_matrix_columns_are_prefix_values():
 def test_hash_level_matches_the_coord_word_rows():
     # one prefix-folded pass per depth tuple hashes each vertex as its word
     # row: one tree at depths 0..3, K = 1 and K = 3 start states
-    for seeds in ([5], [5, -1, 2**64 + 9]):
+    for seeds in ([5], [5, 2**64 - 1, 9]):
         h0 = _init_state(seeds, "w")
         for r, m in ((1, 5), (2, 3), (3, 4)):
             for d in range(r + 1):

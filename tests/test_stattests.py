@@ -680,7 +680,7 @@ def _bad_arguments_first(test):
         def source(seeds):
             raise AssertionError("source called before the arguments were checked")
 
-        return lambda **kw: hexch_test(source, 2, 4, **{"n_reps": 20, **kw})
+        return lambda **kw: hexch_test(**{"source": source, "r": 2, "m": 4, "n_reps": 20, **kw})
     if test is level_homogeneity_test:
         return lambda **kw: level_homogeneity_test({}, **kw)
     _, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
@@ -695,6 +695,10 @@ _BAD_ARGUMENTS = [
     (hexch_test, "n_reps", np.float64(50.0), "n_reps must be >= 20"),
     (hexch_test, "n", 2.5, "n must be >= 1 and an integer, got 2.5"),
     (hexch_test, "n", True, "n must be >= 1"),
+    (hexch_test, "r", 2.5, "r must be >= 1 and an integer, got 2.5"),
+    (hexch_test, "r", 0, "r must be >= 1 and an integer, got 0"),
+    (hexch_test, "m", 0, "m must be >= 1 and an integer, got 0"),
+    (hexch_test, "m", 2.5, "m must be >= 1 and an integer, got 2.5"),
     (hexch_test, "n_resamples", 0, "n_resamples must be >= 1"),
     (conditional_iid_test, "level", 7.0, "level 7.0 outside"),
     (conditional_iid_test, "n_resamples", 2.5, "n_resamples must be >= 1"),
@@ -711,6 +715,21 @@ _BAD_ARGUMENTS = [
 def test_scalar_arguments_are_checked_before_any_work(test, name, value, message):
     with pytest.raises(ValueError, match=f"^(insufficient replicates: )?{message}"):
         _bad_arguments_first(test)(seed=0, **{name: value})
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, 2**64])
+@pytest.mark.parametrize("test", [hexch_test, conditional_iid_test, cond_indep_test])
+def test_library_seeds_must_be_64_bit_integers(test, seed):
+    # seeds 2, 2.5 and 2.9 used to give one p-value, and -1 that of 2^64 - 1
+    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
+    calls = {
+        hexch_test: lambda: hexch_test(make_source("uniform-leaf", 1, 4).sample, 1, 4,
+                                       n_reps=20, n_resamples=9, seed=seed),
+        conditional_iid_test: lambda: conditional_iid_test(arr, h, n_resamples=9, seed=seed),
+        cond_indep_test: lambda: cond_indep_test(arr, h, n_resamples=9, seed=seed),
+    }
+    with pytest.raises(ValueError, match="seed must be an integer in"):
+        calls[test]()
 
 
 def test_reports_carry_python_scalars():
