@@ -1,0 +1,207 @@
+"""Exact numpy kernels for the decimal text of doubles, shared by the CSV
+and JSON writers.
+
+Two digit sources feed one layout.  Both start from the exact product
+x * 10^q = hi + lo, q = 16 - floor(log10 x), whose integer part has 17
+digits (Dekker's two-product; 10^q is an exact double for q <= 22):
+
+- :func:`_g17_digits` rounds it half to even to 17 digits, the digits of
+  ``format(x, ".17g")``, on [1e-6, 1e16);
+- :func:`_shortest_digits` finds the fewest correctly rounded digits that
+  read back as x, the digits of ``repr(x)`` (Steele & White; Gay 1990), on
+  [1e-6, 1).  It decides each round trip by exact arithmetic, never by
+  parsing a candidate back.
+
+:func:`_layout` writes 17 digits and their exponent as ``.17g`` lays them
+out, trailing zeros stripped.  On [1e-6, 1) that is ``repr``'s layout too:
+positional down to 1e-4, ``d.ddde-0d`` below.  Each digit source returns
+the mask of the values it handles; :func:`_fill` writes the others with
+``format`` or ``repr`` itself, so each text has one definition.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_POW10 = 10.0 ** np.arange(23)
+# bytes of one value: "0.000", 17 digits and a dot, "e-0d"; any .17g or
+# repr text of a double (at most 24 bytes) fits
+_VALUE_WIDTH = 27
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each double into a high and a low half of at most
+    26 significant bits, whose products are exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digits(v: np.ndarray, out: np.ndarray) -> None:
+    """The decimal digits of the uint32 array ``v`` as ASCII in the rows of
+    ``out``, most significant first, leading zeros kept."""
+    for row in out[::-1]:
+        q = v // 10
+        row[...] = v - q * 10
+        v = q
+    out += ord("0")
+
+
+def _product(x: np.ndarray, top: float):
+    """``(q, hi, lo, ok)`` with x * 10^q = hi + lo exactly, |lo| at most half
+    an ulp of hi, and ``ok`` marking the x in [1e-6, top) whose product lies
+    in [1e16, 1e17); the decade is checked on the exact product, since
+    ``log10`` can misjudge it near a power of ten.  Temporaries are
+    overwritten in place, in the order of the sum
+    ((x_hi p_hi - hi) + x_hi p_lo + x_lo p_hi) + x_lo p_lo."""
+    ok = (x >= 1e-6) & (x < top)
+    x = np.where(ok, x, 1.0)
+    e = np.log10(x)
+    q = np.floor(e, out=e).astype(np.intp)
+    del e
+    np.subtract(16, q, out=q)
+    np.clip(q, 0, 22, out=q)
+    hi = _POW10[q]
+    hi *= x
+    x_hi, x_lo = _split(x)
+    p_hi, p_lo = _POW10_HI[q], _POW10_LO[q]
+    lo = x_hi * p_hi
+    lo -= hi
+    lo += np.multiply(x_hi, p_lo, out=x_hi)
+    lo += np.multiply(x_lo, p_hi, out=p_hi)
+    lo += np.multiply(x_lo, p_lo, out=p_lo)
+    ok &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
+    ok &= (hi < 1e17) | ((hi == 1e17) & (lo < 0))
+    return q, hi, lo, ok
+
+
+def _g17_digits(x: np.ndarray):
+    """``(n, q, ok)``: the 17 digits n = round(x * 10^q) of
+    ``format(x, ".17g")``, for the x that ``ok`` marks.  hi >= 1e16 > 2^53
+    is an even integer, so hi + rint(lo) rounds half to even, as
+    ``format`` does."""
+    q, hi, lo, ok = _product(x, 1e16)
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ok &= n < 10**17
+    return n, q, ok
+
+
+def _shortest_digits(x: np.ndarray):
+    """``(n, q, ok)``: the digits of ``repr(x)`` for the x that ``ok``
+    marks, padded with zeros to 17.
+
+    With x * 10^q = H + lo, H an integer and lo in [0, 1), the k-digit
+    correctly rounded candidate is D = H // 10^j, j = 17 - k, rounded up
+    when R - 10^j / 2 > -lo for R = H - D 10^j; both sides are exact.  D
+    reads back as x when its distance |D 10^j - H - lo| is below
+    t = 10^q 2^(e - 54), half an ulp of x = f 2^e (f in [0.5, 1)) times
+    10^q, an exact double.  The distance is rounded once, and rounding is
+    monotone, so a rounded distance below or above t is the exact one's
+    side of t; at t itself it is undecided.  A candidate that reads back
+    makes the k + 1-digit one read back too, since that grid holds it, so
+    lengths are tried from 17 down on the values that still read back.
+    Left to the caller are the x outside [1e-6, 1), powers of two (their
+    gap below is half the gap above), and a shortest candidate that is an
+    exact decimal tie, lies undecided at t or carries into the next
+    decade."""
+    q, hi, lo, ok = _product(x, 1.0)
+    mantissa, e2 = np.frexp(x)
+    ok &= mantissa != 0.5
+    live = np.flatnonzero(ok)
+    # from here on only the values still in play are kept
+    hi, lo, e2, q_live = hi[live], lo[live], e2[live], q[live]
+    floor = np.floor(lo)
+    lo -= floor
+    h = hi.astype(np.int64)
+    h += floor.astype(np.int64)
+    e2 -= 54
+    t = np.ldexp(_POW10[q_live], e2)
+    del hi, floor, mantissa, e2, q_live
+    # 17 digits always read back: they lie within 1/2 of x 10^q, and
+    # t > 1e16 2^-54 > 1/2
+    n = np.zeros(x.size, np.int64)
+    undecided = np.zeros(x.size, bool)
+    n[live] = h + (lo > 0.5)
+    undecided[live] = lo == 0.5
+    for j in range(1, 17):
+        p = 10**j
+        d = h // p
+        # R - 10^j / 2, an integer below 2^53 in magnitude
+        c = (h - d * p - p // 2).astype(np.float64)
+        d += c > -lo
+        d *= p
+        # D 10^j - H is an integer below 2^53 in magnitude, exact as a double
+        s = np.abs((d - h).astype(np.float64) - lo)
+        undecided[live[s == t]] = True
+        back = np.flatnonzero(s < t)
+        if not back.size:
+            break
+        live = live[back]
+        n[live] = d[back]
+        undecided[live] = (c == -lo)[back]
+        del d, c, s
+        h, lo, t = h[back], lo[back], t[back]
+    ok &= ~undecided & (n < 10**17)
+    return n, q, ok
+
+
+def _layout(n: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """Write the 17 digits ``n`` of each value, times 10^-q, as ``.17g``
+    lays them out, down its column of the (``_VALUE_WIDTH``, len(n)) planes
+    ``out``, 0 where a plane has no byte.  Temporaries are overwritten or
+    dropped once spent, which bounds a block's peak memory."""
+    top = n // 10**9
+    digits = np.empty((17, n.size), np.uint8)
+    _digits(top.astype(np.uint32), digits[:8])
+    top *= 10**9
+    _digits(np.subtract(n, top, out=top).astype(np.uint32), digits[8:])
+    del top
+    # k significant digits: 17 less the trailing zeros
+    k = np.full(n.size, 17, np.uint8)
+    zeros = np.ones(n.size, bool)
+    for row in digits[:0:-1]:
+        zeros &= row == ord("0")
+        k -= zeros
+    e = (16 - q).astype(np.int8)
+    sci = e < -4
+    e1 = np.maximum(e + 1, 0).astype(np.uint8)
+    # digits written: the k significant ones, or the whole integer part
+    ndig = np.maximum(k, e1)
+    # the dot goes before digit p, if there is a digit after it: after the
+    # integer part, or after the first digit of d.ddde-0d; p = 0 (0.000ddd)
+    # has none
+    p = e1 + sci
+    dot = ((p > 0) & (p < ndig)) * np.uint8(ord("."))
+    # "0." and -e - 1 zeros before the digits of 1e-4 <= x < 1
+    lead = (e < 0) * ~sci * (1 - e)
+    for j, (row, byte) in enumerate(zip(out[:5], b"0.000")):
+        np.multiply(lead > j, np.uint8(byte), out=row)
+    # column t holds digit t before the dot and digit t - 1 after it; masks
+    # multiply in place of np.where, which is slow on uint8
+    body, t = out[5:23], np.arange(18, dtype=np.uint8)[:, None]
+    body[0] = 0
+    body[1:] = digits
+    np.subtract(digits, body[:17], out=digits)
+    digits *= p > t[:17]
+    body[:17] += digits
+    del digits
+    shift = dot - body
+    shift *= p == t
+    body += shift
+    del shift
+    body *= ndig >= t
+    for row, byte in zip(out[23:26], b"e-0"):
+        np.multiply(sci, np.uint8(byte), out=row)
+    np.multiply(sci, (ord("0") - e).astype(np.uint8), out=out[26])
+
+
+def _fill(matrix: np.ndarray, x: np.ndarray, ok: np.ndarray, fmt) -> None:
+    """Write ``fmt(v)`` over the row of ``matrix`` (len(x), ``_VALUE_WIDTH``)
+    of each value v of ``x`` that ``ok`` does not mark, 0-padded."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = np.array([fmt(v) for v in x[bad].tolist()], dtype=f"S{_VALUE_WIDTH}")
+        matrix[bad] = text.view(np.uint8).reshape(bad.size, _VALUE_WIDTH)

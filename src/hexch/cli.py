@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._text import _VALUE_WIDTH, _digits, _fill, _g17_digits, _layout
 from .definetti import extract_hierarchy, hierarchy_json_chunks, resynthesize
 # hierarchy_to_json_obj is unused here, but bench/spans.py traces it at this
 # lookup site
@@ -295,95 +296,6 @@ def _write(path: Path, text: str | Iterable[str | bytes], files: dict) -> None:
     files[path.name] = {"sha256": digest.hexdigest(), "bytes": size}
 
 
-# The CSV value kernel writes format(x, ".17g") for 1e-6 <= x < 1e16 from
-# the 17-digit integer N = round(x * 10^q), q = 16 - floor(log10 x), taken
-# from the exact product x * 10^q = hi + lo (Dekker's two-product; 10^q is an
-# exact double for q <= 22).  hi >= 1e16 > 2^53 is an even integer, so
-# hi + rint(lo) rounds half to even, as format() does.
-_POW10 = 10.0 ** np.arange(23)
-# bytes of one value: "0.000", 17 digits and a dot, "e-0d"; any _fmt text
-# (at most 24 bytes) fits
-_VALUE_WIDTH = 27
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of each double into a high and a low half of at most
-    26 significant bits, whose products are exact."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _split(_POW10)
-
-
-def _digits(v: np.ndarray, out: np.ndarray) -> None:
-    """The decimal digits of the uint32 array ``v`` as ASCII in the rows of
-    ``out``, most significant first, leading zeros kept."""
-    for row in out[::-1]:
-        q = v // 10
-        row[...] = v - q * 10
-        v = q
-    out += ord("0")
-
-
-def _value_planes(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the ``.17g`` text of each value of ``x`` down its column of
-    the (``_VALUE_WIDTH``, len(x)) planes ``out``, 0 where a plane has no
-    byte.  Returns the mask of the values written: the others (0.0,
-    non-finite values, values outside [1e-6, 1e16) and those whose decade
-    ``log10`` misjudged) are left to :func:`_fmt`."""
-    ok = (x >= 1e-6) & (x < 1e16)
-    x = np.where(ok, x, 1.0)
-    q = 16 - np.floor(np.log10(x)).astype(np.intp)
-    np.clip(q, 0, 22, out=q)
-    hi = x * _POW10[q]
-    x_hi, x_lo = _split(x)
-    p_hi, p_lo = _POW10_HI[q], _POW10_LO[q]
-    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
-    # the decade is checked on the exact product, not on the rounded N
-    ok &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
-    ok &= (hi < 1e17) | ((hi == 1e17) & (lo < 0))
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    ok &= n < 10**17
-    top = n // 10**9
-    digits = np.empty((17, x.size), np.uint8)
-    _digits(top.astype(np.uint32), digits[:8])
-    _digits((n - top * 10**9).astype(np.uint32), digits[8:])
-    # k significant digits: 17 less the trailing zeros
-    k = np.full(x.size, 17, np.uint8)
-    zeros = np.ones(x.size, bool)
-    for row in digits[:0:-1]:
-        zeros &= row == ord("0")
-        k -= zeros
-    e = (16 - q).astype(np.int8)
-    sci = e < -4
-    e1 = np.maximum(e + 1, 0).astype(np.uint8)
-    # digits written: the k significant ones, or the whole integer part
-    ndig = np.maximum(k, e1)
-    # the dot goes before digit p, if there is a digit after it: after the
-    # integer part, or after the first digit of d.ddde-0d; p = 0 (0.000ddd)
-    # has none
-    p = e1 + sci
-    dot = ((p > 0) & (p < ndig)) * np.uint8(ord("."))
-    # "0." and -e - 1 zeros before the digits of 1e-4 <= x < 1
-    lead = (e < 0) * ~sci * (1 - e)
-    for j, (row, byte) in enumerate(zip(out[:5], b"0.000")):
-        np.multiply(lead > j, np.uint8(byte), out=row)
-    # column t holds digit t before the dot and digit t - 1 after it; masks
-    # multiply in place of np.where, which is slow on uint8
-    body, t = out[5:23], np.arange(18, dtype=np.uint8)[:, None]
-    body[0] = 0
-    body[1:] = digits
-    body[:17] += (p > t[:17]) * (digits - body[:17])
-    body += (p == t) * (dot - body)
-    body *= ndig >= t
-    for row, byte in zip(out[23:26], b"e-0"):
-        np.multiply(sci, np.uint8(byte), out=row)
-    np.multiply(sci, (ord("0") - e).astype(np.uint8), out=out[26])
-    return ok
-
-
 def _key_layout(depths: tuple[int, ...], shape: tuple[int, ...], n: int | None):
     """The key of a row as the text before each coordinate and the text
     after the last: ``[(prefix, m), ...], tail``, one pair per coordinate,
@@ -428,13 +340,12 @@ def _csv_block(layout, lo: int, x: np.ndarray) -> bytes:
         col += w
     planes[col : col + len(tail)] = np.frombuffer(tail, np.uint8)[:, None]
     col += len(tail)
-    ok = _value_planes(x, planes[col : col + _VALUE_WIDTH])
+    n, q, ok = _g17_digits(x)
+    _layout(n, q, planes[col : col + _VALUE_WIDTH])
     planes[-1] = ord("\n")
     matrix = planes.T.copy()
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        text = np.array([_fmt(v) for v in x[bad]], dtype=f"S{_VALUE_WIDTH}")
-        matrix[bad, col:-1] = text.view(np.uint8).reshape(bad.size, _VALUE_WIDTH)
+    del planes
+    _fill(matrix[:, col:-1], x, ok, _fmt)
     return matrix[matrix != 0].tobytes()
 
 
@@ -442,7 +353,7 @@ def _csv(header: list[str], parts) -> Iterator[bytes]:
     """The header line, then for each ``(layout, values)`` part its rows
     (:func:`_csv_block`) in blocks of at most ``_CHUNK``, as ``bytes``.
     Each value is written byte-identical to ``format(x, ".17g")``: by the
-    numpy kernel (:func:`_value_planes`) where it applies, else by
+    numpy kernel (:func:`hexch._text._g17_digits`) where it applies, else by
     :func:`_fmt`, the one call of ``format()``."""
     yield (",".join(header) + "\n").encode()
     for layout, values in parts:

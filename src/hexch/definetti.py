@@ -46,6 +46,7 @@ from itertools import product
 
 import numpy as np
 
+from ._text import _VALUE_WIDTH, _fill, _layout, _shortest_digits
 from .fields import _hash_level, _init_state
 from .tree import TreeVertex, internal_vertices
 
@@ -795,14 +796,35 @@ def measure_to_json_obj(mu: EmpiricalMeasure) -> dict:
     return {"level": mu.level, "atoms": atoms}
 
 
-# level-0 atoms formatted per block of rows, so no list spans a whole level
+# level-0 atoms formatted per block of rows, so no matrix spans a whole level
 _BLOCK_ATOMS = 1 << 16
 
 
-def _json_floats(x: np.ndarray) -> list[str]:
-    """``json.dumps`` of each float of ``x``: ``float.__repr__``, as ``json``
-    writes finite floats, the only ones a hierarchy's tables hold."""
-    return list(map(repr, x.tolist()))
+def _json_floats(x: np.ndarray) -> np.ndarray:
+    """``json.dumps`` of each float of ``x``, ``float.__repr__`` as ``json``
+    writes finite floats (the only ones a hierarchy's tables hold), in the
+    rows of a (len(x), ``_VALUE_WIDTH``) uint8 matrix, 0 where a row has no
+    byte.  Values in [1e-6, 1) come from the exact shortest-round-trip
+    kernel (:func:`hexch._text._shortest_digits`), laid out as the CSV
+    writer's ``.17g`` digits are; the values it leaves (0.0, 1.0, powers of
+    two, values outside [1e-6, 1) and rare ties) are written by ``repr``
+    itself, so the text has one definition."""
+    planes = np.empty((_VALUE_WIDTH, x.size), np.uint8)
+    n, q, ok = _shortest_digits(x)
+    _layout(n, q, planes)
+    matrix = planes.T.copy()
+    _fill(matrix, x, ok, repr)
+    return matrix
+
+
+def _texts(matrix: np.ndarray, ends) -> list[str]:
+    """The rows of the uint8 ``matrix`` less their 0 bytes, as one str per
+    run of rows, the runs ending before each row index of ``ends``.  Each
+    run is decoded from the compressed bytes by itself, so no str of the
+    whole matrix is made."""
+    cuts = np.cumsum((matrix != 0).sum(axis=1))[np.asarray(ends) - 1].tolist()
+    data = matrix[matrix != 0].data
+    return [str(data[s:e], "ascii") for s, e in zip([0] + cuts[:-1], cuts)]
 
 
 def _glue(h: DirectingHierarchy, k: int) -> tuple[list[str], np.ndarray]:
@@ -812,25 +834,29 @@ def _glue(h: DirectingHierarchy, k: int) -> tuple[list[str], np.ndarray]:
     index among them."""
     w = h.weights[k]
     uniq, inv = np.unique(w, return_inverse=True)
-    texts = _json_floats(uniq)
+    texts = _texts(_json_floats(uniq), np.arange(1, len(uniq) + 1))
     gid = inv.reshape(w.shape)
     gid[np.arange(len(w)), h.counts[k] - 1] += len(uniq)
     return [f", {t}], [" for t in texts] + [f', {t}]], "level": {k}}}' for t in texts], gid
 
 
 def _level0_texts(h: DirectingHierarchy, glue: list[str], gid: np.ndarray) -> list[str]:
-    """The JSON text of each level-0 table row, formatted a block of rows at
-    a time."""
+    """The JSON text of each level-0 table row, laid out a block of rows at
+    a time as one uint8 matrix, a row per atom: its location's text, then
+    its glue from a 0-padded byte table of ``glue``."""
     a, w, counts = h.atoms[0], h.weights[0], h.counts[0]
+    table = np.array(glue, dtype=bytes)
+    table = table.view(np.uint8).reshape(len(glue), table.itemsize)
     texts: list[str] = []
     step = max(1, _BLOCK_ATOMS // a.shape[1])
     for lo in range(0, len(a), step):
         present = w[lo : lo + step] > 0
-        locs = _json_floats(a[lo : lo + step][present])
-        after = map(glue.__getitem__, gid[lo : lo + step][present].tolist())
-        atoms = list(map(str.__add__, locs, after))
-        ends = np.cumsum(counts[lo : lo + step]).tolist()
-        texts.extend('{"atoms": [[' + "".join(atoms[s:e]) for s, e in zip([0] + ends[:-1], ends))
+        matrix = np.concatenate(
+            (_json_floats(a[lo : lo + step][present]), table[gid[lo : lo + step][present]]),
+            axis=1,
+        )
+        rows = _texts(matrix, np.cumsum(counts[lo : lo + step]))
+        texts.extend('{"atoms": [[' + row for row in rows)
     return texts
 
 
@@ -852,11 +878,15 @@ def hierarchy_json_chunks(h: DirectingHierarchy) -> Iterator[str]:
     object is, byte for byte ``json.dumps(..., sort_keys=True) + "\\n"``.
 
     Written from the level tables, bottom-up: each level-0 row is formatted
-    once, with ``float.__repr__`` as ``json`` does, and each level's
+    once, a block of rows at a time as one byte matrix, and each level's
     distinct weights once; a level k >= 1 row is the pieces of the child
     rows it points at, glued by its weights, and is never joined into one
-    string.  Keys follow string order (``"1/10"`` before ``"1/2"``), as
-    ``sort_keys`` puts them.  No :class:`EmpiricalMeasure` is made."""
+    string.  Every float is ``float.__repr__``'s text, as ``json`` writes
+    it (:func:`_json_floats`): from the exact shortest-round-trip kernel on
+    [1e-6, 1), where nearly all locations and weights lie, and from
+    ``repr`` itself for the rest.  Keys follow string order (``"1/10"``
+    before ``"1/2"``), as ``sort_keys`` puts them.  No
+    :class:`EmpiricalMeasure` is made."""
     glues = [_glue(h, k) for k in range(h.r)]
     level0 = _level0_texts(h, *glues[0])
     yield f'{{"m": {h.m}, "measures": {{'

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .definetti import DirectingHierarchy, _is_size, _lex_order
-from .fields import derive_seed, derive_seeds
+from .fields import _seed_int, derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
 from .tree import DEFAULT_CELL_CAP
@@ -561,9 +561,11 @@ def level_homogeneity_test(
 
     Each depth class is KS-tested against U[0,1], and every pair of depths
     gets a two-sample KS check.  Component p-values combine by Bonferroni.
-    The test draws nothing; ``seed`` is recorded in the report.
+    The test draws nothing; ``seed``, an integer in [0, 2^64) as the other
+    tests take, is recorded in the report.
     """
     _check_level(level)
+    _seed_int(seed)
     import scipy.stats
 
     if len(values_by_depth) < 2:

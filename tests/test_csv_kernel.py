@@ -1,14 +1,26 @@
-"""The CSV writer's value kernel and key columns against their definitions:
-every value byte-identical to ``format(x, ".17g")`` and every key to
-:func:`hexch.tree.vertex_keys`."""
+"""The text kernels against their definitions: every CSV value
+byte-identical to ``format(x, ".17g")``, every CSV key to
+:func:`hexch.tree.vertex_keys`, and every ``hierarchy.json`` float to
+``repr``."""
 
+import json
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from hexch._text import _shortest_digits
 from hexch.cli import _CHUNK, _field_csv, array_to_csv
-from hexch.tree import vertex_keys
+from hexch.definetti import (
+    _BLOCK_ATOMS,
+    _json_floats,
+    _texts,
+    extract_hierarchy,
+    hierarchy_json_chunks,
+    measure_to_json_obj,
+)
+from hexch.scenarios import make_source
+from hexch.tree import internal_vertices, vertex_keys
 
 
 def _rows(blocks) -> list[list[str]]:
@@ -129,3 +141,121 @@ def test_keys_of_the_field_csv(r, m):
     assert [row[0] for row in rows] == [k for d in range(r + 1) for k in vertex_keys(d, m)]
     values = np.concatenate(list(by_depth.values())).tolist()
     assert [row[1] for row in rows] == [format(v, ".17g") for v in values]
+
+
+def _assert_repr(x, fallbacks=0):
+    """Each float of ``x`` is written as ``repr`` writes it, and the
+    shortest kernel, not its ``repr`` fallback, wrote all but at most
+    ``fallbacks`` of the values in its range [1e-6, 1) that are not powers
+    of two."""
+    x = np.asarray(x, dtype=np.float64)
+    got = _texts(_json_floats(x), np.arange(1, x.size + 1))
+    want = [repr(v) for v in x.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not bad, f"{len(bad)} of {x.size} values differ, first {bad[:3]}"
+    ok = _shortest_digits(x)[2]
+    inside = (x >= 1e-6) & (x < 1.0) & (np.frexp(x)[0] != 0.5)
+    assert not (ok & ~inside).any()
+    assert np.count_nonzero(inside & ~ok) <= fallbacks
+
+
+def _decimals(rng, k: int, size: int) -> np.ndarray:
+    """Doubles nearest to random k-digit decimals in [1e-6, 1)."""
+    digits = rng.integers(10 ** (k - 1), 10**k, size)
+    exps = rng.integers(-6, 0, size) - k + 1
+    return np.array([float(f"{d}e{e}") for d, e in zip(digits.tolist(), exps.tolist())])
+
+
+def test_shortest_kernel_on_decimals_of_every_length_and_their_neighbours():
+    rng = np.random.default_rng(30)
+    for k in range(1, 18):
+        v = _decimals(rng, k, 1_000)
+        x = np.concatenate([v, np.nextafter(v, 0), np.nextafter(v, 1)])
+        # within an ulp of a power of ten, log10 can put x in the decade
+        # above, and such values are left to repr
+        power = 10.0 ** np.round(np.log10(x))
+        _assert_repr(x, fallbacks=np.count_nonzero(np.abs(x - power) <= np.spacing(power)))
+
+
+def test_shortest_kernel_on_log_uniform_and_binary_exponents():
+    rng = np.random.default_rng(31)
+    _assert_repr(10.0 ** rng.uniform(-6, 0, 50_000))
+    # random mantissas at every binary exponent of [2^-20, 1)
+    mantissa = 0.5 + rng.integers(1, 2**52, (20, 2_000)) * 2.0**-53
+    _assert_repr(np.ldexp(mantissa, np.arange(-20, 0)[:, None]).reshape(-1))
+    _assert_repr(rng.random(20_000))
+
+
+def test_shortest_kernel_on_the_pipeline_atoms():
+    h = extract_hierarchy(make_source("product", 2, 128).sample(0), 2, 128)
+    _assert_repr(h.atoms[0][h.weights[0] > 0])
+
+
+def test_powers_of_two_fall_back_and_their_neighbours_do_not():
+    p = 2.0 ** np.arange(-19, 0)
+    near = np.concatenate([np.nextafter(p, 0), np.nextafter(p, 1)])
+    _assert_repr(np.concatenate([p, near]))
+    assert not _shortest_digits(p)[2].any()
+    assert _shortest_digits(near)[2].all()
+
+
+def test_range_ends_and_values_outside_it():
+    edges = np.array([1e-6, np.nextafter(1e-6, 0), np.nextafter(1e-6, 1),
+                      np.nextafter(1.0, 0), 0.0, 1.0, 1e-7, 5e-324, 3e-300])
+    _assert_repr(edges, fallbacks=1)
+    # 1e-06 lies just below 1e-6, so its product is checked in the decade below
+    assert _shortest_digits(edges)[2].tolist() == [False, False, True, True] + [False] * 5
+
+
+def test_values_just_below_a_power_of_ten():
+    # their shorter candidates round up to the power of ten, a carry into the
+    # next decade that does not read back, except for 1e-06 itself
+    x = [10.0 ** -np.arange(1, 8)]
+    for _ in range(8):
+        x.append(np.nextafter(x[-1], 0))
+    _assert_repr(np.concatenate(x), fallbacks=40)
+
+
+def test_exact_decimal_ties_fall_back():
+    rng = np.random.default_rng(32)
+    x = []
+    for n in range(14, 41):
+        # (2j + 1) / 2^n with 18 significant digits: a tie at the 17th
+        lo, hi = 10.0 ** (17 - n) * 2.0**n, min(10.0 ** (18 - n) * 2.0**n, 2.0**53)
+        j_lo, j_hi = int(np.ceil((lo - 1) / 2)), int((hi - 1) // 2)
+        if j_lo < j_hi:
+            x.append((2 * rng.integers(j_lo, j_hi, 1_000) + 1) / 2.0**n)
+    x = np.concatenate(x)
+    x = x[(x >= 1e-6) & (x < 1.0)]
+    assert all(len(Decimal(v).as_tuple().digits) == 18 for v in x.tolist())
+    ok = _shortest_digits(x)[2]
+    # a tie is left to repr only where 16 digits do not read back
+    assert 0 < np.count_nonzero(~ok) < x.size
+    _assert_repr(x, fallbacks=x.size)
+    # odd multiples of 2^-17 in [0.5, 1) end in 5 at the 17th digit, and both
+    # 16-digit neighbours, 5 units of the 17th digit away, read back
+    x = (2 * rng.integers(2**15, 2**16, 2_000) + 1) / 2.0**17
+    assert not _shortest_digits(x)[2].any()
+    _assert_repr(x, fallbacks=x.size)
+
+
+def test_level0_blocks_with_kernel_and_fallback_atoms_mixed():
+    rng = np.random.default_rng(33)
+    r, m = 2, 300
+    x = rng.random(m * m)
+    x[::7] = 10.0 ** rng.uniform(-9, 0, x[::7].size)
+    x[::11] = 2.0 ** -rng.integers(1, 30, x[::11].size)
+    x[::13] = 0.0
+    x[1::17] = 1.0
+    x[2::19] = _decimals(rng, 3, x[2::19].size)
+    x[3::23] = 1e-6
+    h = extract_hierarchy(x, r, m)
+    a = h.atoms[0][h.weights[0] > 0]
+    # the table's rows fill more than one block, and both paths write atoms
+    assert a.size > _BLOCK_ATOMS
+    ok = _shortest_digits(a)[2]
+    assert ok.any() and not ok.all()
+    measures = {v.encode(): measure_to_json_obj(mu)
+                for v, mu in zip(internal_vertices(r, m), h.measures, strict=True)}
+    want = json.dumps({"m": m, "measures": measures, "r": r}, sort_keys=True) + "\n"
+    assert "".join(hierarchy_json_chunks(h)) == want

@@ -732,6 +732,13 @@ def test_library_seeds_must_be_64_bit_integers(test, seed):
         calls[test]()
 
 
+@pytest.mark.parametrize("seed", [2.5, -1, True, 2**64])
+def test_level_homogeneity_seed_must_be_a_64_bit_integer(seed):
+    # the seed is only recorded, so it used to be written to the report as given
+    with pytest.raises(ValueError, match="seed must be an integer in"):
+        level_homogeneity_test(level_values(0, 2, 4), seed=seed)
+
+
 def test_reports_carry_python_scalars():
     # m = 1 leaves the KS component as the conditional_iid p-value
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 1, seed=0)
