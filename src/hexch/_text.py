@@ -1,12 +1,12 @@
-"""Exact numpy kernels for the decimal text of doubles, shared by the CSV
-and JSON writers.
+"""Exact numpy kernels for the decimal text of doubles, and the one row
+builder that both the CSV and the JSON writer lay their rows out with.
 
 Two digit sources feed one layout.  Both start from the exact product
 x * 10^q = hi + lo, q = 16 - floor(log10 x), whose integer part has 17
 digits (Dekker's two-product; 10^q is an exact double for q <= 22):
 
 - :func:`_g17_digits` rounds it half to even to 17 digits, the digits of
-  ``format(x, ".17g")``, on [1e-6, 1e16);
+  ``format(x, ".17g")`` (:func:`_fmt`), on [1e-6, 1e16);
 - :func:`_shortest_digits` finds the fewest correctly rounded digits that
   read back as x, the digits of ``repr(x)`` (Steele & White; Gay 1990), on
   [1e-6, 1).  It decides each round trip by exact arithmetic, never by
@@ -15,8 +15,10 @@ digits (Dekker's two-product; 10^q is an exact double for q <= 22):
 :func:`_layout` writes 17 digits and their exponent as ``.17g`` lays them
 out, trailing zeros stripped.  On [1e-6, 1) that is ``repr``'s layout too:
 positional down to 1e-4, ``d.ddde-0d`` below.  Each digit source returns
-the mask of the values it handles; :func:`_fill` writes the others with
-``format`` or ``repr`` itself, so each text has one definition.
+the mask of the values it handles, and ``_fmt`` or ``repr`` itself writes
+the others, so each text has one definition.  :func:`_rows` puts each text
+between the caller's bytes (a CSV key and newline, a JSON weight and
+brackets) and returns the rows as ``bytes``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ _POW10 = 10.0 ** np.arange(23)
 # bytes of one value: "0.000", 17 digits and a dot, "e-0d"; any .17g or
 # repr text of a double (at most 24 bytes) fits
 _VALUE_WIDTH = 27
+_NO_BYTES = np.empty((0, 1), np.uint8)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,10 +201,40 @@ def _layout(n: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
     np.multiply(sci, (ord("0") - e).astype(np.uint8), out=out[26])
 
 
-def _fill(matrix: np.ndarray, x: np.ndarray, ok: np.ndarray, fmt) -> None:
-    """Write ``fmt(v)`` over the row of ``matrix`` (len(x), ``_VALUE_WIDTH``)
-    of each value v of ``x`` that ``ok`` does not mark, 0-padded."""
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+# the kernel that writes each text where it applies
+_KERNELS = {_fmt: _g17_digits, repr: _shortest_digits}
+
+
+def _rows(x: np.ndarray, fmt, before=_NO_BYTES, after=_NO_BYTES, ends=None):
+    """Row i is column i of the uint8 planes ``before`` (0 is no byte; one
+    column serves every row), ``fmt(x[i])`` for ``fmt`` in ``_fmt`` and
+    ``repr``, and column i of ``after``: all rows as one ``bytes``, or one
+    per run of rows ending before each row index of ``ends``.  The planes
+    are transposed once, after the kernel of ``fmt`` wrote the values it
+    covers, and freed, like every temporary, before the rows are cut."""
+    n, q, ok = _KERNELS[fmt](x)
+    col, end = len(before), len(before) + _VALUE_WIDTH
+    planes = np.empty((end + len(after), x.size), np.uint8)
+    planes[:col], planes[end:] = before, after
+    del before, after
+    _layout(n, q, planes[col:end])
+    del n, q
+    matrix = planes.T.copy()
+    del planes
     bad = np.flatnonzero(~ok)
     if bad.size:
         text = np.array([fmt(v) for v in x[bad].tolist()], dtype=f"S{_VALUE_WIDTH}")
-        matrix[bad] = text.view(np.uint8).reshape(bad.size, _VALUE_WIDTH)
+        matrix[bad, col:end] = text.view(np.uint8).reshape(bad.size, _VALUE_WIDTH)
+    del x, ok
+    mask = matrix != 0
+    if ends is not None:
+        cuts = np.cumsum(mask.sum(axis=1))[np.asarray(ends) - 1].tolist()
+    text = matrix[mask]
+    del matrix, mask
+    if ends is None:
+        return text.tobytes()
+    return [text[s:e].tobytes() for s, e in zip([0] + cuts[:-1], cuts)]

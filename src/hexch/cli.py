@@ -20,18 +20,17 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._text import _VALUE_WIDTH, _digits, _fill, _g17_digits, _layout
+from ._text import _digits, _fmt, _rows
 from .definetti import extract_hierarchy, hierarchy_json_chunks, resynthesize
 # hierarchy_to_json_obj is unused here, but bench/spans.py traces it at this
 # lookup site
 from .definetti import hierarchy_to_json_obj  # noqa: F401
-from .fields import _as_tuples, derive_seed, level_values
+from .fields import _as_tuples, _is_size, derive_seed, level_values
 from .scenarios import _depth_shift, builtin, list_scenarios, make_source
 from .stattests import (
     cond_indep_test,
@@ -47,7 +46,7 @@ __all__ = ["main", "run_experiment", "array_to_csv", "ConfigError", "CapError"]
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent experiment configuration."""
+    """Malformed or inconsistent experiment configuration or run option."""
 
 
 class CapError(ValueError):
@@ -247,50 +246,18 @@ def _check_hexch_buffers(i: int, entry: dict, kept: int, cap: int) -> None:
             raise CapError(f"tests[{i}]: hexch {what} exceeds the cap of {cap} cells")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-# characters per write and rows per CSV block
+# rows per CSV block
 _CHUNK = 1 << 16
+_NEWLINE = np.frombuffer(b"\n", np.uint8)[:, None]
 
 
-def _chunks(pieces: Iterable[str]) -> Iterator[str]:
-    """Regroup str pieces into strings of ``_CHUNK`` characters, the last
-    one shorter: pieces are held until they fill a chunk, and what is left
-    past the last whole chunk is held for the next."""
-    buf: list[str] = []
-    held = 0
-    for piece in pieces:
-        buf.append(piece)
-        held += len(piece)
-        if held >= _CHUNK:
-            text = "".join(buf)
-            cut = held - held % _CHUNK
-            for lo in range(0, cut, _CHUNK):
-                yield text[lo : lo + _CHUNK]
-            buf, held = [text[cut:]], held - cut
-    if held:
-        yield "".join(buf)
-
-
-def _encoded(pieces: Iterable[str | bytes]) -> Iterator[bytes]:
-    """The pieces as UTF-8: ``bytes`` pieces as they come, each run of str
-    pieces regrouped by :func:`_chunks` and encoded a chunk at a time."""
-    for is_bytes, run in groupby(pieces, key=lambda piece: isinstance(piece, bytes)):
-        yield from run if is_bytes else (chunk.encode("utf-8") for chunk in _chunks(run))
-
-
-def _write(path: Path, text: str | Iterable[str | bytes], files: dict) -> None:
-    """Write ``text``, one string or an iterable of str or ``bytes`` pieces,
-    hashing and counting each piece once as it is written
-    (:func:`_encoded`): a ``bytes`` piece, such as a CSV block, is written
-    as it comes, and str pieces in writes of ``_CHUNK`` characters.  So
-    neither the whole text of a streamed file nor an encoded copy of any
-    file is held; the manifest entry records the sha256 and size."""
+def _write(path: Path, pieces: Iterable[bytes], files: dict) -> None:
+    """Write the ``bytes`` pieces as they come, hashing and counting each
+    once as it is written, so the whole text of a streamed file is never
+    held; the manifest entry records the sha256 and size."""
     digest, size = hashlib.sha256(), 0
     with open(path, "wb") as fh:
-        for data in _encoded((text,) if isinstance(text, str) else text):
+        for data in pieces:
             digest.update(data)
             size += fh.write(data)
     files[path.name] = {"sha256": digest.hexdigest(), "bytes": size}
@@ -314,52 +281,40 @@ def _key_layout(depths: tuple[int, ...], shape: tuple[int, ...], n: int | None):
     return fields, (text + ",").encode()
 
 
-def _csv_block(layout, lo: int, x: np.ndarray) -> bytes:
-    """Rows ``lo, lo + 1, ...`` of a CSV, one per value of ``x``: the key
-    of ``layout`` (:func:`_key_layout`), the value and a newline.  The rows
-    are laid out in a fixed-width uint8 matrix, built a column at a time,
-    with 0 where a row has no byte, and the matrix less its 0s is the
-    block."""
+def _key_planes(layout, lo: int, size: int) -> np.ndarray:
+    """The keys of ``layout`` (:func:`_key_layout`) of CSV rows ``lo, lo +
+    1, ..., lo + size - 1`` as uint8 planes, one per byte column and row i
+    down column i, 0 where a row has no byte."""
     fields, tail = layout
-    width = sum(len(pre) + len(str(m)) for pre, m in fields) + len(tail) + _VALUE_WIDTH + 1
-    planes = np.empty((width, x.size), np.uint8)
-    coords, rows = [], np.arange(lo, lo + x.size)
-    for _, m in reversed(fields):
-        q = rows // m
-        coords.append((rows - q * m + 1).astype(np.uint32))
-        rows = q
-    col = 0
-    for (pre, m), c in zip(fields, reversed(coords)):
-        planes[col : col + len(pre)] = np.frombuffer(pre, np.uint8)[:, None]
-        col += len(pre)
-        w = len(str(m))
+    col = sum(len(pre) + len(str(m)) for pre, m in fields)
+    planes = np.empty((col + len(tail), size), np.uint8)
+    planes[col:] = np.frombuffer(tail, np.uint8)[:, None]
+    # the fastest coordinate first, so the planes fill from the right
+    rows = np.arange(lo, lo + size)
+    for pre, m in reversed(fields):
+        rows, c = np.divmod(rows, m)
+        c, w = (c + 1).astype(np.uint32), len(str(m))
+        col -= w
         _digits(c, planes[col : col + w])
         for j in range(w - 1):
             # leading zeros are no bytes
             planes[col + j] *= c >= 10 ** (w - 1 - j)
-        col += w
-    planes[col : col + len(tail)] = np.frombuffer(tail, np.uint8)[:, None]
-    col += len(tail)
-    n, q, ok = _g17_digits(x)
-    _layout(n, q, planes[col : col + _VALUE_WIDTH])
-    planes[-1] = ord("\n")
-    matrix = planes.T.copy()
-    del planes
-    _fill(matrix[:, col:-1], x, ok, _fmt)
-    return matrix[matrix != 0].tobytes()
+        col -= len(pre)
+        planes[col : col + len(pre)] = np.frombuffer(pre, np.uint8)[:, None]
+    return planes
 
 
 def _csv(header: list[str], parts) -> Iterator[bytes]:
     """The header line, then for each ``(layout, values)`` part its rows
-    (:func:`_csv_block`) in blocks of at most ``_CHUNK``, as ``bytes``.
-    Each value is written byte-identical to ``format(x, ".17g")``: by the
-    numpy kernel (:func:`hexch._text._g17_digits`) where it applies, else by
-    :func:`_fmt`, the one call of ``format()``."""
+    (key, value and newline) from :func:`hexch._text._rows` in ``bytes``
+    blocks of at most ``_CHUNK`` rows, each value byte-identical to
+    ``format(x, ".17g")``."""
     yield (",".join(header) + "\n").encode()
     for layout, values in parts:
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         for lo in range(0, values.size, _CHUNK):
-            yield _csv_block(layout, lo, values[lo : lo + _CHUNK])
+            x = values[lo : lo + _CHUNK]
+            yield _rows(x, _fmt, _key_planes(layout, lo, x.size), _NEWLINE)
 
 
 def array_to_csv(array: np.ndarray, depths, shape, n=None) -> Iterator[bytes]:
@@ -428,12 +383,15 @@ def _run_one_test(cfg, entry, index, array, hierarchy, shifted):
 
 
 def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
-    """Execute one configured pipeline; returns (exit code, emitted files)."""
+    """Execute one configured pipeline; returns (exit code, emitted files).
+    ``threads`` workers run the tests, 0 meaning one per CPU."""
+    if not _is_size(threads, 0):
+        raise ConfigError(f"threads must be >= 0 and an integer (0 = auto), got {threads!r}")
     cfg = _parse_config(config_obj)
     spec = builtin(cfg["scenario"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if threads < 1:
+    if threads == 0:
         threads = os.cpu_count() or 1
     files: dict = {}
 
@@ -478,7 +436,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
         reports = list(map(run_test, indices))
 
     report_lines = [json.dumps(r.to_json_obj(), sort_keys=True) for r in reports]
-    _write(out / "reports.jsonl", "\n".join(report_lines) + "\n", files)
+    _write(out / "reports.jsonl", [("\n".join(report_lines) + "\n").encode()], files)
 
     summary = ["test,statistic,p_value,reject,expected,ok"]
     all_ok = True
@@ -495,7 +453,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
             f"{r.name},{_fmt(r.statistic)},{_fmt(r.p_value)},"
             f"{int(r.reject)},{expected},{int(ok)}"
         )
-    _write(out / "summary.csv", "\n".join(summary) + "\n", files)
+    _write(out / "summary.csv", [("\n".join(summary) + "\n").encode()], files)
 
     manifest = {
         "version": __version__,
@@ -504,7 +462,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
     }
     _write(
         out / "manifest.json",
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+        [(json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()],
         files,
     )
     return (0 if all_ok else 1), files
@@ -579,7 +537,8 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=1,
-        help="worker threads (0 = auto); never affects results",
+        help="worker threads for the tests (0 = one per CPU; a negative value "
+        "is a usage error); never affects results",
     )
     p_run.set_defaults(fn=_cmd_run)
 

@@ -11,8 +11,9 @@ uniforms, hashed one whole depth at a time as every sampler's are
 A :class:`DirectingHierarchy` stores each nesting level as arrays: a table
 of its distinct measures in canonical order, and one table id per vertex.
 Extraction and resynthesis work on whole levels of those arrays, and so
-does the JSON writer: ``hierarchy.json`` is streamed from the level
-tables, each distinct measure formatted once.  The nested
+does the JSON writer: ``hierarchy.json`` is streamed as ``bytes`` from the
+level tables, each distinct measure formatted once by the CSV writer's row
+builder (``hexch._text._rows``).  The nested
 :class:`EmpiricalMeasure` objects, finite atom systems nested to the
 required level, are built only on demand (``measures``, ``measure_at``).
 Two of them, or two hierarchies' roots, are compared with the nested
@@ -46,8 +47,8 @@ from itertools import product
 
 import numpy as np
 
-from ._text import _VALUE_WIDTH, _fill, _layout, _shortest_digits
-from .fields import _hash_level, _init_state
+from ._text import _rows
+from .fields import _hash_level, _init_state, _is_size
 from .tree import TreeVertex, internal_vertices
 
 __all__ = [
@@ -379,11 +380,6 @@ def _check_rises(a: np.ndarray, present: np.ndarray, k: int) -> None:
     rises[a.shape[1] - 1 :: a.shape[1]] = True  # where a row starts
     if (present.reshape(-1)[1:] > rises).any():
         raise ValueError(f"level-{k} atoms must ascend along each row")
-
-
-def _is_size(value) -> bool:
-    """Whether ``value`` is an integer >= 1; a bool is not."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
 
 
 # Scratch bound for the row searches, the level-0 broadcast and the
@@ -800,115 +796,83 @@ def measure_to_json_obj(mu: EmpiricalMeasure) -> dict:
 _BLOCK_ATOMS = 1 << 16
 
 
-def _json_floats(x: np.ndarray) -> np.ndarray:
-    """``json.dumps`` of each float of ``x``, ``float.__repr__`` as ``json``
-    writes finite floats (the only ones a hierarchy's tables hold), in the
-    rows of a (len(x), ``_VALUE_WIDTH``) uint8 matrix, 0 where a row has no
-    byte.  Values in [1e-6, 1) come from the exact shortest-round-trip
-    kernel (:func:`hexch._text._shortest_digits`), laid out as the CSV
-    writer's ``.17g`` digits are; the values it leaves (0.0, 1.0, powers of
-    two, values outside [1e-6, 1) and rare ties) are written by ``repr``
-    itself, so the text has one definition."""
-    planes = np.empty((_VALUE_WIDTH, x.size), np.uint8)
-    n, q, ok = _shortest_digits(x)
-    _layout(n, q, planes)
-    matrix = planes.T.copy()
-    _fill(matrix, x, ok, repr)
-    return matrix
-
-
-def _texts(matrix: np.ndarray, ends) -> list[str]:
-    """The rows of the uint8 ``matrix`` less their 0 bytes, as one str per
-    run of rows, the runs ending before each row index of ``ends``.  Each
-    run is decoded from the compressed bytes by itself, so no str of the
-    whole matrix is made."""
-    cuts = np.cumsum((matrix != 0).sum(axis=1))[np.asarray(ends) - 1].tolist()
-    data = matrix[matrix != 0].data
-    return [str(data[s:e], "ascii") for s, e in zip([0] + cuts[:-1], cuts)]
-
-
-def _glue(h: DirectingHierarchy, k: int) -> tuple[list[str], np.ndarray]:
+def _glue(h: DirectingHierarchy, k: int) -> tuple[list[bytes], np.ndarray]:
     """The text after each atom of the level-k table: ``, w], [``, or
     ``, w]], "level": k}`` after a row's last atom.  Each distinct weight is
-    formatted once; returns the glue strings and, per padded atom, its
+    formatted once; returns the glue pieces and, per padded atom, its
     index among them."""
     w = h.weights[k]
     uniq, inv = np.unique(w, return_inverse=True)
-    texts = _texts(_json_floats(uniq), np.arange(1, len(uniq) + 1))
+    texts = _rows(uniq, repr, ends=np.arange(1, len(uniq) + 1))
     gid = inv.reshape(w.shape)
     gid[np.arange(len(w)), h.counts[k] - 1] += len(uniq)
-    return [f", {t}], [" for t in texts] + [f', {t}]], "level": {k}}}' for t in texts], gid
+    return [b", %s], [" % t for t in texts] + [b', %s]], "level": %d}' % (t, k) for t in texts], gid
 
 
-def _level0_texts(h: DirectingHierarchy, glue: list[str], gid: np.ndarray) -> list[str]:
-    """The JSON text of each level-0 table row, laid out a block of rows at
-    a time as one uint8 matrix, a row per atom: its location's text, then
-    its glue from a 0-padded byte table of ``glue``."""
+def _level0_texts(h: DirectingHierarchy, glue: list[bytes], gid: np.ndarray) -> list[bytes]:
+    """The JSON text of each level-0 table row, a block of rows at a time:
+    each atom's location (:func:`hexch._text._rows`), then its glue from the
+    planes of a 0-padded byte table of ``glue``."""
     a, w, counts = h.atoms[0], h.weights[0], h.counts[0]
-    table = np.array(glue, dtype=bytes)
-    table = table.view(np.uint8).reshape(len(glue), table.itemsize)
-    texts: list[str] = []
+    table = np.array(glue, dtype=bytes).view(np.uint8).reshape(len(glue), -1).T.copy()
+    texts: list[bytes] = []
     step = max(1, _BLOCK_ATOMS // a.shape[1])
     for lo in range(0, len(a), step):
         present = w[lo : lo + step] > 0
-        matrix = np.concatenate(
-            (_json_floats(a[lo : lo + step][present]), table[gid[lo : lo + step][present]]),
-            axis=1,
-        )
-        rows = _texts(matrix, np.cumsum(counts[lo : lo + step]))
-        texts.extend('{"atoms": [[' + row for row in rows)
+        rows = _rows(a[lo : lo + step][present], repr, after=table[:, gid[lo : lo + step][present]],
+                     ends=np.cumsum(counts[lo : lo + step]))
+        texts.extend(b'{"atoms": [[' + row for row in rows)
     return texts
 
 
-def _string_ordered_keys(d: int, m: int) -> tuple[Iterator[str], np.ndarray]:
+def _string_ordered_keys(d: int, m: int) -> tuple[Iterator[bytes], np.ndarray]:
     """The keys of the depth-d vertices in string order, which compares the
     coordinates as strings (``"1/10"`` before ``"1/2"``), and each vertex's
     lexicographic index in that order."""
-    coords = sorted(map(str, range(1, m + 1)))
+    coords = sorted(b"%d" % c for c in range(1, m + 1))
     ranks = np.array([int(c) - 1 for c in coords], dtype=np.intp)
     order = np.zeros(1, dtype=np.intp)
     for _ in range(d):
         order = (order[:, None] * m + ranks).reshape(-1)
-    return map("/".join, product((str(d),), *[coords] * d)), order
+    return map(b"/".join, product((b"%d" % d,), *[coords] * d)), order
 
 
-def hierarchy_json_chunks(h: DirectingHierarchy) -> Iterator[str]:
-    """Yield the text of ``hierarchy.json`` in pieces: the hierarchy keyed by
+def hierarchy_json_chunks(h: DirectingHierarchy) -> Iterator[bytes]:
+    """Yield ``hierarchy.json`` as ``bytes`` pieces: the hierarchy keyed by
     encoded vertex, each measure written as :func:`measure_to_json_obj`'s
     object is, byte for byte ``json.dumps(..., sort_keys=True) + "\\n"``.
 
-    Written from the level tables, bottom-up: each level-0 row is formatted
-    once, a block of rows at a time as one byte matrix, and each level's
-    distinct weights once; a level k >= 1 row is the pieces of the child
-    rows it points at, glued by its weights, and is never joined into one
-    string.  Every float is ``float.__repr__``'s text, as ``json`` writes
-    it (:func:`_json_floats`): from the exact shortest-round-trip kernel on
-    [1e-6, 1), where nearly all locations and weights lie, and from
-    ``repr`` itself for the rest.  Keys follow string order (``"1/10"``
-    before ``"1/2"``), as ``sort_keys`` puts them.  No
+    Written from the level tables, bottom-up: each level-0 row and each
+    level's distinct weights are built once by the CSV writer's row builder
+    (:func:`hexch._text._rows`), a level-0 block of rows at a time; a level
+    k >= 1 row is the pieces of the child rows it points at, glued by its
+    weights.  Every float is ``float.__repr__``'s text, as ``json`` writes
+    it, from the exact shortest-round-trip kernel on [1e-6, 1) and from
+    ``repr`` itself elsewhere.  Keys follow string order (``"1/10"`` before
+    ``"1/2"``), as ``sort_keys`` puts them.  No text is decoded and no
     :class:`EmpiricalMeasure` is made."""
     glues = [_glue(h, k) for k in range(h.r)]
     level0 = _level0_texts(h, *glues[0])
-    yield f'{{"m": {h.m}, "measures": {{'
-    sep = ""
+    yield b'{"m": %d, "measures": {' % h.m
+    sep = b""
     for d in sorted(range(h.r), key=str):
         keys, order = _string_ordered_keys(d, h.m)
         for key, j in zip(keys, h.ids[d][order].tolist()):
-            yield f'{sep}"{key}": '
+            yield b'%s"%s": ' % (sep, key)
             yield from _row_pieces(h, glues, level0, h.r - 1 - d, j)
-            sep = ", "
-    yield f'}}, "r": {h.r}}}\n'
+            sep = b", "
+    yield b'}, "r": %d}\n' % h.r
 
 
-def _row_pieces(h: DirectingHierarchy, glues: list, level0: list[str], k: int, j: int):
+def _row_pieces(h: DirectingHierarchy, glues: list, level0: list[bytes], k: int, j: int):
     """The text of row j of the level-k table, in pieces: a level-0 row's
-    formatted text, or each child row's pieces followed by its glue."""
+    text, or each child row's pieces followed by its glue."""
     if k == 0:
         yield level0[j]
         return
     glue, gid = glues[k]
     n = h.counts[k][j]
-    yield '{"atoms": [['
+    yield b'{"atoms": [['
     for child, g in zip(h.atoms[k][j, :n].tolist(), gid[j, :n].tolist()):
         yield from _row_pieces(h, glues, level0, k - 1, child)
         yield glue[g]
@@ -916,7 +880,7 @@ def _row_pieces(h: DirectingHierarchy, glues: list, level0: list[str], k: int, j
 
 def hierarchy_to_json_obj(h: DirectingHierarchy) -> dict:
     """The hierarchy keyed by encoded vertex, each measure as
-    :func:`measure_to_json_obj`'s object: ``json.loads`` of
-    :func:`hierarchy_json_chunks`' text, so the object and the file have
+    :func:`measure_to_json_obj`'s object: ``json.loads`` of the joined
+    :func:`hierarchy_json_chunks` pieces, so the object and the file have
     one source."""
-    return json.loads("".join(hierarchy_json_chunks(h)))
+    return json.loads(b"".join(hierarchy_json_chunks(h)))

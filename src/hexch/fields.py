@@ -212,6 +212,16 @@ def _write_paths(levels: list[np.ndarray], depths, shape) -> np.ndarray:
     return out.reshape(k, -1, len(layout))
 
 
+def _is_size(value, lo: int = 1) -> bool:
+    """Whether ``value`` is an integer >= ``lo``; a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= lo
+
+
+def _check_size(name: str, value, lo: int = 1) -> None:
+    if not _is_size(value, lo):
+        raise ValueError(f"{name} must be >= {lo} and an integer, got {value!r}")
+
+
 def _as_tuple(x) -> tuple[int, ...]:
     """A depth or side tuple; an int means one tree."""
     return (x,) if np.ndim(x) == 0 else tuple(x)
@@ -222,6 +232,10 @@ def _as_tuples(depths, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
     depths_t, shape_t = _as_tuple(depths), _as_tuple(shape)
     if len(depths_t) != len(shape_t):
         raise ValueError("depths and shape must have equal length")
+    if not all(_is_size(r, 0) for r in depths_t):
+        raise ValueError(f"depths must be integers >= 0, got {depths!r}")
+    if not all(_is_size(m) for m in shape_t):
+        raise ValueError(f"shape must be integers >= 1, got {shape!r}")
     return depths_t, shape_t
 
 
@@ -270,6 +284,8 @@ def level_values(seed: int, r: int, m: int) -> dict[int, np.ndarray]:
     """The uniform field of role "u" on the whole truncation {1..m}^r: a dict
     from each depth d to the values of its m^d vertices, in
     :func:`~hexch.tree.vertex_keys` order, hashed once per depth."""
+    _check_size("r", r, 0)
+    _check_size("m", m)
     return {d: u[0] for d, u in enumerate(_level_values(_init_state(seed, "u"), (r,), (m,)))}
 
 
@@ -349,6 +365,7 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     states and K shared ones hashed in one pass each.  The replica start
     states are one mix of the K seed words against the n role keys.
     """
+    _check_size("n", n)
     if model.arity != 2 * (r + 1):
         raise ValueError(f"model arity {model.arity} != 2(r+1) = {2 * (r + 1)}")
     shared = path_matrix(seed, "v", r, m)

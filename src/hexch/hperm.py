@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _hash_level, _init_state
+from .fields import _check_size, _hash_level, _init_state
 from .tree import TreeVertex, internal_vertices, wedge_matrix
 
 __all__ = [
@@ -221,6 +221,8 @@ def random_leaf_indices(r: int, m: int, seeds) -> np.ndarray:
     built from the K maps' rank arrays in one hash pass and one double
     argsort per depth, without tables or vertex objects.
     """
+    _check_size("r", r)
+    _check_size("m", m)
     return _leaf_indices(_random_ranks(r, m, seeds), m)
 
 

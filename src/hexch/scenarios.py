@@ -16,6 +16,7 @@ import numpy as np
 
 from .fields import (
     SigmaModel,
+    _check_size,
     _coord_words,
     _hash_words,
     _init_state,
@@ -164,8 +165,12 @@ def make_source(
 ) -> ArraySource:
     """Seeded generator for a registered scenario on a given truncation."""
     spec = builtin(name)
+    _check_size("r", r, 0)
+    _check_size("m", m)
     if r < spec.min_r:
         raise ValueError(f"{name} needs r >= {spec.min_r}")
+    if n is not None:
+        _check_size("n", n)
     params = {**spec.defaults.get("params", {}), **(params or {})}
     if spec.form == "sigma":
         model = make_model(name, r, params)

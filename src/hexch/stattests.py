@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .definetti import DirectingHierarchy, _is_size, _lex_order
-from .fields import _seed_int, derive_seed, derive_seeds
+from .definetti import DirectingHierarchy, _lex_order
+from .fields import _check_size, _is_size, _seed_int, derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
 from .tree import DEFAULT_CELL_CAP
@@ -153,11 +153,6 @@ def _marginal_indices(dim: int, r: int, m: int, n, seed: int) -> np.ndarray | No
     return np.sort(rng.choice(dim, size=_MARGINAL_SUBSET, replace=False))
 
 
-def _check_resamples(n_resamples: int) -> None:
-    if not _is_size(n_resamples):
-        raise ValueError(f"n_resamples must be >= 1 and an integer, got {n_resamples!r}")
-
-
 def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:
         raise ValueError(f"level {level} outside (0,1)")
@@ -194,12 +189,11 @@ def hexch_test(
     _check_level(level)
     # n=None means no replica axis
     for name, size in {"r": r, "m": m, "n": 1 if n is None else n}.items():
-        if not _is_size(size):
-            raise ValueError(f"{name} must be >= 1 and an integer, got {size!r}")
+        _check_size(name, size)
     if not (_is_size(n_reps) and n_reps >= 20):
         raise ValueError(f"insufficient replicates: n_reps must be >= 20 and an integer, "
                          f"got {n_reps!r}")
-    _check_resamples(n_resamples)
+    _check_size("n_resamples", n_resamples)
     shape, form = ((m**r,), "(K, m^r)") if n is None else ((m**r, n), "(K, m^r, n)")
     dim = m**r * (1 if n is None else n)
     keep = _marginal_indices(dim, r, m, n, seed)
@@ -298,7 +292,7 @@ def conditional_iid_test(
     combination of the two components.
     """
     _check_level(level)
-    _check_resamples(n_resamples)
+    _check_size("n_resamples", n_resamples)
     import scipy.stats
 
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
@@ -519,9 +513,8 @@ def cond_indep_test(
         raise ValueError("cross-parent check needs tree depth r >= 2")
     if hierarchy.m < 2:
         raise ValueError("no sibling pairs: m must be >= 2")
-    if not _is_size(pair_budget):
-        raise ValueError(f"pair_budget must be >= 1 and an integer, got {pair_budget!r}")
-    _check_resamples(n_resamples)
+    _check_size("pair_budget", pair_budget)
+    _check_size("n_resamples", n_resamples)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
     pit = _pit_matrix(array, hierarchy, rng)
     n_parents, m = pit.shape

@@ -48,6 +48,23 @@ def test_threads_do_not_affect_results(tmp_path):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
 
 
+@pytest.mark.parametrize("threads", [-1, 2.5, True])
+def test_threads_must_be_a_count(tmp_path, threads):
+    # the one-test config starts no thread even where threads is read as auto
+    with pytest.raises(ValueError, match=r"threads must be >= 0 and an integer \(0 = auto\)"):
+        run_experiment(minimal_config(), tmp_path / "out", threads=threads)
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_threads_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config()))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--threads", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: threads must be >= 0 and an integer (0 = auto), got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_summary_has_one_row_per_test(tmp_path):
     cfg = minimal_config(
         r=2,
@@ -524,40 +541,26 @@ def test_array_run_builds_no_vertex_objects(tmp_path, monkeypatch):
     assert {"array.csv", "hierarchy.json", "resynthesized.csv"} <= set(files)
 
 
-def test_output_crosses_chunk_boundaries(tmp_path):
-    import hashlib
-
+def test_output_crosses_chunk_boundaries():
     import numpy as np
 
-    from hexch.cli import _CHUNK, _write, array_to_csv
+    from hexch.cli import _CHUNK, array_to_csv
 
     m = _CHUNK + 3
     x = np.random.default_rng(0).random(m)
     lines = b"".join(array_to_csv(x, 1, m)).decode().splitlines()
     assert lines[1:] == [f"1/{i + 1},{format(v, '.17g')}" for i, v in enumerate(x.tolist())]
-    text = "é" * (_CHUNK + 5) + "x" * (2 * _CHUNK)
-    files = {}
-    _write(tmp_path / "t.txt", text, files)
-    data = text.encode("utf-8")
-    assert (tmp_path / "t.txt").read_bytes() == data
-    assert files["t.txt"] == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 def test_streamed_pieces_are_written_in_whole_chunks(tmp_path):
     import hashlib
 
-    from hexch.cli import _CHUNK, _chunks, _write
+    from hexch.cli import _CHUNK, _write
     from hexch.definetti import extract_hierarchy, hierarchy_json_chunks, measure_to_json_obj
     from hexch.scenarios import make_source
     from hexch.tree import internal_vertices
 
-    pieces = ["", "ab", "c" * _CHUNK, "", "d" * (2 * _CHUNK + 7), "é" * 3, ""]
-    chunks = list(_chunks(pieces))
-    assert "".join(chunks) == "".join(pieces)
-    assert [len(c) for c in chunks[:-1]] == [_CHUNK] * (len(chunks) - 1)
-    assert 0 < len(chunks[-1]) <= _CHUNK
-    assert list(_chunks(["", ""])) == []
-    # a hierarchy.json several chunks long, against the measure objects
+    # a hierarchy.json several 64 KiB long, against the measure objects
     h = extract_hierarchy(make_source("product", 3, 16).sample(2), 3, 16)
     measures = {v.encode(): measure_to_json_obj(mu)
                 for v, mu in zip(internal_vertices(3, 16), h.measures, strict=True)}
@@ -571,20 +574,16 @@ def test_streamed_pieces_are_written_in_whole_chunks(tmp_path):
 
 
 def test_bytes_pieces_are_written_as_the_same_text(tmp_path):
+    import hashlib
+
     from hexch.cli import _CHUNK, _write
 
-    text = "a,é\n" * (_CHUNK // 2) + "x" * (_CHUNK + 3)
-    data = text.encode("utf-8")
-    cuts = [0, 1, 5, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 2, len(data)]
-    written = {}
-    for name, pieces in [("str.txt", text), ("bytes.txt", [data[a:b] for a, b in zip(cuts, cuts[1:])]),
-                         ("mixed.txt", [text[:7], data[len(text[:7].encode()):]])]:
-        files = {}
-        _write(tmp_path / name, pieces, files)
-        assert (tmp_path / name).read_bytes() == data
-        written[name] = files[name]
-    assert written["str.txt"] == written["bytes.txt"] == written["mixed.txt"]
-    assert written["str.txt"]["bytes"] == len(data)
+    data = ("a,é\n" * (_CHUNK // 2) + "x" * (_CHUNK + 3)).encode("utf-8")
+    cuts = [0, 1, 1, 5, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 2, len(data)]
+    files = {}
+    _write(tmp_path / "bytes.txt", (data[a:b] for a, b in zip(cuts, cuts[1:])), files)
+    assert (tmp_path / "bytes.txt").read_bytes() == data
+    assert files["bytes.txt"] == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])

@@ -9,12 +9,10 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from hexch._text import _shortest_digits
+from hexch._text import _rows, _shortest_digits
 from hexch.cli import _CHUNK, _field_csv, array_to_csv
 from hexch.definetti import (
     _BLOCK_ATOMS,
-    _json_floats,
-    _texts,
     extract_hierarchy,
     hierarchy_json_chunks,
     measure_to_json_obj,
@@ -23,7 +21,7 @@ from hexch.scenarios import make_source
 from hexch.tree import internal_vertices, vertex_keys
 
 
-def _rows(blocks) -> list[list[str]]:
+def _csv_rows(blocks) -> list[list[str]]:
     """The data rows of a CSV given as bytes blocks, split at commas."""
     text = b"".join(blocks).decode("ascii")
     assert text.endswith("\n")
@@ -33,7 +31,7 @@ def _rows(blocks) -> list[list[str]]:
 def _values_text(x) -> list[str]:
     """The value column that array_to_csv writes for ``x`` on one tree."""
     x = np.asarray(x, dtype=np.float64)
-    return [row[-1] for row in _rows(array_to_csv(x, 1, x.size))]
+    return [row[-1] for row in _csv_rows(array_to_csv(x, 1, x.size))]
 
 
 def _assert_formats(x):
@@ -104,7 +102,7 @@ def test_blocks_cross_chunk_with_kernel_and_fallback_rows_mixed():
     blocks = list(array_to_csv(x, 1, x.size))
     assert blocks[0] == b"vertex,value\n"
     assert [block.count(b"\n") for block in blocks[1:]] == [_CHUNK, 5]
-    rows = _rows(blocks)
+    rows = _csv_rows(blocks)
     assert rows == [[k, format(v, ".17g")] for k, v in zip(vertex_keys(1, x.size), x.tolist())]
 
 
@@ -112,7 +110,7 @@ def test_keys_of_one_tree():
     rng = np.random.default_rng(23)
     for r, m in ((1, 1), (2, 7), (3, 11), (1, 1005)):
         x = rng.random(m**r)
-        assert [row[0] for row in _rows(array_to_csv(x, r, m))] == list(vertex_keys(r, m))
+        assert [row[0] for row in _csv_rows(array_to_csv(x, r, m))] == list(vertex_keys(r, m))
 
 
 def test_keys_of_a_product():
@@ -121,13 +119,13 @@ def test_keys_of_a_product():
     x = rng.random(3 * 144 * 2)
     want = [[a, b, c] for a in vertex_keys(1, 3) for b in vertex_keys(2, 12)
             for c in vertex_keys(1, 2)]
-    assert [row[:3] for row in _rows(array_to_csv(x, depths, shape))] == want
+    assert [row[:3] for row in _csv_rows(array_to_csv(x, depths, shape))] == want
 
 
 def test_keys_with_a_replica_index():
     rng = np.random.default_rng(25)
     x = rng.random((16, 12))
-    rows = _rows(array_to_csv(x, 2, 4, n=12))
+    rows = _csv_rows(array_to_csv(x, 2, 4, n=12))
     assert [row[:2] for row in rows] == [[k, str(i)] for k in vertex_keys(2, 4)
                                          for i in range(1, 13)]
     assert [row[2] for row in rows] == [format(v, ".17g") for v in x.reshape(-1).tolist()]
@@ -137,7 +135,7 @@ def test_keys_with_a_replica_index():
 def test_keys_of_the_field_csv(r, m):
     rng = np.random.default_rng(26)
     by_depth = {d: rng.random(m**d) for d in range(r + 1)}
-    rows = _rows(_field_csv(by_depth, m))
+    rows = _csv_rows(_field_csv(by_depth, m))
     assert [row[0] for row in rows] == [k for d in range(r + 1) for k in vertex_keys(d, m)]
     values = np.concatenate(list(by_depth.values())).tolist()
     assert [row[1] for row in rows] == [format(v, ".17g") for v in values]
@@ -149,7 +147,7 @@ def _assert_repr(x, fallbacks=0):
     ``fallbacks`` of the values in its range [1e-6, 1) that are not powers
     of two."""
     x = np.asarray(x, dtype=np.float64)
-    got = _texts(_json_floats(x), np.arange(1, x.size + 1))
+    got = [t.decode("ascii") for t in _rows(x, repr, ends=np.arange(1, x.size + 1))]
     want = [repr(v) for v in x.tolist()]
     bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
     assert not bad, f"{len(bad)} of {x.size} values differ, first {bad[:3]}"
@@ -258,4 +256,4 @@ def test_level0_blocks_with_kernel_and_fallback_atoms_mixed():
     measures = {v.encode(): measure_to_json_obj(mu)
                 for v, mu in zip(internal_vertices(r, m), h.measures, strict=True)}
     want = json.dumps({"m": m, "measures": measures, "r": r}, sort_keys=True) + "\n"
-    assert "".join(hierarchy_json_chunks(h)) == want
+    assert b"".join(hierarchy_json_chunks(h)).decode() == want

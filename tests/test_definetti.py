@@ -469,7 +469,7 @@ def test_hierarchy_and_resynthesis_bytes_pinned(case):
     name, r, m, m2, seed, h_digest, y_digest = case
     x = make_source(name, r, m).sample(seed)
     h = extract_hierarchy(x, r, m)
-    text = "".join(hierarchy_json_chunks(h))
+    text = b"".join(hierarchy_json_chunks(h)).decode()
     assert hashlib.sha256(text.encode()).hexdigest() == h_digest
     obj_text = json.dumps(hierarchy_to_json_obj(h), sort_keys=True) + "\n"
     assert _first_difference(obj_text, text) is None
@@ -524,7 +524,7 @@ def test_array_form_bytes_pinned(case):
     if decimals is not None:
         x = np.round(x, decimals)
     h = extract_hierarchy(x, r, m)
-    text = "".join(hierarchy_json_chunks(h))
+    text = b"".join(hierarchy_json_chunks(h)).decode()
     assert hashlib.sha256(text.encode()).hexdigest() == h_digest
     obj_text = json.dumps(hierarchy_to_json_obj(h), sort_keys=True) + "\n"
     assert _first_difference(obj_text, text) is None
@@ -560,8 +560,8 @@ def test_json_writer_matches_the_object_path(case):
         x = np.round(x, decimals)
     h = extract_hierarchy(x, r, m)
     pieces = list(hierarchy_json_chunks(h))
-    assert all(isinstance(p, str) for p in pieces)
-    assert _first_difference("".join(pieces), _object_path_json(h)) is None
+    assert all(isinstance(p, bytes) for p in pieces)
+    assert _first_difference(b"".join(pieces).decode(), _object_path_json(h)) is None
 
 
 def test_json_writer_leaves_no_reference_cycles():
@@ -572,7 +572,7 @@ def test_json_writer_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        "".join(hierarchy_json_chunks(h))
+        b"".join(hierarchy_json_chunks(h)).decode()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -622,15 +622,15 @@ def test_hierarchy_rejects_level_weights_that_miss_one():
 def test_signed_zero_does_not_depend_on_sibling_order():
     # 0.0 and -0.0 sort as equal, so without normalization the merged atom
     # prints as whichever sibling comes first
-    texts = {"".join(hierarchy_json_chunks(extract_hierarchy(np.array(p), 1, 3)))
+    texts = {b"".join(hierarchy_json_chunks(extract_hierarchy(np.array(p), 1, 3))).decode()
              for p in itertools.permutations([0.0, -0.0, 0.5])}
     assert len(texts) == 1 and "-0.0" not in texts.pop()
     # the object path reads -0.0 the same way
     atoms = {repr(empirical_measure(p).atoms) for p in itertools.permutations([0.0, -0.0, 0.5])}
     assert len(atoms) == 1 and "-0.0" not in atoms.pop()
     rows = np.array([[0.0, -0.0, 0.5], [-0.0, 0.5, 0.5], [0.0, 0.0, -0.0]])
-    texts = {"".join(hierarchy_json_chunks(extract_hierarchy(
-                 np.concatenate([row[list(p)] for row, p in zip(rows, perms)]), 2, 3)))
+    texts = {b"".join(hierarchy_json_chunks(extract_hierarchy(
+                 np.concatenate([row[list(p)] for row, p in zip(rows, perms)]), 2, 3))).decode()
              for perms in itertools.product(itertools.permutations(range(3)), repeat=3)}
     assert len(texts) == 1 and "-0.0" not in texts.pop()
 

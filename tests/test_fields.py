@@ -26,6 +26,8 @@ from hexch.fields import (
     sample_ah,
     sample_array,
 )
+from hexch.hperm import random_leaf_indices
+from hexch.scenarios import make_model, make_source
 from hexch.tree import (
     ProductVertex,
     TreeVertex,
@@ -254,6 +256,19 @@ def test_sample_array_arity_mismatch():
     model = SigmaModel("bad", 5, lambda p: p.mean(axis=1))
     with pytest.raises(ValueError):
         sample_array(model, 2, 4, seed=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: path_matrix(0, "v", -1, 3), "depths must be integers >= 0, got -1"),
+    (lambda: random_leaf_indices(0, 3, [1]), "r must be >= 1 and an integer, got 0"),
+    (lambda: level_values(0, 2.5, 3), "r must be >= 0 and an integer, got 2.5"),
+    (lambda: sample_ah(make_model("toy-magnetization", 2), 2, 3, 0, 1),
+     "n must be >= 1 and an integer, got 0"),
+    (lambda: make_source("product", 2, 0), "m must be >= 1 and an integer, got 0"),
+], ids=["path_matrix", "random_leaf_indices", "level_values", "sample_ah", "make_source"])
+def test_sizes_are_checked_at_library_entry(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_sigma_model_rejects_bad_output():
