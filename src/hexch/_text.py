@@ -1,24 +1,27 @@
 """Exact numpy kernels for the decimal text of doubles, and the one row
 builder that both the CSV and the JSON writer lay their rows out with.
 
-Two digit sources feed one layout.  Both start from the exact product
-x * 10^q = hi + lo, q = 16 - floor(log10 x), whose integer part has 17
-digits (Dekker's two-product; 10^q is an exact double for q <= 22):
+Both kernels cover [1e-6, 1], where every value the writers emit lies:
+array entries are clipped to [0, 1], field values lie in [0, 1) and
+weights in (0, 1].  Two digit sources feed one layout.  Both start from
+the exact product x * 10^q = hi + lo, q = 16 - floor(log10 x), whose
+integer part has 17 digits (Dekker's two-product; 10^q is an exact double
+for q <= 22):
 
 - :func:`_g17_digits` rounds it half to even to 17 digits, the digits of
-  ``format(x, ".17g")`` (:func:`_fmt`), on [1e-6, 1e16);
+  ``format(x, ".17g")`` (:func:`_fmt`);
 - :func:`_shortest_digits` finds the fewest correctly rounded digits that
-  read back as x, the digits of ``repr(x)`` (Steele & White; Gay 1990), on
-  [1e-6, 1).  It decides each round trip by exact arithmetic, never by
-  parsing a candidate back.
+  read back as x, the digits of ``repr(x)`` (Steele & White; Gay 1990).
+  It decides each round trip by exact arithmetic, never by parsing a
+  candidate back.
 
-:func:`_layout` writes 17 digits and their exponent as ``.17g`` lays them
-out, trailing zeros stripped.  On [1e-6, 1) that is ``repr``'s layout too:
-positional down to 1e-4, ``d.ddde-0d`` below.  Each digit source returns
-the mask of the values it handles, and ``_fmt`` or ``repr`` itself writes
-the others, so each text has one definition.  :func:`_rows` puts each text
-between the caller's bytes (a CSV key and newline, a JSON weight and
-brackets) and returns the rows as ``bytes``.
+:func:`_layout` writes 17 digits and their exponent as ``.17g`` and
+``repr`` lay them out on [1e-6, 1], trailing zeros stripped: positional
+down to 1e-4, ``d.ddde-0d`` below, and ``1`` for 1.0.  Each digit source
+returns the mask of the values it handles, and ``_fmt`` or ``repr`` itself
+writes the others, so each text has one definition.  :func:`_rows` puts
+each text between the caller's bytes (a CSV key and newline, a JSON weight
+and brackets) and returns the rows as ``bytes``.
 """
 
 from __future__ import annotations
@@ -53,14 +56,14 @@ def _digits(v: np.ndarray, out: np.ndarray) -> None:
     out += ord("0")
 
 
-def _product(x: np.ndarray, top: float):
+def _product(x: np.ndarray):
     """``(q, hi, lo, ok)`` with x * 10^q = hi + lo exactly, |lo| at most half
-    an ulp of hi, and ``ok`` marking the x in [1e-6, top) whose product lies
+    an ulp of hi, and ``ok`` marking the x in [1e-6, 1] whose product lies
     in [1e16, 1e17); the decade is checked on the exact product, since
     ``log10`` can misjudge it near a power of ten.  Temporaries are
     overwritten in place, in the order of the sum
     ((x_hi p_hi - hi) + x_hi p_lo + x_lo p_hi) + x_lo p_lo."""
-    ok = (x >= 1e-6) & (x < top)
+    ok = (x >= 1e-6) & (x <= 1.0)
     x = np.where(ok, x, 1.0)
     e = np.log10(x)
     q = np.floor(e, out=e).astype(np.intp)
@@ -83,10 +86,10 @@ def _product(x: np.ndarray, top: float):
 
 def _g17_digits(x: np.ndarray):
     """``(n, q, ok)``: the 17 digits n = round(x * 10^q) of
-    ``format(x, ".17g")``, for the x that ``ok`` marks.  hi >= 1e16 > 2^53
-    is an even integer, so hi + rint(lo) rounds half to even, as
-    ``format`` does."""
-    q, hi, lo, ok = _product(x, 1e16)
+    ``format(x, ".17g")``, for the x in [1e-6, 1] that ``ok`` marks.
+    hi >= 1e16 > 2^53 is an even integer, so hi + rint(lo) rounds half to
+    even, as ``format`` does."""
+    q, hi, lo, ok = _product(x)
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     ok &= n < 10**17
     return n, q, ok
@@ -106,11 +109,11 @@ def _shortest_digits(x: np.ndarray):
     side of t; at t itself it is undecided.  A candidate that reads back
     makes the k + 1-digit one read back too, since that grid holds it, so
     lengths are tried from 17 down on the values that still read back.
-    Left to the caller are the x outside [1e-6, 1), powers of two (their
-    gap below is half the gap above), and a shortest candidate that is an
-    exact decimal tie, lies undecided at t or carries into the next
-    decade."""
-    q, hi, lo, ok = _product(x, 1.0)
+    Left to the caller are the x outside [1e-6, 1], powers of two (their
+    gap below is half the gap above, and 1.0 is one), and a shortest
+    candidate that is an exact decimal tie, lies undecided at t or carries
+    into the next decade."""
+    q, hi, lo, ok = _product(x)
     mantissa, e2 = np.frexp(x)
     ok &= mantissa != 0.5
     live = np.flatnonzero(ok)
@@ -152,50 +155,32 @@ def _shortest_digits(x: np.ndarray):
 
 
 def _layout(n: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
-    """Write the 17 digits ``n`` of each value, times 10^-q, as ``.17g``
-    lays them out, down its column of the (``_VALUE_WIDTH``, len(n)) planes
-    ``out``, 0 where a plane has no byte.  Temporaries are overwritten or
-    dropped once spent, which bounds a block's peak memory."""
+    """Write the 17 digits ``n`` of each value in [1e-6, 1], times 10^-q, as
+    ``.17g`` lays them out, down its column of the (``_VALUE_WIDTH``,
+    len(n)) planes ``out``, 0 where a plane has no byte: ``0.`` and zeros
+    before the digits of 1e-4 <= x < 1, ``d.ddde-0d`` below, ``1`` for 1.0.
+    The first digit goes to plane 5 and the other 16 to planes 7 to 22;
+    plane 6 holds the dot of ``d.ddd``, and no byte otherwise, so one plane
+    order serves all three.  Temporaries are dropped once spent, which
+    bounds a block's peak memory."""
     top = n // 10**9
-    digits = np.empty((17, n.size), np.uint8)
-    _digits(top.astype(np.uint32), digits[:8])
+    _digits(top.astype(np.uint32), out[6:14])
     top *= 10**9
-    _digits(np.subtract(n, top, out=top).astype(np.uint32), digits[8:])
+    _digits(np.subtract(n, top, out=top).astype(np.uint32), out[14:23])
     del top
-    # k significant digits: 17 less the trailing zeros
-    k = np.full(n.size, 17, np.uint8)
+    # strip trailing zeros; ``zeros`` ends true where one digit is left
     zeros = np.ones(n.size, bool)
-    for row in digits[:0:-1]:
+    for row in out[22:6:-1]:
         zeros &= row == ord("0")
-        k -= zeros
+        row *= ~zeros
+    out[5] = out[6]
     e = (16 - q).astype(np.int8)
     sci = e < -4
-    e1 = np.maximum(e + 1, 0).astype(np.uint8)
-    # digits written: the k significant ones, or the whole integer part
-    ndig = np.maximum(k, e1)
-    # the dot goes before digit p, if there is a digit after it: after the
-    # integer part, or after the first digit of d.ddde-0d; p = 0 (0.000ddd)
-    # has none
-    p = e1 + sci
-    dot = ((p > 0) & (p < ndig)) * np.uint8(ord("."))
+    np.multiply(sci & ~zeros, np.uint8(ord(".")), out=out[6])
     # "0." and -e - 1 zeros before the digits of 1e-4 <= x < 1
     lead = (e < 0) * ~sci * (1 - e)
     for j, (row, byte) in enumerate(zip(out[:5], b"0.000")):
         np.multiply(lead > j, np.uint8(byte), out=row)
-    # column t holds digit t before the dot and digit t - 1 after it; masks
-    # multiply in place of np.where, which is slow on uint8
-    body, t = out[5:23], np.arange(18, dtype=np.uint8)[:, None]
-    body[0] = 0
-    body[1:] = digits
-    np.subtract(digits, body[:17], out=digits)
-    digits *= p > t[:17]
-    body[:17] += digits
-    del digits
-    shift = dot - body
-    shift *= p == t
-    body += shift
-    del shift
-    body *= ndig >= t
     for row, byte in zip(out[23:26], b"e-0"):
         np.multiply(sci, np.uint8(byte), out=row)
     np.multiply(sci, (ord("0") - e).astype(np.uint8), out=out[26])

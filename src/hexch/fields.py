@@ -96,6 +96,8 @@ def _seed_words(seed) -> np.ndarray:
     """The (K,) words mix(seed ^ GOLD) that the streams (seed, role) start
     from, one per seed of an int or a 1-D sequence of K seeds, in one pass."""
     seeds = (seed,) if np.ndim(seed) == 0 else seed
+    if len(seeds) == 0:
+        raise ValueError(f"seeds must be an integer or a non-empty sequence, got {seed!r}")
     return _mix(np.array([_seed_int(s) for s in seeds], dtype=_U64) ^ _U64(_GOLD))
 
 
@@ -349,7 +351,7 @@ def sample_array(model: SigmaModel, depths, shape, seed, role: str = "v") -> np.
     the K arrays stacked, shape (K, leaves), from one model call.
     """
     # r + 1 values on one leaf's path, prod (r_i + 1) in a product
-    size = prod(r_i + 1 for r_i in _as_tuple(depths))
+    size = prod(r_i + 1 for r_i in _as_tuples(depths, shape)[0])
     if model.arity != size:
         raise ValueError(f"model arity {model.arity} != path size {size}")
     paths = path_matrix(seed, role, depths, shape)

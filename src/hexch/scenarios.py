@@ -171,6 +171,8 @@ def make_source(
         raise ValueError(f"{name} needs r >= {spec.min_r}")
     if n is not None:
         _check_size("n", n)
+        if spec.form != "sigma-replica":
+            raise ValueError(f"n sets a replica axis, which scenario {name!r} has not")
     params = {**spec.defaults.get("params", {}), **(params or {})}
     if spec.form == "sigma":
         model = make_model(name, r, params)

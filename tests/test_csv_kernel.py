@@ -9,7 +9,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from hexch._text import _rows, _shortest_digits
+from hexch._text import _g17_digits, _rows, _shortest_digits
 from hexch.cli import _CHUNK, _field_csv, array_to_csv
 from hexch.definetti import (
     _BLOCK_ATOMS,
@@ -85,9 +85,25 @@ def test_exact_ties_at_the_17th_digit_round_half_even():
             x.append((2 * rng.integers(j_lo, j_hi, 2_000) + 1) / 2.0**n)
         x.append((2 * rng.integers(0, 2**52, 500) + 1) / 2.0**n)
     x = np.concatenate(x)
-    ties = [v for v in x.tolist() if 1e-6 <= v < 1e16 and len(Decimal(v).as_tuple().digits) == 18]
+    ties = [v for v in x.tolist() if 1e-6 <= v <= 1 and len(Decimal(v).as_tuple().digits) == 18]
     assert len(ties) > 10_000
     _assert_formats(x)
+
+
+def test_kernels_cover_1e_6_to_1():
+    rng = np.random.default_rng(27)
+    above = np.concatenate([[np.nextafter(1.0, 2), 1.5, 2.0, 123.456, np.nextafter(1e16, 0)],
+                            10.0 ** rng.uniform(0, 16, 2_000)])
+    below = np.concatenate([[np.nextafter(1e-6, 0), 5e-7, 1e-7], 10.0 ** rng.uniform(-12, -6, 2_000)])
+    for digits in (_g17_digits, _shortest_digits):
+        assert not digits(above)[2].any()
+        assert not digits(below)[2].any()
+    _assert_formats(np.concatenate([above, below]))
+    # 1.0 is the .17g kernel's top end, laid out as "1"; repr takes it as a
+    # power of two
+    assert _g17_digits(np.array([1.0]))[2].all()
+    assert not _shortest_digits(np.array([1.0]))[2].any()
+    assert _values_text([1.0, 0.5, 1.0]) == ["1", "0.5", "1"]
 
 
 def test_blocks_cross_chunk_with_kernel_and_fallback_rows_mixed():

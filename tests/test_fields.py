@@ -260,14 +260,28 @@ def test_sample_array_arity_mismatch():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: path_matrix(0, "v", -1, 3), "depths must be integers >= 0, got -1"),
+    (lambda: sample_array(make_model("product", 2), -1, 3, 0),
+     "depths must be integers >= 0, got -1"),
     (lambda: random_leaf_indices(0, 3, [1]), "r must be >= 1 and an integer, got 0"),
     (lambda: level_values(0, 2.5, 3), "r must be >= 0 and an integer, got 2.5"),
     (lambda: sample_ah(make_model("toy-magnetization", 2), 2, 3, 0, 1),
      "n must be >= 1 and an integer, got 0"),
     (lambda: make_source("product", 2, 0), "m must be >= 1 and an integer, got 0"),
-], ids=["path_matrix", "random_leaf_indices", "level_values", "sample_ah", "make_source"])
+], ids=["path_matrix", "sample_array", "random_leaf_indices", "level_values", "sample_ah",
+        "make_source"])
 def test_sizes_are_checked_at_library_entry(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_leaf_indices(2, 3, []),
+    lambda: path_matrix([], "v", 2, 3),
+    lambda: sample_array(make_model("product", 2), 2, 3, []),
+    lambda: sample_ah(make_model("toy-magnetization", 2), 2, 3, 4, np.array([], np.uint64)),
+], ids=["random_leaf_indices", "path_matrix", "sample_array", "sample_ah"])
+def test_an_empty_seed_sequence_is_rejected(call):
+    with pytest.raises(ValueError, match="^seeds must be an integer or a non-empty sequence"):
         call()
 
 

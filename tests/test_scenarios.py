@@ -209,6 +209,12 @@ def test_depth_shift_shifts_only_depth_one():
     assert np.all(by_depth[1] >= 0.5)
 
 
+def test_n_rejected_for_a_scenario_without_a_replica_axis():
+    with pytest.raises(ValueError, match="^n sets a replica axis, which scenario 'product' has not$"):
+        make_source("product", 2, 4, n=5)
+    assert make_source("toy-magnetization", 2, 4, n=5).n == 5
+
+
 def test_array_source_rejected_for_field_scenario():
     with pytest.raises(ValueError):
         make_source("depth-shift", 2, 4)
