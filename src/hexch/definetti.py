@@ -351,18 +351,47 @@ class DirectingHierarchy:
     def measure_at(self, v: TreeVertex) -> EmpiricalMeasure:
         return self._by_vertex[v]
 
-    def parent_cdfs(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(cdf_left, cdf)`` of each depth r-1 measure at its row of the
-        ``(m^(r-1), q)`` matrix ``blocks``, for all rows at once."""
-        rows = self.ids[-1]
-        n = self.counts[0][rows, None]
-        locs = self.atoms[0][rows]
-        locs = np.where(np.arange(locs.shape[1]) < n, locs, np.inf)
-        padded = np.concatenate([np.zeros((rows.size, 1)), self.cum[0][rows]], axis=1)
-        return tuple(
-            np.take_along_axis(padded, np.minimum(_search_rows(locs, blocks, side), n), axis=1)
-            for side in ("left", "right")
-        )
+    def parent_cdfs(
+        self, blocks: np.ndarray, parents: slice | np.ndarray = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(cdf_left, cdf)`` of depth r-1 measures at the rows of the
+        ``(P, q)`` matrix ``blocks``: row i of ``blocks`` against the measure
+        of depth r-1 vertex ``parents[i]`` (an index array or a slice of the
+        ``m^(r-1)`` vertices; all of them by default).  Both sides come from
+        one left search per row block (:meth:`_cdf_blocks`)."""
+        lo, hi = np.empty(blocks.shape), np.empty(blocks.shape)
+        for rows, left, right in self._cdf_blocks(blocks, parents):
+            lo[rows], hi[rows] = left, right
+        return lo, hi
+
+    def _cdf_blocks(self, blocks: np.ndarray, parents: slice | np.ndarray):
+        """Yield ``(rows, cdf_left, cdf)`` for consecutive row slices of
+        :meth:`parent_cdfs`, each block's temporaries at most about
+        ``_BLOCK_BYTES``.  A value's right count is its left count, plus one
+        where the atom at the left count equals it: each row's atoms
+        strictly ascend (``_check_rises``), so at most one atom equals it.
+        Counts past a row's atoms (an inf or NaN query) are clamped to the
+        atom count."""
+        ids = self.ids[-1][parents]
+        if ids.shape != blocks.shape[:1]:
+            raise ValueError(f"{len(blocks)} rows of values for {ids.size} parents")
+        q, w = blocks.shape[1], self.atoms[0].shape[1]
+        # about six (rows, q) arrays of 8 bytes, and the rows' atoms and CDFs
+        step = max(1, _BLOCK_BYTES // (8 * (6 * q + 2 * w)))
+        for lo in range(0, len(ids), step):
+            rows = slice(lo, lo + step)
+            at, v = ids[rows], blocks[rows]
+            n = self.counts[0][at, None]
+            locs = np.where(np.arange(w) < n, self.atoms[0][at], np.inf)
+            idx = _search_rows(locs, v, "left")
+            np.minimum(idx, n, out=idx)
+            hit = idx < n
+            hit &= np.take_along_axis(locs, np.minimum(idx, w - 1), axis=1) == v
+            padded = np.zeros((len(at), w + 1))
+            padded[:, 1:] = self.cum[0][at]
+            left = np.take_along_axis(padded, idx, axis=1)
+            idx += hit
+            yield rows, left, np.take_along_axis(padded, idx, axis=1)
 
 
 def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
@@ -382,9 +411,9 @@ def _check_rises(a: np.ndarray, present: np.ndarray, k: int) -> None:
         raise ValueError(f"level-{k} atoms must ascend along each row")
 
 
-# Scratch bound for the row searches, the level-0 broadcast and the
-# assignment costs, so that a large level costs blocks of rows or row pairs
-# of at most this many bytes, not one (P, q, w) or (P, q + w), (rows_a,
+# Scratch bound for the row searches, the parent CDFs, the level-0
+# broadcast and the assignment costs, so that a large level costs blocks of
+# rows or row pairs of at most this many bytes, not one (P, q, w), (rows_a,
 # rows_b, n) or (rows_a, rows_b, n, n) array.
 _BLOCK_BYTES = 1 << 23
 
@@ -394,33 +423,25 @@ _BROADCAST_WIDTH = 32
 
 def _search_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
     """Row-wise ``np.searchsorted(a[i], v[i], side)`` for ascending rows ``a``
-    ``(P, w)`` of non-NaN entries and queries ``v`` ``(P, q)``, in blocks of
-    rows whose ``(rows, q, w)`` comparisons or ``(rows, q + w)`` sort keys
-    take at most ``_BLOCK_BYTES``.
+    ``(P, w)`` of non-NaN entries and queries ``v`` ``(P, q)``.
 
     Up to ``_BROADCAST_WIDTH`` entries a row, a query counts the entries not
     ``>=`` it ("left") or not ``>`` it ("right"): all of them if it is NaN,
-    as ``searchsorted`` does.  Wider rows take one stable argsort of queries
-    and entries together, the queries first ("left") or last ("right"), and
-    a query counts the entries sorted before it.
+    as ``searchsorted`` does.  Those rows go in blocks whose ``(rows, q, w)``
+    comparisons take at most ``_BLOCK_BYTES``.  Wider rows take one
+    ``np.searchsorted`` each.
     """
     q, w = v.shape[1], a.shape[1]
-    left = side == "left"
     out = np.empty(v.shape, dtype=np.intp)
-    broadcast = w <= _BROADCAST_WIDTH
-    step = max(1, _BLOCK_BYTES // (q * w if broadcast else 8 * (q + w)))
+    if w > _BROADCAST_WIDTH:
+        for row, queries, counts in zip(a, v, out):
+            counts[:] = row.searchsorted(queries, side)
+        return out
+    above = np.greater_equal if side == "left" else np.greater
+    step = max(1, _BLOCK_BYTES // (q * w))
     for lo in range(0, len(v), step):
         rows = slice(lo, lo + step)
-        if broadcast:
-            above = np.greater_equal if left else np.greater
-            out[rows] = (~above(a[rows, None, :], v[rows, :, None])).sum(axis=2)
-            continue
-        both = np.concatenate([v[rows], a[rows]] if left else [a[rows], v[rows]], axis=1)
-        order = np.argsort(both, axis=1, kind="stable")
-        is_query = order < q if left else order >= w
-        entries_before = np.cumsum(~is_query, axis=1)
-        cols = order[is_query] - (0 if left else w)
-        out[lo + np.nonzero(is_query)[0], cols] = entries_before[is_query]
+        out[rows] = (~above(a[rows, None, :], v[rows, :, None])).sum(axis=2)
     return out
 
 

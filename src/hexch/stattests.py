@@ -257,13 +257,17 @@ def hexch_test(
 
 
 def _pit_matrix(
-    array, hierarchy: DirectingHierarchy, rng: np.random.Generator
+    array, hierarchy: DirectingHierarchy, rng: np.random.Generator, n_rows: int | None = None
 ) -> np.ndarray:
     """Randomized PIT of each leaf through its parent's level-0 CDF.
 
     Values landing on an atom are spread uniformly across the CDF jump, so
     the transform of an i.i.d.-within-parent block is exactly uniform.
-    Shape (parents, m) in lexicographic order.
+    Shape (parents, m) in lexicographic order, or only the first ``n_rows``
+    parents, which take the first ``n_rows * m`` uniforms of ``rng``, as
+    they do in the whole matrix.  The CDFs and uniforms are made a block of
+    rows at a time (:meth:`DirectingHierarchy._cdf_blocks`).  A NaN leaf,
+    which would count every atom, is refused, wherever it is.
     """
     r, m = hierarchy.r, hierarchy.m
     arr = np.asarray(array, dtype=np.float64).reshape(-1)
@@ -271,9 +275,18 @@ def _pit_matrix(
         raise ValueError(
             f"shape mismatch: array has {arr.size} values, hierarchy expects {m**r}"
         )
-    blocks = arr.reshape(m ** (r - 1), m)
-    lo, hi = hierarchy.parent_cdfs(blocks)
-    return lo + rng.random(blocks.shape) * (hi - lo)
+    # x·x is NaN exactly when some x is (a sum of squares has no inf - inf),
+    # and it takes no array of flags
+    if np.isnan(np.dot(arr, arr)):
+        raise ValueError(f"leaf {int(np.isnan(arr).argmax())} of the array is NaN")
+    blocks = arr.reshape(m ** (r - 1), m)[:n_rows]
+    pit = np.empty(blocks.shape)
+    for rows, lo, hi in hierarchy._cdf_blocks(blocks, slice(0, len(blocks))):
+        # lo + u (hi - lo), in place: both operations commute bit for bit
+        hi -= lo
+        hi *= rng.random(hi.shape)
+        np.add(lo, hi, out=pit[rows])
+    return pit
 
 
 def conditional_iid_test(
@@ -324,17 +337,16 @@ def conditional_iid_test(
     )
 
 
-# The most scratch one block of _shuffle_pvalue's draws takes, scorer
-# gathers included.  Smaller than hexch.definetti._BLOCK_BYTES (8 MiB): on
-# the pipeline bench (r=2 m=128) an 8 MiB block raised peak RSS from 109.6
-# to 116.0 MB and ran no faster (median 6.71 against 7.08 ops/s over five
-# alternating pairs).
+# The most bytes one block of _shuffle_pvalue's draws takes.  Smaller than
+# hexch.definetti._BLOCK_BYTES (8 MiB): on the pipeline bench (r=2 m=128)
+# an 8 MiB block raised peak RSS from 109.6 to 116.0 MB and ran no faster
+# (median 6.71 against 7.08 ops/s over five alternating pairs).
 _SHUFFLE_BLOCK_BYTES = 1 << 20
 _EPS = np.finfo(np.float64).eps
 
 
 def _shuffle_pvalue(pit: np.ndarray, observed: float, n_resamples: int, seed: int,
-                    scorer, exact) -> float:
+                    fast, exact) -> float:
     """Add-one p-value of ``exact(z) >= observed`` under the null that
     shuffles each row of ``pit`` (one parent's children) independently
     (seed role "shuffle").  Callers pass only the parent rows their
@@ -342,20 +354,19 @@ def _shuffle_pvalue(pit: np.ndarray, observed: float, n_resamples: int, seed: in
 
     Each draw ``z`` is ``permuted(pit, axis=1, out=...)`` into the next slot
     of one reused block of draws, which consumes the PCG64 stream exactly as
-    a fresh ``permuted`` call per resample does.  ``scorer`` is a pair
-    ``(fast, scratch)``: ``scratch`` is the bytes ``fast`` allocates per
-    draw, and a block holds as many draws as keep the draws and that scratch
-    within ``_SHUFFLE_BLOCK_BYTES`` (at least one draw).  ``fast(block)``
-    scores a whole block at once from moments the shuffle leaves unchanged:
-    it returns each draw's fast value and a band that bounds the distance
-    between that value and ``exact(z)`` (infinite where the fast form is
-    undefined).  A draw whose fast value lies beyond the band on either side
-    of ``observed`` is counted by it; a draw inside the band is scored by
+    a fresh ``permuted`` call per resample does.  A block holds
+    ``_SHUFFLE_BLOCK_BYTES // pit.nbytes`` draws (at least one): the
+    scorers read views of the draws and allocate per draw only a few
+    floats, or one per pair of a gap.  ``fast(block)`` scores a whole block
+    at once from moments the shuffle leaves unchanged: it returns each
+    draw's fast value and a band that bounds the distance between that
+    value and ``exact(z)`` (infinite where the fast form is undefined).  A
+    draw whose fast value lies beyond the band on either side of
+    ``observed`` is counted by it; a draw inside the band is scored by
     ``exact``.  Each draw is thus counted exactly as ``exact`` counts it,
     and the p-value has the bits of a loop of ``exact`` over the draws."""
-    fast, scratch = scorer
     shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
-    size = min(n_resamples, max(1, _SHUFFLE_BLOCK_BYTES // (pit.nbytes + scratch)))
+    size = min(n_resamples, max(1, _SHUFFLE_BLOCK_BYTES // pit.nbytes))
     block = np.empty((size,) + pit.shape)
     count = 0
     for lo in range(0, n_resamples, size):
@@ -394,7 +405,9 @@ def _lag1_fast(pit: np.ndarray):
     n = k(m-1) lag-1 pairs (a, b) have Σa = S - Σl, Σb = S - Σf,
     Σa² = Q - Σl², Σb² = Q - Σf², and Σab is the dot of the flat draw with
     itself shifted by one, minus the k-1 products l[i] f[i+1] that cross a
-    row boundary.  The correlation follows from these raw moments.
+    row boundary.  The correlation follows from these raw moments.  Every
+    moment is read from views of the draws, so the scorer needs no scratch
+    beyond a few floats per draw.
 
     Band.  A sum of N terms is off by at most N eps Σ|terms|, and Σ|x| over
     the N = km cells is at most sqrt(N Q).  So each raw moment, each product
@@ -402,8 +415,9 @@ def _lag1_fast(pit: np.ndarray):
     δ = 3 (N + k + 4) eps Q / n of their exact values.  Where the smaller
     variance v exceeds 4δ, the fast correlation is within 2δ/v of the true
     one, and ``_lag1_corr`` within (n + 8) eps < δ/v of it, so 3δ/v bounds
-    their distance.  The band is 64 times that, 192δ/v, so that the
-    neglected second-order terms stay far inside it; a draw falls inside
+    their distance, whatever order each sum is taken in.  The band is 64
+    times that, 192δ/v, so that the neglected second-order terms stay far
+    inside it; a draw falls inside
     with probability about the band times the null density.  Where
     v <= 4δ (near-constant pairs) the fast form is undefined and the band
     is infinite.
@@ -421,7 +435,7 @@ def _lag1_fast(pit: np.ndarray):
         mean_b = (total - first.sum(axis=1)) / n
         var_a = (total_sq - np.einsum("ij,ij->i", last, last)) / n - mean_a * mean_a
         var_b = (total_sq - np.einsum("ij,ij->i", first, first)) / n - mean_b * mean_b
-        cross = np.einsum("ij,ij->i", flat[:, :-1], flat[:, 1:])
+        cross = np.matmul(flat[:, None, :-1], flat[:, 1:, None]).reshape(-1)
         cross -= np.einsum("ij,ij->i", last[:, :-1], first[:, 1:])
         cov = cross / n - mean_a * mean_b
         v = np.minimum(var_a, var_b)
@@ -429,8 +443,7 @@ def _lag1_fast(pit: np.ndarray):
         value = np.abs(cov) / np.sqrt(np.where(ok, var_a * var_b, 1.0))
         return value, np.where(ok, 192 * delta / np.where(ok, v, 1.0), np.inf)
 
-    # the moments are read from views of the draws: no per-draw scratch
-    return score, 0
+    return score
 
 
 def _max_abs_corr(mat: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> float:
@@ -445,12 +458,13 @@ def _max_abs_corr(mat: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> float:
 
 def _max_abs_corr_fast(read: np.ndarray, ii: np.ndarray, jj: np.ndarray):
     """Block scorer of ``_max_abs_corr(z, ii, jj)`` over row shuffles of
-    ``read``.
+    ``read``, for pairs in :func:`_pairs_by_gap` order.
 
     A shuffle within rows keeps each row's mean μ, centred norm ‖z‖ and
     norm ‖x‖, so a pair's correlation is (x_i · x_j - m μ_i μ_j) / (‖z_i‖ ‖z_j‖)
-    and a draw costs only the pair dot products, over one gather of the
-    two rows of each pair (2 P m floats of scratch per draw for P pairs).
+    and a draw costs only the pair dot products.  The pairs of gap g are
+    the run (i, i + g), i = 0, 1, ..., so their dots are taken between two
+    row slices of the draws, ``[:c]`` and ``[g : g + c]``, with no gather.
 
     Band.  With w = ‖x‖ / ‖z‖ per row (at least 1), a dot of m terms is off
     by at most m eps ‖x_i‖ ‖x_j‖, and the means and norms (taken once) by
@@ -472,14 +486,21 @@ def _max_abs_corr_fast(read: np.ndarray, ii: np.ndarray, jj: np.ndarray):
     norm[norm == 0.0] = 1.0
     shift = m * mean[ii] * mean[jj]
     scale = 1.0 / (norm[ii] * norm[jj])
-    both = np.stack([ii, jj])
+    # each gap, its first pair and its pair count
+    gaps = np.unique(jj - ii, return_index=True, return_counts=True)
+    runs = list(zip(*(x.tolist() for x in gaps)))
 
     def score(block: np.ndarray):
-        pairs = block[:, both]
-        dots = np.einsum("bij,bij->bi", pairs[:, 0], pairs[:, 1])
-        return np.max(np.abs((dots - shift) * scale), axis=1), band
+        # one gap's run at a time, so the scratch is a float per pair of the run
+        value = np.zeros(len(block))
+        for g, lo, c in runs:
+            dots = np.einsum("bij,bij->bi", block[:, :c], block[:, g : g + c])
+            dots -= shift[lo : lo + c]
+            dots *= scale[lo : lo + c]
+            np.maximum(value, np.max(np.abs(dots, out=dots), axis=1), out=value)
+        return value, band
 
-    return score, both.size * m * read.itemsize
+    return score
 
 
 def _pairs_by_gap(n_parents: int, budget: int) -> list[tuple[int, int]]:
@@ -505,8 +526,10 @@ def cond_indep_test(
     The null distribution is obtained by independently shuffling each
     parent's children, which preserves within-parent exchangeability while
     destroying cross-parent index alignment.  Only the parents that the
-    pairs read are shuffled and scored (at most ``pair_budget + 1`` rows);
-    the others never enter the statistic.
+    pairs read are transformed, shuffled and scored: nearest pairs first,
+    they are the first ``R <= pair_budget + 1`` parents, whose PITs take
+    the first ``R m`` uniforms, as they do in the whole PIT matrix.  The
+    others never enter the statistic.
     """
     _check_level(level)
     if hierarchy.r < 2:
@@ -515,14 +538,12 @@ def cond_indep_test(
         raise ValueError("no sibling pairs: m must be >= 2")
     _check_size("pair_budget", pair_budget)
     _check_size("n_resamples", n_resamples)
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
-    pit = _pit_matrix(array, hierarchy, rng)
-    n_parents, m = pit.shape
+    m = hierarchy.m
+    n_parents = m ** (hierarchy.r - 1)
     pairs = np.array(_pairs_by_gap(n_parents, pair_budget))
-    rows, inv = np.unique(pairs, return_inverse=True)
-    ii, jj = inv.reshape(pairs.shape).T
-
-    read = pit[rows]
+    ii, jj = pairs.T
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
+    read = _pit_matrix(array, hierarchy, rng, int(jj.max()) + 1)
     observed = _max_abs_corr(read, ii, jj)
     p = _shuffle_pvalue(
         read, observed, n_resamples, seed, _max_abs_corr_fast(read, ii, jj),

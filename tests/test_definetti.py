@@ -688,7 +688,7 @@ def test_extract_and_resynthesize_check_their_sizes():
     assert resynthesize(h, 2, np.int64(3), seed=0).shape == (9,)
 
 
-# row widths on each side of _BROADCAST_WIDTH: the broadcast and merge methods
+# row widths on each side of _BROADCAST_WIDTH: the broadcast and per-row methods
 _SEARCH_WIDTHS = (7, 40)
 
 
@@ -707,35 +707,49 @@ def test_row_search_matches_searchsorted(side):
         assert np.array_equal(_search_rows(a, v, side), want)
 
 
+@pytest.mark.parametrize("w", [33, 100, 1000])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_wide_row_search_is_searchsorted_per_row(side, w):
+    # strictly ascending rows, as a hierarchy's are, and queries on their atoms
+    assert w > _BROADCAST_WIDTH
+    rng = np.random.default_rng(w)
+    a = np.sort(rng.choice(np.linspace(0.0, 1.0, 2 * w + 1), size=(12, w), replace=True), axis=1)
+    a = np.array([np.concatenate([np.unique(row), np.full(w - len(np.unique(row)), np.inf)])
+                  for row in a])  # inf-padded where the draw repeated
+    a[0] = np.linspace(0.0, 1.0, w)
+    on_atoms = a[np.arange(12)[:, None], rng.integers(0, w, (12, 25))]
+    v = np.where(rng.random((12, 25)) < 0.5, on_atoms, rng.random((12, 25)))
+    v[0, :6] = [-0.0, 0.0, 1.0, np.inf, -np.inf, np.nan]  # -0.0 meets the 0.0 atom
+    v[1, :3] = [np.inf, np.nan, -np.inf]
+    assert np.isinf(a[1:]).any()
+    want = np.array([np.searchsorted(row, q, side=side) for row, q in zip(a, v)])
+    assert np.array_equal(_search_rows(a, v, side), want)
+
+
 @pytest.mark.parametrize("rows_per_block", [1, 3, 39, 40])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_row_search_in_blocks_has_the_bits_of_one_pass(monkeypatch, side, rows_per_block):
     # rows are searched independently, so any blocking of them gives the
     # result of the single pass over all 40 rows; a block of the broadcast
-    # method holds (rows, q, w) bools, one of the merge method (rows, q + w)
-    # float keys
+    # method holds (rows, q, w) bools, and wider rows are searched one by one
     rng = np.random.default_rng(5)
     v = np.round(rng.random((40, 11)), 1)
     narrow, wide = _SEARCH_WIDTHS
-    for w, row_bytes in ((narrow, narrow * 11), (wide, 8 * (wide + 11))):
+    for w in (narrow, wide):
         a = np.sort(np.round(rng.random((40, w)), 1), axis=1)
         a[::3, w - 2 :] = np.inf
         whole = _search_rows(a, v, side)
-        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * row_bytes)
+        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * narrow * 11)
         assert np.array_equal(_search_rows(a, v, side), whole)
         monkeypatch.undo()
-    # resynthesis and the parent CDFs search rows too, under a small bound:
-    # at m=9 by broadcast, at m=40 merged
+    # resynthesis searches rows too, under a small bound: at m=9 by
+    # broadcast, at m=40 row by row
     for m in (9, 40):
         h = extract_hierarchy(make_source("product", 2, m).sample(2), 2, m)
-        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 8 * (7 + 11))
+        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 7 * 11)
         y = resynthesize(h, 2, 11, seed=6)
-        blocks = np.resize(y, (m, 11))
-        lo, hi = h.parent_cdfs(blocks)
         monkeypatch.undo()
         assert resynthesize(h, 2, 11, seed=6).tobytes() == y.tobytes()
-        for got, want in zip((lo, hi), h.parent_cdfs(blocks)):
-            assert got.tobytes() == want.tobytes()
 
 
 def test_lex_order_is_lexsort_order():
@@ -776,6 +790,38 @@ def test_parent_cdfs_match_the_measures():
     parents = h.measures[-16:]
     assert np.array_equal(lo, [mu.cdf_left(b) for mu, b in zip(parents, blocks)])
     assert np.array_equal(hi, [mu.cdf(b) for mu, b in zip(parents, blocks)])
+
+
+@pytest.mark.parametrize("m", [9, 40])
+def test_parent_cdfs_in_blocks_and_subsets_have_the_bits_of_the_whole_call(monkeypatch, m):
+    # rows 9 wide take the broadcast search, rows 40 wide one search each
+    x = make_source("product", 2, m).sample(2)
+    h = extract_hierarchy(x, 2, m)
+    rng = np.random.default_rng(m)
+    # half the values are atoms of their row's measure
+    blocks = np.where(rng.random((m, 11)) < 0.5, rng.random((m, 11)),
+                      x.reshape(m, m)[:, np.arange(11) % m])
+    blocks[0, :4] = [-0.0, 1.0, np.inf, np.nan]
+    whole = h.parent_cdfs(blocks)
+    parents = h.measures[1:]
+    assert np.array_equal(whole[0], [mu.cdf_left(b) for mu, b in zip(parents, blocks)])
+    assert np.array_equal(whole[1], [mu.cdf(b) for mu, b in zip(parents, blocks)])
+    w = h.atoms[0].shape[1]
+    for rows_per_block in (1, 3, m - 1):
+        # the bytes of rows_per_block rows in a block of _cdf_blocks
+        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 8 * (6 * 11 + 2 * w))
+        steps = [len(left) for _, left, _ in h._cdf_blocks(blocks, slice(None))]
+        assert steps[0] == rows_per_block and sum(steps) == m
+        for got, want in zip(h.parent_cdfs(blocks), whole):
+            assert got.tobytes() == want.tobytes()
+        picked = np.array([m - 1, 0, 5, 5])
+        for got, want in zip(h.parent_cdfs(blocks[picked], picked), whole):
+            assert got.tobytes() == want[picked].tobytes()
+        for got, want in zip(h.parent_cdfs(blocks[:4], slice(0, 4)), whole):
+            assert got.tobytes() == want[:4].tobytes()
+        monkeypatch.undo()
+    with pytest.raises(ValueError, match="4 rows of values for 3 parents"):
+        h.parent_cdfs(blocks[:4], slice(0, 3))
 
 
 # -- distances ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hexch.definetti
 import hexch.hperm
 import hexch.stattests
 from hexch.definetti import extract_hierarchy
@@ -527,13 +528,12 @@ def test_shuffle_nulls_match_per_resample_loop(name, r, m, seed, decimals, budge
 
 
 def test_shuffle_nulls_match_per_resample_loop_at_block_edges():
-    # at r=2 m=128 a block holds 8 draws of the 128 x 128 PIT matrix, and 5
-    # of the 65 rows the cross-parent pairs read with the 2 x 64 rows their
-    # pairs gather
+    # at r=2 m=128 a block holds 8 draws of the 128 x 128 PIT matrix, and 15
+    # of the 65 rows the cross-parent pairs read
     arr, h = _array_and_hierarchy("product", 2, 128, seed=1)
     bound = hexch.stattests._SHUFFLE_BLOCK_BYTES
-    blocks = {bound // (128 * 128 * 8), bound // ((65 + 2 * 64) * 128 * 8)}
-    assert blocks == {8, 5}
+    blocks = {bound // (128 * 128 * 8), bound // (65 * 128 * 8)}
+    assert blocks == {8, 15}
     counts = {1, 199} | {b + d for b in blocks for d in (-1, 0, 1)}
     for n_resamples in sorted(counts):
         _assert_pit_tests_match_reference(arr, h, 1, n_resamples)
@@ -555,8 +555,8 @@ def _infinite_band(monkeypatch, name):
     factory = getattr(hexch.stattests, name)
 
     def wrapped(*args):
-        score, scratch = factory(*args)
-        return (lambda block: (score(block)[0], np.inf)), scratch
+        score = factory(*args)
+        return lambda block: (score(block)[0], np.inf)
 
     monkeypatch.setattr(hexch.stattests, name, wrapped)
 
@@ -588,7 +588,7 @@ def test_shuffle_nulls_recheck_ties(monkeypatch):
     # decide those draws
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 2, seed=1)
     pit = _pit(arr, h, 1)
-    value, band = hexch.stattests._lag1_fast(pit)[0](np.stack([pit, pit[:, ::-1]]))
+    value, band = hexch.stattests._lag1_fast(pit)(np.stack([pit, pit[:, ::-1]]))
     observed = abs(hexch.stattests._lag1_corr(pit))
     assert np.all(np.abs(value - observed) < band)
     lag1 = _count_calls(monkeypatch, "_lag1_corr")
@@ -609,7 +609,7 @@ def test_fast_shuffle_scores_stay_far_inside_their_band(shape, rounded):
         pit = np.round(pit, 1)
     n_draws = 10 if pit.size > 20_000 else 100
     block = np.stack([rng.permuted(pit, axis=1) for _ in range(n_draws)])
-    value, band = hexch.stattests._lag1_fast(pit)[0](block)
+    value, band = hexch.stattests._lag1_fast(pit)(block)
     exact = np.array([abs(hexch.stattests._lag1_corr(z)) for z in block])
     if shape[1] == 2 and shape[0] == 1:
         # one lag-1 pair has no variance: the fast form is undefined
@@ -621,39 +621,118 @@ def test_fast_shuffle_scores_stay_far_inside_their_band(shape, rounded):
         return
     rows, ii, jj = _read_rows(shape[0], 64)
     block = block[:, rows]
-    value, band = hexch.stattests._max_abs_corr_fast(pit[rows], ii, jj)[0](block)
+    value, band = hexch.stattests._max_abs_corr_fast(pit[rows], ii, jj)(block)
     exact = np.array([hexch.stattests._max_abs_corr(z, ii, jj) for z in block])
     assert np.isfinite(band)
     assert np.max(np.abs(value - exact)) <= 1e-3 * band
 
 
-def test_shuffle_blocks_count_the_pair_gather_in_their_bytes(monkeypatch):
+def test_shuffle_blocks_hold_the_draws_the_bound_fits(monkeypatch):
     # 40 parents of 40 children and all 780 of their pairs: a draw is 12.8 kB
-    # but gathers 499.2 kB of pair rows, so a block holds 2 draws, not the 81
-    # that the draws alone would fit in the bound
+    # and the scorer takes its pair dots from row slices of the draws, so a
+    # block holds the 81 draws the bound fits
     arr, h = _array_and_hierarchy("uniform-leaf", 2, 40, seed=0)
     sizes = []
     factory = hexch.stattests._max_abs_corr_fast
 
     def recorded(*args):
-        score, scratch = factory(*args)
+        score = factory(*args)
 
         def counted(block):
             sizes.append(len(block))
             return score(block)
 
-        return counted, scratch
+        return counted
 
     monkeypatch.setattr(hexch.stattests, "_max_abs_corr_fast", recorded)
     tracemalloc.start()
     try:
-        rep = cond_indep_test(arr, h, n_resamples=5, seed=0, pair_budget=780)
+        rep = cond_indep_test(arr, h, n_resamples=200, seed=0, pair_budget=780)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.metadata["n_pairs"] == 780
-    assert sizes == [2, 2, 1]
+    assert hexch.stattests._SHUFFLE_BLOCK_BYTES // (40 * 40 * 8) == 81
+    assert sizes == [81, 81, 38]
     assert peak < 2 * hexch.stattests._SHUFFLE_BLOCK_BYTES
+
+
+# one gap (pipeline's size), eight gaps with the last run cut, every gap
+@pytest.mark.parametrize("n_parents, m, budget", [(65, 128, 64), (12, 7, 60), (40, 40, 780)])
+def test_gap_slice_pair_dots_match_the_gathered_pairs(n_parents, m, budget):
+    # the scorer's fast values, from dots of row slices, have the bits of the
+    # same formula over a gather of each pair's two rows
+    rng = np.random.default_rng(m)
+    read = rng.random((n_parents, m))
+    rows, ii, jj = _read_rows(n_parents, budget)
+    assert np.array_equal(rows, np.arange(n_parents))
+    block = np.stack([rng.permuted(read, axis=1) for _ in range(9)])
+    value, _ = hexch.stattests._max_abs_corr_fast(read, ii, jj)(block)
+    mean = read.mean(axis=1)
+    norm = np.linalg.norm(read - mean[:, None], axis=1)
+    pairs = block[:, np.stack([ii, jj])]
+    dots = np.einsum("bij,bij->bi", pairs[:, 0], pairs[:, 1])
+    want = np.max(np.abs((dots - m * mean[ii] * mean[jj]) * (1.0 / (norm[ii] * norm[jj]))), axis=1)
+    assert value.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,r,m,seed,budget", [
+    ("product", 2, 100, 7, 64),
+    ("path-mean", 3, 5, 2, 30),
+    ("uniform-leaf", 2, 12, 1, 200),
+])
+def test_cond_indep_reads_the_first_rows_of_the_pit_matrix(monkeypatch, name, r, m, seed, budget):
+    # the parents the pairs read are a prefix, whose PITs take the first
+    # uniforms of the stream, in any row blocks
+    arr, h = _array_and_hierarchy(name, r, m, seed)
+    n_parents = m ** (r - 1)
+    rows, _, _ = _read_rows(n_parents, budget)
+    n_rows = len(rows)
+    assert np.array_equal(rows, np.arange(n_rows)) and n_rows <= budget + 1
+    whole = _pit(arr, h, seed)
+    for block_bytes in (1, 8 * (6 * m + 2 * h.atoms[0].shape[1]) * 3, None):
+        if block_bytes is not None:
+            monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
+        prefix = hexch.stattests._pit_matrix(arr, h, rng, n_rows)
+        assert prefix.tobytes() == whole[:n_rows].tobytes()
+        assert _pit(arr, h, seed).tobytes() == whole.tobytes()
+        monkeypatch.undo()
+    calls = []
+    pit_matrix = hexch.stattests._pit_matrix
+    monkeypatch.setattr(hexch.stattests, "_pit_matrix",
+                        lambda *args: calls.append(args[3:]) or pit_matrix(*args))
+    cond_indep_test(arr, h, n_resamples=9, seed=seed, pair_budget=budget)
+    assert calls == [(n_rows,)]
+
+
+@pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test])
+def test_pit_tests_refuse_nan_leaves(test):
+    arr, h = _array_and_hierarchy("product", 2, 8, seed=1)
+    arr = arr.copy()
+    arr[5] = np.nan
+    arr[40] = np.nan
+    with pytest.raises(ValueError, match="leaf 5 of the array is NaN"):
+        test(arr, h, seed=1)
+    # a NaN outside the parents cond_indep reads is refused too
+    arr[5] = 0.5
+    with pytest.raises(ValueError, match="leaf 40 of the array is NaN"):
+        test(arr, h, seed=1, **({"pair_budget": 1} if test is cond_indep_test else {}))
+
+
+def test_resynthesis_and_cond_indep_peak_at_a_few_array_sizes():
+    # at r=2 m=600 (a 2.75 MiB array) both peaked near 15 array sizes when
+    # resynthesis merged sort keys and cond_indep transformed every parent
+    arr, h = _array_and_hierarchy("product", 2, 600, seed=0)
+    for stage in (lambda: hexch.definetti.resynthesize(h, 2, 600, seed=0),
+                  lambda: cond_indep_test(arr, h, seed=0)):
+        tracemalloc.start()
+        try:
+            stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * arr.nbytes
 
 
 @pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test, hexch_test])
