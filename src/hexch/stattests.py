@@ -10,8 +10,13 @@ their parent's estimated CDF.
 
 All tests are deterministic given their seed, resample permutations
 included, and report an add-one permutation p-value, so the decision at
-level alpha is exact under the null.  Each test imports the scipy module
-it calls on its first call, so importing this module loads numpy only.
+level alpha is exact under the null.  The one-sample KS p-values come from
+:func:`hexch._ks.ks_uniform`, an in-package port of scipy's exact
+algorithms, so the PIT tests run on numpy alone (a p-value in Smirnov's
+tail imports ``scipy.special``).  ``hexch_test`` (``scipy.spatial``) and
+the two-sample components of ``level_homogeneity_test`` (``scipy.stats``)
+import scipy on their first call, so importing this module loads numpy
+only.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._ks import ks_uniform
 from .definetti import DirectingHierarchy, _lex_order
 from .fields import _check_size, _is_size, _seed_int, derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
@@ -306,17 +312,14 @@ def conditional_iid_test(
     """
     _check_level(level)
     _check_size("n_resamples", n_resamples)
-    import scipy.stats
-
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
     pit = _pit_matrix(array, hierarchy, rng)
     n_parents, m = pit.shape
 
-    ks_stat, ks_p = scipy.stats.kstest(pit.reshape(-1), "uniform")
+    ks_stat, ks_p = ks_uniform(pit)
 
-    components = {"ks_stat": float(ks_stat), "ks_p": float(ks_p)}
-    # a numpy p-value would make `reject` a numpy bool, which JSON cannot encode
-    pvals = [float(ks_p)]
+    components = {"ks_stat": ks_stat, "ks_p": ks_p}
+    pvals = [ks_p]
     rho = 0.0
     if m >= 2:
         rho = _lag1_corr(pit)
@@ -384,17 +387,22 @@ def _shuffle_pvalue(pit: np.ndarray, observed: float, n_resamples: int, seed: in
 
 def _lag1_corr(pit: np.ndarray) -> float:
     # one centred pass; the same sums as a.mean()/a.std(), so the same bits.
-    # Never write into a or b: with one parent row, a is a view of pit.
-    a = pit[:, :-1].reshape(-1)
-    b = pit[:, 1:].reshape(-1)
-    n = a.size
-    da = a - np.add.reduce(a) / n
-    db = b - np.add.reduce(b) / n
-    sa = np.sqrt(np.add.reduce(da * da) / n)
-    sb = np.sqrt(np.add.reduce(db * db) / n)
+    # Two buffers: the centred a = pit[:, :-1] and its squares, which give
+    # way to the centred b = pit[:, 1:] once summed; the cross products go
+    # into a's buffer and b's squares into b's.
+    k, m = pit.shape
+    n = k * (m - 1)
+    da = pit[:, :-1].flatten()
+    da -= np.add.reduce(da) / n
+    db = np.multiply(da, da)
+    sa = np.sqrt(np.add.reduce(db) / n)
+    db.reshape(k, m - 1)[...] = pit[:, 1:]
+    db -= np.add.reduce(db) / n
+    cross = np.add.reduce(np.multiply(da, db, out=da)) / n
+    sb = np.sqrt(np.add.reduce(np.multiply(db, db, out=db)) / n)
     if sa == 0.0 or sb == 0.0:
         return 0.0
-    return float(np.add.reduce(da * db) / n / (sa * sb))
+    return float(cross / (sa * sb))
 
 
 def _lag1_fast(pit: np.ndarray):
@@ -573,10 +581,11 @@ def level_homogeneity_test(
 ) -> TestReport:
     """Check realized field values against the uniform law at every depth.
 
-    Each depth class is KS-tested against U[0,1], and every pair of depths
-    gets a two-sample KS check.  Component p-values combine by Bonferroni.
-    The test draws nothing; ``seed``, an integer in [0, 2^64) as the other
-    tests take, is recorded in the report.
+    Each depth class is KS-tested against U[0,1] (:func:`ks_uniform`), and
+    every pair of depths gets a two-sample KS check (``scipy.stats``).
+    Component p-values combine by Bonferroni.  The test draws nothing;
+    ``seed``, an integer in [0, 2^64) as the other tests take, is recorded
+    in the report.
     """
     _check_level(level)
     _seed_int(seed)
@@ -586,10 +595,7 @@ def level_homogeneity_test(
         raise ValueError("need at least two populated depth classes")
     keys = sorted(values_by_depth)
     vals = {k: np.asarray(values_by_depth[k], dtype=np.float64).reshape(-1) for k in keys}
-    components = []
-    for key in keys:
-        stat, p = scipy.stats.kstest(vals[key], "uniform")
-        components.append((f"ks@{key}", float(stat), float(p)))
+    components = [(f"ks@{key}", *ks_uniform(vals[key])) for key in keys]
     for ka, kb in itertools.combinations(keys, 2):
         stat, p = scipy.stats.ks_2samp(vals[ka], vals[kb])
         components.append((f"ks2@{ka}|{kb}", float(stat), float(p)))

@@ -19,6 +19,7 @@ from hexch.stattests import conditional_iid_test
 
 SRC = Path(hexch.__file__).resolve().parent.parent
 TESTS = Path(__file__).resolve().parent
+WORKLOADS_PY = TESTS.parent / "bench" / "workloads.py"
 
 TEST_FREE_RUN = {
     "scenario": "product", "r": 2, "m": 16, "seed": 4,
@@ -52,25 +53,30 @@ def _loaded_scipy() -> list[str]:
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 
-def _scipy_stages() -> dict:
-    """One call into each stage that needs scipy: the PIT test (scipy.stats),
-    a nested distance solved by assignments (scipy.optimize) and one whose
+def _scipy_stages() -> tuple[dict, dict]:
+    """One call into the PIT test, which runs on numpy alone, into a nested
+    distance solved by assignments (scipy.optimize) and into one whose
     irrational level-0 weights take W1 per pair of rows before the
-    assignments of level 1."""
+    assignments of level 1.  Returns each stage's value and the scipy
+    modules loaded after it."""
     x = make_source("product", 2, 8).sample(3)
     h = extract_hierarchy(x, 2, 8)
-    report = conditional_iid_test(x, h, n_resamples=49, seed=5)
     g = extract_hierarchy(make_source("product", 2, 8).sample(4), 2, 8)
     s = 1 / math.sqrt(2)
     mu = EmpiricalMeasure(((EmpiricalMeasure(((0.0, s), (0.3, 1 - s)), 0), 0.5),
                            (point_mass(0.5), 0.5)), 1)
     nu = EmpiricalMeasure(((point_mass(0.1), 0.5),
                            (EmpiricalMeasure(((0.6, 1 - s), (1.0, s)), 0), 0.5)), 1)
-    return {
-        "conditional_iid": report.to_json_obj(),
-        "assignment": nested_distance(h, g).hex(),
-        "mixed": nested_distance(mu, nu).hex(),
+    stages = {
+        "conditional_iid": lambda: conditional_iid_test(x, h, n_resamples=49, seed=5).to_json_obj(),
+        "assignment": lambda: nested_distance(h, g).hex(),
+        "mixed": lambda: nested_distance(mu, nu).hex(),
     }
+    values, loaded = {}, {}
+    for name, stage in stages.items():
+        values[name] = stage()
+        loaded[name] = _loaded_scipy()
+    return values, loaded
 
 
 def test_import_and_a_test_free_run_load_no_scipy(tmp_path):
@@ -93,18 +99,40 @@ def test_scipy_stages_load_it_on_their_first_call():
         "import json\n"
         "from test_cold_start import _loaded_scipy, _scipy_stages\n"
         "before = _loaded_scipy()\n"
-        "print(json.dumps([before, _scipy_stages(), _loaded_scipy()]))\n"
+        "print(json.dumps([before, *_scipy_stages()]))\n"
     )
-    before, stages, after = json.loads(out)
+    before, stages, loaded = json.loads(out)
     assert before == []
-    assert {"scipy.stats", "scipy.optimize"} <= set(after)
+    # the PIT test runs on numpy alone; the nested distance loads scipy.optimize
+    assert loaded["conditional_iid"] == []
+    assert "scipy.optimize" in loaded["assignment"]
     # the same values as in this process, where scipy was loaded beforehand
-    assert stages == json.loads(json.dumps(_scipy_stages()))
+    assert stages == json.loads(json.dumps(_scipy_stages()[0]))
+
+
+def test_the_bench_pipeline_run_loads_no_scipy(tmp_path):
+    # bench/run.py's pipeline workload at seed 0: a run with both PIT tests
+    out = _fresh(
+        "import importlib.util, json\n"
+        "from hexch.cli import run_experiment\n"
+        "from test_cold_start import _loaded_scipy\n"
+        f"spec = importlib.util.spec_from_file_location('workloads', {str(WORKLOADS_PY)!r})\n"
+        "workloads = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(workloads)\n"
+        f"config = workloads.Pipeline(0, {str(tmp_path)!r}).config\n"
+        f"code, files = run_experiment(config, {str(tmp_path / 'out')!r})\n"
+        "print(json.dumps([config['tests'], code, sorted(files), _loaded_scipy()]))\n"
+    )
+    tests, code, files, loaded = json.loads(out)
+    assert [t["name"] for t in tests] == ["conditional_iid", "cond_indep"]
+    assert code in (0, 1) and "reports.jsonl" in files
+    assert loaded == []
 
 
 def test_threads_match_when_the_workers_import_scipy(tmp_path):
-    # the two PIT tests run in two worker threads, and each imports
-    # scipy.stats on its first call
+    # the three PIT tests run in two worker threads.  Each imported
+    # scipy.stats on its first call while the KS p-value came from scipy;
+    # now they import no scipy module, and still match a one-thread run
     out = _fresh(
         "import json, sys\n"
         "from hexch.cli import run_experiment\n"

@@ -463,6 +463,19 @@ def test_lag1_corr_matches_reference_formula():
     assert hexch.stattests._lag1_corr(np.full((1, 5), 2.0)) == 0.0
 
 
+def test_lag1_corr_holds_two_buffers():
+    # it held five full-size temporaries (38.1 MiB at 10^6 cells) before
+    # the centred rows and the products shared two buffers
+    pit = np.random.default_rng(3).random((200, 500))
+    tracemalloc.start()
+    try:
+        hexch.stattests._lag1_corr(pit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * pit.nbytes
+
+
 def _reference_shuffle_pvalue(pit, stat, observed, n_resamples, seed):
     # one exact statistic per resample, as before resamples were scored a
     # block at a time
