@@ -30,9 +30,10 @@ from .definetti import extract_hierarchy, hierarchy_json_chunks, resynthesize
 # hierarchy_to_json_obj is unused here, but bench/spans.py traces it at this
 # lookup site
 from .definetti import hierarchy_to_json_obj  # noqa: F401
-from .fields import _as_tuples, _is_size, derive_seed, level_values
-from .scenarios import _depth_shift, builtin, list_scenarios, make_source
-from .stattests import (
+from .fields import _as_tuples, derive_seed, level_values
+from .scenarios import ScenarioSpec, _integer, _number, _request, list_scenarios, make_source
+# the tests run by the names _TESTS gives, looked up here at call time
+from .stattests import (  # noqa: F401
     cond_indep_test,
     conditional_iid_test,
     hexch_test,
@@ -40,7 +41,7 @@ from .stattests import (
     level_homogeneity_test,
 )
 # leaves is unused here, but bench/spans.py traces it at this lookup site
-from .tree import DEFAULT_CELL_CAP, leaves  # noqa: F401
+from .tree import DEFAULT_CELL_CAP, _is_size, leaves  # noqa: F401
 
 __all__ = ["main", "run_experiment", "array_to_csv", "ConfigError", "CapError"]
 
@@ -59,15 +60,15 @@ _SEED_MAX = 2**64 - 1
 _MAX_DEPTH = 32
 _CONFIG_KEYS = {"scenario", "seed", "r", "m", "n", "params", "extract", "resynthesize_m",
                 "tests", "out"}
-# the keys each test reads from its config entry
-_TEST_KEYS = {
-    "hexch": {"name", "n_reps", "n_resamples", "level"},
-    "conditional_iid": {"name", "n_resamples", "level"},
-    "cond_indep": {"name", "n_resamples", "level"},
-    "level_homogeneity": {"name", "level"},
+# each test's config keys besides its name, what it runs on (the scenario's
+# source, the array and its extracted hierarchy, or realized field values)
+# and the name of the hexch.stattests function it calls
+_TESTS = {
+    "hexch": ({"n_reps", "n_resamples", "level"}, "source", "hexch_test"),
+    "conditional_iid": ({"n_resamples", "level"}, "hierarchy", "conditional_iid_test"),
+    "cond_indep": ({"n_resamples", "level"}, "hierarchy", "cond_indep_test"),
+    "level_homogeneity": ({"level"}, "field", "level_homogeneity_test"),
 }
-_FIELD_TESTS = {"level_homogeneity"}
-_HIERARCHY_TESTS = {"conditional_iid", "cond_indep"}
 
 
 def _cell_cap() -> int:
@@ -89,31 +90,6 @@ def _cell_cap() -> int:
     return cap
 
 
-def _integer(value, name: str, lo: int, hi: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < lo or (hi is not None and value > hi):
-        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ConfigError(f"{name} must be {bounds}, got {value}")
-    return value
-
-
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    return x
-
-
-def _optional(obj: dict, key: str, lo: int) -> int | None:
-    return None if obj.get(key) is None else _integer(obj[key], key, lo)
-
-
 def _exceeds(m: int, r: int, n: int, cap: int) -> bool:
     """Whether m^r * n > cap, without computing m^r for a huge r."""
     cells = n
@@ -125,7 +101,7 @@ def _exceeds(m: int, r: int, n: int, cap: int) -> bool:
 
 
 def _needs_hierarchy(cfg: dict) -> bool:
-    return cfg["extract"] or any(t["name"] in _HIERARCHY_TESTS for t in cfg["tests"])
+    return cfg["extract"] or any(_TESTS[t["name"]][1] == "hierarchy" for t in cfg["tests"])
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -135,7 +111,10 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
                           f"expected one of {sorted(allowed)}")
 
 
-def _parse_config(obj) -> dict:
+def _parse_config(obj) -> tuple[dict, ScenarioSpec, dict]:
+    """The checked config, the spec of its scenario and the scenario's
+    params merged over the spec's defaults.  A malformed field raises
+    ValueError; the cell cap is left to :func:`_check_cap`."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     for key in ("scenario", "seed", "r", "m"):
@@ -144,26 +123,8 @@ def _parse_config(obj) -> dict:
     _check_keys(obj, _CONFIG_KEYS, "the config")
     if not isinstance(obj["scenario"], str):
         raise ConfigError(f"scenario must be a name, got {obj['scenario']!r}")
-    try:
-        spec = builtin(obj["scenario"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"params must be an object, got {params!r}")
-    known = spec.defaults.get("params", {})
-    for key, value in params.items():
-        if key not in known:
-            raise ConfigError(
-                f"unknown param {key!r} for scenario {spec.name!r}; "
-                f"expected one of {sorted(known)}"
-            )
-        x = _number(value, f"params.{key}")
-        lo, hi = spec.param_ranges.get(key, (-math.inf, math.inf))
-        if not lo <= x <= hi:
-            raise ConfigError(
-                f"params.{key} must lie in [{lo}, {hi}] for scenario {spec.name!r}, got {x}"
-            )
+    spec, n, params = _request(obj["scenario"], obj["r"], obj["m"], obj.get("n"),
+                               obj.get("params", {}))
     extract = obj.get("extract", False)
     if not isinstance(extract, bool):
         raise ConfigError(f"extract must be true or false, got {extract!r}")
@@ -174,19 +135,17 @@ def _parse_config(obj) -> dict:
         "scenario": obj["scenario"],
         # derived seeds are 64-bit, so larger seeds would alias smaller ones
         "seed": _integer(obj["seed"], "seed", 0, _SEED_MAX),
-        "r": _integer(obj["r"], "r", spec.min_r),
-        "m": _integer(obj["m"], "m", 1),
-        "n": _optional(obj, "n", 1),
-        "params": dict(params),
+        # checked by _request; int() makes a numpy integer plain for the manifest
+        "r": int(obj["r"]),
+        "m": int(obj["m"]),
+        "n": n,
+        "params": dict(obj.get("params", {})),
         "extract": extract,
-        "resynthesize_m": _optional(obj, "resynthesize_m", 1),
+        "resynthesize_m": (None if obj.get("resynthesize_m") is None
+                           else _integer(obj["resynthesize_m"], "resynthesize_m", 1)),
         "tests": [],
         "out": out,
     }
-    if spec.form != "sigma-replica" and cfg["n"] is not None:
-        raise ConfigError(f"n sets a replica axis, which scenario {spec.name!r} has not")
-    if spec.form == "sigma-replica" and cfg["n"] is None:
-        cfg["n"] = int(spec.defaults.get("n", 20))
     tests = obj.get("tests", [])
     if not isinstance(tests, list):
         raise ConfigError("tests must be a list")
@@ -194,13 +153,13 @@ def _parse_config(obj) -> dict:
         if not isinstance(t, dict) or not isinstance(t.get("name"), str):
             raise ConfigError(f"tests[{i}] must be an object with a string 'name'")
         name = t["name"]
-        if name not in _TEST_KEYS:
+        if name not in _TESTS:
             raise ConfigError(f"unknown test {name!r}")
-        _check_keys(t, _TEST_KEYS[name], f"tests[{i}] ({name})")
-        if name not in _FIELD_TESTS and spec.form == "field":
-            raise ConfigError(f"test {name!r} needs an array scenario")
-        if name in _FIELD_TESTS and spec.form != "field":
-            raise ConfigError(f"test {name!r} needs a field scenario")
+        keys, on, _ = _TESTS[name]
+        _check_keys(t, keys | {"name"}, f"tests[{i}] ({name})")
+        if (on == "field") != (spec.form == "field"):
+            raise ConfigError(f"test {name!r} needs {'a field' if on == 'field' else 'an array'} "
+                              "scenario")
         if name == "cond_indep" and (cfg["r"] < 2 or cfg["m"] < 2):
             raise ConfigError("cond_indep needs r >= 2 and m >= 2")
         level = _number(t.get("level", 0.05), f"tests[{i}].level")
@@ -217,6 +176,12 @@ def _parse_config(obj) -> dict:
         raise ConfigError(f"hierarchy extraction needs a plain tree array, not {spec.name!r}")
     if cfg["resynthesize_m"] is not None and not _needs_hierarchy(cfg):
         raise ConfigError("resynthesize_m needs extract, conditional_iid or cond_indep")
+    return cfg, spec, params
+
+
+def _check_cap(cfg: dict) -> None:
+    """Refuse truncations and ``hexch`` buffers above the cell cap, and
+    depths above ``_MAX_DEPTH``."""
     cap = _cell_cap()
     r, m, n = cfg["r"], cfg["m"], cfg["n"] or 1
     if _exceeds(m, r, n, cap):
@@ -229,7 +194,6 @@ def _parse_config(obj) -> dict:
     for i, t in enumerate(cfg["tests"]):
         if t["name"] == "hexch":
             _check_hexch_buffers(i, t, kept_dimension(r, m, cfg["n"]), cap)
-    return cfg
 
 
 def _check_hexch_buffers(i: int, entry: dict, kept: int, cap: int) -> None:
@@ -346,62 +310,27 @@ def _field_csv(by_depth: dict, m: int) -> Iterator[bytes]:
                 [(_key_layout((d,), (m,), None), v) for d, v in by_depth.items()])
 
 
-def _run_one_test(cfg, entry, index, array, hierarchy, shifted):
-    seed = derive_seed(cfg["seed"], "test", index)
-    name = entry["name"]
-    if name == "hexch":
-        src = make_source(
-            cfg["scenario"], cfg["r"], cfg["m"], n=cfg["n"], params=cfg["params"]
-        )
-        return hexch_test(
-            src.sample,
-            cfg["r"],
-            cfg["m"],
-            n=src.n,
-            n_reps=entry["n_reps"],
-            n_resamples=entry["n_resamples"],
-            level=entry["level"],
-            seed=seed,
-        )
-    if name == "conditional_iid":
-        return conditional_iid_test(
-            array,
-            hierarchy,
-            n_resamples=entry["n_resamples"],
-            level=entry["level"],
-            seed=seed,
-        )
-    if name == "cond_indep":
-        return cond_indep_test(
-            array,
-            hierarchy,
-            n_resamples=entry["n_resamples"],
-            level=entry["level"],
-            seed=seed,
-        )
-    return level_homogeneity_test(shifted, level=entry["level"], seed=seed)
-
-
 def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
     """Execute one configured pipeline; returns (exit code, emitted files).
     ``threads`` workers run the tests, 0 meaning one per CPU."""
     if not _is_size(threads, 0):
         raise ConfigError(f"threads must be >= 0 and an integer (0 = auto), got {threads!r}")
-    cfg = _parse_config(config_obj)
-    spec = builtin(cfg["scenario"])
+    try:
+        cfg, spec, params = _parse_config(config_obj)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    _check_cap(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if threads == 0:
         threads = os.cpu_count() or 1
     files: dict = {}
 
-    array = None
-    hierarchy = None
-    shifted = None
+    # the positional and keyword arguments of a test, by what it runs on
     if spec.form == "field":
         # one realization feeds both the field dump and the level test
         by_depth = level_values(cfg["seed"], cfg["r"], cfg["m"])
-        shifted = _depth_shift(cfg["scenario"], by_depth, cfg["params"])
+        inputs = {"field": ((spec.build(by_depth, **params),), {})}
         _write(out / "field_values.csv", _field_csv(by_depth, cfg["m"]), files)
     else:
         src = make_source(
@@ -409,6 +338,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
         )
         array = src.sample(cfg["seed"])
         _write(out / "array.csv", array_to_csv(array, cfg["r"], cfg["m"], src.n), files)
+        hierarchy = None
         if _needs_hierarchy(cfg):
             hierarchy = extract_hierarchy(array, cfg["r"], cfg["m"])
             _write(out / "hierarchy.json", hierarchy_json_chunks(hierarchy), files)
@@ -424,9 +354,15 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
                     array_to_csv(resyn, cfg["r"], cfg["resynthesize_m"], None),
                     files,
                 )
+        inputs = {"source": ((src.sample, cfg["r"], cfg["m"]), {"n": src.n}),
+                  "hierarchy": ((array, hierarchy), {})}
 
     def run_test(i):
-        return _run_one_test(cfg, cfg["tests"][i], i, array, hierarchy, shifted)
+        entry = cfg["tests"][i]
+        keys, on, test = _TESTS[entry["name"]]
+        args, kwargs = inputs[on]
+        kwargs = {**kwargs, **{k: entry[k] for k in keys}}
+        return globals()[test](*args, **kwargs, seed=derive_seed(cfg["seed"], "test", i))
 
     indices = range(len(cfg["tests"]))
     if threads > 1 and len(indices) > 1:

@@ -48,8 +48,8 @@ from itertools import product
 import numpy as np
 
 from ._text import _rows
-from .fields import _hash_level, _init_state, _is_size
-from .tree import TreeVertex, internal_vertices
+from .fields import _hash_level, _init_state
+from .tree import TreeVertex, _is_size, internal_vertices
 
 __all__ = [
     "EmpiricalMeasure",
@@ -383,7 +383,7 @@ class DirectingHierarchy:
             at, v = ids[rows], blocks[rows]
             n = self.counts[0][at, None]
             locs = np.where(np.arange(w) < n, self.atoms[0][at], np.inf)
-            idx = _search_rows(locs, v, "left")
+            idx = _search_rows(locs, v)
             np.minimum(idx, n, out=idx)
             hit = idx < n
             hit &= np.take_along_axis(locs, np.minimum(idx, w - 1), axis=1) == v
@@ -421,27 +421,25 @@ _BLOCK_BYTES = 1 << 23
 _BROADCAST_WIDTH = 32
 
 
-def _search_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
-    """Row-wise ``np.searchsorted(a[i], v[i], side)`` for ascending rows ``a``
+def _search_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.searchsorted(a[i], v[i])`` for ascending rows ``a``
     ``(P, w)`` of non-NaN entries and queries ``v`` ``(P, q)``.
 
     Up to ``_BROADCAST_WIDTH`` entries a row, a query counts the entries not
-    ``>=`` it ("left") or not ``>`` it ("right"): all of them if it is NaN,
-    as ``searchsorted`` does.  Those rows go in blocks whose ``(rows, q, w)``
-    comparisons take at most ``_BLOCK_BYTES``.  Wider rows take one
-    ``np.searchsorted`` each.
+    ``>=`` it: all of them if it is NaN, as ``searchsorted`` does.  Those
+    rows go in blocks whose ``(rows, q, w)`` comparisons take at most
+    ``_BLOCK_BYTES``.  Wider rows take one ``np.searchsorted`` each.
     """
     q, w = v.shape[1], a.shape[1]
     out = np.empty(v.shape, dtype=np.intp)
     if w > _BROADCAST_WIDTH:
         for row, queries, counts in zip(a, v, out):
-            counts[:] = row.searchsorted(queries, side)
+            counts[:] = row.searchsorted(queries)
         return out
-    above = np.greater_equal if side == "left" else np.greater
     step = max(1, _BLOCK_BYTES // (q * w))
     for lo in range(0, len(v), step):
         rows = slice(lo, lo + step)
-        out[rows] = (~above(a[rows, None, :], v[rows, :, None])).sum(axis=2)
+        out[rows] = (~np.greater_equal(a[rows, None, :], v[rows, :, None])).sum(axis=2)
     return out
 
 
@@ -548,7 +546,7 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     for d in range(1, r + 1):
         k = r - d  # the level of the depth d-1 measures
         u = _hash_level(h0, (d,), (m2,))[0].reshape(current.size, m2)
-        pick = _search_rows(h.cum[k][current], u, "left")
+        pick = _search_rows(h.cum[k][current], u)
         np.minimum(pick, h.counts[k][current, None] - 1, out=pick)
         current = h.atoms[k][current[:, None], pick].reshape(-1)
     return current

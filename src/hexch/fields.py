@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tree import ProductVertex, TreeVertex
+from .tree import ProductVertex, TreeVertex, _check_size, _is_size
 
 __all__ = [
     "UniformField",
@@ -149,6 +149,7 @@ def derive_seed(seed: int, label: str, index: int = 0) -> int:
 def derive_seeds(seed: int, label: str, count: int) -> list[int]:
     """``[derive_seed(seed, label, k) for k in range(count)]`` as Python ints,
     from one mix over the index range."""
+    _check_size("count", count, 0)
     h = _U64(_init_int(seed, "derive:" + label))
     return _mix(h ^ np.arange(count, dtype=_U64)).tolist()
 
@@ -212,16 +213,6 @@ def _write_paths(levels: list[np.ndarray], depths, shape) -> np.ndarray:
     for j, (vals, (_, bshape)) in enumerate(zip(levels, layout)):
         out[..., j] = vals.reshape((k,) + bshape)
     return out.reshape(k, -1, len(layout))
-
-
-def _is_size(value, lo: int = 1) -> bool:
-    """Whether ``value`` is an integer >= ``lo``; a bool is not."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= lo
-
-
-def _check_size(name: str, value, lo: int = 1) -> None:
-    if not _is_size(value, lo):
-        raise ValueError(f"{name} must be >= {lo} and an integer, got {value!r}")
 
 
 def _as_tuple(x) -> tuple[int, ...]:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _check_size, _hash_level, _init_state
-from .tree import TreeVertex, internal_vertices, wedge_matrix
+from .fields import _hash_level, _init_state
+from .tree import TreeVertex, _check_size, internal_vertices, wedge_matrix
 
 __all__ = [
     "HPerm",

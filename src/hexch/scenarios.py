@@ -9,6 +9,7 @@ attributable to that mechanism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .fields import (
     SigmaModel,
-    _check_size,
     _coord_words,
     _hash_words,
     _init_state,
@@ -46,6 +46,10 @@ class ScenarioSpec:
     kind: str  # "null" or "violation"
     form: str  # "sigma", "sigma-replica", "custom", "field"
     summary: str
+    # takes the params as keywords: the SigmaModel (arity, fn) of a σ form
+    # from r, a custom sampler from r and m, and a field violation's values
+    # from the realized ones (as level_values returns them)
+    build: Callable
     defaults: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)  # test name -> "pass"/"reject"
     # closed [lo, hi] range of each bounded param, and the least depth r
@@ -91,27 +95,13 @@ def _centred_sum(p: np.ndarray, lo: int, k: int) -> np.ndarray:
     return total
 
 
-def make_model(name: str, r: int, params: dict | None = None) -> SigmaModel:
-    """Instantiate a built-in path-function model for a depth-``r`` tree."""
-    params = dict(params or {})
-    if name == "uniform-leaf":
-        return SigmaModel(name, r + 1, lambda p: p[:, -1])
-    if name == "root-constant":
-        return SigmaModel(name, r + 1, lambda p: p[:, 0])
-    if name == "path-mean":
-        return SigmaModel(name, r + 1, lambda p: p.mean(axis=1))
-    if name == "product":
-        return SigmaModel(name, r + 1, lambda p: p.prod(axis=1))
-    if name == "toy-magnetization":
-        a = float(params.get("a", 2.0))
-        b = float(params.get("b", 1.0))
-        k = r + 1
+def _toy_magnetization(r: int, a: float, b: float):
+    k = r + 1
 
-        def fn(p):
-            return _sigmoid(a * _centred_sum(p, 0, k) + b * _centred_sum(p, k, k))
+    def fn(p):
+        return _sigmoid(a * _centred_sum(p, 0, k) + b * _centred_sum(p, k, k))
 
-        return SigmaModel(name, 2 * (r + 1), fn, params=(("a", a), ("b", b)))
-    raise ValueError(f"unknown scenario model {name!r}")
+    return 2 * k, fn
 
 
 # The custom samplers below take an int seed or a 1-D sequence of K seeds,
@@ -156,6 +146,78 @@ def _markov_leak_sampler(r: int, m: int) -> Callable:
     return sample
 
 
+def _depth_shift(by_depth: dict, shift: float) -> dict:
+    """Depth 1 mapped from [0,1) onto [shift, 1); the other depths kept."""
+    return {**by_depth, 1: shift + (1.0 - shift) * by_depth[1]}
+
+
+def _integer(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in ``[lo, hi]``; a bool is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return int(value)
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a finite float; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return x
+
+
+def _request(name: str, r, m, n, params) -> tuple[ScenarioSpec, int | None, dict]:
+    """Check a request against scenario ``name``'s spec, in the words of
+    ``hexch run``'s config errors (``m`` is None for a model, which has no
+    truncation); returns the spec, ``n`` (a replica scenario's default if
+    None) and the params merged over the spec's defaults."""
+    spec = builtin(name)
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {params!r}")
+    merged = dict(spec.defaults.get("params", {}))
+    for key, value in params.items():
+        if key not in merged:
+            raise ValueError(
+                f"unknown param {key!r} for scenario {name!r}; expected one of {sorted(merged)}"
+            )
+        x = _number(value, f"params.{key}")
+        lo, hi = spec.param_ranges.get(key, (-math.inf, math.inf))
+        if not lo <= x <= hi:
+            raise ValueError(f"params.{key} must lie in [{lo}, {hi}] for scenario {name!r}, got {x}")
+        merged[key] = x
+    _integer(r, "r", spec.min_r)
+    if m is not None:
+        _integer(m, "m", 1)
+    if n is not None:
+        n = _integer(n, "n", 1)
+        if spec.form != "sigma-replica":
+            raise ValueError(f"n sets a replica axis, which scenario {name!r} has not")
+    elif spec.form == "sigma-replica":
+        n = spec.defaults["n"]
+    return spec, n, merged
+
+
+def _model(spec: ScenarioSpec, r: int, params: dict) -> SigmaModel:
+    arity, fn = spec.build(r, **params)
+    return SigmaModel(spec.name, arity, fn, params=tuple(params.items()))
+
+
+def make_model(name: str, r: int, params: dict | None = None) -> SigmaModel:
+    """Instantiate a built-in path-function model for a depth-``r`` tree."""
+    spec, _, params = _request(name, r, None, None, params or {})
+    if spec.form not in ("sigma", "sigma-replica"):
+        raise ValueError(f"scenario {name!r} is not a path-function model")
+    return _model(spec, r, params)
+
+
 def make_source(
     name: str,
     r: int,
@@ -164,49 +226,24 @@ def make_source(
     params: dict | None = None,
 ) -> ArraySource:
     """Seeded generator for a registered scenario on a given truncation."""
-    spec = builtin(name)
-    _check_size("r", r, 0)
-    _check_size("m", m)
-    if r < spec.min_r:
-        raise ValueError(f"{name} needs r >= {spec.min_r}")
-    if n is not None:
-        _check_size("n", n)
-        if spec.form != "sigma-replica":
-            raise ValueError(f"n sets a replica axis, which scenario {name!r} has not")
-    params = {**spec.defaults.get("params", {}), **(params or {})}
-    if spec.form == "sigma":
-        model = make_model(name, r, params)
+    spec, n, params = _request(name, r, m, n, params or {})
+    if spec.form == "custom":
+        return ArraySource(name, r, m, None, spec.build(r, m, **params))
+    if spec.form == "field":
+        raise ValueError(f"scenario {name!r} does not generate arrays")
+    model = _model(spec, r, params)
+    if n is None:
         return ArraySource(name, r, m, None, lambda seed: sample_array(model, r, m, seed))
-    if spec.form == "sigma-replica":
-        if n is None:
-            n = spec.defaults.get("n", 20)
-        model = make_model(name, r, params)
-        return ArraySource(name, r, m, n, lambda seed: sample_ah(model, r, m, n, seed))
-    if name == "label-leak":
-        w = float(params.get("weight", 0.5))
-        return ArraySource(name, r, m, None, _label_leak_sampler(r, m, w))
-    if name == "sibling-coupled":
-        w = float(params.get("weight", 0.7))
-        return ArraySource(name, r, m, None, _sibling_coupled_sampler(r, m, w))
-    if name == "markov-leak":
-        return ArraySource(name, r, m, None, _markov_leak_sampler(r, m))
-    raise ValueError(f"scenario {name!r} does not generate arrays")
+    return ArraySource(name, r, m, n, lambda seed: sample_ah(model, r, m, n, seed))
 
 
 def make_level_values(name: str, r: int, m: int, seed: int, params: dict | None = None):
     """The field values of each depth, as :func:`~hexch.fields.level_values`
     realizes them, after the scenario's violation, for homogeneity checks."""
-    return _depth_shift(name, level_values(seed, r, m), params)
-
-
-def _depth_shift(name: str, by_depth: dict, params: dict | None = None) -> dict:
-    """The ``depth-shift`` violation of realized uniform field values: depth
-    1 is mapped from [0,1) onto [shift, 1), the other depths are kept."""
-    spec = builtin(name)
+    spec, _, params = _request(name, r, m, None, params or {})
     if spec.form != "field":
         raise ValueError(f"scenario {name!r} does not generate field values")
-    lo = float({**spec.defaults.get("params", {}), **(params or {})}.get("shift", 0.5))
-    return {**by_depth, 1: lo + (1.0 - lo) * by_depth[1]}
+    return spec.build(level_values(seed, r, m), **params)
 
 
 _REGISTRY: dict[str, ScenarioSpec] = {}
@@ -222,6 +259,7 @@ _register(
         kind="null",
         form="sigma",
         summary="value = the leaf's own field value; entries i.i.d. uniform",
+        build=lambda r: (r + 1, lambda p: p[:, -1]),
         defaults={"r": 2, "m": 8},
         expected={"hexch": "pass", "conditional_iid": "pass", "cond_indep": "pass"},
     )
@@ -232,6 +270,7 @@ _register(
         kind="null",
         form="sigma",
         summary="value = the root field value; the whole array is constant",
+        build=lambda r: (r + 1, lambda p: p[:, 0]),
         defaults={"r": 2, "m": 8},
         expected={"hexch": "pass", "conditional_iid": "pass", "cond_indep": "pass"},
     )
@@ -242,6 +281,7 @@ _register(
         kind="null",
         form="sigma",
         summary="value = arithmetic mean of the field values on the root path",
+        build=lambda r: (r + 1, lambda p: p.mean(axis=1)),
         defaults={"r": 2, "m": 8},
         expected={"hexch": "pass", "conditional_iid": "pass", "cond_indep": "pass"},
     )
@@ -252,6 +292,7 @@ _register(
         kind="null",
         form="sigma",
         summary="value = product of the field values on the root path",
+        build=lambda r: (r + 1, lambda p: p.prod(axis=1)),
         defaults={"r": 2, "m": 8},
         expected={"hexch": "pass", "conditional_iid": "pass", "cond_indep": "pass"},
     )
@@ -262,6 +303,7 @@ _register(
         kind="null",
         form="sigma-replica",
         summary="squashed linear blend of a shared tree path and per-replica paths",
+        build=_toy_magnetization,
         defaults={"r": 2, "m": 4, "n": 20, "params": {"a": 2.0, "b": 1.0}},
         expected={"hexch": "pass"},
     )
@@ -272,6 +314,7 @@ _register(
         kind="violation",
         form="custom",
         summary="blends the parity of the first index coordinate into the value",
+        build=_label_leak_sampler,
         defaults={"r": 2, "m": 8, "params": {"weight": 0.5}},
         expected={"hexch": "reject"},
         param_ranges={"weight": (0.0, 1.0)},
@@ -284,6 +327,7 @@ _register(
         form="custom",
         summary="children of consecutive depth-1 siblings share an extra uniform "
         "at matching child index",
+        build=_sibling_coupled_sampler,
         defaults={"r": 2, "m": 16, "params": {"weight": 0.7}},
         expected={"cond_indep": "reject"},
         param_ranges={"weight": (0.0, 1.0)},
@@ -296,6 +340,7 @@ _register(
         kind="violation",
         form="custom",
         summary="each sibling value reuses the previous sibling's uniform",
+        build=_markov_leak_sampler,
         defaults={"r": 2, "m": 16},
         expected={"conditional_iid": "reject"},
     )
@@ -306,6 +351,7 @@ _register(
         kind="violation",
         form="field",
         summary="depth-1 field values are shifted away from the uniform law",
+        build=_depth_shift,
         defaults={"r": 2, "m": 32, "params": {"shift": 0.5}},
         expected={"level_homogeneity": "reject"},
         param_ranges={"shift": (0.0, 1.0)},

@@ -28,10 +28,10 @@ import numpy as np
 
 from ._ks import ks_uniform
 from .definetti import DirectingHierarchy, _lex_order
-from .fields import _check_size, _is_size, _seed_int, derive_seed, derive_seeds
+from .fields import _seed_int, derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
-from .tree import DEFAULT_CELL_CAP
+from .tree import DEFAULT_CELL_CAP, _check_size, _is_size
 
 __all__ = [
     "TestReport",
@@ -585,7 +585,8 @@ def level_homogeneity_test(
     every pair of depths gets a two-sample KS check (``scipy.stats``).
     Component p-values combine by Bonferroni.  The test draws nothing;
     ``seed``, an integer in [0, 2^64) as the other tests take, is recorded
-    in the report.
+    in the report.  An empty depth class, or one with a NaN, raises
+    ``ValueError``.
     """
     _check_level(level)
     _seed_int(seed)
@@ -595,6 +596,10 @@ def level_homogeneity_test(
         raise ValueError("need at least two populated depth classes")
     keys = sorted(values_by_depth)
     vals = {k: np.asarray(values_by_depth[k], dtype=np.float64).reshape(-1) for k in keys}
+    for key, x in vals.items():
+        # a NaN component p-value would drop out of the Bonferroni minimum
+        if not x.size or np.isnan(x).any():
+            raise ValueError(f"depth {key!r} of the field values is empty or holds a NaN")
     components = [(f"ks@{key}", *ks_uniform(vals[key])) for key in keys]
     for ka, kb in itertools.combinations(keys, 2):
         stat, p = scipy.stats.ks_2samp(vals[ka], vals[kb])

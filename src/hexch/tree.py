@@ -147,11 +147,21 @@ def product_path(v: ProductVertex) -> list[tuple[TreeVertex, ...]]:
     return list(itertools.product(*(path(p) for p in v.parts)))
 
 
+def _is_size(value, lo: int = 1) -> bool:
+    """Whether ``value`` is an integer >= ``lo``; a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= lo
+
+
+def _check_size(name: str, value, lo: int = 1) -> None:
+    if not _is_size(value, lo):
+        raise ValueError(f"{name} must be >= {lo} and an integer, got {value!r}")
+
+
 def _depth_vertices(r: int, m: int, depths, cap: int) -> list[TreeVertex]:
     """Vertices of the given depths of the ``{1..m}^r`` truncation, by depth
     then lexicographically; raises if there are more than ``cap``."""
-    if r < 1 or m < 1:
-        raise ValueError("r and m must be >= 1")
+    _check_size("r", r)
+    _check_size("m", m)
     n_cells = sum(m**d for d in depths)
     if n_cells > cap:
         raise ValueError(f"truncation has {n_cells} cells, exceeding the cap of {cap}")
@@ -179,8 +189,8 @@ def vertex_keys(d: int, m: int) -> Iterator[str]:
     vertices of ``{1..m}^r`` (any r >= d), lexicographic in the coordinates:
     ``"2/1/2"`` comes before ``"2/1/10"``.  Built from the coordinates
     alone, so no :class:`TreeVertex` is made."""
-    if d < 0 or m < 1:
-        raise ValueError(f"need depth >= 0 and m >= 1, got d={d}, m={m}")
+    _check_size("d", d, 0)
+    _check_size("m", m)
     coords = tuple(map(str, range(1, m + 1)))
     return map("/".join, itertools.product((str(d),), *[coords] * d))
 

@@ -692,8 +692,7 @@ def test_extract_and_resynthesize_check_their_sizes():
 _SEARCH_WIDTHS = (7, 40)
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_row_search_matches_searchsorted(side):
+def test_row_search_matches_searchsorted():
     assert _SEARCH_WIDTHS[0] <= _BROADCAST_WIDTH < _SEARCH_WIDTHS[1]
     rng = np.random.default_rng(3)
     for w in _SEARCH_WIDTHS:
@@ -703,13 +702,12 @@ def test_row_search_matches_searchsorted(side):
         v = np.round(rng.random((40, 11)), 1)
         v[0, :5] = [0.0, 1.0, np.inf, -np.inf, np.nan]
         v[1, :4] = [-0.0, 0.0, np.nan, np.inf]
-        want = np.array([np.searchsorted(row, q, side=side) for row, q in zip(a, v)])
-        assert np.array_equal(_search_rows(a, v, side), want)
+        want = np.array([np.searchsorted(row, q) for row, q in zip(a, v)])
+        assert np.array_equal(_search_rows(a, v), want)
 
 
 @pytest.mark.parametrize("w", [33, 100, 1000])
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_wide_row_search_is_searchsorted_per_row(side, w):
+def test_wide_row_search_is_searchsorted_per_row(w):
     # strictly ascending rows, as a hierarchy's are, and queries on their atoms
     assert w > _BROADCAST_WIDTH
     rng = np.random.default_rng(w)
@@ -722,13 +720,12 @@ def test_wide_row_search_is_searchsorted_per_row(side, w):
     v[0, :6] = [-0.0, 0.0, 1.0, np.inf, -np.inf, np.nan]  # -0.0 meets the 0.0 atom
     v[1, :3] = [np.inf, np.nan, -np.inf]
     assert np.isinf(a[1:]).any()
-    want = np.array([np.searchsorted(row, q, side=side) for row, q in zip(a, v)])
-    assert np.array_equal(_search_rows(a, v, side), want)
+    want = np.array([np.searchsorted(row, q) for row, q in zip(a, v)])
+    assert np.array_equal(_search_rows(a, v), want)
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, 39, 40])
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_row_search_in_blocks_has_the_bits_of_one_pass(monkeypatch, side, rows_per_block):
+def test_row_search_in_blocks_has_the_bits_of_one_pass(monkeypatch, rows_per_block):
     # rows are searched independently, so any blocking of them gives the
     # result of the single pass over all 40 rows; a block of the broadcast
     # method holds (rows, q, w) bools, and wider rows are searched one by one
@@ -738,9 +735,9 @@ def test_row_search_in_blocks_has_the_bits_of_one_pass(monkeypatch, side, rows_p
     for w in (narrow, wide):
         a = np.sort(np.round(rng.random((40, w)), 1), axis=1)
         a[::3, w - 2 :] = np.inf
-        whole = _search_rows(a, v, side)
+        whole = _search_rows(a, v)
         monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * narrow * 11)
-        assert np.array_equal(_search_rows(a, v, side), whole)
+        assert np.array_equal(_search_rows(a, v), whole)
         monkeypatch.undo()
     # resynthesis searches rows too, under a small bound: at m=9 by
     # broadcast, at m=40 row by row

@@ -266,9 +266,16 @@ def test_sample_array_arity_mismatch():
     (lambda: level_values(0, 2.5, 3), "r must be >= 0 and an integer, got 2.5"),
     (lambda: sample_ah(make_model("toy-magnetization", 2), 2, 3, 0, 1),
      "n must be >= 1 and an integer, got 0"),
-    (lambda: make_source("product", 2, 0), "m must be >= 1 and an integer, got 0"),
+    # make_source checks a request as hexch run checks a config, in its words
+    (lambda: make_source("product", 2, 0), "m must be >= 1, got 0"),
+    (lambda: derive_seeds(0, "x", -1), "count must be >= 0 and an integer, got -1"),
+    (lambda: derive_seeds(0, "x", 2.5), "count must be >= 0 and an integer, got 2.5"),
+    (lambda: leaves(2, 2.5), "m must be >= 1 and an integer, got 2.5"),
+    (lambda: leaves(True, 3), "r must be >= 1 and an integer, got True"),
+    (lambda: vertex_keys(1, 2.5), "m must be >= 1 and an integer, got 2.5"),
 ], ids=["path_matrix", "sample_array", "random_leaf_indices", "level_values", "sample_ah",
-        "make_source"])
+        "make_source", "derive_seeds-negative", "derive_seeds-fraction", "leaves-fraction",
+        "leaves-bool", "vertex_keys"])
 def test_sizes_are_checked_at_library_entry(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

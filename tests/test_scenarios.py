@@ -1,7 +1,13 @@
 """Tests for the scenario registry."""
 
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
+
+from hexch.cli import run_experiment
 
 from hexch.fields import (
     SigmaModel,
@@ -182,7 +188,7 @@ def test_sibling_coupled_couples_consecutive_parents():
         assert np.array_equal(x[j], x[j + 1])
     assert not np.array_equal(x[0], x[2])
     # it pairs depth-1 siblings and couples their children, so it needs r >= 2
-    with pytest.raises(ValueError, match="r >= 2"):
+    with pytest.raises(ValueError, match="^r must be >= 2, got 1$"):
         make_source("sibling-coupled", 1, 8)
 
 
@@ -250,3 +256,82 @@ def test_expected_verdicts_shape():
                 assert verdict == "pass"
         if spec.kind == "violation":
             assert "reject" in spec.expected.values()
+
+
+# requests the registry refuses, each with the message that both hexch run
+# (for the config with m=4 and seed 0) and the library entry points give
+REFUSED = [
+    ({"scenario": "label-leak", "r": 2, "params": {"wieght": 1.0}},
+     "unknown param 'wieght' for scenario 'label-leak'; expected one of ['weight']"),
+    ({"scenario": "label-leak", "r": 2, "params": {"weight": 5.0}},
+     "params.weight must lie in [0.0, 1.0] for scenario 'label-leak', got 5.0"),
+    ({"scenario": "sibling-coupled", "r": 1}, "r must be >= 2, got 1"),
+    ({"scenario": "product", "r": 2, "n": 5},
+     "n sets a replica axis, which scenario 'product' has not"),
+    ({"scenario": "product", "r": 2, "params": {"weight": 0.5}},
+     "unknown param 'weight' for scenario 'product'; expected one of []"),
+    ({"scenario": "toy-magnetization", "r": 0}, "r must be >= 1, got 0"),
+    ({"scenario": "toy-magnetization", "r": 2, "params": {"c": 1.0}},
+     "unknown param 'c' for scenario 'toy-magnetization'; expected one of ['a', 'b']"),
+    ({"scenario": "depth-shift", "r": 0}, "r must be >= 1, got 0"),
+    ({"scenario": "depth-shift", "r": 2, "params": {"shift": 1.5}},
+     "params.shift must lie in [0.0, 1.0] for scenario 'depth-shift', got 1.5"),
+]
+
+
+@pytest.mark.parametrize("config, message", REFUSED)
+def test_library_refuses_a_request_as_hexch_run_does(tmp_path, config, message):
+    name, r, n, params = config["scenario"], config["r"], config.get("n"), config.get("params")
+    form = builtin(name).form
+    calls = [lambda: run_experiment({"m": 4, "seed": 0, **config}, tmp_path / "out")]
+    if form == "field":
+        calls.append(lambda: make_level_values(name, r, 4, 0, params))
+    else:
+        calls.append(lambda: make_source(name, r, 4, n=n, params=params))
+    if form in ("sigma", "sigma-replica") and n is None:
+        calls.append(lambda: make_model(name, r, params))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    assert not (tmp_path / "out").exists()
+
+
+def test_params_merge_over_the_registry_defaults():
+    # a param left out takes the registry's default, as hexch run records
+    assert dict(make_model("toy-magnetization", 2, {"b": 0}).params) == {"a": 2.0, "b": 0.0}
+    x = make_source("label-leak", 2, 4).sample(3)
+    assert np.array_equal(x, make_source("label-leak", 2, 4, params={"weight": 0.5}).sample(3))
+    assert make_source("toy-magnetization", 2, 4).n == builtin("toy-magnetization").defaults["n"]
+
+
+# the tests hexch run accepts for each form: the field test for a field
+# scenario, hexch for an array, and the extraction tests for a plain tree
+FORM_TESTS = {
+    "sigma": ["hexch", "conditional_iid", "cond_indep"],
+    "custom": ["hexch", "conditional_iid", "cond_indep"],
+    "sigma-replica": ["hexch"],
+    "field": ["level_homogeneity"],
+}
+TEST_ENTRIES = {
+    "hexch": {"name": "hexch", "n_reps": 20, "n_resamples": 19},
+    "conditional_iid": {"name": "conditional_iid", "n_resamples": 19},
+    "cond_indep": {"name": "cond_indep", "n_resamples": 19},
+    "level_homogeneity": {"name": "level_homogeneity"},
+}
+
+
+@pytest.mark.parametrize("spec", list_scenarios(), ids=lambda spec: spec.name)
+def test_every_scenario_runs_at_its_defaults(tmp_path, spec):
+    # a new registry entry is run the day it is added
+    tests = [TEST_ENTRIES[name] for name in FORM_TESTS[spec.form]]
+    config = {"scenario": spec.name, "seed": 0, "r": spec.defaults["r"],
+              "m": spec.defaults["m"], "tests": tests}
+    code, files = run_experiment(config, tmp_path)
+    assert code in (0, 1)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(files) == set(manifest["files"]) | {"manifest.json"}
+    for name, entry in manifest["files"].items():
+        data = (tmp_path / name).read_bytes()
+        assert entry == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    reports = (tmp_path / "reports.jsonl").read_text().splitlines()
+    assert [json.loads(line)["name"] for line in reports] == FORM_TESTS[spec.form]

@@ -873,6 +873,15 @@ def test_level_homogeneity_single_class_errors():
         level_homogeneity_test({0: np.array([0.5])}, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.array([]), np.array([0.5, np.nan, 0.25])], ids=["empty", "nan"])
+def test_level_homogeneity_refuses_an_empty_or_nan_depth(bad):
+    # the class's NaN p-value would drop out of the Bonferroni minimum, and
+    # the test pass at p = 1
+    by_depth = {**level_values(8, 2, 16), 1: bad}
+    with pytest.raises(ValueError, match="^depth 1 of the field values is empty or holds a NaN$"):
+        level_homogeneity_test(by_depth, seed=8)
+
+
 # recorded before the per-depth declared laws and the randomized PIT were
 # deleted, with every depth declared U[0,1]: the PIT of a value x in [0,1]
 # was x exactly, so the report must not move
