@@ -175,7 +175,7 @@ def _kolmogn_DMTW(n, d):
     # Multiply by n!/n^n
     for i in range(1, n + 1):
         p = i * p / n
-        if np.abs(p) < _EM128:
+        if abs(p) < _EM128:
             p *= _EP128
             expnt -= _E128
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from ._text import _rows
 from .fields import _hash_level, _init_state
-from .tree import TreeVertex, _is_size, internal_vertices
+from .tree import TreeVertex, _check_size, _is_size, internal_vertices
 
 __all__ = [
     "EmpiricalMeasure",
@@ -255,8 +255,8 @@ class DirectingHierarchy:
 
     def __post_init__(self):
         r, m = self.r, self.m
-        if r < 1 or m < 1:
-            raise ValueError("r and m must be >= 1")
+        _check_size("r", r)
+        _check_size("m", m)
         if not len(self.atoms) == len(self.weights) == r:
             raise ValueError(
                 f"{len(self.atoms)} atom and {len(self.weights)} weight tables "
@@ -276,27 +276,30 @@ class DirectingHierarchy:
                     f"level {k}: atoms {a.shape} and weights {w.shape} differ or are empty"
                 )
             present = w > 0
-            n = present.sum(axis=1)
-            if n.min() < 1 or not np.array_equal(present, np.arange(w.shape[1]) < n[:, None]):
+            last = _prefix_ends(present)
+            if last is None:
                 raise ValueError(
                     f"level {k}: each row needs positive weights on a prefix of its atoms"
                 )
-            last = (np.arange(n.size), n - 1)
+            # ascending rows lie in a range when their first and last atoms do
+            lo, hi = a[:, 0].min(), a.reshape(-1)[last].max()
+            rises = _rises(a, present)
             if k:
-                _check_ids(a[present], len(levels[-1][0]), f"level {k} atom")
-            else:
-                # ascending rows lie in [0,1] when their first and last atoms do
-                lo, hi = float(a[:, 0].min()), float(a[last].max())
-                if not (lo >= 0.0 and hi <= 1.0):
-                    raise ValueError(f"level-0 location {hi if lo >= 0.0 else lo} outside [0,1]")
-            _check_rises(a, present, k)
+                # ids out of range are reported before atoms out of order
+                if not (rises and lo >= 0 and hi < len(levels[-1][0])):
+                    _check_ids(a[present], len(levels[-1][0]), f"level {k} atom")
+            elif not (lo >= 0.0 and hi <= 1.0):
+                raise ValueError(f"level-0 location {float(hi if lo >= 0.0 else lo)} outside [0,1]")
+            if not rises:
+                raise ValueError(f"level-{k} atoms must ascend along each row")
             c = np.cumsum(w, axis=1)
             # a running sum errs by about one rounding per atom
             err = np.abs(c[:, -1] - 1.0).max()
             if not err <= _WEIGHT_TOL + w.shape[1] * np.finfo(np.float64).eps:
                 raise ValueError(f"level {k}: a row's weights miss 1 by {err}")
-            c[last] = 1.0
+            c.reshape(-1)[last] = 1.0
             c[~present] = np.inf
+            n = last - np.arange(-1, w.size - 1, w.shape[1])  # 1 + last - row start
             levels.append((a, w, _read_only(n), _read_only(c)))
         ids = []
         for d in range(r):
@@ -369,7 +372,7 @@ class DirectingHierarchy:
         :meth:`parent_cdfs`, each block's temporaries at most about
         ``_BLOCK_BYTES``.  A value's right count is its left count, plus one
         where the atom at the left count equals it: each row's atoms
-        strictly ascend (``_check_rises``), so at most one atom equals it.
+        strictly ascend (``_rises``), so at most one atom equals it.
         Counts past a row's atoms (an inf or NaN query) are clamped to the
         atom count."""
         ids = self.ids[-1][parents]
@@ -399,16 +402,31 @@ def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
         raise ValueError(f"{what} ids must index the {n} rows of their table")
 
 
-def _check_rises(a: np.ndarray, present: np.ndarray, k: int) -> None:
-    """Level-``k`` atoms in canonical order, as :class:`EmpiricalMeasure`
-    takes them: strictly ascending along each row (a NaN is not), locations
-    at level 0 and row ids above it.  The rows are compared as one flat run,
-    cheaper than a strided 2-D comparison."""
+def _prefix_ends(present: np.ndarray) -> np.ndarray | None:
+    """The flat index of each row's last True in the 2-D bools ``present``,
+    or None unless each row's Trues are a nonempty prefix of it.  A row's
+    Trues end where a True is followed by a False or by the row's end; they
+    are a nonempty prefix when the row starts with a True and they end once.
+    """
+    width = present.shape[1]
+    flat = present.reshape(-1)
+    ends = np.empty_like(flat)
+    np.greater(flat[:-1], flat[1:], out=ends[:-1])
+    ends[width - 1 :: width] = flat[width - 1 :: width]
+    last = np.flatnonzero(ends)
+    return last if last.size == len(present) and present[:, 0].all() else None
+
+
+def _rises(a: np.ndarray, present: np.ndarray) -> bool:
+    """Whether the atoms ``a`` are in canonical order, as
+    :class:`EmpiricalMeasure` takes them: strictly ascending along each row
+    where ``present`` (a NaN is not), locations at level 0 and row ids above
+    it.  The rows are compared as one flat run, cheaper than a strided 2-D
+    comparison."""
     flat = a.reshape(-1)
     rises = flat[1:] > flat[:-1]
     rises[a.shape[1] - 1 :: a.shape[1]] = True  # where a row starts
-    if (present.reshape(-1)[1:] > rises).any():
-        raise ValueError(f"level-{k} atoms must ascend along each row")
+    return not (present.reshape(-1)[1:] > rises).any()
 
 
 # Scratch bound for the row searches, the parent CDFs, the level-0
@@ -420,15 +438,21 @@ _BLOCK_BYTES = 1 << 23
 # Widest rows that _search_rows compares with every query at once
 _BROADCAST_WIDTH = 32
 
+# Fewest rows for which _search_rows counts by column passes, not broadcast
+_COLUMN_ROWS = 64
+
 
 def _search_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise ``np.searchsorted(a[i], v[i])`` for ascending rows ``a``
     ``(P, w)`` of non-NaN entries and queries ``v`` ``(P, q)``.
 
     Up to ``_BROADCAST_WIDTH`` entries a row, a query counts the entries not
-    ``>=`` it: all of them if it is NaN, as ``searchsorted`` does.  Those
-    rows go in blocks whose ``(rows, q, w)`` comparisons take at most
-    ``_BLOCK_BYTES``.  Wider rows take one ``np.searchsorted`` each.
+    ``>=`` it: all of them if it is NaN, as ``searchsorted`` does.  From
+    ``_COLUMN_ROWS`` rows on, the entries ``>=`` a query are counted in one
+    pass over the queries per column of ``a``; fewer rows go in blocks
+    whose ``(rows, q, w)`` comparisons take at most ``_BLOCK_BYTES``, summed
+    along their short last axis.  Wider rows take one ``np.searchsorted``
+    each.
     """
     q, w = v.shape[1], a.shape[1]
     out = np.empty(v.shape, dtype=np.intp)
@@ -436,6 +460,13 @@ def _search_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         for row, queries, counts in zip(a, v, out):
             counts[:] = row.searchsorted(queries)
         return out
+    if len(v) >= _COLUMN_ROWS:
+        at_least = np.zeros(v.shape, dtype=np.uint8)
+        ge = np.empty(v.shape, dtype=bool)
+        for column in a.T[:, :, None]:
+            np.greater_equal(column, v, out=ge)
+            at_least += ge.view(np.uint8)
+        return np.subtract(w, at_least, out=out)
     step = max(1, _BLOCK_BYTES // (q * w))
     for lo in range(0, len(v), step):
         rows = slice(lo, lo + step)
@@ -461,29 +492,43 @@ def _level_table(rows: np.ndarray):
     (-1, 0), first column first (:func:`_lex_order`).  That is ``sort_key``
     order: it compares (atom, weight) pairs in turn and puts a shorter
     prefix first, so ``[a,b,b]`` sorts before ``[a,a,b]``.  Returns the
-    table's padded atoms and multiplicities and each row's table id.
+    table's padded atoms and multiplicities and each row's table id.  The
+    padded tables are filled by one flat scatter each, and the sorted rows
+    are compared whole only when two of their first atoms tie.
     """
     n_rows, m = rows.shape
     flat = rows.reshape(-1)
     # an atom starts wherever a row starts or its value changes
-    first = np.ones(flat.size, dtype=bool)
-    first[1:] = flat[1:] != flat[:-1]
+    first = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
     first[::m] = True
-    starts = np.flatnonzero(first)
-    row = starts // m
-    n_atoms = np.bincount(row, minlength=n_rows)
-    col = np.arange(starts.size) - np.repeat(np.cumsum(n_atoms) - n_atoms, n_atoms)
-    values = np.full((n_rows, n_atoms.max()), -1, dtype=rows.dtype)
-    values[row, col] = flat[starts]
-    mult = np.zeros(values.shape, dtype=np.intp)
-    mult[row, col] = np.diff(starts, append=flat.size)
+    if first.all():  # no ties: every value is an atom of multiplicity 1
+        values, mult, width = rows, np.ones(rows.shape, dtype=np.intp), m
+    else:
+        starts = np.flatnonzero(first)
+        # every row starts with an atom, so the atoms before row i are the
+        # starts before flat index i * m
+        before = np.searchsorted(starts, np.arange(0, flat.size, m))
+        n_atoms = np.append(before[1:], starts.size) - before
+        width = n_atoms.max()
+        # atom j of the whole run goes to flat slot j + row * width - before[row]
+        shift = np.arange(0, n_rows * width, width) - before
+        slots = np.arange(starts.size) + np.repeat(shift, n_atoms)
+        values = np.full((n_rows, width), -1, dtype=rows.dtype)
+        values.reshape(-1)[slots] = flat[starts]
+        mult = np.zeros((n_rows, width), dtype=np.intp)
+        mult.reshape(-1)[slots] = np.append(starts[1:], flat.size) - starts
     if n_rows == 1:
         return values, mult, np.zeros(1, dtype=np.intp)
-    columns = range(values.shape[1])
-    order = _lex_order([key for j in columns for key in (values[:, j], mult[:, j])])
+    order = _lex_order([key for j in range(width) for key in (values[:, j], mult[:, j])])
     values, mult = values[order], mult[order]
-    new = np.ones(n_rows, dtype=bool)
-    new[1:] = (values[1:] != values[:-1]).any(axis=1) | (mult[1:] != mult[:-1]).any(axis=1)
+    # a row is new unless it equals the one before; rows are compared whole
+    # only when two first atoms tie
+    new = np.empty(n_rows, dtype=bool)
+    new[0] = True
+    np.not_equal(values[1:, 0], values[:-1, 0], out=new[1:])
+    if not new.all():
+        new[1:] = (values[1:] != values[:-1]).any(axis=1) | (mult[1:] != mult[:-1]).any(axis=1)
     ids = np.empty(n_rows, dtype=np.intp)
     ids[order] = np.cumsum(new) - 1
     return values[new], mult[new], ids
@@ -548,7 +593,9 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
         u = _hash_level(h0, (d,), (m2,))[0].reshape(current.size, m2)
         pick = _search_rows(h.cum[k][current], u)
         np.minimum(pick, h.counts[k][current, None] - 1, out=pick)
-        current = h.atoms[k][current[:, None], pick].reshape(-1)
+        # the picked atoms, gathered at their flat index in the level table
+        pick += current[:, None] * h.atoms[k].shape[1]
+        current = h.atoms[k].take(pick.reshape(-1))
     return current
 
 

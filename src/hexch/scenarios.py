@@ -79,27 +79,63 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _centred_sum(p: np.ndarray, lo: int, k: int) -> np.ndarray:
-    """``(p[:, lo:lo + k] - 0.5).sum(axis=1)``, with the same bits.
+# numpy splits a row of more terms than this in two before summing it
+_PAIRWISE_BLOCK = 128
 
-    numpy adds fewer than 8 terms one by one, in order, so for ``k < 8`` the
-    columns are summed left to right, which skips the strided reduction of
-    the ``(N, k)`` temporary; from 8 terms on numpy sums pairwise, and that
-    reduction is kept.
+
+def _row_reduce(p: np.ndarray, ufunc, shift: float = 0.0) -> np.ndarray:
+    """``ufunc.reduce(p - shift, axis=1)`` for ``np.add`` or ``np.multiply``
+    on a 2-D float array, with the same bits, by passes over its columns,
+    not by one short reduction per row.  Each column, or block of 8, is
+    shifted as it is read: a shifted copy of a 10^4-row ``p`` would cost
+    more than the sums.
+
+    numpy multiplies a row's terms left to right, and adds fewer than 8 the
+    same way.  From 8 terms on it sums pairwise: 8 lanes, lane j adding
+    terms j, j + 8, ... in turn, then ``((0+1) + (2+3)) + ((4+5) + (6+7))``
+    of the lanes, then the terms past the last whole 8 in turn; a row longer
+    than ``_PAIRWISE_BLOCK`` is split in two at a multiple of 8 near its
+    middle, and the halves' sums added.  A sum is added to the identity 0.0
+    last, which turns -0.0 into 0.0.  ``x - 0.0`` keeps every bit of x, so
+    the first column, or block, is always read as a fresh shifted copy.
     """
-    if k >= 8:
-        return (p[:, lo : lo + k] - 0.5).sum(axis=1)
-    total = p[:, lo] - 0.5
-    for j in range(lo + 1, lo + k):
-        total += p[:, j] - 0.5
+    if ufunc is not np.add:
+        return _fold(p[:, 0] - shift, p[:, 1:], ufunc, shift)
+    total = _pairwise_sum(p, shift)
+    total += 0.0
     return total
+
+
+def _fold(total: np.ndarray, p: np.ndarray, ufunc, shift: float) -> np.ndarray:
+    """``total`` combined in place with each column of ``p - shift`` in turn."""
+    for column in p.T:
+        ufunc(total, column - shift if shift else column, out=total)
+    return total
+
+
+def _pairwise_sum(p: np.ndarray, shift: float) -> np.ndarray:
+    k = p.shape[1]
+    if k < 8:
+        return _fold(p[:, 0] - shift, p[:, 1:], np.add, shift)
+    if k > _PAIRWISE_BLOCK:
+        half = k // 2 - k // 2 % 8
+        return _pairwise_sum(p[:, :half], shift) + _pairwise_sum(p[:, half:], shift)
+    lanes = p[:, :8] - shift
+    whole = k - k % 8
+    for lo in range(8, whole, 8):
+        block = p[:, lo : lo + 8]
+        lanes += block - shift if shift else block
+    pairs = lanes[:, 0::2] + lanes[:, 1::2]
+    total = (pairs[:, 0] + pairs[:, 1]) + (pairs[:, 2] + pairs[:, 3])
+    return _fold(total, p[:, whole:], np.add, shift)
 
 
 def _toy_magnetization(r: int, a: float, b: float):
     k = r + 1
 
     def fn(p):
-        return _sigmoid(a * _centred_sum(p, 0, k) + b * _centred_sum(p, k, k))
+        shared, replica = _row_reduce(p[:, :k], np.add, 0.5), _row_reduce(p[:, k:], np.add, 0.5)
+        return _sigmoid(a * shared + b * replica)
 
     return 2 * k, fn
 
@@ -281,7 +317,7 @@ _register(
         kind="null",
         form="sigma",
         summary="value = arithmetic mean of the field values on the root path",
-        build=lambda r: (r + 1, lambda p: p.mean(axis=1)),
+        build=lambda r: (r + 1, lambda p: _row_reduce(p, np.add) / (r + 1)),
         defaults={"r": 2, "m": 8},
         expected={"hexch": "pass", "conditional_iid": "pass", "cond_indep": "pass"},
     )
@@ -292,7 +328,7 @@ _register(
         kind="null",
         form="sigma",
         summary="value = product of the field values on the root path",
-        build=lambda r: (r + 1, lambda p: p.prod(axis=1)),
+        build=lambda r: (r + 1, lambda p: _row_reduce(p, np.multiply)),
         defaults={"r": 2, "m": 8},
         expected={"hexch": "pass", "conditional_iid": "pass", "cond_indep": "pass"},
     )

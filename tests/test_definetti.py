@@ -18,6 +18,7 @@ from hexch.definetti import (
     DirectingHierarchy,
     EmpiricalMeasure,
     _BROADCAST_WIDTH,
+    _COLUMN_ROWS,
     _assignment_table,
     _common_counts,
     _level_counts,
@@ -533,6 +534,32 @@ def test_array_form_bytes_pinned(case):
     assert hashlib.sha256(data).hexdigest() == y_digest
 
 
+# sha256 of a hierarchy's level arrays (atoms, weights, ids, counts, cum, in
+# that order, level by level) and of its resynthesis at m2=16, seed 7,
+# recorded before the level tables were filled by flat scatter: product at
+# r=3 m=16, seed 41, every third sibling row rounded to 1 decimal and every
+# fifth from the second to 2, so that 256 level-0 rows mix tied atoms, tied
+# first atoms and equal rows with rows as drawn
+MIXED_TIES_DIGESTS = (
+    "4d85c7b4107365be3ac21a01e60be4e92ef8516da1f683685345ec85a97cddfa",
+    "414634f6e7680f0ae8307a4cd02f0e2395a01d1a03dd034e9929a56effed8d98",
+)
+
+
+def test_level_tables_of_mixed_tied_and_untied_rows_keep_their_pinned_bits():
+    x = make_source("product", 3, 16).sample(41).reshape(256, 16)
+    x[::3] = np.round(x[::3], 1)
+    x[1::5] = np.round(x[1::5], 2)
+    h = extract_hierarchy(x.reshape(-1), 3, 16)
+    assert len(h.atoms[0]) < 256 and (h.weights[0] < 1 / 16 + 1e-12).any()
+    digest = hashlib.sha256()
+    for arrays in (h.atoms, h.weights, h.ids, h.counts, h.cum):
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a).tobytes())
+    y = resynthesize(h, 3, 16, 7)
+    assert (digest.hexdigest(), hashlib.sha256(y.tobytes()).hexdigest()) == MIXED_TIES_DIGESTS
+
+
 def _object_path_json(h):
     """hierarchy.json as the nested measure objects serialize, the oracle
     for the streamed writer."""
@@ -605,6 +632,15 @@ def test_hierarchy_rejects_level_ids_that_do_not_ascend(row):
         DirectingHierarchy(2, 2, (a0, [row]), (w0, [[0.5, 0.5]]), ids)
     h = DirectingHierarchy(2, 2, (a0, [[0, 1]]), (w0, [[0.5, 0.5]]), ids)
     assert h.root_measure == measure_over([point_mass(0.7), point_mass(0.2)])
+
+
+@pytest.mark.parametrize("row", [[0, 5, 1], [1, -1, 0]], ids=["past-the-table", "below-it"])
+def test_an_id_out_of_range_is_reported_before_ids_out_of_order(row):
+    # ascending ids are in range when a row's first and last are; in a row
+    # that does not ascend every id is checked, before the order is
+    a0, w0, ids = [[0.2], [0.5], [0.7]], [[1.0], [1.0], [1.0]], ([0], [0, 1, 2])
+    with pytest.raises(ValueError, match="level 1 atom ids must index the 3 rows"):
+        DirectingHierarchy(2, 3, (a0, [row]), (w0, [[0.25, 0.25, 0.5]]), ids)
 
 
 def test_hierarchy_rejects_level_weights_that_miss_one():
@@ -704,6 +740,20 @@ def test_row_search_matches_searchsorted():
         v[1, :4] = [-0.0, 0.0, np.nan, np.inf]
         want = np.array([np.searchsorted(row, q) for row, q in zip(a, v)])
         assert np.array_equal(_search_rows(a, v), want)
+
+
+@pytest.mark.parametrize("n_rows", [1, _COLUMN_ROWS - 1, _COLUMN_ROWS, 256])
+@pytest.mark.parametrize("w", [1, 16, _BROADCAST_WIDTH])
+def test_row_search_matches_searchsorted_on_both_sides_of_the_column_passes(n_rows, w):
+    # fewer than _COLUMN_ROWS rows compare each query with a whole row at
+    # once, more count by column passes: both are searchsorted per row
+    rng = np.random.default_rng([n_rows, w])
+    a = np.sort(np.round(rng.random((n_rows, w)), 1), axis=1)  # tied entries
+    a[::3, w - 1 :] = np.inf  # padded rows
+    v = np.round(rng.random((n_rows, 9)), 1)
+    v[:, :4] = [np.nan, np.inf, -np.inf, 0.0]
+    want = np.array([np.searchsorted(row, q) for row, q in zip(a, v)])
+    assert np.array_equal(_search_rows(a, v), want)
 
 
 @pytest.mark.parametrize("w", [33, 100, 1000])

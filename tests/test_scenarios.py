@@ -18,6 +18,7 @@ from hexch.fields import (
 )
 from hexch.hperm import HPerm
 from hexch.scenarios import (
+    _row_reduce,
     builtin,
     list_scenarios,
     make_level_values,
@@ -164,11 +165,50 @@ def test_toy_magnetization_defaults():
     assert dict(model.params) == {"a": 2.0, "b": 1.0}
 
 
+def _same_bits(got, want):
+    """Whether two float arrays have the same bits, NaNs aside: a NaN's sign
+    and payload are those of whichever NaN operand the CPU returns, which
+    numpy does not fix, so any NaN matches any NaN."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("k", [*range(1, 41), 129, 200, 300])
+def test_row_reduce_has_the_bits_of_numpys_row_reductions(k):
+    # pyproject allows any numpy >= 1.24: a numpy whose reduction order
+    # differs fails here, not only in the pinned outputs
+    rng = np.random.default_rng(k)
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308]
+    # rows of uniforms, where the order of the sum shows in its last bits,
+    # then rows of any magnitude and sign with special values among them
+    p = rng.random((60, k))
+    p[20:] *= 10.0 ** rng.integers(-300, 300, (40, k)) * rng.choice([-1.0, 1.0], (40, k))
+    picked = rng.random(p.shape) < 0.1
+    picked[:20] = False
+    p[picked] = rng.choice(special, picked.sum())
+    p[20], p[21] = -0.0, 5e-324  # a row of -0.0 sums to 0.0, not -0.0
+    with np.errstate(all="ignore"):
+        assert _same_bits(_row_reduce(p, np.multiply), np.multiply.reduce(p, axis=1))
+        assert _same_bits(_row_reduce(p, np.add), np.add.reduce(p, axis=1))
+        assert _same_bits(_row_reduce(p, np.add) / k, p.mean(axis=1))
+        # a shift is subtracted from each term before the reduction
+        for ufunc in (np.add, np.multiply):
+            assert _same_bits(_row_reduce(p, ufunc, 0.5), ufunc.reduce(p - 0.5, axis=1))
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_product_and_path_mean_keep_the_bits_of_numpys_row_reductions(r):
+    p = np.random.default_rng(r).random((1000, r + 1))
+    assert make_model("product", r).eval(p).tobytes() == p.prod(axis=1).tobytes()
+    assert make_model("path-mean", r).eval(p).tobytes() == p.mean(axis=1).tobytes()
+
+
 @pytest.mark.parametrize("n_rows", [5, 20_000])
 @pytest.mark.parametrize("r", range(1, 9))
 def test_toy_magnetization_keeps_the_bits_of_the_block_sums(r, n_rows):
-    # for k = r + 1 < 8 columns the centred sums add column by column; from
-    # k = 8 on they stay numpy's row reductions, which sum pairwise
+    # the centred sums go through _row_reduce, shifted by 0.5 as read:
+    # column by column for k = r + 1 < 8 terms, in numpy's pairwise lanes
+    # from k = 8 on
     k = r + 1
     p = np.random.default_rng([r, n_rows]).random((n_rows, 2 * k))
     for a, b in ((2.0, 1.0), (0.7, -1.3)):
