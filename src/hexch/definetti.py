@@ -438,7 +438,9 @@ _BLOCK_BYTES = 1 << 23
 # Widest rows that _search_rows compares with every query at once
 _BROADCAST_WIDTH = 32
 
-# Fewest rows for which _search_rows counts by column passes, not broadcast
+# Fewest rows for which _search_rows counts by column passes, not broadcast:
+# the w passes cost about 2 us each however few rows they read, and the
+# broadcast's (rows, q, w) comparisons overtake them at about 40 to 64 rows
 _COLUMN_ROWS = 64
 
 

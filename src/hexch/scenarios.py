@@ -79,55 +79,27 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-# numpy splits a row of more terms than this in two before summing it
-_PAIRWISE_BLOCK = 128
-
-
 def _row_reduce(p: np.ndarray, ufunc, shift: float = 0.0) -> np.ndarray:
     """``ufunc.reduce(p - shift, axis=1)`` for ``np.add`` or ``np.multiply``
-    on a 2-D float array, with the same bits, by passes over its columns,
-    not by one short reduction per row.  Each column, or block of 8, is
-    shifted as it is read: a shifted copy of a 10^4-row ``p`` would cost
-    more than the sums.
+    on a 2-D float array, with the same bits.
 
     numpy multiplies a row's terms left to right, and adds fewer than 8 the
-    same way.  From 8 terms on it sums pairwise: 8 lanes, lane j adding
-    terms j, j + 8, ... in turn, then ``((0+1) + (2+3)) + ((4+5) + (6+7))``
-    of the lanes, then the terms past the last whole 8 in turn; a row longer
-    than ``_PAIRWISE_BLOCK`` is split in two at a multiple of 8 near its
-    middle, and the halves' sums added.  A sum is added to the identity 0.0
-    last, which turns -0.0 into 0.0.  ``x - 0.0`` keeps every bit of x, so
-    the first column, or block, is always read as a fresh shifted copy.
+    same way before adding the sum to the identity 0.0, which turns -0.0
+    into 0.0.  Those rows are reduced by passes over the columns, not by one
+    short reduction per row, each column shifted as it is read: a shifted
+    copy of a 10^4-row ``p`` would cost more than the sums.  ``x - 0.0``
+    keeps every bit of x, so the first column is always read as a fresh
+    shifted copy.  From 8 terms on numpy sums pairwise, and its own
+    reduction is kept.
     """
-    if ufunc is not np.add:
-        return _fold(p[:, 0] - shift, p[:, 1:], ufunc, shift)
-    total = _pairwise_sum(p, shift)
-    total += 0.0
-    return total
-
-
-def _fold(total: np.ndarray, p: np.ndarray, ufunc, shift: float) -> np.ndarray:
-    """``total`` combined in place with each column of ``p - shift`` in turn."""
-    for column in p.T:
+    if ufunc is np.add and p.shape[1] >= 8:
+        return np.add.reduce(p - shift, axis=1)
+    total = p[:, 0] - shift
+    for column in p.T[1:]:
         ufunc(total, column - shift if shift else column, out=total)
+    if ufunc is np.add:
+        total += 0.0
     return total
-
-
-def _pairwise_sum(p: np.ndarray, shift: float) -> np.ndarray:
-    k = p.shape[1]
-    if k < 8:
-        return _fold(p[:, 0] - shift, p[:, 1:], np.add, shift)
-    if k > _PAIRWISE_BLOCK:
-        half = k // 2 - k // 2 % 8
-        return _pairwise_sum(p[:, :half], shift) + _pairwise_sum(p[:, half:], shift)
-    lanes = p[:, :8] - shift
-    whole = k - k % 8
-    for lo in range(8, whole, 8):
-        block = p[:, lo : lo + 8]
-        lanes += block - shift if shift else block
-    pairs = lanes[:, 0::2] + lanes[:, 1::2]
-    total = (pairs[:, 0] + pairs[:, 1]) + (pairs[:, 2] + pairs[:, 3])
-    return _fold(total, p[:, whole:], np.add, shift)
 
 
 def _toy_magnetization(r: int, a: float, b: float):
