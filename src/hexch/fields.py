@@ -92,19 +92,38 @@ def _init_int(seed: int, role: str) -> int:
     return _mix_int(_mix_int(_seed_int(seed) ^ _GOLD) ^ _role_key(role))
 
 
+def _one_seed(seed) -> bool:
+    """Whether ``seed`` is one seed rather than a sequence: ``np.ndim(seed)
+    == 0``, decided without that call for a list, which it would convert to
+    an array (about 14 us for 50 seeds)."""
+    return not isinstance(seed, list) and np.ndim(seed) == 0
+
+
 def _seed_words(seed) -> np.ndarray:
     """The (K,) words mix(seed ^ GOLD) that the streams (seed, role) start
-    from, one per seed of an int or a 1-D sequence of K seeds, in one pass."""
-    seeds = (seed,) if np.ndim(seed) == 0 else seed
+    from, one per seed of an int or a 1-D sequence of K seeds, in one pass.
+
+    A list of exact nonnegative Python ints (no bools), as
+    :func:`derive_seeds` returns, is converted by one ``np.array`` call,
+    which raises ``OverflowError`` past 2^64 - 1 (numpy < 2 would wrap a
+    negative int, hence the sign check).  Any other sequence, or that
+    overflow, takes the per-seed check :func:`_seed_int`, so every refusal
+    keeps its message."""
+    seeds = (seed,) if _one_seed(seed) else seed
     if len(seeds) == 0:
         raise ValueError(f"seeds must be an integer or a non-empty sequence, got {seed!r}")
+    if isinstance(seeds, list) and set(map(type, seeds)) == {int} and min(seeds) >= 0:
+        try:
+            return _mix(np.array(seeds, dtype=_U64) ^ _U64(_GOLD))
+        except OverflowError:
+            pass  # a seed past 2^64 - 1, which the per-seed check names
     return _mix(np.array([_seed_int(s) for s in seeds], dtype=_U64) ^ _U64(_GOLD))
 
 
 def _init_state(seed, role: str) -> np.ndarray:
     """The (K,) uint64 start states of the streams (seed, role), one per seed;
     an int seed takes the Python mix, about 20 us cheaper than an array pass."""
-    if np.ndim(seed) == 0:
+    if _one_seed(seed):
         return np.array([_init_int(seed, role)], dtype=_U64)
     return _mix(_seed_words(seed) ^ _U64(_role_key(role)))
 
@@ -210,9 +229,17 @@ def _write_paths(levels: list[np.ndarray], depths, shape) -> np.ndarray:
     grid, layout = _path_layout(depths, shape)
     k = len(levels[0])
     out = np.empty((k,) + grid + (len(layout),))
-    for j, (vals, (_, bshape)) in enumerate(zip(levels, layout)):
-        out[..., j] = vals.reshape((k,) + bshape)
+    _fill_paths(out, levels, layout)
     return out.reshape(k, -1, len(layout))
+
+
+def _fill_paths(out: np.ndarray, levels: list[np.ndarray], layout) -> None:
+    """Write :func:`_write_paths`'s values into ``out``, of shape lead +
+    leaf grid + (depth tuples,), whose lead axes split the K rows of
+    ``levels`` in C order."""
+    lead = out.shape[: out.ndim - 1 - len(layout[0][1])]
+    for j, (vals, (_, bshape)) in enumerate(zip(levels, layout)):
+        out[..., j] = vals.reshape(lead + bshape)
 
 
 def _as_tuple(x) -> tuple[int, ...]:
@@ -329,7 +356,7 @@ def path_matrix(seed, role: str, depths, shape) -> np.ndarray:
     depths_t, shape_t = _as_tuples(depths, shape)
     h0 = _init_state(seed, role)
     paths = _write_paths(_level_values(h0, depths_t, shape_t), depths_t, shape_t)
-    return paths[0] if np.ndim(seed) == 0 else paths
+    return paths[0] if _one_seed(seed) else paths
 
 
 def sample_array(model: SigmaModel, depths, shape, seed, role: str = "v") -> np.ndarray:
@@ -357,17 +384,25 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     gives the K arrays stacked, shape (K, m^r, n), from K*n replica start
     states and K shared ones hashed in one pass each.  The replica start
     states are one mix of the K seed words against the n role keys.
+
+    The model input, (K n m^r, 2(r+1)) rows ordered seed, replica, leaf, is
+    written once into one array: the shared columns from one
+    :func:`path_matrix` call, broadcast over the n replicas, and the replica
+    columns straight from each depth's vertex values, broadcast over the
+    leaves below each vertex.
     """
     _check_size("n", n)
     if model.arity != 2 * (r + 1):
         raise ValueError(f"model arity {model.arity} != 2(r+1) = {2 * (r + 1)}")
     shared = path_matrix(seed, "v", r, m)
     lead = shared.shape[:-2]
+    k = prod(lead)
+    grid, layout = _path_layout((r,), (m,))
+    inputs = np.empty((k, n) + grid + (2 * (r + 1),))
+    inputs[..., : r + 1] = shared.reshape((k, 1) + grid + (r + 1,))
     # start states seed-major: replica i of seed k is row k*n + i - 1
     keys = np.array([_role_key(f"v^{i}") for i in range(1, n + 1)], dtype=_U64)
     h0 = _mix(_seed_words(seed)[:, None] ^ keys).reshape(-1)
-    replicas = _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))
-    replicas = replicas.reshape(lead + (n, m**r, r + 1))
-    shared = np.broadcast_to(shared[..., None, :, :], replicas.shape)
-    inputs = np.concatenate([shared, replicas], axis=-1).reshape(-1, 2 * (r + 1))
-    return model.eval(inputs).reshape(lead + (n, m**r)).swapaxes(-1, -2)
+    _fill_paths(inputs[..., r + 1 :], _level_values(h0, (r,), (m,)), layout)
+    out = model.eval(inputs.reshape(-1, 2 * (r + 1)))
+    return out.reshape(lead + (n, m**r)).swapaxes(-1, -2)

@@ -97,9 +97,12 @@ def _energy_permutation_pvalue(
 
     The pooled rows are put in canonical (lexicographic) order before the
     resample splits are drawn, so the p-value is exactly invariant under any
-    reordering of the replicates within each sample.
+    reordering of the replicates within each sample.  The distance matrix
+    is ``squareform(pdist(pool))``, which computes each pair once and has
+    the bits of ``cdist(pool, pool)``; the resample masks are set by one
+    fancy assignment.
     """
-    from scipy.spatial.distance import cdist
+    from scipy.spatial.distance import pdist, squareform
 
     ka = a.shape[0]
     pool = np.vstack([a, b])
@@ -108,7 +111,7 @@ def _energy_permutation_pvalue(
     order = _lex_order(pool.T)
     pool = pool[order]
     labels = labels[order]
-    dmat = cdist(pool, pool)
+    dmat = squareform(pdist(pool))
     n_tot = pool.shape[0]
     kb = n_tot - ka
     total = dmat.sum()
@@ -127,7 +130,7 @@ def _energy_permutation_pvalue(
     # one stacked draw consumes the stream as n_resamples permutation calls do
     perm = rng.permuted(np.broadcast_to(np.arange(n_tot), (n_resamples, n_tot)), axis=1)
     masks = np.zeros((n_resamples, n_tot), dtype=np.float64)
-    np.put_along_axis(masks, perm[:, :ka], 1.0, axis=1)
+    masks[np.arange(n_resamples)[:, None], perm[:, :ka]] = 1.0
     count = int(np.sum(stats(masks) >= observed))
     p = (1 + count) / (n_resamples + 1)
     return observed, p
@@ -188,7 +191,11 @@ def hexch_test(
     applied to each replicate.  Each sample is one ``source`` call, split
     into chunks only where its raw buffer would pass ``DEFAULT_CELL_CAP``;
     the maps of a chunk are one :func:`~hexch.hperm.random_leaf_indices`
-    call.
+    call.  Only the coordinates the statistic reads (:func:`kept_dimension`)
+    are gathered: with replicas, kept flat coordinate j of a permuted
+    replicate reads leaf j // n and replica j % n through one gather.  A
+    NaN or infinite value among them raises ``ValueError`` naming its
+    sample (``rep-a`` or ``rep-b``) and replicate.
     Under an exchangeable law both samples share one distribution and the
     p-value is exact.
     """
@@ -208,6 +215,9 @@ def hexch_test(
     chunk = max(1, DEFAULT_CELL_CAP // (dim * (r + 1) * (1 if n is None else 2)))
 
     seeds = {role: derive_seeds(seed, role, n_reps) for role in ("rep-a", "rep-b", "perm", "rho")}
+    if n is not None:
+        # kept flat coordinate j of a replicate reads leaf j // n, replica j % n
+        leaf, rep = divmod(np.arange(dim) if keep is None else keep, n)
 
     def replicates(role: str, permute: bool) -> np.ndarray:
         rows = []
@@ -222,20 +232,27 @@ def hexch_test(
                 )
             x = np.asarray(x, dtype=np.float64)
             if permute:
-                # one gather applies every replicate's map (and replica permutation)
                 kk = np.arange(hi - lo)[:, None]
                 idx = random_leaf_indices(r, m, seeds["perm"][lo:hi])
-                if n is None:
-                    x = x[kk, idx]
-                else:
+                if n is not None:
                     rho = np.stack([
                         np.random.Generator(np.random.PCG64(s)).permutation(n)
                         for s in seeds["rho"][lo:hi]
                     ])
-                    x = x[kk[:, :, None], idx[:, :, None], rho[:, None, :]]
+                    # one gather of the kept coordinates applies every
+                    # replicate's map and replica permutation
+                    rows.append(x[kk, idx[:, leaf], rho[:, rep]])
+                    continue
+                # one gather applies every replicate's map
+                x = x[kk, idx]
             x = x.reshape(hi - lo, -1)
             rows.append(x if keep is None else x[:, keep])
-        return np.concatenate(rows)
+        x = np.concatenate(rows)
+        finite = np.isfinite(x)
+        if not finite.all():
+            k = int(np.argmin(finite.all(axis=1)))
+            raise ValueError(f"replicate {k} of sample {role!r} holds a non-finite value")
+        return x
 
     a_rows = replicates("rep-a", permute=False)
     b_rows = replicates("rep-b", permute=True)

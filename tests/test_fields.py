@@ -20,6 +20,8 @@ from hexch.fields import (
     _level_values,
     _mix,
     _mix_int,
+    _seed_int,
+    _seed_words,
     derive_seed,
     derive_seeds,
     level_values,
@@ -166,6 +168,26 @@ def test_seeds_that_are_not_64_bit_integers_are_rejected(seed):
                  lambda: sample_array(SigmaModel("leaf", 2, lambda p: p[:, -1]), 1, 4, seed)):
         with pytest.raises(ValueError, match=msg):
             call()
+    # a list of seeds from derive_seeds takes one array conversion; a bad
+    # seed anywhere in it still meets the per-seed check
+    for pos in (0, 25, 49):
+        seeds = derive_seeds(1, "lbl", 50)
+        seeds[pos] = seed
+        for call in (lambda: _init_state(seeds, "v"), lambda: path_matrix(seeds, "v", 1, 3)):
+            with pytest.raises(ValueError, match=msg):
+                call()
+
+
+def test_seed_list_conversion_matches_the_per_seed_path():
+    edges = [0, 2**63, 2**64 - 1]
+    per_seed = _mix(np.array([_seed_int(s) for s in edges], dtype=np.uint64) ^ np.uint64(_GOLD))
+    # a list of exact ints converts at once; a tuple, an array or a list
+    # holding a numpy integer goes seed by seed
+    for seeds in (edges, tuple(edges), np.array(edges, dtype=np.uint64),
+                  [np.uint64(0), 2**63, 2**64 - 1]):
+        assert _seed_words(seeds).tobytes() == per_seed.tobytes()
+    seeds = derive_seeds(5, "lbl", 50)
+    assert _seed_words(seeds).tolist() == _seed_words(tuple(seeds)).tolist()
 
 
 def test_numpy_integer_seeds_keep_their_bits():

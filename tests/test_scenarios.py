@@ -11,6 +11,11 @@ from hexch.cli import run_experiment
 
 from hexch.fields import (
     SigmaModel,
+    _level_values,
+    _mix,
+    _role_key,
+    _seed_words,
+    _write_paths,
     derive_seed,
     path_matrix,
     sample_ah,
@@ -100,6 +105,44 @@ def test_batched_sampling_equals_stacked_scalar_samples(name, r, m, n, k):
     assert batch.tobytes() == stacked.tobytes()
     # a numpy seed array is a 1-D sequence too
     assert np.array_equal(src.sample(np.array(seeds, dtype=np.uint64)), batch)
+
+
+def _recording(model: SigmaModel, seen: list) -> SigmaModel:
+    def fn(p):
+        seen.append(p.copy())
+        return model.fn(p)
+
+    return SigmaModel(model.name, model.arity, fn)
+
+
+def _sample_ah_reference(model: SigmaModel, r, m, n, seed) -> np.ndarray:
+    # sample_ah's model input built in three passes: the replica paths laid
+    # out by _write_paths, the shared paths broadcast over the replicas, and
+    # the two blocks concatenated
+    shared = path_matrix(seed, "v", r, m)
+    lead = shared.shape[:-2]
+    keys = np.array([_role_key(f"v^{i}") for i in range(1, n + 1)], dtype=np.uint64)
+    h0 = _mix(_seed_words(seed)[:, None] ^ keys).reshape(-1)
+    replicas = _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))
+    replicas = replicas.reshape(lead + (n, m**r, r + 1))
+    shared = np.broadcast_to(shared[..., None, :, :], replicas.shape)
+    inputs = np.concatenate([shared, replicas], axis=-1).reshape(-1, 2 * (r + 1))
+    return model.eval(inputs).reshape(lead + (n, m**r)).swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("seed", [23, [23], [23, 0, 2**64 - 1]], ids=["int", "K1", "K3"])
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_sample_ah_writes_the_model_input_of_the_concatenated_blocks(r, m, n, seed):
+    base = make_model("toy-magnetization", r)
+    seen, seen_ref = [], []
+    x = sample_ah(_recording(base, seen), r, m, n, seed)
+    ref = _sample_ah_reference(_recording(base, seen_ref), r, m, n, seed)
+    assert len(seen) == len(seen_ref) == 1
+    assert seen[0].shape == seen_ref[0].shape == (len(np.atleast_1d(seed)) * n * m**r, 2 * (r + 1))
+    assert seen[0].tobytes() == seen_ref[0].tobytes()
+    assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
 
 
 def test_batched_path_matrix_stacks_scalar_matrices():

@@ -9,12 +9,13 @@ import hexch.definetti
 import hexch.hperm
 import hexch.stattests
 from hexch.definetti import extract_hierarchy
-from hexch.fields import derive_seed, level_values
+from hexch.fields import derive_seed, derive_seeds, level_values
 from hexch.hperm import random_leaf_indices
 from hexch.scenarios import make_level_values, make_source
 from hexch.stattests import (
     TestReport,
     _energy_permutation_pvalue,
+    _marginal_indices,
     cond_indep_test,
     conditional_iid_test,
     energy_distance,
@@ -130,6 +131,7 @@ def test_hexch_deterministic():
         ("product", 3, 3, None, 11, 0.14, 0.07180741966616899),
         ("label-leak", 2, 8, None, 2, 0.02, 2.092101878682566),
         ("toy-magnetization", 2, 4, 8, 3, 0.9, 0.1733429312009589),
+        ("toy-magnetization", 2, 2, 4, 5, 0.12, 0.23491393249830028),
         ("uniform-leaf", 2, 16, None, 7, 0.14, 0.3649331660897821),
         ("path-mean", 1, 6, None, 1, 1.0, 0.03023609925013082),
     ],
@@ -236,6 +238,81 @@ def test_hexch_marginal_cap():
     src = make_source("uniform-leaf", 2, 16)
     rep = hexch_test(src.sample, 2, 16, n_reps=20, n_resamples=49, seed=3)
     assert rep.metadata["dim"] == 64  # 256 leaves capped to a fixed subset
+
+
+@pytest.mark.parametrize("r, m, n", [(2, 4, 20), (2, 2, 4), (1, 3, 5)])
+def test_hexch_replica_gather_reads_the_kept_cells_of_the_permuted_array(monkeypatch, r, m, n):
+    src = make_source("toy-magnetization", r, m, n=n)
+    seen = {}
+
+    def capture(a, b, n_resamples, seed):
+        seen["b"] = b
+        return 0.0, 1.0
+
+    monkeypatch.setattr(hexch.stattests, "_energy_permutation_pvalue", capture)
+    hexch_test(src.sample, r, m, n=n, n_reps=20, n_resamples=9, seed=4)
+    # every cell permuted by a broadcast gather, flattened, then the subset
+    seeds = {role: derive_seeds(4, role, 20) for role in ("rep-b", "perm", "rho")}
+    idx = random_leaf_indices(r, m, seeds["perm"])
+    rho = np.stack([np.random.Generator(np.random.PCG64(s)).permutation(n) for s in seeds["rho"]])
+    x = src.sample(seeds["rep-b"])[np.arange(20)[:, None, None], idx[:, :, None], rho[:, None, :]]
+    x = x.reshape(20, -1)
+    keep = _marginal_indices(m**r * n, r, m, n, 4)
+    assert (keep is None) == (m**r * n <= 64)
+    assert seen["b"].tobytes() == (x if keep is None else x[:, keep]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("role", ["rep-a", "rep-b"])
+@pytest.mark.parametrize("name, r, m, n", [("path-mean", 2, 4, None), ("toy-magnetization", 2, 2, 4)])
+def test_hexch_refuses_non_finite_values(name, r, m, n, role, bad):
+    # every coordinate is kept, so one bad cell reaches the statistic in
+    # either sample, wherever the permutation moves it
+    src = make_source(name, r, m, n=n)
+    poisoned = derive_seeds(3, role, 20)[7]
+
+    def source(seeds):
+        x = src.sample(seeds)
+        x[[s == poisoned for s in seeds], 1] = bad
+        return x
+
+    msg = f"replicate 7 of sample '{role}' holds a non-finite value"
+    with pytest.raises(ValueError, match=msg):
+        hexch_test(source, r, m, n=n, n_reps=20, n_resamples=49, seed=3)
+
+
+def test_hexch_reads_no_coordinate_outside_its_subset():
+    # a NaN in a coordinate the 64-coordinate subset leaves out never
+    # enters the statistic
+    src = make_source("uniform-leaf", 2, 16)
+    dropped = np.setdiff1d(np.arange(256), _marginal_indices(256, 2, 16, None, 3))[0]
+
+    def source(seeds):
+        x = src.sample(seeds)
+        x[:, dropped] = np.nan
+        return x
+
+    rep_a = derive_seeds(3, "rep-a", 20)
+    clean = hexch_test(src.sample, 2, 16, n_reps=20, n_resamples=49, seed=3)
+    poisoned = hexch_test(lambda s: source(s) if s == rep_a else src.sample(s), 2, 16,
+                          n_reps=20, n_resamples=49, seed=3)
+    assert (poisoned.p_value, poisoned.statistic) == (clean.p_value, clean.statistic)
+
+
+def test_pdist_squareform_has_the_bits_of_cdist():
+    # _energy_permutation_pvalue reads squareform(pdist(pool)) where it once
+    # read cdist(pool, pool); the hexch_test pins rest on their equal bits
+    from scipy.spatial.distance import cdist, pdist, squareform
+
+    rng = np.random.default_rng(31)
+    for t in range(120):
+        rows, cols = int(rng.integers(2, 130)), (1, 2, 64, 320)[t] if t < 4 else int(rng.integers(1, 321))
+        pool = rng.random((rows, cols)) * 10.0 ** int(rng.integers(-3, 4))
+        if t % 3 == 0:
+            pool = np.round(pool, int(rng.integers(0, 3)))
+        if t % 2 == 0:
+            pool[rng.integers(0, rows, rows // 3 + 1)] = pool[rng.integers(0, rows, rows // 3 + 1)]
+        assert squareform(pdist(pool)).tobytes() == cdist(pool, pool).tobytes()
 
 
 def test_report_decision_consistency():
