@@ -300,8 +300,9 @@ def test_hexch_reads_no_coordinate_outside_its_subset():
 
 
 def test_pdist_squareform_has_the_bits_of_cdist():
-    # _energy_permutation_pvalue reads squareform(pdist(pool)) where it once
-    # read cdist(pool, pool); the hexch_test pins rest on their equal bits
+    # the hexch_test pins were recorded from cdist(pool, pool); they hold
+    # only while _energy_permutation_pvalue's squareform(pdist(pool)) has
+    # the same bits, whatever scipy >= 1.10 is installed
     from scipy.spatial.distance import cdist, pdist, squareform
 
     rng = np.random.default_rng(31)
