@@ -6,8 +6,6 @@ form they preserve every pairwise wedge by construction; a raw leaf swap
 that ignores the tree does not.
 """
 
-import json
-
 from hexch import (
     HPerm,
     identity_hperm,
@@ -18,7 +16,6 @@ from hexch import (
     verify_wedge_preservation,
     wedge,
 )
-from hexch.hperm import hperm_from_json_obj, hperm_to_json_obj
 
 print("== a hand-built map: swap children 1 <-> 2 below the root ==")
 p = HPerm(3, {root(3): (2, 1)})
@@ -57,9 +54,3 @@ print(f"raw swap of {a.coords} <-> {b.coords} on the depth-2 tree:")
 print(f"  wedge((1,1),(1,2)) = {wedge(leaf(1, 1), leaf(1, 2))}, but after the swap "
       f"the images share wedge {wedge(flat_swap(leaf(1, 1)), flat_swap(leaf(1, 2)))}")
 print("verify_wedge_preservation:", verify_wedge_preservation(flat_swap, leaves(2, 2)))
-
-print()
-print("== serialization ==")
-obj = hperm_to_json_obj(random_hperm(2, 3, seed=7))
-print(json.dumps(obj))
-print("round trip equal:", hperm_from_json_obj(obj, 2) == random_hperm(2, 3, seed=7))

@@ -15,7 +15,6 @@ from hexch import (
     extract_hierarchy,
     make_model,
     nested_distance,
-    quantile_resample,
     resynthesize,
     sample_array,
     wasserstein1,
@@ -29,8 +28,10 @@ print("== empirical measures and the quantile convention ==")
 mu = empirical_measure([0.2, 0.2, 0.8])
 print("atoms of E([0.2, 0.2, 0.8]):", mu.atoms)
 two = empirical_measure([0.1, 0.9])
-print("left-continuous inverse: Q(0.5) =", quantile_resample(two, 0.5),
-      " Q(0.75) =", quantile_resample(two, 0.75))
+# resynthesis draws by the left-continuous inverse Q(v) = inf{x : F(x) >= v}:
+# the first atom whose cumulative weight reaches v
+q = two.locations[np.searchsorted(np.cumsum(two.weights), [0.5, 0.75])]
+print("left-continuous inverse: Q(0.5) =", q[0], " Q(0.75) =", q[1])
 print("W1 between point masses at 0.2 and 0.9:",
       wasserstein1(empirical_measure([0.2]), empirical_measure([0.9])))
 

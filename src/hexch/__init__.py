@@ -14,11 +14,7 @@ from .definetti import (
     extract_hierarchy,
     hierarchy_json_chunks,
     hierarchy_to_json_obj,
-    measure_over,
-    measure_to_json_obj,
     nested_distance,
-    point_mass,
-    quantile_resample,
     resynthesize,
     wasserstein1,
 )
@@ -32,8 +28,6 @@ from .fields import (
 )
 from .hperm import (
     HPerm,
-    hperm_from_json_obj,
-    hperm_to_json_obj,
     identity_hperm,
     random_hperm,
     verify_wedge_preservation,
@@ -51,22 +45,19 @@ from .stattests import (
     TestReport,
     cond_indep_test,
     conditional_iid_test,
-    energy_distance,
     hexch_test,
     level_homogeneity_test,
 )
 from .tree import (
     ProductVertex,
     TreeVertex,
-    decode_vertex,
     encode_vertex,
     leaf,
     leaves,
     path,
     product_path,
     root,
-    vertices,
     wedge,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

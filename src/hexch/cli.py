@@ -285,9 +285,10 @@ def array_to_csv(array: np.ndarray, depths, shape, n=None) -> Iterator[bytes]:
     """Canonical CSV dump as ``bytes`` blocks of at most ``_CHUNK`` rows,
     after a header line: vertex key columns (one per tree component), an
     optional replica index, and the value at 17 significant digits,
-    byte-identical to ``format(x, ".17g")``.  Keys are those of
-    :func:`~hexch.tree.vertex_keys`, computed from the flat row index; rows
-    follow the array, numerically lexicographic (``1/2`` before ``1/10``),
+    byte-identical to ``format(x, ".17g")``.  Keys are
+    :func:`~hexch.tree.encode_vertex`'s (depth, then the coordinates,
+    slash-separated), computed from the flat row index; rows follow the
+    array, numerically lexicographic (``1/2`` before ``1/10``),
     the first tree slowest and the replica index fastest.  The array must
     hold exactly one value per row; that is checked here, and the blocks
     are built as they are read."""

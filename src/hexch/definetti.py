@@ -19,20 +19,20 @@ required level, are built only on demand (``measures``, ``measure_at``).
 Two of them, or two hierarchies' roots, are compared with the nested
 optimal-transport distance, whose ground cost at each level is the
 distance one level down.  It is solved on the same level-table layout,
-bottom-up.  A hierarchy, and a measure built by ``measures``, which
-records its table row and its hierarchy's m, are read straight from the
-level arrays; a hand-built measure is laid out by walking its objects.
+bottom-up, from the level arrays alone: a side is a hierarchy or a
+measure built by ``measures``, which records its table row and its
+hierarchy's m, and a hand-built measure is refused.
 Each level k >= 1 is an n x n assignment per pair of rows, the n x n
 costs of a level's pairs gathered in one pass, which needs the level's
 weights to share a denominator n <= 1024; a level without one is refused.
 Level 0 is one broadcast over n sorted samples per row when its weights
-share such an n, else W1 per pair of rows.  For two sides read from
-hierarchies, whose weights are c/m, n is lcm(m_a, m_b) reduced by the gcd
-of the counts; for other sides it is found by a search over the distinct
-weights.  The arrays reproduce the objects bit for bit, which takes two
-rules: tables follow ``sort_key`` order, in which ``[a,b,b]`` precedes
-``[a,a,b]``; and level k >= 1 weights are repeated ``+= 1/m`` sums, not
-``count/m``, because ``3 x 0.1 != 0.3``.
+share such an n, else W1 per pair of rows.  Extracted weights are c/m,
+so n is lcm(m_a, m_b) reduced by the gcd of the counts; a hand-built
+hierarchy whose weights are no multiples of 1/m takes a search over the
+distinct weights.  The arrays reproduce the objects bit for bit, which
+takes two rules: tables follow ``sort_key`` order, in which ``[a,b,b]``
+precedes ``[a,a,b]``; and level k >= 1 weights are repeated ``+= 1/m``
+sums, not ``count/m``, because ``3 x 0.1 != 0.3``.
 """
 
 from __future__ import annotations
@@ -55,14 +55,10 @@ __all__ = [
     "EmpiricalMeasure",
     "DirectingHierarchy",
     "empirical_measure",
-    "measure_over",
-    "point_mass",
-    "quantile_resample",
     "extract_hierarchy",
     "resynthesize",
     "wasserstein1",
     "nested_distance",
-    "measure_to_json_obj",
     "hierarchy_to_json_obj",
     "hierarchy_json_chunks",
 ]
@@ -74,9 +70,10 @@ _WEIGHT_TOL = 1e-12
 class EmpiricalMeasure:
     """A finite measure with unit mass; atoms are values or nested measures.
 
-    Level 0 atoms are locations in [0,1] sorted ascending; level k atoms are
-    level-(k-1) measures in canonical order.  Duplicate atoms are merged at
-    construction, so equal measures have identical atom systems.
+    Level-0 atoms are distinct locations in [0,1], strictly ascending; any
+    other order is refused.  Level k atoms are level-(k-1) measures, taken
+    in the order given: :attr:`DirectingHierarchy.measures` lists them in
+    canonical :meth:`sort_key` order, each once.
     """
 
     atoms: tuple[tuple[object, float], ...]
@@ -94,12 +91,18 @@ class EmpiricalMeasure:
         total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"atom weights sum to {total}, expected 1")
+        last = -1.0  # below [0,1], so the first location passes
         for loc, w in self.atoms:
             if w <= 0:
                 raise ValueError("atom weights must be positive")
             if self.level == 0:
                 if not 0.0 <= loc <= 1.0:
                     raise ValueError(f"level-0 location {loc} outside [0,1]")
+                if not loc > last:
+                    raise ValueError(
+                        f"level-0 locations must strictly ascend, got {loc} after {last}"
+                    )
+                last = loc
             elif not (isinstance(loc, EmpiricalMeasure) and loc.level == self.level - 1):
                 raise ValueError("nested atoms must be measures one level down")
 
@@ -121,32 +124,6 @@ class EmpiricalMeasure:
     def weights(self) -> np.ndarray:
         return _read_only(np.array([w for _, w in self.atoms]))
 
-    @cached_property
-    def _padded_cdf(self) -> np.ndarray:
-        return _read_only(_padded_cumsum(self.weights))
-
-    def cumweights(self) -> np.ndarray:
-        return self._padded_cdf[1:]
-
-    def cdf(self, x) -> np.ndarray:
-        if self.level != 0:
-            raise ValueError("cdf is defined for level-0 measures only")
-        idx = np.searchsorted(self.locations, np.asarray(x, float), side="right")
-        return self._padded_cdf[idx]
-
-    def cdf_left(self, x) -> np.ndarray:
-        if self.level != 0:
-            raise ValueError("cdf is defined for level-0 measures only")
-        idx = np.searchsorted(self.locations, np.asarray(x, float), side="left")
-        return self._padded_cdf[idx]
-
-    def quantile(self, v) -> np.ndarray:
-        """Left-continuous generalized inverse CDF: Q(v) = inf{x : F(x) >= v}."""
-        if self.level != 0:
-            raise ValueError("quantile is defined for level-0 measures only")
-        idx = np.searchsorted(self.cumweights(), np.asarray(v, float), side="left")
-        return self.locations[np.minimum(idx, len(self.atoms) - 1)]
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -161,17 +138,6 @@ def _padded_cumsum(weights: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _merge(pairs, level: int) -> EmpiricalMeasure:
-    merged: dict = {}
-    order: dict = {}
-    for loc, w in pairs:
-        key = loc if level == 0 else loc.sort_key()
-        merged[key] = merged.get(key, 0.0) + w
-        order[key] = loc
-    keys = sorted(merged)
-    return EmpiricalMeasure(tuple((order[k], merged[k]) for k in keys), level)
-
-
 def empirical_measure(values) -> EmpiricalMeasure:
     """Level-0 empirical measure: one atom per distinct value, weight = freq;
     -0.0 is read as 0.0, as :func:`extract_hierarchy` reads it."""
@@ -183,34 +149,6 @@ def empirical_measure(values) -> EmpiricalMeasure:
     return EmpiricalMeasure(
         tuple((float(x), int(c) / n) for x, c in zip(locs, counts)), 0
     )
-
-
-def measure_over(measures) -> EmpiricalMeasure:
-    """Empirical measure of a finite family of equal-level measures."""
-    measures = list(measures)
-    if not measures:
-        raise ValueError("cannot form the empirical measure of an empty family")
-    lvl = measures[0].level
-    if any(m.level != lvl for m in measures):
-        raise ValueError("all member measures must have the same level")
-    n = len(measures)
-    return _merge(((m, 1.0 / n) for m in measures), lvl + 1)
-
-
-def point_mass(x: float) -> EmpiricalMeasure:
-    return EmpiricalMeasure(((float(x), 1.0),), 0)
-
-
-def quantile_resample(mu: EmpiricalMeasure, v) -> float | np.ndarray:
-    """Draw from a level-0 measure by inverting its CDF at ``v``.
-
-    Left-continuous convention throughout: ties break toward the smaller
-    atom, identically everywhere in the package.
-    """
-    if mu.level != 0:
-        raise ValueError("quantile_resample needs a level-0 measure")
-    out = mu.quantile(v)
-    return float(out) if np.isscalar(v) else out
 
 
 # -- directing hierarchies ----------------------------------------------------
@@ -230,8 +168,8 @@ class DirectingHierarchy:
       the level k-1 table, ascending, which is their canonical order too.
     - ``weights[k]`` ``(n_k, w_k)``: the atoms' weights, 0 past the atom
       count.  Level 0 weighs an atom met c times among m siblings ``c/m``;
-      level k >= 1 weighs it by c repeated ``+= 1/m`` sums, as
-      :func:`measure_over` does (``3 x 0.1 != 0.3``).
+      level k >= 1 weighs it by 1/m added c times, as each of the c
+      siblings adds its share in turn (``3 x 0.1 != 0.3``).
     - ``ids[d]`` ``(m^d,)``: the table row of each depth-d vertex, vertices in
       lexicographic order.
 
@@ -559,7 +497,7 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
     outside = ~((arr >= 0.0) & (arr <= 1.0))
     if outside.any():
         raise ValueError(f"level-0 location {float(arr[outside][0])} outside [0,1]")
-    # c merged measures of m weigh c repeated += 1/m sums, as in measure_over
+    # c merged measures of m weigh 1/m added c times, not c/m (3 x 0.1 != 0.3)
     sums = np.concatenate([[0.0], np.cumsum(np.full(m, 1.0 / m))])
     rows = np.sort(arr.reshape(m ** (r - 1), m), axis=1)
     atoms, weights, ids = [], [], []
@@ -637,41 +575,28 @@ def linprog(*args, **kwargs):
 
 def _measure_tables(
     mu: EmpiricalMeasure | DirectingHierarchy,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], int | None]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
     """The level tables of a nested measure, level 0 first, and the ``m``
-    whose multiples 1/m its weights are, or None when that is not known.
-    Per level, the tables are the padded atoms and weights (0 past each
-    row's atom count) of the distinct sub-measures below ``mu``.  Level-0
-    atoms are locations; level k >= 1 atoms are row ids into the level k-1
-    table.  The top level is the one row of ``mu``.
+    whose multiples 1/m its weights are.  Per level, the tables are the
+    padded atoms and weights (0 past each row's atom count) of the distinct
+    sub-measures below ``mu``.  Level-0 atoms are locations; level k >= 1
+    atoms are row ids into the level k-1 table.  The top level is the one
+    row of ``mu``.
 
     A :class:`DirectingHierarchy` stands for its root measure, and a
     measure built by :attr:`DirectingHierarchy.measures` for its row: both
     are read from the hierarchy's level arrays (:func:`_row_tables`), with
-    the hierarchy's ``m``.  Any other measure is walked object by object,
-    its sub-measures told apart by identity."""
+    the hierarchy's ``m``.  Any other argument is refused."""
     if isinstance(mu, DirectingHierarchy):
         return _row_tables(mu.r - 1, mu.atoms, mu.weights, mu.ids[0][0]), mu.m
-    if mu._table_row is not None:
+    if isinstance(mu, EmpiricalMeasure) and mu._table_row is not None:
         *row, m = mu._table_row
         return _row_tables(mu.level, *row), m
-    rows = [mu]
-    tables = []
-    for k in range(mu.level, -1, -1):
-        count = np.array([len(x.atoms) for x in rows])
-        present = np.arange(count.max()) < count[:, None]
-        atoms = np.zeros(present.shape, dtype=np.intp if k else np.float64)
-        weights = np.zeros(present.shape)
-        weights[present] = np.concatenate([x.weights for x in rows])
-        tables.append((atoms, weights))
-        if k == 0:
-            atoms[present] = np.concatenate([x.locations for x in rows])
-        else:
-            below = [a for x in rows for a, _ in x.atoms]
-            index: dict[int, int] = {}
-            atoms[present] = [index.setdefault(id(a), len(index)) for a in below]
-            rows = list({id(a): a for a in below}.values())
-    return tables[::-1], None
+    raise ValueError(
+        "nested_distance compares a DirectingHierarchy or a measure from its "
+        f".measures, not a hand-built {type(mu).__name__}; for two level-0 "
+        "measures use wasserstein1"
+    )
 
 
 def _row_tables(
@@ -718,17 +643,14 @@ def _common_counts(
 
 
 def _level_counts(
-    wa: np.ndarray, wb: np.ndarray, ma: int | None, mb: int | None
+    wa: np.ndarray, wb: np.ndarray, ma: int, mb: int
 ) -> tuple[int, np.ndarray, np.ndarray] | None:
     """:func:`_common_counts` of two weight tables whose weights are
     multiples of 1/ma and 1/mb, without its search: the counts at
     ``n0 = lcm(ma, mb)`` divided by ``g = gcd(n0, every count)``, which
-    gives its smallest ``n = n0 / g``.  Tables with an unknown ``m``, or
-    with a weight whose count at n0 is not whole within 1e-9, the search's
-    own tolerance (a hand-built hierarchy may hold 1/3 at m=4), take the
-    search."""
-    if ma is None or mb is None:
-        return _common_counts(wa, wb)
+    gives its smallest ``n = n0 / g``.  Tables with a weight whose count at
+    n0 is not whole within 1e-9, the search's own tolerance (a hand-built
+    hierarchy may hold 1/3 at m=4), take the search."""
     n0 = math.lcm(ma, mb)
     x = np.concatenate([wa.reshape(-1), wb.reshape(-1)])
     x *= n0
@@ -801,28 +723,31 @@ def nested_distance(
     """Optimal-transport distance between equal-level nested measures.
 
     Level 0 is :func:`wasserstein1`; at level k the ground cost between
-    atoms is the level-(k-1) nested distance.  A :class:`DirectingHierarchy`
-    argument stands for its root measure, read from its level arrays
-    without building :attr:`~DirectingHierarchy.measures`; the result is
-    that of its root measure.  Both measures are laid out as level tables
-    (:func:`_measure_tables`), read straight from the level arrays for a
-    hierarchy or one of its measures, and each level's distances are
-    computed for all row pairs at once, level 0 first.  Each level k >= 1
-    is an n x n assignment per pair of rows, the costs of a level's pairs
-    gathered in one pass, so its weights must be multiples of a common 1/n
-    with n <= 1024.  Two extracted measures have one when their reduced
+    atoms is the level-(k-1) nested distance.  Each side is a
+    :class:`DirectingHierarchy`, which stands for its root measure, read
+    from its level arrays without building
+    :attr:`~DirectingHierarchy.measures`, or a measure from that tuple.
+    Any other argument, a hand-built :class:`EmpiricalMeasure` included,
+    raises ``ValueError``, whether or not the two sides are equal; two
+    level-0 measures are compared by :func:`wasserstein1`.  Both sides are
+    laid out as level tables (:func:`_measure_tables`), read straight from
+    the level arrays, and each level's distances are computed for all row
+    pairs at once, level 0 first.  Each level k >= 1 is an n x n assignment
+    per pair of rows, the costs of a level's pairs gathered in one pass, so
+    its weights must be multiples of a common 1/n with n <= 1024.  Two extracted measures have one when their reduced
     lcm(m_a, m_b) is at most 1024, as it is for any sides up to 32.  A
     level k >= 1 without one raises ``ValueError``: irrational weights, say,
     or extracted sides 32 and 33 (n = 1056).  Level 0 is one broadcast over
     n sorted samples per row when it has such an n, and :func:`wasserstein1`
-    pair by pair, from the table rows, when it has not.  For two measures
-    of hierarchies, n is read off their ``m`` (:func:`_level_counts`); for
-    others it is the smallest n <= 1024 found by a search over the
-    weights.  Nothing is kept between calls.
+    pair by pair, from the table rows, when it has not.  n is read off
+    the sides' ``m`` (:func:`_level_counts`), or, for a hand-built
+    hierarchy whose weights are no multiples of 1/m, it is the smallest
+    n <= 1024 found by a search over the weights.  Nothing is kept between
+    calls.
     """
+    (tables_a, ma), (tables_b, mb) = _measure_tables(mu), _measure_tables(nu)
     if mu == nu:
         return 0.0
-    (tables_a, ma), (tables_b, mb) = _measure_tables(mu), _measure_tables(nu)
     if len(tables_a) != len(tables_b):
         raise ValueError(
             f"cannot compare measures of levels {len(tables_a) - 1} and {len(tables_b) - 1}"
@@ -850,14 +775,6 @@ def nested_distance(
 
 
 # -- serialization ------------------------------------------------------------
-
-
-def measure_to_json_obj(mu: EmpiricalMeasure) -> dict:
-    if mu.level == 0:
-        atoms = [[loc, w] for loc, w in mu.atoms]
-    else:
-        atoms = [[measure_to_json_obj(a), w] for a, w in mu.atoms]
-    return {"level": mu.level, "atoms": atoms}
 
 
 # level-0 atoms formatted per block of rows, so no matrix spans a whole level
@@ -907,8 +824,11 @@ def _string_ordered_keys(d: int, m: int) -> tuple[Iterator[bytes], np.ndarray]:
 
 def hierarchy_json_chunks(h: DirectingHierarchy) -> Iterator[bytes]:
     """Yield ``hierarchy.json`` as ``bytes`` pieces: the hierarchy keyed by
-    encoded vertex, each measure written as :func:`measure_to_json_obj`'s
-    object is, byte for byte ``json.dumps(..., sort_keys=True) + "\\n"``.
+    encoded vertex, byte for byte ``json.dumps(..., sort_keys=True) + "\\n"``
+    of :func:`hierarchy_to_json_obj`'s object, in which a level-k measure
+    is ``{"atoms": [[atom, weight], ...], "level": k}``, its atoms in table
+    order, a level-0 atom its location and a nested atom its measure's
+    object.
 
     Written from the level tables, bottom-up: each level-0 row and each
     level's distinct weights are built once by the CSV writer's row builder
@@ -947,8 +867,8 @@ def _row_pieces(h: DirectingHierarchy, glues: list, level0: list[bytes], k: int,
 
 
 def hierarchy_to_json_obj(h: DirectingHierarchy) -> dict:
-    """The hierarchy keyed by encoded vertex, each measure as
-    :func:`measure_to_json_obj`'s object: ``json.loads`` of the joined
-    :func:`hierarchy_json_chunks` pieces, so the object and the file have
+    """``{"m": m, "measures": {key: measure, ...}, "r": r}``, each internal
+    vertex's measure as :func:`hierarchy_json_chunks` describes it:
+    ``json.loads`` of the joined pieces, so the object and the file have
     one source."""
     return json.loads(b"".join(hierarchy_json_chunks(h)))

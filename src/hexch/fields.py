@@ -302,8 +302,8 @@ class UniformField:
 
 def level_values(seed: int, r: int, m: int) -> dict[int, np.ndarray]:
     """The uniform field of role "u" on the whole truncation {1..m}^r: a dict
-    from each depth d to the values of its m^d vertices, in
-    :func:`~hexch.tree.vertex_keys` order, hashed once per depth."""
+    from each depth d to the values of its m^d vertices, in lexicographic
+    coordinate order (``(1, 2)`` before ``(1, 10)``), hashed once per depth."""
     _check_size("r", r, 0)
     _check_size("m", m)
     return {d: u[0] for d, u in enumerate(_level_values(_init_state(seed, "u"), (r,), (m,)))}

@@ -28,8 +28,6 @@ __all__ = [
     "random_hperm",
     "random_leaf_indices",
     "verify_wedge_preservation",
-    "hperm_to_json_obj",
-    "hperm_from_json_obj",
 ]
 
 
@@ -239,17 +237,3 @@ def verify_wedge_preservation(mapping, leaf_list: list[TreeVertex]) -> bool:
     img = np.array([mapping(v).coords for v in leaf_list], dtype=np.int64)
     return bool(np.array_equal(wedge_matrix(src), wedge_matrix(img)))
 
-
-def hperm_to_json_obj(p: HPerm) -> list[dict]:
-    """JSON form: one ``{"vertex": key, "perm": images}`` entry per table row."""
-    rows = sorted(p.table.items(), key=lambda kv: (kv[0].depth, kv[0].coords))
-    return [{"vertex": v.encode(), "perm": list(images)} for v, images in rows]
-
-
-def hperm_from_json_obj(obj: list[dict], r: int) -> HPerm:
-    from .tree import decode_vertex
-
-    table = {
-        decode_vertex(row["vertex"], r): tuple(row["perm"]) for row in obj
-    }
-    return HPerm(r, table)

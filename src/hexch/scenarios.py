@@ -34,7 +34,6 @@ __all__ = [
     "make_model",
     "make_source",
     "make_level_values",
-    "SCENARIO_NAMES",
 ]
 
 
@@ -365,9 +364,6 @@ _register(
         param_ranges={"shift": (0.0, 1.0)},
     )
 )
-
-SCENARIO_NAMES = tuple(_REGISTRY)
-
 
 def builtin(name: str) -> ScenarioSpec:
     """Look up a registered scenario by its exact name."""

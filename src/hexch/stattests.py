@@ -35,7 +35,6 @@ from .tree import DEFAULT_CELL_CAP, _check_size, _is_size
 
 __all__ = [
     "TestReport",
-    "energy_distance",
     "hexch_test",
     "kept_dimension",
     "conditional_iid_test",
@@ -65,29 +64,6 @@ class TestReport:
 
     def to_json_obj(self) -> dict:
         return asdict(self)
-
-
-def energy_distance(sample_a, sample_b) -> float:
-    """Two-sample energy statistic 2 E|a-b| - E|a-a'| - E|b-b'|.
-
-    Means are taken over all ordered pairs (the V-statistic convention, zero
-    diagonal included), which keeps the statistic nonnegative; it vanishes
-    exactly when the two empirical distributions coincide.
-    """
-    from scipy.spatial.distance import cdist
-
-    a = np.atleast_2d(np.asarray(sample_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(sample_b, dtype=np.float64))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("samples must be nonempty")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    dab = cdist(a, b).mean()
-    daa = cdist(a, a).mean()
-    dbb = cdist(b, b).mean()
-    return float(2.0 * dab - daa - dbb)
 
 
 def _energy_permutation_pvalue(

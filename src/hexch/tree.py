@@ -15,7 +15,6 @@ longest common coordinate prefix.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +28,8 @@ __all__ = [
     "wedge",
     "product_path",
     "leaves",
-    "vertices",
     "internal_vertices",
-    "vertex_keys",
     "encode_vertex",
-    "decode_vertex",
     "wedge_matrix",
     "DEFAULT_CELL_CAP",
 ]
@@ -54,14 +50,13 @@ class TreeVertex:
     r: int
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"tree depth must be >= 1, got {self.r}")
+        _check_size("tree depth r", self.r)
         if len(self.coords) > self.r:
             raise ValueError(
                 f"vertex depth {len(self.coords)} exceeds tree depth {self.r}"
             )
-        if self.coords and min(self.coords) < 1:
-            raise ValueError(f"coordinates must be positive, got {self.coords}")
+        if not all(map(_is_size, self.coords)):
+            raise ValueError(f"coordinates must be positive integers, got {self.coords}")
 
     @property
     def depth(self) -> int:
@@ -71,12 +66,6 @@ class TreeVertex:
         if not self.coords:
             raise ValueError("the root has no parent")
         return TreeVertex(self.coords[:-1], self.r)
-
-    def child(self, n: int) -> "TreeVertex":
-        return TreeVertex(self.coords + (n,), self.r)
-
-    def prefix(self, depth: int) -> "TreeVertex":
-        return TreeVertex(self.coords[:depth], self.r)
 
     def encode(self) -> str:
         return encode_vertex(self)
@@ -174,46 +163,19 @@ def leaves(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
     return _depth_vertices(r, m, (r,), cap)
 
 
-def vertices(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
-    """All vertices of the truncated tree, by depth then lexicographically."""
-    return _depth_vertices(r, m, range(r + 1), cap)
-
-
 def internal_vertices(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
     """Vertices of depth < r of the truncation (the ones that carry children)."""
     return _depth_vertices(r, m, range(r), cap)
 
 
-def vertex_keys(d: int, m: int) -> Iterator[str]:
-    """Lazily yield the :func:`encode_vertex` keys of the m^d depth-``d``
-    vertices of ``{1..m}^r`` (any r >= d), lexicographic in the coordinates:
-    ``"2/1/2"`` comes before ``"2/1/10"``.  Built from the coordinates
-    alone, so no :class:`TreeVertex` is made."""
-    _check_size("d", d, 0)
-    _check_size("m", m)
-    coords = tuple(map(str, range(1, m + 1)))
-    return map("/".join, itertools.product((str(d),), *[coords] * d))
-
-
 def encode_vertex(v: TreeVertex) -> str:
     """Canonical string key: depth then coordinates, slash-separated.
 
-    The root encodes as ``"0"``, the leaf (1,2,3) as ``"3/1/2/3"``;
-    :func:`vertex_keys` builds the same keys for a whole depth at once.
+    The root encodes as ``"0"``, the leaf (1,2,3) as ``"3/1/2/3"``.
     """
     if not v.coords:
         return "0"
     return "/".join([str(v.depth)] + [str(c) for c in v.coords])
-
-
-def decode_vertex(s: str, r: int) -> TreeVertex:
-    """Inverse of :func:`encode_vertex` for a depth-``r`` tree."""
-    parts = s.split("/")
-    d = int(parts[0])
-    coords = tuple(int(c) for c in parts[1:])
-    if len(coords) != d:
-        raise ValueError(f"malformed vertex encoding {s!r}")
-    return TreeVertex(coords, r)
 
 
 def wedge_matrix(coords: np.ndarray) -> np.ndarray:

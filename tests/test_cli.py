@@ -455,22 +455,24 @@ def test_array_to_csv_accepts_numpy_integers():
 
 
 # sha256 of the emitted files, recorded while the keys still came from
-# TreeVertex objects; manifest.json pins the per-file bytes and sha256 too
+# TreeVertex objects; manifest.json pins the per-file bytes and sha256 too.
+# The manifest digests are those of hexch 0.2.0: each is the 0.1.0
+# manifest's with its "version" string changed, and nothing else
 OUTPUT_DIGESTS = {
     "single tree m=11": (
         {"scenario": "path-mean", "r": 2, "m": 11, "seed": 3},
         {"array.csv": "73e88362e7366fa85f45101081bb869b87a611b437ee1aeb3d1e576707efb0ce",
-         "manifest.json": "26894d21707e9a2f822e769eb44d042c4926037240b7ac0544e26d44be0d73b3"},
+         "manifest.json": "0130950c8171a8735e08504ea4bcc01340d89541b7eff1b17b7e4322bc623bd6"},
     ),
     "replica n=2": (
         {"scenario": "toy-magnetization", "r": 2, "m": 10, "n": 2, "seed": 5},
         {"array.csv": "9ebc695b505949f358fe89db6bcc25eae384c7c3795ba9a5267fc31bee75e3de",
-         "manifest.json": "ce5f867fce138d18c8046e7243261d6a4f5ae120f40fab4e0b82e7a42de50030"},
+         "manifest.json": "7d47fa7811c44c2f0774ee2591c458edaab494135bf5c97335dddb3aef4f2548"},
     ),
     "field r=3": (
         {"scenario": "depth-shift", "r": 3, "m": 10, "seed": 6},
         {"field_values.csv": "21d7e623cf23976f5c3499e57c0a80ccac5fb15a25fe13e271632f9fdc74a026",
-         "manifest.json": "bf444b019937e1bdf43187c40990adc9b785692a3eb6d3dd5ca1d09bd0199a3c"},
+         "manifest.json": "f8467363be8a9b6a0eb00bdf683a7e8d8e3adf0626c07551f06d698b3efddd3d"},
     ),
     "hierarchy m=12": (
         {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
@@ -478,7 +480,7 @@ OUTPUT_DIGESTS = {
         {"array.csv": "a66527ccd16f01f139065684b96bbbeb2fa0c7a68dbbe5f804a75a3543bc2b34",
          "hierarchy.json": "57df73276545bb5272e46c925ca8a5403a9a23c8b61d2c555b91a3cad2dc8d65",
          "resynthesized.csv": "d152d22780939aef78224cbbae20b3a8c0f4b10ba8a25c94c02221c728e67ebc",
-         "manifest.json": "3c2cb042370c4680b0df36620e5b663ae478d35e62d313a5d3e011ba6264a602"},
+         "manifest.json": "6b193bc386f8737beef57e5116509b710a624355899e9e8483892ae1378b66bc"},
     ),
 }
 
@@ -556,9 +558,10 @@ def test_streamed_pieces_are_written_in_whole_chunks(tmp_path):
     import hashlib
 
     from hexch.cli import _CHUNK, _write
-    from hexch.definetti import extract_hierarchy, hierarchy_json_chunks, measure_to_json_obj
+    from hexch.definetti import extract_hierarchy, hierarchy_json_chunks
     from hexch.scenarios import make_source
     from hexch.tree import internal_vertices
+    from reference import measure_to_json_obj
 
     # a hierarchy.json several 64 KiB long, against the measure objects
     h = extract_hierarchy(make_source("product", 3, 16).sample(2), 3, 16)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import hexch
 from hexch.cli import run_experiment
-from hexch.definetti import EmpiricalMeasure, extract_hierarchy, nested_distance, point_mass
+from hexch.definetti import DirectingHierarchy, extract_hierarchy, nested_distance
 from hexch.scenarios import make_source
 from hexch.stattests import conditional_iid_test
 
@@ -62,11 +62,13 @@ def _scipy_stages() -> tuple[dict, dict]:
     x = make_source("product", 2, 8).sample(3)
     h = extract_hierarchy(x, 2, 8)
     g = extract_hierarchy(make_source("product", 2, 8).sample(4), 2, 8)
+    # r=2 m=2 hierarchies whose depth-1 vertices carry the two rows of
+    # their level-0 table, with weights s and 1 - s on two of them
     s = 1 / math.sqrt(2)
-    mu = EmpiricalMeasure(((EmpiricalMeasure(((0.0, s), (0.3, 1 - s)), 0), 0.5),
-                           (point_mass(0.5), 0.5)), 1)
-    nu = EmpiricalMeasure(((point_mass(0.1), 0.5),
-                           (EmpiricalMeasure(((0.6, 1 - s), (1.0, s)), 0), 0.5)), 1)
+    mu = DirectingHierarchy(2, 2, ([[0.0, 0.3], [0.5, -1.0]], [[0, 1]]),
+                            ([[s, 1 - s], [1.0, 0.0]], [[0.5, 0.5]]), ([0], [0, 1]))
+    nu = DirectingHierarchy(2, 2, ([[0.1, -1.0], [0.6, 1.0]], [[0, 1]]),
+                            ([[1.0, 0.0], [1 - s, s]], [[0.5, 0.5]]), ([0], [0, 1]))
     stages = {
         "conditional_iid": lambda: conditional_iid_test(x, h, n_resamples=49, seed=5).to_json_obj(),
         "assignment": lambda: nested_distance(h, g).hex(),

@@ -1,6 +1,6 @@
 """The text kernels against their definitions: every CSV value
 byte-identical to ``format(x, ".17g")``, every CSV key to
-:func:`hexch.tree.vertex_keys`, and every ``hierarchy.json`` float to
+the keys ``encode_vertex`` writes, and every ``hierarchy.json`` float to
 ``repr``."""
 
 import json
@@ -15,10 +15,11 @@ from hexch.definetti import (
     _BLOCK_ATOMS,
     extract_hierarchy,
     hierarchy_json_chunks,
-    measure_to_json_obj,
 )
 from hexch.scenarios import make_source
-from hexch.tree import internal_vertices, vertex_keys
+from hexch.tree import internal_vertices
+
+from reference import measure_to_json_obj, vertex_keys
 
 
 def _csv_rows(blocks) -> list[list[str]]:

@@ -30,11 +30,7 @@ from hexch.definetti import (
     extract_hierarchy,
     hierarchy_json_chunks,
     hierarchy_to_json_obj,
-    measure_over,
-    measure_to_json_obj,
     nested_distance,
-    point_mass,
-    quantile_resample,
     resynthesize,
     wasserstein1,
 )
@@ -42,6 +38,8 @@ from hexch.fields import UniformField, derive_seed, sample_array
 from hexch.hperm import random_hperm
 from hexch.scenarios import make_model, make_source
 from hexch.tree import TreeVertex, internal_vertices, root
+
+from reference import measure_over, measure_to_json_obj
 
 
 # -- empirical measures --------------------------------------------------------
@@ -56,7 +54,7 @@ def test_empirical_measure_multiplicities():
 def test_empirical_measure_point_mass():
     mu = empirical_measure([0.4] * 50)
     assert mu.atoms == ((0.4, 1.0),)
-    assert mu == point_mass(0.4)
+    assert mu == EmpiricalMeasure(((0.4, 1.0),), 0)
 
 
 def test_empirical_measure_w1_rate():
@@ -80,7 +78,18 @@ def test_measure_validation():
     with pytest.raises(ValueError):
         EmpiricalMeasure(((1.5, 1.0),), 0)  # location outside [0,1]
     with pytest.raises(ValueError):
-        EmpiricalMeasure(((point_mass(0.1), 1.0),), 2)  # wrong nesting level
+        EmpiricalMeasure(((empirical_measure([0.1]), 1.0),), 2)  # wrong nesting level
+
+
+@pytest.mark.parametrize("atoms, after", [
+    (((0.9, 0.3), (0.1, 0.7)), "0.1 after 0.9"),
+    (((0.1, 0.5), (0.1, 0.5)), "0.1 after 0.1"),
+    (((0.0, 0.5), (-0.0, 0.5)), "-0.0 after 0.0"),
+    (((0.2, 0.25), (0.5, 0.25), (0.3, 0.5)), "0.3 after 0.5"),
+], ids=["descending", "repeated", "signed-zero", "third-atom"])
+def test_level_0_locations_must_strictly_ascend(atoms, after):
+    with pytest.raises(ValueError, match=f"level-0 locations must strictly ascend, got {after}$"):
+        EmpiricalMeasure(atoms, 0)
 
 
 def test_weights_sum_tightly():
@@ -91,34 +100,41 @@ def test_weights_sum_tightly():
 # -- quantile convention --------------------------------------------------------
 
 
-def test_quantile_point_mass():
-    mu = point_mass(0.3)
-    for v in (0.0, 0.2, 1.0):
-        assert quantile_resample(mu, v) == 0.3
+def _draws(monkeypatch, h, u):
+    """What :func:`resynthesize` draws from the r=1 hierarchy ``h`` when its
+    field yields the uniforms ``u``."""
+    u = np.asarray(u, dtype=np.float64)
+    monkeypatch.setattr(hexch.definetti, "_hash_level", lambda h0, depths, shape: u[None])
+    return resynthesize(h, 1, u.size, seed=0)
 
 
-def test_quantile_left_continuous_inverse():
-    mu = EmpiricalMeasure(((0.1, 0.5), (0.9, 0.5)), 0)
-    # F(0.1) = 0.5 >= 0.5, so Q(0.5) takes the lower atom
-    assert quantile_resample(mu, 0.5) == 0.1
-    # F(0.1) = 0.5 < 0.75, so Q(0.75) moves up
-    assert quantile_resample(mu, 0.75) == 0.9
-    assert quantile_resample(mu, 0.0) == 0.1
-    assert quantile_resample(mu, 1.0) == 0.9
+def test_quantile_point_mass(monkeypatch):
+    h = extract_hierarchy([0.3], 1, 1)
+    assert _draws(monkeypatch, h, [0.0, 0.2, 1.0]).tolist() == [0.3] * 3
+
+
+def test_quantile_left_continuous_inverse(monkeypatch):
+    # resynthesis inverts the CDF from the left: Q(v) = inf{x : F(x) >= v}.
+    # F(0.1) = 0.5 >= 0.5, so Q(0.5) takes the lower atom; F(0.1) = 0.5 <
+    # 0.75, so Q(0.75) moves up
+    h = extract_hierarchy([0.9, 0.1], 1, 2)
+    assert _draws(monkeypatch, h, [0.5, 0.75, 0.0, 1.0]).tolist() == [0.1, 0.9, 0.1, 0.9]
 
 
 def test_quantile_rejects_nested_measure():
-    nested = measure_over([point_mass(0.1), point_mass(0.5)])
-    with pytest.raises(ValueError):
-        quantile_resample(nested, 0.5)
+    nested = extract_hierarchy([0.1, 0.1, 0.5, 0.5], 2, 2).root_measure
+    assert nested.level == 1
+    with pytest.raises(ValueError, match="level-0 measures only"):
+        nested.locations
 
 
-def test_quantile_grid_reproduces_weights_exactly():
+def test_quantile_grid_reproduces_weights_exactly(monkeypatch):
     # frequency of each atom over a fine uniform grid of v equals its weight
-    mu = empirical_measure([0.1, 0.1, 0.4, 0.7, 0.7, 0.7])
+    h = extract_hierarchy([0.1, 0.1, 0.4, 0.7, 0.7, 0.7], 1, 6)
+    mu = h.root_measure
     grid_n = 6000
     vs = (np.arange(grid_n) + 0.5) / grid_n
-    draws = mu.quantile(vs)
+    draws = _draws(monkeypatch, h, vs)
     for loc, w in mu.atoms:
         freq = np.mean(draws == loc)
         assert abs(freq - w) <= 1.0 / grid_n + 1e-12
@@ -126,21 +142,17 @@ def test_quantile_grid_reproduces_weights_exactly():
 
 def test_measure_arrays_cached_and_read_only():
     mu = empirical_measure([0.3, 0.1, 0.1, 0.9])
-    arrays = [mu.locations, mu.weights, mu.cumweights()]
+    arrays = [mu.locations, mu.weights]
     assert arrays[0] is mu.locations and arrays[1] is mu.weights
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.5
-    assert list(mu.cumweights()) == [0.5, 0.75, 1.0]
-    assert list(mu.cdf([0.0, 0.1, 0.5, 1.0])) == [0.0, 0.5, 0.75, 1.0]
-    assert list(mu.cdf_left([0.1, 0.3, 0.9])) == [0.0, 0.5, 0.75]
     # the caches leave equality and hashing alone
     fresh = empirical_measure([0.3, 0.1, 0.1, 0.9])
     assert fresh == mu and hash(fresh) == hash(mu)
-    nested = measure_over([mu, fresh, point_mass(0.2)])
+    nested = measure_over([mu, fresh, empirical_measure([0.2])])
     assert not nested.weights.flags.writeable
-    assert not nested.cumweights().flags.writeable
 
 
 # -- extraction -----------------------------------------------------------------
@@ -168,10 +180,10 @@ def test_extract_constant_array_gives_nested_point_masses():
     for v, mu in zip(internal_vertices(2, 3), h.measures, strict=True):
         assert mu.level == h.r - 1 - v.depth
         if mu.level == 0:
-            assert mu == point_mass(c)
+            assert mu == empirical_measure([c])
         else:
             assert len(mu.atoms) == 1
-            assert mu.atoms[0][0] == point_mass(c)
+            assert mu.atoms[0][0] == empirical_measure([c])
 
 
 def test_extract_measure_levels_and_counts():
@@ -359,8 +371,8 @@ def test_resynthesize_r1_draws_iid_from_root_measure():
     assert abs(freq - 0.3) < 0.03
     # PIT against the source measure should look uniform
     rng = np.random.default_rng(0)
-    mu = h.root_measure
-    pit = mu.cdf_left(y) + rng.random(y.size) * (mu.cdf(y) - mu.cdf_left(y))
+    lo, hi = h.parent_cdfs(y[None])
+    pit = lo[0] + rng.random(y.size) * (hi[0] - lo[0])
     assert scipy.stats.kstest(pit, "uniform").pvalue > 0.01
 
 
@@ -631,7 +643,7 @@ def test_hierarchy_rejects_level_ids_that_do_not_ascend(row):
     with pytest.raises(ValueError, match="level-1 atoms must ascend"):
         DirectingHierarchy(2, 2, (a0, [row]), (w0, [[0.5, 0.5]]), ids)
     h = DirectingHierarchy(2, 2, (a0, [[0, 1]]), (w0, [[0.5, 0.5]]), ids)
-    assert h.root_measure == measure_over([point_mass(0.7), point_mass(0.2)])
+    assert h.root_measure == measure_over([empirical_measure([0.7]), empirical_measure([0.2])])
 
 
 @pytest.mark.parametrize("row", [[0, 5, 1], [1, -1, 0]], ids=["past-the-table", "below-it"])
@@ -828,15 +840,29 @@ def test_level_tables_whose_first_atoms_tie_take_the_lexsort_order(monkeypatch, 
         assert [a.tobytes() for a in got_arrays] == [a.tobytes() for a in want_arrays]
 
 
+def _cdfs(mu, x):
+    """``(F(x-), F(x))`` of a level-0 measure: its cumulative weights after
+    0, 1, ..., n atoms (the last exactly 1), read at the count of its
+    locations below x and at the count not above x."""
+    cum = np.concatenate([[0.0], np.cumsum(mu.weights)])
+    cum[-1] = 1.0
+    return tuple(cum[np.searchsorted(mu.locations, x, side=s)] for s in ("left", "right"))
+
+
 def test_parent_cdfs_match_the_measures():
     x = np.round(sample_array(make_model("path-mean", 3), 3, 4, seed=8), 1)
     h = extract_hierarchy(x, 3, 4)
     blocks = np.round(np.random.default_rng(2).random((16, 6)), 1)
     blocks[0, :4] = [0.0, 1.0, np.inf, np.nan]
     lo, hi = h.parent_cdfs(blocks)
-    parents = h.measures[-16:]
-    assert np.array_equal(lo, [mu.cdf_left(b) for mu, b in zip(parents, blocks)])
-    assert np.array_equal(hi, [mu.cdf(b) for mu, b in zip(parents, blocks)])
+    want = [_cdfs(mu, b) for mu, b in zip(h.measures[-16:], blocks)]
+    assert np.array_equal(lo, [left for left, _ in want])
+    assert np.array_equal(hi, [right for _, right in want])
+    # atoms 0.1 (weight 1/2), 0.3 and 0.9 (1/4 each)
+    h = extract_hierarchy([0.3, 0.1, 0.1, 0.9], 1, 4)
+    lo, hi = h.parent_cdfs(np.array([[0.0, 0.1, 0.3, 0.5, 0.9, 1.0]]))
+    assert lo.tolist() == [[0.0, 0.0, 0.5, 0.75, 0.75, 1.0]]
+    assert hi.tolist() == [[0.0, 0.5, 0.75, 0.75, 1.0, 1.0]]
 
 
 @pytest.mark.parametrize("m", [9, 40])
@@ -850,9 +876,9 @@ def test_parent_cdfs_in_blocks_and_subsets_have_the_bits_of_the_whole_call(monke
                       x.reshape(m, m)[:, np.arange(11) % m])
     blocks[0, :4] = [-0.0, 1.0, np.inf, np.nan]
     whole = h.parent_cdfs(blocks)
-    parents = h.measures[1:]
-    assert np.array_equal(whole[0], [mu.cdf_left(b) for mu, b in zip(parents, blocks)])
-    assert np.array_equal(whole[1], [mu.cdf(b) for mu, b in zip(parents, blocks)])
+    want = [_cdfs(mu, b) for mu, b in zip(h.measures[1:], blocks)]
+    assert np.array_equal(whole[0], [left for left, _ in want])
+    assert np.array_equal(whole[1], [right for _, right in want])
     w = h.atoms[0].shape[1]
     for rows_per_block in (1, 3, m - 1):
         # the bytes of rows_per_block rows in a block of _cdf_blocks
@@ -880,13 +906,22 @@ def test_wasserstein1_identical_measures():
 
 
 def test_wasserstein1_point_masses():
-    assert wasserstein1(point_mass(0.2), point_mass(0.9)) == pytest.approx(0.7)
+    assert wasserstein1(empirical_measure([0.2]), empirical_measure([0.9])) == pytest.approx(0.7)
 
 
 def test_wasserstein1_half_split():
-    mu = point_mass(0.0)
+    mu = empirical_measure([0.0])
     nu = EmpiricalMeasure(((0.0, 0.5), (1.0, 0.5)), 0)
     assert wasserstein1(mu, nu) == pytest.approx(0.5)
+
+
+def test_wasserstein1_never_sees_atoms_out_of_order():
+    # W1 reads the locations as sorted: these atoms, accepted out of order,
+    # gave 0.1 where the same atoms in order give 0.3 * 0.9 + 0.7 * 0.1
+    with pytest.raises(ValueError, match="strictly ascend, got 0.1 after 0.9"):
+        wasserstein1(EmpiricalMeasure(((0.9, 0.3), (0.1, 0.7)), 0), empirical_measure([0.0]))
+    in_order = EmpiricalMeasure(((0.1, 0.7), (0.9, 0.3)), 0)
+    assert wasserstein1(in_order, empirical_measure([0.0])) == pytest.approx(0.34)
 
 
 def test_wasserstein1_matches_sorted_sample_oracle():
@@ -902,30 +937,54 @@ def test_wasserstein1_matches_sorted_sample_oracle():
 
 def test_wasserstein1_level_check():
     with pytest.raises(ValueError):
-        wasserstein1(point_mass(0.1), measure_over([point_mass(0.1)]))
+        wasserstein1(empirical_measure([0.1]), measure_over([empirical_measure([0.1])]))
 
 
 def test_nested_distance_equal_measures_any_level():
-    mu0 = empirical_measure([0.2, 0.6])
-    mu1 = measure_over([mu0, point_mass(0.9)])
-    mu2 = measure_over([mu1, mu1])
-    for mu in (mu0, mu1, mu2):
+    x = np.round(sample_array(make_model("product", 3), 3, 3, seed=1), 1)
+    h = extract_hierarchy(x, 3, 3)
+    assert {mu.level for mu in h.measures} == {0, 1, 2}
+    for mu in (h, *h.measures):
         assert nested_distance(mu, mu) == 0.0
 
 
+def test_nested_distance_refuses_hand_built_measures():
+    # only a hierarchy or one of its measures carries the level tables the
+    # distance is solved on; a measure built by hand is refused, even when
+    # it equals the other side
+    h = extract_hierarchy([0.1, 0.2, 0.2, 0.6], 2, 2)
+    for mu in h.measures:
+        plain = _plain(mu)
+        assert plain == mu
+        for a, b in ((plain, plain), (plain, mu), (mu, plain), (h, plain)):
+            with pytest.raises(ValueError, match=r"DirectingHierarchy or a measure from its "
+                               r"\.measures, not a hand-built EmpiricalMeasure; for two "
+                               r"level-0 measures use wasserstein1$"):
+                nested_distance(a, b)
+    with pytest.raises(ValueError, match="not a hand-built list"):
+        nested_distance(h, [0.1])
+
+
+def _by_hand(level_0, weights_0, root_weights):
+    """A hand-built r=2 m=2 hierarchy: depth-1 vertex i carries row i of the
+    two-row level-0 table (padded with atom -1 of weight 0), and the root
+    weighs the two rows ``root_weights``."""
+    return DirectingHierarchy(2, 2, (level_0, [[0, 1]]), (weights_0, [root_weights]), ([0], [0, 1]))
+
+
 def test_nested_distance_level1_point_masses():
-    a = measure_over([point_mass(0.1)])
-    b = measure_over([point_mass(0.6)])
+    a = extract_hierarchy([0.1], 2, 1)
+    b = extract_hierarchy([0.6], 2, 1)
     assert nested_distance(a, b) == pytest.approx(0.5)
 
 
 def test_nested_distance_matches_coupling_enumeration():
     # level-1 measures with two atoms each: enumerate all feasible 2x2
-    # transport plans (one free parameter) and take the best
-    a1, a2 = empirical_measure([0.0, 0.2]), point_mass(0.5)
-    b1, b2 = point_mass(0.1), empirical_measure([0.6, 1.0])
-    mu = EmpiricalMeasure(((a1, 0.3), (a2, 0.7)), 1)
-    nu = EmpiricalMeasure(((b1, 0.6), (b2, 0.4)), 1)
+    # transport plans (one free parameter) and take the best.  Weights 0.3
+    # and 0.7 are no multiples of 1/m: the denominator 10 takes the search
+    mu = _by_hand([[0.0, 0.2], [0.5, -1.0]], [[0.5, 0.5], [1.0, 0.0]], [0.3, 0.7])
+    nu = _by_hand([[0.1, -1.0], [0.6, 1.0]], [[1.0, 0.0], [0.5, 0.5]], [0.6, 0.4])
+    (a1, a2), (b1, b2) = mu.measures[1:], nu.measures[1:]
     c = np.array(
         [[wasserstein1(a, b) for b in (b1, b2)] for a in (a1, a2)]
     )
@@ -939,11 +998,7 @@ def test_nested_distance_matches_coupling_enumeration():
 
 def test_nested_distance_symmetry_and_triangle():
     rng = np.random.default_rng(12)
-    tri = []
-    for _ in range(3):
-        children = [empirical_measure(rng.random(4)) for _ in range(3)]
-        tri.append(measure_over(children))
-    a, b, c = tri
+    a, b, c = (extract_hierarchy(rng.random(16), 2, 4) for _ in range(3))
     assert nested_distance(a, b) == pytest.approx(nested_distance(b, a), abs=1e-12)
     assert nested_distance(a, c) <= nested_distance(a, b) + nested_distance(b, c) + 1e-12
 
@@ -1043,10 +1098,8 @@ def _irrational_pair():
     """Level-1 measures whose weights, at both levels, have no common
     denominator."""
     s = 1 / math.sqrt(2)
-    a1 = EmpiricalMeasure(((0.0, s), (0.3, 1 - s)), 0)
-    b2 = EmpiricalMeasure(((0.6, 1 - s), (1.0, s)), 0)
-    mu = EmpiricalMeasure(((a1, s), (point_mass(0.5), 1 - s)), 1)
-    nu = EmpiricalMeasure(((point_mass(0.1), 1 - s), (b2, s)), 1)
+    mu = _by_hand([[0.0, 0.3], [0.5, -1.0]], [[s, 1 - s], [1.0, 0.0]], [s, 1 - s])
+    nu = _by_hand([[0.1, -1.0], [0.6, 1.0]], [[1.0, 0.0], [1 - s, s]], [1 - s, s])
     return mu, nu
 
 
@@ -1149,27 +1202,29 @@ def _level_0_off_the_grid(monkeypatch):
 def test_nested_distance_from_level_arrays_matches_objects(
     monkeypatch, fallback, r, m, m2, ties
 ):
-    # measures of a hierarchy are solved from its level arrays, plain ones by
-    # walking their objects: the two give the same bits, alone and mixed,
-    # and so do the hierarchies themselves
+    # measures of a hierarchy are solved from its level arrays, to the
+    # values of the recursion over their objects; the hierarchies themselves
+    # give their roots' bits
     ha, hb = _hierarchies(r, m, m2, ties)
     pairs = [(ha.root_measure, hb.root_measure)]
     if r > 1:
         # non-root measures: the first and the last depth-1 vertex
         pairs += [(ha.measures[1], hb.measures[1]), (ha.measures[m], hb.measures[m2])]
     on_the_grid = [nested_distance(mu, nu) for mu, nu in pairs]
-    if fallback:
+    if not fallback:
+        # the recursion's dense LPs, for the pairs of level 1 or less
+        for (mu, nu), got in zip(pairs, on_the_grid):
+            if mu.level <= 1:
+                assert got == pytest.approx(_dense_lp_nested_distance(mu, nu), rel=0, abs=1e-9)
+    else:
         # no common denominator at level 0 only: level 0 by wasserstein1 per
         # pair of rows, each level above by assignments, to the same values
         _level_0_off_the_grid(monkeypatch)
         monkeypatch.setattr(hexch.definetti, "_w1_table", _no_common_denominator)
     for (mu, nu), want in zip(pairs, on_the_grid):
-        assert mu._table_row is not None and _plain(mu)._table_row is None
+        assert mu._table_row is not None
         got = nested_distance(mu, nu)
         assert got == pytest.approx(want, rel=0, abs=1e-12)
-        assert nested_distance(_plain(mu), _plain(nu)) == got
-        assert nested_distance(mu, _plain(nu)) == got
-        assert nested_distance(_plain(mu), nu) == got
     assert nested_distance(ha, hb) == nested_distance(*pairs[0]) > 0.0
 
 
@@ -1285,34 +1340,37 @@ def test_hierarchy_measures_are_plain_measures():
 
 
 def test_level_array_tables_keep_the_reachable_rows():
-    # read from the level arrays, a measure's tables hold the rows an object
-    # walk over the same (shared) sub-measures finds, no more
+    # read from the level arrays, a measure's tables hold the rows of the
+    # (shared) sub-measure objects reachable from it, no more
     ha, _ = _hierarchies(3, 4, 4, 1)
     assert len(ha.atoms[0]) > len(_measure_tables(ha.measures[1])[0][0][0])
     for mu in ha.measures[1:]:
-        (read, m), (walked, none) = map(_measure_tables, (mu, EmpiricalMeasure(mu.atoms, mu.level)))
-        assert (m, none) == (4, None)
-        assert [len(a) for a, _ in read] == [len(a) for a, _ in walked]
-        rows = [
-            sorted(tuple(zip(a[w > 0].tolist(), w[w > 0].tolist())) for a, w in zip(*table[0]))
-            for table in (read, walked)
-        ]
-        assert rows[0] == rows[1]
+        tables, m = _measure_tables(mu)
+        assert m == 4 and len(tables) == mu.level + 1
+        reachable = [mu]
+        for k in range(mu.level, -1, -1):
+            assert len(tables[k][0]) == len(reachable)
+            if k:
+                reachable = list({id(a): a for x in reachable for a, _ in x.atoms}.values())
+        a, w = tables[0]
+        rows = sorted(tuple(zip(x[v > 0].tolist(), v[v > 0].tolist())) for x, v in zip(a, w))
+        assert rows == sorted(x.atoms for x in reachable)
 
 
 def test_nested_distance_level_mismatch():
-    with pytest.raises(ValueError):
-        nested_distance(point_mass(0.1), measure_over([point_mass(0.1)]))
+    with pytest.raises(ValueError, match="cannot compare measures of levels 0 and 1"):
+        nested_distance(extract_hierarchy([0.1], 1, 1), extract_hierarchy([0.1], 2, 1))
 
 
 # -- serialization ----------------------------------------------------------------
 
 
 def test_measure_json_shape():
-    mu = measure_over([empirical_measure([0.1, 0.9]), point_mass(0.5)])
-    obj = measure_to_json_obj(mu)
+    h = extract_hierarchy([0.1, 0.9, 0.5, 0.5], 2, 2)
+    obj = hierarchy_to_json_obj(h)["measures"]["0"]
     assert obj["level"] == 1
     assert obj["atoms"][0][0]["level"] == 0
+    assert obj == measure_to_json_obj(h.root_measure)
 
 
 def test_hierarchy_json_keys():

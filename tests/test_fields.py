@@ -38,9 +38,9 @@ from hexch.tree import (
     leaf,
     leaves,
     root,
-    vertex_keys,
-    vertices,
 )
+
+from reference import vertex_keys
 
 
 # -- uniform field ------------------------------------------------------------
@@ -411,6 +411,11 @@ def test_sample_ah_arity_mismatch():
 # -- whole-truncation field values ----------------------------------------------
 
 
+def _at_depth(r, m, d):
+    """The depth-d vertices of the ``{1..m}^r`` truncation, lexicographic."""
+    return [TreeVertex(c, r) for c in itertools.product(range(1, m + 1), repeat=d)]
+
+
 def test_ifield_uniform_levels_match_base_field():
     by_depth = level_values(33, 2, 3)
     base = UniformField(33, "u")
@@ -424,13 +429,13 @@ def test_ifield_truncation_values_grouping():
     assert list(by_depth) == [0, 1, 2]
     f = UniformField(11, "u")
     for d, vals in by_depth.items():
-        assert vals.tolist() == [f.value(v) for v in vertices(2, 3) if v.depth == d]
+        assert vals.tolist() == [f.value(v) for v in _at_depth(2, 3, d)]
     # a product keys its values by depth tuple, vertices in product order
     f = UniformField(12, "u")
     levels = _level_values(_init_state(12, "u"), (1, 2), (3, 2))
     assert len(levels) == len(list(itertools.product(range(2), range(3))))
     for dt, vals in zip(itertools.product(range(2), range(3)), levels):
-        parts = [[v for v in vertices(r_i, m_i) if v.depth == d_i]
+        parts = [_at_depth(r_i, m_i, d_i)
                  for d_i, r_i, m_i in zip(dt, (1, 2), (3, 2))]
         expected = [f.value(ProductVertex(p)) for p in itertools.product(*parts)]
         assert vals[0].tolist() == expected
@@ -456,7 +461,7 @@ def test_hash_level_matches_the_coord_word_rows():
         h0 = _init_state(seeds, "w")
         for r, m in ((1, 5), (2, 3), (3, 4)):
             for d in range(r + 1):
-                coords = [v.coords for v in vertices(r, m) if v.depth == d]
+                coords = [v.coords for v in _at_depth(r, m, d)]
                 want = _hash_words(h0, _coord_words(np.array(coords, dtype=np.int64)))
                 got = _hash_level(h0, (d,), (m,))
                 assert got.shape == (len(seeds), m**d)
@@ -465,7 +470,7 @@ def test_hash_level_matches_the_coord_word_rows():
     # first tree slowest
     h0 = _init_state([12, 13], "u")
     for dt in itertools.product(range(2), range(3)):
-        parts = [[v for v in vertices(r_i, m_i) if v.depth == d_i]
+        parts = [_at_depth(r_i, m_i, d_i)
                  for d_i, r_i, m_i in zip(dt, (1, 2), (3, 2))]
         words = np.array(
             [[w for p in vs for w in (len(p.coords), *p.coords)]

@@ -18,10 +18,11 @@ from hexch.stattests import (
     _marginal_indices,
     cond_indep_test,
     conditional_iid_test,
-    energy_distance,
     hexch_test,
     level_homogeneity_test,
 )
+
+from reference import energy_distance
 
 
 # -- energy distance -------------------------------------------------------------
@@ -49,6 +50,8 @@ def test_energy_distance_matches_brute_force():
 
     expected = 2 * brute(a, b) - brute(a, a) - brute(b, b)
     assert energy_distance(a, b) == pytest.approx(expected, abs=1e-12)
+    # the battery's statistic is this one
+    assert _energy_permutation_pvalue(a, b, 9, seed=0)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_energy_distance_symmetric_nonnegative():

