@@ -49,9 +49,9 @@ for m in (8, 32, 128):
     errs = []
     for k in range(1, m + 1):
         c = v_root * f.value(TreeVertex((k,), 2))
-        mu_k = h.measure_at(TreeVertex((k,), 2))
-        pts = np.repeat(mu_k.locations, np.round(mu_k.weights * m).astype(int))
-        errs.append(w1_to_uniform(pts, c))
+        # vertex k's sample: the atoms of its level-0 row, each as often as met
+        j = h.ids[1][k - 1]
+        errs.append(w1_to_uniform(np.repeat(h.atoms[0][j], h.mult[0][j]), c))
     print(f"m = {m:3d}: mean W1 to the true conditional uniforms = {np.mean(errs):.4f}")
 
 print()

@@ -60,4 +60,4 @@ from .tree import (
     wedge,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -220,13 +220,11 @@ def criterion_extraction_consistency() -> CriterionResult:
             nested[m] = nested_distance(h, extract_hierarchy(y, 2, m))
             w1s = []
             for k in range(1, m + 1):
-                alpha = TreeVertex((k,), 2)
-                c = v_root * f.value(alpha)
-                mu = h.measure_at(alpha)
-                pts = np.repeat(
-                    mu.locations, np.round(mu.weights * m).astype(int)
-                )
-                w1s.append(w1_to_uniform(pts, c))
+                c = v_root * f.value(TreeVertex((k,), 2))
+                # the sample of depth-1 vertex k: its row's atoms, each as
+                # often as it was met
+                j = h.ids[1][k - 1]
+                w1s.append(w1_to_uniform(np.repeat(h.atoms[0][j], h.mult[0][j]), c))
             means[m] = float(np.mean(w1s))
         decreasing = means[8] > means[32] > means[128]
         small = means[128] < 0.05

@@ -22,17 +22,17 @@ distance one level down.  It is solved on the same level-table layout,
 bottom-up, from the level arrays alone: a side is a hierarchy or a
 measure built by ``measures``, which records its table row and its
 hierarchy's m, and a hand-built measure is refused.
+The hierarchy stores integer multiplicities, each row's summing to m, and
+derives the float weights from them.  So a level's weights share the
+exact denominator n = lcm(m_a, m_b) reduced by the gcd of the counts.
 Each level k >= 1 is an n x n assignment per pair of rows, the n x n
-costs of a level's pairs gathered in one pass, which needs the level's
-weights to share a denominator n <= 1024; a level without one is refused.
-Level 0 is one broadcast over n sorted samples per row when its weights
-share such an n, else W1 per pair of rows.  Extracted weights are c/m,
-so n is lcm(m_a, m_b) reduced by the gcd of the counts; a hand-built
-hierarchy whose weights are no multiples of 1/m takes a search over the
-distinct weights.  The arrays reproduce the objects bit for bit, which
-takes two rules: tables follow ``sort_key`` order, in which ``[a,b,b]``
-precedes ``[a,a,b]``; and level k >= 1 weights are repeated ``+= 1/m``
-sums, not ``count/m``, because ``3 x 0.1 != 0.3``.
+costs of a level's pairs gathered in one pass, which needs n <= 1024; a
+level with a larger n is refused.  Level 0 is one broadcast over n sorted
+samples per row when n <= 1024, else W1 per pair of rows.  The arrays
+reproduce the objects bit for bit, which takes two rules: tables follow
+``sort_key`` order, in which ``[a,b,b]`` precedes ``[a,a,b]``; and level
+k >= 1 weights are repeated ``+= 1/m`` sums, not ``count/m``, because
+``3 x 0.1 != 0.3``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
@@ -70,15 +69,16 @@ _WEIGHT_TOL = 1e-12
 class EmpiricalMeasure:
     """A finite measure with unit mass; atoms are values or nested measures.
 
-    Level-0 atoms are distinct locations in [0,1], strictly ascending; any
-    other order is refused.  Level k atoms are level-(k-1) measures, taken
-    in the order given: :attr:`DirectingHierarchy.measures` lists them in
-    canonical :meth:`sort_key` order, each once.
+    Level-0 atoms are distinct locations in [0,1], strictly ascending.
+    Level k atoms are level-(k-1) measures, strictly ascending in
+    :meth:`sort_key` order, as :attr:`DirectingHierarchy.measures` lists
+    them.  Any other order, or a repeated atom, is refused, so each measure
+    has one form, and ``==``, ``hash`` and ``sort_key`` agree.
     """
 
     atoms: tuple[tuple[object, float], ...]
     level: int
-    # ``(atoms, weights, j, m)`` when the measure is row j of its level's
+    # ``(atoms, mult, j, m)`` when the measure is row j of its level's
     # table in the level arrays of a DirectingHierarchy of side m, which set
     # it; not a field, so equality, hashing and repr ignore it
     _table_row = None
@@ -91,7 +91,8 @@ class EmpiricalMeasure:
         total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"atom weights sum to {total}, expected 1")
-        last = -1.0  # below [0,1], so the first location passes
+        # below [0,1] and below every sort key, so the first atom passes
+        last = -1.0 if self.level == 0 else ()
         for loc, w in self.atoms:
             if w <= 0:
                 raise ValueError("atom weights must be positive")
@@ -105,6 +106,13 @@ class EmpiricalMeasure:
                 last = loc
             elif not (isinstance(loc, EmpiricalMeasure) and loc.level == self.level - 1):
                 raise ValueError("nested atoms must be measures one level down")
+            else:
+                key = loc.sort_key()
+                if not key > last:
+                    raise ValueError(
+                        f"level-{self.level} atoms must strictly ascend in sort_key order"
+                    )
+                last = key
 
     def sort_key(self):
         if self.level == 0:
@@ -166,28 +174,31 @@ class DirectingHierarchy:
     - ``atoms[k]`` ``(n_k, w_k)``: the row's atoms, padded with -1.  Level-0
       atoms are locations, ascending.  Level k >= 1 atoms are row ids into
       the level k-1 table, ascending, which is their canonical order too.
-    - ``weights[k]`` ``(n_k, w_k)``: the atoms' weights, 0 past the atom
-      count.  Level 0 weighs an atom met c times among m siblings ``c/m``;
-      level k >= 1 weighs it by 1/m added c times, as each of the c
-      siblings adds its share in turn (``3 x 0.1 != 0.3``).
+    - ``mult[k]`` ``(n_k, w_k)``: integers, how many of the m siblings carry
+      each atom, 0 past the atom count; each row sums to m.
     - ``ids[d]`` ``(m^d,)``: the table row of each depth-d vertex, vertices in
       lexicographic order.
 
-    The constructor derives ``counts[k]`` (each row's atom count) and
-    ``cum[k]`` (cumulative weights, exactly 1.0 at the last atom and inf
-    past it) and checks the layout: one table per level, one id row of
-    ``m^d`` ids per depth, every id inside its table.  It also checks what
-    :class:`EmpiricalMeasure` would: each row's weights sum to 1 (within
-    1e-12 plus one rounding per atom), each row's atoms ascend, and level-0
-    atoms lie in [0,1].  All arrays are read-only.  :attr:`measures` builds the
-    :class:`EmpiricalMeasure` objects on first use.
+    The constructor derives ``weights[k]``, ``counts[k]`` (each row's atom
+    count) and ``cum[k]`` (cumulative weights, exactly 1.0 at the last atom
+    and inf past it).  It alone knows the weight rule: an atom met c times
+    weighs ``c/m`` at level 0, and 1/m added c times at level k >= 1, as
+    each of the c siblings adds its share in turn (``3 x 0.1 != 0.3``).
+    It checks the layout: one table per level, one id row of ``m^d`` ids
+    per depth, every id inside its table.  It also checks what
+    :class:`EmpiricalMeasure` would: each row's multiplicities are
+    positive on a prefix of its atoms and sum to m, each row's atoms
+    ascend, and level-0 atoms lie in [0,1].  All arrays are read-only.
+    :attr:`measures` builds the :class:`EmpiricalMeasure` objects on first
+    use.
     """
 
     r: int
     m: int
     atoms: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
+    mult: tuple[np.ndarray, ...]
     ids: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
     counts: tuple[np.ndarray, ...] = field(init=False, repr=False)
     cum: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
@@ -195,9 +206,9 @@ class DirectingHierarchy:
         r, m = self.r, self.m
         _check_size("r", r)
         _check_size("m", m)
-        if not len(self.atoms) == len(self.weights) == r:
+        if not len(self.atoms) == len(self.mult) == r:
             raise ValueError(
-                f"{len(self.atoms)} atom and {len(self.weights)} weight tables "
+                f"{len(self.atoms)} atom and {len(self.mult)} multiplicity tables "
                 f"for the {r} levels of a depth-{r} hierarchy"
             )
         if len(self.ids) != r:
@@ -205,19 +216,24 @@ class DirectingHierarchy:
                 f"{len(self.ids)} id rows for the {r} internal depths of the "
                 f"{{1..{m}}}^{r} truncation"
             )
+        # c siblings weigh 1/m added c times above level 0 (3 x 0.1 != 0.3)
+        sums = np.concatenate([[0.0], np.cumsum(np.full(m, 1.0 / m))]) if r > 1 else None
         levels = []
         for k in range(r):
             a = _read_only(np.asarray(self.atoms[k], dtype=np.intp if k else np.float64))
-            w = _read_only(np.asarray(self.weights[k], dtype=np.float64))
-            if a.ndim != 2 or a.shape != w.shape or not a.size:
+            c = np.asarray(self.mult[k])
+            if a.ndim != 2 or a.shape != c.shape or not a.size:
                 raise ValueError(
-                    f"level {k}: atoms {a.shape} and weights {w.shape} differ or are empty"
+                    f"level {k}: atoms {a.shape} and multiplicities {c.shape} differ or are empty"
                 )
-            present = w > 0
+            if c.dtype.kind not in "iu":
+                raise ValueError(f"level {k}: multiplicities must be integers, not {c.dtype}")
+            c = _read_only(c.astype(np.intp, copy=False))
+            present = c > 0
             last = _prefix_ends(present)
             if last is None:
                 raise ValueError(
-                    f"level {k}: each row needs positive weights on a prefix of its atoms"
+                    f"level {k}: each row needs positive multiplicities on a prefix of its atoms"
                 )
             # ascending rows lie in a range when their first and last atoms do
             lo, hi = a[:, 0].min(), a.reshape(-1)[last].max()
@@ -230,15 +246,14 @@ class DirectingHierarchy:
                 raise ValueError(f"level-0 location {float(hi if lo >= 0.0 else lo)} outside [0,1]")
             if not rises:
                 raise ValueError(f"level-{k} atoms must ascend along each row")
-            c = np.cumsum(w, axis=1)
-            # a running sum errs by about one rounding per atom
-            err = np.abs(c[:, -1] - 1.0).max()
-            if not err <= _WEIGHT_TOL + w.shape[1] * np.finfo(np.float64).eps:
-                raise ValueError(f"level {k}: a row's weights miss 1 by {err}")
-            c.reshape(-1)[last] = 1.0
-            c[~present] = np.inf
-            n = last - np.arange(-1, w.size - 1, w.shape[1])  # 1 + last - row start
-            levels.append((a, w, _read_only(n), _read_only(c)))
+            if c.min() < 0 or (c.sum(axis=1) != m).any():
+                raise ValueError(f"level {k}: a row's multiplicities are negative or miss m={m}")
+            w = sums[c] if k else c / m
+            s = np.cumsum(w, axis=1)
+            s.reshape(-1)[last] = 1.0
+            s[~present] = np.inf
+            n = last - np.arange(-1, c.size - 1, c.shape[1])  # 1 + last - row start
+            levels.append((a, c, _read_only(w), _read_only(n), _read_only(s)))
         ids = []
         for d in range(r):
             v = _read_only(np.asarray(self.ids[d], dtype=np.intp))
@@ -246,7 +261,7 @@ class DirectingHierarchy:
                 raise ValueError(f"depth {d} has {v.size} ids for its {m**d} vertices")
             _check_ids(v, len(levels[r - 1 - d][0]), f"depth {d}")
             ids.append(v)
-        for name, value in zip(("atoms", "weights", "counts", "cum"), zip(*levels)):
+        for name, value in zip(("atoms", "mult", "weights", "counts", "cum"), zip(*levels)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "ids", tuple(ids))
 
@@ -263,7 +278,7 @@ class DirectingHierarchy:
         from."""
         tables: list[list[EmpiricalMeasure]] = []
         for k in range(self.r):
-            present = self.weights[k] > 0
+            present = self.mult[k] > 0
             atoms = self.atoms[k][present].tolist()
             if k:
                 atoms = [tables[-1][i] for i in atoms]
@@ -272,7 +287,7 @@ class DirectingHierarchy:
             row = []
             for j, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
                 mu = EmpiricalMeasure(tuple(pairs[lo:hi]), k)
-                object.__setattr__(mu, "_table_row", (self.atoms, self.weights, j, self.m))
+                object.__setattr__(mu, "_table_row", (self.atoms, self.mult, j, self.m))
                 row.append(mu)
             tables.append(row)
         return tuple(
@@ -292,30 +307,15 @@ class DirectingHierarchy:
     def measure_at(self, v: TreeVertex) -> EmpiricalMeasure:
         return self._by_vertex[v]
 
-    def parent_cdfs(
-        self, blocks: np.ndarray, parents: slice | np.ndarray = slice(None)
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(cdf_left, cdf)`` of depth r-1 measures at the rows of the
-        ``(P, q)`` matrix ``blocks``: row i of ``blocks`` against the measure
-        of depth r-1 vertex ``parents[i]`` (an index array or a slice of the
-        ``m^(r-1)`` vertices; all of them by default).  Both sides come from
-        one left search per row block (:meth:`_cdf_blocks`)."""
-        lo, hi = np.empty(blocks.shape), np.empty(blocks.shape)
-        for rows, left, right in self._cdf_blocks(blocks, parents):
-            lo[rows], hi[rows] = left, right
-        return lo, hi
-
-    def _cdf_blocks(self, blocks: np.ndarray, parents: slice | np.ndarray):
-        """Yield ``(rows, cdf_left, cdf)`` for consecutive row slices of
-        :meth:`parent_cdfs`, each block's temporaries at most about
-        ``_BLOCK_BYTES``.  A value's right count is its left count, plus one
-        where the atom at the left count equals it: each row's atoms
-        strictly ascend (``_rises``), so at most one atom equals it.
-        Counts past a row's atoms (an inf or NaN query) are clamped to the
-        atom count."""
-        ids = self.ids[-1][parents]
-        if ids.shape != blocks.shape[:1]:
-            raise ValueError(f"{len(blocks)} rows of values for {ids.size} parents")
+    def _cdf_blocks(self, blocks: np.ndarray):
+        """Yield ``(rows, cdf_left, cdf)`` for consecutive row slices of the
+        ``(P, q)`` matrix ``blocks``, row i against the measure of depth r-1
+        vertex i, each block's temporaries at most about ``_BLOCK_BYTES``.
+        A value's right count is its left count, plus one where the atom at
+        the left count equals it: each row's atoms strictly ascend
+        (``_rises``), so at most one atom equals it.  Counts past a row's
+        atoms (an inf or NaN query) are clamped to the atom count."""
+        ids = self.ids[-1][: len(blocks)]
         q, w = blocks.shape[1], self.atoms[0].shape[1]
         # about six (rows, q) arrays of 8 bytes, and the rows' atoms and CDFs
         step = max(1, _BLOCK_BYTES // (8 * (6 * q + 2 * w)))
@@ -497,18 +497,16 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
     outside = ~((arr >= 0.0) & (arr <= 1.0))
     if outside.any():
         raise ValueError(f"level-0 location {float(arr[outside][0])} outside [0,1]")
-    # c merged measures of m weigh 1/m added c times, not c/m (3 x 0.1 != 0.3)
-    sums = np.concatenate([[0.0], np.cumsum(np.full(m, 1.0 / m))])
     rows = np.sort(arr.reshape(m ** (r - 1), m), axis=1)
-    atoms, weights, ids = [], [], []
+    atoms, mult, ids = [], [], []
     for k in range(r):
-        values, mult, row_ids = _level_table(rows)
+        values, counts, row_ids = _level_table(rows)
         atoms.append(values)
-        weights.append(mult / m if k == 0 else sums[mult])
+        mult.append(counts)
         ids.append(row_ids)
         if k < r - 1:
             rows = np.sort(row_ids.reshape(-1, m), axis=1)
-    return DirectingHierarchy(r, m, tuple(atoms), tuple(weights), tuple(reversed(ids)))
+    return DirectingHierarchy(r, m, tuple(atoms), tuple(mult), tuple(reversed(ids)))
 
 
 def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarray:
@@ -577,8 +575,8 @@ def _measure_tables(
     mu: EmpiricalMeasure | DirectingHierarchy,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
     """The level tables of a nested measure, level 0 first, and the ``m``
-    whose multiples 1/m its weights are.  Per level, the tables are the
-    padded atoms and weights (0 past each row's atom count) of the distinct
+    its multiplicities count out of.  Per level, the tables are the padded
+    atoms and multiplicities (0 past each row's atom count) of the distinct
     sub-measures below ``mu``.  Level-0 atoms are locations; level k >= 1
     atoms are row ids into the level k-1 table.  The top level is the one
     row of ``mu``.
@@ -588,7 +586,7 @@ def _measure_tables(
     are read from the hierarchy's level arrays (:func:`_row_tables`), with
     the hierarchy's ``m``.  Any other argument is refused."""
     if isinstance(mu, DirectingHierarchy):
-        return _row_tables(mu.r - 1, mu.atoms, mu.weights, mu.ids[0][0]), mu.m
+        return _row_tables(mu.r - 1, mu.atoms, mu.mult, mu.ids[0][0]), mu.m
     if isinstance(mu, EmpiricalMeasure) and mu._table_row is not None:
         *row, m = mu._table_row
         return _row_tables(mu.level, *row), m
@@ -600,73 +598,50 @@ def _measure_tables(
 
 
 def _row_tables(
-    k: int, atoms: tuple, weights: tuple, j: int
+    k: int, atoms: tuple, mult: tuple, j: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """:func:`_measure_tables` of row j of the level-k table in a hierarchy's
-    level ``atoms`` and ``weights``: every table whole when level k has one
+    level ``atoms`` and ``mult``: every table whole when level k has one
     row (each row below is then reachable), else the rows reachable from
     row j, one ``np.unique`` per level, with atom ids renumbered to match.
-    Pads keep their atoms; their zero weights drop them."""
+    Pads keep their atoms; their zero multiplicities drop them."""
     if len(atoms[k]) == 1:
-        return list(zip(atoms[: k + 1], weights[: k + 1]))
+        return list(zip(atoms[: k + 1], mult[: k + 1]))
     rows = np.array([j])
     tables = []
     for i in range(k, -1, -1):
-        a, w = atoms[i][rows], weights[i][rows]
+        a, c = atoms[i][rows], mult[i][rows]
         if i:
-            present = w > 0
+            present = c > 0
             rows, a[present] = np.unique(a[present], return_inverse=True)
-        tables.append((a, w))
+        tables.append((a, c))
     return tables[::-1]
 
 
-def _table_rows(atoms: np.ndarray, weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each row of a level table as its atoms and weights, pads dropped."""
-    return [(atoms[i, :p], weights[i, :p]) for i, p in enumerate((weights > 0).sum(axis=1))]
-
-
-def _common_counts(
-    wa: np.ndarray, wb: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """``(n, counts_a, counts_b)`` for the smallest n <= ``_MAX_DENOMINATOR``
-    that makes every weight of both tables a whole multiple of 1/n, within
-    1e-9; None if there is no such n."""
-    w = np.unique(np.concatenate([wa[wa > 0], wb[wb > 0]]))
-    n = 1
-    for x in w.tolist():
-        n = math.lcm(n, Fraction(x).limit_denominator(_MAX_DENOMINATOR).denominator)
-        if n > _MAX_DENOMINATOR:
-            return None
-    if np.abs(w * n - np.rint(w * n)).max() > 1e-9 or np.rint(w * n).min() < 1:
-        return None
-    return n, np.rint(wa * n).astype(np.intp), np.rint(wb * n).astype(np.intp)
+def _table_rows(
+    atoms: np.ndarray, mult: np.ndarray, m: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row of a level-0 table as its locations and weights ``c/m``,
+    pads dropped."""
+    return [(atoms[i, :p], mult[i, :p] / m) for i, p in enumerate((mult > 0).sum(axis=1))]
 
 
 def _level_counts(
-    wa: np.ndarray, wb: np.ndarray, ma: int, mb: int
+    ca: np.ndarray, cb: np.ndarray, ma: int, mb: int
 ) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """:func:`_common_counts` of two weight tables whose weights are
-    multiples of 1/ma and 1/mb, without its search: the counts at
-    ``n0 = lcm(ma, mb)`` divided by ``g = gcd(n0, every count)``, which
-    gives its smallest ``n = n0 / g``.  Tables with a weight whose count at
-    n0 is not whole within 1e-9, the search's own tolerance (a hand-built
-    hierarchy may hold 1/3 at m=4), take the search."""
+    """``(n, counts_a, counts_b)`` for the smallest n that makes every
+    weight of two multiplicity tables, counts out of ``ma`` and ``mb``, a
+    whole multiple of 1/n: the counts at ``n0 = lcm(ma, mb)`` divided by
+    ``g = gcd(n0, every count)``, so ``n = n0 / g``.  None if n exceeds
+    ``_MAX_DENOMINATOR``."""
     n0 = math.lcm(ma, mb)
-    x = np.concatenate([wa.reshape(-1), wb.reshape(-1)])
-    x *= n0
-    counts = np.rint(x)
-    positive = np.count_nonzero(x)
-    x -= counts
-    # a positive weight must not round to count 0
-    if not np.abs(x).max() <= 1e-9 or np.count_nonzero(counts) != positive:
-        return _common_counts(wa, wb)
-    counts = counts.astype(np.intp)
+    counts = np.concatenate([ca.reshape(-1) * (n0 // ma), cb.reshape(-1) * (n0 // mb)])
     g = math.gcd(n0, int(np.gcd.reduce(counts)))
     n = n0 // g
     if n > _MAX_DENOMINATOR:
         return None
     counts //= g
-    return n, counts[: wa.size].reshape(wa.shape), counts[wa.size :].reshape(wb.shape)
+    return n, counts[: ca.size].reshape(ca.shape), counts[ca.size :].reshape(cb.shape)
 
 
 def _expand(atoms: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
@@ -734,16 +709,14 @@ def nested_distance(
     the level arrays, and each level's distances are computed for all row
     pairs at once, level 0 first.  Each level k >= 1 is an n x n assignment
     per pair of rows, the costs of a level's pairs gathered in one pass, so
-    its weights must be multiples of a common 1/n with n <= 1024.  Two extracted measures have one when their reduced
-    lcm(m_a, m_b) is at most 1024, as it is for any sides up to 32.  A
-    level k >= 1 without one raises ``ValueError``: irrational weights, say,
-    or extracted sides 32 and 33 (n = 1056).  Level 0 is one broadcast over
-    n sorted samples per row when it has such an n, and :func:`wasserstein1`
-    pair by pair, from the table rows, when it has not.  n is read off
-    the sides' ``m`` (:func:`_level_counts`), or, for a hand-built
-    hierarchy whose weights are no multiples of 1/m, it is the smallest
-    n <= 1024 found by a search over the weights.  Nothing is kept between
-    calls.
+    its weights must be multiples of a common 1/n with n <= 1024.  The
+    weights are multiplicities out of the sides' m, so n is lcm(m_a, m_b)
+    reduced by the gcd of the counts (:func:`_level_counts`), exactly; it
+    is at most 1024 for any sides up to 32.  A level k >= 1 with a larger
+    n raises ``ValueError``: extracted sides 32 and 33, say (n = 1056).
+    Level 0 is one broadcast over n sorted samples per row when n <= 1024,
+    and :func:`wasserstein1` pair by pair, from the table rows, when not.
+    Nothing is kept between calls.
     """
     (tables_a, ma), (tables_b, mb) = _measure_tables(mu), _measure_tables(nu)
     if mu == nu:
@@ -753,9 +726,9 @@ def nested_distance(
             f"cannot compare measures of levels {len(tables_a) - 1} and {len(tables_b) - 1}"
         )
     if len(tables_a) == 1:
-        return _wasserstein1(*_table_rows(*tables_a[0])[0], *_table_rows(*tables_b[0])[0])
+        return _wasserstein1(*_table_rows(*tables_a[0], ma)[0], *_table_rows(*tables_b[0], mb)[0])
     levels = list(zip(tables_a, tables_b))
-    common = [_level_counts(wa, wb, ma, mb) for (_, wa), (_, wb) in levels]
+    common = [_level_counts(ca, cb, ma, mb) for (_, ca), (_, cb) in levels]
     for k in range(1, len(levels)):
         if common[k] is None:
             raise ValueError(
@@ -763,10 +736,10 @@ def nested_distance(
                 f"{_MAX_DENOMINATOR}, which its n x n assignments need"
             )
     cost = None
-    for ((aa, wa), (ab, wb)), counts in zip(levels, common):
+    for ((aa, ca), (ab, cb)), counts in zip(levels, common):
         if counts is None:  # level 0 only
-            cost = np.array([[_wasserstein1(xa, va, xb, vb) for xb, vb in _table_rows(ab, wb)]
-                             for xa, va in _table_rows(aa, wa)])
+            cost = np.array([[_wasserstein1(xa, va, xb, vb) for xb, vb in _table_rows(ab, cb, mb)]
+                             for xa, va in _table_rows(aa, ca, ma)])
             continue
         n, ca, cb = counts
         ea, eb = _expand(aa, ca, n), _expand(ab, cb, n)

@@ -280,7 +280,7 @@ def _pit_matrix(
         raise ValueError(f"leaf {int(np.isnan(arr).argmax())} of the array is NaN")
     blocks = arr.reshape(m ** (r - 1), m)[:n_rows]
     pit = np.empty(blocks.shape)
-    for rows, lo, hi in hierarchy._cdf_blocks(blocks, slice(0, len(blocks))):
+    for rows, lo, hi in hierarchy._cdf_blocks(blocks):
         # lo + u (hi - lo), in place: both operations commute bit for bit
         hi -= lo
         hi *= rng.random(hi.shape)

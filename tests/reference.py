@@ -2,15 +2,18 @@
 
 Each states, one object at a time, a rule that hexch applies to whole
 arrays: the weight of a measure over measures, the ``hierarchy.json``
-object of a measure, the energy statistic, and the CSV key order.
+object of a measure, the energy statistic, the CSV key order, and the
+smallest common denominator of two weight tables.
 """
 
 import itertools
+import math
 from collections.abc import Iterator
+from fractions import Fraction
 
 import numpy as np
 
-from hexch.definetti import EmpiricalMeasure
+from hexch.definetti import _MAX_DENOMINATOR, EmpiricalMeasure
 from hexch.tree import _check_size
 
 
@@ -78,3 +81,21 @@ def vertex_keys(d: int, m: int) -> Iterator[str]:
     _check_size("m", m)
     coords = tuple(map(str, range(1, m + 1)))
     return map("/".join, itertools.product((str(d),), *[coords] * d))
+
+
+def _common_counts(
+    wa: np.ndarray, wb: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """``(n, counts_a, counts_b)`` for the smallest n <= ``_MAX_DENOMINATOR``
+    that makes every weight of both float tables a whole multiple of 1/n,
+    within 1e-9, found by a search over the distinct weights; None if there
+    is no such n."""
+    w = np.unique(np.concatenate([wa[wa > 0], wb[wb > 0]]))
+    n = 1
+    for x in w.tolist():
+        n = math.lcm(n, Fraction(x).limit_denominator(_MAX_DENOMINATOR).denominator)
+        if n > _MAX_DENOMINATOR:
+            return None
+    if np.abs(w * n - np.rint(w * n)).max() > 1e-9 or np.rint(w * n).min() < 1:
+        return None
+    return n, np.rint(wa * n).astype(np.intp), np.rint(wb * n).astype(np.intp)

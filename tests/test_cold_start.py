@@ -5,7 +5,6 @@ module until hexch code imports one.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import hexch
 from hexch.cli import run_experiment
-from hexch.definetti import DirectingHierarchy, extract_hierarchy, nested_distance
+from hexch.definetti import extract_hierarchy, nested_distance
 from hexch.scenarios import make_source
 from hexch.stattests import conditional_iid_test
 
@@ -56,19 +55,18 @@ def _loaded_scipy() -> list[str]:
 def _scipy_stages() -> tuple[dict, dict]:
     """One call into the PIT test, which runs on numpy alone, into a nested
     distance solved by assignments (scipy.optimize) and into one whose
-    irrational level-0 weights take W1 per pair of rows before the
-    assignments of level 1.  Returns each stage's value and the scipy
-    modules loaded after it."""
+    level 0 takes W1 per pair of rows before the assignments of level 1.
+    Returns each stage's value and the scipy modules loaded after it."""
     x = make_source("product", 2, 8).sample(3)
     h = extract_hierarchy(x, 2, 8)
     g = extract_hierarchy(make_source("product", 2, 8).sample(4), 2, 8)
-    # r=2 m=2 hierarchies whose depth-1 vertices carry the two rows of
-    # their level-0 table, with weights s and 1 - s on two of them
-    s = 1 / math.sqrt(2)
-    mu = DirectingHierarchy(2, 2, ([[0.0, 0.3], [0.5, -1.0]], [[0, 1]]),
-                            ([[s, 1 - s], [1.0, 0.0]], [[0.5, 0.5]]), ([0], [0, 1]))
-    nu = DirectingHierarchy(2, 2, ([[0.1, -1.0], [0.6, 1.0]], [[0, 1]]),
-                            ([[1.0, 0.0], [1 - s, s]], [[0.5, 0.5]]), ([0], [0, 1]))
+    # extracted at m=32, with depth-1 vertices in identical pairs, and at
+    # m=33: level 1 has the denominator 1056 / 2 = 528, level 0 has 1056,
+    # past the 1024 that its broadcast takes
+    paired = make_source("product", 2, 32).sample(5).reshape(32, 32)
+    paired[1::2] = paired[::2]
+    mu = extract_hierarchy(paired, 2, 32)
+    nu = extract_hierarchy(make_source("product", 2, 33).sample(6), 2, 33)
     stages = {
         "conditional_iid": lambda: conditional_iid_test(x, h, n_resamples=49, seed=5).to_json_obj(),
         "assignment": lambda: nested_distance(h, g).hex(),

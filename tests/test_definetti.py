@@ -20,7 +20,6 @@ from hexch.definetti import (
     _BROADCAST_WIDTH,
     _COLUMN_ROWS,
     _assignment_table,
-    _common_counts,
     _level_counts,
     _lex_order,
     _measure_tables,
@@ -39,7 +38,7 @@ from hexch.hperm import random_hperm
 from hexch.scenarios import make_model, make_source
 from hexch.tree import TreeVertex, internal_vertices, root
 
-from reference import measure_over, measure_to_json_obj
+from reference import _common_counts, measure_over, measure_to_json_obj
 
 
 # -- empirical measures --------------------------------------------------------
@@ -90,6 +89,19 @@ def test_measure_validation():
 def test_level_0_locations_must_strictly_ascend(atoms, after):
     with pytest.raises(ValueError, match=f"level-0 locations must strictly ascend, got {after}$"):
         EmpiricalMeasure(atoms, 0)
+
+
+@pytest.mark.parametrize("order", ["repeated", "swapped"])
+def test_nested_atoms_must_strictly_ascend_in_sort_key_order(order):
+    # a repeated atom, or two atoms out of sort_key order, were accepted
+    # and compared unequal, in == and in sort_key, to the same measure in
+    # its canonical form
+    a, b = empirical_measure([0.2]), empirical_measure([0.7])
+    atoms = ((a, 0.5), (a, 0.5)) if order == "repeated" else ((b, 0.5), (a, 0.5))
+    with pytest.raises(ValueError, match="^level-1 atoms must strictly ascend in sort_key order$"):
+        EmpiricalMeasure(atoms, 1)
+    assert EmpiricalMeasure(((a, 0.5), (b, 0.5)), 1) == measure_over([b, a])
+    assert EmpiricalMeasure(((a, 1.0),), 1) == measure_over([a, a])
 
 
 def test_weights_sum_tightly():
@@ -274,14 +286,14 @@ def test_extract_matches_per_row_empirical_measure(r, m, model, decimals):
 def _hierarchy_parts():
     x = sample_array(make_model("product", 3), 3, 3, seed=12)
     h = extract_hierarchy(x, 3, 3)
-    return h.atoms, h.weights, h.ids  # tables of levels 0..2, id rows of depths 0..2
+    return h.atoms, h.mult, h.ids  # tables of levels 0..2, id rows of depths 0..2
 
 
 def test_hierarchy_accepts_the_internal_vertex_layout():
-    atoms, weights, ids = _hierarchy_parts()
-    h = DirectingHierarchy(3, 3, list(atoms), list(weights), [v.tolist() for v in ids])
+    atoms, mult, ids = _hierarchy_parts()
+    h = DirectingHierarchy(3, 3, list(atoms), [c.tolist() for c in mult], [v.tolist() for v in ids])
     assert [v.shape for v in h.ids] == [(1,), (3,), (9,)]
-    for arrays in (h.atoms, h.weights, h.ids, h.counts, h.cum):
+    for arrays in (h.atoms, h.mult, h.weights, h.ids, h.counts, h.cum):
         assert isinstance(arrays, tuple)
         assert not any(a.flags.writeable for a in arrays)
     for k, (c, n) in enumerate(zip(h.cum, h.counts)):
@@ -298,46 +310,49 @@ def test_hierarchy_accepts_the_internal_vertex_layout():
 
 
 def test_hierarchy_rejects_a_missing_measure():
-    atoms, weights, ids = _hierarchy_parts()
+    atoms, mult, ids = _hierarchy_parts()
     with pytest.raises(ValueError, match="2 id rows for the 3 internal depths"):
-        DirectingHierarchy(3, 3, atoms, weights, ids[:2])
+        DirectingHierarchy(3, 3, atoms, mult, ids[:2])
     with pytest.raises(ValueError, match="depth 2 has 8 ids for its 9 vertices"):
-        DirectingHierarchy(3, 3, atoms, weights, ids[:2] + (ids[2][:-1],))
-    with pytest.raises(ValueError, match="2 atom and 3 weight tables"):
-        DirectingHierarchy(3, 3, atoms[:2], weights, ids)
-    holed = weights[0].copy()
-    holed[0, 0] = 0.0  # a row's first atom without weight
-    with pytest.raises(ValueError, match="positive weights on a prefix"):
-        DirectingHierarchy(3, 3, atoms, (holed,) + weights[1:], ids)
+        DirectingHierarchy(3, 3, atoms, mult, ids[:2] + (ids[2][:-1],))
+    with pytest.raises(ValueError, match="2 atom and 3 multiplicity tables"):
+        DirectingHierarchy(3, 3, atoms[:2], mult, ids)
+    holed = mult[0].copy()
+    holed[0, 0] = 0  # a row's first atom met no times
+    with pytest.raises(ValueError, match="positive multiplicities on a prefix"):
+        DirectingHierarchy(3, 3, atoms, (holed,) + mult[1:], ids)
 
 
 def test_hierarchy_rejects_an_extra_measure():
-    atoms, weights, ids = _hierarchy_parts()
+    atoms, mult, ids = _hierarchy_parts()
     with pytest.raises(ValueError, match="4 id rows for the 3 internal depths"):
-        DirectingHierarchy(3, 3, atoms, weights, ids + (ids[-1],))
+        DirectingHierarchy(3, 3, atoms, mult, ids + (ids[-1],))
     with pytest.raises(ValueError, match="depth 1 has 4 ids for its 3 vertices"):
-        DirectingHierarchy(3, 3, atoms, weights, (ids[0], np.append(ids[1], 0), ids[2]))
-    # a deeper truncation's id rows are out of range for a shallower one
-    with pytest.raises(ValueError, match="depth 1 has 3 ids for its 2 vertices"):
-        DirectingHierarchy(3, 2, atoms, weights, ids)
+        DirectingHierarchy(3, 3, atoms, mult, (ids[0], np.append(ids[1], 0), ids[2]))
+    # multiplicities out of m=3 miss another side, and with multiplicities
+    # out of m=6, the id rows of m=3 miss its vertices
+    with pytest.raises(ValueError, match="level 0: a row's multiplicities are negative or miss m=2"):
+        DirectingHierarchy(3, 2, atoms, mult, ids)
+    with pytest.raises(ValueError, match="depth 1 has 3 ids for its 6 vertices"):
+        DirectingHierarchy(3, 6, atoms, [2 * c for c in mult], ids)
 
 
 def test_hierarchy_rejects_a_wrong_level_measure():
-    atoms, weights, ids = _hierarchy_parts()
+    atoms, mult, ids = _hierarchy_parts()
     n = [len(a) for a in atoms]
     # swapping the depth 1 and depth 2 rows changes their sizes
     with pytest.raises(ValueError, match="depth 1 has 9 ids for its 3 vertices"):
-        DirectingHierarchy(3, 3, atoms, weights, (ids[0], ids[2], ids[1]))
+        DirectingHierarchy(3, 3, atoms, mult, (ids[0], ids[2], ids[1]))
     # an id past its level's table, or below it
     for bad in (n[1], -1):
         row = ids[1].copy()
         row[2] = bad
         with pytest.raises(ValueError, match=f"depth 1 ids must index the {n[1]} rows"):
-            DirectingHierarchy(3, 3, atoms, weights, (ids[0], row, ids[2]))
+            DirectingHierarchy(3, 3, atoms, mult, (ids[0], row, ids[2]))
     nested = atoms[1].copy()
     nested[0, 0] = n[0]
     with pytest.raises(ValueError, match=f"level 1 atom ids must index the {n[0]} rows"):
-        DirectingHierarchy(3, 3, (atoms[0], nested, atoms[2]), weights, ids)
+        DirectingHierarchy(3, 3, (atoms[0], nested, atoms[2]), mult, ids)
     with pytest.raises(ValueError):
         DirectingHierarchy(0, 3, (), (), ())  # no internal vertices
 
@@ -371,7 +386,7 @@ def test_resynthesize_r1_draws_iid_from_root_measure():
     assert abs(freq - 0.3) < 0.03
     # PIT against the source measure should look uniform
     rng = np.random.default_rng(0)
-    lo, hi = h.parent_cdfs(y[None])
+    lo, hi = _parent_cdfs(h, y[None])
     pit = lo[0] + rng.random(y.size) * (hi[0] - lo[0])
     assert scipy.stats.kstest(pit, "uniform").pvalue > 0.01
 
@@ -617,21 +632,24 @@ def test_json_writer_leaves_no_reference_cycles():
         gc.enable()
 
 
-@pytest.mark.parametrize("atoms, weights, match", [
-    # resynthesis would renormalize these weights: its last cumulative
-    # weight is set to 1
-    ([[0.1, 0.2]], [[0.3, 0.3]], "weights miss 1 by"),
-    ([[-np.inf, 0.5]], [[0.5, 0.5]], "location -inf outside"),
-    ([[0.2, 1.5]], [[0.5, 0.5]], "location 1.5 outside"),
-    ([[np.nan, 0.5]], [[1.0, 0.0]], "location nan outside"),
-    # parent_cdfs searches the rows, so they must ascend
-    ([[0.5, 0.1]], [[0.5, 0.5]], "must ascend"),
-    ([[0.5, 0.5]], [[0.5, 0.5]], "must ascend"),
-    ([[0.2, np.nan, 0.5]], [[0.25, 0.25, 0.5]], "must ascend"),
-], ids=["sum-0.6", "minus-inf", "above-1", "nan-first", "descending", "repeated", "nan-inside"])
-def test_hierarchy_rejects_rows_that_are_no_measure(atoms, weights, match):
+@pytest.mark.parametrize("atoms, mult, match", [
+    # resynthesis would renormalize these weights, 3/5 in all: its last
+    # cumulative weight is set to 1
+    ([[0.1, 0.2]], [[2, 1]], "multiplicities are negative or miss m=5"),
+    ([[0.1, 0.2]], [[6, -1]], "multiplicities are negative or miss m=5"),
+    ([[0.1, 0.2]], [[0.6, 0.4]], "multiplicities must be integers, not float64"),
+    ([[-np.inf, 0.5]], [[2, 3]], "location -inf outside"),
+    ([[0.2, 1.5]], [[2, 3]], "location 1.5 outside"),
+    ([[np.nan, 0.5]], [[5, 0]], "location nan outside"),
+    # the parents' CDFs search the rows, so they must ascend
+    ([[0.5, 0.1]], [[2, 3]], "must ascend"),
+    ([[0.5, 0.5]], [[2, 3]], "must ascend"),
+    ([[0.2, np.nan, 0.5]], [[1, 1, 3]], "must ascend"),
+], ids=["sum-0.6", "negative", "float-weights", "minus-inf", "above-1", "nan-first", "descending",
+        "repeated", "nan-inside"])
+def test_hierarchy_rejects_rows_that_are_no_measure(atoms, mult, match):
     with pytest.raises(ValueError, match=match):
-        DirectingHierarchy(1, 2, (np.array(atoms),), (np.array(weights),),
+        DirectingHierarchy(1, 5, (np.array(atoms),), (np.array(mult),),
                            (np.zeros(1, dtype=int),))
 
 
@@ -639,10 +657,10 @@ def test_hierarchy_rejects_rows_that_are_no_measure(atoms, weights, match):
 def test_hierarchy_rejects_level_ids_that_do_not_ascend(row):
     # two point masses at 0.2 and 0.7; a root listing them as [1, 0] was
     # accepted, not equal to the canonical root, yet 0.0 away from it
-    a0, w0, ids = [[0.2], [0.7]], [[1.0], [1.0]], ([0], [1, 0])
+    a0, c0, ids = [[0.2], [0.7]], [[2], [2]], ([0], [1, 0])
     with pytest.raises(ValueError, match="level-1 atoms must ascend"):
-        DirectingHierarchy(2, 2, (a0, [row]), (w0, [[0.5, 0.5]]), ids)
-    h = DirectingHierarchy(2, 2, (a0, [[0, 1]]), (w0, [[0.5, 0.5]]), ids)
+        DirectingHierarchy(2, 2, (a0, [row]), (c0, [[1, 1]]), ids)
+    h = DirectingHierarchy(2, 2, (a0, [[0, 1]]), (c0, [[1, 1]]), ids)
     assert h.root_measure == measure_over([empirical_measure([0.7]), empirical_measure([0.2])])
 
 
@@ -650,21 +668,23 @@ def test_hierarchy_rejects_level_ids_that_do_not_ascend(row):
 def test_an_id_out_of_range_is_reported_before_ids_out_of_order(row):
     # ascending ids are in range when a row's first and last are; in a row
     # that does not ascend every id is checked, before the order is
-    a0, w0, ids = [[0.2], [0.5], [0.7]], [[1.0], [1.0], [1.0]], ([0], [0, 1, 2])
+    a0, c0, ids = [[0.2], [0.5], [0.7]], [[3], [3], [3]], ([0], [0, 1, 2])
     with pytest.raises(ValueError, match="level 1 atom ids must index the 3 rows"):
-        DirectingHierarchy(2, 3, (a0, [row]), (w0, [[0.25, 0.25, 0.5]]), ids)
+        DirectingHierarchy(2, 3, (a0, [row]), (c0, [[1, 1, 1]]), ids)
 
 
 def test_hierarchy_rejects_level_weights_that_miss_one():
-    atoms, weights, ids = _hierarchy_parts()
-    short = weights[1].copy()
-    short[0, 0] *= 0.5
-    with pytest.raises(ValueError, match="level 1: a row's weights miss 1 by"):
-        DirectingHierarchy(3, 3, atoms, (weights[0], short, weights[2]), ids)
-    # the tolerance grows with the row width: the running sum of 10^5
-    # weights 1e-5 misses 1 by about 2e-12, and the row is accepted
-    w = extract_hierarchy(np.linspace(0.0, 1.0, 100_000), 1, 100_000).weights[0]
-    assert abs(np.cumsum(w)[-1] - 1.0) > 1e-12
+    atoms, mult, ids = _hierarchy_parts()
+    short = mult[1].copy()
+    short[0, 0] += 1  # 4 of the 3 siblings
+    with pytest.raises(ValueError, match="level 1: a row's multiplicities are negative or miss m=3"):
+        DirectingHierarchy(3, 3, atoms, (mult[0], short, mult[2]), ids)
+    # the check is on the integers, so it needs no tolerance: the running
+    # sum of 10^5 weights 1e-5 misses 1 by about 2e-12, and the row of 10^5
+    # multiplicities 1 is accepted
+    h = extract_hierarchy(np.linspace(0.0, 1.0, 100_000), 1, 100_000)
+    assert (h.mult[0] == 1).all()
+    assert abs(np.cumsum(h.weights[0])[-1] - 1.0) > 1e-12
 
 
 def test_signed_zero_does_not_depend_on_sibling_order():
@@ -836,7 +856,7 @@ def test_level_tables_whose_first_atoms_tie_take_the_lexsort_order(monkeypatch, 
         assert len(np.unique(first)) < len(first)
     monkeypatch.setattr(hexch.definetti, "_lex_order", lambda keys: np.lexsort(keys[::-1]))
     want = extract_hierarchy(x, r, m)
-    for got_arrays, want_arrays in ((h.atoms, want.atoms), (h.weights, want.weights), (h.ids, want.ids)):
+    for got_arrays, want_arrays in ((h.atoms, want.atoms), (h.mult, want.mult), (h.ids, want.ids)):
         assert [a.tobytes() for a in got_arrays] == [a.tobytes() for a in want_arrays]
 
 
@@ -849,18 +869,27 @@ def _cdfs(mu, x):
     return tuple(cum[np.searchsorted(mu.locations, x, side=s)] for s in ("left", "right"))
 
 
+def _parent_cdfs(h, blocks):
+    """``(cdf_left, cdf)`` of the depth r-1 measures of ``h`` at the rows
+    of ``blocks``, row i against vertex i, joined from ``h._cdf_blocks``."""
+    lo, hi = np.empty(blocks.shape), np.empty(blocks.shape)
+    for rows, left, right in h._cdf_blocks(blocks):
+        lo[rows], hi[rows] = left, right
+    return lo, hi
+
+
 def test_parent_cdfs_match_the_measures():
     x = np.round(sample_array(make_model("path-mean", 3), 3, 4, seed=8), 1)
     h = extract_hierarchy(x, 3, 4)
     blocks = np.round(np.random.default_rng(2).random((16, 6)), 1)
     blocks[0, :4] = [0.0, 1.0, np.inf, np.nan]
-    lo, hi = h.parent_cdfs(blocks)
+    lo, hi = _parent_cdfs(h, blocks)
     want = [_cdfs(mu, b) for mu, b in zip(h.measures[-16:], blocks)]
     assert np.array_equal(lo, [left for left, _ in want])
     assert np.array_equal(hi, [right for _, right in want])
     # atoms 0.1 (weight 1/2), 0.3 and 0.9 (1/4 each)
     h = extract_hierarchy([0.3, 0.1, 0.1, 0.9], 1, 4)
-    lo, hi = h.parent_cdfs(np.array([[0.0, 0.1, 0.3, 0.5, 0.9, 1.0]]))
+    lo, hi = _parent_cdfs(h, np.array([[0.0, 0.1, 0.3, 0.5, 0.9, 1.0]]))
     assert lo.tolist() == [[0.0, 0.0, 0.5, 0.75, 0.75, 1.0]]
     assert hi.tolist() == [[0.0, 0.5, 0.75, 0.75, 1.0, 1.0]]
 
@@ -875,7 +904,7 @@ def test_parent_cdfs_in_blocks_and_subsets_have_the_bits_of_the_whole_call(monke
     blocks = np.where(rng.random((m, 11)) < 0.5, rng.random((m, 11)),
                       x.reshape(m, m)[:, np.arange(11) % m])
     blocks[0, :4] = [-0.0, 1.0, np.inf, np.nan]
-    whole = h.parent_cdfs(blocks)
+    whole = _parent_cdfs(h, blocks)
     want = [_cdfs(mu, b) for mu, b in zip(h.measures[1:], blocks)]
     assert np.array_equal(whole[0], [left for left, _ in want])
     assert np.array_equal(whole[1], [right for _, right in want])
@@ -883,18 +912,14 @@ def test_parent_cdfs_in_blocks_and_subsets_have_the_bits_of_the_whole_call(monke
     for rows_per_block in (1, 3, m - 1):
         # the bytes of rows_per_block rows in a block of _cdf_blocks
         monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 8 * (6 * 11 + 2 * w))
-        steps = [len(left) for _, left, _ in h._cdf_blocks(blocks, slice(None))]
+        steps = [len(left) for _, left, _ in h._cdf_blocks(blocks)]
         assert steps[0] == rows_per_block and sum(steps) == m
-        for got, want in zip(h.parent_cdfs(blocks), whole):
+        for got, want in zip(_parent_cdfs(h, blocks), whole):
             assert got.tobytes() == want.tobytes()
-        picked = np.array([m - 1, 0, 5, 5])
-        for got, want in zip(h.parent_cdfs(blocks[picked], picked), whole):
-            assert got.tobytes() == want[picked].tobytes()
-        for got, want in zip(h.parent_cdfs(blocks[:4], slice(0, 4)), whole):
+        # the first rows alone, as the PIT test's n_rows takes them
+        for got, want in zip(_parent_cdfs(h, blocks[:4]), whole):
             assert got.tobytes() == want[:4].tobytes()
         monkeypatch.undo()
-    with pytest.raises(ValueError, match="4 rows of values for 3 parents"):
-        h.parent_cdfs(blocks[:4], slice(0, 3))
 
 
 # -- distances ------------------------------------------------------------------
@@ -965,11 +990,12 @@ def test_nested_distance_refuses_hand_built_measures():
         nested_distance(h, [0.1])
 
 
-def _by_hand(level_0, weights_0, root_weights):
-    """A hand-built r=2 m=2 hierarchy: depth-1 vertex i carries row i of the
-    two-row level-0 table (padded with atom -1 of weight 0), and the root
-    weighs the two rows ``root_weights``."""
-    return DirectingHierarchy(2, 2, (level_0, [[0, 1]]), (weights_0, [root_weights]), ([0], [0, 1]))
+def _by_hand(level_0, mult_0, root_mult):
+    """A hand-built r=2 hierarchy at m = ``sum(root_mult)``: ``root_mult[i]``
+    of its depth-1 vertices carry row i of the two-row level-0 table
+    (padded with atom -1 of multiplicity 0)."""
+    ids = ([0], np.repeat([0, 1], root_mult))
+    return DirectingHierarchy(2, sum(root_mult), (level_0, [[0, 1]]), (mult_0, [root_mult]), ids)
 
 
 def test_nested_distance_level1_point_masses():
@@ -980,11 +1006,12 @@ def test_nested_distance_level1_point_masses():
 
 def test_nested_distance_matches_coupling_enumeration():
     # level-1 measures with two atoms each: enumerate all feasible 2x2
-    # transport plans (one free parameter) and take the best.  Weights 0.3
-    # and 0.7 are no multiples of 1/m: the denominator 10 takes the search
-    mu = _by_hand([[0.0, 0.2], [0.5, -1.0]], [[0.5, 0.5], [1.0, 0.0]], [0.3, 0.7])
-    nu = _by_hand([[0.1, -1.0], [0.6, 1.0]], [[1.0, 0.0], [0.5, 0.5]], [0.6, 0.4])
-    (a1, a2), (b1, b2) = mu.measures[1:], nu.measures[1:]
+    # transport plans (one free parameter) and take the best.  Weights 3/10
+    # and 7/10 against 6/10 and 4/10 at m=10
+    mu = _by_hand([[0.0, 0.2], [0.5, -1.0]], [[5, 5], [10, 0]], [3, 7])
+    nu = _by_hand([[0.1, -1.0], [0.6, 1.0]], [[10, 0], [5, 5]], [6, 4])
+    (a1, _), (a2, _) = mu.root_measure.atoms
+    (b1, _), (b2, _) = nu.root_measure.atoms
     c = np.array(
         [[wasserstein1(a, b) for b in (b1, b2)] for a in (a1, a2)]
     )
@@ -1094,15 +1121,6 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("a refused distance solved a level")
 
 
-def _irrational_pair():
-    """Level-1 measures whose weights, at both levels, have no common
-    denominator."""
-    s = 1 / math.sqrt(2)
-    mu = _by_hand([[0.0, 0.3], [0.5, -1.0]], [[s, 1 - s], [1.0, 0.0]], [s, 1 - s])
-    nu = _by_hand([[0.1, -1.0], [0.6, 1.0]], [[1.0, 0.0], [1 - s, s]], [1 - s, s])
-    return mu, nu
-
-
 def _sides_32_and_33():
     """The roots of r=2 hierarchies extracted at m=32 and m=33, whose
     reduced common denominator is lcm(32, 33) = 1056 > 1024."""
@@ -1113,8 +1131,7 @@ def _sides_32_and_33():
     )
 
 
-@pytest.mark.parametrize("make_pair", [_irrational_pair, _sides_32_and_33],
-                         ids=["irrational", "extracted-32-33"])
+@pytest.mark.parametrize("make_pair", [_sides_32_and_33], ids=["extracted-32-33"])
 def test_nested_distance_off_the_grid_above_level_0_raises(monkeypatch, make_pair):
     # a level k >= 1 is solved only as n x n assignments with n <= 1024; the
     # error names level 1 before any level is solved
@@ -1135,17 +1152,6 @@ def _no_common_denominator(*args, **kwargs):
     raise AssertionError("a fallback distance took the common-denominator path")
 
 
-def _thirds(m):
-    """A hand-built hierarchy at r=2 whose weights 1/3 and 2/3 are no
-    multiples of 1/m for m=4."""
-    third = [1 / 3, 2 / 3]
-    return DirectingHierarchy(
-        2, m, (np.array([[0.1, 0.5], [0.2, -1.0]]), np.array([[0, 1]])),
-        (np.array([third, [1.0, 0.0]]), np.array([third])),
-        (np.zeros(1, dtype=int), np.arange(m) % 2),
-    )
-
-
 def _hierarchies(r, m, m2, ties):
     """Two hierarchies at ``{1..m}^r`` and ``{1..m2}^r``.  ``ties`` is None
     (the second is the re-extraction of a resynthesis of the first), a
@@ -1153,7 +1159,8 @@ def _hierarchies(r, m, m2, ties):
     atoms at every level), or one of: "constant" (two constant arrays, so
     every weight is 1), "pairs" (values repeated in pairs, so every
     level-0 count is even), "blocks" (constant sibling rows, each of 10
-    values on a tenth of the rows) and "thirds" (a hand-built first)."""
+    values on a tenth of the rows) and "paired" (at r=2, the first's
+    depth-1 vertices come in identical pairs)."""
     if ties == "constant":
         return extract_hierarchy(np.full(m**r, 0.37), r, m), extract_hierarchy(
             np.full(m2**r, 0.5), r, m2)
@@ -1165,8 +1172,11 @@ def _hierarchies(r, m, m2, ties):
         return tuple(extract_hierarchy(np.repeat(rng.permutation(
             np.repeat(rng.random(10), k // 10)), k), r, k) for k in (m, m2))
     x = sample_array(make_model("product", r), r, m, seed=derive_seed(13, "x", r * m))
-    if ties == "thirds":
-        return _thirds(m), extract_hierarchy(x, r, m)
+    if ties == "paired":
+        rows = x.reshape(m, m)
+        rows[1::2] = rows[::2]
+        y = sample_array(make_model("product", r), r, m2, seed=derive_seed(13, "x", r * m2))
+        return extract_hierarchy(rows, r, m), extract_hierarchy(y, r, m2)
     if ties is not None:
         x = np.round(x, ties)
     ha = extract_hierarchy(x, r, m)
@@ -1185,8 +1195,8 @@ def _level_0_off_the_grid(monkeypatch):
         level_0.append(out[0][0][1])
         return out
 
-    def counts(wa, wb, ma, mb):
-        return None if any(wa is w for w in level_0) else real_counts(wa, wb, ma, mb)
+    def counts(ca, cb, ma, mb):
+        return None if any(ca is c for c in level_0) else real_counts(ca, cb, ma, mb)
 
     monkeypatch.setattr(hexch.definetti, "_measure_tables", tables)
     monkeypatch.setattr(hexch.definetti, "_level_counts", counts)
@@ -1196,8 +1206,8 @@ def _level_0_off_the_grid(monkeypatch):
 @pytest.mark.parametrize("r, m, m2, ties", [
     (1, 5, 5, None), (2, 4, 6, None), (3, 4, 6, None), (3, 4, 4, 1), (2, 6, 4, 1),
     # level denominators n = 1, n = m/2 at level 0, n = 10 from m = 1030
-    # above 1024, and weights 1/3 at m=4, which take the search
-    (2, 4, 6, "constant"), (3, 4, 4, "pairs"), (2, 1030, 1030, "blocks"), (2, 4, 4, "thirds"),
+    # above 1024, and n = 528 at level 1 over n = 1056 at level 0
+    (2, 4, 6, "constant"), (3, 4, 4, "pairs"), (2, 1030, 1030, "blocks"), (2, 32, 33, "paired"),
 ])
 def test_nested_distance_from_level_arrays_matches_objects(
     monkeypatch, fallback, r, m, m2, ties
@@ -1211,6 +1221,11 @@ def test_nested_distance_from_level_arrays_matches_objects(
         # non-root measures: the first and the last depth-1 vertex
         pairs += [(ha.measures[1], hb.measures[1]), (ha.measures[m], hb.measures[m2])]
     on_the_grid = [nested_distance(mu, nu) for mu, nu in pairs]
+    if ties == "paired":
+        # extracted input whose level 0 has no n <= 1024, so it takes W1 per
+        # pair of rows, unpatched, under assignments at n = 528
+        common = [_level_counts(ca, cb, m, m2) for (_, ca), (_, cb) in _level_tables(ha, hb)]
+        assert common[0] is None and common[1][0] == 528
     if not fallback:
         # the recursion's dense LPs, for the pairs of level 1 or less
         for (mu, nu), got in zip(pairs, on_the_grid):
@@ -1234,46 +1249,20 @@ def _level_tables(ha, hb):
 
 @pytest.mark.parametrize("r, m, m2, ties", [
     (2, 4, 6, None), (3, 4, 4, 1), (3, 8, 8, None), (2, 6, 4, 1), (2, 4, 6, "constant"),
-    (3, 4, 4, "pairs"), (2, 1030, 1030, "blocks"),
+    (3, 4, 4, "pairs"), (2, 1030, 1030, "blocks"), (2, 32, 33, "paired"),
 ])
-def test_extracted_hierarchies_take_their_denominators_from_m(monkeypatch, r, m, m2, ties):
-    # lcm(m, m2) reduced by the gcd of the counts is the smallest common
-    # denominator the search finds, with the same counts; extracted
-    # hierarchies never run the search
+def test_extracted_hierarchies_take_their_denominators_from_m(r, m, m2, ties):
+    # lcm(m, m2) reduced by the gcd of the multiplicities is the smallest
+    # common denominator that a search over the derived float weights
+    # finds, with the same counts, and neither finds one past 1024
     ha, hb = _hierarchies(r, m, m2, ties)
-    for (_, wa), (_, wb) in _level_tables(ha, hb):
-        n, ca, cb = _level_counts(wa, wb, m, m2)
-        want = _common_counts(wa, wb)
+    for ca, cb, wa, wb in zip(ha.mult, hb.mult, ha.weights, hb.weights):
+        got, want = _level_counts(ca, cb, m, m2), _common_counts(wa, wb)
+        if want is None:
+            assert got is None
+            continue
+        n, ca, cb = got
         assert n == want[0] and ca.tolist() == want[1].tolist() and cb.tolist() == want[2].tolist()
-    got = [nested_distance(ha, hb), nested_distance(ha.root_measure, hb.root_measure)]
-    if r > 1:
-        got.append(nested_distance(ha.measures[1], hb.measures[m2]))
-    monkeypatch.setattr(hexch.definetti, "_common_counts", _no_common_denominator)
-    again = [nested_distance(ha, hb), nested_distance(ha.root_measure, hb.root_measure)]
-    if r > 1:
-        again.append(nested_distance(ha.measures[1], hb.measures[m2]))
-    assert again == got
-
-
-def test_level_counts_off_the_grid_and_past_the_bound(monkeypatch):
-    # 1/3 and 2/3 are no multiples of 1/4: the search finds n = 12 with the
-    # quarters of the other side, on both levels
-    ha, hb = _hierarchies(2, 4, 4, "thirds")
-    real = hexch.definetti._common_counts
-    searched = []
-    monkeypatch.setattr(hexch.definetti, "_common_counts",
-                        lambda wa, wb: searched.append(1) or real(wa, wb))
-    for (_, wa), (_, wb) in _level_tables(ha, hb):
-        n, ca, cb = _level_counts(wa, wb, 4, 4)
-        assert n == 12 and (ca * 4 == np.rint(wa * 48)).all() and (cb * 4 == wb * 48).all()
-    assert len(searched) == 2
-    # a reduced denominator past _MAX_DENOMINATOR: no counts, with or
-    # without the search
-    wa, wb = np.array([[1 / 1030, 1029 / 1030]]), np.array([[1.0, 0.0]])
-    assert _level_counts(wa, wb, 1030, 1030) is None and real(wa, wb) is None
-    # a positive weight within 1e-9 of count 0 has no count either
-    wa = np.array([[1e-10, 1 - 1e-10]])
-    assert _level_counts(wa, wb, 4, 4) is None and real(wa, wb) is None
 
 
 # Recorded with float.hex before the denominators were read off m: the 24
@@ -1352,8 +1341,8 @@ def test_level_array_tables_keep_the_reachable_rows():
             assert len(tables[k][0]) == len(reachable)
             if k:
                 reachable = list({id(a): a for x in reachable for a, _ in x.atoms}.values())
-        a, w = tables[0]
-        rows = sorted(tuple(zip(x[v > 0].tolist(), v[v > 0].tolist())) for x, v in zip(a, w))
+        a, c = tables[0]
+        rows = sorted(tuple(zip(x[v > 0].tolist(), (v[v > 0] / m).tolist())) for x, v in zip(a, c))
         assert rows == sorted(x.atoms for x in reachable)
 
 
