@@ -10,6 +10,9 @@ uniforms, hashed one whole depth at a time as every sampler's are
 
 A :class:`DirectingHierarchy` stores each nesting level as arrays: a table
 of its distinct measures in canonical order, and one table id per vertex.
+It is a function of the array, and :func:`extract_hierarchy` is the only
+way to make one, so its tables are canonical and consistent by
+construction and are not checked again; the checks are on the array.
 Extraction and resynthesis work on whole levels of those arrays, and so
 does the JSON writer: ``hierarchy.json`` is streamed as ``bytes`` from the
 level tables, each distinct measure formatted once by the CSV writer's row
@@ -48,7 +51,7 @@ import numpy as np
 
 from ._text import _rows
 from .fields import _hash_level, _init_state
-from .tree import TreeVertex, _check_size, _is_size, internal_vertices
+from .tree import TreeVertex, _is_size, internal_vertices
 
 __all__ = [
     "EmpiricalMeasure",
@@ -162,7 +165,7 @@ def empirical_measure(values) -> EmpiricalMeasure:
 # -- directing hierarchies ----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DirectingHierarchy:
     """Estimated directing measures of a depth-``r`` truncation, as arrays.
 
@@ -172,25 +175,25 @@ class DirectingHierarchy:
     canonical :meth:`EmpiricalMeasure.sort_key` order, one row each:
 
     - ``atoms[k]`` ``(n_k, w_k)``: the row's atoms, padded with -1.  Level-0
-      atoms are locations, ascending.  Level k >= 1 atoms are row ids into
-      the level k-1 table, ascending, which is their canonical order too.
+      atoms are locations, strictly ascending.  Level k >= 1 atoms are row
+      ids into the level k-1 table, strictly ascending, which is their
+      canonical order too.
     - ``mult[k]`` ``(n_k, w_k)``: integers, how many of the m siblings carry
       each atom, 0 past the atom count; each row sums to m.
     - ``ids[d]`` ``(m^d,)``: the table row of each depth-d vertex, vertices in
       lexicographic order.
 
-    The constructor derives ``weights[k]``, ``counts[k]`` (each row's atom
+    Derived next to them: ``weights[k]``, ``counts[k]`` (each row's atom
     count) and ``cum[k]`` (cumulative weights, exactly 1.0 at the last atom
-    and inf past it).  It alone knows the weight rule: an atom met c times
-    weighs ``c/m`` at level 0, and 1/m added c times at level k >= 1, as
-    each of the c siblings adds its share in turn (``3 x 0.1 != 0.3``).
-    It checks the layout: one table per level, one id row of ``m^d`` ids
-    per depth, every id inside its table.  It also checks what
-    :class:`EmpiricalMeasure` would: each row's multiplicities are
-    positive on a prefix of its atoms and sum to m, each row's atoms
-    ascend, and level-0 atoms lie in [0,1].  All arrays are read-only.
-    :attr:`measures` builds the :class:`EmpiricalMeasure` objects on first
-    use.
+    and inf past it).  An atom met c times weighs ``c/m`` at level 0, and
+    1/m added c times at level k >= 1, as each of the c siblings adds its
+    share in turn (``3 x 0.1 != 0.3``).  All arrays are read-only.
+
+    :func:`extract_hierarchy` is the only way to make one, and calling the
+    class raises ``TypeError``: the hierarchy is a function of the array,
+    so its tables are canonical and agree with one another by construction,
+    and nothing else feeds them.  :attr:`measures` builds the
+    :class:`EmpiricalMeasure` objects on first use.
     """
 
     r: int
@@ -198,72 +201,12 @@ class DirectingHierarchy:
     atoms: tuple[np.ndarray, ...]
     mult: tuple[np.ndarray, ...]
     ids: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    counts: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    cum: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    weights: tuple[np.ndarray, ...] = field(repr=False)
+    counts: tuple[np.ndarray, ...] = field(repr=False)
+    cum: tuple[np.ndarray, ...] = field(repr=False)
 
-    def __post_init__(self):
-        r, m = self.r, self.m
-        _check_size("r", r)
-        _check_size("m", m)
-        if not len(self.atoms) == len(self.mult) == r:
-            raise ValueError(
-                f"{len(self.atoms)} atom and {len(self.mult)} multiplicity tables "
-                f"for the {r} levels of a depth-{r} hierarchy"
-            )
-        if len(self.ids) != r:
-            raise ValueError(
-                f"{len(self.ids)} id rows for the {r} internal depths of the "
-                f"{{1..{m}}}^{r} truncation"
-            )
-        # c siblings weigh 1/m added c times above level 0 (3 x 0.1 != 0.3)
-        sums = np.concatenate([[0.0], np.cumsum(np.full(m, 1.0 / m))]) if r > 1 else None
-        levels = []
-        for k in range(r):
-            a = _read_only(np.asarray(self.atoms[k], dtype=np.intp if k else np.float64))
-            c = np.asarray(self.mult[k])
-            if a.ndim != 2 or a.shape != c.shape or not a.size:
-                raise ValueError(
-                    f"level {k}: atoms {a.shape} and multiplicities {c.shape} differ or are empty"
-                )
-            if c.dtype.kind not in "iu":
-                raise ValueError(f"level {k}: multiplicities must be integers, not {c.dtype}")
-            c = _read_only(c.astype(np.intp, copy=False))
-            present = c > 0
-            last = _prefix_ends(present)
-            if last is None:
-                raise ValueError(
-                    f"level {k}: each row needs positive multiplicities on a prefix of its atoms"
-                )
-            # ascending rows lie in a range when their first and last atoms do
-            lo, hi = a[:, 0].min(), a.reshape(-1)[last].max()
-            rises = _rises(a, present)
-            if k:
-                # ids out of range are reported before atoms out of order
-                if not (rises and lo >= 0 and hi < len(levels[-1][0])):
-                    _check_ids(a[present], len(levels[-1][0]), f"level {k} atom")
-            elif not (lo >= 0.0 and hi <= 1.0):
-                raise ValueError(f"level-0 location {float(hi if lo >= 0.0 else lo)} outside [0,1]")
-            if not rises:
-                raise ValueError(f"level-{k} atoms must ascend along each row")
-            if c.min() < 0 or (c.sum(axis=1) != m).any():
-                raise ValueError(f"level {k}: a row's multiplicities are negative or miss m={m}")
-            w = sums[c] if k else c / m
-            s = np.cumsum(w, axis=1)
-            s.reshape(-1)[last] = 1.0
-            s[~present] = np.inf
-            n = last - np.arange(-1, c.size - 1, c.shape[1])  # 1 + last - row start
-            levels.append((a, c, _read_only(w), _read_only(n), _read_only(s)))
-        ids = []
-        for d in range(r):
-            v = _read_only(np.asarray(self.ids[d], dtype=np.intp))
-            if v.shape != (m**d,):
-                raise ValueError(f"depth {d} has {v.size} ids for its {m**d} vertices")
-            _check_ids(v, len(levels[r - 1 - d][0]), f"depth {d}")
-            ids.append(v)
-        for name, value in zip(("atoms", "mult", "weights", "counts", "cum"), zip(*levels)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "ids", tuple(ids))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a DirectingHierarchy is made by extract_hierarchy, from an array")
 
     @cached_property
     def measures(self) -> tuple[EmpiricalMeasure, ...]:
@@ -312,9 +255,9 @@ class DirectingHierarchy:
         ``(P, q)`` matrix ``blocks``, row i against the measure of depth r-1
         vertex i, each block's temporaries at most about ``_BLOCK_BYTES``.
         A value's right count is its left count, plus one where the atom at
-        the left count equals it: each row's atoms strictly ascend
-        (``_rises``), so at most one atom equals it.  Counts past a row's
-        atoms (an inf or NaN query) are clamped to the atom count."""
+        the left count equals it: each row's atoms strictly ascend, so at
+        most one atom equals it.  Counts past a row's atoms (an inf or NaN
+        query) are clamped to the atom count."""
         ids = self.ids[-1][: len(blocks)]
         q, w = blocks.shape[1], self.atoms[0].shape[1]
         # about six (rows, q) arrays of 8 bytes, and the rows' atoms and CDFs
@@ -333,38 +276,6 @@ class DirectingHierarchy:
             left = np.take_along_axis(padded, idx, axis=1)
             idx += hit
             yield rows, left, np.take_along_axis(padded, idx, axis=1)
-
-
-def _check_ids(ids: np.ndarray, n: int, what: str) -> None:
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ValueError(f"{what} ids must index the {n} rows of their table")
-
-
-def _prefix_ends(present: np.ndarray) -> np.ndarray | None:
-    """The flat index of each row's last True in the 2-D bools ``present``,
-    or None unless each row's Trues are a nonempty prefix of it.  A row's
-    Trues end where a True is followed by a False or by the row's end; they
-    are a nonempty prefix when the row starts with a True and they end once.
-    """
-    width = present.shape[1]
-    flat = present.reshape(-1)
-    ends = np.empty_like(flat)
-    np.greater(flat[:-1], flat[1:], out=ends[:-1])
-    ends[width - 1 :: width] = flat[width - 1 :: width]
-    last = np.flatnonzero(ends)
-    return last if last.size == len(present) and present[:, 0].all() else None
-
-
-def _rises(a: np.ndarray, present: np.ndarray) -> bool:
-    """Whether the atoms ``a`` are in canonical order, as
-    :class:`EmpiricalMeasure` takes them: strictly ascending along each row
-    where ``present`` (a NaN is not), locations at level 0 and row ids above
-    it.  The rows are compared as one flat run, cheaper than a strided 2-D
-    comparison."""
-    flat = a.reshape(-1)
-    rises = flat[1:] > flat[:-1]
-    rises[a.shape[1] - 1 :: a.shape[1]] = True  # where a row starts
-    return not (present.reshape(-1)[1:] > rises).any()
 
 
 # Scratch bound for the row searches, the parent CDFs, the level-0
@@ -432,9 +343,10 @@ def _level_table(rows: np.ndarray):
     (-1, 0), first column first (:func:`_lex_order`).  That is ``sort_key``
     order: it compares (atom, weight) pairs in turn and puts a shorter
     prefix first, so ``[a,b,b]`` sorts before ``[a,a,b]``.  Returns the
-    table's padded atoms and multiplicities and each row's table id.  The
-    padded tables are filled by one flat scatter each, and the sorted rows
-    are compared whole only when two of their first atoms tie.
+    table's padded atoms and multiplicities, each table row's atom count,
+    and each input row's table id.  The padded tables are filled by one
+    flat scatter each, and the sorted rows are compared whole only when two
+    of their first atoms tie.
     """
     n_rows, m = rows.shape
     flat = rows.reshape(-1)
@@ -444,6 +356,7 @@ def _level_table(rows: np.ndarray):
     first[::m] = True
     if first.all():  # no ties: every value is an atom of multiplicity 1
         values, mult, width = rows, np.ones(rows.shape, dtype=np.intp), m
+        n_atoms = np.full(n_rows, m, dtype=np.intp)
     else:
         starts = np.flatnonzero(first)
         # every row starts with an atom, so the atoms before row i are the
@@ -459,9 +372,9 @@ def _level_table(rows: np.ndarray):
         mult = np.zeros((n_rows, width), dtype=np.intp)
         mult.reshape(-1)[slots] = np.append(starts[1:], flat.size) - starts
     if n_rows == 1:
-        return values, mult, np.zeros(1, dtype=np.intp)
+        return values, mult, n_atoms, np.zeros(1, dtype=np.intp)
     order = _lex_order([key for j in range(width) for key in (values[:, j], mult[:, j])])
-    values, mult = values[order], mult[order]
+    values, mult, n_atoms = values[order], mult[order], n_atoms[order]
     # a row is new unless it equals the one before; rows are compared whole
     # only when two first atoms tie
     new = np.empty(n_rows, dtype=bool)
@@ -471,7 +384,7 @@ def _level_table(rows: np.ndarray):
         new[1:] = (values[1:] != values[:-1]).any(axis=1) | (mult[1:] != mult[:-1]).any(axis=1)
     ids = np.empty(n_rows, dtype=np.intp)
     ids[order] = np.cumsum(new) - 1
-    return values[new], mult[new], ids
+    return values[new], mult[new], n_atoms[new], ids
 
 
 def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
@@ -498,15 +411,44 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
     if outside.any():
         raise ValueError(f"level-0 location {float(arr[outside][0])} outside [0,1]")
     rows = np.sort(arr.reshape(m ** (r - 1), m), axis=1)
-    atoms, mult, ids = [], [], []
+    levels = []
     for k in range(r):
-        values, counts, row_ids = _level_table(rows)
-        atoms.append(values)
-        mult.append(counts)
-        ids.append(row_ids)
+        levels.append(_level_table(rows))
         if k < r - 1:
-            rows = np.sort(row_ids.reshape(-1, m), axis=1)
-    return DirectingHierarchy(r, m, tuple(atoms), tuple(mult), tuple(reversed(ids)))
+            rows = np.sort(levels[-1][-1].reshape(-1, m), axis=1)
+    return _hierarchy(m, levels)
+
+
+def _hierarchy(m: int, levels: list) -> DirectingHierarchy:
+    """The hierarchy whose level k is ``levels[k]``, the ``(atoms, mult,
+    counts, ids)`` of :func:`_level_table`: the one builder of a
+    :class:`DirectingHierarchy`.  It derives the weights by the weight rule
+    and the cumulative weights, and makes every array read-only; it checks
+    nothing, since extraction's tables are canonical and consistent."""
+    r = len(levels)
+    # c siblings weigh 1/m added c times above level 0 (3 x 0.1 != 0.3)
+    sums = np.concatenate([[0.0], np.cumsum(np.full(m, 1.0 / m))]) if r > 1 else None
+    tables = []
+    for k, (a, c, n, _) in enumerate(levels):
+        w = sums[c] if k else c / m
+        s = np.cumsum(w, axis=1)
+        s[np.arange(len(n)), n - 1] = 1.0
+        s[c == 0] = np.inf
+        tables.append([_read_only(x) for x in (a, c, w, n, s)])
+    values = dict(zip(("atoms", "mult", "weights", "counts", "cum"), map(tuple, zip(*tables))))
+    values.update(r=r, m=m, ids=tuple(_read_only(ids) for *_, ids in reversed(levels)))
+    h = object.__new__(DirectingHierarchy)
+    for name, value in values.items():
+        object.__setattr__(h, name, value)
+    return h
+
+
+def _require_hierarchy(caller: str, h) -> None:
+    """Refuse, naming its type, an argument that is not a hierarchy."""
+    if not isinstance(h, DirectingHierarchy):
+        raise ValueError(
+            f"{caller} needs a DirectingHierarchy from extract_hierarchy, not a {type(h).__name__}"
+        )
 
 
 def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarray:
@@ -520,6 +462,7 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     deterministic in ``seed``; each depth's atom picks are one row-batched
     left search of the uniforms in the parents' cumulative weights.
     """
+    _require_hierarchy("resynthesize", h)
     if h.r != r:
         raise ValueError(f"hierarchy depth {h.r} does not match requested r={r}")
     if not _is_size(m2):

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._ks import ks_uniform
-from .definetti import DirectingHierarchy, _lex_order
+from .definetti import DirectingHierarchy, _lex_order, _require_hierarchy
 from .fields import _seed_int, derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
@@ -303,6 +303,7 @@ def conditional_iid_test(
     against a shuffle null.  The reported p-value is the Bonferroni
     combination of the two components.
     """
+    _require_hierarchy("conditional_iid_test", hierarchy)
     _check_level(level)
     _check_size("n_resamples", n_resamples)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
@@ -532,6 +533,7 @@ def cond_indep_test(
     the first ``R m`` uniforms, as they do in the whole PIT matrix.  The
     others never enter the statistic.
     """
+    _require_hierarchy("cond_indep_test", hierarchy)
     _check_level(level)
     if hierarchy.r < 2:
         raise ValueError("cross-parent check needs tree depth r >= 2")

@@ -2,8 +2,9 @@
 
 Each states, one object at a time, a rule that hexch applies to whole
 arrays: the weight of a measure over measures, the ``hierarchy.json``
-object of a measure, the energy statistic, the CSV key order, and the
-smallest common denominator of two weight tables.
+object of a measure, the energy statistic, the CSV key order, the
+smallest common denominator of two weight tables, and what makes a
+directing hierarchy the one of its array.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hexch.definetti import _MAX_DENOMINATOR, EmpiricalMeasure
+from hexch.definetti import _MAX_DENOMINATOR, DirectingHierarchy, EmpiricalMeasure
 from hexch.tree import _check_size
 
 
@@ -99,3 +100,80 @@ def _common_counts(
     if np.abs(w * n - np.rint(w * n)).max() > 1e-9 or np.rint(w * n).min() < 1:
         return None
     return n, np.rint(wa * n).astype(np.intp), np.rint(wb * n).astype(np.intp)
+
+
+def _repeated_sum(c: int, m: int) -> float:
+    """1/m added c times, as c siblings add their shares in turn."""
+    w = 0.0
+    for _ in range(c):
+        w += 1.0 / m
+    return w
+
+
+def check_hierarchy(h: DirectingHierarchy, array) -> None:
+    """Assert that ``h`` is the directing hierarchy of ``array``, vertex by
+    vertex and row by row.
+
+    The layout: r and m are sizes; each level has one table of 2-D atoms
+    and integer multiplicities of one shape, and each depth d one id row of
+    m^d ids into its level's table, every row carried by some vertex; every
+    array is read-only.  Each table row: its multiplicities are positive on
+    its first ``counts`` atoms, 0 past them, and sum to m; its atoms
+    strictly ascend, are padded with -1, and are locations in [0,1] at
+    level 0 or row ids into the level below above it.  Its weights follow
+    the weight rule (``c/m`` at level 0, 1/m added c times above), and its
+    cumulative weights are their running sum, 1.0 at the last atom and inf
+    past it.  The consistency: each depth r-1 vertex's row is the empirical
+    measure of its m leaf values (-0.0 read as 0.0), and each shallower
+    vertex's row is the sorted table ids of its m children, merged into
+    (id, multiplicity) runs.  The order: each level's rows are distinct and
+    ascend in :meth:`EmpiricalMeasure.sort_key` order.
+    """
+    r, m = h.r, h.m
+    for size in (r, m):
+        assert isinstance(size, int) and not isinstance(size, bool) and size >= 1
+    x = np.asarray(array, dtype=np.float64).reshape(-1) + 0.0
+    assert x.size == m**r
+    for name in ("atoms", "mult", "weights", "counts", "cum", "ids"):
+        arrays = getattr(h, name)
+        assert isinstance(arrays, tuple) and len(arrays) == r, name
+        assert not any(a.flags.writeable for a in arrays), name
+    keys: list = []  # the sort keys of the rows one level down
+    for k in range(r):
+        a, c, w, n, cum = (getattr(h, name)[k] for name in ("atoms", "mult", "weights", "counts", "cum"))
+        assert a.dtype == (np.intp if k else np.float64) and c.dtype == np.intp
+        assert a.ndim == 2 and a.size and a.shape == c.shape == w.shape == cum.shape
+        assert n.shape == (len(a),)
+        rows = []
+        for j in range(len(a)):
+            count = int(n[j])
+            atoms, mult = a[j, :count].tolist(), c[j, :count].tolist()
+            assert count >= 1 and min(mult) > 0 and sum(mult) == m
+            assert (c[j, count:] == 0).all() and (a[j, count:] == -1).all()
+            assert all(lo < hi for lo, hi in zip(atoms, atoms[1:]))
+            if k:
+                assert all(0 <= i < len(keys) for i in atoms)
+                atoms = [keys[i] for i in atoms]
+            else:
+                assert all(0.0 <= v <= 1.0 for v in atoms)
+            weights = [cnt / m if k == 0 else _repeated_sum(cnt, m) for cnt in mult]
+            assert w[j, :count].tolist() == weights and (w[j, count:] == 0).all()
+            running = list(itertools.accumulate(weights))
+            running[-1] = 1.0
+            assert cum[j, :count].tolist() == running and np.isinf(cum[j, count:]).all()
+            rows.append((k, tuple(zip(atoms, weights))))
+        assert all(lo < hi for lo, hi in zip(rows, rows[1:])), f"level {k} rows"
+        keys = rows
+    children = x.reshape(m ** (r - 1), m)
+    for d in range(r - 1, -1, -1):
+        k, ids = r - 1 - d, h.ids[d]
+        assert ids.dtype == np.intp and ids.shape == (m**d,)
+        assert set(ids.tolist()) == set(range(len(h.atoms[k]))), f"depth {d} ids"
+        for i, j in enumerate(ids.tolist()):
+            atoms, mult = np.unique(children[i], return_counts=True)
+            count = h.counts[k][j]
+            # bytes, so that a -0.0 atom differs from 0.0
+            assert h.atoms[k][j, :count].tobytes() == atoms.astype(h.atoms[k].dtype).tobytes()
+            assert h.mult[k][j, :count].tolist() == mult.tolist(), f"depth {d} vertex {i}"
+        if d:
+            children = ids.reshape(-1, m)

@@ -456,23 +456,23 @@ def test_array_to_csv_accepts_numpy_integers():
 
 # sha256 of the emitted files, recorded while the keys still came from
 # TreeVertex objects; manifest.json pins the per-file bytes and sha256 too.
-# The manifest digests are those of hexch 0.3.0: each is the 0.2.0
+# The manifest digests are those of hexch 0.4.0: each is the 0.3.0
 # manifest's with its "version" string changed, and nothing else
 OUTPUT_DIGESTS = {
     "single tree m=11": (
         {"scenario": "path-mean", "r": 2, "m": 11, "seed": 3},
         {"array.csv": "73e88362e7366fa85f45101081bb869b87a611b437ee1aeb3d1e576707efb0ce",
-         "manifest.json": "921acb732f615a957668a44858be8b052cbce3c62f06f3d7b77eafa341608418"},
+         "manifest.json": "7ff45b43ba2551b3e352a339898e9e11cea009b6e25571f53a2dcde3fac07b5e"},
     ),
     "replica n=2": (
         {"scenario": "toy-magnetization", "r": 2, "m": 10, "n": 2, "seed": 5},
         {"array.csv": "9ebc695b505949f358fe89db6bcc25eae384c7c3795ba9a5267fc31bee75e3de",
-         "manifest.json": "fbf70e79417aea6be2733e6c162fc450620ee824c72a102f9f230396e3900201"},
+         "manifest.json": "0749351c16623029479c145d6696f3b49f5ebb19bf901c75849c3ec1f9dfc9df"},
     ),
     "field r=3": (
         {"scenario": "depth-shift", "r": 3, "m": 10, "seed": 6},
         {"field_values.csv": "21d7e623cf23976f5c3499e57c0a80ccac5fb15a25fe13e271632f9fdc74a026",
-         "manifest.json": "8c168def210c3251095d6506c2c3070fbf7c97abe59b0874536a1ff39ce5935f"},
+         "manifest.json": "9856d3c8d0dac19ced8cd56fd6f8e3ccc12b7c9344fe928e855ce2ccd11f589a"},
     ),
     "hierarchy m=12": (
         {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
@@ -480,7 +480,7 @@ OUTPUT_DIGESTS = {
         {"array.csv": "a66527ccd16f01f139065684b96bbbeb2fa0c7a68dbbe5f804a75a3543bc2b34",
          "hierarchy.json": "57df73276545bb5272e46c925ca8a5403a9a23c8b61d2c555b91a3cad2dc8d65",
          "resynthesized.csv": "d152d22780939aef78224cbbae20b3a8c0f4b10ba8a25c94c02221c728e67ebc",
-         "manifest.json": "d8e778a1458d4e3d10ca0d3a80f624f605fc69b1d23560aa4d0a03b76267e3cc"},
+         "manifest.json": "ccbc069838898e91d1cad50b5325c81f8b634ce9d078c63f0d426425c537b738"},
     ),
 }
 

@@ -38,7 +38,7 @@ from hexch.hperm import random_hperm
 from hexch.scenarios import make_model, make_source
 from hexch.tree import TreeVertex, internal_vertices, root
 
-from reference import _common_counts, measure_over, measure_to_json_obj
+from reference import _common_counts, check_hierarchy, measure_over, measure_to_json_obj
 
 
 # -- empirical measures --------------------------------------------------------
@@ -276,29 +276,53 @@ def test_extract_matches_per_row_empirical_measure(r, m, model, decimals):
     x = sample_array(make_model(model, r), r, m, seed=40 + r * m)
     if decimals is not None:
         x = np.round(x, decimals)
-    measures = extract_hierarchy(x, r, m).measures
+    h = extract_hierarchy(x, r, m)
+    check_hierarchy(h, x)
     expected = _reference_extract(x, r, m)
     want = [expected[v] for v in internal_vertices(r, m)]
     assert len(want) == len(expected)
-    assert [(mu.atoms, mu.level) for mu in measures] == [(mu.atoms, mu.level) for mu in want]
+    assert [(mu.atoms, mu.level) for mu in h.measures] == [(mu.atoms, mu.level) for mu in want]
 
 
-def _hierarchy_parts():
-    x = sample_array(make_model("product", 3), 3, 3, seed=12)
-    h = extract_hierarchy(x, 3, 3)
-    return h.atoms, h.mult, h.ids  # tables of levels 0..2, id rows of depths 0..2
+@pytest.mark.parametrize("x, r, m", [
+    # signed zeros, merged into one atom 0.0 wherever they sit
+    ([0.0, -0.0, 0.5, -0.0, 0.5, 0.5, 0.0, 0.0, -0.0], 2, 3),
+    ([-0.0], 1, 1),
+    (make_source("uniform-leaf", 5, 1).sample(3), 5, 1),  # m=1: one vertex per depth
+    (np.round(make_source("product", 1, 12).sample(3), 1), 1, 12),  # r=1: one tied row
+    # tied rows [a,b,b], [a,a,b], [b,a,b], in sort_key, not lexicographic, order
+    ([0.2, 0.7, 0.7, 0.2, 0.2, 0.7, 0.7, 0.2, 0.7], 2, 3),
+    # two point masses, the vertex carrying the larger one first
+    ([0.7, 0.7, 0.2, 0.2], 2, 2),
+], ids=["signed-zeros", "signed-zero-r1-m1", "m1", "r1-ties", "by-hand", "point-masses"])
+def test_extraction_passes_the_hierarchy_oracle(x, r, m):
+    check_hierarchy(extract_hierarchy(x, r, m), x)
+
+
+def test_a_row_of_10e5_atoms_sums_exactly():
+    # the multiplicities are integers, so a row's sum needs no tolerance:
+    # the running sum of 10^5 weights 1e-5 misses 1 by about 2e-12, and the
+    # last cumulative weight is exactly 1
+    x = np.linspace(0.0, 1.0, 100_000)
+    h = extract_hierarchy(x, 1, 100_000)
+    assert (h.mult[0] == 1).all() and h.cum[0][0, -1] == 1.0
+    assert abs(np.cumsum(h.weights[0])[-1] - 1.0) > 1e-12
+    check_hierarchy(h, x)
+
+
+def test_a_hierarchy_is_made_only_by_extraction():
+    # the tables of a hierarchy are a function of its array, so there is no
+    # other input path to check
+    h = extract_hierarchy([0.2, 0.7, 0.7, 0.7], 2, 2)
+    for args in ((h.r, h.m, h.atoms, h.mult, h.ids), ()):
+        with pytest.raises(TypeError, match="^a DirectingHierarchy is made by extract_hierarchy"):
+            DirectingHierarchy(*args)
 
 
 def test_hierarchy_accepts_the_internal_vertex_layout():
-    atoms, mult, ids = _hierarchy_parts()
-    h = DirectingHierarchy(3, 3, list(atoms), [c.tolist() for c in mult], [v.tolist() for v in ids])
-    assert [v.shape for v in h.ids] == [(1,), (3,), (9,)]
-    for arrays in (h.atoms, h.mult, h.weights, h.ids, h.counts, h.cum):
-        assert isinstance(arrays, tuple)
-        assert not any(a.flags.writeable for a in arrays)
-    for k, (c, n) in enumerate(zip(h.cum, h.counts)):
-        assert np.all(c[np.arange(len(n)), n - 1] == 1.0)
-        assert np.all(np.isinf(c) == (np.arange(c.shape[1]) >= n[:, None]))
+    x = sample_array(make_model("product", 3), 3, 3, seed=12)
+    h = extract_hierarchy(x, 3, 3)
+    check_hierarchy(h, x)  # id rows of 1, 3 and 9 vertices, read-only tuples, the CDFs
     assert [mu.level for mu in h.measures] == [2] + [1] * 3 + [0] * 9
     assert h.root_measure is h.measures[0]
     # the vertices on one table row share its measure object
@@ -307,54 +331,6 @@ def test_hierarchy_accepts_the_internal_vertex_layout():
         for i, j in itertools.combinations(range(row.size), 2):
             same = h.measures[first + i] is h.measures[first + j]
             assert same == (row[i] == row[j])
-
-
-def test_hierarchy_rejects_a_missing_measure():
-    atoms, mult, ids = _hierarchy_parts()
-    with pytest.raises(ValueError, match="2 id rows for the 3 internal depths"):
-        DirectingHierarchy(3, 3, atoms, mult, ids[:2])
-    with pytest.raises(ValueError, match="depth 2 has 8 ids for its 9 vertices"):
-        DirectingHierarchy(3, 3, atoms, mult, ids[:2] + (ids[2][:-1],))
-    with pytest.raises(ValueError, match="2 atom and 3 multiplicity tables"):
-        DirectingHierarchy(3, 3, atoms[:2], mult, ids)
-    holed = mult[0].copy()
-    holed[0, 0] = 0  # a row's first atom met no times
-    with pytest.raises(ValueError, match="positive multiplicities on a prefix"):
-        DirectingHierarchy(3, 3, atoms, (holed,) + mult[1:], ids)
-
-
-def test_hierarchy_rejects_an_extra_measure():
-    atoms, mult, ids = _hierarchy_parts()
-    with pytest.raises(ValueError, match="4 id rows for the 3 internal depths"):
-        DirectingHierarchy(3, 3, atoms, mult, ids + (ids[-1],))
-    with pytest.raises(ValueError, match="depth 1 has 4 ids for its 3 vertices"):
-        DirectingHierarchy(3, 3, atoms, mult, (ids[0], np.append(ids[1], 0), ids[2]))
-    # multiplicities out of m=3 miss another side, and with multiplicities
-    # out of m=6, the id rows of m=3 miss its vertices
-    with pytest.raises(ValueError, match="level 0: a row's multiplicities are negative or miss m=2"):
-        DirectingHierarchy(3, 2, atoms, mult, ids)
-    with pytest.raises(ValueError, match="depth 1 has 3 ids for its 6 vertices"):
-        DirectingHierarchy(3, 6, atoms, [2 * c for c in mult], ids)
-
-
-def test_hierarchy_rejects_a_wrong_level_measure():
-    atoms, mult, ids = _hierarchy_parts()
-    n = [len(a) for a in atoms]
-    # swapping the depth 1 and depth 2 rows changes their sizes
-    with pytest.raises(ValueError, match="depth 1 has 9 ids for its 3 vertices"):
-        DirectingHierarchy(3, 3, atoms, mult, (ids[0], ids[2], ids[1]))
-    # an id past its level's table, or below it
-    for bad in (n[1], -1):
-        row = ids[1].copy()
-        row[2] = bad
-        with pytest.raises(ValueError, match=f"depth 1 ids must index the {n[1]} rows"):
-            DirectingHierarchy(3, 3, atoms, mult, (ids[0], row, ids[2]))
-    nested = atoms[1].copy()
-    nested[0, 0] = n[0]
-    with pytest.raises(ValueError, match=f"level 1 atom ids must index the {n[0]} rows"):
-        DirectingHierarchy(3, 3, (atoms[0], nested, atoms[2]), mult, ids)
-    with pytest.raises(ValueError):
-        DirectingHierarchy(0, 3, (), (), ())  # no internal vertices
 
 
 def test_measure_at_follows_the_internal_vertex_order():
@@ -632,61 +608,6 @@ def test_json_writer_leaves_no_reference_cycles():
         gc.enable()
 
 
-@pytest.mark.parametrize("atoms, mult, match", [
-    # resynthesis would renormalize these weights, 3/5 in all: its last
-    # cumulative weight is set to 1
-    ([[0.1, 0.2]], [[2, 1]], "multiplicities are negative or miss m=5"),
-    ([[0.1, 0.2]], [[6, -1]], "multiplicities are negative or miss m=5"),
-    ([[0.1, 0.2]], [[0.6, 0.4]], "multiplicities must be integers, not float64"),
-    ([[-np.inf, 0.5]], [[2, 3]], "location -inf outside"),
-    ([[0.2, 1.5]], [[2, 3]], "location 1.5 outside"),
-    ([[np.nan, 0.5]], [[5, 0]], "location nan outside"),
-    # the parents' CDFs search the rows, so they must ascend
-    ([[0.5, 0.1]], [[2, 3]], "must ascend"),
-    ([[0.5, 0.5]], [[2, 3]], "must ascend"),
-    ([[0.2, np.nan, 0.5]], [[1, 1, 3]], "must ascend"),
-], ids=["sum-0.6", "negative", "float-weights", "minus-inf", "above-1", "nan-first", "descending",
-        "repeated", "nan-inside"])
-def test_hierarchy_rejects_rows_that_are_no_measure(atoms, mult, match):
-    with pytest.raises(ValueError, match=match):
-        DirectingHierarchy(1, 5, (np.array(atoms),), (np.array(mult),),
-                           (np.zeros(1, dtype=int),))
-
-
-@pytest.mark.parametrize("row", [[1, 0], [0, 0]], ids=["descending", "repeated"])
-def test_hierarchy_rejects_level_ids_that_do_not_ascend(row):
-    # two point masses at 0.2 and 0.7; a root listing them as [1, 0] was
-    # accepted, not equal to the canonical root, yet 0.0 away from it
-    a0, c0, ids = [[0.2], [0.7]], [[2], [2]], ([0], [1, 0])
-    with pytest.raises(ValueError, match="level-1 atoms must ascend"):
-        DirectingHierarchy(2, 2, (a0, [row]), (c0, [[1, 1]]), ids)
-    h = DirectingHierarchy(2, 2, (a0, [[0, 1]]), (c0, [[1, 1]]), ids)
-    assert h.root_measure == measure_over([empirical_measure([0.7]), empirical_measure([0.2])])
-
-
-@pytest.mark.parametrize("row", [[0, 5, 1], [1, -1, 0]], ids=["past-the-table", "below-it"])
-def test_an_id_out_of_range_is_reported_before_ids_out_of_order(row):
-    # ascending ids are in range when a row's first and last are; in a row
-    # that does not ascend every id is checked, before the order is
-    a0, c0, ids = [[0.2], [0.5], [0.7]], [[3], [3], [3]], ([0], [0, 1, 2])
-    with pytest.raises(ValueError, match="level 1 atom ids must index the 3 rows"):
-        DirectingHierarchy(2, 3, (a0, [row]), (c0, [[1, 1, 1]]), ids)
-
-
-def test_hierarchy_rejects_level_weights_that_miss_one():
-    atoms, mult, ids = _hierarchy_parts()
-    short = mult[1].copy()
-    short[0, 0] += 1  # 4 of the 3 siblings
-    with pytest.raises(ValueError, match="level 1: a row's multiplicities are negative or miss m=3"):
-        DirectingHierarchy(3, 3, atoms, (mult[0], short, mult[2]), ids)
-    # the check is on the integers, so it needs no tolerance: the running
-    # sum of 10^5 weights 1e-5 misses 1 by about 2e-12, and the row of 10^5
-    # multiplicities 1 is accepted
-    h = extract_hierarchy(np.linspace(0.0, 1.0, 100_000), 1, 100_000)
-    assert (h.mult[0] == 1).all()
-    assert abs(np.cumsum(h.weights[0])[-1] - 1.0) > 1e-12
-
-
 def test_signed_zero_does_not_depend_on_sibling_order():
     # 0.0 and -0.0 sort as equal, so without normalization the merged atom
     # prints as whichever sibling comes first
@@ -754,6 +675,10 @@ def test_extract_and_resynthesize_check_their_sizes():
         with pytest.raises(ValueError, match=f"m2 must be an integer >= 1, got {m2}"):
             resynthesize(h, 2, m2, seed=0)
     assert resynthesize(h, 2, np.int64(3), seed=0).shape == (9,)
+    for bad in ("x", h.root_measure, None):
+        with pytest.raises(ValueError, match="^resynthesize needs a DirectingHierarchy from "
+                           f"extract_hierarchy, not a {type(bad).__name__}$"):
+            resynthesize(bad, 2, 3, seed=0)
 
 
 # row widths on each side of _BROADCAST_WIDTH: the broadcast and per-row methods
@@ -991,11 +916,17 @@ def test_nested_distance_refuses_hand_built_measures():
 
 
 def _by_hand(level_0, mult_0, root_mult):
-    """A hand-built r=2 hierarchy at m = ``sum(root_mult)``: ``root_mult[i]``
-    of its depth-1 vertices carry row i of the two-row level-0 table
-    (padded with atom -1 of multiplicity 0)."""
-    ids = ([0], np.repeat([0, 1], root_mult))
-    return DirectingHierarchy(2, sum(root_mult), (level_0, [[0, 1]]), (mult_0, [root_mult]), ids)
+    """The r=2 hierarchy at m = ``sum(root_mult)`` whose first
+    ``root_mult[0]`` depth-1 vertices carry row 0 of the two-row level-0
+    table and the others row 1 (padded with atom -1 of multiplicity 0):
+    extracted from the array of those rows' values, repeated by their
+    multiplicities."""
+    blocks = [np.repeat(a, c) for a, c in zip(level_0, mult_0)]
+    x = np.concatenate([blocks[i] for i, n in enumerate(root_mult) for _ in range(n)])
+    h = extract_hierarchy(x, 2, sum(root_mult))
+    assert h.atoms[0].tolist() == level_0 and h.mult[0].tolist() == mult_0
+    assert h.atoms[1].tolist() == [[0, 1]] and h.mult[1].tolist() == [root_mult]
+    return h
 
 
 def test_nested_distance_level1_point_masses():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from hexch.definetti import DirectingHierarchy
 from hexch.fields import (
     _GOLD,
     _MASK,
@@ -296,12 +295,9 @@ def test_sample_array_arity_mismatch():
     (lambda: leaves(2, 2.5), "m must be >= 1 and an integer, got 2.5"),
     (lambda: leaves(True, 3), "r must be >= 1 and an integer, got True"),
     (lambda: vertex_keys(1, 2.5), "m must be >= 1 and an integer, got 2.5"),
-    (lambda: DirectingHierarchy(2, 4.0, (), (), ()), "m must be >= 1 and an integer, got 4.0"),
-    (lambda: DirectingHierarchy(2.0, 4, (), (), ()), "r must be >= 1 and an integer, got 2.0"),
-    (lambda: DirectingHierarchy(True, 4, (), (), ()), "r must be >= 1 and an integer, got True"),
 ], ids=["path_matrix", "sample_array", "random_leaf_indices", "level_values", "sample_ah",
         "make_source", "derive_seeds-negative", "derive_seeds-fraction", "leaves-fraction",
-        "leaves-bool", "vertex_keys", "hierarchy-m-float", "hierarchy-r-float", "hierarchy-r-bool"])
+        "leaves-bool", "vertex_keys"])
 def test_sizes_are_checked_at_library_entry(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -857,7 +857,7 @@ def _bad_arguments_first(test):
     if test is level_homogeneity_test:
         return lambda **kw: level_homogeneity_test({}, **kw)
     _, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
-    return lambda **kw: test(np.zeros(5), h, **kw)
+    return lambda **kw: test(np.zeros(5), **{"hierarchy": h, **kw})
 
 
 _BAD_ARGUMENTS = [
@@ -878,6 +878,13 @@ _BAD_ARGUMENTS = [
     (cond_indep_test, "level", 1.0, "level 1.0 outside"),
     (cond_indep_test, "pair_budget", 0, "pair_budget must be >= 1"),
     (cond_indep_test, "n_resamples", 0, "n_resamples must be >= 1"),
+    # a hierarchy is checked first: the others' checks read nothing of it
+    (conditional_iid_test, "hierarchy", "x",
+     "conditional_iid_test needs a DirectingHierarchy from extract_hierarchy, not a str"),
+    (conditional_iid_test, "hierarchy", None,
+     "conditional_iid_test needs a DirectingHierarchy from extract_hierarchy, not a NoneType"),
+    (cond_indep_test, "hierarchy", np.zeros(4),
+     "cond_indep_test needs a DirectingHierarchy from extract_hierarchy, not a ndarray"),
     (level_homogeneity_test, "level", 0.0, "level 0.0 outside"),
 ]
 
