@@ -60,4 +60,4 @@ from .tree import (
     wedge,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -19,12 +19,14 @@ level tables, each distinct measure formatted once by the CSV writer's row
 builder (``hexch._text._rows``).  The nested
 :class:`EmpiricalMeasure` objects, finite atom systems nested to the
 required level, are built only on demand (``measures``, ``measure_at``).
-Two of them, or two hierarchies' roots, are compared with the nested
-optimal-transport distance, whose ground cost at each level is the
-distance one level down.  It is solved on the same level-table layout,
-bottom-up, from the level arrays alone: a side is a hierarchy or a
-measure built by ``measures``, which records its table row and its
-hierarchy's m, and a hand-built measure is refused.
+Every measure is a row of a hierarchy's level table:
+:attr:`DirectingHierarchy.measures` and :func:`empirical_measure`, the
+measure of an r=1 extraction, are the only ways to make one.  Two of them,
+or two hierarchies' roots, are compared with the nested optimal-transport
+distance, whose ground cost at each level is the distance one level down.
+It is solved on the same level-table layout, bottom-up, from the level
+arrays alone: a side is a hierarchy or a measure, which records its table
+row and its hierarchy's m.
 The hierarchy stores integer multiplicities, each row's summing to m, and
 derives the float weights from them.  So a level's weights share the
 exact denominator n = lcm(m_a, m_b) reduced by the gcd of the counts.
@@ -32,9 +34,11 @@ Each level k >= 1 is an n x n assignment per pair of rows, the n x n
 costs of a level's pairs gathered in one pass, which needs n <= 1024; a
 level with a larger n is refused.  Level 0 is one broadcast over n sorted
 samples per row when n <= 1024, else W1 per pair of rows.  The arrays
-reproduce the objects bit for bit, which takes two rules: tables follow
-``sort_key`` order, in which ``[a,b,b]`` precedes ``[a,a,b]``; and level
-k >= 1 weights are repeated ``+= 1/m`` sums, not ``count/m``, because
+reproduce the objects bit for bit, which takes two rules: each level's
+rows are in canonical order (two rows compare their (atom, weight) pairs
+in turn, a nested atom by its row id, the first difference deciding and
+a prefix first, so ``[a,b,b]`` precedes ``[a,a,b]``); and level k >= 1
+weights are repeated ``+= 1/m`` sums, not ``count/m``, as
 ``3 x 0.1 != 0.3``.
 """
 
@@ -65,62 +69,30 @@ __all__ = [
     "hierarchy_json_chunks",
 ]
 
-_WEIGHT_TOL = 1e-12
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EmpiricalMeasure:
     """A finite measure with unit mass; atoms are values or nested measures.
 
     Level-0 atoms are distinct locations in [0,1], strictly ascending.
-    Level k atoms are level-(k-1) measures, strictly ascending in
-    :meth:`sort_key` order, as :attr:`DirectingHierarchy.measures` lists
-    them.  Any other order, or a repeated atom, is refused, so each measure
-    has one form, and ``==``, ``hash`` and ``sort_key`` agree.
+    Level k atoms are distinct level-(k-1) measures, in the canonical order
+    of their level's rows.  A measure is a row of a hierarchy's level
+    table, made by :attr:`DirectingHierarchy.measures` or
+    :func:`empirical_measure`, and calling the class raises ``TypeError``;
+    so each measure has one form, and ``==`` and ``hash`` agree.
     """
 
     atoms: tuple[tuple[object, float], ...]
     level: int
-    # ``(atoms, mult, j, m)`` when the measure is row j of its level's
-    # table in the level arrays of a DirectingHierarchy of side m, which set
-    # it; not a field, so equality, hashing and repr ignore it
-    _table_row = None
+    # ``_table_row``, set by _measure, is ``(atoms, mult, j, m)``: the
+    # measure is row j of its level's table in the level arrays of a
+    # DirectingHierarchy of side m.  Not a field, so equality, hashing and
+    # repr ignore it
 
-    def __post_init__(self):
-        if not self.atoms:
-            raise ValueError("a measure needs at least one atom")
-        # exact sum of the stored weights: a plain running sum drifts by
-        # about one rounding per atom, past the tolerance at ~10^5 atoms
-        total = math.fsum(w for _, w in self.atoms)
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"atom weights sum to {total}, expected 1")
-        # below [0,1] and below every sort key, so the first atom passes
-        last = -1.0 if self.level == 0 else ()
-        for loc, w in self.atoms:
-            if w <= 0:
-                raise ValueError("atom weights must be positive")
-            if self.level == 0:
-                if not 0.0 <= loc <= 1.0:
-                    raise ValueError(f"level-0 location {loc} outside [0,1]")
-                if not loc > last:
-                    raise ValueError(
-                        f"level-0 locations must strictly ascend, got {loc} after {last}"
-                    )
-                last = loc
-            elif not (isinstance(loc, EmpiricalMeasure) and loc.level == self.level - 1):
-                raise ValueError("nested atoms must be measures one level down")
-            else:
-                key = loc.sort_key()
-                if not key > last:
-                    raise ValueError(
-                        f"level-{self.level} atoms must strictly ascend in sort_key order"
-                    )
-                last = key
-
-    def sort_key(self):
-        if self.level == 0:
-            return (0, self.atoms)
-        return (self.level, tuple((a.sort_key(), w) for a, w in self.atoms))
+    def __init__(self, *args, **kwargs):
+        raise TypeError(
+            "an EmpiricalMeasure is made by DirectingHierarchy.measures or empirical_measure"
+        )
 
     # The array views below are built once per measure, on first use, and
     # are read-only because every caller shares them.
@@ -149,17 +121,26 @@ def _padded_cumsum(weights: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _measure(atoms: tuple, level: int, table_row) -> EmpiricalMeasure:
+    """The one builder of an :class:`EmpiricalMeasure`: ``atoms`` at
+    ``level``, recording its ``table_row``, unchecked."""
+    mu = object.__new__(EmpiricalMeasure)
+    # one attribute at a time, as an __init__ sets them, so that the
+    # measures share one key table (updating __dict__ made them 13% larger)
+    for name, value in (("atoms", atoms), ("level", level), ("_table_row", table_row)):
+        object.__setattr__(mu, name, value)
+    return mu
+
+
 def empirical_measure(values) -> EmpiricalMeasure:
-    """Level-0 empirical measure: one atom per distinct value, weight = freq;
-    -0.0 is read as 0.0, as :func:`extract_hierarchy` reads it."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1) + 0.0
+    """Level-0 empirical measure: one atom per distinct value, weight = freq.
+    It is the root measure of the r=1 hierarchy of ``values``, so -0.0 is
+    read as 0.0 and a value outside [0,1] is refused, as
+    :func:`extract_hierarchy` does."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise ValueError("cannot form the empirical measure of an empty sample")
-    locs, counts = np.unique(values, return_counts=True)
-    n = values.size
-    return EmpiricalMeasure(
-        tuple((float(x), int(c) / n) for x, c in zip(locs, counts)), 0
-    )
+    return extract_hierarchy(values, 1, values.size).root_measure
 
 
 # -- directing hierarchies ----------------------------------------------------
@@ -171,8 +152,11 @@ class DirectingHierarchy:
 
     A depth-d vertex carries a measure of nesting level k = r-1-d: plain
     value distributions at the deepest internal level, measures of measures
-    above, up to the root.  Level k is a table of its distinct measures, in
-    canonical :meth:`EmpiricalMeasure.sort_key` order, one row each:
+    above, up to the root.  Level k is a table of its distinct measures, one
+    row each, in canonical order: two rows compare their (atom, weight)
+    pairs in turn, a level-0 atom by its location and a nested atom by its
+    row id, the first difference decides, and a row that is a prefix of the
+    other comes first.  So ``[a,b,b]`` precedes ``[a,a,b]``.
 
     - ``atoms[k]`` ``(n_k, w_k)``: the row's atoms, padded with -1.  Level-0
       atoms are locations, strictly ascending.  Level k >= 1 atoms are row
@@ -229,9 +213,7 @@ class DirectingHierarchy:
             ends = np.cumsum(self.counts[k]).tolist()
             row = []
             for j, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
-                mu = EmpiricalMeasure(tuple(pairs[lo:hi]), k)
-                object.__setattr__(mu, "_table_row", (self.atoms, self.mult, j, self.m))
-                row.append(mu)
+                row.append(_measure(tuple(pairs[lo:hi]), k, (self.atoms, self.mult, j, self.m)))
             tables.append(row)
         return tuple(
             tables[self.r - 1 - d][i] for d in range(self.r) for i in self.ids[d].tolist()
@@ -248,7 +230,10 @@ class DirectingHierarchy:
         return dict(zip(keys, self.measures))
 
     def measure_at(self, v: TreeVertex) -> EmpiricalMeasure:
-        return self._by_vertex[v]
+        mu = self._by_vertex.get(v) if isinstance(v, TreeVertex) else None
+        if mu is None:
+            raise ValueError(f"{v!r} is not an internal vertex of {{1..{self.m}}}^{self.r}")
+        return mu
 
     def _cdf_blocks(self, blocks: np.ndarray):
         """Yield ``(rows, cdf_left, cdf)`` for consecutive row slices of the
@@ -340,7 +325,7 @@ def _level_table(rows: np.ndarray):
 
     Runs of equal values in a row merge into one atom, and the rows are
     ranked by their interleaved (value, multiplicity) columns, padded with
-    (-1, 0), first column first (:func:`_lex_order`).  That is ``sort_key``
+    (-1, 0), first column first (:func:`_lex_order`).  That is canonical
     order: it compares (atom, weight) pairs in turn and puts a shorter
     prefix first, so ``[a,b,b]`` sorts before ``[a,a,b]``.  Returns the
     table's padded atoms and multiplicities, each table row's atom count,
@@ -489,6 +474,9 @@ _MAX_DENOMINATOR = 1024
 
 def wasserstein1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """First Wasserstein distance between level-0 measures: the CDF gap area."""
+    for x in (mu, nu):
+        if not isinstance(x, EmpiricalMeasure):
+            raise ValueError(f"wasserstein1 compares EmpiricalMeasures, not a {type(x).__name__}")
     if mu.level != 0 or nu.level != 0:
         raise ValueError("wasserstein1 needs level-0 measures")
     return _wasserstein1(mu.locations, mu.weights, nu.locations, nu.weights)
@@ -525,18 +513,17 @@ def _measure_tables(
     row of ``mu``.
 
     A :class:`DirectingHierarchy` stands for its root measure, and a
-    measure built by :attr:`DirectingHierarchy.measures` for its row: both
-    are read from the hierarchy's level arrays (:func:`_row_tables`), with
-    the hierarchy's ``m``.  Any other argument is refused."""
+    measure for its table row: both are read from the hierarchy's level
+    arrays (:func:`_row_tables`), with the hierarchy's ``m``.  Any other
+    argument is refused."""
     if isinstance(mu, DirectingHierarchy):
         return _row_tables(mu.r - 1, mu.atoms, mu.mult, mu.ids[0][0]), mu.m
-    if isinstance(mu, EmpiricalMeasure) and mu._table_row is not None:
+    if isinstance(mu, EmpiricalMeasure):
         *row, m = mu._table_row
         return _row_tables(mu.level, *row), m
     raise ValueError(
-        "nested_distance compares a DirectingHierarchy or a measure from its "
-        f".measures, not a hand-built {type(mu).__name__}; for two level-0 "
-        "measures use wasserstein1"
+        "nested_distance compares a DirectingHierarchy or an EmpiricalMeasure, "
+        f"not a {type(mu).__name__}"
     )
 
 
@@ -644,12 +631,11 @@ def nested_distance(
     atoms is the level-(k-1) nested distance.  Each side is a
     :class:`DirectingHierarchy`, which stands for its root measure, read
     from its level arrays without building
-    :attr:`~DirectingHierarchy.measures`, or a measure from that tuple.
-    Any other argument, a hand-built :class:`EmpiricalMeasure` included,
-    raises ``ValueError``, whether or not the two sides are equal; two
-    level-0 measures are compared by :func:`wasserstein1`.  Both sides are
-    laid out as level tables (:func:`_measure_tables`), read straight from
-    the level arrays, and each level's distances are computed for all row
+    :attr:`~DirectingHierarchy.measures`, or an :class:`EmpiricalMeasure`,
+    read from the level arrays of the hierarchy it is a row of; any other
+    argument raises ``ValueError``.  Both sides are laid out as level
+    tables (:func:`_measure_tables`), read straight from the level arrays,
+    and each level's distances are computed for all row
     pairs at once, level 0 first.  Each level k >= 1 is an n x n assignment
     per pair of rows, the costs of a level's pairs gathered in one pass, so
     its weights must be multiples of a common 1/n with n <= 1024.  The
@@ -755,6 +741,7 @@ def hierarchy_json_chunks(h: DirectingHierarchy) -> Iterator[bytes]:
     ``repr`` itself elsewhere.  Keys follow string order (``"1/10"`` before
     ``"1/2"``), as ``sort_keys`` puts them.  No text is decoded and no
     :class:`EmpiricalMeasure` is made."""
+    _require_hierarchy("hierarchy_json_chunks", h)
     glues = [_glue(h, k) for k in range(h.r)]
     level0 = _level0_texts(h, *glues[0])
     yield b'{"m": %d, "measures": {' % h.m
@@ -787,4 +774,5 @@ def hierarchy_to_json_obj(h: DirectingHierarchy) -> dict:
     vertex's measure as :func:`hierarchy_json_chunks` describes it:
     ``json.loads`` of the joined pieces, so the object and the file have
     one source."""
+    _require_hierarchy("hierarchy_to_json_obj", h)
     return json.loads(b"".join(hierarchy_json_chunks(h)))

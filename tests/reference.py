@@ -1,7 +1,8 @@
 """Reference implementations that tests compare hexch against.
 
 Each states, one object at a time, a rule that hexch applies to whole
-arrays: the weight of a measure over measures, the ``hierarchy.json``
+arrays: the canonical order of measures, the weight of a measure over
+measures, the ``hierarchy.json``
 object of a measure, the energy statistic, the CSV key order, the
 smallest common denominator of two weight tables, and what makes a
 directing hierarchy the one of its array.
@@ -14,23 +15,33 @@ from fractions import Fraction
 
 import numpy as np
 
-from hexch.definetti import _MAX_DENOMINATOR, DirectingHierarchy, EmpiricalMeasure
+from hexch.definetti import _MAX_DENOMINATOR, DirectingHierarchy, EmpiricalMeasure, _measure
 from hexch.tree import _check_size
+
+
+def sort_key(mu: EmpiricalMeasure) -> tuple:
+    """The key of a measure in canonical order: its (atom, weight) pairs
+    in turn, a level-0 atom by its location and a nested atom by its own
+    key, so that a prefix sorts first and ``[a,b,b]`` precedes ``[a,a,b]``."""
+    if mu.level == 0:
+        return (0, mu.atoms)
+    return (mu.level, tuple((sort_key(a), w) for a, w in mu.atoms))
 
 
 def _merge(pairs) -> EmpiricalMeasure:
     """The level-k >= 1 measure of ``(measure, weight)`` pairs: equal
     measures merge by summing their weights in turn, and atoms follow
-    ``sort_key`` order."""
+    canonical order.  It records no table row."""
     merged: dict = {}
     order: dict = {}
     level = None
     for mu, w in pairs:
-        key = mu.sort_key()
+        key = sort_key(mu)
         merged[key] = merged.get(key, 0.0) + w
         order[key] = mu
         level = mu.level + 1
-    return EmpiricalMeasure(tuple((order[k], merged[k]) for k in sorted(merged)), level)
+    assert abs(math.fsum(merged.values()) - 1.0) <= 1e-12, "the weights sum to 1"
+    return _measure(tuple((order[k], merged[k]) for k in sorted(merged)), level, None)
 
 
 def measure_over(measures) -> EmpiricalMeasure:
@@ -127,7 +138,7 @@ def check_hierarchy(h: DirectingHierarchy, array) -> None:
     measure of its m leaf values (-0.0 read as 0.0), and each shallower
     vertex's row is the sorted table ids of its m children, merged into
     (id, multiplicity) runs.  The order: each level's rows are distinct and
-    ascend in :meth:`EmpiricalMeasure.sort_key` order.
+    ascend in :func:`sort_key` order.
     """
     r, m = h.r, h.m
     for size in (r, m):

@@ -456,23 +456,23 @@ def test_array_to_csv_accepts_numpy_integers():
 
 # sha256 of the emitted files, recorded while the keys still came from
 # TreeVertex objects; manifest.json pins the per-file bytes and sha256 too.
-# The manifest digests are those of hexch 0.4.0: each is the 0.3.0
+# The manifest digests are those of hexch 0.5.0: each is the 0.4.0
 # manifest's with its "version" string changed, and nothing else
 OUTPUT_DIGESTS = {
     "single tree m=11": (
         {"scenario": "path-mean", "r": 2, "m": 11, "seed": 3},
         {"array.csv": "73e88362e7366fa85f45101081bb869b87a611b437ee1aeb3d1e576707efb0ce",
-         "manifest.json": "7ff45b43ba2551b3e352a339898e9e11cea009b6e25571f53a2dcde3fac07b5e"},
+         "manifest.json": "c26f5bc831537d7e229176e6ffcdf7a85d4203e1f5d21e4cb36f490fda5e6d56"},
     ),
     "replica n=2": (
         {"scenario": "toy-magnetization", "r": 2, "m": 10, "n": 2, "seed": 5},
         {"array.csv": "9ebc695b505949f358fe89db6bcc25eae384c7c3795ba9a5267fc31bee75e3de",
-         "manifest.json": "0749351c16623029479c145d6696f3b49f5ebb19bf901c75849c3ec1f9dfc9df"},
+         "manifest.json": "590a6ba88aaa544ea4ea465e873a7e33dcb852089671557c89e7db2b4ca363c3"},
     ),
     "field r=3": (
         {"scenario": "depth-shift", "r": 3, "m": 10, "seed": 6},
         {"field_values.csv": "21d7e623cf23976f5c3499e57c0a80ccac5fb15a25fe13e271632f9fdc74a026",
-         "manifest.json": "9856d3c8d0dac19ced8cd56fd6f8e3ccc12b7c9344fe928e855ce2ccd11f589a"},
+         "manifest.json": "5dfff80184ca926e15f8542df08c6682875e5252c76a9e84a4f65a3f0f223c67"},
     ),
     "hierarchy m=12": (
         {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
@@ -480,7 +480,7 @@ OUTPUT_DIGESTS = {
         {"array.csv": "a66527ccd16f01f139065684b96bbbeb2fa0c7a68dbbe5f804a75a3543bc2b34",
          "hierarchy.json": "57df73276545bb5272e46c925ca8a5403a9a23c8b61d2c555b91a3cad2dc8d65",
          "resynthesized.csv": "d152d22780939aef78224cbbae20b3a8c0f4b10ba8a25c94c02221c728e67ebc",
-         "manifest.json": "ccbc069838898e91d1cad50b5325c81f8b634ce9d078c63f0d426425c537b738"},
+         "manifest.json": "c5572beca0e0197f375c3ea0ff7602a43403496000b3ae02bc2daca011e3fbc8"},
     ),
 }
 
@@ -526,14 +526,14 @@ def test_array_to_csv_product_bytes_pinned():
 
 
 def test_array_run_builds_no_vertex_objects(tmp_path, monkeypatch):
+    import hexch.definetti
     import hexch.tree
-    from hexch.definetti import EmpiricalMeasure
 
     def refuse(*args, **kwargs):
         raise AssertionError("a TreeVertex list or an EmpiricalMeasure was built")
 
     monkeypatch.setattr(hexch.tree, "_depth_vertices", refuse)
-    monkeypatch.setattr(EmpiricalMeasure, "__post_init__", refuse)
+    monkeypatch.setattr(hexch.definetti, "_measure", refuse)
     cfg = {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
            "resynthesize_m": 11,
            "tests": [{"name": "conditional_iid", "n_resamples": 19},

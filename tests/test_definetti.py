@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hexch.definetti import (
     _assignment_table,
     _level_counts,
     _lex_order,
+    _measure,
     _measure_tables,
     _search_rows,
     _w1_table,
@@ -38,7 +40,13 @@ from hexch.hperm import random_hperm
 from hexch.scenarios import make_model, make_source
 from hexch.tree import TreeVertex, internal_vertices, root
 
-from reference import _common_counts, check_hierarchy, measure_over, measure_to_json_obj
+from reference import (
+    _common_counts,
+    check_hierarchy,
+    measure_over,
+    measure_to_json_obj,
+    sort_key,
+)
 
 
 # -- empirical measures --------------------------------------------------------
@@ -53,7 +61,7 @@ def test_empirical_measure_multiplicities():
 def test_empirical_measure_point_mass():
     mu = empirical_measure([0.4] * 50)
     assert mu.atoms == ((0.4, 1.0),)
-    assert mu == EmpiricalMeasure(((0.4, 1.0),), 0)
+    assert mu == empirical_measure([0.4])
 
 
 def test_empirical_measure_w1_rate():
@@ -71,37 +79,14 @@ def test_empirical_measure_empty_input():
         empirical_measure([])
 
 
-def test_measure_validation():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(((0.1, 0.5), (0.9, 0.6)), 0)  # weights exceed 1
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(((1.5, 1.0),), 0)  # location outside [0,1]
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(((empirical_measure([0.1]), 1.0),), 2)  # wrong nesting level
-
-
-@pytest.mark.parametrize("atoms, after", [
-    (((0.9, 0.3), (0.1, 0.7)), "0.1 after 0.9"),
-    (((0.1, 0.5), (0.1, 0.5)), "0.1 after 0.1"),
-    (((0.0, 0.5), (-0.0, 0.5)), "-0.0 after 0.0"),
-    (((0.2, 0.25), (0.5, 0.25), (0.3, 0.5)), "0.3 after 0.5"),
-], ids=["descending", "repeated", "signed-zero", "third-atom"])
-def test_level_0_locations_must_strictly_ascend(atoms, after):
-    with pytest.raises(ValueError, match=f"level-0 locations must strictly ascend, got {after}$"):
-        EmpiricalMeasure(atoms, 0)
-
-
-@pytest.mark.parametrize("order", ["repeated", "swapped"])
-def test_nested_atoms_must_strictly_ascend_in_sort_key_order(order):
-    # a repeated atom, or two atoms out of sort_key order, were accepted
-    # and compared unequal, in == and in sort_key, to the same measure in
-    # its canonical form
-    a, b = empirical_measure([0.2]), empirical_measure([0.7])
-    atoms = ((a, 0.5), (a, 0.5)) if order == "repeated" else ((b, 0.5), (a, 0.5))
-    with pytest.raises(ValueError, match="^level-1 atoms must strictly ascend in sort_key order$"):
-        EmpiricalMeasure(atoms, 1)
-    assert EmpiricalMeasure(((a, 0.5), (b, 0.5)), 1) == measure_over([b, a])
-    assert EmpiricalMeasure(((a, 1.0),), 1) == measure_over([a, a])
+def test_a_measure_is_made_only_by_its_builders():
+    # a measure is a row of a hierarchy's level table, so there is no other
+    # input path to check
+    mu = empirical_measure([0.2, 0.7])
+    for args in ((mu.atoms, mu.level), (((1.5, 1.0),), 0), ()):
+        with pytest.raises(TypeError, match="^an EmpiricalMeasure is made by "
+                           "DirectingHierarchy.measures or empirical_measure$"):
+            EmpiricalMeasure(*args)
 
 
 def test_weights_sum_tightly():
@@ -290,7 +275,7 @@ def test_extract_matches_per_row_empirical_measure(r, m, model, decimals):
     ([-0.0], 1, 1),
     (make_source("uniform-leaf", 5, 1).sample(3), 5, 1),  # m=1: one vertex per depth
     (np.round(make_source("product", 1, 12).sample(3), 1), 1, 12),  # r=1: one tied row
-    # tied rows [a,b,b], [a,a,b], [b,a,b], in sort_key, not lexicographic, order
+    # tied rows [a,b,b], [a,a,b], [b,a,b], in canonical, not lexicographic, order
     ([0.2, 0.7, 0.7, 0.2, 0.2, 0.7, 0.7, 0.2, 0.7], 2, 3),
     # two point masses, the vertex carrying the larger one first
     ([0.7, 0.7, 0.2, 0.2], 2, 2),
@@ -337,8 +322,9 @@ def test_measure_at_follows_the_internal_vertex_order():
     h = extract_hierarchy(sample_array(make_model("path-mean", 3), 3, 3, seed=2), 3, 3)
     for v, mu in zip(internal_vertices(3, 3), h.measures, strict=True):
         assert h.measure_at(v) is mu
-    for v in (TreeVertex((4,), 3), TreeVertex((1, 1, 1), 3), TreeVertex((1,), 2)):
-        with pytest.raises(KeyError):
+    for v in (TreeVertex((4,), 3), TreeVertex((1, 1, 1), 3), TreeVertex((1,), 2), [1], "1"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(repr(v))} is not an internal "
+                           r"vertex of \{1\.\.3\}\^3$"):
             h.measure_at(v)
 
 
@@ -637,8 +623,12 @@ def test_tied_rows_follow_sort_key_order():
 
 def test_extraction_builds_no_measure_objects(monkeypatch):
     built = []
-    init = EmpiricalMeasure.__post_init__
-    monkeypatch.setattr(EmpiricalMeasure, "__post_init__", lambda mu: built.append(init(mu)))
+
+    def measure(*args):
+        built.append(_measure(*args))
+        return built[-1]
+
+    monkeypatch.setattr(hexch.definetti, "_measure", measure)
     x = np.round(sample_array(make_model("product", 3), 3, 4, seed=5), 1)
     h = extract_hierarchy(x, 3, 4)
     resynthesize(h, 3, 5, seed=1)
@@ -658,6 +648,9 @@ def test_extract_rejects_values_outside_the_unit_interval(bad):
     x[9] = bad
     with pytest.raises(ValueError, match=rf"level-0 location {bad} outside \[0,1\]"):
         extract_hierarchy(x, 2, 4)
+    # empirical_measure is an r=1 extraction, and refuses them the same way
+    with pytest.raises(ValueError, match=rf"level-0 location {bad} outside \[0,1\]"):
+        empirical_measure(x)
 
 
 def test_extract_and_resynthesize_check_their_sizes():
@@ -675,10 +668,14 @@ def test_extract_and_resynthesize_check_their_sizes():
         with pytest.raises(ValueError, match=f"m2 must be an integer >= 1, got {m2}"):
             resynthesize(h, 2, m2, seed=0)
     assert resynthesize(h, 2, np.int64(3), seed=0).shape == (9,)
-    for bad in ("x", h.root_measure, None):
-        with pytest.raises(ValueError, match="^resynthesize needs a DirectingHierarchy from "
-                           f"extract_hierarchy, not a {type(bad).__name__}$"):
-            resynthesize(bad, 2, 3, seed=0)
+    calls = {"resynthesize": lambda bad: resynthesize(bad, 2, 3, seed=0),
+             "hierarchy_json_chunks": lambda bad: b"".join(hierarchy_json_chunks(bad)),
+             "hierarchy_to_json_obj": hierarchy_to_json_obj}
+    for name, call in calls.items():
+        for bad in ("x", h.root_measure, None):
+            with pytest.raises(ValueError, match=f"^{name} needs a DirectingHierarchy from "
+                               f"extract_hierarchy, not a {type(bad).__name__}$"):
+                call(bad)
 
 
 # row widths on each side of _BROADCAST_WIDTH: the broadcast and per-row methods
@@ -861,17 +858,8 @@ def test_wasserstein1_point_masses():
 
 def test_wasserstein1_half_split():
     mu = empirical_measure([0.0])
-    nu = EmpiricalMeasure(((0.0, 0.5), (1.0, 0.5)), 0)
+    nu = empirical_measure([0.0, 1.0])
     assert wasserstein1(mu, nu) == pytest.approx(0.5)
-
-
-def test_wasserstein1_never_sees_atoms_out_of_order():
-    # W1 reads the locations as sorted: these atoms, accepted out of order,
-    # gave 0.1 where the same atoms in order give 0.3 * 0.9 + 0.7 * 0.1
-    with pytest.raises(ValueError, match="strictly ascend, got 0.1 after 0.9"):
-        wasserstein1(EmpiricalMeasure(((0.9, 0.3), (0.1, 0.7)), 0), empirical_measure([0.0]))
-    in_order = EmpiricalMeasure(((0.1, 0.7), (0.9, 0.3)), 0)
-    assert wasserstein1(in_order, empirical_measure([0.0])) == pytest.approx(0.34)
 
 
 def test_wasserstein1_matches_sorted_sample_oracle():
@@ -886,8 +874,15 @@ def test_wasserstein1_matches_sorted_sample_oracle():
 
 
 def test_wasserstein1_level_check():
-    with pytest.raises(ValueError):
-        wasserstein1(empirical_measure([0.1]), measure_over([empirical_measure([0.1])]))
+    mu = empirical_measure([0.1])
+    with pytest.raises(ValueError, match="^wasserstein1 needs level-0 measures$"):
+        wasserstein1(mu, measure_over([mu]))
+    h = extract_hierarchy([0.1], 1, 1)
+    for bad in (None, [0.1], h):
+        for args in ((mu, bad), (bad, mu)):
+            with pytest.raises(ValueError, match="^wasserstein1 compares EmpiricalMeasures, "
+                               f"not a {type(bad).__name__}$"):
+                wasserstein1(*args)
 
 
 def test_nested_distance_equal_measures_any_level():
@@ -898,21 +893,37 @@ def test_nested_distance_equal_measures_any_level():
         assert nested_distance(mu, mu) == 0.0
 
 
-def test_nested_distance_refuses_hand_built_measures():
-    # only a hierarchy or one of its measures carries the level tables the
-    # distance is solved on; a measure built by hand is refused, even when
-    # it equals the other side
+def test_nested_distance_compares_empirical_measures():
+    # every measure is a row of a hierarchy, empirical_measure's included:
+    # two level-0 sides give wasserstein1's bits, the sorted-sample oracle
+    # at equal sizes, and the W1 of samples of 1000 and 1001 values, whose
+    # level 0 has no common denominator n <= 1024
+    rng = np.random.default_rng(6)
+    for na, nb in ((3, 1), (16, 16), (1000, 1000), (1000, 1001)):
+        a, b = rng.random(na), np.round(rng.random(nb), 2)
+        mu, nu = empirical_measure(a), empirical_measure(b)
+        got = nested_distance(mu, nu)
+        assert got == wasserstein1(mu, nu) == nested_distance(nu, mu)
+        if na == nb:
+            assert got == pytest.approx(np.abs(np.sort(a) - np.sort(b)).mean(), abs=1e-12)
+    assert nested_distance(empirical_measure([0.2, 0.2, 0.8]), empirical_measure([0.1])) == (
+        wasserstein1(empirical_measure([0.2, 0.2, 0.8]), empirical_measure([0.1])))
+    # an r=1 root against an empirical measure, and the hierarchy itself
+    x, y = rng.random(12), rng.random(7)
+    h = extract_hierarchy(x, 1, 12)
+    want = wasserstein1(h.root_measure, empirical_measure(y))
+    assert nested_distance(h.root_measure, empirical_measure(y)) == want
+    assert nested_distance(h, empirical_measure(y)) == want
+    assert nested_distance(h, empirical_measure(x)) == 0.0
+
+
+def test_nested_distance_refuses_what_is_no_measure():
     h = extract_hierarchy([0.1, 0.2, 0.2, 0.6], 2, 2)
-    for mu in h.measures:
-        plain = _plain(mu)
-        assert plain == mu
-        for a, b in ((plain, plain), (plain, mu), (mu, plain), (h, plain)):
-            with pytest.raises(ValueError, match=r"DirectingHierarchy or a measure from its "
-                               r"\.measures, not a hand-built EmpiricalMeasure; for two "
-                               r"level-0 measures use wasserstein1$"):
-                nested_distance(a, b)
-    with pytest.raises(ValueError, match="not a hand-built list"):
-        nested_distance(h, [0.1])
+    for bad in ([0.1], None, "x"):
+        for args in ((h, bad), (bad, h.root_measure)):
+            with pytest.raises(ValueError, match="^nested_distance compares a DirectingHierarchy "
+                               f"or an EmpiricalMeasure, not a {type(bad).__name__}$"):
+                nested_distance(*args)
 
 
 def _by_hand(level_0, mult_0, root_mult):
@@ -1076,7 +1087,7 @@ def test_nested_distance_off_the_grid_above_level_0_raises(monkeypatch, make_pai
 def _plain(mu):
     """``mu`` rebuilt object by object, so that no level table row is kept."""
     atoms = mu.atoms if mu.level == 0 else tuple((_plain(a), w) for a, w in mu.atoms)
-    return EmpiricalMeasure(atoms, mu.level)
+    return _measure(atoms, mu.level, None)
 
 
 def _no_common_denominator(*args, **kwargs):
@@ -1240,12 +1251,12 @@ def test_nested_distances_keep_their_pinned_bits():
 
 def test_hierarchy_measures_are_plain_measures():
     # the recorded table row is not a field: equality, hashing, repr, sort
-    # keys and the field list are those of the same measure built by hand
+    # keys and the field list are those of the same measure with no row
     ha, _ = _hierarchies(3, 4, 4, 1)
     for mu in ha.measures:
         plain = _plain(mu)
         assert mu == plain and hash(mu) == hash(plain) and repr(mu) == repr(plain)
-        assert mu.sort_key() == plain.sort_key()
+        assert sort_key(mu) == sort_key(plain)
         assert dataclasses.fields(mu) == dataclasses.fields(plain)
     assert [f.name for f in dataclasses.fields(EmpiricalMeasure)] == ["atoms", "level"]
     # the measures point at the level arrays, not at the hierarchy, so a
