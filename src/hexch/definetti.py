@@ -123,7 +123,8 @@ def _padded_cumsum(weights: np.ndarray) -> np.ndarray:
 
 def _measure(atoms: tuple, level: int, table_row) -> EmpiricalMeasure:
     """The one builder of an :class:`EmpiricalMeasure`: ``atoms`` at
-    ``level``, recording its ``table_row``, unchecked."""
+    ``level``, unchecked, recording the ``table_row`` it is, which every
+    measure has and the distances read."""
     mu = object.__new__(EmpiricalMeasure)
     # one attribute at a time, as an __init__ sets them, so that the
     # measures share one key table (updating __dict__ made them 13% larger)

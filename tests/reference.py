@@ -1,8 +1,8 @@
 """Reference implementations that tests compare hexch against.
 
 Each states, one object at a time, a rule that hexch applies to whole
-arrays: the canonical order of measures, the weight of a measure over
-measures, the ``hierarchy.json``
+arrays: the empirical measure of a sample, the canonical order of
+measures, the weight of a measure over measures, the ``hierarchy.json``
 object of a measure, the energy statistic, the CSV key order, the
 smallest common denominator of two weight tables, and what makes a
 directing hierarchy the one of its array.
@@ -15,8 +15,29 @@ from fractions import Fraction
 
 import numpy as np
 
-from hexch.definetti import _MAX_DENOMINATOR, DirectingHierarchy, EmpiricalMeasure, _measure
+from hexch.definetti import _MAX_DENOMINATOR, DirectingHierarchy, EmpiricalMeasure
 from hexch.tree import _check_size
+
+
+def plain_measure(atoms: tuple, level: int) -> EmpiricalMeasure:
+    """A measure object of ``atoms`` at ``level`` that is no row of any
+    hierarchy: it compares, hashes and prints as the extracted measure of
+    the same atoms, so the oracles here build their expected measures with
+    it.  It records no table row, so no distance can read it."""
+    mu = object.__new__(EmpiricalMeasure)
+    object.__setattr__(mu, "atoms", atoms)
+    object.__setattr__(mu, "level", level)
+    return mu
+
+
+def reference_empirical_measure(values) -> EmpiricalMeasure:
+    """The level-0 empirical measure of ``values``, by ``np.unique``: one
+    atom per distinct value (-0.0 read as 0.0), weighing its count over
+    the sample size."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1) + 0.0
+    locs, counts = np.unique(values, return_counts=True)
+    n = values.size
+    return plain_measure(tuple((float(x), int(c) / n) for x, c in zip(locs, counts)), 0)
 
 
 def sort_key(mu: EmpiricalMeasure) -> tuple:
@@ -31,7 +52,7 @@ def sort_key(mu: EmpiricalMeasure) -> tuple:
 def _merge(pairs) -> EmpiricalMeasure:
     """The level-k >= 1 measure of ``(measure, weight)`` pairs: equal
     measures merge by summing their weights in turn, and atoms follow
-    canonical order.  It records no table row."""
+    canonical order."""
     merged: dict = {}
     order: dict = {}
     level = None
@@ -41,7 +62,7 @@ def _merge(pairs) -> EmpiricalMeasure:
         order[key] = mu
         level = mu.level + 1
     assert abs(math.fsum(merged.values()) - 1.0) <= 1e-12, "the weights sum to 1"
-    return _measure(tuple((order[k], merged[k]) for k in sorted(merged)), level, None)
+    return plain_measure(tuple((order[k], merged[k]) for k in sorted(merged)), level)
 
 
 def measure_over(measures) -> EmpiricalMeasure:

@@ -45,6 +45,8 @@ from reference import (
     check_hierarchy,
     measure_over,
     measure_to_json_obj,
+    plain_measure,
+    reference_empirical_measure,
     sort_key,
 )
 
@@ -56,6 +58,20 @@ def test_empirical_measure_multiplicities():
     mu = empirical_measure([0.2, 0.2, 0.8])
     assert mu.atoms == ((0.2, 2 / 3), (0.8, 1 / 3))
     assert mu.level == 0
+
+
+@pytest.mark.parametrize("n, decimals", [(1, None), (7, 1), (97, None), (1000, 2), (1001, None)])
+def test_empirical_measure_matches_np_unique(n, decimals):
+    # the r=1 extraction gives the atoms and weights of np.unique's counts
+    # over n, bit for bit, -0.0 read as 0.0
+    x = np.random.default_rng(n).random(n)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    x[0] = -0.0
+    mu, want = empirical_measure(x), reference_empirical_measure(x)
+    assert mu == want and mu.level == 0
+    assert np.array([a for a, _ in mu.atoms]).tobytes() == want.locations.tobytes()
+    assert mu.weights.tobytes() == want.weights.tobytes()
 
 
 def test_empirical_measure_point_mass():
@@ -158,8 +174,8 @@ def test_measure_arrays_cached_and_read_only():
 def test_extract_r1_single_root_measure():
     arr = np.array([0.2, 0.4, 0.4, 0.9])
     h = extract_hierarchy(arr, 1, 4)
-    assert h.measures == (empirical_measure(arr),)
-    assert h.root_measure == empirical_measure(arr)
+    assert h.measures == (reference_empirical_measure(arr),)
+    assert h.root_measure == reference_empirical_measure(arr)
     assert h.measure_at(root(1)) == h.root_measure
 
 
@@ -177,10 +193,10 @@ def test_extract_constant_array_gives_nested_point_masses():
     for v, mu in zip(internal_vertices(2, 3), h.measures, strict=True):
         assert mu.level == h.r - 1 - v.depth
         if mu.level == 0:
-            assert mu == empirical_measure([c])
+            assert mu == reference_empirical_measure([c])
         else:
             assert len(mu.atoms) == 1
-            assert mu.atoms[0][0] == empirical_measure([c])
+            assert mu.atoms[0][0] == reference_empirical_measure([c])
 
 
 def test_extract_measure_levels_and_counts():
@@ -236,7 +252,7 @@ def test_extract_invariant_under_structure_permutation():
 def _reference_extract(x, r, m):
     # the per-row loop: np.unique on each sibling block, then measures over
     # measures level by level
-    level = [empirical_measure(x[i * m : (i + 1) * m]) for i in range(m ** (r - 1))]
+    level = [reference_empirical_measure(x[i * m : (i + 1) * m]) for i in range(m ** (r - 1))]
     measures = {}
     for d in range(r - 1, -1, -1):
         for coords, mu in zip(itertools.product(range(1, m + 1), repeat=d), level):
@@ -1087,7 +1103,7 @@ def test_nested_distance_off_the_grid_above_level_0_raises(monkeypatch, make_pai
 def _plain(mu):
     """``mu`` rebuilt object by object, so that no level table row is kept."""
     atoms = mu.atoms if mu.level == 0 else tuple((_plain(a), w) for a, w in mu.atoms)
-    return _measure(atoms, mu.level, None)
+    return plain_measure(atoms, mu.level)
 
 
 def _no_common_denominator(*args, **kwargs):
