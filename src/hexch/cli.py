@@ -135,9 +135,9 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec, dict]:
         "scenario": obj["scenario"],
         # derived seeds are 64-bit, so larger seeds would alias smaller ones
         "seed": _integer(obj["seed"], "seed", 0, _SEED_MAX),
-        # checked by _request; int() makes a numpy integer plain for the manifest
+        # _request checks r but lets m be None; int() makes a numpy r plain
         "r": int(obj["r"]),
-        "m": int(obj["m"]),
+        "m": _integer(obj["m"], "m", 1),
         "n": n,
         "params": dict(obj.get("params", {})),
         "extract": extract,

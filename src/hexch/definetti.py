@@ -5,8 +5,8 @@ the hierarchy of directing measures by taking empirical measures of sibling
 blocks bottom-up (values at the deepest level, then measures of measures),
 and regenerate a fresh exchangeable array from that hierarchy by drawing
 child measures and finally leaf values through quantile transforms of fresh
-uniforms, hashed one whole depth at a time as every sampler's are
-(``hexch.fields._hash_level``).
+uniforms, every depth's from one fold over the tree as every sampler's are
+(``hexch.fields._level_values``).
 
 A :class:`DirectingHierarchy` stores each nesting level as arrays: a table
 of its distinct measures in canonical order, and one table id per vertex.
@@ -54,7 +54,7 @@ from itertools import product
 import numpy as np
 
 from ._text import _rows
-from .fields import _hash_level, _init_state
+from .fields import _init_state, _level_values
 from .tree import TreeVertex, _is_size, internal_vertices
 
 __all__ = [
@@ -443,9 +443,9 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     Walking down from the root, each fresh vertex draws its child measure
     from the parent's nested measure by quantile sampling over the atom
     index, bottoming out with a value quantile draw at the leaves.  All
-    uniforms come from the counter-based field (role "w"), hashed one whole
-    depth at a time (:func:`~hexch.fields._hash_level`), so the output is
-    deterministic in ``seed``; each depth's atom picks are one row-batched
+    uniforms come from the counter-based field (role "w"), hashed in one
+    fold over the tree (:func:`~hexch.fields._level_values`), so the output
+    is deterministic in ``seed``; each depth's atom picks are one row-batched
     left search of the uniforms in the parents' cumulative weights.
     """
     _require_hierarchy("resynthesize", h)
@@ -453,11 +453,11 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
         raise ValueError(f"hierarchy depth {h.r} does not match requested r={r}")
     if not _is_size(m2):
         raise ValueError(f"m2 must be an integer >= 1, got {m2!r}")
-    h0 = _init_state(seed, "w")
+    levels = _level_values(_init_state(seed, "w"), (r,), (m2,))
     current = h.ids[0]
     for d in range(1, r + 1):
         k = r - d  # the level of the depth d-1 measures
-        u = _hash_level(h0, (d,), (m2,))[0].reshape(current.size, m2)
+        u = levels[d].reshape(current.size, m2)
         pick = _search_rows(h.cum[k][current], u)
         np.minimum(pick, h.counts[k][current, None] - 1, out=pick)
         # the picked atoms, gathered at their flat index in the level table

@@ -129,8 +129,8 @@ def _init_state(seed, role: str) -> np.ndarray:
 
 
 def _unit(h: np.ndarray) -> np.ndarray:
-    """Hash states to floats in [0, 1) with 53-bit precision."""
-    return (h >> _S11).astype(np.float64) * 2.0**-53
+    """Hash states to floats in [0, 1) with 53-bit precision, C-ordered."""
+    return (h >> _S11).astype(np.float64, order="C") * 2.0**-53
 
 
 def _hash_words(h0: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -142,21 +142,6 @@ def _hash_words(h0: np.ndarray, words: np.ndarray) -> np.ndarray:
     h = h0[:, None]
     for col in range(words.shape[1]):
         h = _mix(h ^ words[:, col])
-    return _unit(h)
-
-
-def _hash_level(h0: np.ndarray, depths: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    """Field values (K, vertices) of the K start states ``h0`` at depth tuple
-    ``depths`` of the product truncation with sides ``shape``, vertices in
-    lexicographic order (the first tree slowest), each hashed as
-    :func:`_hash_words` hashes its word blocks (d_i, c1, ..., c_{d_i}).
-    Each word is folded once into the states of the prefixes it extends."""
-    h = h0[:, None]
-    for d_i, m_i in zip(depths, shape):
-        h = _mix(h ^ _U64(d_i))
-        coords = np.arange(1, m_i + 1, dtype=_U64)
-        for _ in range(d_i):
-            h = _mix(h[:, :, None] ^ coords).reshape(len(h0), -1)
     return _unit(h)
 
 
@@ -199,26 +184,40 @@ def _coord_words(coords: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _path_layout(depths: tuple[int, ...], shape: tuple[int, ...]):
     """The leaf grid of a product truncation and, per depth tuple in
-    lexicographic order, the tuple and the shape that broadcasts its vertex
-    values over the leaf grid."""
+    lexicographic order, the shape that broadcasts its vertex values over
+    the leaf grid."""
     grid = tuple(m_i for r_i, m_i in zip(depths, shape) for _ in range(r_i))
-    levels = []
-    for dt in itertools.product(*(range(r_i + 1) for r_i in depths)):
-        # a vertex at depth d_i in tree i fixes the first d_i axes of that tree
-        bshape = tuple(
-            m_i if k < d_i else 1
-            for d_i, r_i, m_i in zip(dt, depths, shape)
-            for k in range(r_i)
-        )
-        levels.append((dt, bshape))
-    return grid, tuple(levels)
+    # a vertex at depth d_i in tree i fixes the first d_i axes of that tree
+    bshapes = tuple(
+        tuple(m_i if k < d_i else 1 for d_i, r_i, m_i in zip(dt, depths, shape) for k in range(r_i))
+        for dt in itertools.product(*(range(r_i + 1) for r_i in depths))
+    )
+    return grid, bshapes
 
 
 def _level_values(h0: np.ndarray, depths, shape) -> list[np.ndarray]:
     """Field values (K, vertices) of the K start states ``h0`` at each depth
-    tuple of the product truncation, hashed once per depth tuple."""
-    layout = _path_layout(depths, shape)[1]
-    return [_hash_level(h0, dt, shape) for dt, _ in layout]
+    tuple of the product truncation, in :func:`_path_layout`'s order, each
+    vertex hashed as :func:`_hash_words` hashes its blocks (d_i, c1, ...).
+
+    One fold per tree, started from the states (N, K) of every depth tuple
+    of the trees before it.  The r + 1 depth words are mixed in at once;
+    the states, (depths not yet finished, N, vertices, K), then take each
+    coordinate word in one mix for all those depths, and depth d is done
+    after step d.  K is the fastest axis, so each pass runs along it.
+    """
+    states = [h0[None, :]]
+    for r_i, m_i in zip(depths, shape):
+        ends = list(itertools.accumulate(map(len, states)))
+        h = np.concatenate(states)
+        coords = np.arange(1, m_i + 1, dtype=_U64)[:, None]
+        t = _mix(np.arange(r_i + 1, dtype=_U64)[:, None, None] ^ h)[:, :, None]
+        folded = [t[0]]
+        for d in range(r_i):
+            t = _mix(t[1:, :, :, None] ^ coords).reshape(r_i - d, len(h), -1, len(h0))
+            folded.append(t[0])
+        states = [f[a:b].reshape(-1, len(h0)) for a, b in zip([0] + ends, ends) for f in folded]
+    return [_unit(s.T) for s in states]
 
 
 def _write_paths(levels: list[np.ndarray], depths, shape) -> np.ndarray:
@@ -237,8 +236,8 @@ def _fill_paths(out: np.ndarray, levels: list[np.ndarray], layout) -> None:
     """Write :func:`_write_paths`'s values into ``out``, of shape lead +
     leaf grid + (depth tuples,), whose lead axes split the K rows of
     ``levels`` in C order."""
-    lead = out.shape[: out.ndim - 1 - len(layout[0][1])]
-    for j, (vals, (_, bshape)) in enumerate(zip(levels, layout)):
+    lead = out.shape[: out.ndim - 1 - len(layout[0])]
+    for j, (vals, bshape) in enumerate(zip(levels, layout)):
         out[..., j] = vals.reshape(lead + bshape)
 
 
@@ -303,7 +302,8 @@ class UniformField:
 def level_values(seed: int, r: int, m: int) -> dict[int, np.ndarray]:
     """The uniform field of role "u" on the whole truncation {1..m}^r: a dict
     from each depth d to the values of its m^d vertices, in lexicographic
-    coordinate order (``(1, 2)`` before ``(1, 10)``), hashed once per depth."""
+    coordinate order (``(1, 2)`` before ``(1, 10)``), from one fold over the
+    tree."""
     _check_size("r", r, 0)
     _check_size("m", m)
     return {d: u[0] for d, u in enumerate(_level_values(_init_state(seed, "u"), (r,), (m,)))}

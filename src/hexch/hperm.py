@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _hash_level, _init_state
+from .fields import _init_state, _level_values
 from .tree import TreeVertex, _check_size, internal_vertices, wedge_matrix
 
 __all__ = [
@@ -186,14 +186,14 @@ def _leaf_indices(ranks: list[np.ndarray], m: int) -> np.ndarray:
 def _random_ranks(r: int, m: int, seeds) -> list[np.ndarray]:
     """Child ranks of the random maps of K seeds, ``(K, m^d, m)`` per depth d < r.
 
-    The children of every depth-d vertex are hashed at once against the K
-    start states of role "hperm", and one double stable argsort along the
-    last axis ranks each vertex's children (ties, if any, keep child order).
+    Every depth is hashed in one fold over the tree from the K start states
+    of role "hperm"; per depth, one double stable argsort along the last
+    axis ranks each vertex's children (ties, if any, keep child order).
     """
     h0 = _init_state(seeds, "hperm")
     ranks = []
-    for d in range(r):
-        u = _hash_level(h0, (d + 1,), (m,)).reshape(len(h0), m**d, m)
+    for d, u in enumerate(_level_values(h0, (r,), (m,))[1:]):
+        u = u.reshape(len(h0), m**d, m)
         ranks.append(np.argsort(np.argsort(u, axis=-1, kind="stable"), axis=-1, kind="stable") + 1)
     return ranks
 

@@ -4,8 +4,9 @@ Each states, one object at a time, a rule that hexch applies to whole
 arrays: the empirical measure of a sample, the canonical order of
 measures, the weight of a measure over measures, the ``hierarchy.json``
 object of a measure, the energy statistic, the CSV key order, the
-smallest common denominator of two weight tables, and what makes a
-directing hierarchy the one of its array.
+smallest common denominator of two weight tables, what makes a
+directing hierarchy the one of its array, and the leaf map of a seeded
+random hierarchical permutation.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from hexch.definetti import _MAX_DENOMINATOR, DirectingHierarchy, EmpiricalMeasure
+from hexch.fields import _coord_words, _hash_words, _init_state
 from hexch.tree import _check_size
 
 
@@ -114,6 +116,27 @@ def vertex_keys(d: int, m: int) -> Iterator[str]:
     _check_size("m", m)
     coords = tuple(map(str, range(1, m + 1)))
     return map("/".join, itertools.product((str(d),), *[coords] * d))
+
+
+def reference_leaf_indices(r: int, m: int, seeds) -> np.ndarray:
+    """The leaf-index maps ``(K, m^r)`` of the random maps of K seeds, depth
+    by depth: the children of each depth-d vertex take the ``"hperm"``
+    uniforms of their own word rows (d + 1, c1, ..., c_{d+1}), ranked by a
+    double stable argsort, and a leaf's image index is read off its ranks
+    from the root down, one leaf at a time."""
+    h0 = _init_state(seeds, "hperm")
+    ranks = []
+    for d in range(r):
+        coords = np.array(list(itertools.product(range(1, m + 1), repeat=d + 1)))
+        u = _hash_words(h0, _coord_words(coords)).reshape(len(h0), m**d, m)
+        ranks.append(np.argsort(np.argsort(u, axis=-1, kind="stable"), axis=-1, kind="stable"))
+    out = np.zeros((len(h0), m**r), dtype=np.intp)
+    for pos, leaf in enumerate(itertools.product(range(m), repeat=r)):
+        parent = 0
+        for d, c in enumerate(leaf):
+            out[:, pos] = out[:, pos] * m + ranks[d][:, parent, c]
+            parent = parent * m + c
+    return out
 
 
 def _common_counts(

@@ -170,6 +170,7 @@ def test_config_errors():
         {"seed": 2**64},
         {"r": "2x"},
         {"m": 2.5},
+        {"scenario": "product", "r": 2, "m": None, "seed": 0},
         {"params": [1]},
         {"params": {"weight": "abc"}},
         {"extract": "no"},

@@ -117,7 +117,8 @@ def _draws(monkeypatch, h, u):
     """What :func:`resynthesize` draws from the r=1 hierarchy ``h`` when its
     field yields the uniforms ``u``."""
     u = np.asarray(u, dtype=np.float64)
-    monkeypatch.setattr(hexch.definetti, "_hash_level", lambda h0, depths, shape: u[None])
+    levels = [np.zeros((1, 1)), u[None]]
+    monkeypatch.setattr(hexch.definetti, "_level_values", lambda h0, depths, shape: levels)
     return resynthesize(h, 1, u.size, seed=0)
 
 

@@ -13,12 +13,12 @@ from hexch.fields import (
     SigmaModel,
     UniformField,
     _coord_words,
-    _hash_level,
     _hash_words,
     _init_state,
     _level_values,
     _mix,
     _mix_int,
+    _role_key,
     _seed_int,
     _seed_words,
     derive_seed,
@@ -450,29 +450,43 @@ def test_path_matrix_columns_are_prefix_values():
     assert np.array_equal(path_matrix(seed, "v", r, m), pm)
 
 
-def test_hash_level_matches_the_coord_word_rows():
-    # one prefix-folded pass per depth tuple hashes each vertex as its word
-    # row: one tree at depths 0..3, K = 1 and K = 3 start states
+def _product_words(depths, shape, dt):
+    """Word rows of the product vertices at depth tuple ``dt``: one
+    (d_i, c1, ..., c_{d_i}) block per tree, the first tree slowest."""
+    parts = [_at_depth(r_i, m_i, d_i) for d_i, r_i, m_i in zip(dt, depths, shape)]
+    return np.array(
+        [[w for p in vs for w in (len(p.coords), *p.coords)] for vs in itertools.product(*parts)],
+        dtype=np.uint64,
+    )
+
+
+def test_level_values_match_the_coord_word_rows():
+    # one fold per tree hashes each vertex as its word row, byte for byte:
+    # one tree at depths 0..3, K = 1 and K = 3 start states
     for seeds in ([5], [5, 2**64 - 1, 9]):
         h0 = _init_state(seeds, "w")
         for r, m in ((1, 5), (2, 3), (3, 4)):
-            for d in range(r + 1):
+            levels = _level_values(h0, (r,), (m,))
+            assert len(levels) == r + 1
+            for d, got in enumerate(levels):
                 coords = [v.coords for v in _at_depth(r, m, d)]
                 want = _hash_words(h0, _coord_words(np.array(coords, dtype=np.int64)))
-                got = _hash_level(h0, (d,), (m,))
                 assert got.shape == (len(seeds), m**d)
                 assert got.tobytes() == want.tobytes()
-    # a product absorbs one (d_i, c1, ..., c_{d_i}) block per tree, the
-    # first tree slowest
+    # a product folds tree by tree, depth tuples in lexicographic order
     h0 = _init_state([12, 13], "u")
-    for dt in itertools.product(range(2), range(3)):
-        parts = [_at_depth(r_i, m_i, d_i)
-                 for d_i, r_i, m_i in zip(dt, (1, 2), (3, 2))]
-        words = np.array(
-            [[w for p in vs for w in (len(p.coords), *p.coords)]
-             for vs in itertools.product(*parts)], dtype=np.uint64)
-        want = _hash_words(h0, words)
-        assert _hash_level(h0, dt, (3, 2)).tobytes() == want.tobytes()
+    dts = list(itertools.product(range(2), range(3)))
+    levels = _level_values(h0, (1, 2), (3, 2))
+    assert len(levels) == len(dts)
+    for dt, got in zip(dts, levels):
+        assert got.tobytes() == _hash_words(h0, _product_words((1, 2), (3, 2), dt)).tobytes()
+    # the K * n replica start states of sample_ah, seed-major
+    n = 4
+    keys = np.array([_role_key(f"v^{i}") for i in range(1, n + 1)], dtype=np.uint64)
+    h0 = _mix(_seed_words([3, 2**64 - 1])[:, None] ^ keys).reshape(-1)
+    for d, got in enumerate(_level_values(h0, (2,), (3,))):
+        assert got.shape == (2 * n, 3**d)
+        assert got.tobytes() == _hash_words(h0, _product_words((2,), (3,), (d,))).tobytes()
 
 
 def test_path_matrix_product_matches_vertex_values():

@@ -17,6 +17,8 @@ from hexch.hperm import (
 from hexch.fields import derive_seed
 from hexch.tree import TreeVertex, leaf, leaves, root, wedge, wedge_matrix
 
+from reference import reference_leaf_indices
+
 
 def root_swap(r=3):
     return HPerm(r, {root(r): (2, 1)})
@@ -160,6 +162,12 @@ def test_random_leaf_indices_stacks_per_map_indices(r, m, k):
     for row in idx:
         assert np.array_equal(np.sort(row), np.arange(m**r))
         assert np.array_equal(wedge_matrix(coords[row]), wedges)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("seeds", [[4], [4, 2**64 - 1, 17]])
+def test_random_leaf_indices_match_the_per_depth_reference(r, seeds):
+    assert np.array_equal(random_leaf_indices(r, 4, seeds), reference_leaf_indices(r, 4, seeds))
 
 
 def test_random_hperm_uniformity_at_root():
