@@ -55,6 +55,9 @@ class CapError(ValueError):
 
 
 _SEED_MAX = 2**64 - 1
+# The most resamples a test may ask for: the cell cap does not count them,
+# and 10^6 resamples at 16 cells take 3-5 s on 2 shared vCPUs
+_MAX_RESAMPLES = 10**6
 # coordinate grids take one axis per depth and np.meshgrid broadcasts at most
 # 32 arrays; for m >= 2 the cell cap binds first, so it is checked first
 _MAX_DEPTH = 32
@@ -75,9 +78,10 @@ def _cell_cap() -> int:
     """The cell cap: ``HEXCH_MAX_CELLS`` if set, else ``DEFAULT_CELL_CAP``.
 
     It bounds memory, not time: the truncations and the ``hexch`` test
-    buffers are checked against it, but a PIT test draws its shuffles in
-    blocks of bounded size, so the cap does not limit its ``n_resamples``
-    (10^6 resamples at 16 cells take 3-5 s on 2 shared vCPUs)."""
+    buffers are checked against it.  A PIT test draws its shuffles in
+    blocks of bounded size, so its time is bounded instead by
+    ``_MAX_RESAMPLES``, which :func:`_parse_config` holds every test's
+    ``n_resamples`` to."""
     raw = os.environ.get("HEXCH_MAX_CELLS")
     if raw is None:
         return DEFAULT_CELL_CAP
@@ -168,7 +172,8 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec, dict]:
         entry = {
             "name": name,
             "n_reps": _integer(t.get("n_reps", 50), f"tests[{i}].n_reps", 20),
-            "n_resamples": _integer(t.get("n_resamples", 199), f"tests[{i}].n_resamples", 1),
+            "n_resamples": _integer(t.get("n_resamples", 199), f"tests[{i}].n_resamples", 1,
+                                    _MAX_RESAMPLES),
             "level": level,
         }
         cfg["tests"].append(entry)

@@ -264,10 +264,11 @@ class DirectingHierarchy:
             yield rows, left, np.take_along_axis(padded, idx, axis=1)
 
 
-# Scratch bound for the row searches, the parent CDFs, the level-0
-# broadcast and the assignment costs, so that a large level costs blocks of
-# rows or row pairs of at most this many bytes, not one (P, q, w), (rows_a,
-# rows_b, n) or (rows_a, rows_b, n, n) array.
+# Scratch bound for the row searches, the parent CDFs, the level-0 gap
+# planes and the assignment costs, so that a large level costs blocks of
+# rows or row pairs of at most this many bytes, not one (P, q, w) or
+# (rows_a, rows_b, n, n) array; the level-0 planes of a block of rows
+# (16, each (rows, rows_b)) take a sixteenth of it.
 _BLOCK_BYTES = 1 << 23
 
 # Widest rows that _search_rows compares with every query at once
@@ -562,17 +563,18 @@ def _level_counts(
 ) -> tuple[int, np.ndarray, np.ndarray] | None:
     """``(n, counts_a, counts_b)`` for the smallest n that makes every
     weight of two multiplicity tables, counts out of ``ma`` and ``mb``, a
-    whole multiple of 1/n: the counts at ``n0 = lcm(ma, mb)`` divided by
-    ``g = gcd(n0, every count)``, so ``n = n0 / g``.  None if n exceeds
+    whole multiple of 1/n: the counts scaled to ``n0 = lcm(ma, mb)`` by
+    ``f = n0 / m`` and divided by ``g = gcd(n0, every scaled count)``, so
+    ``n = n0 / g``.  g is taken per table as ``f * gcd(counts)``, and a
+    table whose f equals g is returned as it is.  None if n exceeds
     ``_MAX_DENOMINATOR``."""
     n0 = math.lcm(ma, mb)
-    counts = np.concatenate([ca.reshape(-1) * (n0 // ma), cb.reshape(-1) * (n0 // mb)])
-    g = math.gcd(n0, int(np.gcd.reduce(counts)))
+    fa, fb = n0 // ma, n0 // mb
+    g = math.gcd(n0, fa * int(np.gcd.reduce(ca, axis=None)), fb * int(np.gcd.reduce(cb, axis=None)))
     n = n0 // g
     if n > _MAX_DENOMINATOR:
         return None
-    counts //= g
-    return n, counts[: ca.size].reshape(ca.shape), counts[ca.size :].reshape(cb.shape)
+    return n, ca if fa == g else ca * fa // g, cb if fb == g else cb * fb // g
 
 
 def _expand(atoms: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
@@ -583,21 +585,59 @@ def _expand(atoms: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
 def _w1_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """W1 between every row of ``a`` and every row of ``b``, rows being
     ascending samples of n equal weights: the mean gap of the sorted
-    samples, broadcast over row blocks whose gap arrays hold at most
-    ``_BLOCK_BYTES``, in one reused buffer.  Each sum of n gaps is divided
-    by n once, as ``mean`` does."""
+    samples.  Sample k of every row pair is one plane ``|a[:, k] - b[:, k]|``
+    over a block of rows of ``a``, and a block's planes are added by
+    :func:`_gap_sum` in numpy's own order, so each sum of n gaps has the
+    bits of ``np.add.reduce`` over the row pair's gaps; it is divided by n
+    once, as ``mean`` does.  A block's 16 working planes take at most
+    ``_BLOCK_BYTES // 16``, which stays in a core's cache; besides them
+    only the transposed ``b`` and a plane per halving of n past 128 are
+    allocated."""
     n = a.shape[1]
     out = np.empty((len(a), len(b)))
-    step = max(1, _BLOCK_BYTES // (8 * b.size))
-    gaps = np.empty((min(step, len(a)), len(b), n))
+    bt = np.ascontiguousarray(b.T)
+    step = max(1, _BLOCK_BYTES // (16 * 16 * 8 * len(b)))
+    scratch = np.empty((16, min(step, len(a)), len(b)))
     for lo in range(0, len(a), step):
         hi = min(lo + step, len(a))
-        block = gaps[: hi - lo]
-        np.subtract(a[lo:hi, None, :], b[None], out=block)
-        np.abs(block, out=block)
-        np.add.reduce(block, axis=2, out=out[lo:hi])
+        _gap_sum(a[lo:hi].T, bt, out[lo:hi], scratch[:, : hi - lo])
     out /= n
     return out
+
+
+def _gap_sum(at: np.ndarray, bt: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write to ``out`` the sum over k of the planes ``|at[k][:, None] -
+    bt[k]|``, added in the order of numpy's pairwise sum of a contiguous row
+    of n = ``len(at)`` terms: under 8 terms left to right; up to 128, 8
+    lanes, lane j adding terms j, j + 8, ... left to right, joined as
+    ``((0+1)+(2+3))+((4+5)+(6+7))`` before the last ``n % 8`` terms are
+    added left to right; past 128, the sum of two halves, the first
+    ``n//2 - (n//2) % 8`` terms long.  The gaps are >= 0, so the ``0.0``
+    that numpy's reduction starts from changes no bit.  ``scratch`` holds
+    the 8 lanes and 8 gap planes."""
+    n = len(at)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        rest = np.empty_like(out)
+        _gap_sum(at[:half], bt[:half], out, scratch)
+        _gap_sum(at[half:], bt[half:], rest, scratch)
+        out += rest
+        return
+    lanes, gaps = scratch[:8], scratch[8:]
+    top = n - n % 8
+    if n < 8:
+        np.abs(np.subtract(at[0, :, None], bt[0], out=out), out=out)
+        top = 1
+    else:
+        np.abs(np.subtract(at[:8, :, None], bt[:8, None], out=lanes), out=lanes)
+        for i in range(8, top, 8):
+            np.abs(np.subtract(at[i : i + 8, :, None], bt[i : i + 8, None], out=gaps), out=gaps)
+            lanes += gaps
+        np.add(lanes[0::2], lanes[1::2], out=gaps[:4])
+        np.add(gaps[0:4:2], gaps[1:4:2], out=gaps[4:6])
+        np.add(gaps[4], gaps[5], out=out)
+    for k in range(top, n):
+        out += np.abs(np.subtract(at[k, :, None], bt[k], out=gaps[0]), out=gaps[0])
 
 
 def _assignment_table(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -644,8 +684,10 @@ def nested_distance(
     reduced by the gcd of the counts (:func:`_level_counts`), exactly; it
     is at most 1024 for any sides up to 32.  A level k >= 1 with a larger
     n raises ``ValueError``: extracted sides 32 and 33, say (n = 1056).
-    Level 0 is one broadcast over n sorted samples per row when n <= 1024,
-    and :func:`wasserstein1` pair by pair, from the table rows, when not.
+    Level 0 is the mean gap of n sorted samples per pair of rows when
+    n <= 1024, summed plane by plane in numpy's order over blocks of rows
+    (:func:`_w1_table`), and :func:`wasserstein1` pair by pair, from the
+    table rows, when not.
     Nothing is kept between calls.
     """
     (tables_a, ma), (tables_b, mb) = _measure_tables(mu), _measure_tables(nu)

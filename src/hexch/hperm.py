@@ -187,14 +187,17 @@ def _random_ranks(r: int, m: int, seeds) -> list[np.ndarray]:
     """Child ranks of the random maps of K seeds, ``(K, m^d, m)`` per depth d < r.
 
     Every depth is hashed in one fold over the tree from the K start states
-    of role "hperm"; per depth, one double stable argsort along the last
-    axis ranks each vertex's children (ties, if any, keep child order).
+    of role "hperm"; per depth, one stable argsort along the last axis
+    orders each vertex's children (ties, if any, keep child order), and
+    ranks 1..m are put back at the sorted positions.
     """
     h0 = _init_state(seeds, "hperm")
     ranks = []
     for d, u in enumerate(_level_values(h0, (r,), (m,))[1:]):
         u = u.reshape(len(h0), m**d, m)
-        ranks.append(np.argsort(np.argsort(u, axis=-1, kind="stable"), axis=-1, kind="stable") + 1)
+        rank = np.empty(u.shape, dtype=np.intp)
+        np.put_along_axis(rank, np.argsort(u, axis=-1, kind="stable"), np.arange(1, m + 1), axis=-1)
+        ranks.append(rank)
     return ranks
 
 
@@ -216,7 +219,7 @@ def random_leaf_indices(r: int, m: int, seeds) -> np.ndarray:
     """Leaf-index maps ``(K, m^r)`` of the random maps of a 1-D sequence of K seeds.
 
     Row k equals ``random_hperm(r, m, seeds[k]).permuted_leaf_indices(m)``,
-    built from the K maps' rank arrays in one hash pass and one double
+    built from the K maps' rank arrays in one hash pass and one stable
     argsort per depth, without tables or vertex objects.
     """
     _check_size("r", r)

@@ -195,6 +195,9 @@ def test_config_errors():
          "tests": [{"name": "level_homogeneity"}]},
         {"scenario": "toy-magnetization", "r": 2, "extract": True, "tests": []},
         {"scenario": "toy-magnetization", "r": 2, "tests": [{"name": "conditional_iid"}]},
+        # a request whose resamples would never finish
+        {"r": 2, "tests": [{"name": "conditional_iid", "n_resamples": 2**64}]},
+        {"r": 2, "tests": [{"name": "cond_indep", "n_resamples": 10**6 + 1}]},
     ],
 )
 def test_malformed_config_exits_two(tmp_path, overrides, capsys):

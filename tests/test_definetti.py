@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1066,14 +1067,47 @@ def test_assignment_table_gathers_blocks_of_row_pairs(monkeypatch, pairs_per_blo
 
 @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
 def test_w1_table_has_the_bits_of_the_mean_gap(monkeypatch, rows_per_block):
-    # the gaps are summed in a reused buffer and divided by n once: the bits
-    # of numpy's mean, for any blocking of the rows of a
-    rng = np.random.default_rng(4)
-    a, b = np.sort(rng.random((7, 7)), axis=1), np.sort(rng.random((5, 7)), axis=1)
-    if rows_per_block is not None:
-        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 8 * b.size)
-    want = np.abs(a[:, None, :] - b[None]).mean(axis=2)
-    assert _w1_table(a, b).tolist() == want.tolist()
+    # the gap planes are added in numpy's pairwise order and divided by n
+    # once: the bits of numpy's mean over each row pair's gaps, for every n
+    # on each side of the order's 8 and 128 term steps and for any blocking
+    # of the rows of a; rows tie with each other and hold tied samples
+    gap_sum, blocks = hexch.definetti._gap_sum, []
+
+    def spy(at, bt, out, scratch):
+        if len(at) == len(bt) == n:
+            blocks.append(len(out))
+        gap_sum(at, bt, out, scratch)
+
+    monkeypatch.setattr(hexch.definetti, "_gap_sum", spy)
+    for n in (1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 256, 257, 1000, 1024):
+        rng = np.random.default_rng(n)
+        a, b = np.sort(rng.random((7, n)), axis=1), np.sort(rng.random((5, n)), axis=1)
+        a[1], a[4], b[3] = b[0], a[3], np.round(b[3], 1)
+        if rows_per_block is not None:
+            monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES",
+                                rows_per_block * 16 * 16 * 8 * len(b))
+        want = np.abs(a[:, None, :] - b[None]).mean(axis=2)
+        blocks.clear()
+        assert _w1_table(a, b).tobytes() == want.tobytes(), n
+        assert blocks == {None: [7], 1: [1] * 7, 3: [3, 3, 1]}[rows_per_block], n
+
+
+@pytest.mark.parametrize("n, block_bytes", [(64, None), (64, 1 << 20), (1000, None), (1000, 1 << 22)])
+def test_w1_table_scratch_stays_in_the_block_bound(monkeypatch, n, block_bytes):
+    # the gaps of all row pairs would take 8 * 300 * 400 * n bytes; the
+    # planes of a block of rows and the transposed b (8 * 400 * n bytes,
+    # within each bound here) stay within _BLOCK_BYTES
+    rng = np.random.default_rng(6)
+    a, b = np.sort(rng.random((300, n)), axis=1), np.sort(rng.random((400, n)), axis=1)
+    if block_bytes is not None:
+        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", block_bytes)
+    tracemalloc.start()
+    try:
+        _w1_table(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= hexch.definetti._BLOCK_BYTES + 8 * 300 * 400
 
 
 def _no_solve(*args, **kwargs):
