@@ -14,9 +14,7 @@ from hexch import (
     derive_seed,
     extract_hierarchy,
     hexch_test,
-    level_homogeneity_test,
     list_scenarios,
-    make_level_values,
     make_source,
 )
 
@@ -66,14 +64,3 @@ for name, test in (
     k, n = rejection_rate(one)
     print(f"  {name:16s} {test.__name__:21s} rejected {k}/{n}")
 
-print()
-print("== per-depth field homogeneity ==")
-for shift in (0.0, 0.5):
-    def one(t, shift=shift):
-        seed = derive_seed(SEED, f"hom{shift}", t)
-        by_depth = make_level_values("depth-shift", 2, 32, seed, params={"shift": shift})
-        return level_homogeneity_test(by_depth, seed=seed).reject
-
-    k, n = rejection_rate(one)
-    label = "uniform at every depth" if shift == 0.0 else f"depth-1 shifted by {shift}"
-    print(f"  {label:24s} rejected {k}/{n}")

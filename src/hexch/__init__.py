@@ -22,7 +22,6 @@ from .fields import (
     SigmaModel,
     UniformField,
     derive_seed,
-    level_values,
     sample_ah,
     sample_array,
 )
@@ -37,7 +36,6 @@ from .scenarios import (
     ScenarioSpec,
     builtin,
     list_scenarios,
-    make_level_values,
     make_model,
     make_source,
 )
@@ -46,7 +44,6 @@ from .stattests import (
     cond_indep_test,
     conditional_iid_test,
     hexch_test,
-    level_homogeneity_test,
 )
 from .tree import (
     ProductVertex,
@@ -60,4 +57,4 @@ from .tree import (
     wedge,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

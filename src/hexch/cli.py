@@ -30,7 +30,7 @@ from .definetti import extract_hierarchy, hierarchy_json_chunks, resynthesize
 # hierarchy_to_json_obj is unused here, but bench/spans.py traces it at this
 # lookup site
 from .definetti import hierarchy_to_json_obj  # noqa: F401
-from .fields import _as_tuples, derive_seed, level_values
+from .fields import _as_tuples, derive_seed
 from .scenarios import ScenarioSpec, _integer, _number, _request, list_scenarios, make_source
 # the tests run by the names _TESTS gives, looked up here at call time
 from .stattests import (  # noqa: F401
@@ -38,7 +38,6 @@ from .stattests import (  # noqa: F401
     conditional_iid_test,
     hexch_test,
     kept_dimension,
-    level_homogeneity_test,
 )
 # leaves is unused here, but bench/spans.py traces it at this lookup site
 from .tree import DEFAULT_CELL_CAP, _is_size, leaves  # noqa: F401
@@ -64,13 +63,12 @@ _MAX_DEPTH = 32
 _CONFIG_KEYS = {"scenario", "seed", "r", "m", "n", "params", "extract", "resynthesize_m",
                 "tests", "out"}
 # each test's config keys besides its name, what it runs on (the scenario's
-# source, the array and its extracted hierarchy, or realized field values)
-# and the name of the hexch.stattests function it calls
+# source, or the array and its extracted hierarchy) and the name of the
+# hexch.stattests function it calls
 _TESTS = {
     "hexch": ({"n_reps", "n_resamples", "level"}, "source", "hexch_test"),
     "conditional_iid": ({"n_resamples", "level"}, "hierarchy", "conditional_iid_test"),
     "cond_indep": ({"n_resamples", "level"}, "hierarchy", "cond_indep_test"),
-    "level_homogeneity": ({"level"}, "field", "level_homogeneity_test"),
 }
 
 
@@ -115,10 +113,9 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
                           f"expected one of {sorted(allowed)}")
 
 
-def _parse_config(obj) -> tuple[dict, ScenarioSpec, dict]:
-    """The checked config, the spec of its scenario and the scenario's
-    params merged over the spec's defaults.  A malformed field raises
-    ValueError; the cell cap is left to :func:`_check_cap`."""
+def _parse_config(obj) -> tuple[dict, ScenarioSpec]:
+    """The checked config and the spec of its scenario.  A malformed field
+    raises ValueError; the cell cap is left to :func:`_check_cap`."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     for key in ("scenario", "seed", "r", "m"):
@@ -127,8 +124,8 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec, dict]:
     _check_keys(obj, _CONFIG_KEYS, "the config")
     if not isinstance(obj["scenario"], str):
         raise ConfigError(f"scenario must be a name, got {obj['scenario']!r}")
-    spec, n, params = _request(obj["scenario"], obj["r"], obj["m"], obj.get("n"),
-                               obj.get("params", {}))
+    spec, n, _ = _request(obj["scenario"], obj["r"], obj["m"], obj.get("n"),
+                          obj.get("params", {}))
     extract = obj.get("extract", False)
     if not isinstance(extract, bool):
         raise ConfigError(f"extract must be true or false, got {extract!r}")
@@ -161,11 +158,10 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec, dict]:
             raise ConfigError(f"unknown test {name!r}")
         keys, on, _ = _TESTS[name]
         _check_keys(t, keys | {"name"}, f"tests[{i}] ({name})")
-        if (on == "field") != (spec.form == "field"):
-            raise ConfigError(f"test {name!r} needs {'a field' if on == 'field' else 'an array'} "
-                              "scenario")
         if name == "cond_indep" and (cfg["r"] < 2 or cfg["m"] < 2):
             raise ConfigError("cond_indep needs r >= 2 and m >= 2")
+        if name == "conditional_iid" and cfg["m"] < 2:
+            raise ConfigError("conditional_iid needs m >= 2")
         level = _number(t.get("level", 0.05), f"tests[{i}].level")
         if not 0.0 < level < 1.0:
             raise ConfigError(f"tests[{i}].level must lie in (0, 1), got {level}")
@@ -177,11 +173,11 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec, dict]:
             "level": level,
         }
         cfg["tests"].append(entry)
-    if _needs_hierarchy(cfg) and spec.form in ("sigma-replica", "field"):
+    if _needs_hierarchy(cfg) and spec.form == "sigma-replica":
         raise ConfigError(f"hierarchy extraction needs a plain tree array, not {spec.name!r}")
     if cfg["resynthesize_m"] is not None and not _needs_hierarchy(cfg):
         raise ConfigError("resynthesize_m needs extract, conditional_iid or cond_indep")
-    return cfg, spec, params
+    return cfg, spec
 
 
 def _check_cap(cfg: dict) -> None:
@@ -273,17 +269,16 @@ def _key_planes(layout, lo: int, size: int) -> np.ndarray:
     return planes
 
 
-def _csv(header: list[str], parts) -> Iterator[bytes]:
-    """The header line, then for each ``(layout, values)`` part its rows
-    (key, value and newline) from :func:`hexch._text._rows` in ``bytes``
+def _csv(header: list[str], layout, values) -> Iterator[bytes]:
+    """The header line, then the rows (key, value and newline) of
+    ``values`` under ``layout`` from :func:`hexch._text._rows` in ``bytes``
     blocks of at most ``_CHUNK`` rows, each value byte-identical to
     ``format(x, ".17g")``."""
     yield (",".join(header) + "\n").encode()
-    for layout, values in parts:
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        for lo in range(0, values.size, _CHUNK):
-            x = values[lo : lo + _CHUNK]
-            yield _rows(x, _fmt, _key_planes(layout, lo, x.size), _NEWLINE)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    for lo in range(0, values.size, _CHUNK):
+        x = values[lo : lo + _CHUNK]
+        yield _rows(x, _fmt, _key_planes(layout, lo, x.size), _NEWLINE)
 
 
 def array_to_csv(array: np.ndarray, depths, shape, n=None) -> Iterator[bytes]:
@@ -308,12 +303,7 @@ def array_to_csv(array: np.ndarray, depths, shape, n=None) -> Iterator[bytes]:
     if n is not None:
         header.append("i")
     layout = _key_layout(tuple(map(int, depths_t)), tuple(map(int, shape_t)), n)
-    return _csv(header + ["value"], [(layout, array)])
-
-
-def _field_csv(by_depth: dict, m: int) -> Iterator[bytes]:
-    return _csv(["vertex", "value"],
-                [(_key_layout((d,), (m,), None), v) for d, v in by_depth.items()])
+    return _csv(header + ["value"], layout, array)
 
 
 def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
@@ -322,7 +312,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
     if not _is_size(threads, 0):
         raise ConfigError(f"threads must be >= 0 and an integer (0 = auto), got {threads!r}")
     try:
-        cfg, spec, params = _parse_config(config_obj)
+        cfg, spec = _parse_config(config_obj)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _check_cap(cfg)
@@ -332,36 +322,28 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
         threads = os.cpu_count() or 1
     files: dict = {}
 
+    src = make_source(cfg["scenario"], cfg["r"], cfg["m"], n=cfg["n"], params=cfg["params"])
+    array = src.sample(cfg["seed"])
+    _write(out / "array.csv", array_to_csv(array, cfg["r"], cfg["m"], src.n), files)
+    hierarchy = None
+    if _needs_hierarchy(cfg):
+        hierarchy = extract_hierarchy(array, cfg["r"], cfg["m"])
+        _write(out / "hierarchy.json", hierarchy_json_chunks(hierarchy), files)
+        if cfg["resynthesize_m"] is not None:
+            resyn = resynthesize(
+                hierarchy,
+                cfg["r"],
+                cfg["resynthesize_m"],
+                derive_seed(cfg["seed"], "resynthesize"),
+            )
+            _write(
+                out / "resynthesized.csv",
+                array_to_csv(resyn, cfg["r"], cfg["resynthesize_m"], None),
+                files,
+            )
     # the positional and keyword arguments of a test, by what it runs on
-    if spec.form == "field":
-        # one realization feeds both the field dump and the level test
-        by_depth = level_values(cfg["seed"], cfg["r"], cfg["m"])
-        inputs = {"field": ((spec.build(by_depth, **params),), {})}
-        _write(out / "field_values.csv", _field_csv(by_depth, cfg["m"]), files)
-    else:
-        src = make_source(
-            cfg["scenario"], cfg["r"], cfg["m"], n=cfg["n"], params=cfg["params"]
-        )
-        array = src.sample(cfg["seed"])
-        _write(out / "array.csv", array_to_csv(array, cfg["r"], cfg["m"], src.n), files)
-        hierarchy = None
-        if _needs_hierarchy(cfg):
-            hierarchy = extract_hierarchy(array, cfg["r"], cfg["m"])
-            _write(out / "hierarchy.json", hierarchy_json_chunks(hierarchy), files)
-            if cfg["resynthesize_m"] is not None:
-                resyn = resynthesize(
-                    hierarchy,
-                    cfg["r"],
-                    cfg["resynthesize_m"],
-                    derive_seed(cfg["seed"], "resynthesize"),
-                )
-                _write(
-                    out / "resynthesized.csv",
-                    array_to_csv(resyn, cfg["r"], cfg["resynthesize_m"], None),
-                    files,
-                )
-        inputs = {"source": ((src.sample, cfg["r"], cfg["m"]), {"n": src.n}),
-                  "hierarchy": ((array, hierarchy), {})}
+    inputs = {"source": ((src.sample, cfg["r"], cfg["m"]), {"n": src.n}),
+              "hierarchy": ((array, hierarchy), {})}
 
     def run_test(i):
         entry = cfg["tests"][i]

@@ -38,7 +38,6 @@ __all__ = [
     "SigmaModel",
     "derive_seed",
     "derive_seeds",
-    "level_values",
     "sample_array",
     "sample_ah",
     "path_matrix",
@@ -297,16 +296,6 @@ class UniformField:
             words = np.array([rows[i] for i in idx], dtype=_U64)
             out[idx] = _hash_words(h0, words)[0]
         return out
-
-
-def level_values(seed: int, r: int, m: int) -> dict[int, np.ndarray]:
-    """The uniform field of role "u" on the whole truncation {1..m}^r: a dict
-    from each depth d to the values of its m^d vertices, in lexicographic
-    coordinate order (``(1, 2)`` before ``(1, 10)``), from one fold over the
-    tree."""
-    _check_size("r", r, 0)
-    _check_size("m", m)
-    return {d: u[0] for d, u in enumerate(_level_values(_init_state(seed, "u"), (r,), (m,)))}
 
 
 # -- sigma models and samplers -----------------------------------------------

@@ -20,7 +20,6 @@ from .fields import (
     _coord_words,
     _hash_words,
     _init_state,
-    level_values,
     path_matrix,
     sample_ah,
     sample_array,
@@ -33,7 +32,6 @@ __all__ = [
     "list_scenarios",
     "make_model",
     "make_source",
-    "make_level_values",
 ]
 
 
@@ -43,11 +41,10 @@ class ScenarioSpec:
 
     name: str
     kind: str  # "null" or "violation"
-    form: str  # "sigma", "sigma-replica", "custom", "field"
+    form: str  # "sigma", "sigma-replica", "custom"
     summary: str
     # takes the params as keywords: the SigmaModel (arity, fn) of a σ form
-    # from r, a custom sampler from r and m, and a field violation's values
-    # from the realized ones (as level_values returns them)
+    # from r, and a custom sampler from r and m
     build: Callable
     defaults: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)  # test name -> "pass"/"reject"
@@ -106,7 +103,9 @@ def _toy_magnetization(r: int, a: float, b: float):
 
     def fn(p):
         shared, replica = _row_reduce(p[:, :k], np.add, 0.5), _row_reduce(p[:, k:], np.add, 0.5)
-        return _sigmoid(a * shared + b * replica)
+        # a large a or b saturates the sigmoid: an overflow to inf gives its 0 or 1
+        with np.errstate(over="ignore"):
+            return _sigmoid(a * shared + b * replica)
 
     return 2 * k, fn
 
@@ -151,11 +150,6 @@ def _markov_leak_sampler(r: int, m: int) -> Callable:
         return out.reshape(v.shape)
 
     return sample
-
-
-def _depth_shift(by_depth: dict, shift: float) -> dict:
-    """Depth 1 mapped from [0,1) onto [shift, 1); the other depths kept."""
-    return {**by_depth, 1: shift + (1.0 - shift) * by_depth[1]}
 
 
 def _integer(value, name: str, lo: int, hi: int | None = None) -> int:
@@ -236,21 +230,10 @@ def make_source(
     spec, n, params = _request(name, r, m, n, params or {})
     if spec.form == "custom":
         return ArraySource(name, r, m, None, spec.build(r, m, **params))
-    if spec.form == "field":
-        raise ValueError(f"scenario {name!r} does not generate arrays")
     model = _model(spec, r, params)
     if n is None:
         return ArraySource(name, r, m, None, lambda seed: sample_array(model, r, m, seed))
     return ArraySource(name, r, m, n, lambda seed: sample_ah(model, r, m, n, seed))
-
-
-def make_level_values(name: str, r: int, m: int, seed: int, params: dict | None = None):
-    """The field values of each depth, as :func:`~hexch.fields.level_values`
-    realizes them, after the scenario's violation, for homogeneity checks."""
-    spec, _, params = _request(name, r, m, None, params or {})
-    if spec.form != "field":
-        raise ValueError(f"scenario {name!r} does not generate field values")
-    return spec.build(level_values(seed, r, m), **params)
 
 
 _REGISTRY: dict[str, ScenarioSpec] = {}
@@ -352,18 +335,7 @@ _register(
         expected={"conditional_iid": "reject"},
     )
 )
-_register(
-    ScenarioSpec(
-        name="depth-shift",
-        kind="violation",
-        form="field",
-        summary="depth-1 field values are shifted away from the uniform law",
-        build=_depth_shift,
-        defaults={"r": 2, "m": 32, "params": {"shift": 0.5}},
-        expected={"level_homogeneity": "reject"},
-        param_ranges={"shift": (0.0, 1.0)},
-    )
-)
+
 
 def builtin(name: str) -> ScenarioSpec:
     """Look up a registered scenario by its exact name."""

@@ -10,13 +10,9 @@ their parent's estimated CDF.
 
 All tests are deterministic given their seed, resample permutations
 included, and report an add-one permutation p-value, so the decision at
-level alpha is exact under the null.  The one-sample KS p-values come from
-:func:`hexch._ks.ks_uniform`, an in-package port of scipy's exact
-algorithms, so the PIT tests run on numpy alone (a p-value in Smirnov's
-tail imports ``scipy.special``).  ``hexch_test`` (``scipy.spatial``) and
-the two-sample components of ``level_homogeneity_test`` (``scipy.stats``)
-import scipy on their first call, so importing this module loads numpy
-only.
+level alpha is exact under the null.  The PIT tests run on numpy alone;
+``hexch_test`` imports ``scipy.spatial`` on its first call, so importing
+this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -26,9 +22,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._ks import ks_uniform
 from .definetti import DirectingHierarchy, _lex_order, _require_hierarchy
-from .fields import _seed_int, derive_seed, derive_seeds
+from .fields import derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
 from .tree import DEFAULT_CELL_CAP, _check_size, _is_size
@@ -39,7 +34,6 @@ __all__ = [
     "kept_dimension",
     "conditional_iid_test",
     "cond_indep_test",
-    "level_homogeneity_test",
 ]
 
 
@@ -298,31 +292,25 @@ def conditional_iid_test(
 ) -> TestReport:
     """Check that sibling values behave i.i.d. given their parent measure.
 
-    Pools the randomized PIT values and KS-tests them against uniformity,
-    and tests the within-parent lag-1 autocorrelation of the PIT sequence
-    against a shuffle null.  The reported p-value is the Bonferroni
-    combination of the two components.
+    Tests the within-parent lag-1 autocorrelation of the randomized PIT
+    sequence against the null that shuffles each parent's children, so the
+    p-value is exact under the null.  The pooled PIT values are not tested
+    for uniformity: with no ties, each parent's PIT row puts one value in
+    each stratum [(k-1)/m, k/m) whatever the array's law.  With m = 1 there
+    is no lag-1 pair, and the test raises ``ValueError``.
     """
     _require_hierarchy("conditional_iid_test", hierarchy)
     _check_level(level)
+    if hierarchy.m < 2:
+        raise ValueError("no sibling pairs: m must be >= 2")
     _check_size("n_resamples", n_resamples)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
     pit = _pit_matrix(array, hierarchy, rng)
     n_parents, m = pit.shape
-
-    ks_stat, ks_p = ks_uniform(pit)
-
-    components = {"ks_stat": ks_stat, "ks_p": ks_p}
-    pvals = [ks_p]
-    rho = 0.0
-    if m >= 2:
-        rho = _lag1_corr(pit)
-        rho_p = _shuffle_pvalue(
-            pit, abs(rho), n_resamples, seed, _lag1_fast(pit), lambda z: abs(_lag1_corr(z))
-        )
-        components.update({"lag1_corr": float(rho), "lag1_p": float(rho_p)})
-        pvals.append(rho_p)
-    p = min(1.0, len(pvals) * min(pvals))
+    rho = _lag1_corr(pit)
+    p = _shuffle_pvalue(
+        pit, abs(rho), n_resamples, seed, _lag1_fast(pit), lambda z: abs(_lag1_corr(z))
+    )
     return TestReport(
         name="conditional_iid",
         statistic=float(rho),
@@ -330,7 +318,8 @@ def conditional_iid_test(
         n_resamples=n_resamples,
         level=level,
         reject=p < level,
-        metadata={"n_parents": n_parents, "m": m, "seed": seed, **components},
+        metadata={"n_parents": n_parents, "m": m, "seed": seed, "lag1_corr": float(rho),
+                  "lag1_p": float(p)},
     )
 
 
@@ -567,52 +556,3 @@ def cond_indep_test(
         },
     )
 
-
-def level_homogeneity_test(
-    values_by_depth: dict,
-    *,
-    level: float = 0.05,
-    seed: int = 0,
-) -> TestReport:
-    """Check realized field values against the uniform law at every depth.
-
-    Each depth class is KS-tested against U[0,1] (:func:`ks_uniform`), and
-    every pair of depths gets a two-sample KS check (``scipy.stats``).
-    Component p-values combine by Bonferroni.  The test draws nothing;
-    ``seed``, an integer in [0, 2^64) as the other tests take, is recorded
-    in the report.  An empty depth class, or one with a NaN, raises
-    ``ValueError``.
-    """
-    _check_level(level)
-    _seed_int(seed)
-    import scipy.stats
-
-    if len(values_by_depth) < 2:
-        raise ValueError("need at least two populated depth classes")
-    keys = sorted(values_by_depth)
-    vals = {k: np.asarray(values_by_depth[k], dtype=np.float64).reshape(-1) for k in keys}
-    for key, x in vals.items():
-        # a NaN component p-value would drop out of the Bonferroni minimum
-        if not x.size or np.isnan(x).any():
-            raise ValueError(f"depth {key!r} of the field values is empty or holds a NaN")
-    components = [(f"ks@{key}", *ks_uniform(vals[key])) for key in keys]
-    for ka, kb in itertools.combinations(keys, 2):
-        stat, p = scipy.stats.ks_2samp(vals[ka], vals[kb])
-        components.append((f"ks2@{ka}|{kb}", float(stat), float(p)))
-    k = len(components)
-    p = min(1.0, k * min(c[2] for c in components))
-    stat = max(c[1] for c in components)
-    return TestReport(
-        name="level_homogeneity",
-        statistic=stat,
-        p_value=float(p),
-        n_resamples=0,
-        level=level,
-        reject=p < level,
-        metadata={
-            "components": [
-                {"name": n_, "stat": s_, "p": p_} for n_, s_, p_ in components
-            ],
-            "seed": seed,
-        },
-    )

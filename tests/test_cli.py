@@ -104,19 +104,6 @@ def test_hierarchy_and_resynthesis_outputs(tmp_path):
     assert len(lines) == 1 + 9
 
 
-def test_field_scenario_pipeline(tmp_path):
-    cfg = {
-        "scenario": "depth-shift",
-        "r": 2,
-        "m": 16,
-        "seed": 5,
-        "tests": [{"name": "level_homogeneity"}],
-    }
-    code, files = run_experiment(cfg, tmp_path / "out")
-    assert code == 0  # depth-shift is expected to be rejected, and it is
-    assert "field_values.csv" in files
-
-
 def test_verdict_mismatch_exits_one(tmp_path):
     # a label-leak scenario with the leak turned off cannot be rejected, so
     # its expected verdict fails
@@ -183,16 +170,15 @@ def test_config_errors():
         {"scenario": "sibling-coupled", "r": 2, "params": {"weight": -1.0},
          "tests": [{"name": "cond_indep"}]},
         {"scenario": "sibling-coupled", "r": 1},
-        {"scenario": "depth-shift", "r": 2, "params": {"shift": 1.5},
-         "tests": [{"name": "level_homogeneity"}]},
+        # the field scenario, which is no longer registered
+        {"scenario": "depth-shift", "r": 2},
         # keys nothing reads
         {"n_rep": 20},
         {"tests": [{"name": "hexch", "n_rep": 20}]},
         {"r": 2, "tests": [{"name": "conditional_iid", "n_reps": 20}]},
         # outputs the scenario and tests cannot produce
         {"resynthesize_m": 4},
-        {"scenario": "depth-shift", "r": 2, "extract": True,
-         "tests": [{"name": "level_homogeneity"}]},
+        {"r": 2, "m": 1, "tests": [{"name": "conditional_iid"}]},
         {"scenario": "toy-magnetization", "r": 2, "extract": True, "tests": []},
         {"scenario": "toy-magnetization", "r": 2, "tests": [{"name": "conditional_iid"}]},
         # a request whose resamples would never finish
@@ -341,7 +327,8 @@ def test_cli_verify_fast_passes_quickly(capsys):
 def test_cli_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
-    assert "uniform-leaf" in out and "depth-shift" in out
+    assert "uniform-leaf" in out and "depth-shift" not in out
+    assert len(out.splitlines()) == 8
 
 
 def _run_cli(cfg, tmp_path, capsys):
@@ -352,25 +339,26 @@ def _run_cli(cfg, tmp_path, capsys):
     return code
 
 
-@pytest.mark.parametrize(
-    "cfg, code",
-    [
-        # the KS component gives the smallest p-value: not rejected, rejected
-        ({"scenario": "root-constant", "r": 2, "m": 16, "seed": 2}, 0),
-        ({"scenario": "root-constant", "r": 2, "m": 16, "seed": 51}, 1),
-        # with m = 1 the KS component is the only one
-        ({"scenario": "uniform-leaf", "r": 2, "m": 1, "seed": 0}, 0),
-        ({"scenario": "uniform-leaf", "r": 2, "m": 1, "seed": 9}, 1),
-    ],
-    ids=["root-constant-pass", "root-constant-reject", "m1-pass", "m1-reject"],
-)
-def test_ks_driven_conditional_iid_report_is_plain_json(tmp_path, capsys, cfg, code):
-    cfg = {**cfg, "tests": [{"name": "conditional_iid"}]}
-    assert _run_cli(cfg, tmp_path, capsys) == code
+def test_conditional_iid_report_is_its_lag1_p(tmp_path, capsys):
+    # the null array that a pooled KS component of the PIT values rejected
+    # (ks_p 0.0104), while its lag-1 component did not (lag1_p 0.785)
+    cfg = {"scenario": "root-constant", "r": 2, "m": 16, "seed": 51,
+           "tests": [{"name": "conditional_iid"}]}
+    assert _run_cli(cfg, tmp_path, capsys) == 0
     lines = (tmp_path / "o" / "reports.jsonl").read_text().splitlines()
     (report,) = [json.loads(line) for line in lines]
-    assert report["reject"] is bool(code)
-    assert report["metadata"]["ks_p"] < report["metadata"].get("lag1_p", 2.0)
+    assert report["reject"] is False
+    assert not [key for key in report["metadata"] if key.startswith("ks_")]
+    assert report["p_value"] == report["metadata"]["lag1_p"]
+
+
+def test_conditional_iid_needs_siblings(tmp_path, capsys):
+    cfg = {"scenario": "uniform-leaf", "r": 2, "m": 1, "seed": 0,
+           "tests": [{"name": "conditional_iid"}]}
+    with pytest.raises(ConfigError, match="^conditional_iid needs m >= 2$"):
+        run_experiment(cfg, tmp_path / "out")
+    assert _run_cli(cfg, tmp_path, capsys) == 2
+    assert not (tmp_path / "out").exists() and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -392,8 +380,9 @@ def test_deep_degenerate_trees_exit_two(tmp_path, capsys, cfg):
 
 def test_deepest_allowed_degenerate_tree_runs(tmp_path, capsys):
     cfg = {"scenario": "product", "r": 32, "m": 1, "seed": 0, "extract": True,
-           "resynthesize_m": 1, "tests": [{"name": "conditional_iid"}]}
-    assert _run_cli(cfg, tmp_path, capsys) in (0, 1)
+           "resynthesize_m": 1, "tests": []}
+    assert _run_cli(cfg, tmp_path, capsys) == 0
+    assert {"hierarchy.json", "resynthesized.csv"} <= {p.name for p in (tmp_path / "o").iterdir()}
 
 
 def test_cond_indep_needs_siblings(tmp_path, capsys):
@@ -401,34 +390,6 @@ def test_cond_indep_needs_siblings(tmp_path, capsys):
     with pytest.raises(ConfigError, match="m >= 2"):
         run_experiment(cfg, tmp_path / "out")
     assert _run_cli(cfg, tmp_path, capsys) == 2
-
-
-def test_field_scenario_realizes_the_field_once(tmp_path, monkeypatch):
-    import hexch.cli
-    import hexch.fields
-    import hexch.scenarios
-
-    real = hexch.fields.level_values
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for module in (hexch.cli, hexch.fields, hexch.scenarios):
-        monkeypatch.setattr(module, "level_values", counting)
-    cfg = {"scenario": "depth-shift", "r": 2, "m": 12, "seed": 7,
-           "tests": [{"name": "level_homogeneity"}]}
-    code, files = run_experiment(cfg, tmp_path / "out")
-    assert len(calls) == 1
-    assert code == 0
-    # recorded while the field was still realized twice per run
-    assert files["field_values.csv"]["sha256"] == (
-        "1ce00a5d108df20abdef3cb0305082160ec9d52590e93b8fd1827c41fe8bf50b"
-    )
-    assert files["reports.jsonl"]["sha256"] == (
-        "1174db3966b9a3b702a38b9d255b92f38cd3523cf54b6a685c602521e54b27ac"
-    )
 
 
 def test_array_to_csv_rejects_a_size_mismatch():
@@ -460,23 +421,18 @@ def test_array_to_csv_accepts_numpy_integers():
 
 # sha256 of the emitted files, recorded while the keys still came from
 # TreeVertex objects; manifest.json pins the per-file bytes and sha256 too.
-# The manifest digests are those of hexch 0.5.0: each is the 0.4.0
+# The manifest digests are those of hexch 0.6.0: each is the 0.5.0
 # manifest's with its "version" string changed, and nothing else
 OUTPUT_DIGESTS = {
     "single tree m=11": (
         {"scenario": "path-mean", "r": 2, "m": 11, "seed": 3},
         {"array.csv": "73e88362e7366fa85f45101081bb869b87a611b437ee1aeb3d1e576707efb0ce",
-         "manifest.json": "c26f5bc831537d7e229176e6ffcdf7a85d4203e1f5d21e4cb36f490fda5e6d56"},
+         "manifest.json": "41d29c3dd7b851ca2a4e79c8dceac2ca14aa183d0edf07bfd60abf73210b5a4a"},
     ),
     "replica n=2": (
         {"scenario": "toy-magnetization", "r": 2, "m": 10, "n": 2, "seed": 5},
         {"array.csv": "9ebc695b505949f358fe89db6bcc25eae384c7c3795ba9a5267fc31bee75e3de",
-         "manifest.json": "590a6ba88aaa544ea4ea465e873a7e33dcb852089671557c89e7db2b4ca363c3"},
-    ),
-    "field r=3": (
-        {"scenario": "depth-shift", "r": 3, "m": 10, "seed": 6},
-        {"field_values.csv": "21d7e623cf23976f5c3499e57c0a80ccac5fb15a25fe13e271632f9fdc74a026",
-         "manifest.json": "5dfff80184ca926e15f8542df08c6682875e5252c76a9e84a4f65a3f0f223c67"},
+         "manifest.json": "825de731113802396542e8c2920187ea9e1371c975c8b4819d5d9603f44ef7b4"},
     ),
     "hierarchy m=12": (
         {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
@@ -484,7 +440,7 @@ OUTPUT_DIGESTS = {
         {"array.csv": "a66527ccd16f01f139065684b96bbbeb2fa0c7a68dbbe5f804a75a3543bc2b34",
          "hierarchy.json": "57df73276545bb5272e46c925ca8a5403a9a23c8b61d2c555b91a3cad2dc8d65",
          "resynthesized.csv": "d152d22780939aef78224cbbae20b3a8c0f4b10ba8a25c94c02221c728e67ebc",
-         "manifest.json": "c5572beca0e0197f375c3ea0ff7602a43403496000b3ae02bc2daca011e3fbc8"},
+         "manifest.json": "bc2745534e6eef803d94221f648ecb6a6fb8ed9af34e91823596ac3301af2152"},
     ),
 }
 
@@ -619,3 +575,89 @@ def test_unreadable_config_exits_two(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# -- seeded config fuzz --------------------------------------------------------
+#
+# Valid configs with 1 to 3 of their keys set to values drawn from a fixed
+# pool must end in the exit-code contract: ConfigError (exit 2), CapError
+# (exit 3) or a return code of 0 or 1, never an escaped exception.
+
+FUZZ_BASES = [
+    {"scenario": "product", "r": 2, "m": 4, "seed": 0, "extract": True, "resynthesize_m": 3,
+     "tests": [{"name": "conditional_iid", "n_resamples": 9},
+               {"name": "cond_indep", "n_resamples": 9}]},
+    {"scenario": "label-leak", "r": 2, "m": 3, "seed": 1, "params": {"weight": 0.5},
+     "tests": [{"name": "hexch", "n_reps": 20, "n_resamples": 9, "level": 0.05}]},
+    {"scenario": "toy-magnetization", "r": 1, "m": 2, "n": 3, "seed": 2,
+     "params": {"a": 2.0, "b": 1.0}, "tests": []},
+    {"scenario": "sibling-coupled", "r": 2, "m": 2, "seed": 3, "params": {"weight": 0.7},
+     "tests": [{"name": "cond_indep", "n_resamples": 9}]},
+]
+FUZZ_VALUES = [None, True, False, -1, 0, 1, 2, 3, 2**63, 2**64, 0.5, 2.5, 1e308, -1e308,
+               float("nan"), float("inf"), "", "8", "product", "depth-shift", [], [8], {},
+               {"weight": 0.5}, [{"name": "conditional_iid"}]]
+# the mutations that found a breach or an unbounded request, the requests
+# that the field form and the KS component used to accept, and a
+# toy-magnetization weight whose sigmoid overflowed with a RuntimeWarning,
+# each with its exit code
+FUZZ_FIXED = [
+    ({"scenario": "product", "r": 2, "m": None, "seed": 0}, 2),
+    ({"scenario": "product", "r": 2, "m": 4, "seed": 0,
+      "tests": [{"name": "conditional_iid", "n_resamples": 2**64}]}, 2),
+    ({"scenario": "depth-shift", "r": 2, "m": 16, "seed": 5,
+      "tests": [{"name": "level_homogeneity"}]}, 2),
+    ({"scenario": "uniform-leaf", "r": 2, "m": 1, "seed": 0,
+      "tests": [{"name": "conditional_iid"}]}, 2),
+    ({"scenario": "toy-magnetization", "r": 1, "m": 2, "seed": 0, "params": {"a": 1e308}}, 0),
+]
+
+
+def _fuzz_configs(seed: int, count: int) -> list:
+    import copy
+    import random
+
+    rng = random.Random(seed)
+    configs = []
+    for _ in range(count):
+        cfg = copy.deepcopy(rng.choice(FUZZ_BASES))
+        for _ in range(rng.randint(1, 3)):
+            # a top-level key, present or not, or a key of a param or a test
+            places = [(cfg, key) for key in ("scenario", "seed", "r", "m", "n", "params",
+                                              "extract", "resynthesize_m", "tests")]
+            tests = cfg.get("tests")
+            for inner in [cfg.get("params")] + (tests if isinstance(tests, list) else []):
+                if isinstance(inner, dict):
+                    places += [(inner, key) for key in inner]
+            where, key = rng.choice(places)
+            # half the time the value another valid config gives the key
+            crossed = [base[key] for base in FUZZ_BASES if where is cfg and key in base]
+            pool = crossed if crossed and rng.random() < 0.5 else FUZZ_VALUES
+            where[key] = copy.deepcopy(rng.choice(pool))
+        configs.append(cfg)
+    return configs
+
+
+def test_fuzzed_configs_keep_the_exit_code_contract(tmp_path, monkeypatch):
+    monkeypatch.setenv("HEXCH_MAX_CELLS", "512")
+    cases = FUZZ_FIXED + [(cfg, None) for cfg in _fuzz_configs(1, 300)]
+    for i, (cfg, want) in enumerate(cases):
+        try:
+            code, _ = run_experiment(cfg, tmp_path / f"o{i}")
+        except (ConfigError, CapError) as exc:
+            code = 3 if isinstance(exc, CapError) else 2
+        except Exception as exc:  # noqa: BLE001
+            pytest.fail(f"{cfg!r} raised {exc!r}")
+        assert code == want if want is not None else code in (0, 1, 2, 3), cfg
+
+
+def test_fuzzed_configs_exit_without_a_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HEXCH_MAX_CELLS", "512")
+    cases = FUZZ_FIXED + [(cfg, None) for cfg in _fuzz_configs(2, 40)]
+    for i, (cfg, want) in enumerate(cases):
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path), "--out", str(tmp_path / f"o{i}")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, cfg
+        assert code == want if want is not None else code in (0, 1, 2, 3), (cfg, code, err)

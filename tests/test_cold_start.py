@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, whose ``sys.modules`` holds no scipy
 module until hexch code imports one.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -145,3 +146,22 @@ def test_threads_match_when_the_workers_import_scipy(tmp_path):
     run_experiment(THREADED_RUN, tmp_path / "t1", threads=1)
     for name in ("reports.jsonl", "summary.csv"):
         assert (tmp_path / "t2" / name).read_bytes() == (tmp_path / "t1" / name).read_bytes()
+
+
+def test_no_module_imports_scipy_stats_or_special():
+    # the battery runs on numpy alone; hexch_test's scipy.spatial and the
+    # nested distance's scipy.optimize are the scipy modules hexch loads
+    banned = ("scipy.stats", "scipy.special")
+    found = []
+    for path in sorted((SRC / "hexch").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                # from scipy import stats imports scipy.stats
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if any(name == b or name.startswith(b + ".") for b in banned)]
+    assert found == []

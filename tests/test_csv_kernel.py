@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hexch._text import _g17_digits, _rows, _shortest_digits
-from hexch.cli import _CHUNK, _field_csv, array_to_csv
+from hexch.cli import _CHUNK, array_to_csv
 from hexch.definetti import (
     _BLOCK_ATOMS,
     extract_hierarchy,
@@ -149,13 +149,14 @@ def test_keys_with_a_replica_index():
 
 
 @pytest.mark.parametrize("r, m", [(1, 3), (3, 10), (2, 101)])
-def test_keys_of_the_field_csv(r, m):
+def test_keys_at_every_depth(r, m):
+    # the root's key "0" included
     rng = np.random.default_rng(26)
-    by_depth = {d: rng.random(m**d) for d in range(r + 1)}
-    rows = _csv_rows(_field_csv(by_depth, m))
-    assert [row[0] for row in rows] == [k for d in range(r + 1) for k in vertex_keys(d, m)]
-    values = np.concatenate(list(by_depth.values())).tolist()
-    assert [row[1] for row in rows] == [format(v, ".17g") for v in values]
+    for d in range(r + 1):
+        x = rng.random(m**d)
+        rows = _csv_rows(array_to_csv(x, d, m))
+        assert [row[0] for row in rows] == list(vertex_keys(d, m))
+        assert [row[1] for row in rows] == [format(v, ".17g") for v in x.tolist()]
 
 
 def _assert_repr(x, fallbacks=0):

@@ -23,7 +23,6 @@ from hexch.fields import (
     _seed_words,
     derive_seed,
     derive_seeds,
-    level_values,
     path_matrix,
     sample_ah,
     sample_array,
@@ -285,7 +284,6 @@ def test_sample_array_arity_mismatch():
     (lambda: sample_array(make_model("product", 2), -1, 3, 0),
      "depths must be integers >= 0, got -1"),
     (lambda: random_leaf_indices(0, 3, [1]), "r must be >= 1 and an integer, got 0"),
-    (lambda: level_values(0, 2.5, 3), "r must be >= 0 and an integer, got 2.5"),
     (lambda: sample_ah(make_model("toy-magnetization", 2), 2, 3, 0, 1),
      "n must be >= 1 and an integer, got 0"),
     # make_source checks a request as hexch run checks a config, in its words
@@ -295,7 +293,7 @@ def test_sample_array_arity_mismatch():
     (lambda: leaves(2, 2.5), "m must be >= 1 and an integer, got 2.5"),
     (lambda: leaves(True, 3), "r must be >= 1 and an integer, got True"),
     (lambda: vertex_keys(1, 2.5), "m must be >= 1 and an integer, got 2.5"),
-], ids=["path_matrix", "sample_array", "random_leaf_indices", "level_values", "sample_ah",
+], ids=["path_matrix", "sample_array", "random_leaf_indices", "sample_ah",
         "make_source", "derive_seeds-negative", "derive_seeds-fraction", "leaves-fraction",
         "leaves-bool", "vertex_keys"])
 def test_sizes_are_checked_at_library_entry(call, message):
@@ -407,13 +405,19 @@ def test_sample_ah_arity_mismatch():
 # -- whole-truncation field values ----------------------------------------------
 
 
+def _truncation_values(seed, r, m):
+    """The role-"u" field on the whole truncation {1..m}^r, as a dict from
+    each depth d to the values of its m^d vertices in lexicographic order."""
+    return {d: u[0] for d, u in enumerate(_level_values(_init_state(seed, "u"), (r,), (m,)))}
+
+
 def _at_depth(r, m, d):
     """The depth-d vertices of the ``{1..m}^r`` truncation, lexicographic."""
     return [TreeVertex(c, r) for c in itertools.product(range(1, m + 1), repeat=d)]
 
 
 def test_ifield_uniform_levels_match_base_field():
-    by_depth = level_values(33, 2, 3)
+    by_depth = _truncation_values(33, 2, 3)
     base = UniformField(33, "u")
     for v in [root(2), leaf(2, r=2), leaf(2, 3)]:
         i = list(vertex_keys(v.depth, 3)).index(encode_vertex(v))
@@ -421,7 +425,7 @@ def test_ifield_uniform_levels_match_base_field():
 
 
 def test_ifield_truncation_values_grouping():
-    by_depth = level_values(11, 2, 3)
+    by_depth = _truncation_values(11, 2, 3)
     assert list(by_depth) == [0, 1, 2]
     f = UniformField(11, "u")
     for d, vals in by_depth.items():
@@ -511,7 +515,7 @@ def test_path_matrix_product_matches_vertex_values():
 # move.  The "product_path_matrix" and "sample_multi" labels name the
 # product samplers the digests were recorded from, which path_matrix and
 # sample_array now are on depth and side tuples; "ifield_truncation_values"
-# names the uniform-field realizer that level_values now is.
+# names the uniform-field realizer that _truncation_values rebuilds.
 
 
 def _digest(*parts) -> str:
@@ -542,7 +546,7 @@ def _pinned_outputs():
     from hexch.scenarios import make_source
 
     def truncation(seed, r, m):
-        by_depth = level_values(seed, r, m)
+        by_depth = _truncation_values(seed, r, m)
         keys = "".join(f"{k}:" for k in by_depth)
         return (keys, *by_depth.values(), _vertex_text(by_depth, m))
 

@@ -26,7 +26,6 @@ from hexch.scenarios import (
     _row_reduce,
     builtin,
     list_scenarios,
-    make_level_values,
     make_model,
     make_source,
 )
@@ -36,7 +35,7 @@ from hexch.tree import leaves, root
 
 def test_registry_size_and_names():
     specs = list_scenarios()
-    assert len(specs) >= 9
+    assert len(specs) >= 8
     names = {s.name for s in specs}
     assert {
         "uniform-leaf",
@@ -47,7 +46,6 @@ def test_registry_size_and_names():
         "label-leak",
         "sibling-coupled",
         "markov-leak",
-        "depth-shift",
     } <= names
 
 
@@ -289,26 +287,10 @@ def test_markov_leak_reuses_previous_uniform():
     assert np.allclose(x[:, 1:], 0.5 * (v[:, 1:] + v[:, :-1]))
 
 
-def test_depth_shift_shifts_only_depth_one():
-    by_depth = make_level_values("depth-shift", 2, 8, seed=3)
-    base = make_level_values("depth-shift", 2, 8, seed=3, params={"shift": 0.0})
-    assert list(by_depth) == [0, 1, 2]
-    assert np.array_equal(by_depth[0], base[0])
-    assert np.array_equal(by_depth[2], base[2])
-    assert np.all(by_depth[1] >= 0.5)
-
-
 def test_n_rejected_for_a_scenario_without_a_replica_axis():
     with pytest.raises(ValueError, match="^n sets a replica axis, which scenario 'product' has not$"):
         make_source("product", 2, 4, n=5)
     assert make_source("toy-magnetization", 2, 4, n=5).n == 5
-
-
-def test_array_source_rejected_for_field_scenario():
-    with pytest.raises(ValueError):
-        make_source("depth-shift", 2, 4)
-    with pytest.raises(ValueError):
-        make_level_values("product", 2, 4, seed=0)
 
 
 def test_null_scenarios_pass_hexch_smoke():
@@ -356,9 +338,7 @@ REFUSED = [
     ({"scenario": "toy-magnetization", "r": 0}, "r must be >= 1, got 0"),
     ({"scenario": "toy-magnetization", "r": 2, "params": {"c": 1.0}},
      "unknown param 'c' for scenario 'toy-magnetization'; expected one of ['a', 'b']"),
-    ({"scenario": "depth-shift", "r": 0}, "r must be >= 1, got 0"),
-    ({"scenario": "depth-shift", "r": 2, "params": {"shift": 1.5}},
-     "params.shift must lie in [0.0, 1.0] for scenario 'depth-shift', got 1.5"),
+    ({"scenario": "label-leak", "r": 0}, "r must be >= 1, got 0"),
 ]
 
 
@@ -366,11 +346,8 @@ REFUSED = [
 def test_library_refuses_a_request_as_hexch_run_does(tmp_path, config, message):
     name, r, n, params = config["scenario"], config["r"], config.get("n"), config.get("params")
     form = builtin(name).form
-    calls = [lambda: run_experiment({"m": 4, "seed": 0, **config}, tmp_path / "out")]
-    if form == "field":
-        calls.append(lambda: make_level_values(name, r, 4, 0, params))
-    else:
-        calls.append(lambda: make_source(name, r, 4, n=n, params=params))
+    calls = [lambda: run_experiment({"m": 4, "seed": 0, **config}, tmp_path / "out"),
+             lambda: make_source(name, r, 4, n=n, params=params)]
     if form in ("sigma", "sigma-replica") and n is None:
         calls.append(lambda: make_model(name, r, params))
     for call in calls:
@@ -387,19 +364,17 @@ def test_params_merge_over_the_registry_defaults():
     assert make_source("toy-magnetization", 2, 4).n == builtin("toy-magnetization").defaults["n"]
 
 
-# the tests hexch run accepts for each form: the field test for a field
-# scenario, hexch for an array, and the extraction tests for a plain tree
+# the tests hexch run accepts for each form: hexch for an array, and the
+# extraction tests for a plain tree
 FORM_TESTS = {
     "sigma": ["hexch", "conditional_iid", "cond_indep"],
     "custom": ["hexch", "conditional_iid", "cond_indep"],
     "sigma-replica": ["hexch"],
-    "field": ["level_homogeneity"],
 }
 TEST_ENTRIES = {
     "hexch": {"name": "hexch", "n_reps": 20, "n_resamples": 19},
     "conditional_iid": {"name": "conditional_iid", "n_resamples": 19},
     "cond_indep": {"name": "cond_indep", "n_resamples": 19},
-    "level_homogeneity": {"name": "level_homogeneity"},
 }
 
 

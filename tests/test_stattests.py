@@ -9,9 +9,9 @@ import hexch.definetti
 import hexch.hperm
 import hexch.stattests
 from hexch.definetti import extract_hierarchy
-from hexch.fields import derive_seed, derive_seeds, level_values
+from hexch.fields import derive_seed, derive_seeds
 from hexch.hperm import random_leaf_indices
-from hexch.scenarios import make_level_values, make_source
+from hexch.scenarios import make_source
 from hexch.stattests import (
     TestReport,
     _energy_permutation_pvalue,
@@ -19,7 +19,6 @@ from hexch.stattests import (
     cond_indep_test,
     conditional_iid_test,
     hexch_test,
-    level_homogeneity_test,
 )
 
 from reference import energy_distance
@@ -342,8 +341,6 @@ def test_report_validates_pvalue():
     with pytest.raises(ValueError, match="level"):
         hexch_test(make_source("uniform-leaf", 1, 4).sample, 1, 4, n_reps=20,
                    n_resamples=9, level=1.0, seed=0)
-    with pytest.raises(ValueError, match="level"):
-        level_homogeneity_test(level_values(0, 2, 4), level=0.0, seed=0)
 
 
 # -- conditional i.i.d. test ---------------------------------------------------------
@@ -387,6 +384,13 @@ def test_conditional_iid_shape_mismatch():
         conditional_iid_test(np.zeros(9), h, seed=0)
 
 
+def test_conditional_iid_requires_siblings():
+    # one child per parent has no lag-1 pair, and a test of nothing else
+    arr, h = _array_and_hierarchy("uniform-leaf", 2, 1, seed=0)
+    with pytest.raises(ValueError, match="^no sibling pairs: m must be >= 2$"):
+        conditional_iid_test(arr, h, seed=0)
+
+
 # -- conditional independence test ----------------------------------------------------
 
 
@@ -427,31 +431,34 @@ def test_cond_indep_pair_budget_recorded():
     assert rep.metadata["n_pairs"] == 10
 
 
-# (scenario, r, m, seed, rounding decimals, conditional_iid statistic,
-#  p_value and lag1_p, cond_indep statistic and p_value) at n_resamples=99,
-# recorded before the PIT tests shared their shuffle null and read the
-# parent measures by position
+# (scenario, r, m, seed, rounding decimals, conditional_iid statistic and
+#  lag1_p, cond_indep statistic and p_value) at n_resamples=99, recorded
+# before the PIT tests shared their shuffle null and read the parent
+# measures by position.  conditional_iid's p-value is its lag1_p: the
+# values are those recorded while it was the Bonferroni pair of lag1_p
+# and a pooled KS p-value
 PIT_PINNED = [
-    ("uniform-leaf", 2, 8, 1, None, 0.16657562427649217, 0.78, 0.39, 0.902284841917615, 0.06),
-    ("path-mean", 3, 4, 2, None, -0.2712744620925607, 1.0, 0.73, 0.9903181955351474, 0.55),
-    ("root-constant", 2, 6, 3, None, -0.22898807013650696, 0.48, 0.24, 0.6894503474757002, 0.91),
-    ("uniform-leaf", 2, 8, 4, 1, -0.07692712199573769, 1.0, 0.8, 0.7981187915478832, 0.49),
-    ("markov-leak", 2, 16, 5, None, 0.46636626151673655, 0.02, 0.01, 0.7148080252346263, 0.18),
-    ("product", 3, 5, 6, None, -0.20067157350769269, 1.0, 0.68, 0.8758475369043698, 0.98),
+    ("uniform-leaf", 2, 8, 1, None, 0.16657562427649217, 0.39, 0.902284841917615, 0.06),
+    ("path-mean", 3, 4, 2, None, -0.2712744620925607, 0.73, 0.9903181955351474, 0.55),
+    ("root-constant", 2, 6, 3, None, -0.22898807013650696, 0.24, 0.6894503474757002, 0.91),
+    ("uniform-leaf", 2, 8, 4, 1, -0.07692712199573769, 0.8, 0.7981187915478832, 0.49),
+    ("markov-leak", 2, 16, 5, None, 0.46636626151673655, 0.01, 0.7148080252346263, 0.18),
+    ("product", 3, 5, 6, None, -0.20067157350769269, 0.68, 0.8758475369043698, 0.98),
     # pipeline's size: several blocks of draws in both shuffle nulls
-    ("product", 2, 128, 0, None, -0.00984451301196774, 0.76, 0.38, 0.22753414479981193, 0.52),
+    ("product", 2, 128, 0, None, -0.00984451301196774, 0.38, 0.22753414479981193, 0.52),
 ]
 
 
 @pytest.mark.parametrize("case", PIT_PINNED, ids=lambda c: f"{c[0]}-r{c[1]}-seed{c[3]}")
 def test_pit_tests_pinned_values(case):
-    name, r, m, seed, decimals, iid_stat, iid_p, lag1_p, indep_stat, indep_p = case
+    name, r, m, seed, decimals, iid_stat, lag1_p, indep_stat, indep_p = case
     arr = make_source(name, r, m).sample(seed)
     if decimals is not None:
         arr = np.round(arr, decimals)
     h = extract_hierarchy(arr, r, m)
     iid = conditional_iid_test(arr, h, n_resamples=99, seed=seed)
-    assert (iid.statistic, iid.p_value, iid.metadata["lag1_p"]) == (iid_stat, iid_p, lag1_p)
+    assert (iid.statistic, iid.p_value, iid.metadata["lag1_p"]) == (iid_stat, lag1_p, lag1_p)
+    assert not {"ks_stat", "ks_p"} & set(iid.metadata)
     indep = cond_indep_test(arr, h, n_resamples=99, seed=seed)
     assert (indep.statistic, indep.p_value) == (indep_stat, indep_p)
 
@@ -847,15 +854,13 @@ def test_cond_indep_rejects_empty_pair_budget(budget):
 
 def _bad_arguments_first(test):
     """Call one public test with arguments that fail if any work is done
-    before they are checked: a source that must not be called, an array of
-    the wrong size for its hierarchy, or no depth classes."""
+    before they are checked: a source that must not be called, or an array
+    of the wrong size for its hierarchy."""
     if test is hexch_test:
         def source(seeds):
             raise AssertionError("source called before the arguments were checked")
 
         return lambda **kw: hexch_test(**{"source": source, "r": 2, "m": 4, "n_reps": 20, **kw})
-    if test is level_homogeneity_test:
-        return lambda **kw: level_homogeneity_test({}, **kw)
     _, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
     return lambda **kw: test(np.zeros(5), **{"hierarchy": h, **kw})
 
@@ -885,7 +890,6 @@ _BAD_ARGUMENTS = [
      "conditional_iid_test needs a DirectingHierarchy from extract_hierarchy, not a NoneType"),
     (cond_indep_test, "hierarchy", np.zeros(4),
      "cond_indep_test needs a DirectingHierarchy from extract_hierarchy, not a ndarray"),
-    (level_homogeneity_test, "level", 0.0, "level 0.0 outside"),
 ]
 
 
@@ -912,89 +916,14 @@ def test_library_seeds_must_be_64_bit_integers(test, seed):
         calls[test]()
 
 
-@pytest.mark.parametrize("seed", [2.5, -1, True, 2**64])
-def test_level_homogeneity_seed_must_be_a_64_bit_integer(seed):
-    # the seed is only recorded, so it used to be written to the report as given
-    with pytest.raises(ValueError, match="seed must be an integer in"):
-        level_homogeneity_test(level_values(0, 2, 4), seed=seed)
-
-
 def test_reports_carry_python_scalars():
-    # m = 1 leaves the KS component as the conditional_iid p-value
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 1, seed=0)
-    arr4, h4 = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
-    by_depth = level_values(0, 2, 4)
+    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
     reports = [
         conditional_iid_test(arr, h, n_resamples=9, seed=0),
-        cond_indep_test(arr4, h4, n_resamples=9, seed=0),
+        cond_indep_test(arr, h, n_resamples=9, seed=0),
         hexch_test(make_source("uniform-leaf", 1, 4).sample, 1, 4, n_reps=20,
                    n_resamples=9, seed=0),
-        level_homogeneity_test(by_depth, seed=0),
     ]
     for rep in reports:
         assert type(rep.reject) is bool, rep.name
         assert type(rep.statistic) is float and type(rep.p_value) is float, rep.name
-
-
-# -- level homogeneity ------------------------------------------------------------------
-
-
-def test_level_homogeneity_uniform_field_passes():
-    rejects = 0
-    for t in range(20):
-        seed = derive_seed(31, "u", t)
-        rejects += level_homogeneity_test(level_values(seed, 2, 32), seed=seed).reject
-    assert rejects <= 2
-
-
-def test_level_homogeneity_depth_shift_power():
-    rejects = 0
-    for t in range(20):
-        seed = derive_seed(32, "s", t)
-        by_depth = make_level_values("depth-shift", 2, 32, seed)
-        rejects += level_homogeneity_test(by_depth, seed=seed).reject
-    assert rejects >= 18
-
-
-def test_level_homogeneity_single_class_errors():
-    with pytest.raises(ValueError):
-        level_homogeneity_test({0: np.array([0.5])}, seed=0)
-
-
-@pytest.mark.parametrize("bad", [np.array([]), np.array([0.5, np.nan, 0.25])], ids=["empty", "nan"])
-def test_level_homogeneity_refuses_an_empty_or_nan_depth(bad):
-    # the class's NaN p-value would drop out of the Bonferroni minimum, and
-    # the test pass at p = 1
-    by_depth = {**level_values(8, 2, 16), 1: bad}
-    with pytest.raises(ValueError, match="^depth 1 of the field values is empty or holds a NaN$"):
-        level_homogeneity_test(by_depth, seed=8)
-
-
-# recorded before the per-depth declared laws and the randomized PIT were
-# deleted, with every depth declared U[0,1]: the PIT of a value x in [0,1]
-# was x exactly, so the report must not move
-_PINNED_HOMOGENEITY = {
-    "name": "level_homogeneity",
-    "statistic": 0.671875,
-    "p_value": 1.0,
-    "n_resamples": 0,
-    "level": 0.05,
-    "reject": False,
-    "metadata": {
-        "components": [
-            {"name": "ks@0", "stat": 0.6507545545602619, "p": 0.6984908908794762},
-            {"name": "ks@1", "stat": 0.2178836550903701, "p": 0.3779964865683306},
-            {"name": "ks@2", "stat": 0.05703500092720426, "p": 0.3619811583245608},
-            {"name": "ks2@0|1", "stat": 0.625, "p": 0.8235294117647058},
-            {"name": "ks2@0|2", "stat": 0.671875, "p": 0.6614785992217898},
-            {"name": "ks2@1|2", "stat": 0.21484375, "p": 0.43808985690680347},
-        ],
-        "seed": 8,
-    },
-}
-
-
-def test_level_homogeneity_cross_depth_component():
-    # every pair of depths gets its two-sample component
-    rep = level_homogeneity_test(level_values(8, 2, 16), seed=8)
-    assert rep.to_json_obj() == _PINNED_HOMOGENEITY
