@@ -352,8 +352,10 @@ def test_conditional_iid_report_is_its_lag1_p(tmp_path, capsys):
     assert report["p_value"] == report["metadata"]["lag1_p"]
 
 
-def test_conditional_iid_needs_siblings(tmp_path, capsys):
-    cfg = {"scenario": "uniform-leaf", "r": 2, "m": 1, "seed": 0,
+@pytest.mark.parametrize("seed", [0, 9], ids=["seed-0", "seed-9"])
+def test_conditional_iid_needs_siblings(tmp_path, capsys, seed):
+    # refused before anything is sampled, so the seed plays no part
+    cfg = {"scenario": "uniform-leaf", "r": 2, "m": 1, "seed": seed,
            "tests": [{"name": "conditional_iid"}]}
     with pytest.raises(ConfigError, match="^conditional_iid needs m >= 2$"):
         run_experiment(cfg, tmp_path / "out")
