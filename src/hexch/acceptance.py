@@ -145,11 +145,10 @@ def _conditional_power_run(name, test, r, m, n_tests=200):
     for t in range(n_tests):
         seed = derive_seed(_SEED, "power" + name, t)
         arr = src.sample(seed)
-        h = extract_hierarchy(arr, r, m)
         if test == "cond_indep":
-            rep = cond_indep_test(arr, h, seed=seed)
+            rep = cond_indep_test(arr, r, m, seed=seed)
         else:
-            rep = conditional_iid_test(arr, h, seed=seed)
+            rep = conditional_iid_test(arr, r, m, seed=seed)
         rejects += rep.reject
     return rejects
 

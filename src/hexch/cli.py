@@ -63,12 +63,12 @@ _MAX_DEPTH = 32
 _CONFIG_KEYS = {"scenario", "seed", "r", "m", "n", "params", "extract", "resynthesize_m",
                 "tests", "out"}
 # each test's config keys besides its name, what it runs on (the scenario's
-# source, or the array and its extracted hierarchy) and the name of the
-# hexch.stattests function it calls
+# source, or the sampled array) and the name of the hexch.stattests function
+# it calls
 _TESTS = {
     "hexch": ({"n_reps", "n_resamples", "level"}, "source", "hexch_test"),
-    "conditional_iid": ({"n_resamples", "level"}, "hierarchy", "conditional_iid_test"),
-    "cond_indep": ({"n_resamples", "level"}, "hierarchy", "cond_indep_test"),
+    "conditional_iid": ({"n_resamples", "level"}, "array", "conditional_iid_test"),
+    "cond_indep": ({"n_resamples", "level"}, "array", "cond_indep_test"),
 }
 
 
@@ -100,10 +100,6 @@ def _exceeds(m: int, r: int, n: int, cap: int) -> bool:
         if cells > cap:
             return True
     return cells > cap
-
-
-def _needs_hierarchy(cfg: dict) -> bool:
-    return cfg["extract"] or any(_TESTS[t["name"]][1] == "hierarchy" for t in cfg["tests"])
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -158,6 +154,8 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec]:
             raise ConfigError(f"unknown test {name!r}")
         keys, on, _ = _TESTS[name]
         _check_keys(t, keys | {"name"}, f"tests[{i}] ({name})")
+        if on == "array" and spec.form == "sigma-replica":
+            raise ConfigError(f"{name} needs a plain tree array, not {spec.name!r}")
         if name == "cond_indep" and (cfg["r"] < 2 or cfg["m"] < 2):
             raise ConfigError("cond_indep needs r >= 2 and m >= 2")
         if name == "conditional_iid" and cfg["m"] < 2:
@@ -173,10 +171,10 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec]:
             "level": level,
         }
         cfg["tests"].append(entry)
-    if _needs_hierarchy(cfg) and spec.form == "sigma-replica":
+    if extract and spec.form == "sigma-replica":
         raise ConfigError(f"hierarchy extraction needs a plain tree array, not {spec.name!r}")
-    if cfg["resynthesize_m"] is not None and not _needs_hierarchy(cfg):
-        raise ConfigError("resynthesize_m needs extract, conditional_iid or cond_indep")
+    if cfg["resynthesize_m"] is not None and not extract:
+        raise ConfigError("resynthesize_m needs extract")
     return cfg, spec
 
 
@@ -325,8 +323,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
     src = make_source(cfg["scenario"], cfg["r"], cfg["m"], n=cfg["n"], params=cfg["params"])
     array = src.sample(cfg["seed"])
     _write(out / "array.csv", array_to_csv(array, cfg["r"], cfg["m"], src.n), files)
-    hierarchy = None
-    if _needs_hierarchy(cfg):
+    if cfg["extract"]:
         hierarchy = extract_hierarchy(array, cfg["r"], cfg["m"])
         _write(out / "hierarchy.json", hierarchy_json_chunks(hierarchy), files)
         if cfg["resynthesize_m"] is not None:
@@ -343,7 +340,7 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
             )
     # the positional and keyword arguments of a test, by what it runs on
     inputs = {"source": ((src.sample, cfg["r"], cfg["m"]), {"n": src.n}),
-              "hierarchy": ((array, hierarchy), {})}
+              "array": ((array, cfg["r"], cfg["m"]), {})}
 
     def run_test(i):
         entry = cfg["tests"][i]

@@ -236,39 +236,13 @@ class DirectingHierarchy:
             raise ValueError(f"{v!r} is not an internal vertex of {{1..{self.m}}}^{self.r}")
         return mu
 
-    def _cdf_blocks(self, blocks: np.ndarray):
-        """Yield ``(rows, cdf_left, cdf)`` for consecutive row slices of the
-        ``(P, q)`` matrix ``blocks``, row i against the measure of depth r-1
-        vertex i, each block's temporaries at most about ``_BLOCK_BYTES``.
-        A value's right count is its left count, plus one where the atom at
-        the left count equals it: each row's atoms strictly ascend, so at
-        most one atom equals it.  Counts past a row's atoms (an inf or NaN
-        query) are clamped to the atom count."""
-        ids = self.ids[-1][: len(blocks)]
-        q, w = blocks.shape[1], self.atoms[0].shape[1]
-        # about six (rows, q) arrays of 8 bytes, and the rows' atoms and CDFs
-        step = max(1, _BLOCK_BYTES // (8 * (6 * q + 2 * w)))
-        for lo in range(0, len(ids), step):
-            rows = slice(lo, lo + step)
-            at, v = ids[rows], blocks[rows]
-            n = self.counts[0][at, None]
-            locs = np.where(np.arange(w) < n, self.atoms[0][at], np.inf)
-            idx = _search_rows(locs, v)
-            np.minimum(idx, n, out=idx)
-            hit = idx < n
-            hit &= np.take_along_axis(locs, np.minimum(idx, w - 1), axis=1) == v
-            padded = np.zeros((len(at), w + 1))
-            padded[:, 1:] = self.cum[0][at]
-            left = np.take_along_axis(padded, idx, axis=1)
-            idx += hit
-            yield rows, left, np.take_along_axis(padded, idx, axis=1)
 
-
-# Scratch bound for the row searches, the parent CDFs, the level-0 gap
-# planes and the assignment costs, so that a large level costs blocks of
-# rows or row pairs of at most this many bytes, not one (P, q, w) or
-# (rows_a, rows_b, n, n) array; the level-0 planes of a block of rows
-# (16, each (rows, rows_b)) take a sixteenth of it.
+# Scratch bound for the row searches, the PIT tests' row blocks
+# (hexch.stattests._pit_matrix), the level-0 gap planes and the assignment
+# costs, so that a large level costs blocks of rows or row pairs of at most
+# this many bytes, not one (P, q, w) or (rows_a, rows_b, n, n) array; the
+# level-0 planes of a block of rows (16, each (rows, rows_b)) take a
+# sixteenth of it.
 _BLOCK_BYTES = 1 << 23
 
 # Widest rows that _search_rows compares with every query at once

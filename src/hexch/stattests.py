@@ -6,7 +6,10 @@ structure-preserving permutation applied to each replicate, compared by an
 energy-distance permutation test.  Conditional structure (children i.i.d.
 given their directing measure, independence across parents) is checked
 through randomized probability integral transforms of leaf values against
-their parent's estimated CDF.
+their parent's estimated CDF: the empirical measure of the m siblings,
+which is that parent's level-0 directing measure.  So the PIT tests take
+the array and its shape ``(r, m)`` alone, and no hierarchy is extracted
+for them.
 
 All tests are deterministic given their seed, resample permutations
 included, and report an add-one permutation p-value, so the decision at
@@ -22,7 +25,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .definetti import DirectingHierarchy, _lex_order, _require_hierarchy
+from . import definetti
+from .definetti import _lex_order, _search_rows
 from .fields import derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
@@ -249,42 +253,52 @@ def hexch_test(
     )
 
 
-def _pit_matrix(
-    array, hierarchy: DirectingHierarchy, rng: np.random.Generator, n_rows: int | None = None
-) -> np.ndarray:
-    """Randomized PIT of each leaf through its parent's level-0 CDF.
+def _pit_matrix(array, r: int, m: int, rng: np.random.Generator,
+                n_rows: int | None = None) -> np.ndarray:
+    """Randomized PIT of each leaf through the empirical measure of its m
+    siblings, its parent's level-0 directing measure: ``(k + t u) / m``,
+    where k counts the siblings strictly below the leaf, t those equal to
+    it (itself included) and u is its uniform.  Values landing on an atom
+    are spread uniformly across the CDF jump, so the transform of an
+    i.i.d.-within-parent block is exactly uniform.
 
-    Values landing on an atom are spread uniformly across the CDF jump, so
-    the transform of an i.i.d.-within-parent block is exactly uniform.
     Shape (parents, m) in lexicographic order, or only the first ``n_rows``
     parents, which take the first ``n_rows * m`` uniforms of ``rng``, as
-    they do in the whole matrix.  The CDFs and uniforms are made a block of
-    rows at a time (:meth:`DirectingHierarchy._cdf_blocks`).  A NaN leaf,
-    which would count every atom, is refused, wherever it is.
+    they do in the whole matrix.  k and t come from two row searches of each
+    sorted row (:func:`~hexch.definetti._search_rows`), the count at or below
+    a value as m less the count below its negation in the negated, reversed
+    row; the rows are searched and their uniforms drawn a block of rows at a
+    time, each block's temporaries (about six of its size) within
+    ``hexch.definetti._BLOCK_BYTES``.  A NaN leaf, which has no order, is
+    refused, wherever it is.
     """
-    r, m = hierarchy.r, hierarchy.m
     arr = np.asarray(array, dtype=np.float64).reshape(-1)
     if arr.size != m**r:
-        raise ValueError(
-            f"shape mismatch: array has {arr.size} values, hierarchy expects {m**r}"
-        )
-    # x·x is NaN exactly when some x is (a sum of squares has no inf - inf),
-    # and it takes no array of flags
-    if np.isnan(np.dot(arr, arr)):
+        raise ValueError(f"shape mismatch: array has {arr.size} values, expected m^r = {m**r}")
+    # the minimum is NaN exactly when some x is; it takes no array of flags
+    # and, unlike x·x, cannot overflow on a finite array
+    if np.isnan(arr.min()):
         raise ValueError(f"leaf {int(np.isnan(arr).argmax())} of the array is NaN")
-    blocks = arr.reshape(m ** (r - 1), m)[:n_rows]
-    pit = np.empty(blocks.shape)
-    for rows, lo, hi in hierarchy._cdf_blocks(blocks):
-        # lo + u (hi - lo), in place: both operations commute bit for bit
-        hi -= lo
-        hi *= rng.random(hi.shape)
-        np.add(lo, hi, out=pit[rows])
+    rows = arr.reshape(m ** (r - 1), m)[:n_rows]
+    pit = np.empty(rows.shape)
+    step = max(1, definetti._BLOCK_BYTES // (6 * 8 * m))
+    for lo in range(0, len(rows), step):
+        v, out = rows[lo : lo + step], pit[lo : lo + step]
+        s = np.sort(v, axis=1)
+        below = _search_rows(s, v)
+        ties = m - _search_rows(-s[:, ::-1], -v)
+        ties -= below
+        # (k + t u) / m, in place: the sum commutes bit for bit
+        np.multiply(ties, rng.random(v.shape), out=out)
+        out += below
+        out /= m
     return pit
 
 
 def conditional_iid_test(
     array,
-    hierarchy: DirectingHierarchy,
+    r: int,
+    m: int,
     *,
     n_resamples: int = 199,
     level: float = 0.05,
@@ -292,21 +306,27 @@ def conditional_iid_test(
 ) -> TestReport:
     """Check that sibling values behave i.i.d. given their parent measure.
 
-    Tests the within-parent lag-1 autocorrelation of the randomized PIT
-    sequence against the null that shuffles each parent's children, so the
-    p-value is exact under the null.  The pooled PIT values are not tested
-    for uniformity: with no ties, each parent's PIT row puts one value in
-    each stratum [(k-1)/m, k/m) whatever the array's law.  With m = 1 there
-    is no lag-1 pair, and the test raises ``ValueError``.
+    ``array`` holds the m^r leaf values of a ``{1..m}^r`` truncation, in
+    lexicographic order.  Tests the within-parent lag-1 autocorrelation of
+    the randomized PIT sequence (:func:`_pit_matrix`, through each parent's
+    empirical measure of its children) against the null that shuffles each
+    parent's children, so the p-value is exact under the null.  The pooled
+    PIT values are not tested for uniformity: with no ties, each parent's
+    PIT row puts one value in each stratum [(k-1)/m, k/m) whatever the
+    array's law.  With m = 1 there is no lag-1 pair, and the test raises
+    ``ValueError``.
     """
-    _require_hierarchy("conditional_iid_test", hierarchy)
     _check_level(level)
-    if hierarchy.m < 2:
+    _check_size("r", r)
+    _check_size("m", m)
+    # plain ints: m^r cannot wrap, and the metadata stays JSON
+    r, m = int(r), int(m)
+    if m < 2:
         raise ValueError("no sibling pairs: m must be >= 2")
     _check_size("n_resamples", n_resamples)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
-    pit = _pit_matrix(array, hierarchy, rng)
-    n_parents, m = pit.shape
+    pit = _pit_matrix(array, r, m, rng)
+    n_parents = len(pit)
     rho = _lag1_corr(pit)
     p = _shuffle_pvalue(
         pit, abs(rho), n_resamples, seed, _lag1_fast(pit), lambda z: abs(_lag1_corr(z))
@@ -503,7 +523,8 @@ def _pairs_by_gap(n_parents: int, budget: int) -> list[tuple[int, int]]:
 
 def cond_indep_test(
     array,
-    hierarchy: DirectingHierarchy,
+    r: int,
+    m: int,
     *,
     n_resamples: int = 199,
     level: float = 0.05,
@@ -512,7 +533,9 @@ def cond_indep_test(
 ) -> TestReport:
     """Check independence of children across distinct parents.
 
-    PIT-transforms each parent's children, then takes the maximal absolute
+    ``array`` holds the m^r leaf values of a ``{1..m}^r`` truncation, in
+    lexicographic order.  PIT-transforms each parent's children
+    (:func:`_pit_matrix`), then takes the maximal absolute
     correlation over a fixed budget of parent pairs (nearest pairs first).
     The null distribution is obtained by independently shuffling each
     parent's children, which preserves within-parent exchangeability while
@@ -522,20 +545,21 @@ def cond_indep_test(
     the first ``R m`` uniforms, as they do in the whole PIT matrix.  The
     others never enter the statistic.
     """
-    _require_hierarchy("cond_indep_test", hierarchy)
     _check_level(level)
-    if hierarchy.r < 2:
+    _check_size("r", r)
+    _check_size("m", m)
+    r, m = int(r), int(m)
+    if r < 2:
         raise ValueError("cross-parent check needs tree depth r >= 2")
-    if hierarchy.m < 2:
+    if m < 2:
         raise ValueError("no sibling pairs: m must be >= 2")
     _check_size("pair_budget", pair_budget)
     _check_size("n_resamples", n_resamples)
-    m = hierarchy.m
-    n_parents = m ** (hierarchy.r - 1)
+    n_parents = m ** (r - 1)
     pairs = np.array(_pairs_by_gap(n_parents, pair_budget))
     ii, jj = pairs.T
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
-    read = _pit_matrix(array, hierarchy, rng, int(jj.max()) + 1)
+    read = _pit_matrix(array, r, m, rng, int(jj.max()) + 1)
     observed = _max_abs_corr(read, ii, jj)
     p = _shuffle_pvalue(
         read, observed, n_resamples, seed, _max_abs_corr_fast(read, ii, jj),

@@ -176,11 +176,14 @@ def test_config_errors():
         {"n_rep": 20},
         {"tests": [{"name": "hexch", "n_rep": 20}]},
         {"r": 2, "tests": [{"name": "conditional_iid", "n_reps": 20}]},
-        # outputs the scenario and tests cannot produce
+        # outputs the scenario and tests cannot produce; a PIT test reads the
+        # array alone, so it extracts nothing to resynthesize from
         {"resynthesize_m": 4},
+        {"r": 2, "resynthesize_m": 4, "tests": [{"name": "conditional_iid"}]},
         {"r": 2, "m": 1, "tests": [{"name": "conditional_iid"}]},
         {"scenario": "toy-magnetization", "r": 2, "extract": True, "tests": []},
         {"scenario": "toy-magnetization", "r": 2, "tests": [{"name": "conditional_iid"}]},
+        {"scenario": "toy-magnetization", "r": 2, "tests": [{"name": "cond_indep"}]},
         # a request whose resamples would never finish
         {"r": 2, "tests": [{"name": "conditional_iid", "n_resamples": 2**64}]},
         {"r": 2, "tests": [{"name": "cond_indep", "n_resamples": 10**6 + 1}]},
@@ -387,6 +390,40 @@ def test_deepest_allowed_degenerate_tree_runs(tmp_path, capsys):
     assert {"hierarchy.json", "resynthesized.csv"} <= {p.name for p in (tmp_path / "o").iterdir()}
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"r": 2, "resynthesize_m": 4, "tests": [{"name": "cond_indep"}]},
+     "resynthesize_m needs extract"),
+    ({"scenario": "toy-magnetization", "r": 2, "tests": [{"name": "conditional_iid"}]},
+     "conditional_iid needs a plain tree array, not 'toy-magnetization'"),
+    ({"scenario": "toy-magnetization", "r": 2, "extract": True, "tests": []},
+     "hierarchy extraction needs a plain tree array, not 'toy-magnetization'"),
+])
+def test_refusals_name_what_cannot_run(tmp_path, capsys, overrides, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config(**overrides)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_pit_only_run_extracts_nothing(tmp_path, monkeypatch):
+    import hexch.cli
+
+    cfg = {"scenario": "product", "r": 2, "m": 12, "seed": 8,
+           "tests": [{"name": "conditional_iid", "n_resamples": 19},
+                     {"name": "cond_indep", "n_resamples": 19}]}
+    run_experiment({**cfg, "extract": True}, tmp_path / "extracted")
+
+    def refuse(*args):
+        raise AssertionError("a PIT-only run extracted a hierarchy")
+
+    monkeypatch.setattr(hexch.cli, "extract_hierarchy", refuse)
+    code, files = run_experiment(cfg, tmp_path / "out")
+    assert code in (0, 1)
+    assert sorted(files) == ["array.csv", "manifest.json", "reports.jsonl", "summary.csv"]
+    for name in ("array.csv", "reports.jsonl", "summary.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "extracted" / name).read_bytes()
+
+
 def test_cond_indep_needs_siblings(tmp_path, capsys):
     cfg = {"scenario": "uniform-leaf", "r": 2, "m": 1, "seed": 0, "tests": [{"name": "cond_indep"}]}
     with pytest.raises(ConfigError, match="m >= 2"):
@@ -423,18 +460,18 @@ def test_array_to_csv_accepts_numpy_integers():
 
 # sha256 of the emitted files, recorded while the keys still came from
 # TreeVertex objects; manifest.json pins the per-file bytes and sha256 too.
-# The manifest digests are those of hexch 0.6.0: each is the 0.5.0
+# The manifest digests are those of hexch 0.7.0: each is the 0.6.0
 # manifest's with its "version" string changed, and nothing else
 OUTPUT_DIGESTS = {
     "single tree m=11": (
         {"scenario": "path-mean", "r": 2, "m": 11, "seed": 3},
         {"array.csv": "73e88362e7366fa85f45101081bb869b87a611b437ee1aeb3d1e576707efb0ce",
-         "manifest.json": "41d29c3dd7b851ca2a4e79c8dceac2ca14aa183d0edf07bfd60abf73210b5a4a"},
+         "manifest.json": "20e47e9ad4c078955e99dc9678a93803666edfdd0ddc1a65e2c414d18dccc320"},
     ),
     "replica n=2": (
         {"scenario": "toy-magnetization", "r": 2, "m": 10, "n": 2, "seed": 5},
         {"array.csv": "9ebc695b505949f358fe89db6bcc25eae384c7c3795ba9a5267fc31bee75e3de",
-         "manifest.json": "825de731113802396542e8c2920187ea9e1371c975c8b4819d5d9603f44ef7b4"},
+         "manifest.json": "98f7638f14e883a353ab548c8062bc4532700afffb24896de7bbb72cf356d710"},
     ),
     "hierarchy m=12": (
         {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
@@ -442,7 +479,7 @@ OUTPUT_DIGESTS = {
         {"array.csv": "a66527ccd16f01f139065684b96bbbeb2fa0c7a68dbbe5f804a75a3543bc2b34",
          "hierarchy.json": "57df73276545bb5272e46c925ca8a5403a9a23c8b61d2c555b91a3cad2dc8d65",
          "resynthesized.csv": "d152d22780939aef78224cbbae20b3a8c0f4b10ba8a25c94c02221c728e67ebc",
-         "manifest.json": "bc2745534e6eef803d94221f648ecb6a6fb8ed9af34e91823596ac3301af2152"},
+         "manifest.json": "f7968d53d78e925ff8ff26a613cbdc411740b81c72d10d433ecd7932df43f5ae"},
     ),
 }
 

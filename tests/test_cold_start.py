@@ -69,7 +69,7 @@ def _scipy_stages() -> tuple[dict, dict]:
     mu = extract_hierarchy(paired, 2, 32)
     nu = extract_hierarchy(make_source("product", 2, 33).sample(6), 2, 33)
     stages = {
-        "conditional_iid": lambda: conditional_iid_test(x, h, n_resamples=49, seed=5).to_json_obj(),
+        "conditional_iid": lambda: conditional_iid_test(x, 2, 8, n_resamples=49, seed=5).to_json_obj(),
         "assignment": lambda: nested_distance(h, g).hex(),
         "mixed": lambda: nested_distance(mu, nu).hex(),
     }

@@ -356,6 +356,15 @@ def test_resynthesize_constant_hierarchy():
     assert np.all(y == 0.25)
 
 
+def _cdfs(mu, x):
+    """``(F(x-), F(x))`` of a level-0 measure: its cumulative weights after
+    0, 1, ..., n atoms (the last exactly 1), read at the count of its
+    locations below x and at the count not above x."""
+    cum = np.concatenate([[0.0], np.cumsum(mu.weights)])
+    cum[-1] = 1.0
+    return tuple(cum[np.searchsorted(mu.locations, x, side=s)] for s in ("left", "right"))
+
+
 def test_resynthesize_r1_draws_iid_from_root_measure():
     import scipy.stats
 
@@ -366,8 +375,8 @@ def test_resynthesize_r1_draws_iid_from_root_measure():
     assert abs(freq - 0.3) < 0.03
     # PIT against the source measure should look uniform
     rng = np.random.default_rng(0)
-    lo, hi = _parent_cdfs(h, y[None])
-    pit = lo[0] + rng.random(y.size) * (hi[0] - lo[0])
+    lo, hi = _cdfs(h.root_measure, y)
+    pit = lo + rng.random(y.size) * (hi - lo)
     assert scipy.stats.kstest(pit, "uniform").pvalue > 0.01
 
 
@@ -798,68 +807,6 @@ def test_level_tables_whose_first_atoms_tie_take_the_lexsort_order(monkeypatch, 
     want = extract_hierarchy(x, r, m)
     for got_arrays, want_arrays in ((h.atoms, want.atoms), (h.mult, want.mult), (h.ids, want.ids)):
         assert [a.tobytes() for a in got_arrays] == [a.tobytes() for a in want_arrays]
-
-
-def _cdfs(mu, x):
-    """``(F(x-), F(x))`` of a level-0 measure: its cumulative weights after
-    0, 1, ..., n atoms (the last exactly 1), read at the count of its
-    locations below x and at the count not above x."""
-    cum = np.concatenate([[0.0], np.cumsum(mu.weights)])
-    cum[-1] = 1.0
-    return tuple(cum[np.searchsorted(mu.locations, x, side=s)] for s in ("left", "right"))
-
-
-def _parent_cdfs(h, blocks):
-    """``(cdf_left, cdf)`` of the depth r-1 measures of ``h`` at the rows
-    of ``blocks``, row i against vertex i, joined from ``h._cdf_blocks``."""
-    lo, hi = np.empty(blocks.shape), np.empty(blocks.shape)
-    for rows, left, right in h._cdf_blocks(blocks):
-        lo[rows], hi[rows] = left, right
-    return lo, hi
-
-
-def test_parent_cdfs_match_the_measures():
-    x = np.round(sample_array(make_model("path-mean", 3), 3, 4, seed=8), 1)
-    h = extract_hierarchy(x, 3, 4)
-    blocks = np.round(np.random.default_rng(2).random((16, 6)), 1)
-    blocks[0, :4] = [0.0, 1.0, np.inf, np.nan]
-    lo, hi = _parent_cdfs(h, blocks)
-    want = [_cdfs(mu, b) for mu, b in zip(h.measures[-16:], blocks)]
-    assert np.array_equal(lo, [left for left, _ in want])
-    assert np.array_equal(hi, [right for _, right in want])
-    # atoms 0.1 (weight 1/2), 0.3 and 0.9 (1/4 each)
-    h = extract_hierarchy([0.3, 0.1, 0.1, 0.9], 1, 4)
-    lo, hi = _parent_cdfs(h, np.array([[0.0, 0.1, 0.3, 0.5, 0.9, 1.0]]))
-    assert lo.tolist() == [[0.0, 0.0, 0.5, 0.75, 0.75, 1.0]]
-    assert hi.tolist() == [[0.0, 0.5, 0.75, 0.75, 1.0, 1.0]]
-
-
-@pytest.mark.parametrize("m", [9, 40])
-def test_parent_cdfs_in_blocks_and_subsets_have_the_bits_of_the_whole_call(monkeypatch, m):
-    # rows 9 wide take the broadcast search, rows 40 wide one search each
-    x = make_source("product", 2, m).sample(2)
-    h = extract_hierarchy(x, 2, m)
-    rng = np.random.default_rng(m)
-    # half the values are atoms of their row's measure
-    blocks = np.where(rng.random((m, 11)) < 0.5, rng.random((m, 11)),
-                      x.reshape(m, m)[:, np.arange(11) % m])
-    blocks[0, :4] = [-0.0, 1.0, np.inf, np.nan]
-    whole = _parent_cdfs(h, blocks)
-    want = [_cdfs(mu, b) for mu, b in zip(h.measures[1:], blocks)]
-    assert np.array_equal(whole[0], [left for left, _ in want])
-    assert np.array_equal(whole[1], [right for _, right in want])
-    w = h.atoms[0].shape[1]
-    for rows_per_block in (1, 3, m - 1):
-        # the bytes of rows_per_block rows in a block of _cdf_blocks
-        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 8 * (6 * 11 + 2 * w))
-        steps = [len(left) for _, left, _ in h._cdf_blocks(blocks)]
-        assert steps[0] == rows_per_block and sum(steps) == m
-        for got, want in zip(_parent_cdfs(h, blocks), whole):
-            assert got.tobytes() == want.tobytes()
-        # the first rows alone, as the PIT test's n_rows takes them
-        for got, want in zip(_parent_cdfs(h, blocks[:4]), whole):
-            assert got.tobytes() == want[:4].tobytes()
-        monkeypatch.undo()
 
 
 # -- distances ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from hexch.stattests import (
     hexch_test,
 )
 
-from reference import energy_distance
+from reference import energy_distance, reference_pit
 
 
 # -- energy distance -------------------------------------------------------------
@@ -333,11 +333,11 @@ def test_report_validates_pvalue():
     for level in (0.0, 1.0, 7.0, -1, float("nan")):
         with pytest.raises(ValueError, match="level"):
             TestReport("x", 0.0, 0.5, 10, level, False)
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
+    arr = _array("uniform-leaf", 2, 4, seed=0)
     with pytest.raises(ValueError, match="level"):
-        conditional_iid_test(arr, h, n_resamples=9, level=7.0, seed=0)
+        conditional_iid_test(arr, 2, 4, n_resamples=9, level=7.0, seed=0)
     with pytest.raises(ValueError, match="level"):
-        cond_indep_test(arr, h, n_resamples=9, level=-1, seed=0)
+        cond_indep_test(arr, 2, 4, n_resamples=9, level=-1, seed=0)
     with pytest.raises(ValueError, match="level"):
         hexch_test(make_source("uniform-leaf", 1, 4).sample, 1, 4, n_reps=20,
                    n_resamples=9, level=1.0, seed=0)
@@ -346,18 +346,16 @@ def test_report_validates_pvalue():
 # -- conditional i.i.d. test ---------------------------------------------------------
 
 
-def _array_and_hierarchy(name, r, m, seed):
-    src = make_source(name, r, m)
-    arr = src.sample(seed)
-    return arr, extract_hierarchy(arr, r, m)
+def _array(name, r, m, seed):
+    return make_source(name, r, m).sample(seed)
 
 
 def test_conditional_iid_null_calibration_smoke():
     rejects = 0
     for t in range(20):
         seed = derive_seed(11, "c", t)
-        arr, h = _array_and_hierarchy("uniform-leaf", 2, 16, seed)
-        rejects += conditional_iid_test(arr, h, seed=seed).reject
+        rejects += conditional_iid_test(_array("uniform-leaf", 2, 16, seed), 2, 16,
+                                        seed=seed).reject
     assert rejects <= 2  # needs >= 90% non-rejection
 
 
@@ -365,30 +363,27 @@ def test_conditional_iid_markov_power_smoke():
     rejects = 0
     for t in range(10):
         seed = derive_seed(12, "m", t)
-        arr, h = _array_and_hierarchy("markov-leak", 2, 16, seed)
-        rejects += conditional_iid_test(arr, h, seed=seed).reject
+        rejects += conditional_iid_test(_array("markov-leak", 2, 16, seed), 2, 16,
+                                        seed=seed).reject
     assert rejects >= 9
 
 
 def test_conditional_iid_constant_array():
-    arr = np.full(64, 0.5)
-    h = extract_hierarchy(arr, 2, 8)
-    rep = conditional_iid_test(arr, h, seed=1)
+    rep = conditional_iid_test(np.full(64, 0.5), 2, 8, seed=1)
     # point-mass PIT is pure randomization: uniform, hence no rejection
     assert not rep.reject
 
 
 def test_conditional_iid_shape_mismatch():
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=5)
-    with pytest.raises(ValueError):
-        conditional_iid_test(np.zeros(9), h, seed=0)
+    with pytest.raises(ValueError, match=r"^shape mismatch: array has 9 values, expected m\^r = 16$"):
+        conditional_iid_test(np.zeros(9), 2, 4, seed=0)
 
 
 def test_conditional_iid_requires_siblings():
     # one child per parent has no lag-1 pair, and a test of nothing else
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 1, seed=0)
+    arr = _array("uniform-leaf", 2, 1, seed=0)
     with pytest.raises(ValueError, match="^no sibling pairs: m must be >= 2$"):
-        conditional_iid_test(arr, h, seed=0)
+        conditional_iid_test(arr, 2, 1, seed=0)
 
 
 # -- conditional independence test ----------------------------------------------------
@@ -398,8 +393,7 @@ def test_cond_indep_null_calibration_smoke():
     rejects = 0
     for t in range(20):
         seed = derive_seed(21, "c", t)
-        arr, h = _array_and_hierarchy("product", 2, 16, seed)
-        rejects += cond_indep_test(arr, h, seed=seed).reject
+        rejects += cond_indep_test(_array("product", 2, 16, seed), 2, 16, seed=seed).reject
     assert rejects <= 2
 
 
@@ -407,27 +401,24 @@ def test_cond_indep_sibling_coupled_power_smoke():
     rejects = 0
     for t in range(10):
         seed = derive_seed(22, "s", t)
-        arr, h = _array_and_hierarchy("sibling-coupled", 2, 16, seed)
-        rejects += cond_indep_test(arr, h, seed=seed).reject
+        rejects += cond_indep_test(_array("sibling-coupled", 2, 16, seed), 2, 16,
+                                   seed=seed).reject
     assert rejects >= 9
 
 
 def test_cond_indep_requires_depth_two():
-    arr, h = _array_and_hierarchy("uniform-leaf", 1, 8, seed=3)
-    with pytest.raises(ValueError):
-        cond_indep_test(arr, h, seed=0)
+    arr = _array("uniform-leaf", 1, 8, seed=3)
+    with pytest.raises(ValueError, match="^cross-parent check needs tree depth r >= 2$"):
+        cond_indep_test(arr, 1, 8, seed=0)
 
 
 def test_cond_indep_requires_siblings():
-    arr = np.array([0.3])
-    h = extract_hierarchy(arr, 2, 1)
-    with pytest.raises(ValueError):
-        cond_indep_test(arr, h, seed=0)
+    with pytest.raises(ValueError, match="^no sibling pairs: m must be >= 2$"):
+        cond_indep_test(np.array([0.3]), 2, 1, seed=0)
 
 
 def test_cond_indep_pair_budget_recorded():
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 16, seed=9)
-    rep = cond_indep_test(arr, h, seed=9, pair_budget=10)
+    rep = cond_indep_test(_array("uniform-leaf", 2, 16, seed=9), 2, 16, seed=9, pair_budget=10)
     assert rep.metadata["n_pairs"] == 10
 
 
@@ -436,14 +427,15 @@ def test_cond_indep_pair_budget_recorded():
 # before the PIT tests shared their shuffle null and read the parent
 # measures by position.  conditional_iid's p-value is its lag1_p: the
 # values are those recorded while it was the Bonferroni pair of lag1_p
-# and a pooled KS p-value
+# and a pooled KS p-value.  At m = 6 and 5 the conditional_iid statistics
+# are those of the PIT (k + t u) / m, within a few ulps of those recorded
 PIT_PINNED = [
     ("uniform-leaf", 2, 8, 1, None, 0.16657562427649217, 0.39, 0.902284841917615, 0.06),
     ("path-mean", 3, 4, 2, None, -0.2712744620925607, 0.73, 0.9903181955351474, 0.55),
-    ("root-constant", 2, 6, 3, None, -0.22898807013650696, 0.24, 0.6894503474757002, 0.91),
+    ("root-constant", 2, 6, 3, None, -0.22898807013650702, 0.24, 0.6894503474757002, 0.91),
     ("uniform-leaf", 2, 8, 4, 1, -0.07692712199573769, 0.8, 0.7981187915478832, 0.49),
     ("markov-leak", 2, 16, 5, None, 0.46636626151673655, 0.01, 0.7148080252346263, 0.18),
-    ("product", 3, 5, 6, None, -0.20067157350769269, 0.68, 0.8758475369043698, 0.98),
+    ("product", 3, 5, 6, None, -0.20067157350769274, 0.68, 0.8758475369043698, 0.98),
     # pipeline's size: several blocks of draws in both shuffle nulls
     ("product", 2, 128, 0, None, -0.00984451301196774, 0.38, 0.22753414479981193, 0.52),
 ]
@@ -455,38 +447,37 @@ def test_pit_tests_pinned_values(case):
     arr = make_source(name, r, m).sample(seed)
     if decimals is not None:
         arr = np.round(arr, decimals)
-    h = extract_hierarchy(arr, r, m)
-    iid = conditional_iid_test(arr, h, n_resamples=99, seed=seed)
+    iid = conditional_iid_test(arr, r, m, n_resamples=99, seed=seed)
     assert (iid.statistic, iid.p_value, iid.metadata["lag1_p"]) == (iid_stat, lag1_p, lag1_p)
     assert not {"ks_stat", "ks_p"} & set(iid.metadata)
-    indep = cond_indep_test(arr, h, n_resamples=99, seed=seed)
+    indep = cond_indep_test(arr, r, m, n_resamples=99, seed=seed)
     assert (indep.statistic, indep.p_value) == (indep_stat, indep_p)
 
 
 # cond_indep above 65 parents, where only the 65 rows the default pair budget
 # reads are shuffled: (scenario, r, m, seed, statistic, p_value) at
-# n_resamples=99
+# n_resamples=99; the statistic is that of the PIT (k + t u) / m, one ulp
+# from the one recorded
 COND_INDEP_PINNED = [
-    ("product", 2, 100, 7, 0.3209778647362196, 0.07),
+    ("product", 2, 100, 7, 0.3209778647362195, 0.07),
 ]
 
 
 @pytest.mark.parametrize("case", COND_INDEP_PINNED, ids=lambda c: f"{c[0]}-m{c[2]}-seed{c[3]}")
 def test_cond_indep_pinned_values_many_parents(case):
     name, r, m, seed, stat, p_value = case
-    arr, h = _array_and_hierarchy(name, r, m, seed)
-    rep = cond_indep_test(arr, h, n_resamples=99, seed=seed)
+    rep = cond_indep_test(_array(name, r, m, seed), r, m, n_resamples=99, seed=seed)
     assert rep.metadata["n_parents"] > 65
     assert (rep.statistic, rep.p_value) == (stat, p_value)
 
 
 def test_cond_indep_ignores_parents_outside_the_pair_budget():
     m = 100
-    arr, h = _array_and_hierarchy("product", 2, m, seed=7)
+    arr = _array("product", 2, m, seed=7)
     changed = arr.copy()
     changed[65 * m:] = changed[65 * m:][::-1]
-    a = cond_indep_test(arr, h, n_resamples=49, seed=7)
-    b = cond_indep_test(changed, h, n_resamples=49, seed=7)
+    a = cond_indep_test(arr, 2, m, n_resamples=49, seed=7)
+    b = cond_indep_test(changed, 2, m, n_resamples=49, seed=7)
     assert a.to_json_obj() == b.to_json_obj()
 
 
@@ -509,11 +500,10 @@ def _full_matrix_max_abs_corr(pit, pairs):
     ("uniform-leaf", 2, 12, 1, 200),
 ])
 def test_cond_indep_statistic_matches_full_matrix(name, r, m, seed, budget):
-    arr, h = _array_and_hierarchy(name, r, m, seed)
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
-    pit = hexch.stattests._pit_matrix(arr, h, rng)
+    arr = _array(name, r, m, seed)
+    pit = _pit(arr, r, m, seed)
     pairs = hexch.stattests._pairs_by_gap(pit.shape[0], budget)
-    rep = cond_indep_test(arr, h, n_resamples=9, seed=seed, pair_budget=budget)
+    rep = cond_indep_test(arr, r, m, n_resamples=9, seed=seed, pair_budget=budget)
     assert rep.statistic == _full_matrix_max_abs_corr(pit, pairs)
 
 
@@ -576,9 +566,9 @@ def _reference_shuffle_pvalue(pit, stat, observed, n_resamples, seed):
     return (1 + count) / (n_resamples + 1)
 
 
-def _pit(arr, h, seed):
+def _pit(arr, r, m, seed, n_rows=None):
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
-    return hexch.stattests._pit_matrix(arr, h, rng)
+    return hexch.stattests._pit_matrix(arr, r, m, rng, n_rows)
 
 
 def _read_rows(n_parents, budget):
@@ -588,16 +578,16 @@ def _read_rows(n_parents, budget):
     return rows, ii, jj
 
 
-def _assert_pit_tests_match_reference(arr, h, seed, n_resamples, budget=64):
-    pit = _pit(arr, h, seed)
-    iid = conditional_iid_test(arr, h, n_resamples=n_resamples, seed=seed)
+def _assert_pit_tests_match_reference(arr, r, m, seed, n_resamples, budget=64):
+    pit = _pit(arr, r, m, seed)
+    iid = conditional_iid_test(arr, r, m, n_resamples=n_resamples, seed=seed)
     rho = _reference_lag1_corr(pit)
     want = _reference_shuffle_pvalue(
         pit, lambda z: abs(_reference_lag1_corr(z)), abs(rho), n_resamples, seed
     )
     assert iid.statistic.hex() == rho.hex()
     assert iid.metadata["lag1_p"] == want
-    if h.r < 2:
+    if r < 2:
         return
     rows, ii, jj = _read_rows(pit.shape[0], budget)
     pairs = list(zip(ii, jj))
@@ -605,7 +595,7 @@ def _assert_pit_tests_match_reference(arr, h, seed, n_resamples, budget=64):
     want = _reference_shuffle_pvalue(
         pit[rows], lambda z: _full_matrix_max_abs_corr(z, pairs), stat, n_resamples, seed
     )
-    indep = cond_indep_test(arr, h, n_resamples=n_resamples, seed=seed, pair_budget=budget)
+    indep = cond_indep_test(arr, r, m, n_resamples=n_resamples, seed=seed, pair_budget=budget)
     assert indep.statistic.hex() == stat.hex()
     assert indep.p_value == want
 
@@ -624,20 +614,19 @@ def test_shuffle_nulls_match_per_resample_loop(name, r, m, seed, decimals, budge
     arr = make_source(name, r, m).sample(seed)
     if decimals is not None:
         arr = np.round(arr, decimals)
-    h = extract_hierarchy(arr, r, m)
-    _assert_pit_tests_match_reference(arr, h, seed, 99, budget)
+    _assert_pit_tests_match_reference(arr, r, m, seed, 99, budget)
 
 
 def test_shuffle_nulls_match_per_resample_loop_at_block_edges():
     # at r=2 m=128 a block holds 8 draws of the 128 x 128 PIT matrix, and 15
     # of the 65 rows the cross-parent pairs read
-    arr, h = _array_and_hierarchy("product", 2, 128, seed=1)
+    arr = _array("product", 2, 128, seed=1)
     bound = hexch.stattests._SHUFFLE_BLOCK_BYTES
     blocks = {bound // (128 * 128 * 8), bound // (65 * 128 * 8)}
     assert blocks == {8, 15}
     counts = {1, 199} | {b + d for b in blocks for d in (-1, 0, 1)}
     for n_resamples in sorted(counts):
-        _assert_pit_tests_match_reference(arr, h, 1, n_resamples)
+        _assert_pit_tests_match_reference(arr, 2, 128, 1, n_resamples)
 
 
 def _count_calls(monkeypatch, name):
@@ -668,14 +657,14 @@ def _infinite_band(monkeypatch, name):
     ("uniform-leaf", 2, 2, 1),
 ])
 def test_shuffle_nulls_recheck_everything_under_an_infinite_band(monkeypatch, name, r, m, seed):
-    arr, h = _array_and_hierarchy(name, r, m, seed)
-    want = [t(arr, h, n_resamples=49, seed=seed).to_json_obj()
+    arr = _array(name, r, m, seed)
+    want = [t(arr, r, m, n_resamples=49, seed=seed).to_json_obj()
             for t in (conditional_iid_test, cond_indep_test)]
     _infinite_band(monkeypatch, "_lag1_fast")
     _infinite_band(monkeypatch, "_max_abs_corr_fast")
     lag1 = _count_calls(monkeypatch, "_lag1_corr")
     corr = _count_calls(monkeypatch, "_max_abs_corr")
-    got = [t(arr, h, n_resamples=49, seed=seed).to_json_obj()
+    got = [t(arr, r, m, n_resamples=49, seed=seed).to_json_obj()
            for t in (conditional_iid_test, cond_indep_test)]
     assert got == want
     # the observed statistic, then every resample
@@ -687,15 +676,15 @@ def test_shuffle_nulls_recheck_ties(monkeypatch):
     # swapping both (half the draws) ties the observed |rho| bit for bit, and
     # every correlation of two 2-vectors is +-1, so the fast forms cannot
     # decide those draws
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 2, seed=1)
-    pit = _pit(arr, h, 1)
+    arr = _array("uniform-leaf", 2, 2, seed=1)
+    pit = _pit(arr, 2, 2, 1)
     value, band = hexch.stattests._lag1_fast(pit)(np.stack([pit, pit[:, ::-1]]))
     observed = abs(hexch.stattests._lag1_corr(pit))
     assert np.all(np.abs(value - observed) < band)
     lag1 = _count_calls(monkeypatch, "_lag1_corr")
     corr = _count_calls(monkeypatch, "_max_abs_corr")
-    conditional_iid_test(arr, h, n_resamples=99, seed=1)
-    cond_indep_test(arr, h, n_resamples=99, seed=1)
+    conditional_iid_test(arr, 2, 2, n_resamples=99, seed=1)
+    cond_indep_test(arr, 2, 2, n_resamples=99, seed=1)
     # their p-values are checked against the per-resample loop above
     assert len(lag1) > 1 + 99 // 4
     assert len(corr) == 1 + 99
@@ -732,7 +721,7 @@ def test_shuffle_blocks_hold_the_draws_the_bound_fits(monkeypatch):
     # 40 parents of 40 children and all 780 of their pairs: a draw is 12.8 kB
     # and the scorer takes its pair dots from row slices of the draws, so a
     # block holds the 81 draws the bound fits
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 40, seed=0)
+    arr = _array("uniform-leaf", 2, 40, seed=0)
     sizes = []
     factory = hexch.stattests._max_abs_corr_fast
 
@@ -748,7 +737,7 @@ def test_shuffle_blocks_hold_the_draws_the_bound_fits(monkeypatch):
     monkeypatch.setattr(hexch.stattests, "_max_abs_corr_fast", recorded)
     tracemalloc.start()
     try:
-        rep = cond_indep_test(arr, h, n_resamples=200, seed=0, pair_budget=780)
+        rep = cond_indep_test(arr, 2, 40, n_resamples=200, seed=0, pair_budget=780)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -777,6 +766,100 @@ def test_gap_slice_pair_dots_match_the_gathered_pairs(n_parents, m, budget):
     assert value.tobytes() == want.tobytes()
 
 
+# -- randomized PIT ---------------------------------------------------------------
+
+
+def _uniforms(seed, rows, m):
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
+    return rng.random((rows, m))
+
+
+def _edge_array():
+    # r=2, m=6: ties, -0.0 beside 0.0, and both infinities
+    return np.array([
+        [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+        [-0.0, 0.0, 0.0, -0.0, 1.0, -1.0],
+        [np.inf, -np.inf, np.inf, 0.25, -np.inf, 0.25],
+        [0.3, 0.1, 0.3, 0.2, 0.1, 0.3],
+        [1e300, -1e-300, 5e-324, -5e-324, 0.0, 1e300],
+        [0.9, 0.8, 0.7, 0.6, 0.5, 0.4],
+    ]).reshape(-1)
+
+
+# rows 6 to 12 wide take the broadcast search below 64 rows and the column
+# passes from 64 rows on (r=3 m=9: 81 rows); rows 40 and 100 wide take one
+# search each
+PIT_CASES = [
+    ("edges", 2, 6, 3, None),
+    ("product", 2, 7, 1, 1),
+    ("uniform-leaf", 2, 12, 2, 1),
+    ("path-mean", 3, 5, 4, None),
+    ("product", 3, 9, 5, 1),
+    ("markov-leak", 2, 40, 6, 2),
+    ("product", 2, 100, 7, None),
+]
+
+
+def _case_array(name, r, m, seed, decimals):
+    arr = _edge_array() if name == "edges" else _array(name, r, m, seed)
+    return arr if decimals is None else np.round(arr, decimals)
+
+
+def test_pit_matrix_spreads_ties_over_their_jump():
+    # each leaf's count k of siblings below it and t of siblings equal to it,
+    # row by row of the edge array: -0.0 and 0.0 are one value, and an
+    # infinity ties with its equal
+    k = [[0] * 6, [1, 1, 1, 1, 5, 0], [4, 0, 4, 2, 0, 2], [3, 0, 3, 2, 0, 3],
+         [4, 0, 3, 1, 2, 4], [5, 4, 3, 2, 1, 0]]
+    t = [[6] * 6, [4, 4, 4, 4, 1, 1], [2, 2, 2, 2, 2, 2], [3, 2, 3, 1, 2, 3],
+         [2, 1, 1, 1, 1, 2], [1] * 6]
+    lo, hi = np.array(k) / 6, (np.array(k) + t) / 6
+    pit = _pit(_edge_array(), 2, 6, 0)
+    assert np.all((lo <= pit) & (pit < hi))
+
+
+@pytest.mark.parametrize("name,r,m,seed,decimals", PIT_CASES, ids=lambda c: str(c))
+def test_pit_matrix_in_row_blocks_and_prefixes_has_the_reference_bits(
+        monkeypatch, name, r, m, seed, decimals):
+    arr = _case_array(name, r, m, seed, decimals)
+    n_parents = m ** (r - 1)
+    u = _uniforms(seed, n_parents, m)
+    whole = reference_pit(arr, r, m, u)
+    assert np.all((whole >= 0.0) & (whole <= 1.0))
+    searched = []
+    search_rows = hexch.stattests._search_rows
+    monkeypatch.setattr(hexch.stattests, "_search_rows",
+                        lambda a, v: searched.append(len(v)) or search_rows(a, v))
+    # one block of every row, as the 8 MiB bound gives here, then 1, 3 and
+    # m - 1 rows a block, each block's six (rows, m) temporaries of 8 bytes
+    for rows_per_block in [n_parents] + sorted({1, 3, m - 1}):
+        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 6 * 8 * m)
+        for n_rows in (None, 1, 4, n_parents - 1):
+            searched.clear()
+            got = _pit(arr, r, m, seed, n_rows)
+            want = whole[:n_rows]
+            assert got.tobytes() == want.tobytes()
+            # two searches per block
+            assert searched[::2] == searched[1::2]
+            assert searched[0] == min(rows_per_block, len(want)) and sum(searched) == 2 * len(want)
+            # the prefix takes the first uniforms of the stream
+            assert reference_pit(arr, r, m, u[:n_rows]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,r,m,seed", [
+    ("product", 2, 8, 0), ("markov-leak", 2, 16, 5), ("sibling-coupled", 2, 9, 2),
+    ("label-leak", 3, 6, 1),
+])
+def test_tie_free_pit_rows_put_one_value_in_each_stratum(name, r, m, seed):
+    # whatever the law, a row of m distinct values has ranks 0..m-1, so its
+    # PITs fill the m strata [(k-1)/m, k/m) one each
+    arr = _array(name, r, m, seed)
+    rows = arr.reshape(-1, m)
+    assert all(len(np.unique(row)) == m for row in rows)
+    pit = np.sort(_pit(arr, r, m, seed), axis=1)
+    assert np.all(pit >= np.arange(m) / m) and np.all(pit < np.arange(1, m + 1) / m)
+
+
 @pytest.mark.parametrize("name,r,m,seed,budget", [
     ("product", 2, 100, 7, 64),
     ("path-mean", 3, 5, 2, 30),
@@ -784,49 +867,41 @@ def test_gap_slice_pair_dots_match_the_gathered_pairs(n_parents, m, budget):
 ])
 def test_cond_indep_reads_the_first_rows_of_the_pit_matrix(monkeypatch, name, r, m, seed, budget):
     # the parents the pairs read are a prefix, whose PITs take the first
-    # uniforms of the stream, in any row blocks
-    arr, h = _array_and_hierarchy(name, r, m, seed)
+    # uniforms of the stream
+    arr = _array(name, r, m, seed)
     n_parents = m ** (r - 1)
     rows, _, _ = _read_rows(n_parents, budget)
     n_rows = len(rows)
     assert np.array_equal(rows, np.arange(n_rows)) and n_rows <= budget + 1
-    whole = _pit(arr, h, seed)
-    for block_bytes in (1, 8 * (6 * m + 2 * h.atoms[0].shape[1]) * 3, None):
-        if block_bytes is not None:
-            monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", block_bytes)
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
-        prefix = hexch.stattests._pit_matrix(arr, h, rng, n_rows)
-        assert prefix.tobytes() == whole[:n_rows].tobytes()
-        assert _pit(arr, h, seed).tobytes() == whole.tobytes()
-        monkeypatch.undo()
+    assert _pit(arr, r, m, seed, n_rows).tobytes() == _pit(arr, r, m, seed)[:n_rows].tobytes()
     calls = []
     pit_matrix = hexch.stattests._pit_matrix
     monkeypatch.setattr(hexch.stattests, "_pit_matrix",
-                        lambda *args: calls.append(args[3:]) or pit_matrix(*args))
-    cond_indep_test(arr, h, n_resamples=9, seed=seed, pair_budget=budget)
+                        lambda *args: calls.append(args[4:]) or pit_matrix(*args))
+    cond_indep_test(arr, r, m, n_resamples=9, seed=seed, pair_budget=budget)
     assert calls == [(n_rows,)]
 
 
 @pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test])
 def test_pit_tests_refuse_nan_leaves(test):
-    arr, h = _array_and_hierarchy("product", 2, 8, seed=1)
-    arr = arr.copy()
+    arr = _array("product", 2, 8, seed=1)
     arr[5] = np.nan
     arr[40] = np.nan
     with pytest.raises(ValueError, match="leaf 5 of the array is NaN"):
-        test(arr, h, seed=1)
+        test(arr, 2, 8, seed=1)
     # a NaN outside the parents cond_indep reads is refused too
     arr[5] = 0.5
     with pytest.raises(ValueError, match="leaf 40 of the array is NaN"):
-        test(arr, h, seed=1, **({"pair_budget": 1} if test is cond_indep_test else {}))
+        test(arr, 2, 8, seed=1, **({"pair_budget": 1} if test is cond_indep_test else {}))
 
 
 def test_resynthesis_and_cond_indep_peak_at_a_few_array_sizes():
     # at r=2 m=600 (a 2.75 MiB array) both peaked near 15 array sizes when
     # resynthesis merged sort keys and cond_indep transformed every parent
-    arr, h = _array_and_hierarchy("product", 2, 600, seed=0)
+    arr = _array("product", 2, 600, seed=0)
+    h = extract_hierarchy(arr, 2, 600)
     for stage in (lambda: hexch.definetti.resynthesize(h, 2, 600, seed=0),
-                  lambda: cond_indep_test(arr, h, seed=0)):
+                  lambda: cond_indep_test(arr, 2, 600, seed=0)):
         tracemalloc.start()
         try:
             stage()
@@ -838,8 +913,8 @@ def test_resynthesis_and_cond_indep_peak_at_a_few_array_sizes():
 
 @pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test, hexch_test])
 def test_pit_tests_reject_zero_resamples(test):
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
-    args = (make_source("uniform-leaf", 1, 4).sample, 1, 4) if test is hexch_test else (arr, h)
+    args = ((make_source("uniform-leaf", 1, 4).sample, 1, 4) if test is hexch_test
+            else (_array("uniform-leaf", 2, 4, seed=0), 2, 4))
     for bad in (0, True, False, 3.0, np.float64(5.0), "9"):
         with pytest.raises(ValueError, match="n_resamples must be >= 1"):
             test(*args, n_resamples=bad, seed=0)
@@ -847,22 +922,21 @@ def test_pit_tests_reject_zero_resamples(test):
 
 @pytest.mark.parametrize("budget", [0, -3, True, 2.5])
 def test_cond_indep_rejects_empty_pair_budget(budget):
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
+    arr = _array("uniform-leaf", 2, 4, seed=0)
     with pytest.raises(ValueError, match="pair_budget must be >= 1"):
-        cond_indep_test(arr, h, seed=0, pair_budget=budget)
+        cond_indep_test(arr, 2, 4, seed=0, pair_budget=budget)
 
 
 def _bad_arguments_first(test):
     """Call one public test with arguments that fail if any work is done
     before they are checked: a source that must not be called, or an array
-    of the wrong size for its hierarchy."""
+    of the wrong size for its r and m."""
     if test is hexch_test:
         def source(seeds):
             raise AssertionError("source called before the arguments were checked")
 
         return lambda **kw: hexch_test(**{"source": source, "r": 2, "m": 4, "n_reps": 20, **kw})
-    _, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
-    return lambda **kw: test(np.zeros(5), **{"hierarchy": h, **kw})
+    return lambda **kw: test(np.zeros(5), **{"r": 2, "m": 4, **kw})
 
 
 _BAD_ARGUMENTS = [
@@ -883,13 +957,11 @@ _BAD_ARGUMENTS = [
     (cond_indep_test, "level", 1.0, "level 1.0 outside"),
     (cond_indep_test, "pair_budget", 0, "pair_budget must be >= 1"),
     (cond_indep_test, "n_resamples", 0, "n_resamples must be >= 1"),
-    # a hierarchy is checked first: the others' checks read nothing of it
-    (conditional_iid_test, "hierarchy", "x",
-     "conditional_iid_test needs a DirectingHierarchy from extract_hierarchy, not a str"),
-    (conditional_iid_test, "hierarchy", None,
-     "conditional_iid_test needs a DirectingHierarchy from extract_hierarchy, not a NoneType"),
-    (cond_indep_test, "hierarchy", np.zeros(4),
-     "cond_indep_test needs a DirectingHierarchy from extract_hierarchy, not a ndarray"),
+    # r and m as hexch_test checks them; the array's values take no range
+    # check, since the PIT reads only their order within each sibling row
+    *[(test, name, value, f"{name} must be >= 1 and an integer, got {value}")
+      for test in (conditional_iid_test, cond_indep_test)
+      for name in ("r", "m") for value in (2.5, 0)],
 ]
 
 
@@ -905,25 +977,28 @@ def test_scalar_arguments_are_checked_before_any_work(test, name, value, message
 @pytest.mark.parametrize("test", [hexch_test, conditional_iid_test, cond_indep_test])
 def test_library_seeds_must_be_64_bit_integers(test, seed):
     # seeds 2, 2.5 and 2.9 used to give one p-value, and -1 that of 2^64 - 1
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
+    arr = _array("uniform-leaf", 2, 4, seed=0)
     calls = {
         hexch_test: lambda: hexch_test(make_source("uniform-leaf", 1, 4).sample, 1, 4,
                                        n_reps=20, n_resamples=9, seed=seed),
-        conditional_iid_test: lambda: conditional_iid_test(arr, h, n_resamples=9, seed=seed),
-        cond_indep_test: lambda: cond_indep_test(arr, h, n_resamples=9, seed=seed),
+        conditional_iid_test: lambda: conditional_iid_test(arr, 2, 4, n_resamples=9, seed=seed),
+        cond_indep_test: lambda: cond_indep_test(arr, 2, 4, n_resamples=9, seed=seed),
     }
     with pytest.raises(ValueError, match="seed must be an integer in"):
         calls[test]()
 
 
 def test_reports_carry_python_scalars():
-    arr, h = _array_and_hierarchy("uniform-leaf", 2, 4, seed=0)
+    arr = _array("uniform-leaf", 2, 4, seed=0)
+    # numpy sizes too: the PIT tests' metadata reads r and m as plain ints
+    r, m = np.int64(2), np.int64(4)
     reports = [
-        conditional_iid_test(arr, h, n_resamples=9, seed=0),
-        cond_indep_test(arr, h, n_resamples=9, seed=0),
+        conditional_iid_test(arr, r, m, n_resamples=9, seed=0),
+        cond_indep_test(arr, r, m, n_resamples=9, seed=0),
         hexch_test(make_source("uniform-leaf", 1, 4).sample, 1, 4, n_reps=20,
                    n_resamples=9, seed=0),
     ]
     for rep in reports:
         assert type(rep.reject) is bool, rep.name
         assert type(rep.statistic) is float and type(rep.p_value) is float, rep.name
+        assert all(type(v) in (int, float, bool, type(None)) for v in rep.metadata.values())
