@@ -31,16 +31,17 @@ from .definetti import extract_hierarchy, hierarchy_json_chunks, resynthesize
 # lookup site
 from .definetti import hierarchy_to_json_obj  # noqa: F401
 from .fields import _as_tuples, derive_seed
-from .scenarios import ScenarioSpec, _integer, _number, _request, list_scenarios, make_source
+from .scenarios import ScenarioSpec, _request, list_scenarios, make_source
 # the tests run by the names _TESTS gives, looked up here at call time
 from .stattests import (  # noqa: F401
+    _level,
     cond_indep_test,
     conditional_iid_test,
     hexch_test,
     kept_dimension,
 )
 # leaves is unused here, but bench/spans.py traces it at this lookup site
-from .tree import DEFAULT_CELL_CAP, _is_size, leaves  # noqa: F401
+from .tree import _SEED_MAX, DEFAULT_CELL_CAP, _integer, leaves  # noqa: F401
 
 __all__ = ["main", "run_experiment", "array_to_csv", "ConfigError", "CapError"]
 
@@ -53,7 +54,6 @@ class CapError(ValueError):
     """Requested truncation exceeds the configured cell cap."""
 
 
-_SEED_MAX = 2**64 - 1
 # The most resamples a test may ask for: the cell cap does not count them,
 # and 10^6 resamples at 16 cells take 3-5 s on 2 shared vCPUs
 _MAX_RESAMPLES = 10**6
@@ -120,8 +120,8 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec]:
     _check_keys(obj, _CONFIG_KEYS, "the config")
     if not isinstance(obj["scenario"], str):
         raise ConfigError(f"scenario must be a name, got {obj['scenario']!r}")
-    spec, n, _ = _request(obj["scenario"], obj["r"], obj["m"], obj.get("n"),
-                          obj.get("params", {}))
+    params = obj.get("params", {})
+    spec, r, m, n, merged = _request(obj["scenario"], obj["r"], obj["m"], obj.get("n"), params)
     extract = obj.get("extract", False)
     if not isinstance(extract, bool):
         raise ConfigError(f"extract must be true or false, got {extract!r}")
@@ -130,16 +130,16 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec]:
         raise ConfigError(f"out must be a path string, got {out!r}")
     cfg = {
         "scenario": obj["scenario"],
-        # derived seeds are 64-bit, so larger seeds would alias smaller ones
         "seed": _integer(obj["seed"], "seed", 0, _SEED_MAX),
-        # _request checks r but lets m be None; int() makes a numpy r plain
-        "r": int(obj["r"]),
-        "m": _integer(obj["m"], "m", 1),
+        "r": r,
+        # _request lets m be None, as a model has no truncation
+        "m": _integer(m, "m"),
         "n": n,
-        "params": dict(obj.get("params", {})),
+        # the checked floats of the params the config gives
+        "params": {key: merged[key] for key in params},
         "extract": extract,
         "resynthesize_m": (None if obj.get("resynthesize_m") is None
-                           else _integer(obj["resynthesize_m"], "resynthesize_m", 1)),
+                           else _integer(obj["resynthesize_m"], "resynthesize_m")),
         "tests": [],
         "out": out,
     }
@@ -160,9 +160,7 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec]:
             raise ConfigError("cond_indep needs r >= 2 and m >= 2")
         if name == "conditional_iid" and cfg["m"] < 2:
             raise ConfigError("conditional_iid needs m >= 2")
-        level = _number(t.get("level", 0.05), f"tests[{i}].level")
-        if not 0.0 < level < 1.0:
-            raise ConfigError(f"tests[{i}].level must lie in (0, 1), got {level}")
+        level = _level(t.get("level", 0.05), f"tests[{i}].level")
         entry = {
             "name": name,
             "n_reps": _integer(t.get("n_reps", 50), f"tests[{i}].n_reps", 20),
@@ -307,9 +305,8 @@ def array_to_csv(array: np.ndarray, depths, shape, n=None) -> Iterator[bytes]:
 def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
     """Execute one configured pipeline; returns (exit code, emitted files).
     ``threads`` workers run the tests, 0 meaning one per CPU."""
-    if not _is_size(threads, 0):
-        raise ConfigError(f"threads must be >= 0 and an integer (0 = auto), got {threads!r}")
     try:
+        threads = _integer(threads, "threads", 0)
         cfg, spec = _parse_config(config_obj)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -32,8 +32,10 @@ derives the float weights from them.  So a level's weights share the
 exact denominator n = lcm(m_a, m_b) reduced by the gcd of the counts.
 Each level k >= 1 is an n x n assignment per pair of rows, the n x n
 costs of a level's pairs gathered in one pass, which needs n <= 1024; a
-level with a larger n is refused.  Level 0 is one broadcast over n sorted
-samples per row when n <= 1024, else W1 per pair of rows.  The arrays
+level with a larger n is refused.  Level 0 is the mean gap of n sorted
+samples per pair of rows when n <= 1024, summed plane by plane (one plane
+per sample) over blocks of rows in numpy's pairwise order, else W1 per
+pair of rows.  The arrays
 reproduce the objects bit for bit, which takes two rules: each level's
 rows are in canonical order (two rows compare their (atom, weight) pairs
 in turn, a nested atom by its row id, the first difference deciding and
@@ -55,7 +57,7 @@ import numpy as np
 
 from ._text import _rows
 from .fields import _init_state, _level_values
-from .tree import TreeVertex, _is_size, internal_vertices
+from .tree import TreeVertex, _integer, internal_vertices
 
 __all__ = [
     "EmpiricalMeasure",
@@ -359,8 +361,7 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
     distinct rows form the level-0 table; each level above does the same
     with the sorted table ids of its children.
     """
-    if not (_is_size(r) and _is_size(m)):
-        raise ValueError(f"r and m must be >= 1 and integers, got r={r!r}, m={m!r}")
+    r, m = _integer(r, "r"), _integer(m, "m")
     # + 0.0 turns -0.0 into 0.0: the two sort as equal, so a merged atom
     # would print as either, depending on the order of its siblings
     arr = np.asarray(array, dtype=np.float64).reshape(-1) + 0.0
@@ -424,17 +425,16 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     left search of the uniforms in the parents' cumulative weights.
     """
     _require_hierarchy("resynthesize", h)
+    r, m2 = _integer(r, "r"), _integer(m2, "m2")
     if h.r != r:
         raise ValueError(f"hierarchy depth {h.r} does not match requested r={r}")
-    if not _is_size(m2):
-        raise ValueError(f"m2 must be an integer >= 1, got {m2!r}")
     levels = _level_values(_init_state(seed, "w"), (r,), (m2,))
     current = h.ids[0]
     for d in range(1, r + 1):
         k = r - d  # the level of the depth d-1 measures
         u = levels[d].reshape(current.size, m2)
+        # the last atom's cum is 1.0 and u < 1, so no pick passes it
         pick = _search_rows(h.cum[k][current], u)
-        np.minimum(pick, h.counts[k][current, None] - 1, out=pick)
         # the picked atoms, gathered at their flat index in the level table
         pick += current[:, None] * h.atoms[k].shape[1]
         current = h.atoms[k].take(pick.reshape(-1))

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tree import ProductVertex, TreeVertex, _check_size, _is_size
+from .tree import _SEED_MAX, ProductVertex, TreeVertex, _integer, _is_size
 
 __all__ = [
     "UniformField",
@@ -78,17 +78,8 @@ def _role_key(role: str) -> int:
     return h
 
 
-def _seed_int(seed) -> int:
-    """A seed as a Python int: an int or numpy integer in [0, 2^64).  Any
-    other value raises, since reading it modulo 2^64 would alias it with a
-    valid seed."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return int(seed)
-
-
 def _init_int(seed: int, role: str) -> int:
-    return _mix_int(_mix_int(_seed_int(seed) ^ _GOLD) ^ _role_key(role))
+    return _mix_int(_mix_int(_integer(seed, "seed", 0, _SEED_MAX) ^ _GOLD) ^ _role_key(role))
 
 
 def _one_seed(seed) -> bool:
@@ -106,8 +97,7 @@ def _seed_words(seed) -> np.ndarray:
     :func:`derive_seeds` returns, is converted by one ``np.array`` call,
     which raises ``OverflowError`` past 2^64 - 1 (numpy < 2 would wrap a
     negative int, hence the sign check).  Any other sequence, or that
-    overflow, takes the per-seed check :func:`_seed_int`, so every refusal
-    keeps its message."""
+    overflow, takes the per-seed check, so every refusal keeps its message."""
     seeds = (seed,) if _one_seed(seed) else seed
     if len(seeds) == 0:
         raise ValueError(f"seeds must be an integer or a non-empty sequence, got {seed!r}")
@@ -116,7 +106,8 @@ def _seed_words(seed) -> np.ndarray:
             return _mix(np.array(seeds, dtype=_U64) ^ _U64(_GOLD))
         except OverflowError:
             pass  # a seed past 2^64 - 1, which the per-seed check names
-    return _mix(np.array([_seed_int(s) for s in seeds], dtype=_U64) ^ _U64(_GOLD))
+    words = [_integer(s, "seed", 0, _SEED_MAX) for s in seeds]
+    return _mix(np.array(words, dtype=_U64) ^ _U64(_GOLD))
 
 
 def _init_state(seed, role: str) -> np.ndarray:
@@ -152,7 +143,7 @@ def derive_seed(seed: int, label: str, index: int = 0) -> int:
 def derive_seeds(seed: int, label: str, count: int) -> list[int]:
     """``[derive_seed(seed, label, k) for k in range(count)]`` as Python ints,
     from one mix over the index range."""
-    _check_size("count", count, 0)
+    count = _integer(count, "count", 0)
     h = _U64(_init_int(seed, "derive:" + label))
     return _mix(h ^ np.arange(count, dtype=_U64)).tolist()
 
@@ -380,7 +371,7 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     columns straight from each depth's vertex values, broadcast over the
     leaves below each vertex.
     """
-    _check_size("n", n)
+    n = _integer(n, "n")
     if model.arity != 2 * (r + 1):
         raise ValueError(f"model arity {model.arity} != 2(r+1) = {2 * (r + 1)}")
     shared = path_matrix(seed, "v", r, m)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import _init_state, _level_values
-from .tree import TreeVertex, _check_size, internal_vertices, wedge_matrix
+from .tree import TreeVertex, _integer, internal_vertices, wedge_matrix
 
 __all__ = [
     "HPerm",
@@ -84,6 +84,7 @@ class HPerm:
     table: dict[TreeVertex, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _integer(self.r, "r"))
         clean: dict[TreeVertex, tuple[int, ...]] = {}
         for v, images in self.table.items():
             if v.r != self.r:
@@ -222,8 +223,7 @@ def random_leaf_indices(r: int, m: int, seeds) -> np.ndarray:
     built from the K maps' rank arrays in one hash pass and one stable
     argsort per depth, without tables or vertex objects.
     """
-    _check_size("r", r)
-    _check_size("m", m)
+    r, m = _integer(r, "r"), _integer(m, "m")
     return _leaf_indices(_random_ranks(r, m, seeds), m)
 
 

@@ -24,6 +24,7 @@ from .fields import (
     sample_ah,
     sample_array,
 )
+from .tree import _integer, _number
 
 __all__ = [
     "ScenarioSpec",
@@ -152,34 +153,12 @@ def _markov_leak_sampler(r: int, m: int) -> Callable:
     return sample
 
 
-def _integer(value, name: str, lo: int, hi: int | None = None) -> int:
-    """``value`` as an int in ``[lo, hi]``; a bool is not an integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < lo or (hi is not None and value > hi):
-        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValueError(f"{name} must be {bounds}, got {value}")
-    return int(value)
-
-
-def _number(value, name: str) -> float:
-    """``value`` as a finite float; a bool is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return x
-
-
-def _request(name: str, r, m, n, params) -> tuple[ScenarioSpec, int | None, dict]:
+def _request(name: str, r, m, n, params) -> tuple[ScenarioSpec, int, int | None, int | None, dict]:
     """Check a request against scenario ``name``'s spec, in the words of
     ``hexch run``'s config errors (``m`` is None for a model, which has no
-    truncation); returns the spec, ``n`` (a replica scenario's default if
-    None) and the params merged over the spec's defaults."""
+    truncation); returns the spec, the checked ``r``, ``m`` and ``n`` (a
+    replica scenario's default if None) and the params merged over the
+    spec's defaults."""
     spec = builtin(name)
     if not isinstance(params, dict):
         raise ValueError(f"params must be an object, got {params!r}")
@@ -194,16 +173,16 @@ def _request(name: str, r, m, n, params) -> tuple[ScenarioSpec, int | None, dict
         if not lo <= x <= hi:
             raise ValueError(f"params.{key} must lie in [{lo}, {hi}] for scenario {name!r}, got {x}")
         merged[key] = x
-    _integer(r, "r", spec.min_r)
+    r = _integer(r, "r", spec.min_r)
     if m is not None:
-        _integer(m, "m", 1)
+        m = _integer(m, "m")
     if n is not None:
-        n = _integer(n, "n", 1)
+        n = _integer(n, "n")
         if spec.form != "sigma-replica":
             raise ValueError(f"n sets a replica axis, which scenario {name!r} has not")
     elif spec.form == "sigma-replica":
         n = spec.defaults["n"]
-    return spec, n, merged
+    return spec, r, m, n, merged
 
 
 def _model(spec: ScenarioSpec, r: int, params: dict) -> SigmaModel:
@@ -213,7 +192,7 @@ def _model(spec: ScenarioSpec, r: int, params: dict) -> SigmaModel:
 
 def make_model(name: str, r: int, params: dict | None = None) -> SigmaModel:
     """Instantiate a built-in path-function model for a depth-``r`` tree."""
-    spec, _, params = _request(name, r, None, None, params or {})
+    spec, r, _, _, params = _request(name, r, None, None, params or {})
     if spec.form not in ("sigma", "sigma-replica"):
         raise ValueError(f"scenario {name!r} is not a path-function model")
     return _model(spec, r, params)
@@ -227,7 +206,7 @@ def make_source(
     params: dict | None = None,
 ) -> ArraySource:
     """Seeded generator for a registered scenario on a given truncation."""
-    spec, n, params = _request(name, r, m, n, params or {})
+    spec, r, m, n, params = _request(name, r, m, n, params or {})
     if spec.form == "custom":
         return ArraySource(name, r, m, None, spec.build(r, m, **params))
     model = _model(spec, r, params)

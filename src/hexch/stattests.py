@@ -30,7 +30,7 @@ from .definetti import _lex_order, _search_rows
 from .fields import derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
-from .tree import DEFAULT_CELL_CAP, _check_size, _is_size
+from .tree import _SEED_MAX, DEFAULT_CELL_CAP, _integer, _number
 
 __all__ = [
     "TestReport",
@@ -58,7 +58,7 @@ class TestReport:
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0,1]")
-        _check_level(self.level)
+        self.level = _level(self.level)
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -136,9 +136,12 @@ def _marginal_indices(dim: int, r: int, m: int, n, seed: int) -> np.ndarray | No
     return np.sort(rng.choice(dim, size=_MARGINAL_SUBSET, replace=False))
 
 
-def _check_level(level: float) -> None:
+def _level(value, name: str = "level") -> float:
+    """``value`` as a float in (0, 1), the level of a test."""
+    level = _number(value, name)
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level {level} outside (0,1)")
+        raise ValueError(f"{name} must lie in (0, 1), got {level}")
+    return level
 
 
 def hexch_test(
@@ -173,14 +176,13 @@ def hexch_test(
     Under an exchangeable law both samples share one distribution and the
     p-value is exact.
     """
-    _check_level(level)
+    level = _level(level)
+    r, m = _integer(r, "r"), _integer(m, "m")
     # n=None means no replica axis
-    for name, size in {"r": r, "m": m, "n": 1 if n is None else n}.items():
-        _check_size(name, size)
-    if not (_is_size(n_reps) and n_reps >= 20):
-        raise ValueError(f"insufficient replicates: n_reps must be >= 20 and an integer, "
-                         f"got {n_reps!r}")
-    _check_size("n_resamples", n_resamples)
+    n = None if n is None else _integer(n, "n")
+    n_reps = _integer(n_reps, "n_reps", 20)
+    n_resamples = _integer(n_resamples, "n_resamples")
+    seed = _integer(seed, "seed", 0, _SEED_MAX)
     shape, form = ((m**r,), "(K, m^r)") if n is None else ((m**r, n), "(K, m^r, n)")
     dim = m**r * (1 if n is None else n)
     keep = _marginal_indices(dim, r, m, n, seed)
@@ -316,14 +318,12 @@ def conditional_iid_test(
     array's law.  With m = 1 there is no lag-1 pair, and the test raises
     ``ValueError``.
     """
-    _check_level(level)
-    _check_size("r", r)
-    _check_size("m", m)
-    # plain ints: m^r cannot wrap, and the metadata stays JSON
-    r, m = int(r), int(m)
+    level = _level(level)
+    r, m = _integer(r, "r"), _integer(m, "m")
     if m < 2:
         raise ValueError("no sibling pairs: m must be >= 2")
-    _check_size("n_resamples", n_resamples)
+    n_resamples = _integer(n_resamples, "n_resamples")
+    seed = _integer(seed, "seed", 0, _SEED_MAX)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
     pit = _pit_matrix(array, r, m, rng)
     n_parents = len(pit)
@@ -545,16 +545,15 @@ def cond_indep_test(
     the first ``R m`` uniforms, as they do in the whole PIT matrix.  The
     others never enter the statistic.
     """
-    _check_level(level)
-    _check_size("r", r)
-    _check_size("m", m)
-    r, m = int(r), int(m)
+    level = _level(level)
+    r, m = _integer(r, "r"), _integer(m, "m")
     if r < 2:
         raise ValueError("cross-parent check needs tree depth r >= 2")
     if m < 2:
         raise ValueError("no sibling pairs: m must be >= 2")
-    _check_size("pair_budget", pair_budget)
-    _check_size("n_resamples", n_resamples)
+    pair_budget = _integer(pair_budget, "pair_budget")
+    n_resamples = _integer(n_resamples, "n_resamples")
+    seed = _integer(seed, "seed", 0, _SEED_MAX)
     n_parents = m ** (r - 1)
     pairs = np.array(_pairs_by_gap(n_parents, pair_budget))
     ii, jj = pairs.T

@@ -10,11 +10,17 @@ demand.
 The key combinatorial statistic is the *wedge* of two vertices: the number
 of vertices shared by their root paths, i.e. one plus the length of their
 longest common coordinate prefix.
+
+Every module imports this one, so it also holds the package's one argument
+check, ``_integer`` and ``_number``: each entry point checks its sizes,
+seeds and levels through them and hands on the plain Python values they
+return.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +42,8 @@ __all__ = [
 
 # Guard against accidentally materializing huge truncations.
 DEFAULT_CELL_CAP = 1_000_000
+# seeds are 64-bit words: a larger or negative seed would alias a valid one
+_SEED_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +58,7 @@ class TreeVertex:
     r: int
 
     def __post_init__(self):
-        _check_size("tree depth r", self.r)
+        object.__setattr__(self, "r", _integer(self.r, "tree depth r"))
         if len(self.coords) > self.r:
             raise ValueError(
                 f"vertex depth {len(self.coords)} exceeds tree depth {self.r}"
@@ -141,16 +149,38 @@ def _is_size(value, lo: int = 1) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= lo
 
 
-def _check_size(name: str, value, lo: int = 1) -> None:
-    if not _is_size(value, lo):
-        raise ValueError(f"{name} must be >= {lo} and an integer, got {value!r}")
+def _integer(value, name: str, lo: int = 1, hi: int | None = None) -> int:
+    """``value`` as an int in ``[lo, hi]``, the one check of every integer
+    argument; a numpy integer is one, a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return value
 
 
-def _depth_vertices(r: int, m: int, depths, cap: int) -> list[TreeVertex]:
-    """Vertices of the given depths of the ``{1..m}^r`` truncation, by depth
-    then lexicographically; raises if there are more than ``cap``."""
-    _check_size("r", r)
-    _check_size("m", m)
+def _number(value, name: str) -> float:
+    """``value`` as a finite float, the one check of every real argument; a
+    numpy integer or floating scalar is one, a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return x
+
+
+def _depth_vertices(r: int, m: int, internal: bool, cap: int) -> list[TreeVertex]:
+    """Vertices of depth < r (``internal``) or of depth r of the ``{1..m}^r``
+    truncation, by depth then lexicographically; raises if there are more
+    than ``cap``."""
+    r, m = _integer(r, "r"), _integer(m, "m")
+    depths = range(r) if internal else (r,)
     n_cells = sum(m**d for d in depths)
     if n_cells > cap:
         raise ValueError(f"truncation has {n_cells} cells, exceeding the cap of {cap}")
@@ -160,12 +190,12 @@ def _depth_vertices(r: int, m: int, depths, cap: int) -> list[TreeVertex]:
 
 def leaves(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
     """All m^r leaves of the ``{1..m}^r`` truncation in lexicographic order."""
-    return _depth_vertices(r, m, (r,), cap)
+    return _depth_vertices(r, m, False, cap)
 
 
 def internal_vertices(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
     """Vertices of depth < r of the truncation (the ones that carry children)."""
-    return _depth_vertices(r, m, range(r), cap)
+    return _depth_vertices(r, m, True, cap)
 
 
 def encode_vertex(v: TreeVertex) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from hexch.definetti import _MAX_DENOMINATOR, DirectingHierarchy, EmpiricalMeasure
 from hexch.fields import _coord_words, _hash_words, _init_state
-from hexch.tree import _check_size
+from hexch.tree import _integer
 
 
 def plain_measure(atoms: tuple, level: int) -> EmpiricalMeasure:
@@ -131,8 +131,7 @@ def vertex_keys(d: int, m: int) -> Iterator[str]:
     """Lazily yield the :func:`hexch.tree.encode_vertex` keys of the m^d
     depth-``d`` vertices of ``{1..m}^r`` (any r >= d), lexicographic in the
     coordinates: ``"2/1/2"`` comes before ``"2/1/10"``."""
-    _check_size("d", d, 0)
-    _check_size("m", m)
+    d, m = _integer(d, "d", 0), _integer(m, "m")
     coords = tuple(map(str, range(1, m + 1)))
     return map("/".join, itertools.product((str(d),), *[coords] * d))
 

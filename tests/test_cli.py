@@ -1,6 +1,7 @@
 """Tests for the batch runner."""
 
 import json
+import re
 
 import pytest
 
@@ -48,10 +49,14 @@ def test_threads_do_not_affect_results(tmp_path):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
 
 
-@pytest.mark.parametrize("threads", [-1, 2.5, True])
-def test_threads_must_be_a_count(tmp_path, threads):
+@pytest.mark.parametrize("threads, message", [
+    (-1, "threads must be >= 0, got -1"),
+    (2.5, "threads must be an integer, got 2.5"),
+    (True, "threads must be an integer, got True"),
+], ids=["-1", "2.5", "True"])
+def test_threads_must_be_a_count(tmp_path, threads, message):
     # the one-test config starts no thread even where threads is read as auto
-    with pytest.raises(ValueError, match=r"threads must be >= 0 and an integer \(0 = auto\)"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_experiment(minimal_config(), tmp_path / "out", threads=threads)
     assert not (tmp_path / "out").exists()
 
@@ -61,7 +66,7 @@ def test_negative_threads_exits_two(tmp_path, capsys):
     cfg_path.write_text(json.dumps(minimal_config()))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--threads", "-1"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: threads must be >= 0 and an integer (0 = auto), got -1\n"
+    assert err == "error: threads must be >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -187,6 +192,10 @@ def test_config_errors():
         # a request whose resamples would never finish
         {"r": 2, "tests": [{"name": "conditional_iid", "n_resamples": 2**64}]},
         {"r": 2, "tests": [{"name": "cond_indep", "n_resamples": 10**6 + 1}]},
+        # a level that is no number, which the library refuses in the same words
+        {"r": 2, "tests": [{"name": "conditional_iid", "level": "0.05"}]},
+        {"tests": [{"name": "hexch", "level": None}]},
+        {"r": 2, "tests": [{"name": "cond_indep", "level": [0.1]}]},
     ],
 )
 def test_malformed_config_exits_two(tmp_path, overrides, capsys):
@@ -263,6 +272,25 @@ def test_n_needs_a_replica_axis(tmp_path, capsys):
     code, _ = run_experiment(cfg, tmp_path / "ok")
     manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
     assert code == 0 and manifest["config"]["n"] == 3
+
+
+def test_manifest_records_the_checked_values(tmp_path):
+    # every checked field is recorded as the plain value the run used: a
+    # numpy size or seed as an int, a param as a float, also where the
+    # config gives an integer, and only the params the config gives
+    import numpy as np
+
+    test = {"name": "hexch", "n_reps": np.int64(20), "n_resamples": np.int64(9),
+            "level": np.float32(0.25)}
+    cfg = minimal_config(scenario="label-leak", seed=np.uint64(3), r=np.int64(2), m=np.int32(4),
+                         params={"weight": 1}, tests=[test])
+    run_experiment(cfg, tmp_path / "out")
+    config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert (config["seed"], config["r"], config["m"]) == (3, 2, 4)
+    assert config["params"] == {"weight": 1.0}
+    assert type(config["params"]["weight"]) is float
+    assert config["tests"] == [{"name": "hexch", "n_reps": 20, "n_resamples": 9,
+                                "level": float(np.float32(0.25))}]
 
 
 def test_array_csv_keys_follow_the_configured_cap(tmp_path, monkeypatch):

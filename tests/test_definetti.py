@@ -155,6 +155,24 @@ def test_quantile_grid_reproduces_weights_exactly(monkeypatch):
         assert abs(freq - w) <= 1.0 / grid_n + 1e-12
 
 
+@pytest.mark.parametrize("u, end", [(1.0 - 2.0**-53, "last"), (0.0, "first")])
+def test_resynthesis_picks_stay_within_each_row(monkeypatch, u, end):
+    # a left search counts the cum entries below u: the last atom's cum is
+    # exactly 1.0 and u <= 1 - 2^-53, the most the field yields, so a pick
+    # never reaches a row's padding, even in rows of fewer atoms than the
+    # table is wide (the tied values give such rows)
+    r, m2 = 3, 4
+    h = extract_hierarchy(np.round(sample_array(make_model("product", r), r, 3, seed=5), 1), r, 3)
+    assert any((n < a.shape[1]).any() for a, n in zip(h.atoms, h.counts))
+    levels = [np.full((1, m2**d), u) for d in range(r + 1)]
+    monkeypatch.setattr(hexch.definetti, "_level_values", lambda h0, depths, shape: levels)
+    # each pick is its parent row's first or last atom, root to leaf
+    row = int(h.ids[0][0])
+    for k in reversed(range(r)):
+        row = h.atoms[k][row, h.counts[k][row] - 1 if end == "last" else 0]
+    assert resynthesize(h, r, m2, seed=0).tolist() == [row] * m2**r
+
+
 def test_measure_arrays_cached_and_read_only():
     mu = empirical_measure([0.3, 0.1, 0.1, 0.9])
     arrays = [mu.locations, mu.weights]
@@ -681,18 +699,20 @@ def test_extract_rejects_values_outside_the_unit_interval(bad):
 
 
 def test_extract_and_resynthesize_check_their_sizes():
-    with pytest.raises(ValueError, match="r and m must be >= 1"):
+    with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
         extract_hierarchy(np.zeros(1), 0, 4)
-    with pytest.raises(ValueError, match="r and m must be >= 1"):
+    with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
         extract_hierarchy(np.zeros(1), 2, 0)
     # a bool or a float is no size, even where it would count the leaves
-    for r, m in ((2, True), (True, 4), (2.0, 4), (2, 4.0), ("2", 4)):
-        with pytest.raises(ValueError, match=f"integers, got r={r!r}, m={m!r}"):
+    for r, m, bad in ((2, True, "m"), (True, 4, "r"), (2.0, 4, "r"), (2, 4.0, "m"), ("2", 4, "r")):
+        value = {"r": r, "m": m}[bad]
+        with pytest.raises(ValueError, match=f"^{bad} must be an integer, got {value!r}$"):
             extract_hierarchy(np.zeros(16), r, m)
     assert extract_hierarchy(np.zeros(16), np.int64(2), np.int32(4)).m == 4
     h = extract_hierarchy(np.full(4, 0.5), 2, 2)
-    for m2 in (0, -1, 2.5, True):
-        with pytest.raises(ValueError, match=f"m2 must be an integer >= 1, got {m2}"):
+    for m2, message in ((0, ">= 1, got 0"), (-1, ">= 1, got -1"), (2.5, "an integer, got 2.5"),
+                        (True, "an integer, got True")):
+        with pytest.raises(ValueError, match=f"^m2 must be {message}$"):
             resynthesize(h, 2, m2, seed=0)
     assert resynthesize(h, 2, np.int64(3), seed=0).shape == (9,)
     calls = {"resynthesize": lambda bad: resynthesize(bad, 2, 3, seed=0),

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from hexch.fields import (
     _mix,
     _mix_int,
     _role_key,
-    _seed_int,
     _seed_words,
     derive_seed,
     derive_seeds,
@@ -30,9 +30,12 @@ from hexch.fields import (
 from hexch.hperm import random_leaf_indices
 from hexch.scenarios import make_model, make_source
 from hexch.tree import (
+    _SEED_MAX,
     ProductVertex,
     TreeVertex,
+    _integer,
     encode_vertex,
+    internal_vertices,
     leaf,
     leaves,
     root,
@@ -160,7 +163,10 @@ _BAD_SEEDS = [-(2**70), -1, 2**64, 2**64 + 5, 2.0, 2.5, np.float64(3.0), True, "
 @pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
 def test_seeds_that_are_not_64_bit_integers_are_rejected(seed):
     # int(seed) & (2^64 - 1) would alias 2.5 with 2 and -1 with 2^64 - 1
-    msg = "seed must be an integer in \\[0, 2\\^64\\)"
+    if type(seed) is int:
+        msg = f"^seed must be in \\[0, {2**64 - 1}\\], got {seed}$"
+    else:
+        msg = f"^seed must be an integer, got {re.escape(repr(seed))}$"
     for call in (lambda: derive_seed(seed, "lbl"), lambda: derive_seeds(seed, "lbl", 3),
                  lambda: _init_state(seed, "v"), lambda: _init_state([1, seed], "v"),
                  lambda: sample_array(SigmaModel("leaf", 2, lambda p: p[:, -1]), 1, 4, seed)):
@@ -178,7 +184,8 @@ def test_seeds_that_are_not_64_bit_integers_are_rejected(seed):
 
 def test_seed_list_conversion_matches_the_per_seed_path():
     edges = [0, 2**63, 2**64 - 1]
-    per_seed = _mix(np.array([_seed_int(s) for s in edges], dtype=np.uint64) ^ np.uint64(_GOLD))
+    words = [_integer(s, "seed", 0, _SEED_MAX) for s in edges]
+    per_seed = _mix(np.array(words, dtype=np.uint64) ^ np.uint64(_GOLD))
     # a list of exact ints converts at once; a tuple, an array or a list
     # holding a numpy integer goes seed by seed
     for seeds in (edges, tuple(edges), np.array(edges, dtype=np.uint64),
@@ -283,19 +290,21 @@ def test_sample_array_arity_mismatch():
     (lambda: path_matrix(0, "v", -1, 3), "depths must be integers >= 0, got -1"),
     (lambda: sample_array(make_model("product", 2), -1, 3, 0),
      "depths must be integers >= 0, got -1"),
-    (lambda: random_leaf_indices(0, 3, [1]), "r must be >= 1 and an integer, got 0"),
+    (lambda: random_leaf_indices(0, 3, [1]), "r must be >= 1, got 0"),
     (lambda: sample_ah(make_model("toy-magnetization", 2), 2, 3, 0, 1),
-     "n must be >= 1 and an integer, got 0"),
+     "n must be >= 1, got 0"),
     # make_source checks a request as hexch run checks a config, in its words
     (lambda: make_source("product", 2, 0), "m must be >= 1, got 0"),
-    (lambda: derive_seeds(0, "x", -1), "count must be >= 0 and an integer, got -1"),
-    (lambda: derive_seeds(0, "x", 2.5), "count must be >= 0 and an integer, got 2.5"),
-    (lambda: leaves(2, 2.5), "m must be >= 1 and an integer, got 2.5"),
-    (lambda: leaves(True, 3), "r must be >= 1 and an integer, got True"),
-    (lambda: vertex_keys(1, 2.5), "m must be >= 1 and an integer, got 2.5"),
+    (lambda: derive_seeds(0, "x", -1), "count must be >= 0, got -1"),
+    (lambda: derive_seeds(0, "x", 2.5), "count must be an integer, got 2.5"),
+    (lambda: leaves(2, 2.5), "m must be an integer, got 2.5"),
+    (lambda: leaves(True, 3), "r must be an integer, got True"),
+    (lambda: vertex_keys(1, 2.5), "m must be an integer, got 2.5"),
+    # checked before the depths below r are counted
+    (lambda: internal_vertices(2.5, 3), "r must be an integer, got 2.5"),
 ], ids=["path_matrix", "sample_array", "random_leaf_indices", "sample_ah",
         "make_source", "derive_seeds-negative", "derive_seeds-fraction", "leaves-fraction",
-        "leaves-bool", "vertex_keys"])
+        "leaves-bool", "vertex_keys", "internal_vertices-fraction"])
 def test_sizes_are_checked_at_library_entry(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -263,3 +263,14 @@ def test_table_validation():
         HPerm(2, {root(2): (2, 2)})  # not a bijection
     with pytest.raises(ValueError):
         HPerm(2, {leaf(1, 1): (1,)})  # leaf cannot carry a child permutation
+
+
+@pytest.mark.parametrize("r, message", [(2.5, "r must be an integer, got 2.5"),
+                                        (0, "r must be >= 1, got 0"),
+                                        (True, "r must be an integer, got True")])
+def test_depth_is_checked_at_entry(r, message):
+    # as a TreeVertex checks its depth; a numpy depth is kept as a Python int
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HPerm(r, {})
+    p = HPerm(np.int64(2), {root(2): (2, 1)})
+    assert type(p.r) is int and p.apply(leaf(1, 1)) == leaf(2, 1)

@@ -1,5 +1,7 @@
 """Tests for the statistical verification battery."""
 
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -916,14 +918,16 @@ def test_pit_tests_reject_zero_resamples(test):
     args = ((make_source("uniform-leaf", 1, 4).sample, 1, 4) if test is hexch_test
             else (_array("uniform-leaf", 2, 4, seed=0), 2, 4))
     for bad in (0, True, False, 3.0, np.float64(5.0), "9"):
-        with pytest.raises(ValueError, match="n_resamples must be >= 1"):
+        message = ">= 1, got 0" if type(bad) is int else f"an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^n_resamples must be {re.escape(message)}$"):
             test(*args, n_resamples=bad, seed=0)
 
 
 @pytest.mark.parametrize("budget", [0, -3, True, 2.5])
 def test_cond_indep_rejects_empty_pair_budget(budget):
     arr = _array("uniform-leaf", 2, 4, seed=0)
-    with pytest.raises(ValueError, match="pair_budget must be >= 1"):
+    message = f">= 1, got {budget}" if type(budget) is int else f"an integer, got {budget!r}"
+    with pytest.raises(ValueError, match=f"^pair_budget must be {message}$"):
         cond_indep_test(arr, 2, 4, seed=0, pair_budget=budget)
 
 
@@ -940,28 +944,32 @@ def _bad_arguments_first(test):
 
 
 _BAD_ARGUMENTS = [
-    (hexch_test, "level", 7.0, "level 7.0 outside"),
-    (hexch_test, "level", float("nan"), "level nan outside"),
-    (hexch_test, "n_reps", 20.5, "n_reps must be >= 20 and an integer, got 20.5"),
-    (hexch_test, "n_reps", 19, "n_reps must be >= 20"),
-    (hexch_test, "n_reps", np.float64(50.0), "n_reps must be >= 20"),
-    (hexch_test, "n", 2.5, "n must be >= 1 and an integer, got 2.5"),
-    (hexch_test, "n", True, "n must be >= 1"),
-    (hexch_test, "r", 2.5, "r must be >= 1 and an integer, got 2.5"),
-    (hexch_test, "r", 0, "r must be >= 1 and an integer, got 0"),
-    (hexch_test, "m", 0, "m must be >= 1 and an integer, got 0"),
-    (hexch_test, "m", 2.5, "m must be >= 1 and an integer, got 2.5"),
-    (hexch_test, "n_resamples", 0, "n_resamples must be >= 1"),
-    (conditional_iid_test, "level", 7.0, "level 7.0 outside"),
-    (conditional_iid_test, "n_resamples", 2.5, "n_resamples must be >= 1"),
-    (cond_indep_test, "level", 1.0, "level 1.0 outside"),
-    (cond_indep_test, "pair_budget", 0, "pair_budget must be >= 1"),
-    (cond_indep_test, "n_resamples", 0, "n_resamples must be >= 1"),
+    (hexch_test, "level", 7.0, "level must lie in (0, 1), got 7.0"),
+    (hexch_test, "level", float("nan"), "level must be finite, got nan"),
+    (hexch_test, "n_reps", 20.5, "n_reps must be an integer, got 20.5"),
+    (hexch_test, "n_reps", 19, "n_reps must be >= 20, got 19"),
+    (hexch_test, "n_reps", np.float64(50.0), "n_reps must be an integer, got np.float64(50.0)"),
+    (hexch_test, "n", 2.5, "n must be an integer, got 2.5"),
+    (hexch_test, "n", True, "n must be an integer, got True"),
+    (hexch_test, "r", 2.5, "r must be an integer, got 2.5"),
+    (hexch_test, "r", 0, "r must be >= 1, got 0"),
+    (hexch_test, "m", 0, "m must be >= 1, got 0"),
+    (hexch_test, "m", 2.5, "m must be an integer, got 2.5"),
+    (hexch_test, "n_resamples", 0, "n_resamples must be >= 1, got 0"),
+    (conditional_iid_test, "level", 7.0, "level must lie in (0, 1), got 7.0"),
+    (conditional_iid_test, "n_resamples", 2.5, "n_resamples must be an integer, got 2.5"),
+    (cond_indep_test, "level", 1.0, "level must lie in (0, 1), got 1.0"),
+    (cond_indep_test, "pair_budget", 0, "pair_budget must be >= 1, got 0"),
+    (cond_indep_test, "n_resamples", 0, "n_resamples must be >= 1, got 0"),
     # r and m as hexch_test checks them; the array's values take no range
     # check, since the PIT reads only their order within each sibling row
-    *[(test, name, value, f"{name} must be >= 1 and an integer, got {value}")
+    *[(test, name, value, f"{name} must be {bound}, got {value}")
       for test in (conditional_iid_test, cond_indep_test)
-      for name in ("r", "m") for value in (2.5, 0)],
+      for name in ("r", "m") for value, bound in ((2.5, "an integer"), (0, ">= 1"))],
+    # a level that is no number is refused as one, not compared
+    *[(test, "level", value, f"level must be a number, got {value!r}")
+      for test in (hexch_test, conditional_iid_test, cond_indep_test)
+      for value in ("0.05", None, [0.1])],
 ]
 
 
@@ -969,7 +977,7 @@ _BAD_ARGUMENTS = [
     pytest.param(*row, id=f"{row[0].__name__}-{row[1]}={row[2]!r}") for row in _BAD_ARGUMENTS
 ])
 def test_scalar_arguments_are_checked_before_any_work(test, name, value, message):
-    with pytest.raises(ValueError, match=f"^(insufficient replicates: )?{message}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _bad_arguments_first(test)(seed=0, **{name: value})
 
 
@@ -984,7 +992,8 @@ def test_library_seeds_must_be_64_bit_integers(test, seed):
         conditional_iid_test: lambda: conditional_iid_test(arr, 2, 4, n_resamples=9, seed=seed),
         cond_indep_test: lambda: cond_indep_test(arr, 2, 4, n_resamples=9, seed=seed),
     }
-    with pytest.raises(ValueError, match="seed must be an integer in"):
+    message = "an integer, got 2.5" if seed == 2.5 else f"in [0, {2**64 - 1}], got {seed}"
+    with pytest.raises(ValueError, match=f"^seed must be {re.escape(message)}$"):
         calls[test]()
 
 
@@ -1002,3 +1011,33 @@ def test_reports_carry_python_scalars():
         assert type(rep.reject) is bool, rep.name
         assert type(rep.statistic) is float and type(rep.p_value) is float, rep.name
         assert all(type(v) in (int, float, bool, type(None)) for v in rep.metadata.values())
+
+
+def _call_with(name, i, u, level):
+    """Run test ``name`` with its integer arguments made by ``i`` or ``u``
+    (numpy scalar types or ``int``) and the given ``level``."""
+    kw = {"n_resamples": i(9), "level": level, "seed": u(3)}
+    if name == "hexch_test":
+        return hexch_test(make_source("product", 2, 4).sample, i(2), u(4), n_reps=i(20), **kw)
+    if name == "hexch_test-replicas":
+        return hexch_test(make_source("toy-magnetization", 2, 2, n=4).sample, u(2), i(2),
+                          n=u(4), n_reps=u(20), **kw)
+    arr = _array("uniform-leaf", 2, 4, seed=0)
+    if name == "conditional_iid_test":
+        return conditional_iid_test(arr, i(2), u(4), **kw)
+    return cond_indep_test(arr, u(2), i(4), pair_budget=i(8), **kw)
+
+
+@pytest.mark.parametrize("name", ["hexch_test", "hexch_test-replicas", "conditional_iid_test",
+                                  "cond_indep_test"])
+def test_numpy_scalar_arguments_report_as_json(name):
+    # the checked arguments are handed on as Python ints and floats, so the
+    # report serializes, and equals that of the Python values
+    level = np.float32(0.05)
+    rep = _call_with(name, np.int64, np.uint64, level)
+    obj = rep.to_json_obj()
+    assert json.loads(json.dumps(obj)) == obj
+    assert obj == _call_with(name, int, int, float(level)).to_json_obj()
+    assert type(rep.n_resamples) is int and type(rep.level) is float
+    ints = [v for v in obj["metadata"].values() if isinstance(v, (int, np.integer))]
+    assert ints and all(type(v) in (int, bool) for v in ints), obj["metadata"]

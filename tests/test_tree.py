@@ -130,9 +130,9 @@ def test_vertex_validation():
 
 
 @pytest.mark.parametrize("coords, r, match", [
-    ((), 1.5, "tree depth r must be >= 1 and an integer, got 1.5"),
-    ((), True, "tree depth r must be >= 1 and an integer, got True"),
-    ((1,), 2.0, "tree depth r must be >= 1 and an integer, got 2.0"),
+    ((), 1.5, "tree depth r must be an integer, got 1.5"),
+    ((), True, "tree depth r must be an integer, got True"),
+    ((1,), 2.0, "tree depth r must be an integer, got 2.0"),
     ((1.5,), 2, r"coordinates must be positive integers, got \(1.5,\)"),
     ((1, True), 2, r"coordinates must be positive integers, got \(1, True\)"),
     ((1.0, 2), 2, r"coordinates must be positive integers, got \(1.0, 2\)"),
