@@ -57,7 +57,8 @@ for name, test in (
 
     def one(t, src=src, test=test):
         seed = derive_seed(SEED, src.name + test.__name__, t)
-        # the PIT reads each leaf's sibling row of the array alone
+        # the null shuffles each parent's children: exact for any statistic
+        # of the sibling values, which the test reads from the array alone
         return test(src.sample(seed), 2, 16, seed=seed).reject
 
     k, n = rejection_rate(one)

@@ -131,19 +131,24 @@ def criterion_calibration() -> CriterionResult:
         lo, hi = 2, 24  # 99% binomial band around rate 0.05 for 200 runs
         results = {}
         for name in ("path-mean", "product"):
-            results[name] = _calibration_run(name, r=2, m=8)
+            results[f"{name} r=2 m=8", "hexch"] = _calibration_run(name, r=2, m=8)
+        for name, r, m in (("product", 2, 16), ("path-mean", 3, 8)):
+            for test in ("conditional_iid", "cond_indep"):
+                results[f"{name} r={r} m={m}", test] = _one_array_run(name, test, r, m, "calib")
         ok = all(lo <= v <= hi for v in results.values())
-        detail = ", ".join(f"{k}: {v}/200" for k, v in results.items())
+        detail = ", ".join(f"{k} {v}/200 ({test})" for (k, test), v in results.items())
         return ok, f"rejections within [{lo},{hi}]: {detail}"
 
     return _timed(3, "generative exchangeability calibration", run)
 
 
-def _conditional_power_run(name, test, r, m, n_tests=200):
+def _one_array_run(name, test, r, m, seed_tag, n_tests=200):
+    """Rejections of one one-array test over ``n_tests`` arrays of ``name``,
+    each sampled and tested at ``derive_seed(_SEED, seed_tag + name, t)``."""
     src = make_source(name, r, m)
     rejects = 0
     for t in range(n_tests):
-        seed = derive_seed(_SEED, "power" + name, t)
+        seed = derive_seed(_SEED, seed_tag + name, t)
         arr = src.sample(seed)
         if test == "cond_indep":
             rep = cond_indep_test(arr, r, m, seed=seed)
@@ -167,8 +172,8 @@ def criterion_power() -> CriterionResult:
             ).reject
             for t in range(200)
         )
-        sc = _conditional_power_run("sibling-coupled", "cond_indep", 2, 16)
-        mk = _conditional_power_run("markov-leak", "conditional_iid", 2, 16)
+        sc = _one_array_run("sibling-coupled", "cond_indep", 2, 16, "power")
+        mk = _one_array_run("markov-leak", "conditional_iid", 2, 16, "power")
         ok = ll >= need and sc >= need and mk >= need
         return ok, (
             f"label-leak {ll}/200 (hexch), sibling-coupled {sc}/200 (cond_indep), "

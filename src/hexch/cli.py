@@ -76,10 +76,10 @@ def _cell_cap() -> int:
     """The cell cap: ``HEXCH_MAX_CELLS`` if set, else ``DEFAULT_CELL_CAP``.
 
     It bounds memory, not time: the truncations and the ``hexch`` test
-    buffers are checked against it.  A PIT test draws its shuffles in
-    blocks of bounded size, so its time is bounded instead by
-    ``_MAX_RESAMPLES``, which :func:`_parse_config` holds every test's
-    ``n_resamples`` to."""
+    buffers are checked against it.  A one-array test (``conditional_iid``,
+    ``cond_indep``) draws its within-parent shuffles in blocks of bounded
+    size, so its time is bounded instead by ``_MAX_RESAMPLES``, which
+    :func:`_parse_config` holds every test's ``n_resamples`` to."""
     raw = os.environ.get("HEXCH_MAX_CELLS")
     if raw is None:
         return DEFAULT_CELL_CAP

@@ -239,12 +239,11 @@ class DirectingHierarchy:
         return mu
 
 
-# Scratch bound for the row searches, the PIT tests' row blocks
-# (hexch.stattests._pit_matrix), the level-0 gap planes and the assignment
-# costs, so that a large level costs blocks of rows or row pairs of at most
-# this many bytes, not one (P, q, w) or (rows_a, rows_b, n, n) array; the
-# level-0 planes of a block of rows (16, each (rows, rows_b)) take a
-# sixteenth of it.
+# Scratch bound for resynthesis's row searches, the level-0 gap planes and
+# the assignment costs, so that a large level costs blocks of rows or row
+# pairs of at most this many bytes, not one (P, q, w) or (rows_a, rows_b,
+# n, n) array; the level-0 planes of a block of rows (16, each (rows,
+# rows_b)) take a sixteenth of it.
 _BLOCK_BYTES = 1 << 23
 
 # Widest rows that _search_rows compares with every query at once

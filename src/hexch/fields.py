@@ -136,8 +136,9 @@ def _hash_words(h0: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 def derive_seed(seed: int, label: str, index: int = 0) -> int:
-    """A fresh 64-bit seed, deterministic in (seed, label, index)."""
-    return _mix_int(_init_int(seed, "derive:" + label) ^ (index & _MASK))
+    """A fresh 64-bit seed, deterministic in (seed, label, index); the index,
+    like the seed, is an integer in [0, 2^64)."""
+    return _mix_int(_init_int(seed, "derive:" + label) ^ _integer(index, "index", 0, _SEED_MAX))
 
 
 def derive_seeds(seed: int, label: str, count: int) -> list[int]:

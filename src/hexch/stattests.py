@@ -4,18 +4,19 @@ Exchangeability of an array law is tested across independent replicates:
 one sample of arrays as generated, one sample with a freshly drawn
 structure-preserving permutation applied to each replicate, compared by an
 energy-distance permutation test.  Conditional structure (children i.i.d.
-given their directing measure, independence across parents) is checked
-through randomized probability integral transforms of leaf values against
-their parent's estimated CDF: the empirical measure of the m siblings,
-which is that parent's level-0 directing measure.  So the PIT tests take
-the array and its shape ``(r, m)`` alone, and no hierarchy is extracted
-for them.
+given their directing measure, independence across parents) is checked on
+the sibling matrix of one array, each parent's m children in a row.  Under
+hierarchical exchangeability the children of each parent may be rearranged
+independently without changing the law, so a null that shuffles each row
+is exact for any statistic of the rows.  These one-array tests take the
+array and its shape ``(r, m)`` alone, and no hierarchy is extracted for
+them.
 
 All tests are deterministic given their seed, resample permutations
 included, and report an add-one permutation p-value, so the decision at
-level alpha is exact under the null.  The PIT tests run on numpy alone;
-``hexch_test`` imports ``scipy.spatial`` on its first call, so importing
-this module loads numpy only.
+level alpha is exact under the null.  The one-array tests run on numpy
+alone; ``hexch_test`` imports ``scipy.spatial`` on its first call, so
+importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import definetti
-from .definetti import _lex_order, _search_rows
+from .definetti import _lex_order
 from .fields import derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
@@ -255,46 +255,27 @@ def hexch_test(
     )
 
 
-def _pit_matrix(array, r: int, m: int, rng: np.random.Generator,
-                n_rows: int | None = None) -> np.ndarray:
-    """Randomized PIT of each leaf through the empirical measure of its m
-    siblings, its parent's level-0 directing measure: ``(k + t u) / m``,
-    where k counts the siblings strictly below the leaf, t those equal to
-    it (itself included) and u is its uniform.  Values landing on an atom
-    are spread uniformly across the CDF jump, so the transform of an
-    i.i.d.-within-parent block is exactly uniform.
+def _sibling_matrix(array, r: int, m: int, n_rows: int | None = None) -> np.ndarray:
+    """The ``(m^(r-1), m)`` sibling matrix of ``array``: each parent's m
+    children in a row, parents in lexicographic order, or only the first
+    ``n_rows`` parents.  A non-finite leaf is refused, wherever it is.
 
-    Shape (parents, m) in lexicographic order, or only the first ``n_rows``
-    parents, which take the first ``n_rows * m`` uniforms of ``rng``, as
-    they do in the whole matrix.  k and t come from two row searches of each
-    sorted row (:func:`~hexch.definetti._search_rows`), the count at or below
-    a value as m less the count below its negation in the negated, reversed
-    row; the rows are searched and their uniforms drawn a block of rows at a
-    time, each block's temporaries (about six of its size) within
-    ``hexch.definetti._BLOCK_BYTES``.  A NaN leaf, which has no order, is
-    refused, wherever it is.
+    The rows are scaled by the power of two that puts their largest |x| in
+    [0.5, 1), so the sums of squares the fast scorers read can neither
+    overflow nor underflow.  A power-of-two scale is exact, so every
+    correlation keeps its unscaled bits wherever the unscaled arithmetic was
+    finite and normal.
     """
     arr = np.asarray(array, dtype=np.float64).reshape(-1)
     if arr.size != m**r:
         raise ValueError(f"shape mismatch: array has {arr.size} values, expected m^r = {m**r}")
-    # the minimum is NaN exactly when some x is; it takes no array of flags
-    # and, unlike x·x, cannot overflow on a finite array
-    if np.isnan(arr.min()):
-        raise ValueError(f"leaf {int(np.isnan(arr).argmax())} of the array is NaN")
+    # the extremes are finite exactly when every x is; they take no array of flags
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        leaf = int(np.argmin(np.isfinite(arr)))
+        x = arr[leaf]
+        raise ValueError(f"leaf {leaf} of the array is " + ("NaN" if np.isnan(x) else f"{x:+}"))
     rows = arr.reshape(m ** (r - 1), m)[:n_rows]
-    pit = np.empty(rows.shape)
-    step = max(1, definetti._BLOCK_BYTES // (6 * 8 * m))
-    for lo in range(0, len(rows), step):
-        v, out = rows[lo : lo + step], pit[lo : lo + step]
-        s = np.sort(v, axis=1)
-        below = _search_rows(s, v)
-        ties = m - _search_rows(-s[:, ::-1], -v)
-        ties -= below
-        # (k + t u) / m, in place: the sum commutes bit for bit
-        np.multiply(ties, rng.random(v.shape), out=out)
-        out += below
-        out /= m
-    return pit
+    return np.ldexp(rows, -np.frexp(max(-rows.min(), rows.max()))[1])
 
 
 def conditional_iid_test(
@@ -308,15 +289,14 @@ def conditional_iid_test(
 ) -> TestReport:
     """Check that sibling values behave i.i.d. given their parent measure.
 
-    ``array`` holds the m^r leaf values of a ``{1..m}^r`` truncation, in
-    lexicographic order.  Tests the within-parent lag-1 autocorrelation of
-    the randomized PIT sequence (:func:`_pit_matrix`, through each parent's
-    empirical measure of its children) against the null that shuffles each
-    parent's children, so the p-value is exact under the null.  The pooled
-    PIT values are not tested for uniformity: with no ties, each parent's
-    PIT row puts one value in each stratum [(k-1)/m, k/m) whatever the
-    array's law.  With m = 1 there is no lag-1 pair, and the test raises
-    ``ValueError``.
+    ``array`` holds the m^r finite leaf values of a ``{1..m}^r``
+    truncation, in lexicographic order.  Tests the lag-1 autocorrelation of
+    the sibling values (:func:`_sibling_matrix`), within each parent, against
+    the null that shuffles each parent's children independently.  That
+    shuffle leaves a hierarchically exchangeable law invariant, so the
+    p-value is exact under the null.  A constant array reads correlation 0
+    in the observation and in every draw, so p = 1.  With m = 1 there is no
+    lag-1 pair, and the test raises ``ValueError``.
     """
     level = _level(level)
     r, m = _integer(r, "r"), _integer(m, "m")
@@ -324,12 +304,11 @@ def conditional_iid_test(
         raise ValueError("no sibling pairs: m must be >= 2")
     n_resamples = _integer(n_resamples, "n_resamples")
     seed = _integer(seed, "seed", 0, _SEED_MAX)
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
-    pit = _pit_matrix(array, r, m, rng)
-    n_parents = len(pit)
-    rho = _lag1_corr(pit)
+    x = _sibling_matrix(array, r, m)
+    n_parents = len(x)
+    rho = _lag1_corr(x)
     p = _shuffle_pvalue(
-        pit, abs(rho), n_resamples, seed, _lag1_fast(pit), lambda z: abs(_lag1_corr(z))
+        x, abs(rho), n_resamples, seed, _lag1_fast(x), lambda z: abs(_lag1_corr(z))
     )
     return TestReport(
         name="conditional_iid",
@@ -351,17 +330,17 @@ _SHUFFLE_BLOCK_BYTES = 1 << 20
 _EPS = np.finfo(np.float64).eps
 
 
-def _shuffle_pvalue(pit: np.ndarray, observed: float, n_resamples: int, seed: int,
+def _shuffle_pvalue(x: np.ndarray, observed: float, n_resamples: int, seed: int,
                     fast, exact) -> float:
     """Add-one p-value of ``exact(z) >= observed`` under the null that
-    shuffles each row of ``pit`` (one parent's children) independently
+    shuffles each row of ``x`` (one parent's children) independently
     (seed role "shuffle").  Callers pass only the parent rows their
     statistic reads.
 
-    Each draw ``z`` is ``permuted(pit, axis=1, out=...)`` into the next slot
+    Each draw ``z`` is ``permuted(x, axis=1, out=...)`` into the next slot
     of one reused block of draws, which consumes the PCG64 stream exactly as
     a fresh ``permuted`` call per resample does.  A block holds
-    ``_SHUFFLE_BLOCK_BYTES // pit.nbytes`` draws (at least one): the
+    ``_SHUFFLE_BLOCK_BYTES // x.nbytes`` draws (at least one): the
     scorers read views of the draws and allocate per draw only a few
     floats, or one per pair of a gap.  ``fast(block)`` scores a whole block
     at once from moments the shuffle leaves unchanged: it returns each
@@ -372,13 +351,13 @@ def _shuffle_pvalue(pit: np.ndarray, observed: float, n_resamples: int, seed: in
     ``exact``.  Each draw is thus counted exactly as ``exact`` counts it,
     and the p-value has the bits of a loop of ``exact`` over the draws."""
     shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
-    size = min(n_resamples, max(1, _SHUFFLE_BLOCK_BYTES // pit.nbytes))
-    block = np.empty((size,) + pit.shape)
+    size = min(n_resamples, max(1, _SHUFFLE_BLOCK_BYTES // x.nbytes))
+    block = np.empty((size,) + x.shape)
     count = 0
     for lo in range(0, n_resamples, size):
         draws = block[: n_resamples - lo]
         for z in draws:
-            shuffler.permuted(pit, axis=1, out=z)
+            shuffler.permuted(x, axis=1, out=z)
         value, band = fast(draws)
         above = value - band >= observed
         below = value + band < observed
@@ -388,18 +367,22 @@ def _shuffle_pvalue(pit: np.ndarray, observed: float, n_resamples: int, seed: in
     return (1 + count) / (n_resamples + 1)
 
 
-def _lag1_corr(pit: np.ndarray) -> float:
+def _lag1_corr(x: np.ndarray) -> float:
     # one centred pass; the same sums as a.mean()/a.std(), so the same bits.
-    # Two buffers: the centred a = pit[:, :-1] and its squares, which give
-    # way to the centred b = pit[:, 1:] once summed; the cross products go
+    # Two buffers: the centred a = x[:, :-1] and its squares, which give
+    # way to the centred b = x[:, 1:] once summed; the cross products go
     # into a's buffer and b's squares into b's.
-    k, m = pit.shape
+    k, m = x.shape
     n = k * (m - 1)
-    da = pit[:, :-1].flatten()
+    a, b = x[:, :-1], x[:, 1:]
+    # a constant side correlates 0: its centred values need not round to 0
+    if a.min() == a.max() or b.min() == b.max():
+        return 0.0
+    da = a.flatten()
     da -= np.add.reduce(da) / n
     db = np.multiply(da, da)
     sa = np.sqrt(np.add.reduce(db) / n)
-    db.reshape(k, m - 1)[...] = pit[:, 1:]
+    db.reshape(k, m - 1)[...] = b
     db -= np.add.reduce(db) / n
     cross = np.add.reduce(np.multiply(da, db, out=da)) / n
     sb = np.sqrt(np.add.reduce(np.multiply(db, db, out=db)) / n)
@@ -408,8 +391,8 @@ def _lag1_corr(pit: np.ndarray) -> float:
     return float(cross / (sa * sb))
 
 
-def _lag1_fast(pit: np.ndarray):
-    """Block scorer of ``|_lag1_corr|`` over row shuffles of ``pit``.
+def _lag1_fast(x: np.ndarray):
+    """Block scorer of ``|_lag1_corr|`` over row shuffles of ``x``.
 
     A shuffle within rows keeps the total S and the sum of squares Q of the
     k x m cells.  For a draw with first column f and last column l, the
@@ -431,13 +414,14 @@ def _lag1_fast(pit: np.ndarray):
     inside it; a draw falls inside
     with probability about the band times the null density.  Where
     v <= 4δ (near-constant pairs) the fast form is undefined and the band
-    is infinite.
+    is infinite.  :func:`_sibling_matrix` puts max|x| in [0.5, 1), so Q
+    neither overflows nor underflows.
     """
-    k, m = pit.shape
+    k, m = x.shape
     n = k * (m - 1)
-    total = np.add.reduce(pit, axis=None)
-    total_sq = np.vdot(pit, pit)
-    delta = 3 * (pit.size + k + 4) * _EPS * total_sq / n
+    total = np.add.reduce(x, axis=None)
+    total_sq = np.vdot(x, x)
+    delta = 3 * (x.size + k + 4) * _EPS * total_sq / n
 
     def score(block: np.ndarray):
         flat = block.reshape(len(block), -1)
@@ -461,6 +445,8 @@ def _max_abs_corr(mat: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> float:
     """Largest |correlation| between rows ``ii[p]`` and ``jj[p]`` of ``mat``
     (a constant row correlates 0 with every row)."""
     z = mat - mat.mean(axis=1, keepdims=True)
+    # a constant row's centred values need not round to 0
+    z[mat.min(axis=1) == mat.max(axis=1)] = 0.0
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
     z /= norms[:, None]
@@ -533,17 +519,16 @@ def cond_indep_test(
 ) -> TestReport:
     """Check independence of children across distinct parents.
 
-    ``array`` holds the m^r leaf values of a ``{1..m}^r`` truncation, in
-    lexicographic order.  PIT-transforms each parent's children
-    (:func:`_pit_matrix`), then takes the maximal absolute
-    correlation over a fixed budget of parent pairs (nearest pairs first).
-    The null distribution is obtained by independently shuffling each
-    parent's children, which preserves within-parent exchangeability while
-    destroying cross-parent index alignment.  Only the parents that the
-    pairs read are transformed, shuffled and scored: nearest pairs first,
-    they are the first ``R <= pair_budget + 1`` parents, whose PITs take
-    the first ``R m`` uniforms, as they do in the whole PIT matrix.  The
-    others never enter the statistic.
+    ``array`` holds the m^r finite leaf values of a ``{1..m}^r``
+    truncation, in lexicographic order.  Takes the maximal absolute
+    correlation between the sibling rows (:func:`_sibling_matrix`) of a
+    fixed budget of parent pairs, nearest pairs first.  The null shuffles
+    each parent's children independently, which leaves a hierarchically
+    exchangeable law invariant while destroying cross-parent index
+    alignment, so the p-value is exact under the null.  Only the parents
+    that the pairs read are shuffled and scored: nearest pairs first, they
+    are the first ``R <= pair_budget + 1`` parents.  The others never enter
+    the statistic, though a non-finite value among them is refused.
     """
     level = _level(level)
     r, m = _integer(r, "r"), _integer(m, "m")
@@ -557,8 +542,7 @@ def cond_indep_test(
     n_parents = m ** (r - 1)
     pairs = np.array(_pairs_by_gap(n_parents, pair_budget))
     ii, jj = pairs.T
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
-    read = _pit_matrix(array, r, m, rng, int(jj.max()) + 1)
+    read = _sibling_matrix(array, r, m, int(jj.max()) + 1)
     observed = _max_abs_corr(read, ii, jj)
     p = _shuffle_pvalue(
         read, observed, n_resamples, seed, _max_abs_corr_fast(read, ii, jj),

@@ -5,9 +5,8 @@ arrays: the empirical measure of a sample, the canonical order of
 measures, the weight of a measure over measures, the ``hierarchy.json``
 object of a measure, the energy statistic, the CSV key order, the
 smallest common denominator of two weight tables, what makes a
-directing hierarchy the one of its array, the leaf map of a seeded
-random hierarchical permutation, and the randomized PIT of a leaf through
-its siblings.
+directing hierarchy the one of its array, and the leaf map of a seeded
+random hierarchical permutation.
 """
 
 import itertools
@@ -107,24 +106,6 @@ def energy_distance(sample_a, sample_b) -> float:
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     return float(2.0 * cdist(a, b).mean() - cdist(a, a).mean() - cdist(b, b).mean())
-
-
-def reference_pit(array, r: int, m: int, u) -> np.ndarray:
-    """The randomized PIT ``(k + t u) / m`` of each leaf through the
-    empirical measure of its sibling row, one row at a time: k counts the
-    siblings below the leaf (``np.searchsorted`` left in the sorted row), t
-    those equal to it (right less left), and ``u`` holds one uniform per
-    leaf, shaped as the ``(rows, m)`` result; its row count may be a prefix
-    of the m^(r-1) sibling rows."""
-    u = np.asarray(u, dtype=np.float64)
-    rows = np.asarray(array, dtype=np.float64).reshape(m ** (r - 1), m)[: len(u)]
-    pit = np.empty(u.shape)
-    for i, (row, ui) in enumerate(zip(rows, u)):
-        s = np.sort(row)
-        k = np.searchsorted(s, row, side="left")
-        t = np.searchsorted(s, row, side="right") - k
-        pit[i] = (k + t * ui) / m
-    return pit
 
 
 def vertex_keys(d: int, m: int) -> Iterator[str]:

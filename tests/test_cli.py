@@ -181,8 +181,8 @@ def test_config_errors():
         {"n_rep": 20},
         {"tests": [{"name": "hexch", "n_rep": 20}]},
         {"r": 2, "tests": [{"name": "conditional_iid", "n_reps": 20}]},
-        # outputs the scenario and tests cannot produce; a PIT test reads the
-        # array alone, so it extracts nothing to resynthesize from
+        # outputs the scenario and tests cannot produce; a one-array test reads
+        # the array alone, so it extracts nothing to resynthesize from
         {"resynthesize_m": 4},
         {"r": 2, "resynthesize_m": 4, "tests": [{"name": "conditional_iid"}]},
         {"r": 2, "m": 1, "tests": [{"name": "conditional_iid"}]},
@@ -442,7 +442,7 @@ def test_pit_only_run_extracts_nothing(tmp_path, monkeypatch):
     run_experiment({**cfg, "extract": True}, tmp_path / "extracted")
 
     def refuse(*args):
-        raise AssertionError("a PIT-only run extracted a hierarchy")
+        raise AssertionError("a run of one-array tests extracted a hierarchy")
 
     monkeypatch.setattr(hexch.cli, "extract_hierarchy", refuse)
     code, files = run_experiment(cfg, tmp_path / "out")
@@ -488,18 +488,18 @@ def test_array_to_csv_accepts_numpy_integers():
 
 # sha256 of the emitted files, recorded while the keys still came from
 # TreeVertex objects; manifest.json pins the per-file bytes and sha256 too.
-# The manifest digests are those of hexch 0.7.0: each is the 0.6.0
+# The manifest digests are those of hexch 0.8.0: each is the 0.7.0
 # manifest's with its "version" string changed, and nothing else
 OUTPUT_DIGESTS = {
     "single tree m=11": (
         {"scenario": "path-mean", "r": 2, "m": 11, "seed": 3},
         {"array.csv": "73e88362e7366fa85f45101081bb869b87a611b437ee1aeb3d1e576707efb0ce",
-         "manifest.json": "20e47e9ad4c078955e99dc9678a93803666edfdd0ddc1a65e2c414d18dccc320"},
+         "manifest.json": "26db20cd124e3d7a411801dc18bfcecdf1b91d5f914aaeb2f47e970d0697915f"},
     ),
     "replica n=2": (
         {"scenario": "toy-magnetization", "r": 2, "m": 10, "n": 2, "seed": 5},
         {"array.csv": "9ebc695b505949f358fe89db6bcc25eae384c7c3795ba9a5267fc31bee75e3de",
-         "manifest.json": "98f7638f14e883a353ab548c8062bc4532700afffb24896de7bbb72cf356d710"},
+         "manifest.json": "392b1d35ecb716d9aabae66b8f513fcea47f24e4ed6adda061fd302e73449997"},
     ),
     "hierarchy m=12": (
         {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
@@ -507,7 +507,7 @@ OUTPUT_DIGESTS = {
         {"array.csv": "a66527ccd16f01f139065684b96bbbeb2fa0c7a68dbbe5f804a75a3543bc2b34",
          "hierarchy.json": "57df73276545bb5272e46c925ca8a5403a9a23c8b61d2c555b91a3cad2dc8d65",
          "resynthesized.csv": "d152d22780939aef78224cbbae20b3a8c0f4b10ba8a25c94c02221c728e67ebc",
-         "manifest.json": "f7968d53d78e925ff8ff26a613cbdc411740b81c72d10d433ecd7932df43f5ae"},
+         "manifest.json": "871199d2020cf871012891492b8e8081e0fda93a6c38ed756eb8f8c957e4b355"},
     ),
 }
 

@@ -215,9 +215,15 @@ def test_scalar_seed_mixing_matches_array_mix():
             expected = _np_init_state(seed, role)
             assert _init_state(seed, role).dtype == np.uint64
             assert np.array_equal(_init_state(seed, role), expected)
-        for index in (0, 7, -1, 2**64 - 1, 2**64 + 3):
+        for index in (0, 7, 2**64 - 1):
             h = _mix(_np_init_state(seed, "derive:lbl") ^ np.uint64(index & _MASK))
             assert derive_seed(seed, "lbl", index) == int(h[0])
+        # an index outside [0, 2^64) would alias one inside, so it is refused
+        for index in (-1, 2**64 + 3):
+            with pytest.raises(ValueError, match=rf"^index must be in \[0, {2**64 - 1}\], got {index}$"):
+                derive_seed(seed, "lbl", index)
+        with pytest.raises(ValueError, match=r"^index must be an integer, got 2\.5$"):
+            derive_seed(seed, "lbl", 2.5)
     # a sequence of seeds is mixed in one array pass, to the same states
     for role in ("v", "derive:rep-a"):
         states = [int(_init_state(seed, role)[0]) for seed in seeds]

@@ -23,7 +23,7 @@ from hexch.stattests import (
     hexch_test,
 )
 
-from reference import energy_distance, reference_pit
+from reference import energy_distance
 
 
 # -- energy distance -------------------------------------------------------------
@@ -372,7 +372,7 @@ def test_conditional_iid_markov_power_smoke():
 
 def test_conditional_iid_constant_array():
     rep = conditional_iid_test(np.full(64, 0.5), 2, 8, seed=1)
-    # point-mass PIT is pure randomization: uniform, hence no rejection
+    # every draw of a constant array is the array itself, hence no rejection
     assert not rep.reject
 
 
@@ -425,25 +425,22 @@ def test_cond_indep_pair_budget_recorded():
 
 
 # (scenario, r, m, seed, rounding decimals, conditional_iid statistic and
-#  lag1_p, cond_indep statistic and p_value) at n_resamples=99, recorded
-# before the PIT tests shared their shuffle null and read the parent
-# measures by position.  conditional_iid's p-value is its lag1_p: the
-# values are those recorded while it was the Bonferroni pair of lag1_p
-# and a pooled KS p-value.  At m = 6 and 5 the conditional_iid statistics
-# are those of the PIT (k + t u) / m, within a few ulps of those recorded
-PIT_PINNED = [
-    ("uniform-leaf", 2, 8, 1, None, 0.16657562427649217, 0.39, 0.902284841917615, 0.06),
-    ("path-mean", 3, 4, 2, None, -0.2712744620925607, 0.73, 0.9903181955351474, 0.55),
-    ("root-constant", 2, 6, 3, None, -0.22898807013650702, 0.24, 0.6894503474757002, 0.91),
-    ("uniform-leaf", 2, 8, 4, 1, -0.07692712199573769, 0.8, 0.7981187915478832, 0.49),
-    ("markov-leak", 2, 16, 5, None, 0.46636626151673655, 0.01, 0.7148080252346263, 0.18),
-    ("product", 3, 5, 6, None, -0.20067157350769274, 0.68, 0.8758475369043698, 0.98),
+#  lag1_p, cond_indep statistic and p_value) at n_resamples=99, on the
+#  sibling values themselves.  conditional_iid's p-value is its lag1_p.  A
+#  constant array reads correlation 0 in the observation and in every draw
+ONE_ARRAY_PINNED = [
+    ("uniform-leaf", 2, 8, 1, None, 0.04378268758827216, 0.74, 0.8963913199550013, 0.12),
+    ("path-mean", 3, 4, 2, None, 0.6391143901200531, 0.08, 0.9693454777588215, 0.9),
+    ("root-constant", 2, 6, 3, None, 0.0, 1.0, 0.0, 1.0),
+    ("uniform-leaf", 2, 8, 4, 1, -0.006510610043451344, 0.93, 0.8829605092631568, 0.05),
+    ("markov-leak", 2, 16, 5, None, 0.6077368970977771, 0.01, 0.674265882447399, 0.25),
+    ("product", 3, 5, 6, None, 0.6454169496019563, 0.08, 0.9547809379282125, 0.56),
     # pipeline's size: several blocks of draws in both shuffle nulls
-    ("product", 2, 128, 0, None, -0.00984451301196774, 0.38, 0.22753414479981193, 0.52),
+    ("product", 2, 128, 0, None, 0.448199411104185, 0.97, 0.23551938308510742, 0.46),
 ]
 
 
-@pytest.mark.parametrize("case", PIT_PINNED, ids=lambda c: f"{c[0]}-r{c[1]}-seed{c[3]}")
+@pytest.mark.parametrize("case", ONE_ARRAY_PINNED, ids=lambda c: f"{c[0]}-r{c[1]}-seed{c[3]}")
 def test_pit_tests_pinned_values(case):
     name, r, m, seed, decimals, iid_stat, lag1_p, indep_stat, indep_p = case
     arr = make_source(name, r, m).sample(seed)
@@ -458,10 +455,9 @@ def test_pit_tests_pinned_values(case):
 
 # cond_indep above 65 parents, where only the 65 rows the default pair budget
 # reads are shuffled: (scenario, r, m, seed, statistic, p_value) at
-# n_resamples=99; the statistic is that of the PIT (k + t u) / m, one ulp
-# from the one recorded
+# n_resamples=99
 COND_INDEP_PINNED = [
-    ("product", 2, 100, 7, 0.3209778647362195, 0.07),
+    ("product", 2, 100, 7, 0.31118842144557646, 0.09),
 ]
 
 
@@ -483,12 +479,13 @@ def test_cond_indep_ignores_parents_outside_the_pair_budget():
     assert a.to_json_obj() == b.to_json_obj()
 
 
-def _full_matrix_max_abs_corr(pit, pairs):
+def _full_matrix_max_abs_corr(x, pairs):
     # the statistic over every parent row, as computed before only the rows
-    # the pairs read were scored
+    # the pairs read were scored; a row of one value correlates 0
     ii = np.array([p[0] for p in pairs])
     jj = np.array([p[1] for p in pairs])
-    z = pit - pit.mean(axis=1, keepdims=True)
+    z = x - x.mean(axis=1, keepdims=True)
+    z[np.ptp(x, axis=1) == 0.0] = 0.0
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
     z /= norms[:, None]
@@ -503,10 +500,10 @@ def _full_matrix_max_abs_corr(pit, pairs):
 ])
 def test_cond_indep_statistic_matches_full_matrix(name, r, m, seed, budget):
     arr = _array(name, r, m, seed)
-    pit = _pit(arr, r, m, seed)
-    pairs = hexch.stattests._pairs_by_gap(pit.shape[0], budget)
+    x = _rows(arr, r, m)
+    pairs = hexch.stattests._pairs_by_gap(x.shape[0], budget)
     rep = cond_indep_test(arr, r, m, n_resamples=9, seed=seed, pair_budget=budget)
-    assert rep.statistic == _full_matrix_max_abs_corr(pit, pairs)
+    assert rep.statistic == _full_matrix_max_abs_corr(x, pairs)
 
 
 def test_pairs_by_gap_nearest_first_and_lazy():
@@ -517,11 +514,12 @@ def test_pairs_by_gap_nearest_first_and_lazy():
     assert hexch.stattests._pairs_by_gap(10**6, 64) == [(i, i + 1) for i in range(64)]
 
 
-def _reference_lag1_corr(pit):
-    a = pit[:, :-1].reshape(-1)
-    b = pit[:, 1:].reshape(-1)
+def _reference_lag1_corr(x):
+    a = x[:, :-1].reshape(-1)
+    b = x[:, 1:].reshape(-1)
     sa, sb = a.std(), b.std()
-    if sa == 0.0 or sb == 0.0:
+    # a side of one value correlates 0, though its std need not round to 0
+    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0 or sa == 0.0 or sb == 0.0:
         return 0.0
     return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
 
@@ -531,14 +529,14 @@ def test_lag1_corr_matches_reference_formula():
     mats = [rng.random((p, q)) for p, q in [(1, 2), (1, 50), (3, 7), (128, 128), (40, 1000)]]
     mats += [np.round(x, 1) for x in mats]  # ties
     mats += [np.full((6, 9), 0.25), np.full((1, 5), 2.0)]
-    # with one parent row pit[:, :-1].reshape(-1) is a view of pit
+    # with one parent row x[:, :-1].reshape(-1) is a view of x
     assert np.shares_memory(mats[1][:, :-1].reshape(-1), mats[1])
-    for pit in mats:
-        before = pit.copy()
-        got = hexch.stattests._lag1_corr(pit)
-        assert got == _reference_lag1_corr(pit), pit.shape
+    for x in mats:
+        before = x.copy()
+        got = hexch.stattests._lag1_corr(x)
+        assert got == _reference_lag1_corr(x), x.shape
         assert type(got) is float
-        np.testing.assert_array_equal(pit, before)
+        np.testing.assert_array_equal(x, before)
     assert hexch.stattests._lag1_corr(np.full((6, 9), 0.25)) == 0.0
     assert hexch.stattests._lag1_corr(np.full((1, 5), 2.0)) == 0.0
 
@@ -546,31 +544,30 @@ def test_lag1_corr_matches_reference_formula():
 def test_lag1_corr_holds_two_buffers():
     # it held five full-size temporaries (38.1 MiB at 10^6 cells) before
     # the centred rows and the products shared two buffers
-    pit = np.random.default_rng(3).random((200, 500))
+    x = np.random.default_rng(3).random((200, 500))
     tracemalloc.start()
     try:
-        hexch.stattests._lag1_corr(pit)
+        hexch.stattests._lag1_corr(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * pit.nbytes
+    assert peak < 2.2 * x.nbytes
 
 
-def _reference_shuffle_pvalue(pit, stat, observed, n_resamples, seed):
+def _reference_shuffle_pvalue(x, stat, observed, n_resamples, seed):
     # one exact statistic per resample, as before resamples were scored a
     # block at a time
     shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
-    buf = np.empty_like(pit)
+    buf = np.empty_like(x)
     count = sum(
-        stat(shuffler.permuted(pit, axis=1, out=buf)) >= observed
+        stat(shuffler.permuted(x, axis=1, out=buf)) >= observed
         for _ in range(n_resamples)
     )
     return (1 + count) / (n_resamples + 1)
 
 
-def _pit(arr, r, m, seed, n_rows=None):
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
-    return hexch.stattests._pit_matrix(arr, r, m, rng, n_rows)
+def _rows(arr, r, m, n_rows=None):
+    return hexch.stattests._sibling_matrix(arr, r, m, n_rows)
 
 
 def _read_rows(n_parents, budget):
@@ -580,22 +577,24 @@ def _read_rows(n_parents, budget):
     return rows, ii, jj
 
 
-def _assert_pit_tests_match_reference(arr, r, m, seed, n_resamples, budget=64):
-    pit = _pit(arr, r, m, seed)
+def _assert_one_array_tests_match_reference(arr, r, m, seed, n_resamples, budget=64):
+    x = _rows(arr, r, m)
     iid = conditional_iid_test(arr, r, m, n_resamples=n_resamples, seed=seed)
-    rho = _reference_lag1_corr(pit)
+    rho = _reference_lag1_corr(x)
     want = _reference_shuffle_pvalue(
-        pit, lambda z: abs(_reference_lag1_corr(z)), abs(rho), n_resamples, seed
+        x, lambda z: abs(_reference_lag1_corr(z)), abs(rho), n_resamples, seed
     )
     assert iid.statistic.hex() == rho.hex()
     assert iid.metadata["lag1_p"] == want
     if r < 2:
         return
-    rows, ii, jj = _read_rows(pit.shape[0], budget)
+    rows, ii, jj = _read_rows(x.shape[0], budget)
     pairs = list(zip(ii, jj))
-    stat = _full_matrix_max_abs_corr(pit[rows], pairs)
+    # the read rows, scaled by their own largest |x|
+    read = _rows(arr, r, m, len(rows))
+    stat = _full_matrix_max_abs_corr(read, pairs)
     want = _reference_shuffle_pvalue(
-        pit[rows], lambda z: _full_matrix_max_abs_corr(z, pairs), stat, n_resamples, seed
+        read, lambda z: _full_matrix_max_abs_corr(z, pairs), stat, n_resamples, seed
     )
     indep = cond_indep_test(arr, r, m, n_resamples=n_resamples, seed=seed, pair_budget=budget)
     assert indep.statistic.hex() == stat.hex()
@@ -616,11 +615,11 @@ def test_shuffle_nulls_match_per_resample_loop(name, r, m, seed, decimals, budge
     arr = make_source(name, r, m).sample(seed)
     if decimals is not None:
         arr = np.round(arr, decimals)
-    _assert_pit_tests_match_reference(arr, r, m, seed, 99, budget)
+    _assert_one_array_tests_match_reference(arr, r, m, seed, 99, budget)
 
 
 def test_shuffle_nulls_match_per_resample_loop_at_block_edges():
-    # at r=2 m=128 a block holds 8 draws of the 128 x 128 PIT matrix, and 15
+    # at r=2 m=128 a block holds 8 draws of the 128 x 128 sibling matrix, and 15
     # of the 65 rows the cross-parent pairs read
     arr = _array("product", 2, 128, seed=1)
     bound = hexch.stattests._SHUFFLE_BLOCK_BYTES
@@ -628,7 +627,7 @@ def test_shuffle_nulls_match_per_resample_loop_at_block_edges():
     assert blocks == {8, 15}
     counts = {1, 199} | {b + d for b in blocks for d in (-1, 0, 1)}
     for n_resamples in sorted(counts):
-        _assert_pit_tests_match_reference(arr, 2, 128, 1, n_resamples)
+        _assert_one_array_tests_match_reference(arr, 2, 128, 1, n_resamples)
 
 
 def _count_calls(monkeypatch, name):
@@ -679,9 +678,9 @@ def test_shuffle_nulls_recheck_ties(monkeypatch):
     # every correlation of two 2-vectors is +-1, so the fast forms cannot
     # decide those draws
     arr = _array("uniform-leaf", 2, 2, seed=1)
-    pit = _pit(arr, 2, 2, 1)
-    value, band = hexch.stattests._lag1_fast(pit)(np.stack([pit, pit[:, ::-1]]))
-    observed = abs(hexch.stattests._lag1_corr(pit))
+    x = _rows(arr, 2, 2)
+    value, band = hexch.stattests._lag1_fast(x)(np.stack([x, x[:, ::-1]]))
+    observed = abs(hexch.stattests._lag1_corr(x))
     assert np.all(np.abs(value - observed) < band)
     lag1 = _count_calls(monkeypatch, "_lag1_corr")
     corr = _count_calls(monkeypatch, "_max_abs_corr")
@@ -696,12 +695,12 @@ def test_shuffle_nulls_recheck_ties(monkeypatch):
 @pytest.mark.parametrize("rounded", [False, True])
 def test_fast_shuffle_scores_stay_far_inside_their_band(shape, rounded):
     rng = np.random.default_rng(5)
-    pit = rng.random(shape)
+    x = rng.random(shape)
     if rounded:
-        pit = np.round(pit, 1)
-    n_draws = 10 if pit.size > 20_000 else 100
-    block = np.stack([rng.permuted(pit, axis=1) for _ in range(n_draws)])
-    value, band = hexch.stattests._lag1_fast(pit)(block)
+        x = np.round(x, 1)
+    n_draws = 10 if x.size > 20_000 else 100
+    block = np.stack([rng.permuted(x, axis=1) for _ in range(n_draws)])
+    value, band = hexch.stattests._lag1_fast(x)(block)
     exact = np.array([abs(hexch.stattests._lag1_corr(z)) for z in block])
     if shape[1] == 2 and shape[0] == 1:
         # one lag-1 pair has no variance: the fast form is undefined
@@ -713,7 +712,7 @@ def test_fast_shuffle_scores_stay_far_inside_their_band(shape, rounded):
         return
     rows, ii, jj = _read_rows(shape[0], 64)
     block = block[:, rows]
-    value, band = hexch.stattests._max_abs_corr_fast(pit[rows], ii, jj)(block)
+    value, band = hexch.stattests._max_abs_corr_fast(x[rows], ii, jj)(block)
     exact = np.array([hexch.stattests._max_abs_corr(z, ii, jj) for z in block])
     assert np.isfinite(band)
     assert np.max(np.abs(value - exact)) <= 1e-3 * band
@@ -768,120 +767,7 @@ def test_gap_slice_pair_dots_match_the_gathered_pairs(n_parents, m, budget):
     assert value.tobytes() == want.tobytes()
 
 
-# -- randomized PIT ---------------------------------------------------------------
-
-
-def _uniforms(seed, rows, m):
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pit")))
-    return rng.random((rows, m))
-
-
-def _edge_array():
-    # r=2, m=6: ties, -0.0 beside 0.0, and both infinities
-    return np.array([
-        [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
-        [-0.0, 0.0, 0.0, -0.0, 1.0, -1.0],
-        [np.inf, -np.inf, np.inf, 0.25, -np.inf, 0.25],
-        [0.3, 0.1, 0.3, 0.2, 0.1, 0.3],
-        [1e300, -1e-300, 5e-324, -5e-324, 0.0, 1e300],
-        [0.9, 0.8, 0.7, 0.6, 0.5, 0.4],
-    ]).reshape(-1)
-
-
-# rows 6 to 12 wide take the broadcast search below 64 rows and the column
-# passes from 64 rows on (r=3 m=9: 81 rows); rows 40 and 100 wide take one
-# search each
-PIT_CASES = [
-    ("edges", 2, 6, 3, None),
-    ("product", 2, 7, 1, 1),
-    ("uniform-leaf", 2, 12, 2, 1),
-    ("path-mean", 3, 5, 4, None),
-    ("product", 3, 9, 5, 1),
-    ("markov-leak", 2, 40, 6, 2),
-    ("product", 2, 100, 7, None),
-]
-
-
-def _case_array(name, r, m, seed, decimals):
-    arr = _edge_array() if name == "edges" else _array(name, r, m, seed)
-    return arr if decimals is None else np.round(arr, decimals)
-
-
-def test_pit_matrix_spreads_ties_over_their_jump():
-    # each leaf's count k of siblings below it and t of siblings equal to it,
-    # row by row of the edge array: -0.0 and 0.0 are one value, and an
-    # infinity ties with its equal
-    k = [[0] * 6, [1, 1, 1, 1, 5, 0], [4, 0, 4, 2, 0, 2], [3, 0, 3, 2, 0, 3],
-         [4, 0, 3, 1, 2, 4], [5, 4, 3, 2, 1, 0]]
-    t = [[6] * 6, [4, 4, 4, 4, 1, 1], [2, 2, 2, 2, 2, 2], [3, 2, 3, 1, 2, 3],
-         [2, 1, 1, 1, 1, 2], [1] * 6]
-    lo, hi = np.array(k) / 6, (np.array(k) + t) / 6
-    pit = _pit(_edge_array(), 2, 6, 0)
-    assert np.all((lo <= pit) & (pit < hi))
-
-
-@pytest.mark.parametrize("name,r,m,seed,decimals", PIT_CASES, ids=lambda c: str(c))
-def test_pit_matrix_in_row_blocks_and_prefixes_has_the_reference_bits(
-        monkeypatch, name, r, m, seed, decimals):
-    arr = _case_array(name, r, m, seed, decimals)
-    n_parents = m ** (r - 1)
-    u = _uniforms(seed, n_parents, m)
-    whole = reference_pit(arr, r, m, u)
-    assert np.all((whole >= 0.0) & (whole <= 1.0))
-    searched = []
-    search_rows = hexch.stattests._search_rows
-    monkeypatch.setattr(hexch.stattests, "_search_rows",
-                        lambda a, v: searched.append(len(v)) or search_rows(a, v))
-    # one block of every row, as the 8 MiB bound gives here, then 1, 3 and
-    # m - 1 rows a block, each block's six (rows, m) temporaries of 8 bytes
-    for rows_per_block in [n_parents] + sorted({1, 3, m - 1}):
-        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 6 * 8 * m)
-        for n_rows in (None, 1, 4, n_parents - 1):
-            searched.clear()
-            got = _pit(arr, r, m, seed, n_rows)
-            want = whole[:n_rows]
-            assert got.tobytes() == want.tobytes()
-            # two searches per block
-            assert searched[::2] == searched[1::2]
-            assert searched[0] == min(rows_per_block, len(want)) and sum(searched) == 2 * len(want)
-            # the prefix takes the first uniforms of the stream
-            assert reference_pit(arr, r, m, u[:n_rows]).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("name,r,m,seed", [
-    ("product", 2, 8, 0), ("markov-leak", 2, 16, 5), ("sibling-coupled", 2, 9, 2),
-    ("label-leak", 3, 6, 1),
-])
-def test_tie_free_pit_rows_put_one_value_in_each_stratum(name, r, m, seed):
-    # whatever the law, a row of m distinct values has ranks 0..m-1, so its
-    # PITs fill the m strata [(k-1)/m, k/m) one each
-    arr = _array(name, r, m, seed)
-    rows = arr.reshape(-1, m)
-    assert all(len(np.unique(row)) == m for row in rows)
-    pit = np.sort(_pit(arr, r, m, seed), axis=1)
-    assert np.all(pit >= np.arange(m) / m) and np.all(pit < np.arange(1, m + 1) / m)
-
-
-@pytest.mark.parametrize("name,r,m,seed,budget", [
-    ("product", 2, 100, 7, 64),
-    ("path-mean", 3, 5, 2, 30),
-    ("uniform-leaf", 2, 12, 1, 200),
-])
-def test_cond_indep_reads_the_first_rows_of_the_pit_matrix(monkeypatch, name, r, m, seed, budget):
-    # the parents the pairs read are a prefix, whose PITs take the first
-    # uniforms of the stream
-    arr = _array(name, r, m, seed)
-    n_parents = m ** (r - 1)
-    rows, _, _ = _read_rows(n_parents, budget)
-    n_rows = len(rows)
-    assert np.array_equal(rows, np.arange(n_rows)) and n_rows <= budget + 1
-    assert _pit(arr, r, m, seed, n_rows).tobytes() == _pit(arr, r, m, seed)[:n_rows].tobytes()
-    calls = []
-    pit_matrix = hexch.stattests._pit_matrix
-    monkeypatch.setattr(hexch.stattests, "_pit_matrix",
-                        lambda *args: calls.append(args[4:]) or pit_matrix(*args))
-    cond_indep_test(arr, r, m, n_resamples=9, seed=seed, pair_budget=budget)
-    assert calls == [(n_rows,)]
+# -- the sibling matrix -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test])
@@ -895,6 +781,41 @@ def test_pit_tests_refuse_nan_leaves(test):
     arr[5] = 0.5
     with pytest.raises(ValueError, match="leaf 40 of the array is NaN"):
         test(arr, 2, 8, seed=1, **({"pair_budget": 1} if test is cond_indep_test else {}))
+    # and so is either infinity, inside or outside those parents
+    for value, text in ((np.inf, "+inf"), (-np.inf, "-inf")):
+        for leaf, other, budget in ((5, 40, 64), (40, 5, 1)):
+            arr[other] = 0.5
+            arr[leaf] = value
+            kw = {"pair_budget": budget} if test is cond_indep_test else {}
+            with pytest.raises(ValueError, match=f"^leaf {leaf} of the array is {re.escape(text)}$"):
+                test(arr, 2, 8, seed=1, **kw)
+
+
+@pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test])
+@pytest.mark.parametrize("name,r,m,seed", [
+    ("product", 2, 16, 4), ("path-mean", 3, 5, 2), ("markov-leak", 2, 16, 5),
+])
+def test_power_of_two_scales_keep_the_reports(test, name, r, m, seed):
+    # unscaled, the sum of squares of x * 2^600 overflows and that of
+    # x * 2^-600 underflows; the sibling matrix is scaled so that neither does
+    arr = _array(name, r, m, seed)
+    want = json.dumps(test(arr, r, m, n_resamples=99, seed=seed).to_json_obj())
+    for scale in (2.0**600, 2.0**-600):
+        scaled = arr * scale
+        assert np.vdot(scaled, scaled) in (np.inf, 0.0)
+        got = test(scaled, r, m, n_resamples=99, seed=seed).to_json_obj()
+        assert json.dumps(got) == want
+
+
+@pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test])
+@pytest.mark.parametrize("r,m,seed", [(2, 6, 0), (2, 16, 51), (3, 5, 1), (2, 100, 1)])
+def test_constant_arrays_read_no_correlation(test, r, m, seed):
+    # a row of one value correlates 0, though its centred values need not
+    # round to 0; every draw is the array itself, so p = 1
+    arr = _array("root-constant", r, m, seed)
+    assert np.ptp(arr) == 0.0
+    rep = test(arr, r, m, n_resamples=99, seed=seed)
+    assert (rep.statistic, rep.p_value, rep.reject) == (0.0, 1.0, False)
 
 
 def test_resynthesis_and_cond_indep_peak_at_a_few_array_sizes():
@@ -961,8 +882,8 @@ _BAD_ARGUMENTS = [
     (cond_indep_test, "level", 1.0, "level must lie in (0, 1), got 1.0"),
     (cond_indep_test, "pair_budget", 0, "pair_budget must be >= 1, got 0"),
     (cond_indep_test, "n_resamples", 0, "n_resamples must be >= 1, got 0"),
-    # r and m as hexch_test checks them; the array's values take no range
-    # check, since the PIT reads only their order within each sibling row
+    # r and m as hexch_test checks them; the array's values are checked
+    # only once its size is known to be m^r
     *[(test, name, value, f"{name} must be {bound}, got {value}")
       for test in (conditional_iid_test, cond_indep_test)
       for name in ("r", "m") for value, bound in ((2.5, "an integer"), (0, ">= 1"))],
@@ -999,7 +920,7 @@ def test_library_seeds_must_be_64_bit_integers(test, seed):
 
 def test_reports_carry_python_scalars():
     arr = _array("uniform-leaf", 2, 4, seed=0)
-    # numpy sizes too: the PIT tests' metadata reads r and m as plain ints
+    # numpy sizes too: the one-array tests' metadata reads r and m as plain ints
     r, m = np.int64(2), np.int64(4)
     reports = [
         conditional_iid_test(arr, r, m, n_resamples=9, seed=0),
