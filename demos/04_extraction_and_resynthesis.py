@@ -62,8 +62,9 @@ x = sample_array(model, 2, m, seed=SEED)
 pi = random_hperm(2, m, seed=5)
 y = x[pi.permuted_leaf_indices(m)]
 hx_, hy = extract_hierarchy(x, 2, m), extract_hierarchy(y, 2, m)
-# hy.measures, built on first use, holds one measure per internal vertex in
-# internal_vertices order
+# hy.measures, made on first use, holds one measure per internal vertex in
+# internal_vertices order: views of the level-table rows, whose atoms are
+# built only when read
 d = max(
     nested_distance(mu, hx_.measure_at(pi.apply(v)))
     for v, mu in zip(internal_vertices(2, m), hy.measures)

@@ -18,7 +18,9 @@ does the JSON writer: ``hierarchy.json`` is streamed as ``bytes`` from the
 level tables, each distinct measure formatted once by the CSV writer's row
 builder (``hexch._text._rows``).  The nested
 :class:`EmpiricalMeasure` objects, finite atom systems nested to the
-required level, are built only on demand (``measures``, ``measure_at``).
+required level, are views of the level-table rows, made on demand
+(``measures``, ``measure_at``), one per row; a view builds its tuple of
+(atom, weight) pairs only when its ``atoms`` are read.
 Every measure is a row of a hierarchy's level table:
 :attr:`DirectingHierarchy.measures` and :func:`empirical_measure`, the
 measure of an r=1 extraction, are the only ways to make one.  Two of them,
@@ -57,7 +59,7 @@ import numpy as np
 
 from ._text import _rows
 from .fields import _init_state, _level_values
-from .tree import TreeVertex, _integer, internal_vertices
+from .tree import TreeVertex, _integer
 
 __all__ = [
     "EmpiricalMeasure",
@@ -78,36 +80,53 @@ class EmpiricalMeasure:
 
     Level-0 atoms are distinct locations in [0,1], strictly ascending.
     Level k atoms are distinct level-(k-1) measures, in the canonical order
-    of their level's rows.  A measure is a row of a hierarchy's level
-    table, made by :attr:`DirectingHierarchy.measures` or
+    of their level's rows.  A measure is a view of one row of a hierarchy's
+    level table, made by :attr:`DirectingHierarchy.measures` or
     :func:`empirical_measure`, and calling the class raises ``TypeError``;
-    so each measure has one form, and ``==`` and ``hash`` agree.
+    so each measure has one form, and ``==`` and ``hash`` agree.  Its
+    ``atoms`` tuple is built from the row on first read (a nested atom is
+    the view of its row one level down) and kept; ``locations`` and
+    ``weights`` read the row itself.
     """
 
     atoms: tuple[tuple[object, float], ...]
     level: int
-    # ``_table_row``, set by _measure, is ``(atoms, mult, j, m)``: the
-    # measure is row j of its level's table in the level arrays of a
-    # DirectingHierarchy of side m.  Not a field, so equality, hashing and
-    # repr ignore it
+    # ``_table_row``, set by _measure, is ``(table, j)``: the measure is row
+    # j of its level's table, ``table`` being ``(atoms, mult, weights,
+    # counts, m, below)``, a DirectingHierarchy's level arrays, its side m
+    # and the views of the level below (None at level 0), shared by the
+    # level's views.  Not a field, so equality, hashing and repr ignore it
 
     def __init__(self, *args, **kwargs):
         raise TypeError(
             "an EmpiricalMeasure is made by DirectingHierarchy.measures or empirical_measure"
         )
 
-    # The array views below are built once per measure, on first use, and
-    # are read-only because every caller shares them.
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: a view's unread atoms
+        if name != "atoms":
+            raise AttributeError(f"'EmpiricalMeasure' object has no attribute {name!r}")
+        ids, below = self._row(0).tolist(), self._table_row[0][5]
+        pairs = tuple(zip(ids if below is None else [below[i] for i in ids], self._row(2).tolist()))
+        object.__setattr__(self, "atoms", pairs)
+        return pairs
+
+    # The arrays below are read-only views of the row, made on first use
 
     @cached_property
     def locations(self) -> np.ndarray:
         if self.level != 0:
             raise ValueError("locations are defined for level-0 measures only")
-        return _read_only(np.array([loc for loc, _ in self.atoms]))
+        return self._row(0)
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return _read_only(np.array([w for _, w in self.atoms]))
+        return self._row(2)
+
+    def _row(self, i: int) -> np.ndarray:
+        """The measure's row of ``table[i]`` (atoms or weights), pads dropped."""
+        table, j = self._table_row
+        return table[i][self.level][j, : table[3][self.level][j]]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -123,15 +142,15 @@ def _padded_cumsum(weights: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _measure(atoms: tuple, level: int, table_row) -> EmpiricalMeasure:
-    """The one builder of an :class:`EmpiricalMeasure`: ``atoms`` at
-    ``level``, unchecked, recording the ``table_row`` it is, which every
-    measure has and the distances read."""
+def _measure(table: tuple, level: int, j: int) -> EmpiricalMeasure:
+    """The one builder of an :class:`EmpiricalMeasure`: the view of row j
+    of the level-``level`` table in ``table`` (see ``_table_row``), which
+    every measure is and the distances read.  It builds no atoms."""
     mu = object.__new__(EmpiricalMeasure)
     # one attribute at a time, as an __init__ sets them, so that the
     # measures share one key table (updating __dict__ made them 13% larger)
-    for name, value in (("atoms", atoms), ("level", level), ("_table_row", table_row)):
-        object.__setattr__(mu, name, value)
+    object.__setattr__(mu, "level", level)
+    object.__setattr__(mu, "_table_row", (table, j))
     return mu
 
 
@@ -179,8 +198,8 @@ class DirectingHierarchy:
     :func:`extract_hierarchy` is the only way to make one, and calling the
     class raises ``TypeError``: the hierarchy is a function of the array,
     so its tables are canonical and agree with one another by construction,
-    and nothing else feeds them.  :attr:`measures` builds the
-    :class:`EmpiricalMeasure` objects on first use.
+    and nothing else feeds them.  :attr:`measures` makes the
+    :class:`EmpiricalMeasure` views of the table rows on first use.
     """
 
     r: int
@@ -200,43 +219,35 @@ class DirectingHierarchy:
         """One measure per internal vertex, in
         :func:`~hexch.tree.internal_vertices` order (the root first, the
         m^(r-1) depth r-1 vertices last).  Built on first use, deepest level
-        first, one object per table row, shared by the vertices on that row;
-        a nested atom is the object of its row one level down.  Each object
-        records its row of the level arrays and ``m`` (not the hierarchy, so
-        that the cached objects form no reference cycle), which is where
-        :func:`nested_distance` reads its tables and their denominator
-        from."""
-        tables: list[list[EmpiricalMeasure]] = []
+        first: one view per table row, shared by the vertices on that row,
+        whose atoms are built only when read, a nested atom being the view
+        of its row one level down.  A view points at the level arrays, ``m``
+        and the views one level down, not at the hierarchy, so that the
+        cached views form no reference cycle; :func:`nested_distance` reads
+        its tables and their denominator from there."""
+        below = None
+        views = []
         for k in range(self.r):
-            present = self.mult[k] > 0
-            atoms = self.atoms[k][present].tolist()
-            if k:
-                atoms = [tables[-1][i] for i in atoms]
-            pairs = list(zip(atoms, self.weights[k][present].tolist()))
-            ends = np.cumsum(self.counts[k]).tolist()
-            row = []
-            for j, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
-                row.append(_measure(tuple(pairs[lo:hi]), k, (self.atoms, self.mult, j, self.m)))
-            tables.append(row)
-        return tuple(
-            tables[self.r - 1 - d][i] for d in range(self.r) for i in self.ids[d].tolist()
-        )
+            table = (self.atoms, self.mult, self.weights, self.counts, self.m, below)
+            below = [_measure(table, k, j) for j in range(len(self.atoms[k]))]
+            views.append(below)
+        return tuple(views[self.r - 1 - d][i] for d in range(self.r) for i in self.ids[d].tolist())
 
     @property
     def root_measure(self) -> EmpiricalMeasure:
         return self.measures[0]
 
-    @cached_property
-    def _by_vertex(self) -> dict[TreeVertex, EmpiricalMeasure]:
-        """The measures keyed by their vertices, for :meth:`measure_at`."""
-        keys = internal_vertices(self.r, self.m, cap=len(self.measures))
-        return dict(zip(keys, self.measures))
-
     def measure_at(self, v: TreeVertex) -> EmpiricalMeasure:
-        mu = self._by_vertex.get(v) if isinstance(v, TreeVertex) else None
-        if mu is None:
+        """The measure of the internal vertex ``v``, whose index in
+        :attr:`measures` (shallower vertices, then lexicographic rank) is
+        its coordinates read as the digits 1..m of a base-m number."""
+        if not (isinstance(v, TreeVertex) and v.r == self.r and v.depth < self.r
+                and all(c <= self.m for c in v.coords)):
             raise ValueError(f"{v!r} is not an internal vertex of {{1..{self.m}}}^{self.r}")
-        return mu
+        i = 0
+        for c in v.coords:
+            i = i * self.m + c
+        return self.measures[i]
 
 
 # Scratch bound for resynthesis's row searches, the level-0 gap planes and
@@ -494,8 +505,8 @@ def _measure_tables(
     if isinstance(mu, DirectingHierarchy):
         return _row_tables(mu.r - 1, mu.atoms, mu.mult, mu.ids[0][0]), mu.m
     if isinstance(mu, EmpiricalMeasure):
-        *row, m = mu._table_row
-        return _row_tables(mu.level, *row), m
+        (atoms, mult, _, _, m, _), j = mu._table_row
+        return _row_tables(mu.level, atoms, mult, j), m
     raise ValueError(
         "nested_distance compares a DirectingHierarchy or an EmpiricalMeasure, "
         f"not a {type(mu).__name__}"

@@ -1,9 +1,9 @@
 """Reference implementations that tests compare hexch against.
 
 Each states, one object at a time, a rule that hexch applies to whole
-arrays: the empirical measure of a sample, the canonical order of
-measures, the weight of a measure over measures, the ``hierarchy.json``
-object of a measure, the energy statistic, the CSV key order, the
+arrays: the empirical measure of a sample, the measures of a hierarchy's
+level tables, the canonical order of measures, the weight of a measure
+over measures, the ``hierarchy.json`` object of a measure, the energy statistic, the CSV key order, the
 smallest common denominator of two weight tables, what makes a
 directing hierarchy the one of its array, and the leaf map of a seeded
 random hierarchical permutation.
@@ -25,11 +25,39 @@ def plain_measure(atoms: tuple, level: int) -> EmpiricalMeasure:
     """A measure object of ``atoms`` at ``level`` that is no row of any
     hierarchy: it compares, hashes and prints as the extracted measure of
     the same atoms, so the oracles here build their expected measures with
-    it.  It records no table row, so no distance can read it."""
+    it.  It records no table row, so no distance can read it; its read-only
+    ``weights`` (and ``locations`` at level 0), which a hierarchy's measure
+    reads from its table row, are set from its atoms."""
     mu = object.__new__(EmpiricalMeasure)
     object.__setattr__(mu, "atoms", atoms)
     object.__setattr__(mu, "level", level)
+    arrays = {"weights": [w for _, w in atoms]}
+    if level == 0:
+        arrays["locations"] = [x for x, _ in atoms]
+    for name, values in arrays.items():
+        a = np.array(values)
+        a.flags.writeable = False
+        object.__setattr__(mu, name, a)
     return mu
+
+
+def reference_measures(h: DirectingHierarchy) -> tuple[EmpiricalMeasure, ...]:
+    """The measures of every internal vertex of ``h``, in
+    :func:`~hexch.tree.internal_vertices` order, built eagerly from the
+    level arrays as :func:`plain_measure` objects, deepest level first: one
+    object per table row, shared by the vertices on it, a nested atom being
+    the object of its row one level down."""
+    tables: list[list[EmpiricalMeasure]] = []
+    for k in range(h.r):
+        present = h.mult[k] > 0
+        atoms = h.atoms[k][present].tolist()
+        if k:
+            atoms = [tables[-1][i] for i in atoms]
+        pairs = list(zip(atoms, h.weights[k][present].tolist()))
+        ends = np.cumsum(h.counts[k]).tolist()
+        tables.append([plain_measure(tuple(pairs[lo:hi]), k)
+                       for lo, hi in zip([0] + ends[:-1], ends)])
+    return tuple(tables[h.r - 1 - d][i] for d in range(h.r) for i in h.ids[d].tolist())
 
 
 def reference_empirical_measure(values) -> EmpiricalMeasure:

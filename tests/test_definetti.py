@@ -48,6 +48,7 @@ from reference import (
     measure_to_json_obj,
     plain_measure,
     reference_empirical_measure,
+    reference_measures,
     sort_key,
 )
 
@@ -1286,6 +1287,53 @@ def test_hierarchy_measures_are_plain_measures():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("r, m, m2, ties", [
+    (1, 5, 5, None), (2, 4, 6, None), (3, 4, 6, None), (3, 4, 4, 1), (2, 6, 4, 1),
+    (2, 4, 6, "constant"), (3, 4, 4, "pairs"), (2, 1030, 1030, "blocks"), (2, 32, 33, "paired"),
+])
+def test_measures_are_row_views_of_the_eager_measures(r, m, m2, ties):
+    # a view builds its atoms from its table row on first read, to the
+    # measure that the eager per-row loop builds object by object; its
+    # weights and locations are its row of the level arrays, bit for bit
+    for h in _hierarchies(r, m, m2, ties):
+        views, want = h.measures, reference_measures(h)
+        assert not any("atoms" in vars(mu) for mu in views)
+        for mu, plain in zip(views, want, strict=True):
+            assert mu.weights.tobytes() == plain.weights.tobytes()
+            if mu.level == 0:
+                assert mu.locations.tobytes() == plain.locations.tobytes()
+            assert mu == plain and hash(mu) == hash(plain) and repr(mu) == repr(plain)
+            assert sort_key(mu) == sort_key(plain)
+        # a nested atom is the shared view of its row one level down
+        shared = {id(mu) for mu in views}
+        assert all(id(a) in shared for mu in views if mu.level for a, _ in mu.atoms)
+
+
+def test_a_view_builds_only_the_atoms_that_are_read():
+    h = extract_hierarchy(sample_array(make_model("product", 2), 2, 4, seed=6), 2, 4)
+    first, *siblings = h.measures[1:]
+    # a level-0 view's arrays and W1 read its table row, not its atoms
+    assert wasserstein1(first, siblings[0]) > 0.0 and first.locations.size == 4
+    assert not any("atoms" in vars(mu) for mu in h.measures)
+    assert len(first.atoms) == 4 and "atoms" in vars(first)
+    assert not any("atoms" in vars(mu) for mu in [h.root_measure, *siblings])
+
+
+def test_measures_at_10_6_cells_are_views_of_the_level_arrays():
+    # product r=2 m=1000: 1001 views over the 1000 x 1000 level-0 table,
+    # where one (atom, weight) tuple per cell took about 130 MiB
+    h = extract_hierarchy(sample_array(make_model("product", 2), 2, 1000, seed=0), 2, 1000)
+    tracemalloc.start()
+    try:
+        assert h.root_measure is h.measures[0]
+        assert h.measure_at(TreeVertex((1000,), 2)) is h.measures[1000]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert nested_distance(h, h.root_measure) == 0.0
 
 
 def test_level_array_tables_keep_the_reachable_rows():
