@@ -51,8 +51,11 @@ print()
 print("== two-tree arrays (the classical matrix form at depth 1) ==")
 # the same sampler with a depth tuple and a side tuple: a single tree is the
 # one-component product.  Entries are sigma(v_{oo}, v_{o j}, v_{i o}, v_{i j}):
-# one shared value, a row value, a column value and a cell value
-sigma = SigmaModel("mix", 4, lambda p: (p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4)
+# one shared value, a row value, a column value and a cell value.  sigma
+# reads them as p[0]..p[3], one array per depth tuple holding each value
+# once (shapes (1, 1, 1), (1, 1, 4), (1, 4, 1) and (1, 4, 4) here), which
+# numpy broadcasts over the 4 x 4 grid
+sigma = SigmaModel("mix", 4, lambda p: (p[0] + p[1] + p[2] + p[3]) / 4)
 mat = sample_array(sigma, (1, 1), (4, 4), seed=SEED).reshape(4, 4)
 print(np.array2string(mat, precision=3))
 r1 = root(1)

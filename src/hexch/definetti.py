@@ -398,11 +398,9 @@ def _hierarchy(m: int, levels: list) -> DirectingHierarchy:
     and the cumulative weights, and makes every array read-only; it checks
     nothing, since extraction's tables are canonical and consistent."""
     r = len(levels)
-    # c siblings weigh 1/m added c times above level 0 (3 x 0.1 != 0.3)
-    sums = np.concatenate([[0.0], np.cumsum(np.full(m, 1.0 / m))]) if r > 1 else None
     tables = []
     for k, (a, c, n, _) in enumerate(levels):
-        w = sums[c] if k else c / m
+        w = _weights(c, m, k)
         s = np.cumsum(w, axis=1)
         s[np.arange(len(n)), n - 1] = 1.0
         s[c == 0] = np.inf
@@ -413,6 +411,14 @@ def _hierarchy(m: int, levels: list) -> DirectingHierarchy:
     for name, value in values.items():
         object.__setattr__(h, name, value)
     return h
+
+
+def _weights(mult: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The weight rule: multiplicities c out of m weigh ``c/m`` at level 0,
+    and 1/m added c times at level k >= 1 (``3 x 0.1 != 0.3``)."""
+    if k == 0:
+        return mult / m
+    return np.concatenate([[0.0], np.cumsum(np.full(m, 1.0 / m))])[mult]
 
 
 def _require_hierarchy(caller: str, h) -> None:
@@ -532,6 +538,30 @@ def _row_tables(
             rows, a[present] = np.unique(a[present], return_inverse=True)
         tables.append((a, c))
     return tables[::-1]
+
+
+def _same_tables(tables_a: list, ma: int, tables_b: list, mb: int) -> bool:
+    """Whether two sides' :func:`_measure_tables` are one nested measure,
+    as ``==`` on their measures decides, without building an atom: as many
+    levels and, level by level, as many rows, the same atoms (level-0
+    locations; above, row ids, which both sides number in the canonical
+    order of the measures they stand for) and equal weights, each side's
+    by its own weight rule (:func:`_weights`), so that equal m compare the
+    multiplicities.  A level is compared over the narrower table's width:
+    a row's weights sum to 1, so a row equal to another there has no atom
+    past it."""
+    if len(tables_a) != len(tables_b):
+        return False
+    for k, ((aa, ca), (ab, cb)) in enumerate(zip(tables_a, tables_b)):
+        w = min(ca.shape[1], cb.shape[1])
+        if len(ca) != len(cb) or not (aa[:, :w] == ab[:, :w]).all():
+            return False
+        ca, cb = ca[:, :w], cb[:, :w]
+        if ma != mb:
+            ca, cb = _weights(ca, ma, k), _weights(cb, mb, k)
+        if not (ca == cb).all():
+            return False
+    return True
 
 
 def _table_rows(
@@ -675,7 +705,7 @@ def nested_distance(
     Nothing is kept between calls.
     """
     (tables_a, ma), (tables_b, mb) = _measure_tables(mu), _measure_tables(nu)
-    if mu == nu:
+    if mu is nu or _same_tables(tables_a, ma, tables_b, mb):
         return 0.0
     if len(tables_a) != len(tables_b):
         raise ValueError(

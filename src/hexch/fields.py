@@ -174,16 +174,17 @@ def _coord_words(coords: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _path_layout(depths: tuple[int, ...], shape: tuple[int, ...]):
-    """The leaf grid of a product truncation and, per depth tuple in
-    lexicographic order, the shape that broadcasts its vertex values over
-    the leaf grid."""
-    grid = tuple(m_i for r_i, m_i in zip(depths, shape) for _ in range(r_i))
+    """Per depth tuple of a product truncation, in lexicographic order, the
+    shape that broadcasts its vertex values over the leaf grid, whose axes
+    are the r_i coordinates of each tree in turn.  A tree of side 1 has one
+    vertex per depth and takes no axis, so that a deep chain (r = 32, m = 1)
+    stays within numpy's 32 broadcast dimensions."""
     # a vertex at depth d_i in tree i fixes the first d_i axes of that tree
-    bshapes = tuple(
-        tuple(m_i if k < d_i else 1 for d_i, r_i, m_i in zip(dt, depths, shape) for k in range(r_i))
+    return tuple(
+        tuple(m_i if k < d_i else 1 for d_i, r_i, m_i in zip(dt, depths, shape)
+              if m_i > 1 for k in range(r_i))
         for dt in itertools.product(*(range(r_i + 1) for r_i in depths))
     )
-    return grid, bshapes
 
 
 def _level_values(h0: np.ndarray, depths, shape) -> list[np.ndarray]:
@@ -211,25 +212,13 @@ def _level_values(h0: np.ndarray, depths, shape) -> list[np.ndarray]:
     return [_unit(s.T) for s in states]
 
 
-def _write_paths(levels: list[np.ndarray], depths, shape) -> np.ndarray:
-    """Lay per-depth-tuple values (K, vertices), as :func:`_level_values`
-    orders them, along every product-leaf path: each vertex value is
-    broadcast over the leaves below it.  Shape (K, leaves, depth tuples),
-    leaves in lexicographic order."""
-    grid, layout = _path_layout(depths, shape)
-    k = len(levels[0])
-    out = np.empty((k,) + grid + (len(layout),))
-    _fill_paths(out, levels, layout)
-    return out.reshape(k, -1, len(layout))
-
-
-def _fill_paths(out: np.ndarray, levels: list[np.ndarray], layout) -> None:
-    """Write :func:`_write_paths`'s values into ``out``, of shape lead +
-    leaf grid + (depth tuples,), whose lead axes split the K rows of
-    ``levels`` in C order."""
-    lead = out.shape[: out.ndim - 1 - len(layout[0])]
-    for j, (vals, bshape) in enumerate(zip(levels, layout)):
-        out[..., j] = vals.reshape(lead + bshape)
+def _path_columns(h0: np.ndarray, depths, shape) -> list[np.ndarray]:
+    """:func:`_level_values` with each depth tuple's values (K, vertices)
+    reshaped, without a copy, to (K,) + its :func:`_path_layout` broadcast
+    shape: column j of :func:`path_matrix` as an array that broadcasts over
+    the leaf grid, each vertex value held once, not once per leaf below it."""
+    levels, layout = _level_values(h0, depths, shape), _path_layout(depths, shape)
+    return [v.reshape((len(h0),) + bshape) for v, bshape in zip(levels, layout)]
 
 
 def _as_tuple(x) -> tuple[int, ...]:
@@ -297,30 +286,35 @@ class UniformField:
 class SigmaModel:
     """A measurable map from path-indexed values to [0,1].
 
-    ``fn`` is vectorized: it receives an (N, arity) matrix whose columns are
-    the path values in the frozen ordering (root to leaf for one tree;
-    depth-tuple lexicographic for products; shared block then replica
-    block for :func:`sample_ah`) and returns N values in [0,1].
+    ``fn`` is vectorized: it receives ``arity`` float arrays that broadcast
+    together, the path values in the frozen ordering (root to leaf for one
+    tree; depth-tuple lexicographic for products; shared block then replica
+    block for :func:`sample_ah`), each vertex value held once, and returns
+    values in [0,1] that broadcast to their common shape.  An (arity, N)
+    array is such a sequence: ``eval(p.T)`` evaluates a path matrix ``p``.
     """
 
     name: str
     arity: int
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[list[np.ndarray]], np.ndarray]
     params: tuple = ()
 
-    def eval(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[1] != self.arity:
+    def eval(self, columns) -> np.ndarray:
+        columns = [np.asarray(c, dtype=np.float64) for c in columns]
+        if len(columns) != self.arity:
             raise ValueError(
-                f"model {self.name!r} expects (N, {self.arity}) inputs, "
-                f"got shape {inputs.shape}"
+                f"model {self.name!r} expects {self.arity} input columns, got {len(columns)}"
             )
-        out = np.asarray(self.fn(inputs), dtype=np.float64)
-        if out.shape != (inputs.shape[0],):
-            raise ValueError(f"model {self.name!r} returned shape {out.shape}")
-        if out.size and (out.min() < -1e-9 or out.max() > 1.0 + 1e-9):
+        shape = np.broadcast_shapes(*(c.shape for c in columns))
+        out = np.asarray(self.fn(columns), dtype=np.float64)
+        try:
+            full = out if out.shape == shape else np.broadcast_to(out, shape)
+        except ValueError:
+            raise ValueError(f"model {self.name!r} returned shape {out.shape}") from None
+        # a NaN, like a value outside [-1e-9, 1 + 1e-9], fails a comparison
+        if out.size and not (out.min() >= -1e-9 and out.max() <= 1.0 + 1e-9):
             raise ValueError(f"model {self.name!r} produced values outside [0,1]")
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(full, 0.0, 1.0)
 
 
 def path_matrix(seed, role: str, depths, shape) -> np.ndarray:
@@ -335,8 +329,9 @@ def path_matrix(seed, role: str, depths, shape) -> np.ndarray:
     one pass over the K start states.
     """
     depths_t, shape_t = _as_tuples(depths, shape)
-    h0 = _init_state(seed, role)
-    paths = _write_paths(_level_values(h0, depths_t, shape_t), depths_t, shape_t)
+    columns = _path_columns(_init_state(seed, role), depths_t, shape_t)
+    paths = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    paths = paths.reshape(len(paths), -1, len(columns))
     return paths[0] if _one_seed(seed) else paths
 
 
@@ -347,14 +342,16 @@ def sample_array(model: SigmaModel, depths, shape, seed, role: str = "v") -> np.
     indexed lexicographically; with a fixed seed the result is identical
     across runs, and the array over {1..m}^r is entry-for-entry a sub-array
     of the one over any larger {1..m'}^r.  A 1-D sequence of K seeds gives
-    the K arrays stacked, shape (K, leaves), from one model call.
+    the K arrays stacked, shape (K, leaves), from one model call on the
+    columns of :func:`_path_columns`, its result broadcast to the leaf grid.
     """
+    depths_t, shape_t = _as_tuples(depths, shape)
     # r + 1 values on one leaf's path, prod (r_i + 1) in a product
-    size = prod(r_i + 1 for r_i in _as_tuples(depths, shape)[0])
+    size = prod(r_i + 1 for r_i in depths_t)
     if model.arity != size:
         raise ValueError(f"model arity {model.arity} != path size {size}")
-    paths = path_matrix(seed, role, depths, shape)
-    return model.eval(paths.reshape(-1, size)).reshape(paths.shape[:-1])
+    out = model.eval(_path_columns(_init_state(seed, role), depths_t, shape_t))
+    return out.reshape(-1) if _one_seed(seed) else out.reshape(len(out), -1)
 
 
 def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
@@ -366,24 +363,18 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     states and K shared ones hashed in one pass each.  The replica start
     states are one mix of the K seed words against the n role keys.
 
-    The model input, (K n m^r, 2(r+1)) rows ordered seed, replica, leaf, is
-    written once into one array: the shared columns from one
-    :func:`path_matrix` call, broadcast over the n replicas, and the replica
-    columns straight from each depth's vertex values, broadcast over the
-    leaves below each vertex.
+    The model reads 2(r+1) columns of shape (K, replicas) + the leaf grid's
+    broadcast shape of each depth: the shared ones (:func:`_path_columns`)
+    with a replica axis of length 1, the replica ones with one of length n.
     """
     n = _integer(n, "n")
     if model.arity != 2 * (r + 1):
         raise ValueError(f"model arity {model.arity} != 2(r+1) = {2 * (r + 1)}")
-    shared = path_matrix(seed, "v", r, m)
-    lead = shared.shape[:-2]
-    k = prod(lead)
-    grid, layout = _path_layout((r,), (m,))
-    inputs = np.empty((k, n) + grid + (2 * (r + 1),))
-    inputs[..., : r + 1] = shared.reshape((k, 1) + grid + (r + 1,))
+    shared = [c[:, None] for c in _path_columns(_init_state(seed, "v"), (r,), (m,))]
+    k = len(shared[0])
     # start states seed-major: replica i of seed k is row k*n + i - 1
     keys = np.array([_role_key(f"v^{i}") for i in range(1, n + 1)], dtype=_U64)
     h0 = _mix(_seed_words(seed)[:, None] ^ keys).reshape(-1)
-    _fill_paths(inputs[..., r + 1 :], _level_values(h0, (r,), (m,)), layout)
-    out = model.eval(inputs.reshape(-1, 2 * (r + 1)))
-    return out.reshape(lead + (n, m**r)).swapaxes(-1, -2)
+    replicas = [c.reshape((k, n) + c.shape[1:]) for c in _path_columns(h0, (r,), (m,))]
+    out = model.eval(shared + replicas).reshape(k, n, m**r).swapaxes(-1, -2)
+    return out[0] if _one_seed(seed) else out

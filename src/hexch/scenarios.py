@@ -20,7 +20,10 @@ from .fields import (
     _coord_words,
     _hash_words,
     _init_state,
-    path_matrix,
+    _level_values,
+    _one_seed,
+    # path_matrix is unused here, but bench/spans.py traces it at this lookup site
+    path_matrix,  # noqa: F401
     sample_ah,
     sample_array,
 )
@@ -76,24 +79,26 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _row_reduce(p: np.ndarray, ufunc, shift: float = 0.0) -> np.ndarray:
-    """``ufunc.reduce(p - shift, axis=1)`` for ``np.add`` or ``np.multiply``
-    on a 2-D float array, with the same bits.
+def _row_reduce(p, ufunc, shift: float = 0.0) -> np.ndarray:
+    """``ufunc.reduce(P - shift, axis=1)`` for ``np.add`` or ``np.multiply``,
+    with the same bits, on the matrix P of the columns ``p`` broadcast and
+    stacked: float arrays that broadcast together, as a model receives them.
 
     numpy multiplies a row's terms left to right, and adds fewer than 8 the
     same way before adding the sum to the identity 0.0, which turns -0.0
-    into 0.0.  Those rows are reduced by passes over the columns, not by one
-    short reduction per row, each column shifted as it is read: a shifted
-    copy of a 10^4-row ``p`` would cost more than the sums.  ``x - 0.0``
-    keeps every bit of x, so the first column is always read as a fresh
-    shifted copy.  From 8 terms on numpy sums pairwise, and its own
-    reduction is kept.
+    into 0.0.  Those columns are folded left to right with broadcasting,
+    each shifted as it is read: the same scalar operations in the same
+    order, on each vertex value once, not once per leaf.  ``x - 0.0`` keeps
+    every bit of x, so the first column is always read as a fresh shifted
+    copy.  From 8 terms on numpy sums pairwise, and its own reduction of
+    the stacked columns is kept.
     """
-    if ufunc is np.add and p.shape[1] >= 8:
-        return np.add.reduce(p - shift, axis=1)
-    total = p[:, 0] - shift
-    for column in p.T[1:]:
-        ufunc(total, column - shift if shift else column, out=total)
+    if ufunc is np.add and len(p) >= 8:
+        return np.add.reduce(np.stack(np.broadcast_arrays(*p), axis=-1) - shift, axis=-1)
+    total = p[0] - shift
+    for column in p[1:]:
+        column = column - shift if shift else column
+        total = ufunc(total, column, out=total if column.shape == total.shape else None)
     if ufunc is np.add:
         total += 0.0
     return total
@@ -103,7 +108,7 @@ def _toy_magnetization(r: int, a: float, b: float):
     k = r + 1
 
     def fn(p):
-        shared, replica = _row_reduce(p[:, :k], np.add, 0.5), _row_reduce(p[:, k:], np.add, 0.5)
+        shared, replica = _row_reduce(p[:k], np.add, 0.5), _row_reduce(p[k:], np.add, 0.5)
         # a large a or b saturates the sigmoid: an overflow to inf gives its 0 or 1
         with np.errstate(over="ignore"):
             return _sigmoid(a * shared + b * replica)
@@ -112,7 +117,11 @@ def _toy_magnetization(r: int, a: float, b: float):
 
 
 # The custom samplers below take an int seed or a 1-D sequence of K seeds,
-# as path_matrix does, and work on the leading replicate axes it returns.
+# as sample_array does, and work on the leading replicate axes of the
+# role-"v" field at the leaves (path_matrix's last column) read here.
+def _leaf_values(seed, r: int, m: int) -> np.ndarray:
+    v = _level_values(_init_state(seed, "v"), (r,), (m,))[-1]
+    return v[0] if _one_seed(seed) else v
 
 
 def _label_leak_sampler(r: int, m: int, weight: float) -> Callable:
@@ -120,7 +129,7 @@ def _label_leak_sampler(r: int, m: int, weight: float) -> Callable:
     parity = ((np.arange(m**r) // m ** (r - 1) + 1) % 2).astype(np.float64)
 
     def sample(seed) -> np.ndarray:
-        v = path_matrix(seed, "v", r, m)[..., -1]
+        v = _leaf_values(seed, r, m)
         return (1.0 - weight) * v + weight * parity
 
     return sample
@@ -135,7 +144,7 @@ def _sibling_coupled_sampler(r: int, m: int, weight: float) -> Callable:
     shared_words = _coord_words(np.indices((n_pairs, m)).reshape(2, -1).T + 1)
 
     def sample(seed) -> np.ndarray:
-        v = path_matrix(seed, "v", r, m)[..., -1]
+        v = _leaf_values(seed, r, m)
         shared = _hash_words(_init_state(seed, "s"), shared_words)
         return (1.0 - weight) * v + weight * shared[:, shared_idx].reshape(v.shape)
 
@@ -144,7 +153,7 @@ def _sibling_coupled_sampler(r: int, m: int, weight: float) -> Callable:
 
 def _markov_leak_sampler(r: int, m: int) -> Callable:
     def sample(seed) -> np.ndarray:
-        v = path_matrix(seed, "v", r, m)[..., -1]
+        v = _leaf_values(seed, r, m)
         blocks = v.reshape(v.shape[:-1] + (m ** (r - 1), m))
         out = blocks.copy()
         out[..., 1:] = 0.5 * (blocks[..., 1:] + blocks[..., :-1])
@@ -228,7 +237,7 @@ _register(
         kind="null",
         form="sigma",
         summary="value = the leaf's own field value; entries i.i.d. uniform",
-        build=lambda r: (r + 1, lambda p: p[:, -1]),
+        build=lambda r: (r + 1, lambda p: p[-1]),
         defaults={"r": 2, "m": 8},
         expected={"hexch": "pass", "conditional_iid": "pass", "cond_indep": "pass"},
     )
@@ -239,7 +248,7 @@ _register(
         kind="null",
         form="sigma",
         summary="value = the root field value; the whole array is constant",
-        build=lambda r: (r + 1, lambda p: p[:, 0]),
+        build=lambda r: (r + 1, lambda p: p[0]),
         defaults={"r": 2, "m": 8},
         expected={"hexch": "pass", "conditional_iid": "pass", "cond_indep": "pass"},
     )

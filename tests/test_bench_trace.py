@@ -23,8 +23,10 @@ def test_bench_recorder_patches_and_restores_every_site():
     originals = [getattr(owner, attr) for owner, attr in sites]
     with spans.Recorder() as rec:
         assert all(getattr(o, a) is not f for (o, a), f in zip(sites, originals))
-        # the path_matrix counter reads (r, m) as ints from a single-tree call
+        # no sampler calls path_matrix, so the op calls it at its lookup site;
+        # the counter reads (r, m) as ints from a single-tree call
         rec.begin_op(0)
+        hexch.scenarios.path_matrix([1, 2], "v", 2, 4)
         hexch.scenarios.make_source("product", 2, 4).sample([1, 2])
         rec.end_op()
     assert all(getattr(o, a) is f for (o, a), f in zip(sites, originals))

@@ -128,8 +128,9 @@ def test_array_to_csv_formats():
 
     from hexch.cli import array_to_csv
     from hexch.fields import SigmaModel, sample_array
+    from hexch.scenarios import _row_reduce
 
-    model = SigmaModel("mix", 4, lambda p: p.mean(axis=1))
+    model = SigmaModel("mix", 4, lambda p: _row_reduce(p, np.add) / 4)
     x = sample_array(model, (1, 1), (2, 2), seed=5)
     text = b"".join(array_to_csv(x, (1, 1), (2, 2))).decode()
     lines = text.strip().splitlines()
@@ -488,18 +489,18 @@ def test_array_to_csv_accepts_numpy_integers():
 
 # sha256 of the emitted files, recorded while the keys still came from
 # TreeVertex objects; manifest.json pins the per-file bytes and sha256 too.
-# The manifest digests are those of hexch 0.8.0: each is the 0.7.0
+# The manifest digests are those of hexch 0.9.0: each is the 0.8.0
 # manifest's with its "version" string changed, and nothing else
 OUTPUT_DIGESTS = {
     "single tree m=11": (
         {"scenario": "path-mean", "r": 2, "m": 11, "seed": 3},
         {"array.csv": "73e88362e7366fa85f45101081bb869b87a611b437ee1aeb3d1e576707efb0ce",
-         "manifest.json": "26db20cd124e3d7a411801dc18bfcecdf1b91d5f914aaeb2f47e970d0697915f"},
+         "manifest.json": "58c2c4e1fbafe7f6ddea2d5072dafedd7a4eb165bdcdf4caf16d1b25f1311bcd"},
     ),
     "replica n=2": (
         {"scenario": "toy-magnetization", "r": 2, "m": 10, "n": 2, "seed": 5},
         {"array.csv": "9ebc695b505949f358fe89db6bcc25eae384c7c3795ba9a5267fc31bee75e3de",
-         "manifest.json": "392b1d35ecb716d9aabae66b8f513fcea47f24e4ed6adda061fd302e73449997"},
+         "manifest.json": "b5c508fad33b2044b1c5aa603f65a92a858a2dfc7410b5f040a20b2265d6b175"},
     ),
     "hierarchy m=12": (
         {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
@@ -507,7 +508,7 @@ OUTPUT_DIGESTS = {
         {"array.csv": "a66527ccd16f01f139065684b96bbbeb2fa0c7a68dbbe5f804a75a3543bc2b34",
          "hierarchy.json": "57df73276545bb5272e46c925ca8a5403a9a23c8b61d2c555b91a3cad2dc8d65",
          "resynthesized.csv": "d152d22780939aef78224cbbae20b3a8c0f4b10ba8a25c94c02221c728e67ebc",
-         "manifest.json": "871199d2020cf871012891492b8e8081e0fda93a6c38ed756eb8f8c957e4b355"},
+         "manifest.json": "11931fb7a8d825717e70126c5e9323ba2694a9ff60669f36d2eb3e57d237ac17"},
     ),
 }
 
@@ -540,9 +541,12 @@ def test_array_to_csv_product_bytes_pinned():
     import hashlib
 
     from hexch.cli import array_to_csv
-    from hexch.fields import SigmaModel, sample_array
+    import numpy as np
 
-    model = SigmaModel("mix", 6, lambda p: p.mean(axis=1))
+    from hexch.fields import SigmaModel, sample_array
+    from hexch.scenarios import _row_reduce
+
+    model = SigmaModel("mix", 6, lambda p: _row_reduce(p, np.add) / 6)
     x = sample_array(model, (1, 2), (3, 2), seed=9)
     text = b"".join(array_to_csv(x, (1, 2), (3, 2))).decode()
     assert text.startswith("vertex_1,vertex_2,value\n1/1,2/1/1,0.63035129435660708\n")

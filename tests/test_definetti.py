@@ -26,6 +26,7 @@ from hexch.definetti import (
     _lex_order,
     _measure,
     _measure_tables,
+    _same_tables,
     _search_rows,
     _w1_table,
     empirical_measure,
@@ -1334,6 +1335,65 @@ def test_measures_at_10_6_cells_are_views_of_the_level_arrays():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert nested_distance(h, h.root_measure) == 0.0
+
+
+def _doubled(x, r, m):
+    """The array over ``{1..2m}^r`` whose entry at c is ``x``'s at ceil(c/2):
+    every sibling value and every sibling block twice, so each measure keeps
+    its weights as rationals."""
+    y = np.asarray(x).reshape((m,) * r)
+    for axis in range(r):
+        y = np.repeat(y, 2, axis=axis)
+    return y.reshape(-1)
+
+
+def _root(side):
+    return side.root_measure if isinstance(side, DirectingHierarchy) else side
+
+
+@pytest.mark.parametrize("r, m, x", [
+    (1, 3, None), (2, 2, None), (2, 3, None), (3, 2, None),
+    # depth-1 rows A, A, A, B, B: counts 3 and 2 of 5 weigh 3 x 0.2 =
+    # 0.6000000000000001 and 0.4 at level 1, and 6 and 4 of 10 weigh 0.6
+    # and 0.4, while the level-0 weights c/m agree
+    (2, 5, [0.1, 0.1, 0.3, 0.3, 0.3] * 3 + [0.2, 0.5, 0.5, 0.5, 0.9] * 2),
+])
+def test_nested_distance_decides_equality_on_the_tables_as_eq_does(r, m, x):
+    # values tied to one decimal at side m, the same array doubled to side
+    # 2m, and another array: every pair of sides, measures at every level
+    # and hierarchies, is equal on the tables exactly when == says so, and
+    # then at distance 0.0, without building an atom
+    rng = np.random.default_rng([r, m])
+    if x is None:
+        x = np.round(rng.random(m**r), 1)
+    hs = [extract_hierarchy(x, r, m), extract_hierarchy(_doubled(x, r, m), r, 2 * m),
+          extract_hierarchy(np.round(rng.random(m**r), 1), r, m)]
+    sides = hs + [mu for h in hs for mu in h.measures]
+    for a, b in itertools.product(sides, sides):
+        same = _same_tables(*_measure_tables(a), *_measure_tables(b))
+        if same:
+            assert nested_distance(a, b) == 0.0
+    assert not any("atoms" in vars(mu) for h in hs for mu in h.measures)
+    for a, b in itertools.product(sides, sides):
+        assert _same_tables(*_measure_tables(a), *_measure_tables(b)) == (_root(a) == _root(b))
+    # a side and its doubling are one measure when their weights agree
+    assert (hs[0].root_measure == hs[1].root_measure) == (m != 5)
+    assert nested_distance(hs[0], hs[1]) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_equal_measures_at_10_6_cells_compare_on_the_level_arrays():
+    # the roots of two extractions of one 10^6-cell array are equal views of
+    # two hierarchies, where == built every atom tuple of both (about 250 MB)
+    x = sample_array(make_model("product", 2), 2, 1000, seed=0)
+    mu, nu = (extract_hierarchy(x, 2, 1000).root_measure for _ in range(2))
+    tracemalloc.start()
+    try:
+        assert nested_distance(mu, nu) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert "atoms" not in vars(mu) and "atoms" not in vars(nu)
 
 
 def test_level_array_tables_keep_the_reachable_rows():

@@ -28,7 +28,7 @@ from hexch.fields import (
     sample_array,
 )
 from hexch.hperm import random_leaf_indices
-from hexch.scenarios import make_model, make_source
+from hexch.scenarios import _row_reduce, make_model, make_source
 from hexch.tree import (
     _SEED_MAX,
     ProductVertex,
@@ -169,7 +169,7 @@ def test_seeds_that_are_not_64_bit_integers_are_rejected(seed):
         msg = f"^seed must be an integer, got {re.escape(repr(seed))}$"
     for call in (lambda: derive_seed(seed, "lbl"), lambda: derive_seeds(seed, "lbl", 3),
                  lambda: _init_state(seed, "v"), lambda: _init_state([1, seed], "v"),
-                 lambda: sample_array(SigmaModel("leaf", 2, lambda p: p[:, -1]), 1, 4, seed)):
+                 lambda: sample_array(SigmaModel("leaf", 2, lambda p: p[-1]), 1, 4, seed)):
         with pytest.raises(ValueError, match=msg):
             call()
     # a list of seeds from derive_seeds takes one array conversion; a bad
@@ -247,14 +247,14 @@ def test_product_vertex_field_values():
 
 
 def test_sample_array_uniform_leaf_level():
-    model = SigmaModel("last", 3, lambda p: p[:, -1])
+    model = SigmaModel("last", 3, lambda p: p[-1])
     x = sample_array(model, 2, 32, seed=90)
     d, p = scipy.stats.kstest(x, "uniform")
     assert p > 0.01
 
 
 def test_sample_array_root_constant():
-    model = SigmaModel("first", 3, lambda p: p[:, 0])
+    model = SigmaModel("first", 3, lambda p: p[0])
     x = sample_array(model, 2, 8, seed=4)
     assert np.all(x == x[0])
     assert x[0] == UniformField(4, "v").value(root(2))
@@ -264,7 +264,7 @@ def test_sample_array_product_per_parent_maximum():
     # X_{kn} = v_root * v_k * v_kn, so within each parent block the maximum
     # is the path product times the largest child uniform: always below the
     # path product and, with 8 children, usually close to it
-    model = SigmaModel("prod", 3, lambda p: p.prod(axis=1))
+    model = SigmaModel("prod", 3, lambda p: _row_reduce(p, np.multiply))
     m, seed = 8, 31
     x = sample_array(model, 2, m, seed).reshape(m, m)
     f = UniformField(seed, "v")
@@ -278,7 +278,7 @@ def test_sample_array_product_per_parent_maximum():
 
 
 def test_sample_array_determinism_and_truncation_consistency():
-    model = SigmaModel("mean", 3, lambda p: p.mean(axis=1))
+    model = SigmaModel("mean", 3, lambda p: _row_reduce(p, np.add) / 3)
     a = sample_array(model, 2, 6, seed=17)
     b = sample_array(model, 2, 6, seed=17)
     assert np.array_equal(a, b)
@@ -287,7 +287,7 @@ def test_sample_array_determinism_and_truncation_consistency():
 
 
 def test_sample_array_arity_mismatch():
-    model = SigmaModel("bad", 5, lambda p: p.mean(axis=1))
+    model = SigmaModel("bad", 5, lambda p: _row_reduce(p, np.add) / 5)
     with pytest.raises(ValueError):
         sample_array(model, 2, 4, seed=0)
 
@@ -328,9 +328,36 @@ def test_an_empty_seed_sequence_is_rejected(call):
 
 
 def test_sigma_model_rejects_bad_output():
-    bad = SigmaModel("big", 2, lambda p: p.sum(axis=1) + 5.0)
-    with pytest.raises(ValueError):
-        sample_array(bad, 1, 4, seed=0)
+    # (model, r, seed): a value above 1, and NaN, which fails every comparison
+    for bad, r, seed in [
+        (SigmaModel("big", 2, lambda p: p[0] + p[1] + 5.0), 1, 0),
+        (SigmaModel("nanny", 3, lambda p: np.where(p[-1] > 0.5, np.nan, p[-1])), 2, 1),
+    ]:
+        with pytest.raises(ValueError, match=rf"^model '{bad.name}' produced values outside \[0,1\]$"):
+            sample_array(bad, r, 4, seed)
+
+
+def test_sigma_model_reads_columns_that_broadcast_together():
+    model = SigmaModel("blend", 3, lambda p: (p[0] + p[1]) * p[2])
+    p = np.random.default_rng(3).random((5, 3))
+    want = (p[:, 0] + p[:, 1]) * p[:, 2]
+    # an (arity, N) array is a sequence of columns, and so is a list
+    assert model.eval(p.T).tobytes() == want.tobytes()
+    assert model.eval(list(p.T)).tobytes() == want.tobytes()
+    # columns of different shapes broadcast, and so does a smaller result
+    got = model.eval([p[:1, 0], p[:, 1:2].T, p[:, 2]])
+    assert got.tobytes() == ((p[0, 0] + p[:, 1]) * p[:, 2]).tobytes()
+    root = SigmaModel("root", 2, lambda p: p[0])
+    assert root.eval([np.array([0.25]), p[:, 0]]).tolist() == [0.25] * 5
+    for columns, message in [
+        (p, "expects 3 input columns, got 5"),
+        ([p[:, 0], p[:2, 1], p[:, 2]], "shape mismatch: objects cannot be broadcast"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            model.eval(columns)
+    wide = SigmaModel("wide", 1, lambda p: np.stack([p[0], p[0]]))
+    with pytest.raises(ValueError, match=r"^model 'wide' returned shape \(2, 5\)$"):
+        wide.eval(p[:, :1].T)
 
 
 # -- product trees ------------------------------------------------------------
@@ -338,7 +365,7 @@ def test_sigma_model_rejects_bad_output():
 
 def test_int_and_one_tuple_truncations_agree():
     # a single tree is the one-component product
-    model = SigmaModel("prod", 3, lambda p: p.prod(axis=1))
+    model = SigmaModel("prod", 3, lambda p: _row_reduce(p, np.multiply))
     a = sample_array(model, 2, 5, seed=8)
     assert np.array_equal(a, sample_array(model, (2,), (5,), seed=8))
     assert np.array_equal(path_matrix(8, "v", 2, 5), path_matrix(8, "v", (2,), (5,)))
@@ -350,7 +377,7 @@ def test_sample_array_classical_two_tree_form():
     # l=2, r1=r2=1: inputs are the four product-path values in depth-tuple
     # order (0,0), (0,1), (1,0), (1,1)
     model = SigmaModel(
-        "combine", 4, lambda p: (p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]) / 4
+        "combine", 4, lambda p: (p[0] + p[1] + p[2] + p[3]) / 4
     )
     m1, m2, seed = 3, 4, 21
     x = sample_array(model, (1, 1), (m1, m2), seed).reshape(m1, m2)
@@ -368,13 +395,13 @@ def test_sample_array_classical_two_tree_form():
 
 
 def test_sample_array_product_root_only_model_is_constant():
-    model = SigmaModel("root", 4, lambda p: p[:, 0])
+    model = SigmaModel("root", 4, lambda p: p[0])
     x = sample_array(model, (1, 1), (5, 7), seed=2)
     assert np.all(x == x[0])
 
 
 def test_sample_array_product_arity_mismatch():
-    model = SigmaModel("bad", 3, lambda p: p.mean(axis=1))
+    model = SigmaModel("bad", 3, lambda p: _row_reduce(p, np.add) / 3)
     with pytest.raises(ValueError, match="path size 4"):
         sample_array(model, (1, 1), (3, 3), seed=0)
 
@@ -384,7 +411,7 @@ def test_sample_array_product_arity_mismatch():
 
 def test_sample_ah_ignoring_replica_block_gives_equal_columns():
     r = 2
-    model = SigmaModel("shared", 2 * (r + 1), lambda p: p[:, : r + 1].mean(axis=1))
+    model = SigmaModel("shared", 2 * (r + 1), lambda p: _row_reduce(p[: r + 1], np.add) / (r + 1))
     x = sample_ah(model, r, 4, 6, seed=3)
     assert x.shape == (16, 6)
     for i in range(1, 6):
@@ -393,7 +420,7 @@ def test_sample_ah_ignoring_replica_block_gives_equal_columns():
 
 def test_sample_ah_ignoring_shared_block_gives_iid_entries():
     r = 1
-    model = SigmaModel("rep", 2 * (r + 1), lambda p: p[:, -1])
+    model = SigmaModel("rep", 2 * (r + 1), lambda p: p[-1])
     x = sample_ah(model, r, 40, 25, seed=9)
     d, p = scipy.stats.kstest(x.reshape(-1), "uniform")
     assert p > 0.01
@@ -403,16 +430,16 @@ def test_sample_ah_ignoring_shared_block_gives_iid_entries():
 
 def test_sample_ah_matches_per_replica_definition():
     r, m, n, seed = 2, 3, 5, 44
-    model = SigmaModel("mix", 2 * (r + 1), lambda p: p.mean(axis=1))
+    model = SigmaModel("mix", 2 * (r + 1), lambda p: _row_reduce(p, np.add) / (2 * (r + 1)))
     x = sample_ah(model, r, m, n, seed)
     shared = path_matrix(seed, "v", r, m)
     for i in range(1, n + 1):
         rep = path_matrix(seed, f"v^{i}", r, m)
-        assert np.array_equal(x[:, i - 1], model.eval(np.hstack([shared, rep])))
+        assert np.array_equal(x[:, i - 1], model.eval(np.hstack([shared, rep]).T))
 
 
 def test_sample_ah_arity_mismatch():
-    model = SigmaModel("bad", 3, lambda p: p.mean(axis=1))
+    model = SigmaModel("bad", 3, lambda p: _row_reduce(p, np.add) / 3)
     with pytest.raises(ValueError):
         sample_ah(model, 2, 3, 4, seed=0)
 
@@ -540,11 +567,19 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
-_MEAN4 = SigmaModel("mean", 4, lambda p: p.mean(axis=1))
-_MEAN6 = SigmaModel("mean", 6, lambda p: p.mean(axis=1))
-_MEAN12 = SigmaModel("mean", 12, lambda p: p.mean(axis=1))
-_MIX6 = SigmaModel("mix", 6, lambda p: 0.5 * p[:, :3].prod(axis=1) + 0.5 * p[:, 3:].mean(axis=1))
-_MIX8 = SigmaModel("mix", 8, lambda p: 0.5 * p[:, :4].prod(axis=1) + 0.5 * p[:, 4:].mean(axis=1))
+def _mean_model(k: int) -> SigmaModel:
+    # the bits of the row means of the path matrix, pairwise from 12 terms on
+    return SigmaModel("mean", k, lambda p: _row_reduce(p, np.add) / k)
+
+
+def _mix_model(k: int) -> SigmaModel:
+    # half the product of the shared block, half the mean of the replica block
+    return SigmaModel("mix", 2 * k, lambda p: 0.5 * _row_reduce(p[:k], np.multiply)
+                      + 0.5 * (_row_reduce(p[k:], np.add) / k))
+
+
+_MEAN4, _MEAN6, _MEAN12 = _mean_model(4), _mean_model(6), _mean_model(12)
+_MIX6, _MIX8 = _mix_model(3), _mix_model(4)
 
 
 def _vertex_text(by_depth, m) -> str:

@@ -11,11 +11,7 @@ from hexch.cli import run_experiment
 
 from hexch.fields import (
     SigmaModel,
-    _level_values,
-    _mix,
-    _role_key,
-    _seed_words,
-    _write_paths,
+    _path_layout,
     derive_seed,
     path_matrix,
     sample_ah,
@@ -105,27 +101,29 @@ def test_batched_sampling_equals_stacked_scalar_samples(name, r, m, n, k):
     assert np.array_equal(src.sample(np.array(seeds, dtype=np.uint64)), batch)
 
 
+def _matrix(columns) -> np.ndarray:
+    """The (N, arity) path matrix of model input columns, broadcast and stacked."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
+
+
 def _recording(model: SigmaModel, seen: list) -> SigmaModel:
     def fn(p):
-        seen.append(p.copy())
+        seen.append([c.copy() for c in p])
         return model.fn(p)
 
     return SigmaModel(model.name, model.arity, fn)
 
 
 def _sample_ah_reference(model: SigmaModel, r, m, n, seed) -> np.ndarray:
-    # sample_ah's model input built in three passes: the replica paths laid
-    # out by _write_paths, the shared paths broadcast over the replicas, and
-    # the two blocks concatenated
+    # sample_ah as its definition reads: the model on the (N, 2(r+1)) matrix
+    # of the shared path and replica i's path, each from path_matrix with
+    # its role, rows ordered seed, replica, leaf
     shared = path_matrix(seed, "v", r, m)
-    lead = shared.shape[:-2]
-    keys = np.array([_role_key(f"v^{i}") for i in range(1, n + 1)], dtype=np.uint64)
-    h0 = _mix(_seed_words(seed)[:, None] ^ keys).reshape(-1)
-    replicas = _write_paths(_level_values(h0, (r,), (m,)), (r,), (m,))
-    replicas = replicas.reshape(lead + (n, m**r, r + 1))
+    replicas = np.stack([path_matrix(seed, f"v^{i}", r, m) for i in range(1, n + 1)], axis=-3)
     shared = np.broadcast_to(shared[..., None, :, :], replicas.shape)
     inputs = np.concatenate([shared, replicas], axis=-1).reshape(-1, 2 * (r + 1))
-    return model.eval(inputs).reshape(lead + (n, m**r)).swapaxes(-1, -2)
+    lead = replicas.shape[:-3]
+    return model.eval(inputs.T).reshape(lead + (n, m**r)).swapaxes(-1, -2)
 
 
 @pytest.mark.parametrize("seed", [23, [23], [23, 0, 2**64 - 1]], ids=["int", "K1", "K3"])
@@ -138,9 +136,39 @@ def test_sample_ah_writes_the_model_input_of_the_concatenated_blocks(r, m, n, se
     x = sample_ah(_recording(base, seen), r, m, n, seed)
     ref = _sample_ah_reference(_recording(base, seen_ref), r, m, n, seed)
     assert len(seen) == len(seen_ref) == 1
-    assert seen[0].shape == seen_ref[0].shape == (len(np.atleast_1d(seed)) * n * m**r, 2 * (r + 1))
-    assert seen[0].tobytes() == seen_ref[0].tobytes()
+    # one column per depth, shared then replica, each vertex value held once:
+    # (K, 1) or (K, n) then the depth's broadcast shape over the leaf grid
+    k = len(np.atleast_1d(seed))
+    layout = _path_layout((r,), (m,))
+    assert [c.shape for c in seen[0]] == [(k, 1) + b for b in layout] + [(k, n) + b for b in layout]
+    # broadcast and stacked, the columns are the reference's matrix
+    got, want = _matrix(seen[0]), _matrix(seen_ref[0])
+    assert got.shape == want.shape == (k * n * m**r, 2 * (r + 1))
+    assert got.tobytes() == want.tobytes()
     assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+
+
+def _sigma_models():
+    """Every registered σ-form model (one value per leaf of a tree), by name."""
+    return [spec.name for spec in list_scenarios() if spec.form == "sigma"]
+
+
+@pytest.mark.parametrize("seed", [11, [11, 2**64 - 1, 0]], ids=["int", "K3"])
+@pytest.mark.parametrize("depths, shape", [(r, m) for r in (1, 2, 3) for m in (1, 2, 5)]
+                         + [(r, m) for r in (7, 8) for m in (1, 2)] + [((1, 2), (3, 2))])
+@pytest.mark.parametrize("name", _sigma_models())
+def test_sample_array_has_the_bits_of_the_model_on_the_path_matrix(name, depths, shape, seed):
+    # the columns fold with broadcasting, and r = 7 and 8 sum pairwise; a
+    # path of (1, 2) x (3, 2) has 2 x 3 = 6 depth tuples, the arity of r = 5
+    paths = path_matrix(seed, "v", depths, shape)
+    model = make_model(name, paths.shape[-1] - 1)
+    want = model.eval(paths.reshape(-1, model.arity).T).reshape(paths.shape[:-1])
+    got = sample_array(model, depths, shape, seed)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # and numpy's own reductions of the path matrix's rows
+    numpy_rows = {"uniform-leaf": paths[..., -1], "root-constant": paths[..., 0],
+                  "path-mean": paths.mean(axis=-1), "product": paths.prod(axis=-1)}
+    assert got.tobytes() == numpy_rows[name].tobytes()
 
 
 def test_batched_path_matrix_stacks_scalar_matrices():
@@ -155,7 +183,7 @@ def test_batched_path_matrix_stacks_scalar_matrices():
         assert batch.shape == (3, n_leaves, size)
         for row, s in zip(batch, seeds):
             assert np.array_equal(row, path_matrix(s, "v", depths, shape))
-    model = SigmaModel("mean", 6, lambda p: p.mean(axis=1))
+    model = SigmaModel("mean", 6, lambda p: _row_reduce(p, np.add) / 6)
     batch = sample_array(model, (1, 2), (3, 2), seeds)
     stacked = np.stack([sample_array(model, (1, 2), (3, 2), s) for s in seeds])
     assert batch.shape == (3, 12)
@@ -229,19 +257,20 @@ def test_row_reduce_has_the_bits_of_numpys_row_reductions(k):
     p[picked] = rng.choice(special, picked.sum())
     p[20], p[21] = -0.0, 5e-324  # a row of -0.0 sums to 0.0, not -0.0
     with np.errstate(all="ignore"):
-        assert _same_bits(_row_reduce(p, np.multiply), np.multiply.reduce(p, axis=1))
-        assert _same_bits(_row_reduce(p, np.add), np.add.reduce(p, axis=1))
-        assert _same_bits(_row_reduce(p, np.add) / k, p.mean(axis=1))
+        # the columns of p, as a model receives a path matrix's
+        assert _same_bits(_row_reduce(p.T, np.multiply), np.multiply.reduce(p, axis=1))
+        assert _same_bits(_row_reduce(p.T, np.add), np.add.reduce(p, axis=1))
+        assert _same_bits(_row_reduce(p.T, np.add) / k, p.mean(axis=1))
         # a shift is subtracted from each term before the reduction
         for ufunc in (np.add, np.multiply):
-            assert _same_bits(_row_reduce(p, ufunc, 0.5), ufunc.reduce(p - 0.5, axis=1))
+            assert _same_bits(_row_reduce(p.T, ufunc, 0.5), ufunc.reduce(p - 0.5, axis=1))
 
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_product_and_path_mean_keep_the_bits_of_numpys_row_reductions(r):
     p = np.random.default_rng(r).random((1000, r + 1))
-    assert make_model("product", r).eval(p).tobytes() == p.prod(axis=1).tobytes()
-    assert make_model("path-mean", r).eval(p).tobytes() == p.mean(axis=1).tobytes()
+    assert make_model("product", r).eval(p.T).tobytes() == p.prod(axis=1).tobytes()
+    assert make_model("path-mean", r).eval(p.T).tobytes() == p.mean(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("n_rows", [5, 20_000])
@@ -256,7 +285,7 @@ def test_toy_magnetization_keeps_the_bits_of_the_block_sums(r, n_rows):
         shared = (p[:, :k] - 0.5).sum(axis=1)
         replica = (p[:, k:] - 0.5).sum(axis=1)
         want = 1.0 / (1.0 + np.exp(-(a * shared + b * replica)))
-        got = make_model("toy-magnetization", r, {"a": a, "b": b}).eval(p)
+        got = make_model("toy-magnetization", r, {"a": a, "b": b}).eval(p.T)
         assert got.tobytes() == want.tobytes()
 
 
