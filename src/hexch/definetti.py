@@ -4,8 +4,10 @@ The constructive direction: given an array on a finite truncation, estimate
 the hierarchy of directing measures by taking empirical measures of sibling
 blocks bottom-up (values at the deepest level, then measures of measures),
 and regenerate a fresh exchangeable array from that hierarchy by drawing
-child measures and finally leaf values through quantile transforms of fresh
-uniforms, every depth's from one fold over the tree as every sampler's are
+child measures and finally leaf values, each as one of its parent's m child
+slots picked by a fresh uniform (the left-continuous quantile of the
+parent's measure, whose weights are multiplicities out of m), every depth's
+uniforms from one fold over the tree as every sampler's are
 (``hexch.fields._level_values``).
 
 A :class:`DirectingHierarchy` stores each nesting level as arrays: a table
@@ -190,10 +192,9 @@ class DirectingHierarchy:
       lexicographic order.
 
     Derived next to them: ``weights[k]``, ``counts[k]`` (each row's atom
-    count) and ``cum[k]`` (cumulative weights, exactly 1.0 at the last atom
-    and inf past it).  An atom met c times weighs ``c/m`` at level 0, and
-    1/m added c times at level k >= 1, as each of the c siblings adds its
-    share in turn (``3 x 0.1 != 0.3``).  All arrays are read-only.
+    count).  An atom met c times weighs ``c/m`` at level 0, and 1/m added
+    c times at level k >= 1, as each of the c siblings adds its share in
+    turn (``3 x 0.1 != 0.3``).  All arrays are read-only.
 
     :func:`extract_hierarchy` is the only way to make one, and calling the
     class raises ``TypeError``: the hierarchy is a function of the array,
@@ -209,7 +210,6 @@ class DirectingHierarchy:
     ids: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...] = field(repr=False)
     counts: tuple[np.ndarray, ...] = field(repr=False)
-    cum: tuple[np.ndarray, ...] = field(repr=False)
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a DirectingHierarchy is made by extract_hierarchy, from an array")
@@ -250,52 +250,11 @@ class DirectingHierarchy:
         return self.measures[i]
 
 
-# Scratch bound for resynthesis's row searches, the level-0 gap planes and
-# the assignment costs, so that a large level costs blocks of rows or row
-# pairs of at most this many bytes, not one (P, q, w) or (rows_a, rows_b,
-# n, n) array; the level-0 planes of a block of rows (16, each (rows,
-# rows_b)) take a sixteenth of it.
+# Scratch bound for the level-0 gap planes and the assignment costs, so
+# that a large level costs blocks of rows or row pairs of at most this many
+# bytes, not one (rows_a, rows_b, n, n) array; the level-0 planes of a
+# block of rows (16, each (rows, rows_b)) take a sixteenth of it.
 _BLOCK_BYTES = 1 << 23
-
-# Widest rows that _search_rows compares with every query at once
-_BROADCAST_WIDTH = 32
-
-# Fewest rows for which _search_rows counts by column passes, not broadcast:
-# the w passes cost about 2 us each however few rows they read, and the
-# broadcast's (rows, q, w) comparisons overtake them at about 40 to 64 rows
-_COLUMN_ROWS = 64
-
-
-def _search_rows(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise ``np.searchsorted(a[i], v[i])`` for ascending rows ``a``
-    ``(P, w)`` of non-NaN entries and queries ``v`` ``(P, q)``.
-
-    Up to ``_BROADCAST_WIDTH`` entries a row, a query counts the entries not
-    ``>=`` it: all of them if it is NaN, as ``searchsorted`` does.  From
-    ``_COLUMN_ROWS`` rows on, the entries ``>=`` a query are counted in one
-    pass over the queries per column of ``a``; fewer rows go in blocks
-    whose ``(rows, q, w)`` comparisons take at most ``_BLOCK_BYTES``, summed
-    along their short last axis.  Wider rows take one ``np.searchsorted``
-    each.
-    """
-    q, w = v.shape[1], a.shape[1]
-    out = np.empty(v.shape, dtype=np.intp)
-    if w > _BROADCAST_WIDTH:
-        for row, queries, counts in zip(a, v, out):
-            counts[:] = row.searchsorted(queries)
-        return out
-    if len(v) >= _COLUMN_ROWS:
-        at_least = np.zeros(v.shape, dtype=np.uint8)
-        ge = np.empty(v.shape, dtype=bool)
-        for column in a.T[:, :, None]:
-            np.greater_equal(column, v, out=ge)
-            at_least += ge.view(np.uint8)
-        return np.subtract(w, at_least, out=out)
-    step = max(1, _BLOCK_BYTES // (q * w))
-    for lo in range(0, len(v), step):
-        rows = slice(lo, lo + step)
-        out[rows] = (~np.greater_equal(a[rows, None, :], v[rows, :, None])).sum(axis=2)
-    return out
 
 
 def _lex_order(keys) -> np.ndarray:
@@ -395,17 +354,12 @@ def _hierarchy(m: int, levels: list) -> DirectingHierarchy:
     """The hierarchy whose level k is ``levels[k]``, the ``(atoms, mult,
     counts, ids)`` of :func:`_level_table`: the one builder of a
     :class:`DirectingHierarchy`.  It derives the weights by the weight rule
-    and the cumulative weights, and makes every array read-only; it checks
-    nothing, since extraction's tables are canonical and consistent."""
+    and makes every array read-only; it checks nothing, since extraction's
+    tables are canonical and consistent."""
     r = len(levels)
-    tables = []
-    for k, (a, c, n, _) in enumerate(levels):
-        w = _weights(c, m, k)
-        s = np.cumsum(w, axis=1)
-        s[np.arange(len(n)), n - 1] = 1.0
-        s[c == 0] = np.inf
-        tables.append([_read_only(x) for x in (a, c, w, n, s)])
-    values = dict(zip(("atoms", "mult", "weights", "counts", "cum"), map(tuple, zip(*tables))))
+    tables = [[_read_only(x) for x in (a, c, _weights(c, m, k), n)]
+              for k, (a, c, n, _) in enumerate(levels)]
+    values = dict(zip(("atoms", "mult", "weights", "counts"), map(tuple, zip(*tables))))
     values.update(r=r, m=m, ids=tuple(_read_only(ids) for *_, ids in reversed(levels)))
     h = object.__new__(DirectingHierarchy)
     for name, value in values.items():
@@ -429,31 +383,46 @@ def _require_hierarchy(caller: str, h) -> None:
         )
 
 
+def _expand(atoms: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Each row's atoms repeated by their counts: ``(rows, n)``, in order.
+    ``atoms`` itself when every row holds n atoms once, which spares the
+    copy (``np.repeat`` peaks at three times its output)."""
+    if atoms.shape[1] == n and counts[:, -1].all():
+        return atoms
+    return np.repeat(atoms.reshape(-1), counts.reshape(-1)).reshape(len(atoms), n)
+
+
 def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarray:
     """Generate a fresh array over ``{1..m2}^r`` from an extracted hierarchy.
 
     Walking down from the root, each fresh vertex draws its child measure
-    from the parent's nested measure by quantile sampling over the atom
-    index, bottoming out with a value quantile draw at the leaves.  All
-    uniforms come from the counter-based field (role "w"), hashed in one
-    fold over the tree (:func:`~hexch.fields._level_values`), so the output
-    is deterministic in ``seed``; each depth's atom picks are one row-batched
-    left search of the uniforms in the parents' cumulative weights.
+    from the parent's nested measure, bottoming out with a value draw at
+    the leaves.  The parent's measure is the empirical measure of its m
+    children, so an atom of multiplicity c weighs c out of m, and drawing
+    it is drawing one of the parent's m child slots uniformly: the uniform
+    u picks slot ``max(ceil(u*m) - 1, 0)``, the left-continuous quantile
+    ``inf{i : C_i >= u*m}`` of the running multiplicities C.  A level's
+    slots are its table rows' atoms repeated by their multiplicities
+    (:func:`_expand`), so each depth's picks are one gather.  All uniforms
+    come from the counter-based field (role "w"), hashed in one fold over
+    the tree (:func:`~hexch.fields._level_values`), so the output is
+    deterministic in ``seed``.
     """
     _require_hierarchy("resynthesize", h)
     r, m2 = _integer(r, "r"), _integer(m2, "m2")
     if h.r != r:
         raise ValueError(f"hierarchy depth {h.r} does not match requested r={r}")
     levels = _level_values(_init_state(seed, "w"), (r,), (m2,))
-    current = h.ids[0]
+    m, current = h.m, h.ids[0]
     for d in range(1, r + 1):
         k = r - d  # the level of the depth d-1 measures
-        u = levels[d].reshape(current.size, m2)
-        # the last atom's cum is 1.0 and u < 1, so no pick passes it
-        pick = _search_rows(h.cum[k][current], u)
-        # the picked atoms, gathered at their flat index in the level table
-        pick += current[:, None] * h.atoms[k].shape[1]
-        current = h.atoms[k].take(pick.reshape(-1))
+        # u <= 1 - 2^-53, so u*m rounds below m and the slot stays in its row
+        slot = np.ceil(levels[d].reshape(current.size, m2) * m).astype(np.intp)
+        slot -= 1
+        np.maximum(slot, 0, out=slot)
+        # the picked slots, gathered at their flat index in the slot table
+        slot += current[:, None] * m
+        current = _expand(h.atoms[k], h.mult[k], m).take(slot.reshape(-1))
     return current
 
 
@@ -589,11 +558,6 @@ def _level_counts(
     if n > _MAX_DENOMINATOR:
         return None
     return n, ca if fa == g else ca * fa // g, cb if fb == g else cb * fb // g
-
-
-def _expand(atoms: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
-    """Each row's atoms repeated by their counts: ``(rows, n)``, in order."""
-    return np.repeat(atoms.reshape(-1), counts.reshape(-1)).reshape(len(atoms), n)
 
 
 def _w1_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:

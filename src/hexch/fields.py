@@ -360,8 +360,10 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     Column i is model(v-path, v^i-path); the shared field uses role "v" and
     replica i the role "v^i".  Shape (m^r, n); a 1-D sequence of K seeds
     gives the K arrays stacked, shape (K, m^r, n), from K*n replica start
-    states and K shared ones hashed in one pass each.  The replica start
-    states are one mix of the K seed words against the n role keys.
+    states and K shared ones hashed in one pass each.  The seeds become
+    words once: the shared start states are their mix with the "v" key, as
+    :func:`_init_state` makes them, and the replica ones their mix against
+    the n role keys.
 
     The model reads 2(r+1) columns of shape (K, replicas) + the leaf grid's
     broadcast shape of each depth: the shared ones (:func:`_path_columns`)
@@ -370,11 +372,12 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     n = _integer(n, "n")
     if model.arity != 2 * (r + 1):
         raise ValueError(f"model arity {model.arity} != 2(r+1) = {2 * (r + 1)}")
-    shared = [c[:, None] for c in _path_columns(_init_state(seed, "v"), (r,), (m,))]
-    k = len(shared[0])
+    words = _seed_words(seed)
+    shared = [c[:, None] for c in _path_columns(_mix(words ^ _U64(_role_key("v"))), (r,), (m,))]
+    k = len(words)
     # start states seed-major: replica i of seed k is row k*n + i - 1
     keys = np.array([_role_key(f"v^{i}") for i in range(1, n + 1)], dtype=_U64)
-    h0 = _mix(_seed_words(seed)[:, None] ^ keys).reshape(-1)
+    h0 = _mix(words[:, None] ^ keys).reshape(-1)
     replicas = [c.reshape((k, n) + c.shape[1:]) for c in _path_columns(h0, (r,), (m,))]
     out = model.eval(shared + replicas).reshape(k, n, m**r).swapaxes(-1, -2)
     return out[0] if _one_seed(seed) else out

@@ -203,12 +203,11 @@ def check_hierarchy(h: DirectingHierarchy, array) -> None:
     its first ``counts`` atoms, 0 past them, and sum to m; its atoms
     strictly ascend, are padded with -1, and are locations in [0,1] at
     level 0 or row ids into the level below above it.  Its weights follow
-    the weight rule (``c/m`` at level 0, 1/m added c times above), and its
-    cumulative weights are their running sum, 1.0 at the last atom and inf
-    past it.  The consistency: each depth r-1 vertex's row is the empirical
-    measure of its m leaf values (-0.0 read as 0.0), and each shallower
-    vertex's row is the sorted table ids of its m children, merged into
-    (id, multiplicity) runs.  The order: each level's rows are distinct and
+    the weight rule (``c/m`` at level 0, 1/m added c times above).  The
+    consistency: each depth r-1 vertex's row is the empirical measure of
+    its m leaf values (-0.0 read as 0.0), and each shallower vertex's row
+    is the sorted table ids of its m children, merged into (id,
+    multiplicity) runs.  The order: each level's rows are distinct and
     ascend in :func:`sort_key` order.
     """
     r, m = h.r, h.m
@@ -216,15 +215,15 @@ def check_hierarchy(h: DirectingHierarchy, array) -> None:
         assert isinstance(size, int) and not isinstance(size, bool) and size >= 1
     x = np.asarray(array, dtype=np.float64).reshape(-1) + 0.0
     assert x.size == m**r
-    for name in ("atoms", "mult", "weights", "counts", "cum", "ids"):
+    for name in ("atoms", "mult", "weights", "counts", "ids"):
         arrays = getattr(h, name)
         assert isinstance(arrays, tuple) and len(arrays) == r, name
         assert not any(a.flags.writeable for a in arrays), name
     keys: list = []  # the sort keys of the rows one level down
     for k in range(r):
-        a, c, w, n, cum = (getattr(h, name)[k] for name in ("atoms", "mult", "weights", "counts", "cum"))
+        a, c, w, n = (getattr(h, name)[k] for name in ("atoms", "mult", "weights", "counts"))
         assert a.dtype == (np.intp if k else np.float64) and c.dtype == np.intp
-        assert a.ndim == 2 and a.size and a.shape == c.shape == w.shape == cum.shape
+        assert a.ndim == 2 and a.size and a.shape == c.shape == w.shape
         assert n.shape == (len(a),)
         rows = []
         for j in range(len(a)):
@@ -240,9 +239,6 @@ def check_hierarchy(h: DirectingHierarchy, array) -> None:
                 assert all(0.0 <= v <= 1.0 for v in atoms)
             weights = [cnt / m if k == 0 else _repeated_sum(cnt, m) for cnt in mult]
             assert w[j, :count].tolist() == weights and (w[j, count:] == 0).all()
-            running = list(itertools.accumulate(weights))
-            running[-1] = 1.0
-            assert cum[j, :count].tolist() == running and np.isinf(cum[j, count:]).all()
             rows.append((k, tuple(zip(atoms, weights))))
         assert all(lo < hi for lo, hi in zip(rows, rows[1:])), f"level {k} rows"
         keys = rows

@@ -19,15 +19,13 @@ from hexch.acceptance import w1_to_uniform
 from hexch.definetti import (
     DirectingHierarchy,
     EmpiricalMeasure,
-    _BROADCAST_WIDTH,
-    _COLUMN_ROWS,
     _assignment_table,
+    _expand,
     _level_counts,
     _lex_order,
     _measure,
     _measure_tables,
     _same_tables,
-    _search_rows,
     _w1_table,
     empirical_measure,
     extract_hierarchy,
@@ -138,6 +136,16 @@ def test_quantile_left_continuous_inverse(monkeypatch):
     assert _draws(monkeypatch, h, [0.5, 0.75, 0.0, 1.0]).tolist() == [0.1, 0.9, 0.1, 0.9]
 
 
+def test_quantile_takes_the_slot_of_u_times_m_at_an_inexact_boundary(monkeypatch):
+    # u = 0.8 picks slot ceil(0.8 * 10) - 1 = 7, as 0.8 * 10 rounds to 8.0,
+    # although 0.1 summed 8 times is 0.7999999999999999 < 0.8, so that a
+    # search of the float running weights would take atom 8
+    atoms = (np.arange(10) + 0.5) / 10
+    h = extract_hierarchy(atoms[::-1], 1, 10)
+    assert np.cumsum(h.weights[0][0])[7] < 0.8
+    assert _draws(monkeypatch, h, [0.8]).tolist() == [atoms[7]]
+
+
 def test_quantile_rejects_nested_measure():
     nested = extract_hierarchy([0.1, 0.1, 0.5, 0.5], 2, 2).root_measure
     assert nested.level == 1
@@ -159,10 +167,10 @@ def test_quantile_grid_reproduces_weights_exactly(monkeypatch):
 
 @pytest.mark.parametrize("u, end", [(1.0 - 2.0**-53, "last"), (0.0, "first")])
 def test_resynthesis_picks_stay_within_each_row(monkeypatch, u, end):
-    # a left search counts the cum entries below u: the last atom's cum is
-    # exactly 1.0 and u <= 1 - 2^-53, the most the field yields, so a pick
-    # never reaches a row's padding, even in rows of fewer atoms than the
-    # table is wide (the tied values give such rows)
+    # u picks slot ceil(u*m) - 1 of its parent's m child slots: u*m < m for
+    # u <= 1 - 2^-53, the most the field yields, so a pick never passes a
+    # row's last atom, even in rows of fewer atoms than the table is wide
+    # (the tied values give such rows)
     r, m2 = 3, 4
     h = extract_hierarchy(np.round(sample_array(make_model("product", r), r, 3, seed=5), 1), r, 3)
     assert any((n < a.shape[1]).any() for a, n in zip(h.atoms, h.counts))
@@ -324,11 +332,10 @@ def test_extraction_passes_the_hierarchy_oracle(x, r, m):
 
 def test_a_row_of_10e5_atoms_sums_exactly():
     # the multiplicities are integers, so a row's sum needs no tolerance:
-    # the running sum of 10^5 weights 1e-5 misses 1 by about 2e-12, and the
-    # last cumulative weight is exactly 1
+    # the running sum of 10^5 weights 1e-5 misses 1 by about 2e-12
     x = np.linspace(0.0, 1.0, 100_000)
     h = extract_hierarchy(x, 1, 100_000)
-    assert (h.mult[0] == 1).all() and h.cum[0][0, -1] == 1.0
+    assert (h.mult[0] == 1).all()
     assert abs(np.cumsum(h.weights[0])[-1] - 1.0) > 1e-12
     check_hierarchy(h, x)
 
@@ -430,6 +437,16 @@ def test_resynthesize_deterministic_and_depth_checked():
         resynthesize(h, 3, 8, seed=1)
 
 
+def test_slot_tables_repeat_each_atom_by_its_multiplicity():
+    # a level without ties is its own slot table, so resynthesis copies none
+    h = extract_hierarchy(make_source("product", 2, 5).sample(4), 2, 5)
+    assert _expand(h.atoms[0], h.mult[0], 5) is h.atoms[0]
+    tied = extract_hierarchy([0.2, 0.7, 0.7, 0.2, 0.2, 0.7, 0.7, 0.2, 0.7], 2, 3)
+    for a, c in zip(tied.atoms, tied.mult):
+        want = [np.repeat(row, count) for row, count in zip(a, c)]
+        assert np.array_equal(_expand(a, c, 3), want)
+
+
 def _reference_resynthesize(h, r, m2, seed):
     # the per-child loop: one field value per TreeVertex and one inverse-CDF
     # atom pick per child, from weights summed afresh
@@ -452,13 +469,15 @@ def _reference_resynthesize(h, r, m2, seed):
     return np.array(current)
 
 
-# m2=70,000 at r=1 hashes one level of 70,000 uniforms and searches rows
-# of one atom each
+# m = 3, 5, 6 and 7, whose weights' running float sums are inexact, and
+# m = 4, whose are exact; m2=70,000 at r=1 hashes one level of 70,000
+# uniforms and picks among 4 slots each
 @pytest.mark.parametrize(
-    "m2, r", [(m2, r) for m2 in (2, 4, 7) for r in (1, 2, 3)] + [(70_000, 1)]
+    "m, m2, r",
+    [(m, m2, r) for m in (3, 4, 5, 6, 7) for m2 in (2, 4, 7) for r in (1, 2, 3)]
+    + [(4, 70_000, 1)],
 )
-def test_resynthesize_matches_per_child_loop(r, m2):
-    m = 4
+def test_resynthesize_matches_per_child_loop(m, r, m2):
     x = sample_array(make_model("product", r), r, m, seed=17 * r + m2)
     x[: m ** r // 2] = np.round(x[: m ** r // 2], 1)  # some tied atoms
     h = extract_hierarchy(x, r, m)
@@ -570,14 +589,15 @@ def test_array_form_bytes_pinned(case):
     assert hashlib.sha256(data).hexdigest() == y_digest
 
 
-# sha256 of a hierarchy's level arrays (atoms, weights, ids, counts, cum, in
-# that order, level by level) and of its resynthesis at m2=16, seed 7,
-# recorded before the level tables were filled by flat scatter: product at
-# r=3 m=16, seed 41, every third sibling row rounded to 1 decimal and every
-# fifth from the second to 2, so that 256 level-0 rows mix tied atoms, tied
-# first atoms and equal rows with rows as drawn
+# sha256 of a hierarchy's level arrays (atoms, weights, ids, counts, mult,
+# in that order, level by level), recorded from hexch 0.9.0, and of its
+# resynthesis at m2=16, seed 7, recorded before the level tables were
+# filled by flat scatter: product at r=3 m=16, seed 41, every third sibling
+# row rounded to 1 decimal and every fifth from the second to 2, so that
+# 256 level-0 rows mix tied atoms, tied first atoms and equal rows with
+# rows as drawn
 MIXED_TIES_DIGESTS = (
-    "4d85c7b4107365be3ac21a01e60be4e92ef8516da1f683685345ec85a97cddfa",
+    "c070901b7b9a46af61d32cf2d388198ccc3889501597da5c0ca9b5e6f056dcf7",
     "414634f6e7680f0ae8307a4cd02f0e2395a01d1a03dd034e9929a56effed8d98",
 )
 
@@ -589,7 +609,7 @@ def test_level_tables_of_mixed_tied_and_untied_rows_keep_their_pinned_bits():
     h = extract_hierarchy(x.reshape(-1), 3, 16)
     assert len(h.atoms[0]) < 256 and (h.weights[0] < 1 / 16 + 1e-12).any()
     digest = hashlib.sha256()
-    for arrays in (h.atoms, h.weights, h.ids, h.counts, h.cum):
+    for arrays in (h.atoms, h.weights, h.ids, h.counts, h.mult):
         for a in arrays:
             digest.update(np.ascontiguousarray(a).tobytes())
     y = resynthesize(h, 3, 16, 7)
@@ -725,81 +745,6 @@ def test_extract_and_resynthesize_check_their_sizes():
             with pytest.raises(ValueError, match=f"^{name} needs a DirectingHierarchy from "
                                f"extract_hierarchy, not a {type(bad).__name__}$"):
                 call(bad)
-
-
-# row widths on each side of _BROADCAST_WIDTH: the broadcast and per-row methods
-_SEARCH_WIDTHS = (7, 40)
-
-
-def test_row_search_matches_searchsorted():
-    assert _SEARCH_WIDTHS[0] <= _BROADCAST_WIDTH < _SEARCH_WIDTHS[1]
-    rng = np.random.default_rng(3)
-    for w in _SEARCH_WIDTHS:
-        a = np.sort(np.round(rng.random((40, w)), 1), axis=1)  # tied entries
-        a[::3, w - 2 :] = np.inf  # padded rows
-        a[1, :2] = [-0.0, 0.0]
-        v = np.round(rng.random((40, 11)), 1)
-        v[0, :5] = [0.0, 1.0, np.inf, -np.inf, np.nan]
-        v[1, :4] = [-0.0, 0.0, np.nan, np.inf]
-        want = np.array([np.searchsorted(row, q) for row, q in zip(a, v)])
-        assert np.array_equal(_search_rows(a, v), want)
-
-
-@pytest.mark.parametrize("n_rows", [1, _COLUMN_ROWS - 1, _COLUMN_ROWS, 256])
-@pytest.mark.parametrize("w", [1, 16, _BROADCAST_WIDTH])
-def test_row_search_matches_searchsorted_on_both_sides_of_the_column_passes(n_rows, w):
-    # fewer than _COLUMN_ROWS rows compare each query with a whole row at
-    # once, more count by column passes: both are searchsorted per row
-    rng = np.random.default_rng([n_rows, w])
-    a = np.sort(np.round(rng.random((n_rows, w)), 1), axis=1)  # tied entries
-    a[::3, w - 1 :] = np.inf  # padded rows
-    v = np.round(rng.random((n_rows, 9)), 1)
-    v[:, :4] = [np.nan, np.inf, -np.inf, 0.0]
-    want = np.array([np.searchsorted(row, q) for row, q in zip(a, v)])
-    assert np.array_equal(_search_rows(a, v), want)
-
-
-@pytest.mark.parametrize("w", [33, 100, 1000])
-def test_wide_row_search_is_searchsorted_per_row(w):
-    # strictly ascending rows, as a hierarchy's are, and queries on their atoms
-    assert w > _BROADCAST_WIDTH
-    rng = np.random.default_rng(w)
-    a = np.sort(rng.choice(np.linspace(0.0, 1.0, 2 * w + 1), size=(12, w), replace=True), axis=1)
-    a = np.array([np.concatenate([np.unique(row), np.full(w - len(np.unique(row)), np.inf)])
-                  for row in a])  # inf-padded where the draw repeated
-    a[0] = np.linspace(0.0, 1.0, w)
-    on_atoms = a[np.arange(12)[:, None], rng.integers(0, w, (12, 25))]
-    v = np.where(rng.random((12, 25)) < 0.5, on_atoms, rng.random((12, 25)))
-    v[0, :6] = [-0.0, 0.0, 1.0, np.inf, -np.inf, np.nan]  # -0.0 meets the 0.0 atom
-    v[1, :3] = [np.inf, np.nan, -np.inf]
-    assert np.isinf(a[1:]).any()
-    want = np.array([np.searchsorted(row, q) for row, q in zip(a, v)])
-    assert np.array_equal(_search_rows(a, v), want)
-
-
-@pytest.mark.parametrize("rows_per_block", [1, 3, 39, 40])
-def test_row_search_in_blocks_has_the_bits_of_one_pass(monkeypatch, rows_per_block):
-    # rows are searched independently, so any blocking of them gives the
-    # result of the single pass over all 40 rows; a block of the broadcast
-    # method holds (rows, q, w) bools, and wider rows are searched one by one
-    rng = np.random.default_rng(5)
-    v = np.round(rng.random((40, 11)), 1)
-    narrow, wide = _SEARCH_WIDTHS
-    for w in (narrow, wide):
-        a = np.sort(np.round(rng.random((40, w)), 1), axis=1)
-        a[::3, w - 2 :] = np.inf
-        whole = _search_rows(a, v)
-        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * narrow * 11)
-        assert np.array_equal(_search_rows(a, v), whole)
-        monkeypatch.undo()
-    # resynthesis searches rows too, under a small bound: at m=9 by
-    # broadcast, at m=40 row by row
-    for m in (9, 40):
-        h = extract_hierarchy(make_source("product", 2, m).sample(2), 2, m)
-        monkeypatch.setattr(hexch.definetti, "_BLOCK_BYTES", rows_per_block * 7 * 11)
-        y = resynthesize(h, 2, 11, seed=6)
-        monkeypatch.undo()
-        assert resynthesize(h, 2, 11, seed=6).tobytes() == y.tobytes()
 
 
 def test_lex_order_is_lexsort_order():
