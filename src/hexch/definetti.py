@@ -32,7 +32,7 @@ It is solved on the same level-table layout, bottom-up, from the level
 arrays alone: a side is a hierarchy or a measure, which records its table
 row and its hierarchy's m.
 The hierarchy stores integer multiplicities, each row's summing to m, and
-derives the float weights from them.  So a level's weights share the
+reads every float weight off them.  So a level's weights share the
 exact denominator n = lcm(m_a, m_b) reduced by the gcd of the counts.
 Each level k >= 1 is an n x n assignment per pair of rows, the n x n
 costs of a level's pairs gathered in one pass, which needs n <= 1024; a
@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -87,17 +87,17 @@ class EmpiricalMeasure:
     :func:`empirical_measure`, and calling the class raises ``TypeError``;
     so each measure has one form, and ``==`` and ``hash`` agree.  Its
     ``atoms`` tuple is built from the row on first read (a nested atom is
-    the view of its row one level down) and kept; ``locations`` and
-    ``weights`` read the row itself.
+    the view of its row one level down) and kept; ``locations`` reads the
+    row itself, and ``weights`` the row's multiplicities by the weight rule.
     """
 
     atoms: tuple[tuple[object, float], ...]
     level: int
     # ``_table_row``, set by _measure, is ``(table, j)``: the measure is row
-    # j of its level's table, ``table`` being ``(atoms, mult, weights,
-    # counts, m, below)``, a DirectingHierarchy's level arrays, its side m
-    # and the views of the level below (None at level 0), shared by the
-    # level's views.  Not a field, so equality, hashing and repr ignore it
+    # j of its level's table, ``table`` being ``(atoms, mult, m, below)``, a
+    # DirectingHierarchy's level arrays, its side m and the views of the
+    # level below (None at level 0), shared by the level's views.  Not a
+    # field, so equality, hashing and repr ignore it
 
     def __init__(self, *args, **kwargs):
         raise TypeError(
@@ -108,12 +108,12 @@ class EmpiricalMeasure:
         # reached only for an attribute the instance lacks: a view's unread atoms
         if name != "atoms":
             raise AttributeError(f"'EmpiricalMeasure' object has no attribute {name!r}")
-        ids, below = self._row(0).tolist(), self._table_row[0][5]
-        pairs = tuple(zip(ids if below is None else [below[i] for i in ids], self._row(2).tolist()))
+        ids, below = self._row(0).tolist(), self._table_row[0][3]
+        pairs = tuple(zip(ids if below is None else [below[i] for i in ids], self.weights.tolist()))
         object.__setattr__(self, "atoms", pairs)
         return pairs
 
-    # The arrays below are read-only views of the row, made on first use
+    # The arrays below are read-only and made from the row on first use
 
     @cached_property
     def locations(self) -> np.ndarray:
@@ -123,12 +123,12 @@ class EmpiricalMeasure:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return self._row(2)
+        return _read_only(_weights(self._row(1), self._table_row[0][2], self.level))
 
     def _row(self, i: int) -> np.ndarray:
-        """The measure's row of ``table[i]`` (atoms or weights), pads dropped."""
+        """The measure's row of ``table[i]`` (atoms or multiplicities), pads dropped."""
         table, j = self._table_row
-        return table[i][self.level][j, : table[3][self.level][j]]
+        return table[i][self.level][j, : np.count_nonzero(table[1][self.level][j])]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -187,14 +187,14 @@ class DirectingHierarchy:
       ids into the level k-1 table, strictly ascending, which is their
       canonical order too.
     - ``mult[k]`` ``(n_k, w_k)``: integers, how many of the m siblings carry
-      each atom, 0 past the atom count; each row sums to m.
+      each atom, 0 past the atom count; each row sums to m, and its atom
+      count is its number of nonzero multiplicities.
     - ``ids[d]`` ``(m^d,)``: the table row of each depth-d vertex, vertices in
       lexicographic order.
 
-    Derived next to them: ``weights[k]``, ``counts[k]`` (each row's atom
-    count).  An atom met c times weighs ``c/m`` at level 0, and 1/m added
-    c times at level k >= 1, as each of the c siblings adds its share in
-    turn (``3 x 0.1 != 0.3``).  All arrays are read-only.
+    All arrays are read-only.  A weight is read off its multiplicity where
+    it is used, by the one weight rule (:func:`_weights`): c out of m weighs
+    ``c/m`` at level 0, and 1/m added c times above (``3 x 0.1 != 0.3``).
 
     :func:`extract_hierarchy` is the only way to make one, and calling the
     class raises ``TypeError``: the hierarchy is a function of the array,
@@ -208,8 +208,6 @@ class DirectingHierarchy:
     atoms: tuple[np.ndarray, ...]
     mult: tuple[np.ndarray, ...]
     ids: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...] = field(repr=False)
-    counts: tuple[np.ndarray, ...] = field(repr=False)
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a DirectingHierarchy is made by extract_hierarchy, from an array")
@@ -228,7 +226,7 @@ class DirectingHierarchy:
         below = None
         views = []
         for k in range(self.r):
-            table = (self.atoms, self.mult, self.weights, self.counts, self.m, below)
+            table = (self.atoms, self.mult, self.m, below)
             below = [_measure(table, k, j) for j in range(len(self.atoms[k]))]
             views.append(below)
         return tuple(views[self.r - 1 - d][i] for d in range(self.r) for i in self.ids[d].tolist())
@@ -275,10 +273,9 @@ def _level_table(rows: np.ndarray):
     (-1, 0), first column first (:func:`_lex_order`).  That is canonical
     order: it compares (atom, weight) pairs in turn and puts a shorter
     prefix first, so ``[a,b,b]`` sorts before ``[a,a,b]``.  Returns the
-    table's padded atoms and multiplicities, each table row's atom count,
-    and each input row's table id.  The padded tables are filled by one
-    flat scatter each, and the sorted rows are compared whole only when two
-    of their first atoms tie.
+    table's padded atoms and multiplicities and each input row's table id.
+    The padded tables are filled by one flat scatter each, and the sorted
+    rows are compared whole only when two of their first atoms tie.
     """
     n_rows, m = rows.shape
     flat = rows.reshape(-1)
@@ -288,7 +285,6 @@ def _level_table(rows: np.ndarray):
     first[::m] = True
     if first.all():  # no ties: every value is an atom of multiplicity 1
         values, mult, width = rows, np.ones(rows.shape, dtype=np.intp), m
-        n_atoms = np.full(n_rows, m, dtype=np.intp)
     else:
         starts = np.flatnonzero(first)
         # every row starts with an atom, so the atoms before row i are the
@@ -304,9 +300,9 @@ def _level_table(rows: np.ndarray):
         mult = np.zeros((n_rows, width), dtype=np.intp)
         mult.reshape(-1)[slots] = np.append(starts[1:], flat.size) - starts
     if n_rows == 1:
-        return values, mult, n_atoms, np.zeros(1, dtype=np.intp)
+        return values, mult, np.zeros(1, dtype=np.intp)
     order = _lex_order([key for j in range(width) for key in (values[:, j], mult[:, j])])
-    values, mult, n_atoms = values[order], mult[order], n_atoms[order]
+    values, mult = values[order], mult[order]
     # a row is new unless it equals the one before; rows are compared whole
     # only when two first atoms tie
     new = np.empty(n_rows, dtype=bool)
@@ -316,7 +312,7 @@ def _level_table(rows: np.ndarray):
         new[1:] = (values[1:] != values[:-1]).any(axis=1) | (mult[1:] != mult[:-1]).any(axis=1)
     ids = np.empty(n_rows, dtype=np.intp)
     ids[order] = np.cumsum(new) - 1
-    return values[new], mult[new], n_atoms[new], ids
+    return values[new], mult[new], ids
 
 
 def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
@@ -352,17 +348,13 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
 
 def _hierarchy(m: int, levels: list) -> DirectingHierarchy:
     """The hierarchy whose level k is ``levels[k]``, the ``(atoms, mult,
-    counts, ids)`` of :func:`_level_table`: the one builder of a
-    :class:`DirectingHierarchy`.  It derives the weights by the weight rule
-    and makes every array read-only; it checks nothing, since extraction's
-    tables are canonical and consistent."""
-    r = len(levels)
-    tables = [[_read_only(x) for x in (a, c, _weights(c, m, k), n)]
-              for k, (a, c, n, _) in enumerate(levels)]
-    values = dict(zip(("atoms", "mult", "weights", "counts"), map(tuple, zip(*tables))))
-    values.update(r=r, m=m, ids=tuple(_read_only(ids) for *_, ids in reversed(levels)))
+    ids)`` of :func:`_level_table`: the one builder of a
+    :class:`DirectingHierarchy`.  It makes every array read-only and
+    derives nothing; it checks nothing, since extraction's tables are
+    canonical and consistent."""
+    atoms, mult, ids = (tuple(map(_read_only, arrays)) for arrays in zip(*levels))
     h = object.__new__(DirectingHierarchy)
-    for name, value in values.items():
+    for name, value in dict(r=len(levels), m=m, atoms=atoms, mult=mult, ids=ids[::-1]).items():
         object.__setattr__(h, name, value)
     return h
 
@@ -480,7 +472,7 @@ def _measure_tables(
     if isinstance(mu, DirectingHierarchy):
         return _row_tables(mu.r - 1, mu.atoms, mu.mult, mu.ids[0][0]), mu.m
     if isinstance(mu, EmpiricalMeasure):
-        (atoms, mult, _, _, m, _), j = mu._table_row
+        (atoms, mult, m, _), j = mu._table_row
         return _row_tables(mu.level, atoms, mult, j), m
     raise ValueError(
         "nested_distance compares a DirectingHierarchy or an EmpiricalMeasure, "
@@ -536,9 +528,10 @@ def _same_tables(tables_a: list, ma: int, tables_b: list, mb: int) -> bool:
 def _table_rows(
     atoms: np.ndarray, mult: np.ndarray, m: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each row of a level-0 table as its locations and weights ``c/m``,
-    pads dropped."""
-    return [(atoms[i, :p], mult[i, :p] / m) for i, p in enumerate((mult > 0).sum(axis=1))]
+    """Each row of a level-0 table as its locations and weights, pads
+    dropped."""
+    return [(atoms[i, :p], _weights(mult[i, :p], m, 0))
+            for i, p in enumerate(np.count_nonzero(mult, axis=1).tolist())]
 
 
 def _level_counts(
@@ -706,14 +699,14 @@ _BLOCK_ATOMS = 1 << 16
 
 def _glue(h: DirectingHierarchy, k: int) -> tuple[list[bytes], np.ndarray]:
     """The text after each atom of the level-k table: ``, w], [``, or
-    ``, w]], "level": k}`` after a row's last atom.  Each distinct weight is
-    formatted once; returns the glue pieces and, per padded atom, its
-    index among them."""
-    w = h.weights[k]
-    uniq, inv = np.unique(w, return_inverse=True)
-    texts = _rows(uniq, repr, ends=np.arange(1, len(uniq) + 1))
-    gid = inv.reshape(w.shape)
-    gid[np.arange(len(w)), h.counts[k] - 1] += len(uniq)
+    ``, w]], "level": k}`` after a row's last atom.  Each multiplicity that
+    occurs is read as its weight (:func:`_weights`) and formatted once;
+    returns the glue pieces and, per padded atom, its index among them."""
+    c = h.mult[k]
+    uniq, inv = np.unique(c, return_inverse=True)
+    texts = _rows(_weights(uniq, h.m, k), repr, ends=np.arange(1, len(uniq) + 1))
+    gid = inv.reshape(c.shape)
+    gid[np.arange(len(c)), np.count_nonzero(c, axis=1) - 1] += len(uniq)
     return [b", %s], [" % t for t in texts] + [b', %s]], "level": %d}' % (t, k) for t in texts], gid
 
 
@@ -721,14 +714,14 @@ def _level0_texts(h: DirectingHierarchy, glue: list[bytes], gid: np.ndarray) -> 
     """The JSON text of each level-0 table row, a block of rows at a time:
     each atom's location (:func:`hexch._text._rows`), then its glue from the
     planes of a 0-padded byte table of ``glue``."""
-    a, w, counts = h.atoms[0], h.weights[0], h.counts[0]
+    a, c = h.atoms[0], h.mult[0]
     table = np.array(glue, dtype=bytes).view(np.uint8).reshape(len(glue), -1).T.copy()
     texts: list[bytes] = []
     step = max(1, _BLOCK_ATOMS // a.shape[1])
     for lo in range(0, len(a), step):
-        present = w[lo : lo + step] > 0
+        present = c[lo : lo + step] > 0
         rows = _rows(a[lo : lo + step][present], repr, after=table[:, gid[lo : lo + step][present]],
-                     ends=np.cumsum(counts[lo : lo + step]))
+                     ends=np.cumsum(np.count_nonzero(present, axis=1)))
         texts.extend(b'{"atoms": [[' + row for row in rows)
     return texts
 
@@ -753,15 +746,15 @@ def hierarchy_json_chunks(h: DirectingHierarchy) -> Iterator[bytes]:
     order, a level-0 atom its location and a nested atom its measure's
     object.
 
-    Written from the level tables, bottom-up: each level-0 row and each
-    level's distinct weights are built once by the CSV writer's row builder
-    (:func:`hexch._text._rows`), a level-0 block of rows at a time; a level
-    k >= 1 row is the pieces of the child rows it points at, glued by its
-    weights.  Every float is ``float.__repr__``'s text, as ``json`` writes
-    it, from the exact shortest-round-trip kernel on [1e-6, 1) and from
-    ``repr`` itself elsewhere.  Keys follow string order (``"1/10"`` before
-    ``"1/2"``), as ``sort_keys`` puts them.  No text is decoded and no
-    :class:`EmpiricalMeasure` is made."""
+    Written from the level tables, bottom-up: each level-0 row and the
+    weight of each multiplicity in a level are built once by the CSV
+    writer's row builder (:func:`hexch._text._rows`), a level-0 block of
+    rows at a time; a level k >= 1 row is the pieces of the child rows it
+    points at, glued by its weights.  Every float is ``float.__repr__``'s
+    text, as ``json`` writes it, from the exact shortest-round-trip kernel
+    on [1e-6, 1) and from ``repr`` itself elsewhere.  Keys follow string
+    order (``"1/10"`` before ``"1/2"``), as ``sort_keys`` puts them.  No text
+    is decoded and no :class:`EmpiricalMeasure` is made."""
     _require_hierarchy("hierarchy_json_chunks", h)
     glues = [_glue(h, k) for k in range(h.r)]
     level0 = _level0_texts(h, *glues[0])
@@ -783,7 +776,7 @@ def _row_pieces(h: DirectingHierarchy, glues: list, level0: list[bytes], k: int,
         yield level0[j]
         return
     glue, gid = glues[k]
-    n = h.counts[k][j]
+    n = np.count_nonzero(h.mult[k][j])
     yield b'{"atoms": [['
     for child, g in zip(h.atoms[k][j, :n].tolist(), gid[j, :n].tolist()):
         yield from _row_pieces(h, glues, level0, k - 1, child)

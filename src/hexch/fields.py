@@ -119,8 +119,10 @@ def _init_state(seed, role: str) -> np.ndarray:
 
 
 def _unit(h: np.ndarray) -> np.ndarray:
-    """Hash states to floats in [0, 1) with 53-bit precision, C-ordered."""
-    return (h >> _S11).astype(np.float64, order="C") * 2.0**-53
+    """Hash states to floats in [0, 1) with 53-bit precision, C-ordered: the
+    states, the caller's own, are shifted in place and converted once."""
+    h >>= _S11
+    return np.multiply(h, 2.0**-53, out=np.empty(h.shape))
 
 
 def _hash_words(h0: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -196,9 +198,10 @@ def _level_values(h0: np.ndarray, depths, shape) -> list[np.ndarray]:
     of the trees before it.  The r + 1 depth words are mixed in at once;
     the states, (depths not yet finished, N, vertices, K), then take each
     coordinate word in one mix for all those depths, and depth d is done
-    after step d.  K is the fastest axis, so each pass runs along it.
+    after step d.  K is the fastest axis, so each pass runs along it.  Every
+    state, ``h0``'s too, is a fresh array, which :func:`_unit` shifts.
     """
-    states = [h0[None, :]]
+    states = [h0[None, :].copy()]
     for r_i, m_i in zip(depths, shape):
         ends = list(itertools.accumulate(map(len, states)))
         h = np.concatenate(states)
@@ -314,7 +317,10 @@ class SigmaModel:
         # a NaN, like a value outside [-1e-9, 1 + 1e-9], fails a comparison
         if out.size and not (out.min() >= -1e-9 and out.max() <= 1.0 + 1e-9):
             raise ValueError(f"model {self.name!r} produced values outside [0,1]")
-        return np.clip(full, 0.0, 1.0)
+        # the model's own full-size output is clipped in place, any other copied
+        own = out is full and out.flags.writeable
+        own = own and not any(np.may_share_memory(out, c) for c in columns)
+        return np.clip(full, 0.0, 1.0, out=full if own else None)
 
 
 def path_matrix(seed, role: str, depths, shape) -> np.ndarray:
@@ -335,22 +341,23 @@ def path_matrix(seed, role: str, depths, shape) -> np.ndarray:
     return paths[0] if _one_seed(seed) else paths
 
 
-def sample_array(model: SigmaModel, depths, shape, seed, role: str = "v") -> np.ndarray:
+def sample_array(model: SigmaModel, depths, shape, seed) -> np.ndarray:
     """Array over the truncation leaves, X = model(path values).
 
-    ``depths`` and ``shape`` are as in :func:`path_matrix`.  Entries are
-    indexed lexicographically; with a fixed seed the result is identical
-    across runs, and the array over {1..m}^r is entry-for-entry a sub-array
-    of the one over any larger {1..m'}^r.  A 1-D sequence of K seeds gives
-    the K arrays stacked, shape (K, leaves), from one model call on the
-    columns of :func:`_path_columns`, its result broadcast to the leaf grid.
+    ``depths`` and ``shape`` are as in :func:`path_matrix`; the field's role
+    is "v".  Entries are indexed lexicographically; with a fixed seed the
+    result is identical across runs, and the array over {1..m}^r is
+    entry-for-entry a sub-array of the one over any larger {1..m'}^r.  A
+    1-D sequence of K seeds gives the K arrays stacked, shape (K, leaves),
+    from one model call on the columns of :func:`_path_columns`, its result
+    broadcast to the leaf grid.
     """
     depths_t, shape_t = _as_tuples(depths, shape)
     # r + 1 values on one leaf's path, prod (r_i + 1) in a product
     size = prod(r_i + 1 for r_i in depths_t)
     if model.arity != size:
         raise ValueError(f"model arity {model.arity} != path size {size}")
-    out = model.eval(_path_columns(_init_state(seed, role), depths_t, shape_t))
+    out = model.eval(_path_columns(_init_state(seed, "v"), depths_t, shape_t))
     return out.reshape(-1) if _one_seed(seed) else out.reshape(len(out), -1)
 
 

@@ -166,7 +166,7 @@ def hexch_test(
     of ``n_reps`` independent replicates are compared: arrays as generated
     versus arrays with a freshly drawn structure-preserving permutation
     applied to each replicate.  Each sample is one ``source`` call, split
-    into chunks only where its raw buffer would pass ``DEFAULT_CELL_CAP``;
+    into chunks only where its cells would pass ``DEFAULT_CELL_CAP``;
     the maps of a chunk are one :func:`~hexch.hperm.random_leaf_indices`
     call.  Only the coordinates the statistic reads (:func:`kept_dimension`)
     are gathered: with replicas, kept flat coordinate j of a permuted
@@ -186,9 +186,8 @@ def hexch_test(
     shape, form = ((m**r,), "(K, m^r)") if n is None else ((m**r, n), "(K, m^r, n)")
     dim = m**r * (1 if n is None else n)
     keep = _marginal_indices(dim, r, m, n, seed)
-    # replicates per source call: their raw buffer (replicates x cells x path
-    # columns, twice the columns with replicas) stays within the cell cap
-    chunk = max(1, DEFAULT_CELL_CAP // (dim * (r + 1) * (1 if n is None else 2)))
+    # replicates per source call: their cells stay within the cell cap
+    chunk = max(1, DEFAULT_CELL_CAP // dim)
 
     seeds = {role: derive_seeds(seed, role, n_reps) for role in ("rep-a", "rep-b", "perm", "rho")}
     if n is not None:

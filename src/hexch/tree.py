@@ -175,27 +175,27 @@ def _number(value, name: str) -> float:
     return x
 
 
-def _depth_vertices(r: int, m: int, internal: bool, cap: int) -> list[TreeVertex]:
+def _depth_vertices(r: int, m: int, internal: bool) -> list[TreeVertex]:
     """Vertices of depth < r (``internal``) or of depth r of the ``{1..m}^r``
     truncation, by depth then lexicographically; raises if there are more
-    than ``cap``."""
+    than ``DEFAULT_CELL_CAP``."""
     r, m = _integer(r, "r"), _integer(m, "m")
     depths = range(r) if internal else (r,)
     n_cells = sum(m**d for d in depths)
-    if n_cells > cap:
-        raise ValueError(f"truncation has {n_cells} cells, exceeding the cap of {cap}")
+    if n_cells > DEFAULT_CELL_CAP:
+        raise ValueError(f"truncation has {n_cells} cells, exceeding the cap of {DEFAULT_CELL_CAP}")
     rng = range(1, m + 1)
     return [TreeVertex(c, r) for d in depths for c in itertools.product(rng, repeat=d)]
 
 
-def leaves(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
+def leaves(r: int, m: int) -> list[TreeVertex]:
     """All m^r leaves of the ``{1..m}^r`` truncation in lexicographic order."""
-    return _depth_vertices(r, m, False, cap)
+    return _depth_vertices(r, m, False)
 
 
-def internal_vertices(r: int, m: int, cap: int = DEFAULT_CELL_CAP) -> list[TreeVertex]:
+def internal_vertices(r: int, m: int) -> list[TreeVertex]:
     """Vertices of depth < r of the truncation (the ones that carry children)."""
-    return _depth_vertices(r, m, True, cap)
+    return _depth_vertices(r, m, True)
 
 
 def encode_vertex(v: TreeVertex) -> str:

@@ -46,15 +46,16 @@ def reference_measures(h: DirectingHierarchy) -> tuple[EmpiricalMeasure, ...]:
     :func:`~hexch.tree.internal_vertices` order, built eagerly from the
     level arrays as :func:`plain_measure` objects, deepest level first: one
     object per table row, shared by the vertices on it, a nested atom being
-    the object of its row one level down."""
+    the object of its row one level down, its weights those of
+    :func:`reference_weights`."""
     tables: list[list[EmpiricalMeasure]] = []
     for k in range(h.r):
         present = h.mult[k] > 0
         atoms = h.atoms[k][present].tolist()
         if k:
             atoms = [tables[-1][i] for i in atoms]
-        pairs = list(zip(atoms, h.weights[k][present].tolist()))
-        ends = np.cumsum(h.counts[k]).tolist()
+        pairs = list(zip(atoms, reference_weights(h.mult[k], h.m, k)[present].tolist()))
+        ends = np.cumsum(present.sum(axis=1)).tolist()
         tables.append([plain_measure(tuple(pairs[lo:hi]), k)
                        for lo, hi in zip([0] + ends[:-1], ends)])
     return tuple(tables[h.r - 1 - d][i] for d in range(h.r) for i in h.ids[d].tolist())
@@ -192,6 +193,15 @@ def _repeated_sum(c: int, m: int) -> float:
     return w
 
 
+def reference_weights(mult: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The float weights of a level-k table of multiplicities c out of m,
+    by the weight rule stated here: ``c/m`` at level 0, and 1/m added c
+    times above (:func:`_repeated_sum`), 0 on the pads."""
+    if k == 0:
+        return mult / m
+    return np.array([[_repeated_sum(c, m) for c in row] for row in mult.tolist()])
+
+
 def check_hierarchy(h: DirectingHierarchy, array) -> None:
     """Assert that ``h`` is the directing hierarchy of ``array``, vertex by
     vertex and row by row.
@@ -200,10 +210,12 @@ def check_hierarchy(h: DirectingHierarchy, array) -> None:
     and integer multiplicities of one shape, and each depth d one id row of
     m^d ids into its level's table, every row carried by some vertex; every
     array is read-only.  Each table row: its multiplicities are positive on
-    its first ``counts`` atoms, 0 past them, and sum to m; its atoms
-    strictly ascend, are padded with -1, and are locations in [0,1] at
-    level 0 or row ids into the level below above it.  Its weights follow
-    the weight rule (``c/m`` at level 0, 1/m added c times above).  The
+    its first atoms, 0 past them, and sum to m; its atoms strictly ascend,
+    are padded with -1, and are locations in [0,1] at level 0 or row ids
+    into the level below above it.  The read-only ``weights`` of the row's
+    view in :attr:`~DirectingHierarchy.measures` follow the weight rule
+    (``c/m`` at level 0, 1/m added c times above), checked against this
+    oracle's own sums, not against hexch's weight rule.  The
     consistency: each depth r-1 vertex's row is the empirical measure of
     its m leaf values (-0.0 read as 0.0), and each shallower vertex's row
     is the sorted table ids of its m children, merged into (id,
@@ -215,19 +227,24 @@ def check_hierarchy(h: DirectingHierarchy, array) -> None:
         assert isinstance(size, int) and not isinstance(size, bool) and size >= 1
     x = np.asarray(array, dtype=np.float64).reshape(-1) + 0.0
     assert x.size == m**r
-    for name in ("atoms", "mult", "weights", "counts", "ids"):
+    for name in ("atoms", "mult", "ids"):
         arrays = getattr(h, name)
         assert isinstance(arrays, tuple) and len(arrays) == r, name
         assert not any(a.flags.writeable for a in arrays), name
+    # the view of each table row, from the first vertex that carries it
+    views: list[dict] = [{} for _ in range(r)]
+    vertices = iter(h.measures)
+    for d in range(r):
+        for j in h.ids[d].tolist():
+            views[r - 1 - d].setdefault(j, next(vertices))
     keys: list = []  # the sort keys of the rows one level down
     for k in range(r):
-        a, c, w, n = (getattr(h, name)[k] for name in ("atoms", "mult", "weights", "counts"))
+        a, c = h.atoms[k], h.mult[k]
         assert a.dtype == (np.intp if k else np.float64) and c.dtype == np.intp
-        assert a.ndim == 2 and a.size and a.shape == c.shape == w.shape
-        assert n.shape == (len(a),)
+        assert a.ndim == 2 and a.size and a.shape == c.shape
         rows = []
         for j in range(len(a)):
-            count = int(n[j])
+            count = int((c[j] > 0).sum())
             atoms, mult = a[j, :count].tolist(), c[j, :count].tolist()
             assert count >= 1 and min(mult) > 0 and sum(mult) == m
             assert (c[j, count:] == 0).all() and (a[j, count:] == -1).all()
@@ -238,7 +255,8 @@ def check_hierarchy(h: DirectingHierarchy, array) -> None:
             else:
                 assert all(0.0 <= v <= 1.0 for v in atoms)
             weights = [cnt / m if k == 0 else _repeated_sum(cnt, m) for cnt in mult]
-            assert w[j, :count].tolist() == weights and (w[j, count:] == 0).all()
+            w = views[k][j].weights
+            assert w.tolist() == weights and not w.flags.writeable
             rows.append((k, tuple(zip(atoms, weights))))
         assert all(lo < hi for lo, hi in zip(rows, rows[1:])), f"level {k} rows"
         keys = rows
@@ -249,7 +267,7 @@ def check_hierarchy(h: DirectingHierarchy, array) -> None:
         assert set(ids.tolist()) == set(range(len(h.atoms[k]))), f"depth {d} ids"
         for i, j in enumerate(ids.tolist()):
             atoms, mult = np.unique(children[i], return_counts=True)
-            count = h.counts[k][j]
+            count = len(atoms)
             # bytes, so that a -0.0 atom differs from 0.0
             assert h.atoms[k][j, :count].tobytes() == atoms.astype(h.atoms[k].dtype).tobytes()
             assert h.mult[k][j, :count].tolist() == mult.tolist(), f"depth {d} vertex {i}"

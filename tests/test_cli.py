@@ -489,18 +489,18 @@ def test_array_to_csv_accepts_numpy_integers():
 
 # sha256 of the emitted files, recorded while the keys still came from
 # TreeVertex objects; manifest.json pins the per-file bytes and sha256 too.
-# The manifest digests are those of hexch 0.10.0: each is the 0.9.0
+# The manifest digests are those of hexch 0.11.0: each is the 0.10.0
 # manifest's with its "version" string changed, and nothing else
 OUTPUT_DIGESTS = {
     "single tree m=11": (
         {"scenario": "path-mean", "r": 2, "m": 11, "seed": 3},
         {"array.csv": "73e88362e7366fa85f45101081bb869b87a611b437ee1aeb3d1e576707efb0ce",
-         "manifest.json": "2ee6157a2683a6a77e7e9e8b81bf45cec86f19f46b0d00fcfca91a1b52ea045f"},
+         "manifest.json": "e4027b489fb4616f6f1fe0918bf2ea3acac53c6222a798517085685d446de8d7"},
     ),
     "replica n=2": (
         {"scenario": "toy-magnetization", "r": 2, "m": 10, "n": 2, "seed": 5},
         {"array.csv": "9ebc695b505949f358fe89db6bcc25eae384c7c3795ba9a5267fc31bee75e3de",
-         "manifest.json": "34bb427383542320cad3ffe89453a21a320bb015ee74f1cca9c4316e47b71397"},
+         "manifest.json": "9794b61351dd69b95b0e8df0af15e3d1d2719f245c4bc1a61988ca500b6fdad2"},
     ),
     "hierarchy m=12": (
         {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
@@ -508,7 +508,7 @@ OUTPUT_DIGESTS = {
         {"array.csv": "a66527ccd16f01f139065684b96bbbeb2fa0c7a68dbbe5f804a75a3543bc2b34",
          "hierarchy.json": "57df73276545bb5272e46c925ca8a5403a9a23c8b61d2c555b91a3cad2dc8d65",
          "resynthesized.csv": "d152d22780939aef78224cbbae20b3a8c0f4b10ba8a25c94c02221c728e67ebc",
-         "manifest.json": "488df5200748af97e12a2340e8e0179cf4f76dc4b8bf256f4de9f67549c1b1f8"},
+         "manifest.json": "89511addc806961cd5d49b498445760b2e4c8a776fd85d8406b334fd4330a86f"},
     ),
 }
 

@@ -204,7 +204,7 @@ def test_shortest_kernel_on_log_uniform_and_binary_exponents():
 
 def test_shortest_kernel_on_the_pipeline_atoms():
     h = extract_hierarchy(make_source("product", 2, 128).sample(0), 2, 128)
-    _assert_repr(h.atoms[0][h.weights[0] > 0])
+    _assert_repr(h.atoms[0][h.mult[0] > 0])
 
 
 def test_powers_of_two_fall_back_and_their_neighbours_do_not():
@@ -266,7 +266,7 @@ def test_level0_blocks_with_kernel_and_fallback_atoms_mixed():
     x[2::19] = _decimals(rng, 3, x[2::19].size)
     x[3::23] = 1e-6
     h = extract_hierarchy(x, r, m)
-    a = h.atoms[0][h.weights[0] > 0]
+    a = h.atoms[0][h.mult[0] > 0]
     # the table's rows fill more than one block, and both paths write atoms
     assert a.size > _BLOCK_ATOMS
     ok = _shortest_digits(a)[2]

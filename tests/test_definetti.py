@@ -48,6 +48,7 @@ from reference import (
     plain_measure,
     reference_empirical_measure,
     reference_measures,
+    reference_weights,
     sort_key,
 )
 
@@ -142,7 +143,7 @@ def test_quantile_takes_the_slot_of_u_times_m_at_an_inexact_boundary(monkeypatch
     # search of the float running weights would take atom 8
     atoms = (np.arange(10) + 0.5) / 10
     h = extract_hierarchy(atoms[::-1], 1, 10)
-    assert np.cumsum(h.weights[0][0])[7] < 0.8
+    assert np.cumsum(h.root_measure.weights)[7] < 0.8
     assert _draws(monkeypatch, h, [0.8]).tolist() == [atoms[7]]
 
 
@@ -173,13 +174,13 @@ def test_resynthesis_picks_stay_within_each_row(monkeypatch, u, end):
     # (the tied values give such rows)
     r, m2 = 3, 4
     h = extract_hierarchy(np.round(sample_array(make_model("product", r), r, 3, seed=5), 1), r, 3)
-    assert any((n < a.shape[1]).any() for a, n in zip(h.atoms, h.counts))
+    assert any((c == 0).any() for c in h.mult)
     levels = [np.full((1, m2**d), u) for d in range(r + 1)]
     monkeypatch.setattr(hexch.definetti, "_level_values", lambda h0, depths, shape: levels)
     # each pick is its parent row's first or last atom, root to leaf
     row = int(h.ids[0][0])
     for k in reversed(range(r)):
-        row = h.atoms[k][row, h.counts[k][row] - 1 if end == "last" else 0]
+        row = h.atoms[k][row, np.count_nonzero(h.mult[k][row]) - 1 if end == "last" else 0]
     assert resynthesize(h, r, m2, seed=0).tolist() == [row] * m2**r
 
 
@@ -336,7 +337,7 @@ def test_a_row_of_10e5_atoms_sums_exactly():
     x = np.linspace(0.0, 1.0, 100_000)
     h = extract_hierarchy(x, 1, 100_000)
     assert (h.mult[0] == 1).all()
-    assert abs(np.cumsum(h.weights[0])[-1] - 1.0) > 1e-12
+    assert abs(np.cumsum(h.root_measure.weights)[-1] - 1.0) > 1e-12
     check_hierarchy(h, x)
 
 
@@ -349,10 +350,17 @@ def test_a_hierarchy_is_made_only_by_extraction():
             DirectingHierarchy(*args)
 
 
+def test_a_hierarchy_stores_only_its_level_tables():
+    # atoms, multiplicities and vertex ids give every level; a weight or an
+    # atom count is read from the multiplicities where it is used
+    names = [f.name for f in dataclasses.fields(DirectingHierarchy)]
+    assert names == ["r", "m", "atoms", "mult", "ids"]
+
+
 def test_hierarchy_accepts_the_internal_vertex_layout():
     x = sample_array(make_model("product", 3), 3, 3, seed=12)
     h = extract_hierarchy(x, 3, 3)
-    check_hierarchy(h, x)  # id rows of 1, 3 and 9 vertices, read-only tuples, the CDFs
+    check_hierarchy(h, x)  # id rows of 1, 3 and 9 vertices, read-only tuples, the weights
     assert [mu.level for mu in h.measures] == [2] + [1] * 3 + [0] * 9
     assert h.root_measure is h.measures[0]
     # the vertices on one table row share its measure object
@@ -589,15 +597,15 @@ def test_array_form_bytes_pinned(case):
     assert hashlib.sha256(data).hexdigest() == y_digest
 
 
-# sha256 of a hierarchy's level arrays (atoms, weights, ids, counts, mult,
-# in that order, level by level), recorded from hexch 0.9.0, and of its
+# sha256 of a hierarchy's level arrays (atoms, ids, mult, in that order,
+# level by level), recorded from hexch 0.10.0, and of its
 # resynthesis at m2=16, seed 7, recorded before the level tables were
 # filled by flat scatter: product at r=3 m=16, seed 41, every third sibling
 # row rounded to 1 decimal and every fifth from the second to 2, so that
 # 256 level-0 rows mix tied atoms, tied first atoms and equal rows with
 # rows as drawn
 MIXED_TIES_DIGESTS = (
-    "c070901b7b9a46af61d32cf2d388198ccc3889501597da5c0ca9b5e6f056dcf7",
+    "bd4e5843f9157cd88fcda9e22eff8cadf62f2813f1f08954837c25a4fd157105",
     "414634f6e7680f0ae8307a4cd02f0e2395a01d1a03dd034e9929a56effed8d98",
 )
 
@@ -607,9 +615,9 @@ def test_level_tables_of_mixed_tied_and_untied_rows_keep_their_pinned_bits():
     x[::3] = np.round(x[::3], 1)
     x[1::5] = np.round(x[1::5], 2)
     h = extract_hierarchy(x.reshape(-1), 3, 16)
-    assert len(h.atoms[0]) < 256 and (h.weights[0] < 1 / 16 + 1e-12).any()
+    assert len(h.atoms[0]) < 256 and (h.mult[0] <= 1).any()
     digest = hashlib.sha256()
-    for arrays in (h.atoms, h.weights, h.ids, h.counts, h.mult):
+    for arrays in (h.atoms, h.ids, h.mult):
         for a in arrays:
             digest.update(np.ascontiguousarray(a).tobytes())
     y = resynthesize(h, 3, 16, 7)
@@ -1160,10 +1168,11 @@ def _level_tables(ha, hb):
 ])
 def test_extracted_hierarchies_take_their_denominators_from_m(r, m, m2, ties):
     # lcm(m, m2) reduced by the gcd of the multiplicities is the smallest
-    # common denominator that a search over the derived float weights
-    # finds, with the same counts, and neither finds one past 1024
+    # common denominator that a search over the float weights finds, with
+    # the same counts, and neither finds one past 1024
     ha, hb = _hierarchies(r, m, m2, ties)
-    for ca, cb, wa, wb in zip(ha.mult, hb.mult, ha.weights, hb.weights):
+    for k, (ca, cb) in enumerate(zip(ha.mult, hb.mult)):
+        wa, wb = reference_weights(ca, m, k), reference_weights(cb, m2, k)
         got, want = _level_counts(ca, cb, m, m2), _common_counts(wa, wb)
         if want is None:
             assert got is None
@@ -1242,7 +1251,8 @@ def test_hierarchy_measures_are_plain_measures():
 def test_measures_are_row_views_of_the_eager_measures(r, m, m2, ties):
     # a view builds its atoms from its table row on first read, to the
     # measure that the eager per-row loop builds object by object; its
-    # weights and locations are its row of the level arrays, bit for bit
+    # locations are its row of the level arrays and its weights are read
+    # from the row's multiplicities, bit for bit
     for h in _hierarchies(r, m, m2, ties):
         views, want = h.measures, reference_measures(h)
         assert not any("atoms" in vars(mu) for mu in views)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,44 @@ def test_sigma_model_reads_columns_that_broadcast_together():
     wide = SigmaModel("wide", 1, lambda p: np.stack([p[0], p[0]]))
     with pytest.raises(ValueError, match=r"^model 'wide' returned shape \(2, 5\)$"):
         wide.eval(p[:, :1].T)
+
+
+def test_sigma_model_copies_a_result_that_is_a_column():
+    # uniform-leaf returns its leaf column itself, so the clip copies it: the
+    # result shares no memory with the column, and the column keeps its
+    # bits, even where the clip moves a value within the tolerance
+    model = make_model("uniform-leaf", 1)
+    rng = np.random.default_rng(4)
+    columns = [rng.random((1, 1)), rng.random((1, 6))]
+    columns[-1][0, 2] = 1.0 + 1e-10
+    leaf_column = columns[-1].copy()
+    got = model.eval(columns)
+    assert not np.may_share_memory(got, columns[-1])
+    assert columns[-1].tobytes() == leaf_column.tobytes()
+    assert got[0, 2] == 1.0 and got.tobytes() == np.clip(leaf_column, 0.0, 1.0).tobytes()
+
+
+def test_level_values_of_no_tree_leave_the_start_states_alone():
+    # the one depth tuple of no tree is the start states themselves, which
+    # are shifted to floats in a copy
+    h0 = _init_state([5, 2**64 - 1], "v")
+    before = h0.copy()
+    (got,) = _level_values(h0, (), ())
+    assert h0.tobytes() == before.tobytes()
+    assert got.tobytes() == ((before >> np.uint64(11)) * 2.0**-53)[:, None].tobytes()
+
+
+def test_level_values_hold_two_output_sizes():
+    # each depth's states are shifted in place and converted once, so the
+    # peak is the deepest states and their floats, not a third copy
+    tracemalloc.start()
+    try:
+        levels = _level_values(_init_state(0, "v"), (2,), (500,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in levels)
+    assert peak <= 2 * size + 2**17, (peak, size)
 
 
 # -- product trees ------------------------------------------------------------

@@ -173,8 +173,8 @@ def test_hexch_chunked_matches_unchunked(monkeypatch, name, r, m, n, seed):
     monkeypatch.setattr(hexch.hperm, "random_hperm", no_tables)
     whole = hexch_test(counted, r, m, n=n, n_reps=20, n_resamples=49, seed=seed)
     assert (calls, map_calls) == ([20, 20], [20])
-    # room for 6 replicates' raw buffer: chunks of 6, 6, 6 and 2 per sample
-    per_rep = m**r * (n or 1) * (r + 1) * (1 if n is None else 2)
+    # room for 6 replicates' cells: chunks of 6, 6, 6 and 2 per sample
+    per_rep = m**r * (n or 1)
     monkeypatch.setattr(hexch.stattests, "DEFAULT_CELL_CAP", 6 * per_rep + 1)
     calls.clear()
     map_calls.clear()

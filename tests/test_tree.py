@@ -116,8 +116,8 @@ def test_leaves_count():
 
 
 def test_leaves_cap_guard():
-    with pytest.raises(ValueError):
-        leaves(10, 100, cap=10_000)
+    with pytest.raises(ValueError, match="exceeding the cap of 1000000$"):
+        leaves(10, 100)
 
 
 def test_vertex_validation():
