@@ -20,7 +20,7 @@ import numpy as np
 
 from .definetti import extract_hierarchy, nested_distance, resynthesize
 from .fields import UniformField, derive_seed, derive_seeds, sample_array
-from .hperm import identity_hperm, random_hperm, verify_wedge_preservation
+from .hperm import random_leaf_indices
 from .scenarios import make_model, make_source
 from .stattests import (
     _energy_permutation_pvalue,
@@ -28,7 +28,7 @@ from .stattests import (
     conditional_iid_test,
     hexch_test,
 )
-from .tree import TreeVertex, leaves, root
+from .tree import TreeVertex, root, wedge_matrix
 
 __all__ = ["CriterionResult", "run_suite", "SUITES", "CRITERIA"]
 
@@ -66,17 +66,21 @@ def _timed(criterion, name, fn) -> CriterionResult:
     return CriterionResult(criterion, name, passed, details, time.time() - t0)
 
 
+def _keeps_wedges(coords: np.ndarray, maps) -> np.ndarray:
+    """Whether each map ``p`` in ``maps``, which sends leaf a (row a of
+    ``coords``) to leaf ``p[a]``, keeps every pairwise wedge.  Only a leaf
+    has wedge r + 1 with itself, so a map that does is one to one."""
+    wedges = wedge_matrix(coords)
+    return np.array([np.array_equal(wedge_matrix(coords[p]), wedges) for p in maps])
+
+
 def criterion_wedge_preservation() -> CriterionResult:
     def run():
         r, m, n_perms = 3, 4, 1000
-        lv = leaves(r, m)
-        good = sum(
-            verify_wedge_preservation(
-                random_hperm(r, m, derive_seed(_SEED, "wedge", k)), lv
-            )
-            for k in range(n_perms)
-        )
-        n_pairs = len(lv) * (len(lv) - 1) // 2
+        coords = np.indices((m,) * r).reshape(r, -1).T + 1  # leaves in order
+        maps = random_leaf_indices(r, m, derive_seeds(_SEED, "wedge", n_perms))
+        good = int(np.count_nonzero(_keeps_wedges(coords, maps)))
+        n_pairs = len(coords) * (len(coords) - 1) // 2
         return good == n_perms, (
             f"{good}/{n_perms} random table maps preserve all {n_pairs} leaf-pair "
             f"wedges on {{1..{m}}}^{r}"
@@ -87,23 +91,23 @@ def criterion_wedge_preservation() -> CriterionResult:
 
 def criterion_group_laws() -> CriterionResult:
     def run():
-        r, m = 3, 4
-        lv = leaves(r, m)
-        ident = identity_hperm(r)
-        rng = np.random.Generator(np.random.PCG64(derive_seed(_SEED, "group")))
-        for k in range(100):
-            p = random_hperm(r, m, derive_seed(_SEED, "group-p", k))
-            q = random_hperm(r, m, derive_seed(_SEED, "group-q", k))
-            v = lv[rng.integers(len(lv))]
-            if p.compose(q).apply(v) != p.apply(q.apply(v)):
+        r, m, n = 3, 4, 100
+        coords = np.indices((m,) * r).reshape(r, -1).T + 1  # leaves in order
+        ident = np.arange(len(coords))
+        ps = random_leaf_indices(r, m, derive_seeds(_SEED, "group-p", n))
+        qs = random_leaf_indices(r, m, derive_seeds(_SEED, "group-q", n))
+        for k, (p, q) in enumerate(zip(ps, qs)):
+            inv = np.argsort(p)
+            composed, inverted = _keeps_wedges(coords, [p[q], inv])
+            if not composed:
                 return False, f"composition broke at triple {k}"
-            if p.invert().apply(p.apply(v)) != v:
+            if not inverted or not np.array_equal(inv[p], ident):
                 return False, f"inverse round trip broke at triple {k}"
-            if p.compose(ident) != p or ident.compose(p) != p:
+            if not (np.array_equal(p[ident], p) and np.array_equal(ident[p], p)):
                 return False, f"identity law broke at triple {k}"
-            if not p.compose(p.invert()).is_identity():
+            if not np.array_equal(p[inv], ident):
                 return False, f"p o p^-1 not identity at triple {k}"
-        return True, "compose/invert/apply identities exact on 100 random triples"
+        return True, f"compose/invert/apply identities exact on {n} random triples"
 
     return _timed(2, "group laws", run)
 

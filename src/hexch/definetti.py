@@ -408,8 +408,13 @@ def resynthesize(h: DirectingHierarchy, r: int, m2: int, seed: int) -> np.ndarra
     m, current = h.m, h.ids[0]
     for d in range(1, r + 1):
         k = r - d  # the level of the depth d-1 measures
-        # u <= 1 - 2^-53, so u*m rounds below m and the slot stays in its row
-        slot = np.ceil(levels[d].reshape(current.size, m2) * m).astype(np.intp)
+        # u <= 1 - 2^-53, so u*m rounds below m and the slot stays in its row;
+        # u is rounded in place and dropped, so the gather holds only the slots
+        u = levels[d].reshape(current.size, m2)
+        levels[d] = None
+        u *= m
+        slot = np.ceil(u, out=u).astype(np.intp)
+        del u
         slot -= 1
         np.maximum(slot, 0, out=slot)
         # the picked slots, gathered at their flat index in the slot table

@@ -336,27 +336,27 @@ def _shuffle_pvalue(x: np.ndarray, observed: float, n_resamples: int, seed: int,
     (seed role "shuffle").  Callers pass only the parent rows their
     statistic reads.
 
-    Each draw ``z`` is ``permuted(x, axis=1, out=...)`` into the next slot
-    of one reused block of draws, which consumes the PCG64 stream exactly as
-    a fresh ``permuted`` call per resample does.  A block holds
-    ``_SHUFFLE_BLOCK_BYTES // x.nbytes`` draws (at least one): the
-    scorers read views of the draws and allocate per draw only a few
-    floats, or one per pair of a gap.  ``fast(block)`` scores a whole block
-    at once from moments the shuffle leaves unchanged: it returns each
-    draw's fast value and a band that bounds the distance between that
-    value and ``exact(z)`` (infinite where the fast form is undefined).  A
-    draw whose fast value lies beyond the band on either side of
-    ``observed`` is counted by it; a draw inside the band is scored by
-    ``exact``.  Each draw is thus counted exactly as ``exact`` counts it,
-    and the p-value has the bits of a loop of ``exact`` over the draws."""
+    A reused block of ``_SHUFFLE_BLOCK_BYTES // x.nbytes`` draws (at least
+    one) is filled with ``x`` and drawn by one ``permuted`` call along its
+    last axis, which shuffles its rows in the order of one ``permuted`` call
+    per draw on ``x``, consuming the PCG64 stream as they do.  The scorers
+    read views of the draws and allocate per draw only a few floats, or one
+    per pair of a gap.  ``fast(block)`` scores a whole block at once from
+    moments the shuffle leaves unchanged: it returns each draw's fast value
+    and a band that bounds the distance between that value and ``exact(z)``
+    (infinite where the fast form is undefined).  A draw whose fast value
+    lies beyond the band on either side of ``observed`` is counted by it; a
+    draw inside the band is scored by ``exact``.  Each draw is thus counted
+    exactly as ``exact`` counts it, and the p-value has the bits of a loop
+    of ``exact`` over the draws."""
     shuffler = np.random.Generator(np.random.PCG64(derive_seed(seed, "shuffle")))
     size = min(n_resamples, max(1, _SHUFFLE_BLOCK_BYTES // x.nbytes))
     block = np.empty((size,) + x.shape)
     count = 0
     for lo in range(0, n_resamples, size):
         draws = block[: n_resamples - lo]
-        for z in draws:
-            shuffler.permuted(x, axis=1, out=z)
+        draws[...] = x
+        shuffler.permuted(draws, axis=-1, out=draws)
         value, band = fast(draws)
         above = value - band >= observed
         below = value + band < observed

@@ -9,6 +9,7 @@ command line.
 import math
 import re
 
+import numpy as np
 import pytest
 
 from hexch import acceptance
@@ -23,13 +24,27 @@ def test_criterion_1_wedge_preservation():
     res = acceptance.criterion_wedge_preservation()
     _check(res)
     assert "1000/1000" in res.details
+    assert "all 2016 leaf-pair wedges on {1..4}^3" in res.details
     assert res.seconds < 10.0
 
 
 def test_criterion_2_group_laws():
     res = acceptance.criterion_group_laws()
     _check(res)
+    assert res.details.endswith("exact on 100 random triples")
     assert res.seconds < 1.0
+
+
+def test_wedge_check_refuses_maps_outside_the_group():
+    # criteria 1 and 2 would pass vacuously if the check passed everything
+    coords = np.indices((4,) * 3).reshape(3, -1).T + 1
+    ident = np.arange(64)
+    swap = ident.copy()
+    swap[[0, 4]] = 4, 0  # leaves (1,1,1) and (1,2,1), under different parents
+    repeat = ident.copy()
+    repeat[1] = 0  # not a bijection
+    keeps = acceptance._keeps_wedges(coords, [ident, swap, repeat, ident[::-1]])
+    assert keeps.tolist() == [True, False, False, True]
 
 
 def test_criterion_3_calibration():

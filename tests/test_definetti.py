@@ -184,6 +184,19 @@ def test_resynthesis_picks_stay_within_each_row(monkeypatch, u, end):
     assert resynthesize(h, r, m2, seed=0).tolist() == [row] * m2**r
 
 
+
+def test_resynthesize_holds_two_output_sizes():
+    # the leaf uniforms are scaled and rounded in place and dropped before
+    # the gather, so the peak is the hashing's two arrays, not a third copy
+    h = extract_hierarchy(sample_array(make_model("product", 2), 2, 500, seed=0), 2, 500)
+    tracemalloc.start()
+    try:
+        y = resynthesize(h, 2, 500, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * y.nbytes + 2**17, (peak, y.nbytes)
+
 def test_measure_arrays_cached_and_read_only():
     mu = empirical_measure([0.3, 0.1, 0.1, 0.9])
     arrays = [mu.locations, mu.weights]

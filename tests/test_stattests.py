@@ -630,6 +630,14 @@ def test_shuffle_nulls_match_per_resample_loop_at_block_edges():
         _assert_one_array_tests_match_reference(arr, 2, 128, 1, n_resamples)
 
 
+
+# one draw a block, then a block large enough for all 199 draws of either test
+@pytest.mark.parametrize("block_bytes", [1, 1 << 40])
+def test_shuffle_nulls_match_per_resample_loop_at_block_sizes(monkeypatch, block_bytes):
+    monkeypatch.setattr(hexch.stattests, "_SHUFFLE_BLOCK_BYTES", block_bytes)
+    arr = _array("product", 2, 16, seed=2)
+    _assert_one_array_tests_match_reference(arr, 2, 16, 2, 199)
+
 def _count_calls(monkeypatch, name):
     calls = []
     exact = getattr(hexch.stattests, name)
