@@ -21,7 +21,9 @@ down to 1e-4, ``d.ddde-0d`` below, and ``1`` for 1.0.  Each digit source
 returns the mask of the values it handles, and ``_fmt`` or ``repr`` itself
 writes the others, so each text has one definition.  :func:`_rows` puts
 each text between the caller's bytes (a CSV key and newline, a JSON weight
-and brackets) and returns the rows as ``bytes``.
+and brackets) and returns the rows as ``bytes``: one byte plane per
+column, 0 where a row has no byte, transposed into one ``bytes`` object
+whose padding is deleted in one pass.
 """
 
 from __future__ import annotations
@@ -198,9 +200,12 @@ def _rows(x: np.ndarray, fmt, before=_NO_BYTES, after=_NO_BYTES, ends=None):
     """Row i is column i of the uint8 planes ``before`` (0 is no byte; one
     column serves every row), ``fmt(x[i])`` for ``fmt`` in ``_fmt`` and
     ``repr``, and column i of ``after``: all rows as one ``bytes``, or one
-    per run of rows ending before each row index of ``ends``.  The planes
-    are transposed once, after the kernel of ``fmt`` wrote the values it
-    covers, and freed, like every temporary, before the rows are cut."""
+    per run of rows ending before each row index of ``ends``.  The kernel
+    of ``fmt`` writes the values it covers into the planes and ``fmt`` the
+    others; a run's length is the count of the nonzero bytes down its
+    columns.  The planes are transposed once into ``bytes``, and freed,
+    like every temporary, before ``bytes.translate`` deletes the padding
+    and the rows are cut."""
     n, q, ok = _KERNELS[fmt](x)
     col, end = len(before), len(before) + _VALUE_WIDTH
     planes = np.empty((end + len(after), x.size), np.uint8)
@@ -208,18 +213,19 @@ def _rows(x: np.ndarray, fmt, before=_NO_BYTES, after=_NO_BYTES, ends=None):
     del before, after
     _layout(n, q, planes[col:end])
     del n, q
-    matrix = planes.T.copy()
-    del planes
     bad = np.flatnonzero(~ok)
     if bad.size:
         text = np.array([fmt(v) for v in x[bad].tolist()], dtype=f"S{_VALUE_WIDTH}")
-        matrix[bad, col:end] = text.view(np.uint8).reshape(bad.size, _VALUE_WIDTH)
+        planes[col:end, bad] = text.view(np.uint8).reshape(bad.size, _VALUE_WIDTH).T
     del x, ok
-    mask = matrix != 0
     if ends is not None:
-        cuts = np.cumsum(mask.sum(axis=1))[np.asarray(ends) - 1].tolist()
-    text = matrix[mask]
-    del matrix, mask
+        # a row is a few dozen bytes, so uint16 counts it
+        lengths = (planes != 0).sum(axis=0, dtype=np.uint16)
+        cuts = np.cumsum(lengths)[np.asarray(ends) - 1].tolist()
+        del lengths
+    text = planes.T.tobytes()
+    del planes
+    text = text.translate(None, b"\0")
     if ends is None:
-        return text.tobytes()
-    return [text[s:e].tobytes() for s, e in zip([0] + cuts[:-1], cuts)]
+        return text
+    return [text[s:e] for s, e in zip([0] + cuts[:-1], cuts)]

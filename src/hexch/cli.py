@@ -41,7 +41,7 @@ from .stattests import (  # noqa: F401
     kept_dimension,
 )
 # leaves is unused here, but bench/spans.py traces it at this lookup site
-from .tree import _SEED_MAX, DEFAULT_CELL_CAP, _integer, leaves  # noqa: F401
+from .tree import _SEED_MAX, DEFAULT_CELL_CAP, _integer, _leaf_array, leaves  # noqa: F401
 
 __all__ = ["main", "run_experiment", "array_to_csv", "ConfigError", "CapError"]
 
@@ -210,17 +210,46 @@ def _check_hexch_buffers(i: int, entry: dict, kept: int, cap: int) -> None:
 # rows per CSV block
 _CHUNK = 1 << 16
 _NEWLINE = np.frombuffer(b"\n", np.uint8)[:, None]
+# bytes per hashed write of an output file
+_WRITE_BLOCK = 1 << 18
 
 
 def _write(path: Path, pieces: Iterable[bytes], files: dict) -> None:
-    """Write the ``bytes`` pieces as they come, hashing and counting each
-    once as it is written, so the whole text of a streamed file is never
-    held; the manifest entry records the sha256 and size."""
+    """Write the ``bytes`` pieces in blocks of ``_WRITE_BLOCK`` bytes,
+    hashing and counting each block once as it is written: pieces are
+    copied into one reused block, and the part of a piece that fills a
+    block on its own is written as it is.  So the whole text of a streamed
+    file is never held, only a block and a piece; the manifest entry
+    records the sha256 and size."""
     digest, size = hashlib.sha256(), 0
+    block, fill = bytearray(_WRITE_BLOCK), 0
+
+    def put(data) -> None:
+        nonlocal size
+        digest.update(data)
+        size += fh.write(data)
+
     with open(path, "wb") as fh:
         for data in pieces:
-            digest.update(data)
-            size += fh.write(data)
+            end = fill + len(data)
+            if end < _WRITE_BLOCK:
+                block[fill:end] = data
+                fill = end
+                continue
+            view = memoryview(data)
+            if fill:
+                # top the block up and write it
+                block[fill:] = view[: _WRITE_BLOCK - fill]
+                put(block)
+                view = view[_WRITE_BLOCK - fill :]
+            fill = len(view)
+            if fill >= _WRITE_BLOCK:
+                put(view)
+                fill = 0
+            else:
+                block[:fill] = view
+        if fill:
+            put(memoryview(block)[:fill])
     files[path.name] = {"sha256": digest.hexdigest(), "bytes": size}
 
 
@@ -271,7 +300,7 @@ def _csv(header: list[str], layout, values) -> Iterator[bytes]:
     blocks of at most ``_CHUNK`` rows, each value byte-identical to
     ``format(x, ".17g")``."""
     yield (",".join(header) + "\n").encode()
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    values = values.reshape(-1)
     for lo in range(0, values.size, _CHUNK):
         x = values[lo : lo + _CHUNK]
         yield _rows(x, _fmt, _key_planes(layout, lo, x.size), _NEWLINE)
@@ -286,12 +315,14 @@ def array_to_csv(array: np.ndarray, depths, shape, n=None) -> Iterator[bytes]:
     slash-separated), computed from the flat row index; rows follow the
     array, numerically lexicographic (``1/2`` before ``1/10``),
     the first tree slowest and the replica index fastest.  The array must
-    hold exactly one value per row; that is checked here, and the blocks
+    hold exactly one value per row, of a real dtype
+    (:func:`~hexch.tree._leaf_array`); that is checked here, and the blocks
     are built as they are read."""
+    array = _leaf_array(array)
     depths_t, shape_t = _as_tuples(depths, shape)
     rows = math.prod(int(m) ** int(r) for r, m in zip(depths_t, shape_t))
     rows *= 1 if n is None else n
-    size = np.size(array)
+    size = array.size
     if size != rows:
         raise ValueError(f"array has {size} values, but the truncation has {rows} cells")
     header = [f"vertex_{j}" for j in range(1, len(depths_t) + 1)]

@@ -17,8 +17,10 @@ way to make one, so its tables are canonical and consistent by
 construction and are not checked again; the checks are on the array.
 Extraction and resynthesis work on whole levels of those arrays, and so
 does the JSON writer: ``hierarchy.json`` is streamed as ``bytes`` from the
-level tables, each distinct measure formatted once by the CSV writer's row
-builder (``hexch._text._rows``).  The nested
+level tables: the locations of each distinct level-0 measure are laid
+out once, a block of rows at a time, by the CSV writer's row builder
+(``hexch._text._rows``), and the weight of each multiplicity that occurs
+in a level is written once by ``repr`` itself.  The nested
 :class:`EmpiricalMeasure` objects, finite atom systems nested to the
 required level, are views of the level-table rows, made on demand
 (``measures``, ``measure_at``), one per row; a view builds its tuple of
@@ -61,7 +63,7 @@ import numpy as np
 
 from ._text import _rows
 from .fields import _init_state, _level_values
-from .tree import TreeVertex, _integer
+from .tree import TreeVertex, _integer, _leaf_array
 
 __all__ = [
     "EmpiricalMeasure",
@@ -320,8 +322,9 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
 
     Depth r-1 vertices get the empirical measure of their children's values;
     each shallower vertex the empirical measure of its children's measures.
-    The array must be complete, in lexicographic leaf order, with values in
-    [0,1]; -0.0 is read as 0.0.  Each level is built whole: the
+    The array must be complete, in lexicographic leaf order, of a real
+    dtype (:func:`~hexch.tree._leaf_array`), with values in [0,1]; -0.0 is
+    read as 0.0.  Each level is built whole: the
     ``(m^(r-1), m)`` sibling matrix is sorted along its rows once and its
     distinct rows form the level-0 table; each level above does the same
     with the sorted table ids of its children.
@@ -329,7 +332,7 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
     r, m = _integer(r, "r"), _integer(m, "m")
     # + 0.0 turns -0.0 into 0.0: the two sort as equal, so a merged atom
     # would print as either, depending on the order of its siblings
-    arr = np.asarray(array, dtype=np.float64).reshape(-1) + 0.0
+    arr = _leaf_array(array).reshape(-1) + 0.0
     if arr.size != m**r:
         raise ValueError(
             f"incomplete array: expected {m**r} = {m}^{r} leaf values, got {arr.size}"
@@ -702,32 +705,33 @@ def nested_distance(
 _BLOCK_ATOMS = 1 << 16
 
 
-def _glue(h: DirectingHierarchy, k: int) -> tuple[list[bytes], np.ndarray]:
-    """The text after each atom of the level-k table: ``, w], [``, or
-    ``, w]], "level": k}`` after a row's last atom.  Each multiplicity that
-    occurs is read as its weight (:func:`_weights`) and formatted once;
-    returns the glue pieces and, per padded atom, its index among them."""
-    c = h.mult[k]
-    uniq, inv = np.unique(c, return_inverse=True)
-    texts = _rows(_weights(uniq, h.m, k), repr, ends=np.arange(1, len(uniq) + 1))
-    gid = inv.reshape(c.shape)
-    gid[np.arange(len(c)), np.count_nonzero(c, axis=1) - 1] += len(uniq)
-    return [b", %s], [" % t for t in texts] + [b', %s]], "level": %d}' % (t, k) for t in texts], gid
+def _glue(h: DirectingHierarchy, k: int) -> list[bytes]:
+    """The text after an atom of multiplicity c within a level-k row, ``, w],
+    [``, at index c, for each c that occurs there (``b""`` for the others):
+    w is c's weight (:func:`_weights`) as ``repr`` writes it.  After a
+    row's last atom the ``, [`` gives way to ``], "level": k}``."""
+    counts = np.flatnonzero(np.bincount(h.mult[k].reshape(-1))[1:]) + 1
+    glue = [b""] * (h.m + 1)
+    for c, w in zip(counts.tolist(), _weights(counts, h.m, k).tolist()):
+        glue[c] = b", %s], [" % repr(w).encode()
+    return glue
 
 
-def _level0_texts(h: DirectingHierarchy, glue: list[bytes], gid: np.ndarray) -> list[bytes]:
+def _level0_texts(h: DirectingHierarchy, glue: list[bytes]) -> list[bytes]:
     """The JSON text of each level-0 table row, a block of rows at a time:
     each atom's location (:func:`hexch._text._rows`), then its glue from the
-    planes of a 0-padded byte table of ``glue``."""
+    planes of a 0-padded byte table of ``glue``, the last glue's ``, [``
+    cut off."""
     a, c = h.atoms[0], h.mult[0]
     table = np.array(glue, dtype=bytes).view(np.uint8).reshape(len(glue), -1).T.copy()
     texts: list[bytes] = []
     step = max(1, _BLOCK_ATOMS // a.shape[1])
     for lo in range(0, len(a), step):
-        present = c[lo : lo + step] > 0
-        rows = _rows(a[lo : lo + step][present], repr, after=table[:, gid[lo : lo + step][present]],
+        counts = c[lo : lo + step]
+        present = counts > 0
+        rows = _rows(a[lo : lo + step][present], repr, after=table[:, counts[present]],
                      ends=np.cumsum(np.count_nonzero(present, axis=1)))
-        texts.extend(b'{"atoms": [[' + row for row in rows)
+        texts.extend(b'{"atoms": [[%b], "level": 0}' % memoryview(row)[:-3] for row in rows)
     return texts
 
 
@@ -751,18 +755,20 @@ def hierarchy_json_chunks(h: DirectingHierarchy) -> Iterator[bytes]:
     order, a level-0 atom its location and a nested atom its measure's
     object.
 
-    Written from the level tables, bottom-up: each level-0 row and the
-    weight of each multiplicity in a level are built once by the CSV
-    writer's row builder (:func:`hexch._text._rows`), a level-0 block of
-    rows at a time; a level k >= 1 row is the pieces of the child rows it
-    points at, glued by its weights.  Every float is ``float.__repr__``'s
-    text, as ``json`` writes it, from the exact shortest-round-trip kernel
-    on [1e-6, 1) and from ``repr`` itself elsewhere.  Keys follow string
-    order (``"1/10"`` before ``"1/2"``), as ``sort_keys`` puts them.  No text
-    is decoded and no :class:`EmpiricalMeasure` is made."""
+    Written from the level tables, bottom-up: each level-0 row is built
+    once by the CSV writer's row builder (:func:`hexch._text._rows`), a
+    block of rows at a time, and the glue after an atom of each
+    multiplicity that occurs in a level once (:func:`_glue`); a level
+    k >= 1 row is the pieces of the child rows it points at, glued by
+    their weights.  Every float is ``float.__repr__``'s text, as ``json``
+    writes it: a location from the exact shortest-round-trip kernel on
+    [1e-6, 1) and from ``repr`` itself elsewhere, a weight from ``repr``
+    itself.  Keys follow string order (``"1/10"`` before ``"1/2"``), as
+    ``sort_keys`` puts them.  No text is decoded and no
+    :class:`EmpiricalMeasure` is made."""
     _require_hierarchy("hierarchy_json_chunks", h)
     glues = [_glue(h, k) for k in range(h.r)]
-    level0 = _level0_texts(h, *glues[0])
+    level0 = _level0_texts(h, glues[0])
     yield b'{"m": %d, "measures": {' % h.m
     sep = b""
     for d in sorted(range(h.r), key=str):
@@ -780,12 +786,13 @@ def _row_pieces(h: DirectingHierarchy, glues: list, level0: list[bytes], k: int,
     if k == 0:
         yield level0[j]
         return
-    glue, gid = glues[k]
     n = np.count_nonzero(h.mult[k][j])
+    glue = [glues[k][c] for c in h.mult[k][j, :n].tolist()]
+    glue[-1] = glue[-1][:-3] + b'], "level": %d}' % k
     yield b'{"atoms": [['
-    for child, g in zip(h.atoms[k][j, :n].tolist(), gid[j, :n].tolist()):
+    for child, text in zip(h.atoms[k][j, :n].tolist(), glue):
         yield from _row_pieces(h, glues, level0, k - 1, child)
-        yield glue[g]
+        yield text
 
 
 def hierarchy_to_json_obj(h: DirectingHierarchy) -> dict:

@@ -175,6 +175,18 @@ def _number(value, name: str) -> float:
     return x
 
 
+def _leaf_array(array) -> np.ndarray:
+    """``array`` as a float64 array, the one dtype check of every leaf-array
+    input: bool, integer and floating arrays pass, and any other (complex,
+    strings, bytes, objects) raises ``ValueError`` naming its dtype before
+    anything is converted, so no imaginary part is dropped and no text is
+    parsed."""
+    a = np.asarray(array)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"leaf values must be real numbers, not an array of dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def _depth_vertices(r: int, m: int, internal: bool) -> list[TreeVertex]:
     """Vertices of depth < r (``internal``) or of depth r of the ``{1..m}^r``
     truncation, by depth then lexicographically; raises if there are more

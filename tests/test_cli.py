@@ -620,6 +620,70 @@ def test_bytes_pieces_are_written_as_the_same_text(tmp_path):
     assert files["bytes.txt"] == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
+def test_hierarchy_json_is_written_in_whole_blocks(tmp_path, monkeypatch):
+    import hexch.cli
+    from hexch.cli import _WRITE_BLOCK, _write
+    from hexch.definetti import extract_hierarchy, hierarchy_json_chunks
+    from hexch.scenarios import make_source
+
+    sizes = []
+
+    class Counted:
+        """A binary file that records the size of each write."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            sizes.append(memoryview(data).nbytes)
+            return self.fh.write(data)
+
+    monkeypatch.setattr(hexch.cli, "open", lambda *a: Counted(open(*a)), raising=False)
+    h = extract_hierarchy(make_source("product", 3, 16).sample(2), 3, 16)
+    pieces = list(hierarchy_json_chunks(h))
+    files = {}
+    _write(tmp_path / "hierarchy.json", iter(pieces), files)
+    size = files["hierarchy.json"]["bytes"]
+    # hundreds of pieces, but a file of a few blocks
+    assert len(pieces) > 100 and size > _WRITE_BLOCK
+    assert sum(sizes) == size == sum(map(len, pieces))
+    assert len(sizes) <= -(-size // _WRITE_BLOCK) + 1
+    assert (tmp_path / "hierarchy.json").read_bytes() == b"".join(pieces)
+
+
+def test_streamed_pieces_are_held_one_block_at_a_time(tmp_path):
+    import hashlib
+    import tracemalloc
+
+    from hexch.cli import _WRITE_BLOCK, _write
+
+    piece, count = 1000, 6 * 1024
+    digest = hashlib.sha256()
+
+    def pieces():
+        for i in range(count):
+            data = bytes([i % 251]) * piece
+            digest.update(data)
+            yield data
+
+    files = {}
+    tracemalloc.start()
+    try:
+        _write(tmp_path / "big.bin", pieces(), files)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert files["big.bin"] == {"sha256": digest.hexdigest(), "bytes": piece * count}
+    # a block and a piece, and the file object's own buffer
+    assert peak <= _WRITE_BLOCK + piece + 32 * 1024
+
+
 @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
 def test_output_directory_that_cannot_be_made_exits_two(tmp_path, capsys, where):
     cfg_path = tmp_path / "cfg.json"

@@ -9,10 +9,12 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from hexch._text import _g17_digits, _rows, _shortest_digits
+from hexch._text import _fmt, _g17_digits, _rows, _shortest_digits
 from hexch.cli import _CHUNK, array_to_csv
 from hexch.definetti import (
     _BLOCK_ATOMS,
+    _glue,
+    _weights,
     extract_hierarchy,
     hierarchy_json_chunks,
 )
@@ -271,7 +273,30 @@ def test_level0_blocks_with_kernel_and_fallback_atoms_mixed():
     assert a.size > _BLOCK_ATOMS
     ok = _shortest_digits(a)[2]
     assert ok.any() and not ok.all()
+    # cut at every row, the rows are the texts one by one, wherever kernel
+    # and fallback texts share a block
+    assert _rows(a, repr, ends=np.arange(1, a.size + 1)) == [repr(v).encode() for v in a.tolist()]
+    assert _rows(a, _fmt, ends=np.arange(1, a.size + 1)) == [_fmt(v).encode() for v in a.tolist()]
     measures = {v.encode(): measure_to_json_obj(mu)
                 for v, mu in zip(internal_vertices(r, m), h.measures, strict=True)}
     want = json.dumps({"m": m, "measures": measures, "r": r}, sort_keys=True) + "\n"
     assert b"".join(hierarchy_json_chunks(h)).decode() == want
+
+
+def test_glue_writes_each_weight_that_occurs_as_repr():
+    # ties at m=10: multiplicities 1..9 at level 0 and 1..4 at level 1
+    x = np.random.default_rng(5).integers(0, 2, 1000) / 2
+    h = extract_hierarchy(x, 3, 10)
+    for k in range(3):
+        glue = _glue(h, k)
+        counts = set(h.mult[k][h.mult[k] > 0].tolist())
+        assert len(glue) == 11 and {c for c, g in enumerate(glue) if g} == counts
+        for c in counts:
+            w = _weights(np.array([c]), 10, k)[0]
+            assert glue[c] == b", %s], [" % repr(float(w)).encode()
+    # the weight rule, not 3/10: level k >= 1 adds 1/m c times
+    assert _glue(h, 0)[3] == b", 0.3], ["
+    assert _glue(h, 1)[3] == b", 0.30000000000000004], ["
+    h = extract_hierarchy(np.full(100, 0.5), 2, 10)
+    assert _glue(h, 0)[10] == b", 1.0], ["
+    assert _glue(h, 1)[10] == b", 0.9999999999999999], ["

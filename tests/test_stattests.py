@@ -778,6 +778,45 @@ def test_gap_slice_pair_dots_match_the_gathered_pairs(n_parents, m, budget):
 # -- the sibling matrix -------------------------------------------------------------
 
 
+def _leaf_entries():
+    """Each entry point that takes a leaf array, on an r=2 m=4 array."""
+    from hexch.cli import array_to_csv
+    from hexch.definetti import hierarchy_json_chunks
+
+    return {
+        "array_to_csv": lambda a: b"".join(array_to_csv(a, 2, 4)),
+        "extract_hierarchy": lambda a: b"".join(hierarchy_json_chunks(extract_hierarchy(a, 2, 4))),
+        "conditional_iid_test": lambda a: conditional_iid_test(a, 2, 4, n_resamples=19).p_value,
+        "cond_indep_test": lambda a: cond_indep_test(a, 2, 4, n_resamples=19).p_value,
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(_leaf_entries()))
+@pytest.mark.parametrize(
+    "array",
+    [np.full(16, 0.5) + 0.25j, np.array(["0.5"] * 16), np.array([b"0.5"] * 16),
+     np.full(16, 0.5, dtype=object), [0.5] * 15 + [0.5j]],
+    ids=["complex", "str", "bytes", "object", "list-with-a-complex"],
+)
+def test_leaf_arrays_that_are_not_real_are_refused_by_dtype(entry, array):
+    # before any float conversion: no ComplexWarning, and no text is parsed
+    dtype = np.asarray(array).dtype
+    with pytest.raises(ValueError, match=re.escape(f"not an array of dtype {dtype}")):
+        _leaf_entries()[entry](array)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(_leaf_entries()))
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float32])
+def test_leaf_arrays_of_a_real_dtype_read_as_their_float64_values(entry, dtype):
+    a = np.random.default_rng(4).integers(0, 2, 16).astype(dtype)
+    run = _leaf_entries()[entry]
+    assert run(a) == run(a.astype(np.float64))
+    assert run(a.tolist()) == run(a.astype(np.float64))
+
+
+
 @pytest.mark.parametrize("test", [conditional_iid_test, cond_indep_test])
 def test_pit_tests_refuse_nan_leaves(test):
     arr = _array("product", 2, 8, seed=1)
