@@ -57,4 +57,4 @@ from .tree import (
     wedge,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

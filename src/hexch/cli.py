@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -34,6 +33,7 @@ from .fields import _as_tuples, derive_seed
 from .scenarios import ScenarioSpec, _request, list_scenarios, make_source
 # the tests run by the names _TESTS gives, looked up here at call time
 from .stattests import (  # noqa: F401
+    _check_buffers,
     _level,
     cond_indep_test,
     conditional_iid_test,
@@ -41,7 +41,7 @@ from .stattests import (  # noqa: F401
     kept_dimension,
 )
 # leaves is unused here, but bench/spans.py traces it at this lookup site
-from .tree import _SEED_MAX, DEFAULT_CELL_CAP, _integer, _leaf_array, leaves  # noqa: F401
+from .tree import _SEED_MAX, CapError, _check_cells, _integer, _leaf_array, leaves  # noqa: F401
 
 __all__ = ["main", "run_experiment", "array_to_csv", "ConfigError", "CapError"]
 
@@ -50,12 +50,8 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration or run option."""
 
 
-class CapError(ValueError):
-    """Requested truncation exceeds the configured cell cap."""
-
-
-# The most resamples a test may ask for: the cell cap does not count them,
-# and 10^6 resamples at 16 cells take 3-5 s on 2 shared vCPUs
+# The most resamples a test may ask for: the cell cap bounds memory, not
+# time, and 10^6 resamples at 16 cells take 3-5 s on 2 shared vCPUs
 _MAX_RESAMPLES = 10**6
 # coordinate grids take one axis per depth and np.meshgrid broadcasts at most
 # 32 arrays; for m >= 2 the cell cap binds first, so it is checked first
@@ -70,36 +66,6 @@ _TESTS = {
     "conditional_iid": ({"n_resamples", "level"}, "array", "conditional_iid_test"),
     "cond_indep": ({"n_resamples", "level"}, "array", "cond_indep_test"),
 }
-
-
-def _cell_cap() -> int:
-    """The cell cap: ``HEXCH_MAX_CELLS`` if set, else ``DEFAULT_CELL_CAP``.
-
-    It bounds memory, not time: the truncations and the ``hexch`` test
-    buffers are checked against it.  A one-array test (``conditional_iid``,
-    ``cond_indep``) draws its within-parent shuffles in blocks of bounded
-    size, so its time is bounded instead by ``_MAX_RESAMPLES``, which
-    :func:`_parse_config` holds every test's ``n_resamples`` to."""
-    raw = os.environ.get("HEXCH_MAX_CELLS")
-    if raw is None:
-        return DEFAULT_CELL_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError(f"HEXCH_MAX_CELLS must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _exceeds(m: int, r: int, n: int, cap: int) -> bool:
-    """Whether m^r * n > cap, without computing m^r for a huge r."""
-    cells = n
-    for _ in range(r if m > 1 else 0):
-        cells *= m
-        if cells > cap:
-            return True
-    return cells > cap
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -177,34 +143,16 @@ def _parse_config(obj) -> tuple[dict, ScenarioSpec]:
 
 
 def _check_cap(cfg: dict) -> None:
-    """Refuse truncations and ``hexch`` buffers above the cell cap, and
-    depths above ``_MAX_DEPTH``."""
-    cap = _cell_cap()
-    r, m, n = cfg["r"], cfg["m"], cfg["n"] or 1
-    if _exceeds(m, r, n, cap):
-        raise CapError(f"{m}^{r} x {n} cells exceed the cap of {cap}")
-    m2 = cfg["resynthesize_m"]
-    if m2 is not None and _exceeds(m2, r, 1, cap):
-        raise CapError(f"resynthesis over {m2}^{r} cells exceeds the cap of {cap}")
+    """Refuse, before anything is sampled or written, truncations and
+    ``hexch`` buffers above the cell cap, and depths above ``_MAX_DEPTH``."""
+    r, m = cfg["r"], cfg["m"]
+    _check_cells([(m, r), (cfg["n"] or 1, 1)])
+    _check_cells([(cfg["resynthesize_m"] or 1, r)])
     if r > _MAX_DEPTH:
         raise ConfigError(f"r must be <= {_MAX_DEPTH}, got {r}")
-    for i, t in enumerate(cfg["tests"]):
+    for t in cfg["tests"]:
         if t["name"] == "hexch":
-            _check_hexch_buffers(i, t, kept_dimension(r, m, cfg["n"]), cap)
-
-
-def _check_hexch_buffers(i: int, entry: dict, kept: int, cap: int) -> None:
-    """Cap the arrays hexch_test allocates: the replicate matrix, its
-    pairwise distance matrix and the resample masks."""
-    rows = 2 * entry["n_reps"]
-    buffers = {
-        f"replicate matrix ({rows} x {kept})": rows * kept,
-        f"distance matrix ({rows} x {rows})": rows * rows,
-        f"resample masks ({entry['n_resamples']} x {rows})": entry["n_resamples"] * rows,
-    }
-    for what, cells in buffers.items():
-        if cells > cap:
-            raise CapError(f"tests[{i}]: hexch {what} exceeds the cap of {cap} cells")
+            _check_buffers(t["n_reps"], t["n_resamples"], kept_dimension(r, m, cfg["n"]))
 
 
 # rows per CSV block
@@ -316,15 +264,12 @@ def array_to_csv(array: np.ndarray, depths, shape, n=None) -> Iterator[bytes]:
     array, numerically lexicographic (``1/2`` before ``1/10``),
     the first tree slowest and the replica index fastest.  The array must
     hold exactly one value per row, of a real dtype
-    (:func:`~hexch.tree._leaf_array`); that is checked here, and the blocks
-    are built as they are read."""
-    array = _leaf_array(array)
+    (:func:`~hexch.tree._leaf_array`), and the rows must fit the cell cap;
+    that is checked here, and the blocks are built as they are read."""
     depths_t, shape_t = _as_tuples(depths, shape)
-    rows = math.prod(int(m) ** int(r) for r, m in zip(depths_t, shape_t))
-    rows *= 1 if n is None else n
-    size = array.size
-    if size != rows:
-        raise ValueError(f"array has {size} values, but the truncation has {rows} cells")
+    n = None if n is None else _integer(n, "n")
+    rows = _check_cells([*zip(shape_t, depths_t), (n or 1, 1)])
+    array = _leaf_array(array, rows)
     header = [f"vertex_{j}" for j in range(1, len(depths_t) + 1)]
     header = ["vertex"] if np.ndim(depths) == 0 else header
     if n is not None:
@@ -339,9 +284,11 @@ def run_experiment(config_obj, out_dir, threads: int = 1) -> tuple[int, dict]:
     try:
         threads = _integer(threads, "threads", 0)
         cfg, spec = _parse_config(config_obj)
+        _check_cap(cfg)
+    except CapError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _check_cap(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if threads == 0:

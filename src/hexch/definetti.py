@@ -63,7 +63,7 @@ import numpy as np
 
 from ._text import _rows
 from .fields import _init_state, _level_values
-from .tree import TreeVertex, _integer, _leaf_array
+from .tree import TreeVertex, _check_cells, _integer, _leaf_array
 
 __all__ = [
     "EmpiricalMeasure",
@@ -161,9 +161,9 @@ def _measure(table: tuple, level: int, j: int) -> EmpiricalMeasure:
 def empirical_measure(values) -> EmpiricalMeasure:
     """Level-0 empirical measure: one atom per distinct value, weight = freq.
     It is the root measure of the r=1 hierarchy of ``values``, so -0.0 is
-    read as 0.0 and a value outside [0,1] is refused, as
-    :func:`extract_hierarchy` does."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    read as 0.0, and a value outside [0,1] or of a dtype that is not real
+    is refused, as :func:`extract_hierarchy` does."""
+    values = np.asarray(values)
     if values.size == 0:
         raise ValueError("cannot form the empirical measure of an empty sample")
     return extract_hierarchy(values, 1, values.size).root_measure
@@ -324,7 +324,8 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
     each shallower vertex the empirical measure of its children's measures.
     The array must be complete, in lexicographic leaf order, of a real
     dtype (:func:`~hexch.tree._leaf_array`), with values in [0,1]; -0.0 is
-    read as 0.0.  Each level is built whole: the
+    read as 0.0, a NaN or infinite value is named by its leaf, and the
+    cell cap holds.  Each level is built whole: the
     ``(m^(r-1), m)`` sibling matrix is sorted along its rows once and its
     distinct rows form the level-0 table; each level above does the same
     with the sorted table ids of its children.
@@ -332,14 +333,11 @@ def extract_hierarchy(array, r: int, m: int) -> DirectingHierarchy:
     r, m = _integer(r, "r"), _integer(m, "m")
     # + 0.0 turns -0.0 into 0.0: the two sort as equal, so a merged atom
     # would print as either, depending on the order of its siblings
-    arr = _leaf_array(array).reshape(-1) + 0.0
-    if arr.size != m**r:
-        raise ValueError(
-            f"incomplete array: expected {m**r} = {m}^{r} leaf values, got {arr.size}"
-        )
-    outside = ~((arr >= 0.0) & (arr <= 1.0))
-    if outside.any():
-        raise ValueError(f"level-0 location {float(arr[outside][0])} outside [0,1]")
+    arr = _leaf_array(array, _check_cells([(m, r)])) + 0.0
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # as every value is; a NaN fails
+        _leaf_array(arr, arr.size, finite=True)  # names a non-finite leaf
+        bad = float(arr[(arr < 0.0) | (arr > 1.0)][0])
+        raise ValueError(f"level-0 location {bad} outside [0,1]")
     rows = np.sort(arr.reshape(m ** (r - 1), m), axis=1)
     levels = []
     for k in range(r):

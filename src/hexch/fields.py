@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tree import _SEED_MAX, ProductVertex, TreeVertex, _integer, _is_size
+from .tree import _SEED_MAX, ProductVertex, TreeVertex, _check_cells, _integer, _is_size
 
 __all__ = [
     "UniformField",
@@ -199,8 +199,10 @@ def _level_values(h0: np.ndarray, depths, shape) -> list[np.ndarray]:
     the states, (depths not yet finished, N, vertices, K), then take each
     coordinate word in one mix for all those depths, and depth d is done
     after step d.  K is the fastest axis, so each pass runs along it.  Every
-    state, ``h0``'s too, is a fresh array, which :func:`_unit` shifts.
+    state, ``h0``'s too, is a fresh array, which :func:`_unit` shifts.  The
+    truncation, not the K of them, is checked against the cell cap first.
     """
+    _check_cells(tuple(zip(shape, depths)))
     states = [h0[None, :].copy()]
     for r_i, m_i in zip(depths, shape):
         ends = list(itertools.accumulate(map(len, states)))
@@ -376,7 +378,8 @@ def sample_ah(model: SigmaModel, r: int, m: int, n: int, seed) -> np.ndarray:
     broadcast shape of each depth: the shared ones (:func:`_path_columns`)
     with a replica axis of length 1, the replica ones with one of length n.
     """
-    n = _integer(n, "n")
+    r, m, n = _integer(r, "r", 0), _integer(m, "m"), _integer(n, "n")
+    _check_cells([(m, r), (n, 1)])
     if model.arity != 2 * (r + 1):
         raise ValueError(f"model arity {model.arity} != 2(r+1) = {2 * (r + 1)}")
     words = _seed_words(seed)

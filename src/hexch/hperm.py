@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import _init_state, _level_values
-from .tree import TreeVertex, _integer, internal_vertices, wedge_matrix
+from .tree import TreeVertex, _check_cells, _integer, internal_vertices, wedge_matrix
 
 __all__ = [
     "HPerm",
@@ -139,6 +139,7 @@ class HPerm:
         requires the images of the truncation leaves to stay inside it.
         """
         r = self.r
+        _check_cells([(_integer(m, "m"), r)])
         # ranks[k][0, p, c-1]: image of child c below the depth-k source
         # prefix with flat index p; the identity where the table has no entry
         ranks = [np.tile(np.arange(1, m + 1), (1, m**k, 1)) for k in range(r)]

@@ -27,7 +27,7 @@ from .fields import (
     sample_ah,
     sample_array,
 )
-from .tree import _integer, _number
+from .tree import _check_cells, _integer, _number
 
 __all__ = [
     "ScenarioSpec",
@@ -214,9 +214,11 @@ def make_source(
     n: int | None = None,
     params: dict | None = None,
 ) -> ArraySource:
-    """Seeded generator for a registered scenario on a given truncation."""
+    """Seeded generator for a registered scenario on a given truncation; a
+    custom sampler's index arrays are built here, under the cell cap."""
     spec, r, m, n, params = _request(name, r, m, n, params or {})
     if spec.form == "custom":
+        _check_cells([(m, r)])
         return ArraySource(name, r, m, None, spec.build(r, m, **params))
     model = _model(spec, r, params)
     if n is None:

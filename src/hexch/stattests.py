@@ -30,7 +30,7 @@ from .definetti import _lex_order
 from .fields import derive_seed, derive_seeds
 # random_hperm is unused here, but bench/spans.py traces it at this lookup site
 from .hperm import random_hperm, random_leaf_indices  # noqa: F401
-from .tree import _SEED_MAX, DEFAULT_CELL_CAP, _integer, _leaf_array, _number
+from .tree import _SEED_MAX, CapError, _cell_cap, _check_cells, _integer, _leaf_array, _number
 
 __all__ = [
     "TestReport",
@@ -127,6 +127,17 @@ def kept_dimension(r: int, m: int, n: int | None = None) -> int:
     return _MARGINAL_SUBSET
 
 
+def _check_buffers(n_reps: int, n_resamples: int, kept: int) -> None:
+    """Refuse, with :class:`~hexch.tree.CapError`, a :func:`hexch_test` whose
+    replicate matrix (of ``kept`` coordinates), pairwise distance matrix or
+    resample masks would pass the cell cap."""
+    cap, rows = _cell_cap(), 2 * n_reps
+    for what, cols in (("replicate matrix", kept), ("distance matrix", rows),
+                       ("resample masks", n_resamples)):
+        if rows * cols > cap:
+            raise CapError(f"hexch {what} ({rows} x {cols}) exceeds the cap of {cap} cells")
+
+
 def _marginal_indices(dim: int, r: int, m: int, n, seed: int) -> np.ndarray | None:
     """Flattened coordinates entering the test statistic, or None for all:
     the subset of :func:`kept_dimension`, drawn once from the seed."""
@@ -165,9 +176,10 @@ def hexch_test(
     permutation is applied jointly with the tree permutation.  Two samples
     of ``n_reps`` independent replicates are compared: arrays as generated
     versus arrays with a freshly drawn structure-preserving permutation
-    applied to each replicate.  Each sample is one ``source`` call, split
-    into chunks only where its cells would pass ``DEFAULT_CELL_CAP``;
-    the maps of a chunk are one :func:`~hexch.hperm.random_leaf_indices`
+    applied to each replicate.  A truncation past the cell cap raises
+    :class:`~hexch.tree.CapError`.  Each sample is one ``source`` call,
+    split into chunks only where its cells would pass the cap; the maps of
+    a chunk are one :func:`~hexch.hperm.random_leaf_indices`
     call.  Only the coordinates the statistic reads (:func:`kept_dimension`)
     are gathered: with replicas, kept flat coordinate j of a permuted
     replicate reads leaf j // n and replica j % n through one gather.  A
@@ -183,11 +195,11 @@ def hexch_test(
     n_reps = _integer(n_reps, "n_reps", 20)
     n_resamples = _integer(n_resamples, "n_resamples")
     seed = _integer(seed, "seed", 0, _SEED_MAX)
+    dim = _check_cells([(m, r), (n or 1, 1)])
     shape, form = ((m**r,), "(K, m^r)") if n is None else ((m**r, n), "(K, m^r, n)")
-    dim = m**r * (1 if n is None else n)
     keep = _marginal_indices(dim, r, m, n, seed)
     # replicates per source call: their cells stay within the cell cap
-    chunk = max(1, DEFAULT_CELL_CAP // dim)
+    chunk = _cell_cap() // dim
 
     seeds = {role: derive_seeds(seed, role, n_reps) for role in ("rep-a", "rep-b", "perm", "rho")}
     if n is not None:
@@ -257,9 +269,9 @@ def hexch_test(
 def _sibling_matrix(array, r: int, m: int, n_rows: int | None = None) -> np.ndarray:
     """The ``(m^(r-1), m)`` sibling matrix of ``array``: each parent's m
     children in a row, parents in lexicographic order, or only the first
-    ``n_rows`` parents.  An array whose dtype is not real
-    (:func:`~hexch.tree._leaf_array`) is refused, and so is a non-finite
-    leaf, wherever it is.
+    ``n_rows`` parents.  An array whose dtype is not real or whose size is
+    not m^r (:func:`~hexch.tree._leaf_array`) is refused, and so is a
+    non-finite leaf, wherever it is.
 
     The rows are scaled by the power of two that puts their largest |x| in
     [0.5, 1), so the sums of squares the fast scorers read can neither
@@ -267,14 +279,7 @@ def _sibling_matrix(array, r: int, m: int, n_rows: int | None = None) -> np.ndar
     correlation keeps its unscaled bits wherever the unscaled arithmetic was
     finite and normal.
     """
-    arr = _leaf_array(array).reshape(-1)
-    if arr.size != m**r:
-        raise ValueError(f"shape mismatch: array has {arr.size} values, expected m^r = {m**r}")
-    # the extremes are finite exactly when every x is; they take no array of flags
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        leaf = int(np.argmin(np.isfinite(arr)))
-        x = arr[leaf]
-        raise ValueError(f"leaf {leaf} of the array is " + ("NaN" if np.isnan(x) else f"{x:+}"))
+    arr = _leaf_array(array, _check_cells([(m, r)]), finite=True)
     rows = arr.reshape(m ** (r - 1), m)[:n_rows]
     return np.ldexp(rows, -np.frexp(max(-rows.min(), rows.max()))[1])
 
@@ -543,7 +548,7 @@ def cond_indep_test(
     pair_budget = _integer(pair_budget, "pair_budget")
     n_resamples = _integer(n_resamples, "n_resamples")
     seed = _integer(seed, "seed", 0, _SEED_MAX)
-    n_parents = m ** (r - 1)
+    n_parents = _check_cells([(m, r - 1)])
     pairs = np.array(_pairs_by_gap(n_parents, pair_budget))
     ii, jj = pairs.T
     read = _sibling_matrix(array, r, m, int(jj.max()) + 1)

@@ -14,13 +14,16 @@ longest common coordinate prefix.
 Every module imports this one, so it also holds the package's one argument
 check, ``_integer`` and ``_number``: each entry point checks its sizes,
 seeds and levels through them and hands on the plain Python values they
-return.
+return.  So does the one cell cap, ``_check_cells``, which every path that
+materializes a truncation calls before it allocates, and the one check of
+a leaf-array input, ``_leaf_array``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +43,7 @@ __all__ = [
     "DEFAULT_CELL_CAP",
 ]
 
-# Guard against accidentally materializing huge truncations.
+# Guard against materializing huge truncations; HEXCH_MAX_CELLS overrides it.
 DEFAULT_CELL_CAP = 1_000_000
 # seeds are 64-bit words: a larger or negative seed would alias a valid one
 _SEED_MAX = 2**64 - 1
@@ -175,27 +178,65 @@ def _number(value, name: str) -> float:
     return x
 
 
-def _leaf_array(array) -> np.ndarray:
-    """``array`` as a float64 array, the one dtype check of every leaf-array
-    input: bool, integer and floating arrays pass, and any other (complex,
-    strings, bytes, objects) raises ``ValueError`` naming its dtype before
-    anything is converted, so no imaginary part is dropped and no text is
-    parsed."""
+class CapError(ValueError):
+    """Requested truncation exceeds the configured cell cap."""
+
+
+def _cell_cap() -> int:
+    """The cell cap: ``HEXCH_MAX_CELLS`` if set, else ``DEFAULT_CELL_CAP``."""
+    raw = os.environ.get("HEXCH_MAX_CELLS")
+    if raw is None:
+        return DEFAULT_CELL_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"HEXCH_MAX_CELLS must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _check_cells(sides) -> int:
+    """The product of the factors m^r of the ``(m, r)`` pairs ``sides``, or
+    :class:`CapError` from the first partial product past the cell cap, so
+    a huge r costs a few multiplies; a side of 1 adds no factor."""
+    cap, cells = _cell_cap(), 1
+    for m, r in sides:
+        for _ in range(r if m > 1 else 0):
+            cells *= m
+            if cells > cap:
+                factors = [f"{m}^{r}" if r != 1 else f"{m}" for m, r in sides if m > 1]
+                raise CapError(f"{' x '.join(factors)} cells exceed the cap of {cap}")
+    return cells
+
+
+def _leaf_array(array, cells: int, finite: bool = False) -> np.ndarray:
+    """``array`` as a flat float64 array of ``cells`` values, the one check
+    of every leaf-array input.  Bool, integer and floating arrays pass; any
+    other (complex, strings, bytes, objects) raises ``ValueError`` naming its
+    dtype before anything is converted, and so does a size other than
+    ``cells``.  With ``finite``, a NaN or infinity raises naming its leaf."""
     a = np.asarray(array)
     if a.dtype.kind not in "biuf":
         raise ValueError(f"leaf values must be real numbers, not an array of dtype {a.dtype}")
-    return a.astype(np.float64, copy=False)
+    if a.size != cells:
+        raise ValueError(f"array has {a.size} values, but the truncation has {cells} cells")
+    a = a.astype(np.float64, copy=False).reshape(-1)
+    # the extremes are finite exactly when every x is; they take no array of flags
+    if finite and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        leaf = int(np.argmin(np.isfinite(a)))
+        x = a[leaf]
+        raise ValueError(f"leaf {leaf} of the array is " + ("NaN" if np.isnan(x) else f"{x:+}"))
+    return a
 
 
 def _depth_vertices(r: int, m: int, internal: bool) -> list[TreeVertex]:
     """Vertices of depth < r (``internal``) or of depth r of the ``{1..m}^r``
-    truncation, by depth then lexicographically; raises if there are more
-    than ``DEFAULT_CELL_CAP``."""
+    truncation, by depth then lexicographically; raises :class:`CapError`
+    if the truncation's m^r leaves pass the cell cap."""
     r, m = _integer(r, "r"), _integer(m, "m")
+    _check_cells([(m, r)])
     depths = range(r) if internal else (r,)
-    n_cells = sum(m**d for d in depths)
-    if n_cells > DEFAULT_CELL_CAP:
-        raise ValueError(f"truncation has {n_cells} cells, exceeding the cap of {DEFAULT_CELL_CAP}")
     rng = range(1, m + 1)
     return [TreeVertex(c, r) for d in depths for c in itertools.product(rng, repeat=d)]
 

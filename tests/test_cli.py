@@ -489,18 +489,18 @@ def test_array_to_csv_accepts_numpy_integers():
 
 # sha256 of the emitted files, recorded while the keys still came from
 # TreeVertex objects; manifest.json pins the per-file bytes and sha256 too.
-# The manifest digests are those of hexch 0.11.0: each is the 0.10.0
+# The manifest digests are those of hexch 0.12.0: each is the 0.11.0
 # manifest's with its "version" string changed, and nothing else
 OUTPUT_DIGESTS = {
     "single tree m=11": (
         {"scenario": "path-mean", "r": 2, "m": 11, "seed": 3},
         {"array.csv": "73e88362e7366fa85f45101081bb869b87a611b437ee1aeb3d1e576707efb0ce",
-         "manifest.json": "e4027b489fb4616f6f1fe0918bf2ea3acac53c6222a798517085685d446de8d7"},
+         "manifest.json": "51e6045925e6453729726191fe23566404a8fbb0e9e767e331bb8b9b0f671e9c"},
     ),
     "replica n=2": (
         {"scenario": "toy-magnetization", "r": 2, "m": 10, "n": 2, "seed": 5},
         {"array.csv": "9ebc695b505949f358fe89db6bcc25eae384c7c3795ba9a5267fc31bee75e3de",
-         "manifest.json": "9794b61351dd69b95b0e8df0af15e3d1d2719f245c4bc1a61988ca500b6fdad2"},
+         "manifest.json": "d448db71733314d35c9bf2b803478554bd7849716d72df5b18aecea945d0c88a"},
     ),
     "hierarchy m=12": (
         {"scenario": "product", "r": 2, "m": 12, "seed": 8, "extract": True,
@@ -508,7 +508,7 @@ OUTPUT_DIGESTS = {
         {"array.csv": "a66527ccd16f01f139065684b96bbbeb2fa0c7a68dbbe5f804a75a3543bc2b34",
          "hierarchy.json": "57df73276545bb5272e46c925ca8a5403a9a23c8b61d2c555b91a3cad2dc8d65",
          "resynthesized.csv": "d152d22780939aef78224cbbae20b3a8c0f4b10ba8a25c94c02221c728e67ebc",
-         "manifest.json": "89511addc806961cd5d49b498445760b2e4c8a776fd85d8406b334fd4330a86f"},
+         "manifest.json": "b47cdf061888c7090554a811c9b1da5187758b8e12f49563bb3419e67822e9c8"},
     ),
 }
 

@@ -734,10 +734,14 @@ def test_extraction_builds_no_measure_objects(monkeypatch):
 def test_extract_rejects_values_outside_the_unit_interval(bad):
     x = np.full(16, 0.5)
     x[9] = bad
-    with pytest.raises(ValueError, match=rf"level-0 location {bad} outside \[0,1\]"):
+    match = rf"level-0 location {bad} outside \[0,1\]"
+    if not np.isfinite(bad):
+        # a NaN or an infinity is named by its leaf, as the one-array tests name it
+        match = "^leaf 9 of the array is " + ("NaN" if np.isnan(bad) else r"\+inf") + "$"
+    with pytest.raises(ValueError, match=match):
         extract_hierarchy(x, 2, 4)
     # empirical_measure is an r=1 extraction, and refuses them the same way
-    with pytest.raises(ValueError, match=rf"level-0 location {bad} outside \[0,1\]"):
+    with pytest.raises(ValueError, match=match):
         empirical_measure(x)
 
 
@@ -1143,6 +1147,9 @@ def test_nested_distance_from_level_arrays_matches_objects(
     # measures of a hierarchy are solved from its level arrays, to the
     # values of the recursion over their objects; the hierarchies themselves
     # give their roots' bits
+    if ties == "blocks":
+        # 1030^2 cells pass the default cap; m = 1030 is what reaches n = 10
+        monkeypatch.setenv("HEXCH_MAX_CELLS", "2000000")
     ha, hb = _hierarchies(r, m, m2, ties)
     pairs = [(ha.root_measure, hb.root_measure)]
     if r > 1:
@@ -1179,10 +1186,13 @@ def _level_tables(ha, hb):
     (2, 4, 6, None), (3, 4, 4, 1), (3, 8, 8, None), (2, 6, 4, 1), (2, 4, 6, "constant"),
     (3, 4, 4, "pairs"), (2, 1030, 1030, "blocks"), (2, 32, 33, "paired"),
 ])
-def test_extracted_hierarchies_take_their_denominators_from_m(r, m, m2, ties):
+def test_extracted_hierarchies_take_their_denominators_from_m(monkeypatch, r, m, m2, ties):
     # lcm(m, m2) reduced by the gcd of the multiplicities is the smallest
     # common denominator that a search over the float weights finds, with
     # the same counts, and neither finds one past 1024
+    if ties == "blocks":
+        # 1030^2 cells pass the default cap; m = 1030 is what reaches n = 10
+        monkeypatch.setenv("HEXCH_MAX_CELLS", "2000000")
     ha, hb = _hierarchies(r, m, m2, ties)
     for k, (ca, cb) in enumerate(zip(ha.mult, hb.mult)):
         wa, wb = reference_weights(ca, m, k), reference_weights(cb, m2, k)
@@ -1261,11 +1271,14 @@ def test_hierarchy_measures_are_plain_measures():
     (1, 5, 5, None), (2, 4, 6, None), (3, 4, 6, None), (3, 4, 4, 1), (2, 6, 4, 1),
     (2, 4, 6, "constant"), (3, 4, 4, "pairs"), (2, 1030, 1030, "blocks"), (2, 32, 33, "paired"),
 ])
-def test_measures_are_row_views_of_the_eager_measures(r, m, m2, ties):
+def test_measures_are_row_views_of_the_eager_measures(monkeypatch, r, m, m2, ties):
     # a view builds its atoms from its table row on first read, to the
     # measure that the eager per-row loop builds object by object; its
     # locations are its row of the level arrays and its weights are read
     # from the row's multiplicities, bit for bit
+    if ties == "blocks":
+        # 1030^2 cells pass the default cap; m = 1030 is what reaches n = 10
+        monkeypatch.setenv("HEXCH_MAX_CELLS", "2000000")
     for h in _hierarchies(r, m, m2, ties):
         views, want = h.measures, reference_measures(h)
         assert not any("atoms" in vars(mu) for mu in views)

@@ -22,6 +22,7 @@ from hexch.stattests import (
     conditional_iid_test,
     hexch_test,
 )
+from hexch.tree import CapError
 
 from reference import energy_distance
 
@@ -175,19 +176,19 @@ def test_hexch_chunked_matches_unchunked(monkeypatch, name, r, m, n, seed):
     assert (calls, map_calls) == ([20, 20], [20])
     # room for 6 replicates' cells: chunks of 6, 6, 6 and 2 per sample
     per_rep = m**r * (n or 1)
-    monkeypatch.setattr(hexch.stattests, "DEFAULT_CELL_CAP", 6 * per_rep + 1)
+    monkeypatch.setenv("HEXCH_MAX_CELLS", str(6 * per_rep + 1))
     calls.clear()
     map_calls.clear()
     chunked = hexch_test(counted, r, m, n=n, n_reps=20, n_resamples=49, seed=seed)
     assert (calls, map_calls) == ([6, 6, 6, 2] * 2, [6, 6, 6, 2])
     assert (chunked.p_value, chunked.statistic) == (whole.p_value, whole.statistic)
-    # a cap below one replicate still samples one replicate per call
-    monkeypatch.setattr(hexch.stattests, "DEFAULT_CELL_CAP", 1)
+    # a cap below one replicate is a truncation past the cap, refused before
+    # any source call
+    monkeypatch.setenv("HEXCH_MAX_CELLS", str(per_rep - 1))
     calls.clear()
-    map_calls.clear()
-    single = hexch_test(counted, r, m, n=n, n_reps=20, n_resamples=49, seed=seed)
-    assert (calls, map_calls) == ([1] * 40, [1] * 20)
-    assert (single.p_value, single.statistic) == (whole.p_value, whole.statistic)
+    with pytest.raises(CapError, match=f"cells exceed the cap of {per_rep - 1}$"):
+        hexch_test(counted, r, m, n=n, n_reps=20, n_resamples=49, seed=seed)
+    assert calls == []
 
 
 def test_hexch_rejects_a_wrong_source_shape():
@@ -377,7 +378,7 @@ def test_conditional_iid_constant_array():
 
 
 def test_conditional_iid_shape_mismatch():
-    with pytest.raises(ValueError, match=r"^shape mismatch: array has 9 values, expected m\^r = 16$"):
+    with pytest.raises(ValueError, match=r"^array has 9 values, but the truncation has 16 cells$"):
         conditional_iid_test(np.zeros(9), 2, 4, seed=0)
 
 
@@ -781,10 +782,11 @@ def test_gap_slice_pair_dots_match_the_gathered_pairs(n_parents, m, budget):
 def _leaf_entries():
     """Each entry point that takes a leaf array, on an r=2 m=4 array."""
     from hexch.cli import array_to_csv
-    from hexch.definetti import hierarchy_json_chunks
+    from hexch.definetti import empirical_measure, hierarchy_json_chunks
 
     return {
         "array_to_csv": lambda a: b"".join(array_to_csv(a, 2, 4)),
+        "empirical_measure": empirical_measure,
         "extract_hierarchy": lambda a: b"".join(hierarchy_json_chunks(extract_hierarchy(a, 2, 4))),
         "conditional_iid_test": lambda a: conditional_iid_test(a, 2, 4, n_resamples=19).p_value,
         "cond_indep_test": lambda a: cond_indep_test(a, 2, 4, n_resamples=19).p_value,
@@ -796,8 +798,9 @@ def _leaf_entries():
 @pytest.mark.parametrize(
     "array",
     [np.full(16, 0.5) + 0.25j, np.array(["0.5"] * 16), np.array([b"0.5"] * 16),
-     np.full(16, 0.5, dtype=object), [0.5] * 15 + [0.5j]],
-    ids=["complex", "str", "bytes", "object", "list-with-a-complex"],
+     np.full(16, 0.5, dtype=object), [0.5] * 15 + [0.5j], np.array(["0.5", "0.25"]),
+     [0.5 + 1j]],
+    ids=["complex", "str", "bytes", "object", "list-with-a-complex", "two-str", "one-complex"],
 )
 def test_leaf_arrays_that_are_not_real_are_refused_by_dtype(entry, array):
     # before any float conversion: no ComplexWarning, and no text is parsed

@@ -1,11 +1,14 @@
 """Tests for the tree index algebra."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+from hexch.hperm import random_leaf_indices
 from hexch.tree import (
+    CapError,
     ProductVertex,
     TreeVertex,
     encode_vertex,
@@ -116,8 +119,18 @@ def test_leaves_count():
 
 
 def test_leaves_cap_guard():
-    with pytest.raises(ValueError, match="exceeding the cap of 1000000$"):
+    with pytest.raises(CapError, match=r"^100\^10 cells exceed the cap of 1000000$"):
         leaves(10, 100)
+
+
+def test_a_deep_truncation_is_refused_at_once():
+    # the cap check stops at the first partial product past the cap, so no
+    # 2^(10^12) is computed and no vertex is built
+    start = time.perf_counter()
+    for call in (leaves, internal_vertices, lambda r, m: random_leaf_indices(r, m, [0, 1])):
+        with pytest.raises(CapError, match=r"^2\^1000000000000 cells exceed the cap of 1000000$"):
+            call(10**12, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_vertex_validation():
